@@ -67,6 +67,11 @@ def _model_spec(doc: dict) -> ModelSpec:
     return ModelSpec(**doc)
 
 
+def _first_set(*values):
+    """The first value that is not None; 0 and other falsy values count as set."""
+    return next(v for v in values if v is not None)
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge the config file (if any) with command-line overrides."""
     doc = load_config_file(args.config) if getattr(args, "config", None) else {}
@@ -109,7 +114,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         checkpoint=getattr(args, "checkpoint", None) or doc.get("checkpoint"),
         out=getattr(args, "out", None) or doc.get("out") or "runs/latest",
         pretrain=bool(getattr(args, "pretrain", False) or doc.get("pretrain", False)),
-        pretrain_epochs=getattr(args, "pretrain_epochs", None) or doc.get("pretrain_epochs", 50),
+        pretrain_epochs=_first_set(getattr(args, "pretrain_epochs", None),
+                                   doc.get("pretrain_epochs"), 50),
         split_ratio=doc.get("split_ratio", 0.8),
         train=train_cfg,
         encoder=encoder_cfg,

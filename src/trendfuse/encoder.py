@@ -27,7 +27,6 @@ from .numerics import ParameterStore, Tensor
 PAD_ID = 0
 START_ID = 1
 UNK_ID = 2
-MASK_ID = 3
 NUM_SPECIALS = 4
 
 _SPECIAL_TOKENS = ("<pad>", "<s>", "<unk>", "<mask>")
@@ -345,15 +344,11 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     return params, vocab, trace
 
 
-def standardize_features(pooled: np.ndarray, length: int,
-                         token_rows: np.ndarray | None = None) -> np.ndarray:
+def standardize_features(pooled: np.ndarray, length: int) -> np.ndarray:
     """Flatten to one vector, then zero-pad or truncate to `length`."""
     if length < 1:
         raise ConfigError(f"feature length must be >= 1, got {length}")
-    parts = [np.asarray(pooled).reshape(-1)]
-    if token_rows is not None:
-        parts.append(np.asarray(token_rows).mean(axis=0).reshape(-1))
-    flat = np.concatenate(parts)
+    flat = np.asarray(pooled).reshape(-1)
     if flat.size == 0:
         raise ContractError("no representation rows to standardize")
     if flat.size >= length:

@@ -44,9 +44,6 @@ class MarketSeries:
     def __len__(self) -> int:
         return len(self.records)
 
-    def chg_values(self) -> np.ndarray:
-        return np.array([r.chg for r in self.records])
-
     def dates(self) -> list[Date]:
         return [r.date for r in self.records]
 

@@ -5,12 +5,31 @@ All cells operate on row-batches: step input x is (B, I), states are
 the classic formulation. Variants are written so that specific parameter
 settings collapse them exactly onto the plain LSTM, which the test suite
 uses as a correctness oracle.
+
+Each cell step is a handful of fused tape primitives (`numerics.fused`).
+Each computes its gates in numpy and records one node with a hand-written
+backward (plus one node per output when it has two), following the cuDNN
+RNN recipe (Appleyard et al., arXiv:1604.01946):
+
+- `gate_block` is the LSTM core: one matmul of [h, x] against the gate
+  weights stacked column-wise, then the gated memory update; it returns
+  (o, c). The Mogrifier, ST-LSTM and SwinLSTM cells reuse it unchanged
+  and add only their extras, which are fused too: `mogrify` (all
+  Mogrifier rounds), the ST-LSTM M-memory path (`gate_block` without an
+  output gate) and `window_pool` (SwinLSTM's windowed attention).
+- `gru_step` is the whole GRU update.
+- `gated_tanh` gives h = o * tanh(c).
+
+`CELLS` maps every recurrent kind to its parameter init, its once-per-unroll
+weight preparation (stacking the gate weights), its step function and the
+number of state tensors it carries; `unroll` runs any kind from that table,
+and BiLSTM is the LSTM entry run forward and then reversed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +40,11 @@ from .numerics import ParameterStore, Tensor
 VALID_KINDS = ("feedforward", "lstm", "bilstm", "gru", "mogrifier", "stlstm", "swinlstm")
 
 RECURRENT_KINDS = tuple(k for k in VALID_KINDS if k != "feedforward")
+
+# Parameter draw order of the LSTM gate block, and the stacked column order
+# the fused core uses (sigmoid gates first, then the tanh candidate).
+LSTM_GATES = ("w_i", "w_f", "w_c", "w_o")
+LSTM_STACK = ("w_i", "w_f", "w_o", "w_c")
 
 
 @dataclass
@@ -50,37 +74,278 @@ def zero_state(batch: int, hidden: int) -> Tensor:
     return Tensor(np.zeros((batch, hidden)))
 
 
-def _check_widths(x: Tensor, h: Tensor, w: Tensor, gate: str) -> None:
-    if h.shape[0] != x.shape[0]:
-        raise ShapeError(f"batch mismatch: state {h.shape} vs input {x.shape}")
-    if h.shape[1] + x.shape[1] != w.shape[0]:
-        raise ShapeError(f"{gate} weights {w.shape} do not fit "
-                         f"[h,x] width {h.shape[1] + x.shape[1]}")
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function through tanh, which cannot overflow."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
+
+
+def _check_widths(first: Tensor, second: Tensor, w: Tensor) -> None:
+    if first.shape[0] != second.shape[0]:
+        raise ShapeError(f"batch mismatch: {first.shape} vs {second.shape}")
+    if first.shape[1] + second.shape[1] != w.shape[0]:
+        raise ShapeError(f"gate weights {w.shape} do not fit "
+                         f"concatenated width {first.shape[1] + second.shape[1]}")
+
+
+def _stack(params: Mapping[str, Tensor], gates: Sequence[str]) -> tuple[Tensor, Tensor]:
+    """Gate weights and biases stacked column-wise: two tape nodes."""
+    return (nm.concat([params[g] for g in gates], axis=1),
+            nm.concat([params[g.replace("w", "b", 1)] for g in gates], axis=1))
+
+
+# --- fused primitives ---------------------------------------------------------
+
+
+def gate_block(first: Tensor, second: Tensor, mem_prev: Tensor, w: Tensor, b: Tensor,
+               out_gate: bool = True):
+    """Gated memory update over the row [first, second] as one tape primitive.
+
+    w and b stack the gate columns [i, f, o, g] ([i, f, g] without the output
+    gate): z = [first, second] @ w + b, sigmoid on the gates, tanh on the
+    candidate g, and mem = f * mem_prev + i * g. Returns (o, mem) with the
+    output gate, else the mem tensor alone.
+    """
+    _check_widths(first, second, w)
+    hidden = mem_prev.shape[1]
+    n_sig = (3 if out_gate else 2) * hidden
+    split = first.shape[1]
+    cat = np.concatenate([first.data, second.data], axis=1)
+    act = cat @ w.data + b.data
+    act[:, :n_sig] = _sigmoid(act[:, :n_sig])
+    act[:, n_sig:] = np.tanh(act[:, n_sig:])
+    i, f, g = act[:, :hidden], act[:, hidden:2 * hidden], act[:, n_sig:]
+    mem = f * mem_prev.data + i * g
+
+    def back(g_o, g_mem) -> None:
+        if g_mem is None:
+            g_mem = np.zeros_like(mem)
+        d = np.empty_like(act)
+        d[:, :hidden] = g_mem * g
+        d[:, hidden:2 * hidden] = g_mem * mem_prev.data
+        d[:, n_sig:] = g_mem * i
+        if out_gate:
+            d[:, 2 * hidden:n_sig] = 0.0 if g_o is None else g_o
+        sig = act[:, :n_sig]
+        d[:, :n_sig] *= sig * (1.0 - sig)
+        d[:, n_sig:] *= 1.0 - g * g
+        nm.accumulate(mem_prev, g_mem * f)
+        nm.accumulate(w, cat.T @ d)
+        nm.accumulate(b, d.sum(axis=0, keepdims=True))
+        if first.requires_grad or second.requires_grad:
+            d_cat = d @ w.data.T
+            nm.accumulate(first, d_cat[:, :split])
+            nm.accumulate(second, d_cat[:, split:])
+
+    parents = (first, second, mem_prev, w, b)
+    if out_gate:
+        return nm.fused(parents, (act[:, 2 * hidden:n_sig], mem), back)
+    return nm.fused(parents, (mem,), lambda g_mem: back(None, g_mem))[0]
+
+
+def gated_tanh(gate: Tensor, pre: Tensor) -> Tensor:
+    """gate * tanh(pre) as one tape node."""
+    t = np.tanh(pre.data)
+
+    def back(g: np.ndarray) -> None:
+        nm.accumulate(gate, g * t)
+        nm.accumulate(pre, g * gate.data * (1.0 - t * t))
+
+    return nm.fused((gate, pre), (gate.data * t,), back)[0]
+
+
+def gru_step(x: Tensor, h_prev: Tensor, w_zr: Tensor, b_zr: Tensor,
+             w_h: Tensor, b_h: Tensor) -> Tensor:
+    """The whole GRU update as one tape node.
+
+    [z, r] = sigmoid([h_prev, x] @ w_zr + b_zr),
+    h_tilde = tanh([r * h_prev, x] @ w_h + b_h), h = (1 - z) * h_prev + z * h_tilde.
+    """
+    _check_widths(h_prev, x, w_zr)
+    hidden = h_prev.shape[1]
+    hd = h_prev.data
+    cat = np.concatenate([hd, x.data], axis=1)
+    zr = _sigmoid(cat @ w_zr.data + b_zr.data)
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    cat_r = np.concatenate([r * hd, x.data], axis=1)
+    h_tilde = np.tanh(cat_r @ w_h.data + b_h.data)
+
+    def back(g: np.ndarray) -> None:
+        d_h = g * z * (1.0 - h_tilde * h_tilde)
+        d_cat_r = d_h @ w_h.data.T
+        d_rh = d_cat_r[:, :hidden]
+        d_zr = np.concatenate([g * (h_tilde - hd), d_rh * hd], axis=1)
+        d_zr *= zr * (1.0 - zr)
+        nm.accumulate(w_h, cat_r.T @ d_h)
+        nm.accumulate(b_h, d_h.sum(axis=0, keepdims=True))
+        nm.accumulate(w_zr, cat.T @ d_zr)
+        nm.accumulate(b_zr, d_zr.sum(axis=0, keepdims=True))
+        if h_prev.requires_grad or x.requires_grad:
+            d_cat = d_zr @ w_zr.data.T
+            nm.accumulate(h_prev, g * (1.0 - z) + d_rh * r + d_cat[:, :hidden])
+            nm.accumulate(x, d_cat_r[:, hidden:] + d_cat[:, hidden:])
+
+    return nm.fused((x, h_prev, w_zr, b_zr, w_h, b_h), ((1.0 - z) * hd + z * h_tilde,), back)[0]
+
+
+def mogrify(x: Tensor, h: Tensor, q: Tensor, r: Tensor | None,
+            rounds: int) -> tuple[Tensor, Tensor]:
+    """All Mogrifier rounds as one tape primitive; returns the gated (x, h).
+
+    Odd rounds rescale x by 2*sigmoid(h @ q); even rounds rescale h by
+    2*sigmoid(x @ r). r is needed only from two rounds on.
+    """
+    xd, hd = x.data, h.data
+    saved = []
+    for k in range(1, rounds + 1):
+        if k % 2:
+            s = _sigmoid(hd @ q.data)
+            saved.append((s, xd, hd))
+            xd = 2.0 * s * xd
+        else:
+            s = _sigmoid(xd @ r.data)
+            saved.append((s, xd, hd))
+            hd = 2.0 * s * hd
+
+    def back(g_x, g_h) -> None:
+        g_x = np.zeros_like(xd) if g_x is None else g_x
+        g_h = np.zeros_like(hd) if g_h is None else g_h
+        g_q = g_r = 0.0
+        for k in range(rounds, 0, -1):
+            s, x_in, h_in = saved[k - 1]
+            if k % 2:
+                d_z = g_x * 2.0 * x_in * s * (1.0 - s)
+                g_q = g_q + h_in.T @ d_z
+                g_x = g_x * 2.0 * s
+                g_h = g_h + d_z @ q.data.T
+            else:
+                d_z = g_h * 2.0 * h_in * s * (1.0 - s)
+                g_r = g_r + x_in.T @ d_z
+                g_h = g_h * 2.0 * s
+                g_x = g_x + d_z @ r.data.T
+        nm.accumulate(x, g_x)
+        nm.accumulate(h, g_h)
+        nm.accumulate(q, g_q)
+        if rounds >= 2:
+            nm.accumulate(r, g_r)
+
+    weights = (q,) if rounds < 2 else (q, r)
+    return nm.fused((x, h, *weights), (xd, hd), back)
+
+
+def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
+                window: int) -> Tensor:
+    """SwinLSTM's windowed self-attention and pooling as one tape node.
+
+    The feature row is zero-padded to a multiple of `window`. Inside each
+    window, every scalar entry u_i attends over the window's entries with
+    scores (u_i * wq) * (u_j * wk) and values u_j * wv (max-shifted
+    softmax); each window's output is u + attention * wp, and the windows
+    are averaged elementwise into a (B, window) row.
+    """
+    batch, feat = x.shape
+    pad = (-feat) % window
+    xd = np.concatenate([x.data, np.zeros((batch, pad))], axis=1) if pad else x.data
+    n_windows = xd.shape[1] // window
+    u = xd.reshape(batch, n_windows, window)
+    aq, ak, av, ap = (t.data.reshape(()) for t in (wq, wk, wv, wp))
+    q, k, v = u * aq, u * ak, u * av
+    scores = q[..., :, None] * k[..., None, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    att = (alpha * v[..., None, :]).sum(axis=-1)
+    out = u + att * ap
+
+    def back(g: np.ndarray) -> None:
+        d_out = np.broadcast_to((g * (1.0 / n_windows))[:, None, :], u.shape)
+        d_att = d_out * ap
+        d_alpha = d_att[..., :, None] * v[..., None, :]
+        d_v = (alpha * d_att[..., :, None]).sum(axis=-2)
+        d_s = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+        d_q = (d_s * k[..., None, :]).sum(axis=-1)
+        d_k = (d_s * q[..., :, None]).sum(axis=-2)
+        if x.requires_grad:
+            d_u = d_out + d_q * aq + d_k * ak + d_v * av
+            nm.accumulate(x, d_u.reshape(batch, -1)[:, :feat])
+        for param, grad in ((wq, d_q * u), (wk, d_k * u), (wv, d_v * u), (wp, d_out * att)):
+            nm.accumulate(param, np.array([[grad.sum()]]))
+
+    return nm.fused((x, wq, wk, wv, wp), (out.sum(axis=1) * (1.0 / n_windows),), back)[0]
+
+
+# --- cell steps: step(x, state, weights) -> state, with weights prepared once ---
+
+
+def _lstm_weights(params: Mapping[str, Tensor]):
+    return _stack(params, LSTM_STACK)
+
+
+def _lstm_step(x: Tensor, state, weights):
+    h, c = state
+    o, c = gate_block(h, x, c, *weights)
+    return gated_tanh(o, c), c
+
+
+def _gru_weights(params: Mapping[str, Tensor]):
+    return (*_stack(params, ("w_z", "w_r")), params["w_h"], params["b_h"])
+
+
+def _gru_step(x: Tensor, state, weights):
+    return (gru_step(x, state[0], *weights),)
+
+
+def _mogrifier_weights(params: Mapping[str, Tensor], rounds: int):
+    if rounds < 0:
+        raise ContractError(f"rounds must be >= 0, got {rounds}")
+    q = params["q"] if rounds >= 1 else None
+    r = params["r"] if rounds >= 2 else None
+    return _lstm_weights(params), q, r, rounds
+
+
+def _mogrifier_step(x: Tensor, state, weights):
+    lstm, q, r, rounds = weights
+    h, c = state
+    if rounds:
+        x, h = mogrify(x, h, q, r, rounds)
+    return _lstm_step(x, (h, c), lstm)
+
+
+def _stlstm_weights(params: Mapping[str, Tensor]):
+    return _lstm_weights(params), _stack(params, ("w_mi", "w_mf", "w_mc")), params["w_mix"]
+
+
+def _stlstm_step(x: Tensor, state, weights):
+    lstm, m_block, w_mix = weights
+    h, c, m = state
+    o, c = gate_block(h, x, c, *lstm)
+    m = gate_block(x, m, m, *m_block, out_gate=False)
+    h = gated_tanh(o, nm.matmul(nm.concat([c, m], axis=1), w_mix))
+    return h, c, m
+
+
+def _swinlstm_weights(params: Mapping[str, Tensor], window: int):
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    attention = tuple(params[name] for name in ("wq", "wk", "wv", "wp"))
+    return attention, window, _lstm_weights(params)
+
+
+def _swinlstm_step(x: Tensor, state, weights):
+    attention, window, lstm = weights
+    return _lstm_step(window_pool(x, *attention, window), state, lstm)
+
+
+# --- public single-step cells ---------------------------------------------------
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Standard gated update: input/forget/output gates plus tanh candidate."""
-    _check_widths(x, h_prev, params["w_i"], "input-gate")
-    cat = nm.concat([h_prev, x], axis=1)
-    i = nm.sigmoid(nm.add(nm.matmul(cat, params["w_i"]), params["b_i"]))
-    f = nm.sigmoid(nm.add(nm.matmul(cat, params["w_f"]), params["b_f"]))
-    o = nm.sigmoid(nm.add(nm.matmul(cat, params["w_o"]), params["b_o"]))
-    c_tilde = nm.tanh(nm.add(nm.matmul(cat, params["w_c"]), params["b_c"]))
-    c = nm.add(nm.mul(f, c_prev), nm.mul(i, c_tilde))
-    h = nm.mul(o, nm.tanh(c))
-    return h, c
+    return _lstm_step(x, (h_prev, c_prev), _lstm_weights(params))
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     """Update/reset gated state: h = (1-z)*h_prev + z*h_tilde."""
-    _check_widths(x, h_prev, params["w_z"], "update-gate")
-    cat = nm.concat([h_prev, x], axis=1)
-    z = nm.sigmoid(nm.add(nm.matmul(cat, params["w_z"]), params["b_z"]))
-    r = nm.sigmoid(nm.add(nm.matmul(cat, params["w_r"]), params["b_r"]))
-    cat_r = nm.concat([nm.mul(r, h_prev), x], axis=1)
-    h_tilde = nm.tanh(nm.add(nm.matmul(cat_r, params["w_h"]), params["b_h"]))
-    return nm.add(nm.mul(nm.sub(1.0, z), h_prev), nm.mul(z, h_tilde))
+    return _gru_step(x, (h_prev,), _gru_weights(params))[0]
 
 
 def mogrifier_lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
@@ -91,14 +356,7 @@ def mogrifier_lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     Odd rounds rescale x by 2*sigmoid(h @ q); even rounds rescale h by
     2*sigmoid(x @ r). rounds=0 runs the plain LSTM on the untouched pair.
     """
-    if rounds < 0:
-        raise ContractError(f"rounds must be >= 0, got {rounds}")
-    for k in range(1, rounds + 1):
-        if k % 2:
-            x = nm.mul(nm.mul(2.0, nm.sigmoid(nm.matmul(h_prev, params["q"]))), x)
-        else:
-            h_prev = nm.mul(nm.mul(2.0, nm.sigmoid(nm.matmul(x, params["r"]))), h_prev)
-    return lstm_cell(x, h_prev, c_prev, params)
+    return _mogrifier_step(x, (h_prev, c_prev), _mogrifier_weights(params, rounds))
 
 
 def stlstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, m_prev: Tensor,
@@ -108,35 +366,7 @@ def stlstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, m_prev: Tensor,
     The M path is driven by [x, M_prev]; the hidden output mixes both
     memories through w_mix before the output gate's tanh.
     """
-    _check_widths(x, h_prev, params["w_i"], "input-gate")
-    cat = nm.concat([h_prev, x], axis=1)
-    i = nm.sigmoid(nm.add(nm.matmul(cat, params["w_i"]), params["b_i"]))
-    f = nm.sigmoid(nm.add(nm.matmul(cat, params["w_f"]), params["b_f"]))
-    o = nm.sigmoid(nm.add(nm.matmul(cat, params["w_o"]), params["b_o"]))
-    c_tilde = nm.tanh(nm.add(nm.matmul(cat, params["w_c"]), params["b_c"]))
-    c = nm.add(nm.mul(f, c_prev), nm.mul(i, c_tilde))
-
-    cat_m = nm.concat([x, m_prev], axis=1)
-    i_m = nm.sigmoid(nm.add(nm.matmul(cat_m, params["w_mi"]), params["b_mi"]))
-    f_m = nm.sigmoid(nm.add(nm.matmul(cat_m, params["w_mf"]), params["b_mf"]))
-    m_tilde = nm.tanh(nm.add(nm.matmul(cat_m, params["w_mc"]), params["b_mc"]))
-    m = nm.add(nm.mul(f_m, m_prev), nm.mul(i_m, m_tilde))
-
-    mixed = nm.matmul(nm.concat([c, m], axis=1), params["w_mix"])
-    h = nm.mul(o, nm.tanh(mixed))
-    return h, c, m
-
-
-def _window_attention(u: Tensor, params: Mapping[str, Tensor]) -> Tensor:
-    """Self-attention among the scalar entries of one window (B, w)."""
-    q = nm.mul(u, params["wq"])
-    k = nm.mul(u, params["wk"])
-    v = nm.mul(u, params["wv"])
-    cols = []
-    for i in range(u.shape[1]):
-        alpha = nm.softmax(nm.mul(q[:, i:i + 1], k), axis=-1)
-        cols.append(nm.sum_(nm.mul(alpha, v), axis=1, keepdims=True))
-    return nm.concat(cols, axis=1)
+    return _stlstm_step(x, (h_prev, c_prev, m_prev), _stlstm_weights(params))
 
 
 def swinlstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
@@ -149,36 +379,82 @@ def swinlstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     window outputs are averaged elementwise, and the pooled (B, window)
     row feeds the gated update.
     """
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    feat = x.shape[1]
-    pad = (-feat) % window
-    if pad:
-        x = nm.concat([x, Tensor(np.zeros((x.shape[0], pad)))], axis=1)
-    n_windows = x.shape[1] // window
-    pooled = None
-    for g in range(n_windows):
-        u = x[:, g * window:(g + 1) * window]
-        out = nm.add(u, nm.mul(_window_attention(u, params), params["wp"]))
-        pooled = out if pooled is None else nm.add(pooled, out)
-    pooled = nm.mul(pooled, 1.0 / n_windows)
-    return lstm_cell(pooled, h_prev, c_prev, params)
+    return _swinlstm_step(x, (h_prev, c_prev), _swinlstm_weights(params, window))
 
 
-def bilstm_forward(xs: Sequence[Tensor], params_fwd: Mapping[str, Tensor],
-                   params_bwd: Mapping[str, Tensor]) -> Tensor:
-    """Concatenation of the forward and backward final hidden states."""
-    if not xs:
-        raise ContractError("bilstm needs at least one step input")
-    batch = xs[0].shape[0]
-    hidden = params_fwd["w_i"].shape[1]
-    h, c = zero_state(batch, hidden), zero_state(batch, hidden)
-    for x in xs:
-        h, c = lstm_cell(x, h, c, params_fwd)
-    hb, cb = zero_state(batch, hidden), zero_state(batch, hidden)
-    for x in reversed(xs):
-        hb, cb = lstm_cell(x, hb, cb, params_bwd)
-    return nm.concat([h, hb], axis=1)
+# --- parameter init -------------------------------------------------------------
+
+
+def _add_gates(store: ParameterStore, prefix: str, gates: Sequence[str], rows: int,
+               hidden: int, rng: np.random.Generator) -> None:
+    for gate in gates:
+        store.add(f"{prefix}.{gate}", nm.uniform_init(rng, rows, (rows, hidden)))
+        store.add(f"{prefix}.{gate.replace('w', 'b', 1)}", np.zeros((1, hidden)))
+
+
+def _init_lstm(store, prefix, input_width, spec, rng) -> None:
+    _add_gates(store, prefix, LSTM_GATES, spec.hidden + input_width, spec.hidden, rng)
+
+
+def _init_gru(store, prefix, input_width, spec, rng) -> None:
+    _add_gates(store, prefix, ("w_z", "w_r", "w_h"), spec.hidden + input_width,
+               spec.hidden, rng)
+
+
+def _init_mogrifier(store, prefix, input_width, spec, rng) -> None:
+    hidden = spec.hidden
+    _init_lstm(store, prefix, input_width, spec, rng)
+    if spec.mogrifier_rounds >= 1:
+        store.add(f"{prefix}.q", nm.uniform_init(rng, hidden, (hidden, input_width)))
+    if spec.mogrifier_rounds >= 2:
+        store.add(f"{prefix}.r", nm.uniform_init(rng, input_width, (input_width, hidden)))
+
+
+def _init_stlstm(store, prefix, input_width, spec, rng) -> None:
+    hidden = spec.hidden
+    _init_lstm(store, prefix, input_width, spec, rng)
+    _add_gates(store, prefix, ("w_mi", "w_mf", "w_mc"), input_width + hidden, hidden, rng)
+    store.add(f"{prefix}.w_mix", nm.uniform_init(rng, 2 * hidden, (2 * hidden, hidden)))
+
+
+def _init_swinlstm(store, prefix, input_width, spec, rng) -> None:
+    for name in ("wq", "wk", "wv", "wp"):
+        store.add(f"{prefix}.{name}", nm.uniform_init(rng, 1, (1, 1)))
+    _init_lstm(store, prefix, spec.swin_window, spec, rng)
+
+
+# --- the cell table ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    """How one recurrent kind creates its parameters and steps through time.
+
+    `prepare` runs once per unroll (stacking gate weights); `step` maps
+    (x, state, prepared weights) to the next state tuple of `arity`
+    tensors, the hidden row first. Each name in `directions` is a parameter
+    sub-prefix run in turn, the second one over the reversed sequence.
+    """
+
+    init: Callable[[ParameterStore, str, int, ModelSpec, np.random.Generator], None]
+    prepare: Callable[[Mapping[str, Tensor], ModelSpec], tuple]
+    step: Callable[[Tensor, tuple, tuple], tuple]
+    arity: int
+    directions: tuple[str, ...] = ("",)
+
+
+CELLS = {
+    "lstm": Cell(_init_lstm, lambda p, spec: _lstm_weights(p), _lstm_step, 2),
+    "bilstm": Cell(_init_lstm, lambda p, spec: _lstm_weights(p), _lstm_step, 2,
+                   directions=("fwd", "bwd")),
+    "gru": Cell(_init_gru, lambda p, spec: _gru_weights(p), _gru_step, 1),
+    "mogrifier": Cell(_init_mogrifier,
+                      lambda p, spec: _mogrifier_weights(p, spec.mogrifier_rounds),
+                      _mogrifier_step, 2),
+    "stlstm": Cell(_init_stlstm, lambda p, spec: _stlstm_weights(p), _stlstm_step, 3),
+    "swinlstm": Cell(_init_swinlstm, lambda p, spec: _swinlstm_weights(p, spec.swin_window),
+                     _swinlstm_step, 2),
+}
 
 
 def feedforward_net(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
@@ -208,54 +484,29 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor],
     forward state with the co-located backward state, and the final output
     concatenates both directions' final states.
     """
-    if spec.kind not in RECURRENT_KINDS:
+    if spec.kind not in CELLS:
         raise ConfigError(f"cannot unroll non-recurrent kind {spec.kind!r}")
     if not xs:
         raise ContractError("empty step-input sequence")
-    batch = xs[0].shape[0]
-    hidden = spec.hidden
-    if spec.kind == "bilstm":
-        fwd = {k[4:]: v for k, v in params.items() if k.startswith("fwd.")}
-        bwd = {k[4:]: v for k, v in params.items() if k.startswith("bwd.")}
-        h, c = zero_state(batch, hidden), zero_state(batch, hidden)
-        fwd_states = []
-        for x in xs:
-            h, c = lstm_cell(x, h, c, fwd)
-            fwd_states.append(h)
-        hb, cb = zero_state(batch, hidden), zero_state(batch, hidden)
-        bwd_states = []
-        for x in reversed(xs):
-            hb, cb = lstm_cell(x, hb, cb, bwd)
-            bwd_states.append(hb)
-        bwd_states.reverse()
-        steps = [nm.concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
-        final = nm.concat([fwd_states[-1], bwd_states[0]], axis=1)
-        return steps, final
-
-    h, c = zero_state(batch, hidden), zero_state(batch, hidden)
-    m = zero_state(batch, hidden)
-    steps = []
-    for x in xs:
-        if spec.kind == "lstm":
-            h, c = lstm_cell(x, h, c, params)
-        elif spec.kind == "gru":
-            h = gru_cell(x, h, params)
-        elif spec.kind == "mogrifier":
-            h, c = mogrifier_lstm_cell(x, h, c, params, spec.mogrifier_rounds)
-        elif spec.kind == "stlstm":
-            h, c, m = stlstm_cell(x, h, c, m, params)
-        elif spec.kind == "swinlstm":
-            h, c = swinlstm_cell(x, h, c, params, spec.swin_window)
-        steps.append(h)
-    return steps, h
-
-
-def _add_lstm_gates(store: ParameterStore, prefix: str, input_width: int,
-                    hidden: int, rng: np.random.Generator) -> None:
-    rows = hidden + input_width
-    for gate in ("w_i", "w_f", "w_c", "w_o"):
-        store.add(f"{prefix}.{gate}", nm.uniform_init(rng, rows, (rows, hidden)))
-        store.add(f"{prefix}.{gate.replace('w', 'b')}", np.zeros((1, hidden)))
+    cell = CELLS[spec.kind]
+    zero = zero_state(xs[0].shape[0], spec.hidden)
+    runs = []
+    for direction in cell.directions:
+        sub = params if not direction else {
+            k[len(direction) + 1:]: v for k, v in params.items()
+            if k.startswith(direction + ".")}
+        weights = cell.prepare(sub, spec)
+        state = (zero,) * cell.arity
+        hs = []
+        for x in (reversed(xs) if runs else xs):
+            state = cell.step(x, state, weights)
+            hs.append(state[0])
+        runs.append(hs[::-1] if runs else hs)
+    if len(runs) == 1:
+        return runs[0], runs[0][-1]
+    fwd, bwd = runs
+    steps = [nm.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+    return steps, nm.concat([fwd[-1], bwd[0]], axis=1)
 
 
 def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,
@@ -267,35 +518,7 @@ def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,
     as a plain LSTM.
     """
     hidden = spec.hidden
-    kind = spec.kind
-    if kind == "lstm":
-        _add_lstm_gates(store, prefix, input_width, hidden, rng)
-    elif kind == "bilstm":
-        _add_lstm_gates(store, f"{prefix}.fwd", input_width, hidden, rng)
-        _add_lstm_gates(store, f"{prefix}.bwd", input_width, hidden, rng)
-    elif kind == "gru":
-        rows = hidden + input_width
-        for gate in ("w_z", "w_r", "w_h"):
-            store.add(f"{prefix}.{gate}", nm.uniform_init(rng, rows, (rows, hidden)))
-            store.add(f"{prefix}.{gate.replace('w', 'b')}", np.zeros((1, hidden)))
-    elif kind == "mogrifier":
-        _add_lstm_gates(store, prefix, input_width, hidden, rng)
-        if spec.mogrifier_rounds >= 1:
-            store.add(f"{prefix}.q", nm.uniform_init(rng, hidden, (hidden, input_width)))
-        if spec.mogrifier_rounds >= 2:
-            store.add(f"{prefix}.r", nm.uniform_init(rng, input_width, (input_width, hidden)))
-    elif kind == "stlstm":
-        _add_lstm_gates(store, prefix, input_width, hidden, rng)
-        rows_m = input_width + hidden
-        for gate in ("w_mi", "w_mf", "w_mc"):
-            store.add(f"{prefix}.{gate}", nm.uniform_init(rng, rows_m, (rows_m, hidden)))
-            store.add(f"{prefix}.{gate.replace('w', 'b')}", np.zeros((1, hidden)))
-        store.add(f"{prefix}.w_mix", nm.uniform_init(rng, 2 * hidden, (2 * hidden, hidden)))
-    elif kind == "swinlstm":
-        for name in ("wq", "wk", "wv", "wp"):
-            store.add(f"{prefix}.{name}", nm.uniform_init(rng, 1, (1, 1)))
-        _add_lstm_gates(store, prefix, spec.swin_window, hidden, rng)
-    elif kind == "feedforward":
+    if spec.kind == "feedforward":
         h1 = max(2 * hidden, 4)
         h2 = hidden
         store.add(f"{prefix}.w1", nm.uniform_init(rng, input_width, (input_width, h1)))
@@ -304,6 +527,11 @@ def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,
         store.add(f"{prefix}.b2", np.zeros((1, h2)))
         store.add(f"{prefix}.w3", nm.uniform_init(rng, h2, (h2, 1)))
         store.add(f"{prefix}.b3", np.zeros((1, 1)))
+        return
+    cell = CELLS[spec.kind]
+    for direction in cell.directions:
+        cell.init(store, f"{prefix}.{direction}" if direction else prefix,
+                  input_width, spec, rng)
 
 
 def add_head_params(store: ParameterStore, width: int,

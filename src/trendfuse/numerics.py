@@ -397,6 +397,46 @@ def conv1d_rows(x: Tensor, kernel: Tensor) -> Tensor:
     return Tensor(out_data, parents=(x, kernel), backward=back)
 
 
+def accumulate(t: Tensor, g: Array) -> None:
+    """Add g to t's gradient if t takes part in differentiation.
+
+    For hand-written backward closures of fused primitives, which skip the
+    inputs that need no gradient.
+    """
+    if t.requires_grad:
+        t._accumulate(g)
+
+
+def fused(parents: tuple[Tensor, ...], outputs: tuple[Array, ...],
+          backward: Callable[..., None]) -> tuple[Tensor, ...]:
+    """One tape primitive with a hand-written backward, returning its outputs.
+
+    Only the parents that need gradients are recorded; `backward` accumulates
+    into them itself (see `accumulate`). A single output is one node whose
+    backward is `backward(grad)`. Several outputs hang off one joint node:
+    every consumer of every output runs before it, and it then calls
+    `backward(*grads)` once, with each output's gradient (None for an output
+    that got none).
+    """
+    parents = tuple(p for p in parents if p.requires_grad)
+    if len(outputs) == 1:
+        return (Tensor(outputs[0], parents=parents, backward=backward),)
+    # Output gradients travel through this list rather than through references
+    # to the outputs, so the graph holds no reference cycle and is freed as
+    # soon as the last output is dropped.
+    grads: list[Array | None] = [None] * len(outputs)
+    joint = Tensor(np.empty(0), parents=parents, backward=lambda _: backward(*grads))
+
+    def output(k: int, data: Array) -> Tensor:
+        def mark(g: Array) -> None:
+            grads[k] = g
+            joint.grad = joint.data  # any gradient schedules the joint node
+
+        return Tensor(data, parents=(joint,), backward=mark)
+
+    return tuple(output(k, data) for k, data in enumerate(outputs))
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     visited: set[int] = set()

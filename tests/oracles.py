@@ -1,13 +1,18 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written without the package's tensor or
-graph machinery (plain loops and numpy scalars), so a passing comparison
-means two unrelated code paths agree.
+Everything here except `bilstm_forward` is deliberately written without
+the package's tensor or graph machinery (plain loops and numpy scalars),
+so a passing comparison means two unrelated code paths agree.
+`bilstm_forward` composes the library's own `lstm_cell` by hand, as a
+reference for the table-driven `models.unroll`.
 """
 
 import math
 
 import numpy as np
+
+from trendfuse import models, numerics as nm
+from trendfuse.errors import ContractError
 
 
 def fd_gradients(f, arrays, h=1e-5):
@@ -118,6 +123,21 @@ def gru_step(x, h, p):
     cat_r = np.concatenate([r * h, x])
     h_tilde = np.tanh(cat_r @ p["w_h"] + p["b_h"].reshape(-1))
     return (1 - z) * h + z * h_tilde
+
+
+def bilstm_forward(xs, params_fwd, params_bwd):
+    """Concatenation of the forward and backward final hidden states."""
+    if not xs:
+        raise ContractError("bilstm needs at least one step input")
+    batch = xs[0].shape[0]
+    hidden = params_fwd["w_i"].shape[1]
+    h, c = models.zero_state(batch, hidden), models.zero_state(batch, hidden)
+    for x in xs:
+        h, c = models.lstm_cell(x, h, c, params_fwd)
+    hb, cb = models.zero_state(batch, hidden), models.zero_state(batch, hidden)
+    for x in reversed(xs):
+        hb, cb = models.lstm_cell(x, hb, cb, params_bwd)
+    return nm.concat([h, hb], axis=1)
 
 
 def confusion_counts(labels, targets):

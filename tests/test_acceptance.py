@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import confusion_counts, fd_gradients, max_rel_err
+from oracles import bilstm_forward, confusion_counts, fd_gradients, max_rel_err
 
 from trendfuse import cli, encoder as enc, fusion, ingest, models
 from trendfuse import numerics as nm
@@ -262,9 +262,109 @@ def _cell_grad_cases(rng, steps):
     def run_bi(p):
         fwd = {k[4:]: v for k, v in p.items() if k.startswith("fwd.")}
         bwd = {k[4:]: v for k, v in p.items() if k.startswith("bwd.")}
-        return models.bilstm_forward([p[f"x{i}"] for i in range(steps)], fwd, bwd)
+        return bilstm_forward([p[f"x{i}"] for i in range(steps)], fwd, bwd)
 
     unroll_case("bilstm", bi_arrays, run_bi)
+    return cases
+
+
+def _fused_grad_cases(rng):
+    """The fused cell primitives, directly and through unroll.
+
+    Each loss mixes every output with fixed random weights so no gradient
+    path cancels. Cases marked const/frozen keep some inputs as plain
+    constants, so the primitive's backward must skip them.
+    """
+    hid, inp, batch = 3, 2, 2
+    rows = hid + inp
+
+    def const(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    def mixed(*shapes):
+        weights = [const(*shape) for shape in shapes]
+
+        def loss(values):
+            total = nm.sum_(nm.mul(values[0], weights[0]))
+            for value, w in zip(values[1:], weights[1:]):
+                total = nm.add(total, nm.sum_(nm.mul(value, w)))
+            return total
+        return loss
+
+    def arrays(**shapes):
+        return {name: rng.normal(size=shape) for name, shape in shapes.items()}
+
+    cases = []
+    block = arrays(h=(batch, hid), x=(batch, inp), c=(batch, hid),
+                   w=(rows, 4 * hid), b=(1, 4 * hid))
+    mix_oc = mixed((batch, hid), (batch, hid))
+    cases.append(("fused.gate_block", lambda p: mix_oc(models.gate_block(
+        p["h"], p["x"], p["c"], p["w"], p["b"])), block))
+    mix_c = mixed((batch, hid))
+    cases.append(("fused.gate_block.c_only", lambda p: mix_c(models.gate_block(
+        p["h"], p["x"], p["c"], p["w"], p["b"])[1:]), block))
+    zero = Tensor(np.zeros((batch, hid)))
+    cases.append(("fused.gate_block.const_zero_state", lambda p: mix_oc(models.gate_block(
+        zero, p["x"], zero, p["w"], p["b"])),
+        {k: block[k] for k in ("x", "w", "b")}))
+    x_const, w_frozen, b_frozen = const(batch, inp), const(rows, 4 * hid), const(1, 4 * hid)
+    cases.append(("fused.gate_block.const_x_frozen_w", lambda p: mix_oc(models.gate_block(
+        p["h"], x_const, p["c"], w_frozen, b_frozen)),
+        {k: block[k] for k in ("h", "c")}))
+    m_block = arrays(x=(batch, inp), m=(batch, hid), w=(rows, 3 * hid), b=(1, 3 * hid))
+    cases.append(("fused.gate_block.m_path", lambda p: mix_c((models.gate_block(
+        p["x"], p["m"], p["m"], p["w"], p["b"], out_gate=False),)), m_block))
+    cases.append(("fused.gated_tanh", lambda p: mix_c((models.gated_tanh(p["o"], p["c"]),)),
+                  arrays(o=(batch, hid), c=(batch, hid))))
+
+    gru = arrays(x=(batch, inp), h=(batch, hid), w_zr=(rows, 2 * hid), b_zr=(1, 2 * hid),
+                 w_h=(rows, hid), b_h=(1, hid))
+    cases.append(("fused.gru_step", lambda p: mix_c((models.gru_step(
+        p["x"], p["h"], p["w_zr"], p["b_zr"], p["w_h"], p["b_h"]),)), gru))
+    frozen = {k: Tensor(gru[k]) for k in ("w_zr", "b_zr", "w_h", "b_h")}
+    cases.append(("fused.gru_step.frozen_weights", lambda p: mix_c((models.gru_step(
+        p["x"], p["h"], **frozen),)), {k: gru[k] for k in ("x", "h")}))
+    cases.append(("fused.gru_step.const_zero_state", lambda p: mix_c((models.gru_step(
+        x_const, zero, p["w_zr"], p["b_zr"], p["w_h"], p["b_h"]),)),
+        {k: gru[k] for k in ("w_zr", "b_zr", "w_h", "b_h")}))
+
+    mog = arrays(x=(batch, inp), h=(batch, hid), q=(hid, inp), r=(inp, hid))
+    mix_xh = mixed((batch, inp), (batch, hid))
+    for rounds in (1, 2, 3, 4):
+        keys = ("x", "h", "q") if rounds == 1 else ("x", "h", "q", "r")
+        cases.append((f"fused.mogrify.{rounds}rounds", lambda p, n=rounds: mix_xh(
+            models.mogrify(p["x"], p["h"], p["q"], p.get("r"), n)),
+            {k: mog[k] for k in keys}))
+    cases.append(("fused.mogrify.const_x", lambda p: mix_xh(
+        models.mogrify(x_const, p["h"], p["q"], p["r"], 3)),
+        {k: mog[k] for k in ("h", "q", "r")}))
+
+    swin = arrays(x=(batch, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))
+    mix_w = mixed((batch, 2))
+    cases.append(("fused.window_pool.padded", lambda p: mix_w((models.window_pool(
+        p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 2),)), swin))
+    x_feat = const(batch, 6)
+    cases.append(("fused.window_pool.const_x", lambda p: mix_w((models.window_pool(
+        x_feat, p["wq"], p["wk"], p["wv"], p["wp"], 2),)),
+        {k: swin[k] for k in ("wq", "wk", "wv", "wp")}))
+    mix_3 = mixed((batch, 3))
+    cases.append(("fused.window_pool.one_window", lambda p: mix_3((models.window_pool(
+        p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 3),)),
+        {**swin, "x": rng.normal(size=(batch, 3))}))
+
+    xs = [const(batch, inp) for _ in range(3)]
+    for kind in models.RECURRENT_KINDS:
+        spec = ModelSpec(kind=kind, hidden=hid, mogrifier_rounds=3, swin_window=2)
+        store = ParameterStore()
+        models.add_model_params(store, spec, inp, rng)
+        mix_steps = mixed(*[(batch, spec.output_width)] * 4)
+
+        def build(p, spec=spec, mix_steps=mix_steps):
+            steps, final = models.unroll(spec, p, xs)
+            return mix_steps([*steps, final])
+
+        cases.append((f"fused.unroll.{kind}.const_inputs", build,
+                      {k: t.data.copy() for k, t in store.view("cell").items()}))
     return cases
 
 
@@ -305,6 +405,8 @@ def test_criterion_1_gradient_suite():
             for label, build, arrays in _cell_grad_cases(
                     np.random.default_rng(3000 + 10 * seed + steps), steps):
                 configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
+        for label, build, arrays in _fused_grad_cases(np.random.default_rng(3500 + seed)):
+            configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
     label, build, arrays = _full_encoder_grad_case(4000)
     configs += _check_grad_case(build, arrays, label)
     for kind in VALID_KINDS:

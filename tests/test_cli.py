@@ -242,3 +242,25 @@ class TestReport:
 
     def test_missing_directory_is_data_error(self, tmp_path):
         assert run("report", tmp_path / "ghost", "--out", tmp_path / "rep") == 2
+
+
+class TestBuildConfig:
+    def _config(self, *argv):
+        return cli.build_config(cli.build_parser().parse_args([str(a) for a in argv]))
+
+    def test_zero_pretrain_epochs_flag_is_kept(self):
+        cfg = self._config("featurize", "--pretrain", "--pretrain-epochs", "0")
+        assert cfg.pretrain_epochs == 0
+
+    def test_zero_pretrain_epochs_in_config_file_is_kept(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pretrain_epochs": 0}))
+        assert self._config("featurize", "--config", config).pretrain_epochs == 0
+
+    def test_flag_overrides_config_file_and_default_is_50(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pretrain_epochs": 7}))
+        assert self._config("featurize", "--config", config,
+                            "--pretrain-epochs", "0").pretrain_epochs == 0
+        assert self._config("featurize", "--config", config).pretrain_epochs == 7
+        assert self._config("featurize").pretrain_epochs == 50

