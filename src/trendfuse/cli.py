@@ -162,6 +162,17 @@ def _write_predictions_csv(path: Path, predictions: list[dict]) -> None:
                              row["label"], row["target"]])
 
 
+def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str],
+                      out: Path) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
+    """Pretrain the encoder on `corpus`; write its checkpoint and loss trace to `out`."""
+    similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
+    params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
+                                            cfg.train.seed, similar_words=similar)
+    enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
+    _write_loss_csv(out / "pretrain_loss.csv", trace)
+    return cfg.encoder, vocab, params
+
+
 def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str],
                               out: Path) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
     if cfg.encoder_checkpoint:
@@ -171,12 +182,7 @@ def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str],
     if not cfg.pretrain:
         raise ConfigError("no encoder checkpoint given; pass --encoder <path> "
                           "or --pretrain to train one on the summaries")
-    similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
-    params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
-                                            cfg.train.seed, similar_words=similar)
-    enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
-    _write_loss_csv(out / "pretrain_loss.csv", trace)
-    return cfg.encoder, vocab, params
+    return _pretrain_encoder(cfg, corpus, out)
 
 
 def cmd_featurize(cfg: ExperimentConfig) -> None:
@@ -210,12 +216,7 @@ def cmd_pretrain_encoder(cfg: ExperimentConfig) -> None:
     records = ingest.load_summaries(cfg.summaries)
     if not records:
         raise DataError(f"no usable summaries in {cfg.summaries}")
-    similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
-    params, vocab, trace = enc.pretrain_mlm([r.text for r in records], cfg.encoder,
-                                            cfg.pretrain_epochs, cfg.train.seed,
-                                            similar_words=similar)
-    enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
-    _write_loss_csv(out / "pretrain_loss.csv", trace)
+    _pretrain_encoder(cfg, [r.text for r in records], out)
     log.info("encoder checkpoint at %s", out / "encoder.json")
 
 
@@ -224,6 +225,7 @@ def _load_split_samples(cfg: ExperimentConfig) -> tuple[list, list]:
     labeled = ingest.to_binary_labels(series)
     features = None
     if cfg.features:
+        _require_paths(cfg, ["features"])
         features = enc.read_features(cfg.features, expected_len=cfg.train.feature_len)
     samples = ingest.make_windows(labeled, cfg.train.window, features,
                                   feature_len=cfg.train.feature_len)
@@ -245,8 +247,6 @@ def _run_metadata(cfg: ExperimentConfig) -> dict:
 def cmd_train(cfg: ExperimentConfig) -> None:
     """Full pipeline: ingest, window, split, train, evaluate, write artifacts."""
     _require_paths(cfg, ["market_csv"])
-    if cfg.features:
-        _require_paths(cfg, ["features"])
     out = _out_dir(cfg)
     train_samples, test_samples = _load_split_samples(cfg)
     store, report = tr.train_and_evaluate(train_samples, test_samples, cfg.train)
@@ -259,14 +259,29 @@ def cmd_train(cfg: ExperimentConfig) -> None:
              report.accuracy, report.f1, out)
 
 
+def _check_checkpoint(path, store: ParameterStore, expected: ParameterStore) -> None:
+    """Raise DataError naming the first missing, extra or mis-shaped parameter."""
+    have = {name: t.shape for name, t in store.items()}
+    want = {name: t.shape for name, t in expected.items()}
+    for name, shape in want.items():
+        if name not in have:
+            raise DataError(f"{path}: checkpoint lacks parameter {name!r} "
+                            "of the configured model")
+        if have[name] != shape:
+            raise DataError(f"{path}: parameter {name!r} has shape {have[name]}, "
+                            f"the configured model needs {shape}")
+    extra = [name for name in have if name not in want]
+    if extra:
+        raise DataError(f"{path}: parameter {extra[0]!r} is not part of the configured model")
+
+
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
     """Evaluate a saved checkpoint on the chronological test split."""
     _require_paths(cfg, ["market_csv", "checkpoint"])
-    if cfg.features:
-        _require_paths(cfg, ["features"])
     out = _out_dir(cfg)
     _, test_samples = _load_split_samples(cfg)
     store = ParameterStore.load(cfg.checkpoint)
+    _check_checkpoint(cfg.checkpoint, store, tr.init_pipeline_params(cfg.train))
     report = tr.evaluate(store, cfg.train, test_samples)
     _write_json(out / "metrics.json", report.to_dict())
     log.info("evaluate done: accuracy=%.4f f1=%.4f", report.accuracy, report.f1)
@@ -276,8 +291,6 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
     """Prior-effect ablation for the feedforward baseline and the configured
     recurrent model; writes per-arm reports and the delta table."""
     _require_paths(cfg, ["market_csv"])
-    if cfg.features:
-        _require_paths(cfg, ["features"])
     out = _out_dir(cfg)
     train_samples, test_samples = _load_split_samples(cfg)
     second = cfg.train.model.kind if cfg.train.model.kind != "feedforward" else "lstm"

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, DataError, SchemaError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ParseError, SchemaError, ShapeError
 from .numerics import ParameterStore, Tensor
 
 PAD_ID = 0
@@ -420,5 +420,8 @@ def read_features(path, expected_len: int | None = None) -> dict[Date, np.ndarra
             if len(row) != len(header):
                 raise DataError(f"{path}: line {line_no} has {len(row)} fields, "
                                 f"expected {len(header)}")
-            out[Date.fromisoformat(row[0])] = np.array([float(v) for v in row[1:]])
+            try:
+                out[Date.fromisoformat(row[0])] = np.array([float(v) for v in row[1:]])
+            except ValueError as err:
+                raise ParseError(f"{path}: line {line_no}: {err}") from None
     return out

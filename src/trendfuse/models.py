@@ -21,9 +21,11 @@ RNN recipe (Appleyard et al., arXiv:1604.01946):
 - `gated_tanh` gives h = o * tanh(c).
 
 `CELLS` maps every recurrent kind to its parameter init, its once-per-unroll
-weight preparation (stacking the gate weights), its step function and the
-number of state tensors it carries; `unroll` runs any kind from that table,
-and BiLSTM is the LSTM entry run forward and then reversed.
+weight preparation `prepare(params, spec)`, its step function and the number
+of state tensors it carries. Cells are reached only through it: `unroll` runs
+any kind from the table, and BiLSTM is the LSTM entry run forward and then
+reversed. Every gate sigmoid is `numerics.logistic`, the package's one
+logistic function.
 """
 
 from __future__ import annotations
@@ -70,15 +72,6 @@ class ModelSpec:
         return 2 * self.hidden if self.kind == "bilstm" else self.hidden
 
 
-def zero_state(batch: int, hidden: int) -> Tensor:
-    return Tensor(np.zeros((batch, hidden)))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function through tanh, which cannot overflow."""
-    return 0.5 * np.tanh(0.5 * z) + 0.5
-
-
 def _check_widths(first: Tensor, second: Tensor, w: Tensor) -> None:
     if first.shape[0] != second.shape[0]:
         raise ShapeError(f"batch mismatch: {first.shape} vs {second.shape}")
@@ -111,7 +104,7 @@ def gate_block(first: Tensor, second: Tensor, mem_prev: Tensor, w: Tensor, b: Te
     split = first.shape[1]
     cat = np.concatenate([first.data, second.data], axis=1)
     act = cat @ w.data + b.data
-    act[:, :n_sig] = _sigmoid(act[:, :n_sig])
+    act[:, :n_sig] = nm.logistic(act[:, :n_sig])
     act[:, n_sig:] = np.tanh(act[:, n_sig:])
     i, f, g = act[:, :hidden], act[:, hidden:2 * hidden], act[:, n_sig:]
     mem = f * mem_prev.data + i * g
@@ -164,7 +157,7 @@ def gru_step(x: Tensor, h_prev: Tensor, w_zr: Tensor, b_zr: Tensor,
     hidden = h_prev.shape[1]
     hd = h_prev.data
     cat = np.concatenate([hd, x.data], axis=1)
-    zr = _sigmoid(cat @ w_zr.data + b_zr.data)
+    zr = nm.logistic(cat @ w_zr.data + b_zr.data)
     z, r = zr[:, :hidden], zr[:, hidden:]
     cat_r = np.concatenate([r * hd, x.data], axis=1)
     h_tilde = np.tanh(cat_r @ w_h.data + b_h.data)
@@ -198,11 +191,11 @@ def mogrify(x: Tensor, h: Tensor, q: Tensor, r: Tensor | None,
     saved = []
     for k in range(1, rounds + 1):
         if k % 2:
-            s = _sigmoid(hd @ q.data)
+            s = nm.logistic(hd @ q.data)
             saved.append((s, xd, hd))
             xd = 2.0 * s * xd
         else:
-            s = _sigmoid(xd @ r.data)
+            s = nm.logistic(xd @ r.data)
             saved.append((s, xd, hd))
             hd = 2.0 * s * hd
 
@@ -275,33 +268,39 @@ def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
 # --- cell steps: step(x, state, weights) -> state, with weights prepared once ---
 
 
-def _lstm_weights(params: Mapping[str, Tensor]):
+def _lstm_weights(params: Mapping[str, Tensor], spec: ModelSpec):
     return _stack(params, LSTM_STACK)
 
 
 def _lstm_step(x: Tensor, state, weights):
+    """Standard gated update: input/forget/output gates plus tanh candidate."""
     h, c = state
     o, c = gate_block(h, x, c, *weights)
     return gated_tanh(o, c), c
 
 
-def _gru_weights(params: Mapping[str, Tensor]):
+def _gru_weights(params: Mapping[str, Tensor], spec: ModelSpec):
     return (*_stack(params, ("w_z", "w_r")), params["w_h"], params["b_h"])
 
 
 def _gru_step(x: Tensor, state, weights):
+    """Update/reset gated state: h = (1-z)*h_prev + z*h_tilde."""
     return (gru_step(x, state[0], *weights),)
 
 
-def _mogrifier_weights(params: Mapping[str, Tensor], rounds: int):
-    if rounds < 0:
-        raise ContractError(f"rounds must be >= 0, got {rounds}")
+def _mogrifier_weights(params: Mapping[str, Tensor], spec: ModelSpec):
+    rounds = spec.mogrifier_rounds
     q = params["q"] if rounds >= 1 else None
     r = params["r"] if rounds >= 2 else None
-    return _lstm_weights(params), q, r, rounds
+    return _lstm_weights(params, spec), q, r, rounds
 
 
 def _mogrifier_step(x: Tensor, state, weights):
+    """`rounds` alternating Mogrifier rounds on (x, h), then an LSTM step.
+
+    Odd rounds rescale x by 2*sigmoid(h @ q); even rounds rescale h by
+    2*sigmoid(x @ r) (see `mogrify`). rounds=0 is the plain LSTM.
+    """
     lstm, q, r, rounds = weights
     h, c = state
     if rounds:
@@ -309,11 +308,16 @@ def _mogrifier_step(x: Tensor, state, weights):
     return _lstm_step(x, (h, c), lstm)
 
 
-def _stlstm_weights(params: Mapping[str, Tensor]):
-    return _lstm_weights(params), _stack(params, ("w_mi", "w_mf", "w_mc")), params["w_mix"]
+def _stlstm_weights(params: Mapping[str, Tensor], spec: ModelSpec):
+    return _lstm_weights(params, spec), _stack(params, ("w_mi", "w_mf", "w_mc")), params["w_mix"]
 
 
 def _stlstm_step(x: Tensor, state, weights):
+    """Dual-memory update: a second cell state M with its own gates.
+
+    The M path is driven by [x, M_prev]; the hidden output mixes both
+    memories through w_mix before the output gate's tanh.
+    """
     lstm, m_block, w_mix = weights
     h, c, m = state
     o, c = gate_block(h, x, c, *lstm)
@@ -322,64 +326,16 @@ def _stlstm_step(x: Tensor, state, weights):
     return h, c, m
 
 
-def _swinlstm_weights(params: Mapping[str, Tensor], window: int):
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
+def _swinlstm_weights(params: Mapping[str, Tensor], spec: ModelSpec):
     attention = tuple(params[name] for name in ("wq", "wk", "wv", "wp"))
-    return attention, window, _lstm_weights(params)
+    return attention, spec.swin_window, _lstm_weights(params, spec)
 
 
 def _swinlstm_step(x: Tensor, state, weights):
+    """Windowed self-attention pooling of the step features (see `window_pool`),
+    then an LSTM step on the pooled (B, window) row."""
     attention, window, lstm = weights
     return _lstm_step(window_pool(x, *attention, window), state, lstm)
-
-
-# --- public single-step cells ---------------------------------------------------
-
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Standard gated update: input/forget/output gates plus tanh candidate."""
-    return _lstm_step(x, (h_prev, c_prev), _lstm_weights(params))
-
-
-def gru_cell(x: Tensor, h_prev: Tensor, params: Mapping[str, Tensor]) -> Tensor:
-    """Update/reset gated state: h = (1-z)*h_prev + z*h_tilde."""
-    return _gru_step(x, (h_prev,), _gru_weights(params))[0]
-
-
-def mogrifier_lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-                        params: Mapping[str, Tensor],
-                        rounds: int) -> tuple[Tensor, Tensor]:
-    """Mutually gate x and h for `rounds` alternating steps, then LSTM.
-
-    Odd rounds rescale x by 2*sigmoid(h @ q); even rounds rescale h by
-    2*sigmoid(x @ r). rounds=0 runs the plain LSTM on the untouched pair.
-    """
-    return _mogrifier_step(x, (h_prev, c_prev), _mogrifier_weights(params, rounds))
-
-
-def stlstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, m_prev: Tensor,
-                params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor, Tensor]:
-    """Dual-memory update: a second cell state M with its own gates.
-
-    The M path is driven by [x, M_prev]; the hidden output mixes both
-    memories through w_mix before the output gate's tanh.
-    """
-    return _stlstm_step(x, (h_prev, c_prev, m_prev), _stlstm_weights(params))
-
-
-def swinlstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-                  params: Mapping[str, Tensor],
-                  window: int) -> tuple[Tensor, Tensor]:
-    """Windowed self-attention over the step features, then an LSTM step.
-
-    The feature row is zero-padded to a multiple of `window`, attention is
-    applied independently inside each window with a residual connection,
-    window outputs are averaged elementwise, and the pooled (B, window)
-    row feeds the gated update.
-    """
-    return _swinlstm_step(x, (h_prev, c_prev), _swinlstm_weights(params, window))
 
 
 # --- parameter init -------------------------------------------------------------
@@ -444,16 +400,12 @@ class Cell:
 
 
 CELLS = {
-    "lstm": Cell(_init_lstm, lambda p, spec: _lstm_weights(p), _lstm_step, 2),
-    "bilstm": Cell(_init_lstm, lambda p, spec: _lstm_weights(p), _lstm_step, 2,
-                   directions=("fwd", "bwd")),
-    "gru": Cell(_init_gru, lambda p, spec: _gru_weights(p), _gru_step, 1),
-    "mogrifier": Cell(_init_mogrifier,
-                      lambda p, spec: _mogrifier_weights(p, spec.mogrifier_rounds),
-                      _mogrifier_step, 2),
-    "stlstm": Cell(_init_stlstm, lambda p, spec: _stlstm_weights(p), _stlstm_step, 3),
-    "swinlstm": Cell(_init_swinlstm, lambda p, spec: _swinlstm_weights(p, spec.swin_window),
-                     _swinlstm_step, 2),
+    "lstm": Cell(_init_lstm, _lstm_weights, _lstm_step, 2),
+    "bilstm": Cell(_init_lstm, _lstm_weights, _lstm_step, 2, directions=("fwd", "bwd")),
+    "gru": Cell(_init_gru, _gru_weights, _gru_step, 1),
+    "mogrifier": Cell(_init_mogrifier, _mogrifier_weights, _mogrifier_step, 2),
+    "stlstm": Cell(_init_stlstm, _stlstm_weights, _stlstm_step, 3),
+    "swinlstm": Cell(_init_swinlstm, _swinlstm_weights, _swinlstm_step, 2),
 }
 
 
@@ -489,7 +441,7 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor],
     if not xs:
         raise ContractError("empty step-input sequence")
     cell = CELLS[spec.kind]
-    zero = zero_state(xs[0].shape[0], spec.hidden)
+    zero = Tensor(np.zeros((xs[0].shape[0], spec.hidden)))
     runs = []
     for direction in cell.directions:
         sub = params if not direction else {
@@ -510,8 +462,8 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor],
 
 
 def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,
-                     rng: np.random.Generator, prefix: str = "cell") -> None:
-    """Create the parameters for one predictor, in a fixed draw order.
+                     rng: np.random.Generator) -> None:
+    """Create the `cell.*` parameters for one predictor, in a fixed draw order.
 
     Variant-specific extras are drawn after the shared gate block so that
     a mogrifier with zero rounds consumes exactly the same random stream
@@ -520,21 +472,18 @@ def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,
     hidden = spec.hidden
     if spec.kind == "feedforward":
         h1 = max(2 * hidden, 4)
-        h2 = hidden
-        store.add(f"{prefix}.w1", nm.uniform_init(rng, input_width, (input_width, h1)))
-        store.add(f"{prefix}.b1", np.zeros((1, h1)))
-        store.add(f"{prefix}.w2", nm.uniform_init(rng, h1, (h1, h2)))
-        store.add(f"{prefix}.b2", np.zeros((1, h2)))
-        store.add(f"{prefix}.w3", nm.uniform_init(rng, h2, (h2, 1)))
-        store.add(f"{prefix}.b3", np.zeros((1, 1)))
+        store.add("cell.w1", nm.uniform_init(rng, input_width, (input_width, h1)))
+        store.add("cell.b1", np.zeros((1, h1)))
+        store.add("cell.w2", nm.uniform_init(rng, h1, (h1, hidden)))
+        store.add("cell.b2", np.zeros((1, hidden)))
+        store.add("cell.w3", nm.uniform_init(rng, hidden, (hidden, 1)))
+        store.add("cell.b3", np.zeros((1, 1)))
         return
     cell = CELLS[spec.kind]
     for direction in cell.directions:
-        cell.init(store, f"{prefix}.{direction}" if direction else prefix,
-                  input_width, spec, rng)
+        cell.init(store, f"cell.{direction}" if direction else "cell", input_width, spec, rng)
 
 
-def add_head_params(store: ParameterStore, width: int,
-                    rng: np.random.Generator, prefix: str = "head") -> None:
-    store.add(f"{prefix}.w_out", nm.uniform_init(rng, width, (width, 1)))
-    store.add(f"{prefix}.b_out", np.zeros((1, 1)))
+def add_head_params(store: ParameterStore, width: int, rng: np.random.Generator) -> None:
+    store.add("head.w_out", nm.uniform_init(rng, width, (width, 1)))
+    store.add("head.b_out", np.zeros((1, 1)))

@@ -13,20 +13,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ContractError, GraphError, ShapeError
+from .errors import ContractError, DataError, GraphError, ShapeError
 
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
-
-
-def _as_array(data) -> Array:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
 
 
 class Tensor:
@@ -37,7 +32,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple["Tensor", ...] = (),
                  backward: Callable[[Array], None] | None = None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
@@ -58,56 +53,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def _accumulate(self, g: Array) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self) -> None:
-        backward(self)
-
-    # arithmetic sugar; the right operand may be a Tensor or a python number
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
-
     def __getitem__(self, key):
         return take(self, key)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def _lift(x) -> Tensor:
@@ -153,14 +105,6 @@ def mul(a, b) -> Tensor:
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Strict same-shape elementwise product."""
-    a, b = _lift(a), _lift(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard operands differ: {a.shape} vs {b.shape}")
-    return mul(a, b)
-
-
 def neg(x: Tensor) -> Tensor:
     x = _lift(x)
 
@@ -185,31 +129,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=back)
 
 
-def _stable_sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def logistic(z: Array) -> Array:
+    """The logistic function on an array, through tanh, which cannot overflow."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _lift(x)
-    y = _stable_sigmoid(x.data)
+    y = logistic(x.data)
 
     def back(g: Array) -> None:
         x._accumulate(g * y * (1.0 - y))
-
-    return Tensor(y, parents=(x,), backward=back)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _lift(x)
-    y = np.tanh(x.data)
-
-    def back(g: Array) -> None:
-        x._accumulate(g * (1.0 - y * y))
 
     return Tensor(y, parents=(x,), backward=back)
 
@@ -220,16 +150,6 @@ def relu(x: Tensor) -> Tensor:
 
     def back(g: Array) -> None:
         x._accumulate(g * (x.data > 0))
-
-    return Tensor(y, parents=(x,), backward=back)
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _lift(x)
-    y = np.exp(x.data)
-
-    def back(g: Array) -> None:
-        x._accumulate(g * y)
 
     return Tensor(y, parents=(x,), backward=back)
 
@@ -331,24 +251,13 @@ def take(x: Tensor, key) -> Tensor:
     return Tensor(out_data, parents=(x,), backward=back)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
+def transpose(x: Tensor) -> Tensor:
     x = _lift(x)
 
     def back(g: Array) -> None:
-        x._accumulate(g.reshape(x.shape))
+        x._accumulate(g.T)
 
-    return Tensor(x.data.reshape(shape), parents=(x,), backward=back)
-
-
-def transpose(x: Tensor, axes=None) -> Tensor:
-    x = _lift(x)
-    inv = None if axes is None else np.argsort(axes)
-
-    def back(g: Array) -> None:
-        x._accumulate(g.T if inv is None else g.transpose(inv))
-
-    return Tensor(x.data.T if axes is None else x.data.transpose(axes),
-                  parents=(x,), backward=back)
+    return Tensor(x.data.T, parents=(x,), backward=back)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -501,15 +410,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -529,12 +429,6 @@ class ParameterStore:
     def grads(self) -> dict[str, Array]:
         return {name: t.grad for name, t in self._params.items() if t.grad is not None}
 
-    def copy(self) -> "ParameterStore":
-        dup = ParameterStore()
-        for name, t in self._params.items():
-            dup.add(name, t.data.copy())
-        return dup
-
     def state_dict(self) -> dict:
         return {
             "format_version": CHECKPOINT_VERSION,
@@ -553,8 +447,11 @@ class ParameterStore:
         if state.get("format_version") != CHECKPOINT_VERSION:
             raise ContractError(
                 f"unsupported checkpoint version {state.get('format_version')!r}")
+        params = state.get("params")
+        if not isinstance(params, dict):
+            raise DataError("checkpoint has no 'params' object")
         store = cls()
-        for name, entry in state["params"].items():
+        for name, entry in params.items():
             arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             store.add(name, arr)
         return store
@@ -583,11 +480,10 @@ class AdamState:
     v: dict[str, Array] = field(default_factory=dict)
 
 
-def adam_state(store: ParameterStore, lr: float = 1e-3, beta1: float = 0.9,
-               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def adam_state(store: ParameterStore, lr: float = 1e-3) -> AdamState:
     if lr <= 0:
         raise ContractError(f"learning rate must be positive, got {lr}")
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    state = AdamState(lr=lr)
     for name, t in store.items():
         state.m[name] = np.zeros_like(t.data)
         state.v[name] = np.zeros_like(t.data)

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here except `bilstm_forward` is deliberately written without
-the package's tensor or graph machinery (plain loops and numpy scalars),
-so a passing comparison means two unrelated code paths agree.
-`bilstm_forward` composes the library's own `lstm_cell` by hand, as a
+Everything here except `cell_step` and `bilstm_forward` is deliberately
+written without the package's tensor or graph machinery (plain loops and
+numpy scalars), so a passing comparison means two unrelated code paths
+agree. `cell_step` runs one step of a recurrent kind through the library's
+`models.CELLS` table, and `bilstm_forward` composes LSTM steps by hand, as a
 reference for the table-driven `models.unroll`.
 """
 
@@ -52,13 +53,6 @@ def naive_matmul(a, b):
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
     return out
-
-
-def pointwise(op, *arrays):
-    """Elementwise evaluation by explicit loop over flattened entries."""
-    flats = [np.asarray(a, dtype=float).reshape(-1) for a in arrays]
-    out = np.array([op(*vals) for vals in zip(*flats)])
-    return out.reshape(np.asarray(arrays[0]).shape)
 
 
 def softmax_rows(x):
@@ -125,18 +119,27 @@ def gru_step(x, h, p):
     return (1 - z) * h + z * h_tilde
 
 
+def cell_step(kind, x, state, params, **knobs):
+    """One step of a recurrent kind through `models.CELLS`: prepare, then step.
+
+    `knobs` are `ModelSpec` fields such as `mogrifier_rounds` or
+    `swin_window`; the new state tuple comes back, hidden row first.
+    """
+    cell = models.CELLS[kind]
+    weights = cell.prepare(params, models.ModelSpec(kind=kind, **knobs))
+    return cell.step(x, tuple(state), weights)
+
+
 def bilstm_forward(xs, params_fwd, params_bwd):
     """Concatenation of the forward and backward final hidden states."""
     if not xs:
         raise ContractError("bilstm needs at least one step input")
-    batch = xs[0].shape[0]
-    hidden = params_fwd["w_i"].shape[1]
-    h, c = models.zero_state(batch, hidden), models.zero_state(batch, hidden)
+    zero = nm.Tensor(np.zeros((xs[0].shape[0], params_fwd["w_i"].shape[1])))
+    h = c = hb = cb = zero
     for x in xs:
-        h, c = models.lstm_cell(x, h, c, params_fwd)
-    hb, cb = models.zero_state(batch, hidden), models.zero_state(batch, hidden)
+        h, c = cell_step("lstm", x, (h, c), params_fwd)
     for x in reversed(xs):
-        hb, cb = models.lstm_cell(x, hb, cb, params_bwd)
+        hb, cb = cell_step("lstm", x, (hb, cb), params_bwd)
     return nm.concat([h, hb], axis=1)
 
 

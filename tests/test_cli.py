@@ -138,6 +138,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "6" in err and "9" in err
 
+    def test_unparseable_feature_csv_is_data_error(self, tmp_path, market_csv, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("date,f0,f1,f2,f3,f4,f5\n2023-01-03,0,0,0,abc,0,0\n")
+        code = run(*_train_args(market_csv, tmp_path / "run", features=features))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "line 2" in err
+
     def test_missing_market_path_is_config_error(self, tmp_path):
         assert run("train", "--market", tmp_path / "nope.csv",
                    "--out", tmp_path / "x") == 1
@@ -175,6 +183,32 @@ class TestEvaluate:
         evaluated = json.loads((out2 / "metrics.json").read_text())
         for key in ("accuracy", "precision", "recall", "f1", "tp", "fp", "tn", "fn"):
             assert evaluated[key] == trained[key]
+
+
+    @pytest.mark.parametrize("flags", [("--model", "gru"), ("--feature-len", "7"),
+                                       ("--hidden", "4")], ids=["kind", "feature_len", "hidden"])
+    def test_checkpoint_that_does_not_fit_the_config_is_data_error(
+            self, tmp_path, market_csv, capsys, flags):
+        out = tmp_path / "run"
+        assert run(*_train_args(market_csv, out, epochs=2)) == 0
+        capsys.readouterr()
+        args = _train_args(market_csv, tmp_path / "eval", epochs=2)
+        args[0] = "evaluate"
+        code = run(*args, "--checkpoint", out / "checkpoint.json", *flags)
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DataError"
+        assert "checkpoint.json" in lines[0]
+
+    def test_checkpoint_without_params_is_data_error(self, tmp_path, market_csv, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps({"format_version": 1}))
+        args = _train_args(market_csv, tmp_path / "eval", epochs=2)
+        args[0] = "evaluate"
+        assert run(*args, "--checkpoint", checkpoint) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "params" in lines[0]
 
 
 class TestAblate:

@@ -12,7 +12,7 @@ from oracles import attention_rows, max_rel_err
 
 from trendfuse import encoder as enc
 from trendfuse import numerics as nm
-from trendfuse.errors import ConfigError, ContractError, DataError, ShapeError
+from trendfuse.errors import ConfigError, ContractError, DataError, ParseError, ShapeError
 from trendfuse.numerics import Tensor
 
 TOY_CONFIG = enc.EncoderConfig(d_model=8, heads=2, layers=2, d_ff=16, max_len=12,
@@ -358,3 +358,10 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded[date(2023, 1, 3)], feats[0].values)
         with pytest.raises(DataError, match="3.*expected 5"):
             enc.read_features(path, expected_len=5)
+
+    @pytest.mark.parametrize("row", ["2023-01-04,0.5,abc,1.0", "notadate,0.5,0.1,1.0"])
+    def test_unparseable_feature_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "features.csv"
+        path.write_text("date,f0,f1,f2\n2023-01-03,0.1,0.2,0.3\n" + row + "\n")
+        with pytest.raises(ParseError, match=r"features\.csv: line 3: "):
+            enc.read_features(path, expected_len=3)

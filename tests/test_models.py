@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import attention_rows, bilstm_forward, gru_step, lstm_step, max_rel_err, sigmoid
+from oracles import (attention_rows, bilstm_forward, cell_step, gru_step, lstm_step,
+                     max_rel_err, sigmoid)
 
 from trendfuse import models
 from trendfuse.errors import ConfigError, ContractError, ShapeError
@@ -40,16 +41,16 @@ def _random_gate_params(rng, input_width=INP, hidden=HID,
 class TestLstmCell:
     def test_all_zero(self):
         params = _zero_gate_params()
-        h, c = models.lstm_cell(_t(np.zeros((1, INP))), _t(np.zeros((1, HID))),
-                                _t(np.zeros((1, HID))), params)
+        h, c = cell_step("lstm", _t(np.zeros((1, INP))),
+                         (_t(np.zeros((1, HID))), _t(np.zeros((1, HID)))), params)
         np.testing.assert_array_equal(h.data, np.zeros((1, HID)))
         np.testing.assert_array_equal(c.data, np.zeros((1, HID)))
 
     def test_zero_weights_closed_form(self):
         params = _zero_gate_params()
         c_prev = np.array([[0.8, -0.4, 1.2]])
-        h, c = models.lstm_cell(_t(np.zeros((1, INP))), _t(np.zeros((1, HID))),
-                                _t(c_prev), params)
+        h, c = cell_step("lstm", _t(np.zeros((1, INP))),
+                         (_t(np.zeros((1, HID))), _t(c_prev)), params)
         np.testing.assert_allclose(c.data, 0.5 * c_prev, atol=1e-15)
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
@@ -57,8 +58,8 @@ class TestLstmCell:
         rng = np.random.default_rng(0)
         params = _random_gate_params(rng)
         x, h0, c0 = rng.normal(size=INP), rng.normal(size=HID), rng.normal(size=HID)
-        h, c = models.lstm_cell(_t(x.reshape(1, -1)), _t(h0.reshape(1, -1)),
-                                _t(c0.reshape(1, -1)), params)
+        h, c = cell_step("lstm", _t(x.reshape(1, -1)),
+                         (_t(h0.reshape(1, -1)), _t(c0.reshape(1, -1))), params)
         np_params = {k: v.data for k, v in params.items()}
         h_ref, c_ref = lstm_step(x, h0, c0, np_params)
         assert max_rel_err(h.data[0], h_ref) < 1e-12
@@ -68,7 +69,7 @@ class TestLstmCell:
         rng = np.random.default_rng(19)
         params = _random_gate_params(rng)
         x, h0, c0 = (rng.normal(size=(32, n)) for n in (INP, HID, HID))
-        h, c = models.lstm_cell(_t(x), _t(h0), _t(c0), params)
+        h, c = cell_step("lstm", _t(x), (_t(h0), _t(c0)), params)
         np_params = {k: v.data for k, v in params.items()}
         for row in range(32):
             h_ref, c_ref = lstm_step(x[row], h0[row], c0[row], np_params)
@@ -81,35 +82,35 @@ class TestLstmCell:
         h = _t(rng.normal(size=(4, HID)))
         c = _t(rng.normal(size=(4, HID)))
         for _ in range(5):
-            h, c = models.lstm_cell(_t(rng.normal(size=(4, INP)) * 5), h, c, params)
+            h, c = cell_step("lstm", _t(rng.normal(size=(4, INP)) * 5), (h, c), params)
         assert np.all(np.isfinite(h.data)) and np.all(np.isfinite(c.data))
         assert np.all(np.abs(h.data) < 1.0)
 
     def test_width_mismatch_rejected(self):
         params = _zero_gate_params()
         with pytest.raises(ShapeError):
-            models.lstm_cell(_t(np.zeros((1, INP + 1))), _t(np.zeros((1, HID))),
-                             _t(np.zeros((1, HID))), params)
+            cell_step("lstm", _t(np.zeros((1, INP + 1))),
+                      (_t(np.zeros((1, HID))), _t(np.zeros((1, HID)))), params)
 
 
 class TestGruCell:
     def test_zero_case(self):
         params = _zero_gate_params(gates=("w_z", "w_r", "w_h"))
-        h = models.gru_cell(_t(np.zeros((1, INP))), _t(np.zeros((1, HID))), params)
+        h = cell_step("gru", _t(np.zeros((1, INP))), (_t(np.zeros((1, HID))),), params)[0]
         np.testing.assert_array_equal(h.data, np.zeros((1, HID)))
 
     def test_copy_through_endpoint(self):
         params = _zero_gate_params(gates=("w_z", "w_r", "w_h"))
         params["b_z"] = _t(np.full((1, HID), -30.0))  # z ~ 0 keeps previous state
         h_prev = np.array([[0.7, -0.2, 0.1]])
-        h = models.gru_cell(_t(np.ones((1, INP))), _t(h_prev), params)
+        h = cell_step("gru", _t(np.ones((1, INP))), (_t(h_prev),), params)[0]
         assert np.max(np.abs(h.data - h_prev)) < 1e-6
 
     def test_random_step_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
         params = _random_gate_params(rng, gates=("w_z", "w_r", "w_h"))
         x, h0 = rng.normal(size=INP), rng.normal(size=HID)
-        h = models.gru_cell(_t(x.reshape(1, -1)), _t(h0.reshape(1, -1)), params)
+        h = cell_step("gru", _t(x.reshape(1, -1)), (_t(h0.reshape(1, -1)),), params)[0]
         h_ref = gru_step(x, h0, {k: v.data for k, v in params.items()})
         assert max_rel_err(h.data[0], h_ref) < 1e-12
 
@@ -118,7 +119,7 @@ class TestGruCell:
         rng = np.random.default_rng(20)
         params = _random_gate_params(rng, gates=("w_z", "w_r", "w_h"))
         x, h0 = rng.normal(size=(32, INP)), rng.normal(size=(32, HID))
-        h = models.gru_cell(_t(x), _t(h0), params)
+        h = cell_step("gru", _t(x), (_t(h0),), params)[0]
         np_params = {k: v.data for k, v in params.items()}
         for row in range(32):
             assert max_rel_err(h.data[row], gru_step(x[row], h0[row], np_params)) < 1e-12
@@ -133,7 +134,7 @@ class TestBilstm:
         out = bilstm_forward(xs, p_fwd, p_bwd)
         h, c = _t(np.zeros((1, HID))), _t(np.zeros((1, HID)))
         for x in xs:
-            h, c = models.lstm_cell(x, h, c, p_fwd)
+            h, c = cell_step("lstm", x, (h, c), p_fwd)
         np.testing.assert_array_equal(out.data[:, :HID], h.data)
 
     def test_palindrome_with_shared_params(self):
@@ -151,10 +152,10 @@ class TestBilstm:
         x1, x2 = rng.normal(size=(1, INP)), rng.normal(size=(1, INP))
         out = bilstm_forward([_t(x1), _t(x2)], p_fwd, p_bwd)
         z = _t(np.zeros((1, HID)))
-        hf, cf = models.lstm_cell(_t(x1), z, z, p_fwd)
-        hf, _ = models.lstm_cell(_t(x2), hf, cf, p_fwd)
-        hb, cb = models.lstm_cell(_t(x2), z, z, p_bwd)
-        hb, _ = models.lstm_cell(_t(x1), hb, cb, p_bwd)
+        hf, cf = cell_step("lstm", _t(x1), (z, z), p_fwd)
+        hf, _ = cell_step("lstm", _t(x2), (hf, cf), p_fwd)
+        hb, cb = cell_step("lstm", _t(x2), (z, z), p_bwd)
+        hb, _ = cell_step("lstm", _t(x1), (hb, cb), p_bwd)
         np.testing.assert_allclose(out.data, np.concatenate([hf.data, hb.data], axis=1),
                                    atol=1e-12)
 
@@ -170,8 +171,8 @@ class TestMogrifier:
         x = _t(rng.normal(size=(2, INP)))
         h0 = _t(rng.normal(size=(2, HID)))
         c0 = _t(rng.normal(size=(2, HID)))
-        hm, cm = models.mogrifier_lstm_cell(x, h0, c0, params, rounds=0)
-        hl, cl = models.lstm_cell(x, h0, c0, params)
+        hm, cm = cell_step("mogrifier", x, (h0, c0), params, mogrifier_rounds=0)
+        hl, cl = cell_step("lstm", x, (h0, c0), params)
         assert np.array_equal(hm.data, hl.data)
         assert np.array_equal(cm.data, cl.data)
 
@@ -183,8 +184,8 @@ class TestMogrifier:
         x = _t(rng.normal(size=(1, INP)))
         h0 = _t(rng.normal(size=(1, HID)))
         c0 = _t(rng.normal(size=(1, HID)))
-        hm, cm = models.mogrifier_lstm_cell(x, h0, c0, params, rounds=4)
-        hl, cl = models.lstm_cell(x, h0, c0, params)
+        hm, cm = cell_step("mogrifier", x, (h0, c0), params, mogrifier_rounds=4)
+        hl, cl = cell_step("lstm", x, (h0, c0), params)
         assert np.max(np.abs(hm.data - hl.data)) < 1e-12
         assert np.max(np.abs(cm.data - cl.data)) < 1e-12
 
@@ -197,19 +198,13 @@ class TestMogrifier:
         x = rng.normal(size=(1, INP))
         h0 = rng.normal(size=(1, HID))
         c0 = rng.normal(size=(1, HID))
-        hm, cm = models.mogrifier_lstm_cell(_t(x), _t(h0), _t(c0), params, rounds=2)
+        hm, cm = cell_step("mogrifier", _t(x), (_t(h0), _t(c0)), params, mogrifier_rounds=2)
         x_mod = 2 * sigmoid(h0 @ q) * x          # round 1 rescales x
         h_mod = 2 * sigmoid(x_mod @ r) * h0      # round 2 rescales h
         h_ref, c_ref = lstm_step(x_mod[0], h_mod[0], c0[0],
                                  {k: v.data for k, v in params.items()})
         assert max_rel_err(hm.data[0], h_ref) < 1e-12
         assert max_rel_err(cm.data[0], c_ref) < 1e-12
-
-    def test_negative_rounds_rejected(self):
-        with pytest.raises(ContractError):
-            models.mogrifier_lstm_cell(_t(np.zeros((1, INP))), _t(np.zeros((1, HID))),
-                                       _t(np.zeros((1, HID))), _zero_gate_params(),
-                                       rounds=-1)
 
 
 def _stlstm_params(rng=None):
@@ -234,15 +229,15 @@ class TestStlstm:
         h0 = _t(np.zeros((1, HID)))
         c0 = _t(np.random.default_rng(11).normal(size=(1, HID)))
         m0 = _t(np.zeros((1, HID)))
-        hs, cs, ms = models.stlstm_cell(x, h0, c0, m0, params)
-        hl, cl = models.lstm_cell(x, h0, c0, params)
+        hs, cs, ms = cell_step("stlstm", x, (h0, c0, m0), params)
+        hl, cl = cell_step("lstm", x, (h0, c0), params)
         assert np.max(np.abs(hs.data - hl.data)) < 1e-12
         assert np.max(np.abs(cs.data - cl.data)) < 1e-12
 
     def test_zero_everything(self):
         params = _stlstm_params()
         z = _t(np.zeros((1, HID)))
-        h, c, m = models.stlstm_cell(_t(np.zeros((1, INP))), z, z, z, params)
+        h, c, m = cell_step("stlstm", _t(np.zeros((1, INP))), (z, z, z), params)
         np.testing.assert_array_equal(h.data, np.zeros((1, HID)))
 
     def test_random_step_matches_hand_evaluation(self):
@@ -250,9 +245,9 @@ class TestStlstm:
         params = _stlstm_params(rng)
         x = rng.normal(size=INP)
         h0, c0, m0 = (rng.normal(size=HID) for _ in range(3))
-        hs, cs, ms = models.stlstm_cell(_t(x.reshape(1, -1)), _t(h0.reshape(1, -1)),
-                                        _t(c0.reshape(1, -1)), _t(m0.reshape(1, -1)),
-                                        params)
+        hs, cs, ms = cell_step("stlstm", _t(x.reshape(1, -1)),
+                               (_t(h0.reshape(1, -1)), _t(c0.reshape(1, -1)),
+                                _t(m0.reshape(1, -1))), params)
         p = {k: v.data for k, v in params.items()}
         cat = np.concatenate([h0, x])
         i = sigmoid(cat @ p["w_i"] + p["b_i"].reshape(-1))
@@ -288,9 +283,9 @@ class TestSwinlstm:
         x = rng.normal(size=(1, 6))  # 3 windows of 2
         h0 = _t(rng.normal(size=(1, HID)))
         c0 = _t(rng.normal(size=(1, HID)))
-        hs, cs = models.swinlstm_cell(_t(x), h0, c0, params, window=2)
+        hs, cs = cell_step("swinlstm", _t(x), (h0, c0), params, swin_window=2)
         pooled = x.reshape(1, 3, 2).mean(axis=1)
-        hl, cl = models.lstm_cell(_t(pooled), h0, c0, params)
+        hl, cl = cell_step("lstm", _t(pooled), (h0, c0), params)
         assert np.max(np.abs(hs.data - hl.data)) < 1e-12
         assert np.max(np.abs(cs.data - cl.data)) < 1e-12
 
@@ -300,14 +295,14 @@ class TestSwinlstm:
         x = rng.normal(size=(1, 4))
         h0 = _t(rng.normal(size=(1, HID)))
         c0 = _t(rng.normal(size=(1, HID)))
-        hs, cs = models.swinlstm_cell(_t(x), h0, c0, params, window=4)
+        hs, cs = cell_step("swinlstm", _t(x), (h0, c0), params, swin_window=4)
         # manual: single window, d=1 token attention over all entries
         q = x * params["wq"].data.item()
         k = x * params["wk"].data.item()
         v = x * params["wv"].data.item()
         att = attention_rows(q.reshape(-1, 1), k.reshape(-1, 1), v.reshape(-1, 1))
         pooled = x + att.reshape(1, -1) * params["wp"].data.item()
-        hl, cl = models.lstm_cell(_t(pooled), h0, c0, params)
+        hl, cl = cell_step("lstm", _t(pooled), (h0, c0), params)
         assert max_rel_err(hs.data, hl.data) < 1e-12
 
     def test_two_window_case_matches_per_window_oracle(self):
@@ -316,7 +311,7 @@ class TestSwinlstm:
         x = rng.normal(size=(1, 4))
         h0 = _t(rng.normal(size=(1, HID)))
         c0 = _t(rng.normal(size=(1, HID)))
-        hs, _ = models.swinlstm_cell(_t(x), h0, c0, params, window=2)
+        hs, _ = cell_step("swinlstm", _t(x), (h0, c0), params, swin_window=2)
         wq, wk, wv, wp = (params[n].data.item() for n in ("wq", "wk", "wv", "wp"))
         outs = []
         for g in range(2):
@@ -325,13 +320,8 @@ class TestSwinlstm:
                                  (u * wv).reshape(-1, 1))
             outs.append(u + att.reshape(1, -1) * wp)
         pooled = (outs[0] + outs[1]) / 2.0
-        hl, _ = models.lstm_cell(_t(pooled), h0, c0, params)
+        hl, _ = cell_step("lstm", _t(pooled), (h0, c0), params)
         assert max_rel_err(hs.data, hl.data) < 1e-12
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ConfigError):
-            models.swinlstm_cell(_t(np.zeros((1, 4))), _t(np.zeros((1, HID))),
-                                 _t(np.zeros((1, HID))), _swin_params(), window=0)
 
 
 class TestFeedforward:
@@ -423,7 +413,7 @@ class TestUnroll:
         steps, final = models.unroll(spec, store.view("cell"), xs)
         h, c = _t(np.zeros((1, HID))), _t(np.zeros((1, HID)))
         for i, x in enumerate(xs):
-            h, c = models.lstm_cell(x, h, c, store.view("cell"))
+            h, c = cell_step("lstm", x, (h, c), store.view("cell"))
             np.testing.assert_array_equal(steps[i].data, h.data)
         np.testing.assert_array_equal(final.data, h.data)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradients, max_rel_err, naive_matmul, pointwise
+from oracles import fd_gradients, max_rel_err, naive_matmul
 
 from trendfuse import numerics as nm
 from trendfuse.errors import ContractError, GraphError, ShapeError
@@ -61,21 +61,8 @@ class TestElementwise:
     def test_sigmoid_zero(self):
         assert nm.sigmoid(Tensor([0.0])).data[0] == 0.5
 
-    def test_tanh_zero(self):
-        assert nm.tanh(Tensor([0.0])).data[0] == 0.0
-
     def test_relu(self):
         np.testing.assert_array_equal(nm.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
-
-    def test_hadamard_against_pointwise_loop(self):
-        out = nm.hadamard(Tensor([2.0, 3.0]), Tensor([4.0, 5.0]))
-        np.testing.assert_array_equal(out.data, [8.0, 15.0])
-        np.testing.assert_array_equal(out.data,
-                                      pointwise(lambda a, b: a * b, [2.0, 3.0], [4.0, 5.0]))
-
-    def test_hadamard_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            nm.hadamard(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
     def test_sigmoid_saturates_finite(self):
         out = nm.sigmoid(Tensor([-800.0, 800.0])).data
@@ -145,14 +132,14 @@ class TestBackward:
         }
 
         def run(a):
-            h1 = nm.tanh(nm.matmul(Tensor(a["x"], requires_grad=True), Tensor(a["w1"], requires_grad=True)))
+            h1 = nm.sigmoid(nm.matmul(Tensor(a["x"], requires_grad=True), Tensor(a["w1"], requires_grad=True)))
             h2 = nm.sigmoid(nm.matmul(h1, Tensor(a["w2"], requires_grad=True)))
             return nm.sum_(nm.matmul(h2, Tensor(a["w3"], requires_grad=True)))
 
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
 
         def run_tensors(p):
-            h1 = nm.tanh(nm.matmul(p["x"], p["w1"]))
+            h1 = nm.sigmoid(nm.matmul(p["x"], p["w1"]))
             h2 = nm.sigmoid(nm.matmul(h1, p["w2"]))
             return nm.sum_(nm.matmul(h2, p["w3"]))
 
@@ -168,7 +155,7 @@ class TestBackward:
 
         def run():
             w = Tensor(data, requires_grad=True)
-            y = nm.sum_(nm.mul(nm.sigmoid(nm.matmul(w, w)), nm.tanh(w)))
+            y = nm.sum_(nm.mul(nm.sigmoid(nm.matmul(w, w)), nm.softmax(w)))
             nm.backward(y)
             return y.data.copy(), w.grad.copy()
 
@@ -190,9 +177,7 @@ def _primitive_cases():
         "matmul": (lambda p: nm.sum_(nm.matmul(p["x"], p["y"])),
                    {"x": rng.normal(size=(3, 4)), "y": rng.normal(size=(4, 2))}),
         "sigmoid": (lambda p: nm.sum_(nm.sigmoid(p["x"])), {"x": x}),
-        "tanh": (lambda p: nm.sum_(nm.tanh(p["x"])), {"x": x}),
         "relu": (lambda p: nm.sum_(nm.relu(p["x"])), {"x": x + np.sign(x) * 0.05}),
-        "exp": (lambda p: nm.sum_(nm.exp(p["x"])), {"x": x}),
         "log": (lambda p: nm.sum_(nm.log(p["x"])), {"x": np.abs(x) + 0.5}),
         "pow": (lambda p: nm.sum_(nm.pow_scalar(p["x"], -0.5)), {"x": np.abs(x) + 0.5}),
         "clip_min": (lambda p: nm.sum_(nm.clip_min(p["x"], 0.3)),
@@ -205,9 +190,6 @@ def _primitive_cases():
                    nm.sum_(nm.mul(nm.concat([p["x"], p["y"]], axis=1), m)),
                    {"x": x, "y": y}),
         "take": (lambda p: nm.sum_(p["x"][1:, 0:2]), {"x": x}),
-        "reshape": (lambda p, m=Tensor(rng.normal(size=(4, 3))):
-                    nm.sum_(nm.mul(nm.reshape(p["x"], (4, 3)), m)),
-                    {"x": x}),
         "transpose": (lambda p, m=Tensor(rng.normal(size=(4, 3))):
                       nm.sum_(nm.mul(nm.transpose(p["x"]), m)),
                       {"x": x}),
