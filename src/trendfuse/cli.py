@@ -185,13 +185,19 @@ def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str],
     return _pretrain_encoder(cfg, corpus, out)
 
 
-def cmd_featurize(cfg: ExperimentConfig) -> None:
-    """Encode each summary into a fixed-length feature row and write the CSV."""
+def _load_summaries(cfg: ExperimentConfig) -> tuple[Path, list[ingest.SummaryRecord]]:
+    """The output directory and the summary records; DataError when there are none."""
     _require_paths(cfg, ["summaries"])
     out = _out_dir(cfg)
     records = ingest.load_summaries(cfg.summaries)
     if not records:
         raise DataError(f"no usable summaries in {cfg.summaries}")
+    return out, records
+
+
+def cmd_featurize(cfg: ExperimentConfig) -> None:
+    """Encode each summary into a fixed-length feature row and write the CSV."""
+    out, records = _load_summaries(cfg)
     provider = ingest.ExtractiveSummaryProvider()
     corpus = [r.text for r in records]
     encoder_cfg, vocab, params = _load_encoder_or_pretrain(cfg, corpus, out)
@@ -211,11 +217,7 @@ def cmd_featurize(cfg: ExperimentConfig) -> None:
 
 def cmd_pretrain_encoder(cfg: ExperimentConfig) -> None:
     """Train the text encoder on the summaries corpus and save a checkpoint."""
-    _require_paths(cfg, ["summaries"])
-    out = _out_dir(cfg)
-    records = ingest.load_summaries(cfg.summaries)
-    if not records:
-        raise DataError(f"no usable summaries in {cfg.summaries}")
+    out, records = _load_summaries(cfg)
     _pretrain_encoder(cfg, [r.text for r in records], out)
     log.info("encoder checkpoint at %s", out / "encoder.json")
 
@@ -259,29 +261,13 @@ def cmd_train(cfg: ExperimentConfig) -> None:
              report.accuracy, report.f1, out)
 
 
-def _check_checkpoint(path, store: ParameterStore, expected: ParameterStore) -> None:
-    """Raise DataError naming the first missing, extra or mis-shaped parameter."""
-    have = {name: t.shape for name, t in store.items()}
-    want = {name: t.shape for name, t in expected.items()}
-    for name, shape in want.items():
-        if name not in have:
-            raise DataError(f"{path}: checkpoint lacks parameter {name!r} "
-                            "of the configured model")
-        if have[name] != shape:
-            raise DataError(f"{path}: parameter {name!r} has shape {have[name]}, "
-                            f"the configured model needs {shape}")
-    extra = [name for name in have if name not in want]
-    if extra:
-        raise DataError(f"{path}: parameter {extra[0]!r} is not part of the configured model")
-
-
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
     """Evaluate a saved checkpoint on the chronological test split."""
     _require_paths(cfg, ["market_csv", "checkpoint"])
     out = _out_dir(cfg)
     _, test_samples = _load_split_samples(cfg)
     store = ParameterStore.load(cfg.checkpoint)
-    _check_checkpoint(cfg.checkpoint, store, tr.init_pipeline_params(cfg.train))
+    store.check_layout(tr.init_pipeline_params(cfg.train), cfg.checkpoint)
     report = tr.evaluate(store, cfg.train, test_samples)
     _write_json(out / "metrics.json", report.to_dict())
     log.info("evaluate done: accuracy=%.4f f1=%.4f", report.accuracy, report.f1)

@@ -6,11 +6,19 @@ token), using variable-length spans, so the pretraining input never
 contains an artificial mask symbol. The encoder output at the leading
 start token is pooled as the whole-text representation and standardized
 to a fixed feature length.
+
+Each sublayer is one tape primitive with a hand-written backward
+(`numerics.fused`): multi-head attention over all heads at once, the
+residual add plus layer norm, the feed-forward block and the masked-token
+loss. A sentence's pretraining tape thus has a few dozen nodes, most of
+them parameter leaves. The composed reference versions live in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -21,7 +29,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, DataError, ParseError, SchemaError, ShapeError
+from .errors import (ConfigError, ContractError, DataError, DivergenceError, ParseError,
+                     SchemaError)
 from .numerics import ParameterStore, Tensor
 
 PAD_ID = 0
@@ -172,11 +181,15 @@ def similar_word_mask(tokens: np.ndarray, vocab: Vocabulary,
     return corrupted, positions, targets
 
 
+PROB_FLOOR = 1e-12
+
+
 def mlm_loss(predicted: Tensor, positions: np.ndarray, targets: np.ndarray) -> Tensor:
     """Negative log likelihood of the original ids under the predictions.
 
     `predicted` is one probability row per masked position; probabilities
-    are clamped below at 1e-12 before the log.
+    are clamped below at PROB_FLOOR before the log, and no gradient flows
+    to a probability at or below the floor. One tape node.
     """
     n = predicted.shape[0]
     if n != len(positions) or n != len(targets):
@@ -185,14 +198,24 @@ def mlm_loss(predicted: Tensor, positions: np.ndarray, targets: np.ndarray) -> T
     sums = predicted.data.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise ContractError("predicted rows must each sum to 1")
-    onehot = np.zeros(predicted.shape)
-    onehot[np.arange(n), targets] = 1.0
-    picked = nm.sum_(nm.mul(predicted, onehot), axis=1)
-    return nm.neg(nm.sum_(nm.log(nm.clip_min(picked, 1e-12))))
+    rows = np.arange(n)
+    picked = predicted.data[rows, targets]
+    floored = np.maximum(picked, PROB_FLOOR)
+
+    def back(g):
+        grad = np.zeros_like(predicted.data)
+        grad[rows, targets] = -g * (picked > PROB_FLOOR) / floored
+        nm.accumulate(predicted, grad)
+
+    return nm.fused((predicted,), (-np.log(floored).sum(),), back)[0]
 
 
+@functools.lru_cache(maxsize=8)
 def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
-    """Interleaved sine/cosine position table, entries in [-1, 1]."""
+    """Interleaved sine/cosine position table, entries in [-1, 1].
+
+    Built once per (max_len, d_model) and shared, so the array is read-only.
+    """
     if d_model % 2:
         raise ConfigError(f"d_model must be even, got {d_model}")
     pos = np.arange(max_len)[:, None]
@@ -201,64 +224,111 @@ def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
     pe = np.zeros((max_len, d_model))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
 
 
-def self_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention with row-wise softmax weights."""
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    scores = nm.mul(nm.matmul(q, nm.transpose(k)), scale)
-    return nm.matmul(nm.softmax(scores, axis=-1), v)
-
-
 def multi_head_attention(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
-    """Project into per-head subspaces, attend, concatenate, and mix."""
-    d_model = x.shape[1]
+    """Project into per-head subspaces, attend, concatenate, and mix.
+
+    One tape node. q, k and v are split into (heads, L, d_k) blocks; every
+    head then takes max-shifted softmax weights of its scaled dot-product
+    scores and averages its values, all heads in each 3-D matmul.
+    """
+    length, d_model = x.shape
     if d_model % heads:
         raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
     d_k = d_model // heads
-    q = nm.matmul(x, params["wq"])
-    k = nm.matmul(x, params["wk"])
-    v = nm.matmul(x, params["wv"])
-    outs = []
-    for h in range(heads):
-        cols = slice(h * d_k, (h + 1) * d_k)
-        outs.append(self_attention(q[:, cols], k[:, cols], v[:, cols]))
-    return nm.matmul(nm.concat(outs, axis=1), params["wo"])
+    scale = 1.0 / math.sqrt(d_k)
+    wq, wk, wv, wo = (params[w] for w in ("wq", "wk", "wv", "wo"))
+
+    def split(a):
+        return a.reshape(length, heads, d_k).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(length, d_model)
+
+    q, k, v = (split(x.data @ w.data) for w in (wq, wk, wv))
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(weights @ v)
+
+    def back(g):
+        nm.accumulate(wo, merged.T @ g)
+        d_ctx = split(g @ wo.data.T)
+        d_weights = d_ctx @ v.transpose(0, 2, 1)
+        d_scores = ((d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+                    * weights * scale)
+        grad_q = merge(d_scores @ k)
+        grad_k = merge(d_scores.transpose(0, 2, 1) @ q)
+        grad_v = merge(weights.transpose(0, 2, 1) @ d_ctx)
+        for w, grad in ((wq, grad_q), (wk, grad_k), (wv, grad_v)):
+            nm.accumulate(w, x.data.T @ grad)
+        nm.accumulate(x, grad_q @ wq.data.T + grad_k @ wk.data.T + grad_v @ wv.data.T)
+
+    return nm.fused((x, wq, wk, wv, wo), (merged @ wo.data,), back)[0]
 
 
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               sublayer: Tensor | None = None) -> Tensor:
     """Row-wise standardization (population variance) with learned affine.
 
-    The variance is floored at eps rather than shifted by it, so any row
-    with real spread comes out with exactly unit population std, while
-    constant rows map to zeros instead of dividing by zero.
+    Normalizes x + sublayer when a sublayer output is given (the residual
+    connection), else x; one tape node either way. The variance is floored
+    at eps rather than shifted by it, so any row with real spread comes out
+    with exactly unit population std, while constant rows map to zeros
+    instead of dividing by zero. Where the floor applies, no gradient flows
+    through the variance.
     """
-    mu = nm.mean_(x, axis=1, keepdims=True)
-    centered = nm.sub(x, mu)
-    var = nm.mean_(nm.mul(centered, centered), axis=1, keepdims=True)
-    normed = nm.mul(centered, nm.pow_scalar(nm.clip_min(var, LAYER_NORM_EPS), -0.5))
-    return nm.add(nm.mul(normed, gain), bias)
+    total = x.data if sublayer is None else x.data + sublayer.data
+    width = total.shape[1]
+    centered = total - total.sum(axis=1, keepdims=True) * (1.0 / width)
+    var = (centered * centered).sum(axis=1, keepdims=True) * (1.0 / width)
+    inv_std = np.maximum(var, LAYER_NORM_EPS) ** -0.5
+    normed = centered * inv_std
+
+    def back(g):
+        nm.accumulate(gain, (g * normed).sum(axis=0, keepdims=True))
+        nm.accumulate(bias, g.sum(axis=0, keepdims=True))
+        d_normed = g * gain.data
+        d_var = ((d_normed * centered).sum(axis=1, keepdims=True)
+                 * (-0.5 * inv_std ** 3) * (var > LAYER_NORM_EPS))
+        d_centered = d_normed * inv_std + d_var * (2.0 / width) * centered
+        d_total = d_centered - d_centered.sum(axis=1, keepdims=True) * (1.0 / width)
+        nm.accumulate(x, d_total)
+        if sublayer is not None:
+            nm.accumulate(sublayer, d_total)
+
+    parents = (x, gain, bias) if sublayer is None else (x, gain, bias, sublayer)
+    return nm.fused(parents, (normed * gain.data + bias.data,), back)[0]
 
 
 def feed_forward(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
-    hidden = nm.relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
-    return nm.add(nm.matmul(hidden, params["w2"]), params["b2"])
+    """relu(x·w1 + b1)·w2 + b2 as one tape node."""
+    w1, b1, w2, b2 = (params[w] for w in ("w1", "b1", "w2", "b2"))
+    hidden = np.maximum(0.0, x.data @ w1.data + b1.data)
+
+    def back(g):
+        nm.accumulate(w2, hidden.T @ g)
+        nm.accumulate(b2, g.sum(axis=0, keepdims=True))
+        d_pre = (g @ w2.data.T) * (hidden > 0)
+        nm.accumulate(w1, x.data.T @ d_pre)
+        nm.accumulate(b1, d_pre.sum(axis=0, keepdims=True))
+        nm.accumulate(x, d_pre @ w1.data.T)
+
+    return nm.fused((x, w1, b1, w2, b2), (hidden @ w2.data + b2.data,), back)[0]
 
 
 def encoder_layer(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
     """Post-norm block: attention and feed-forward, each behind a residual."""
-    attended = layer_norm(nm.add(x, multi_head_attention(x, params, heads)),
-                          params["ln1_g"], params["ln1_b"])
-    return layer_norm(nm.add(attended, feed_forward(attended, params)),
-                      params["ln2_g"], params["ln2_b"])
+    attended = layer_norm(x, params["ln1_g"], params["ln1_b"],
+                          multi_head_attention(x, params, heads))
+    return layer_norm(attended, params["ln2_g"], params["ln2_b"],
+                      feed_forward(attended, params))
 
 
 def init_encoder_params(config: EncoderConfig, vocab_size: int,
@@ -318,6 +388,7 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
 
     Returns the trained parameters, the corpus vocabulary, and the mean
     per-epoch loss trace. epochs=0 returns the untouched initialization.
+    A non-finite loss raises DivergenceError naming the epoch and sentence.
     """
     corpus = [t for t in corpus if t.strip()]
     if not corpus:
@@ -327,19 +398,23 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     params = init_encoder_params(config, vocab.size, rng)
     state = nm.adam_state(params, lr=lr)
     trace: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         losses = []
-        for text in corpus:
+        for index, text in enumerate(corpus):
             tokens = tokenize(text, vocab, config.max_len)
             if len(tokens) < 2:
                 continue
             corrupted, positions, targets = similar_word_mask(tokens, vocab, rng, config.mask_rate)
             rows, _ = encode_text(corrupted, config, params)
             loss = mlm_loss(mlm_predictions(rows, positions, params), positions, targets)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise DivergenceError(
+                    f"non-finite pretraining loss at epoch {epoch}, sentence {index}")
             params.zero_grad()
             nm.backward(loss)
             nm.adam_step(params, params.grads(), state)
-            losses.append(loss.item())
+            losses.append(value)
         trace.append(float(np.mean(losses)))
     return params, vocab, trace
 
@@ -380,16 +455,34 @@ def save_encoder(path, config: EncoderConfig, vocab: Vocabulary,
 
 
 def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != 1:
-        raise DataError(f"{path}: unsupported encoder checkpoint version")
-    config = EncoderConfig(**doc["config"])
-    tokens = doc["vocab"]["tokens"]
+    """Read a checkpoint written by `save_encoder`.
+
+    Anything malformed is a DataError naming `path`: the JSON, the config,
+    the vocabulary, or parameters whose names and shapes differ from those
+    the config and vocabulary give.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or doc.get("format_version") != 1:
+            raise DataError("not a version 1 encoder checkpoint")
+        config = EncoderConfig(**doc["config"])
+        tokens = doc["vocab"]["tokens"]
+        if (tokens[:NUM_SPECIALS] != list(_SPECIAL_TOKENS)
+                or not all(isinstance(t, str) for t in tokens)):
+            raise DataError("vocabulary must be a list of tokens led by the special tokens")
+        similar = {int(k): tuple(int(i) for i in v)
+                   for k, v in doc["vocab"]["similar"].items()}
+        params = ParameterStore.from_state_dict(doc["params"])
+    except KeyError as err:
+        raise DataError(f"{path}: encoder checkpoint lacks {err}") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: malformed encoder checkpoint: {err}") from None
     vocab = Vocabulary(id_to_token=tokens,
                        token_to_id={t: i for i, t in enumerate(tokens)},
-                       similar={int(k): tuple(v)
-                                for k, v in doc["vocab"]["similar"].items()})
-    return config, vocab, ParameterStore.from_state_dict(doc["params"])
+                       similar=similar)
+    params.check_layout(init_encoder_params(config, vocab.size, np.random.default_rng(0)),
+                        path)
+    return config, vocab, params
 
 
 # --- feature file format: CSV with header date,f0..f{L-1} ---

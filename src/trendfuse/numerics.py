@@ -442,8 +442,30 @@ class ParameterStore:
         # insertion order is the canonical parameter order; do not sort
         Path(path).write_text(json.dumps(self.state_dict()), encoding="utf-8")
 
+    def check_layout(self, expected: "ParameterStore", source) -> None:
+        """Raise DataError unless this store has exactly the names and shapes
+        of `expected`, naming the first missing, mis-shaped or extra parameter.
+
+        `source` (the checkpoint path) starts the message.
+        """
+        have = {name: t.shape for name, t in self.items()}
+        want = {name: t.shape for name, t in expected.items()}
+        for name, shape in want.items():
+            if name not in have:
+                raise DataError(f"{source}: checkpoint lacks parameter {name!r} "
+                                "of the configured model")
+            if have[name] != shape:
+                raise DataError(f"{source}: parameter {name!r} has shape {have[name]}, "
+                                f"the configured model needs {shape}")
+        extra = [name for name in have if name not in want]
+        if extra:
+            raise DataError(f"{source}: parameter {extra[0]!r} is not part of the "
+                            "configured model")
+
     @classmethod
     def from_state_dict(cls, state: dict) -> "ParameterStore":
+        if not isinstance(state, dict):
+            raise DataError("checkpoint is not a JSON object")
         if state.get("format_version") != CHECKPOINT_VERSION:
             raise ContractError(
                 f"unsupported checkpoint version {state.get('format_version')!r}")
@@ -452,13 +474,26 @@ class ParameterStore:
             raise DataError("checkpoint has no 'params' object")
         store = cls()
         for name, entry in params.items():
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            try:
+                arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            except KeyError as err:
+                raise DataError(f"checkpoint parameter {name!r} has no {err}") from None
+            except (TypeError, ValueError) as err:
+                raise DataError(f"checkpoint parameter {name!r} is malformed: {err}") from None
             store.add(name, arr)
         return store
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
-        return cls.from_state_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a checkpoint file; a malformed one is a DataError naming `path`."""
+        try:
+            state = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as err:  # invalid JSON or text encoding
+            raise DataError(f"{path}: checkpoint is not valid JSON ({err})") from None
+        try:
+            return cls.from_state_dict(state)
+        except DataError as err:
+            raise DataError(f"{path}: {err}") from None
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:

@@ -1,19 +1,23 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here except `cell_step` and `bilstm_forward` is deliberately
-written without the package's tensor or graph machinery (plain loops and
-numpy scalars), so a passing comparison means two unrelated code paths
-agree. `cell_step` runs one step of a recurrent kind through the library's
-`models.CELLS` table, and `bilstm_forward` composes LSTM steps by hand, as a
-reference for the table-driven `models.unroll`.
+Everything here except `cell_step`, `bilstm_forward` and the encoder
+compositions is deliberately written without the package's tensor or graph
+machinery (plain loops and numpy scalars), so a passing comparison means
+two unrelated code paths agree. `cell_step` runs one step of a recurrent
+kind through the library's `models.CELLS` table, and `bilstm_forward`
+composes LSTM steps by hand, as a reference for the table-driven
+`models.unroll`. `self_attention`, `multi_head_attention`, `layer_norm`,
+`feed_forward` and `mlm_loss` build the encoder's sublayers from single
+tape ops, as references for the fused primitives in `encoder`: their
+gradients come from the tape's per-op backwards, not from a hand-written one.
 """
 
 import math
 
 import numpy as np
 
-from trendfuse import models, numerics as nm
-from trendfuse.errors import ContractError
+from trendfuse import encoder as enc, models, numerics as nm
+from trendfuse.errors import ConfigError, ContractError, ShapeError
 
 
 def fd_gradients(f, arrays, h=1e-5):
@@ -141,6 +145,57 @@ def bilstm_forward(xs, params_fwd, params_bwd):
     for x in reversed(xs):
         hb, cb = cell_step("lstm", x, (hb, cb), params_bwd)
     return nm.concat([h, hb], axis=1)
+
+
+def self_attention(q, k, v):
+    """Scaled dot-product attention with row-wise softmax weights."""
+    if q.shape[1] != k.shape[1]:
+        raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
+    scale = 1.0 / math.sqrt(q.shape[1])
+    scores = nm.mul(nm.matmul(q, nm.transpose(k)), scale)
+    return nm.matmul(nm.softmax(scores, axis=-1), v)
+
+
+def multi_head_attention(x, params, heads):
+    """Project into per-head subspaces, attend head by head, concatenate, and mix."""
+    d_model = x.shape[1]
+    if d_model % heads:
+        raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
+    d_k = d_model // heads
+    q = nm.matmul(x, params["wq"])
+    k = nm.matmul(x, params["wk"])
+    v = nm.matmul(x, params["wv"])
+    outs = []
+    for h in range(heads):
+        cols = slice(h * d_k, (h + 1) * d_k)
+        outs.append(self_attention(q[:, cols], k[:, cols], v[:, cols]))
+    return nm.matmul(nm.concat(outs, axis=1), params["wo"])
+
+
+def layer_norm(x, gain, bias, sublayer=None):
+    """Row-wise standardization of x (+ sublayer), variance floored at eps."""
+    if sublayer is not None:
+        x = nm.add(x, sublayer)
+    mu = nm.mean_(x, axis=1, keepdims=True)
+    centered = nm.sub(x, mu)
+    var = nm.mean_(nm.mul(centered, centered), axis=1, keepdims=True)
+    normed = nm.mul(centered, nm.pow_scalar(nm.clip_min(var, enc.LAYER_NORM_EPS), -0.5))
+    return nm.add(nm.mul(normed, gain), bias)
+
+
+def feed_forward(x, params):
+    hidden = nm.relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
+    return nm.add(nm.matmul(hidden, params["w2"]), params["b2"])
+
+
+def mlm_loss(predicted, targets):
+    """Negative log likelihood of `targets`, probabilities clamped at the floor."""
+    onehot = np.zeros(predicted.shape)
+    onehot[np.arange(predicted.shape[0]), targets] = 1.0
+    picked = nm.sum_(nm.mul(predicted, onehot), axis=1)
+    return nm.neg(nm.sum_(nm.log(nm.clip_min(picked, enc.PROB_FLOOR))))
 
 
 def confusion_counts(labels, targets):

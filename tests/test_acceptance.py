@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bilstm_forward, cell_step, confusion_counts, fd_gradients, max_rel_err
+from oracles import (bilstm_forward, cell_step, confusion_counts, fd_gradients, max_rel_err,
+                     self_attention)
 
 from trendfuse import cli, encoder as enc, fusion, ingest, models
 from trendfuse import numerics as nm
@@ -121,6 +122,7 @@ def _fusion_grad_cases(rng):
 
 
 def _encoder_grad_cases(rng):
+    """The fused encoder sublayers, plus the reference attention in `oracles`."""
     d = 4
     x = rng.normal(size=(3, d))
     mha_arrays = {"x": x, **{w: rng.normal(size=(d, d))
@@ -129,20 +131,55 @@ def _encoder_grad_cases(rng):
                  "g": rng.normal(size=(1, d)), "b": rng.normal(size=(1, d))}
     att_arrays = {"q": rng.normal(size=(3, 2)), "k": rng.normal(size=(3, 2)),
                   "v": rng.normal(size=(3, 2))}
+    res_ln_arrays = {"x": rng.normal(size=(3, d)) * 2.0, "sub": rng.normal(size=(3, d)),
+                     "g": rng.normal(size=(1, d)), "b": rng.normal(size=(1, d))}
+    # rows of x + sub whose variance sits on the eps floor: one constant, one
+    # with a spread of ~1e-4, where a variance gradient would show
+    res_ln_arrays["x"][1], res_ln_arrays["sub"][1] = 0.75, -2.0
+    res_ln_arrays["x"][2] = 0.5 + 1e-4 * rng.normal(size=d)
+    res_ln_arrays["sub"][2] = 0.25
+    ffn_arrays = {"x": rng.normal(size=(3, d)),
+                  "w1": rng.normal(size=(d, 6)), "b1": rng.normal(size=(1, 6)),
+                  "w2": rng.normal(size=(6, d)), "b2": rng.normal(size=(1, d))}
+    mlm_arrays = {"logits": rng.normal(size=(3, 5))}
+    targets = rng.integers(0, 5, size=3)
+    mlm_arrays["logits"][0, targets[0]] = -1000.0  # its probability underflows to 0
 
     def build_attention(p):
-        return nm.sum_(enc.self_attention(p["q"], p["k"], p["v"]))
+        return nm.sum_(self_attention(p["q"], p["k"], p["v"]))
 
-    def build_mha(p):
+    def build_mha(p, heads):
         params = {w: p[w] for w in ("wq", "wk", "wv", "wo")}
-        return nm.sum_(enc.multi_head_attention(p["x"], params, heads=2))
+        return nm.sum_(enc.multi_head_attention(p["x"], params, heads=heads))
 
     def build_ln(p):
         return nm.sum_(enc.layer_norm(p["x"], p["g"], p["b"]))
 
-    return [("encoder.self_attention", build_attention, att_arrays),
-            ("encoder.mha", build_mha, mha_arrays),
-            ("encoder.layer_norm", build_ln, ln_arrays)]
+    def build_res_ln(p):
+        return nm.sum_(enc.layer_norm(p["x"], p["g"], p["b"], p["sub"]))
+
+    def build_ffn(p):
+        return nm.sum_(enc.feed_forward(p["x"], p))
+
+    def build_mlm(p):
+        return enc.mlm_loss(nm.softmax(p["logits"], axis=-1), np.arange(3), targets)
+
+    return [("oracles.self_attention", build_attention, att_arrays),
+            *[(f"encoder.mha.{heads}heads", lambda p, n=heads: build_mha(p, n), mha_arrays)
+              for heads in (1, 2, 4)],
+            ("encoder.layer_norm", build_ln, ln_arrays),
+            ("encoder.layer_norm.residual_eps_floor", build_res_ln, res_ln_arrays),
+            ("encoder.feed_forward", build_ffn, ffn_arrays),
+            ("encoder.mlm_loss.zero_probability", build_mlm, mlm_arrays)]
+
+
+def _check_zero_probability_gradient():
+    """A target whose predicted probability is 0 gets a finite, zero gradient."""
+    probs = Tensor([[0.0, 0.25, 0.75], [0.5, 0.5, 0.0]], requires_grad=True)
+    loss = enc.mlm_loss(probs, np.arange(2), np.array([0, 1]))
+    grad = nm.gradients(loss, {"p": probs})["p"]
+    assert np.all(np.isfinite(grad)) and grad[0, 0] == 0.0 and grad[1, 1] == -2.0
+    return 1
 
 
 def _full_encoder_grad_case(seed):
@@ -403,6 +440,7 @@ def test_criterion_1_gradient_suite():
                 configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
         for label, build, arrays in _fused_grad_cases(np.random.default_rng(3500 + seed)):
             configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
+    configs += _check_zero_probability_gradient()
     label, build, arrays = _full_encoder_grad_case(4000)
     configs += _check_grad_case(build, arrays, label)
     for kind in VALID_KINDS:

@@ -3,10 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from trendfuse import cli, synthetic
+from trendfuse import cli, encoder as enc, synthetic
 from trendfuse.encoder import read_features
+from trendfuse.numerics import Tensor
 
 pytestmark = pytest.mark.usefixtures("quiet_logs")
 
@@ -32,6 +34,15 @@ def summaries(tmp_path):
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def _one_error_line(capsys, error):
+    """stderr is exactly one JSON line naming `error`; returns its message."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert doc["error"] == error
+    return doc["message"]
 
 
 def _train_args(market, out, epochs=8, **extra):
@@ -79,6 +90,42 @@ class TestFeaturize:
         assert (first / "features.csv").read_bytes() == (second / "features.csv").read_bytes()
 
 
+def _truncated(doc):
+    text = json.dumps(doc)
+    return text[:len(text) // 2]
+
+
+def _without_emb(doc):
+    del doc["params"]["params"]["emb"]
+    return json.dumps(doc)
+
+
+def _unknown_config_key(doc):
+    doc["config"]["depth"] = 3
+    return json.dumps(doc)
+
+
+class TestFeaturizeBadEncoderCheckpoint:
+    @pytest.mark.parametrize("corrupt, detail", [
+        (_truncated, "malformed"),
+        (lambda doc: json.dumps({"format_version": 1}), "config"),
+        (_unknown_config_key, "depth"),
+        (_without_emb, "'emb'"),
+    ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb"])
+    def test_is_one_line_data_error(self, tmp_path, summaries, capsys, corrupt, detail):
+        params, vocab, _ = enc.pretrain_mlm(["alpha beta", "beta gamma"], enc.EncoderConfig(),
+                                            0, seed=1)
+        good = tmp_path / "good.json"
+        enc.save_encoder(good, enc.EncoderConfig(), vocab, params)
+        bad = tmp_path / "enc.json"
+        bad.write_text(corrupt(json.loads(good.read_text())))
+        code = run("featurize", "--summaries", summaries, "--out", tmp_path / "feat",
+                   "--encoder", bad, "--feature-len", "6")
+        assert code == 2
+        message = _one_error_line(capsys, "DataError")
+        assert "enc.json" in message and detail in message
+
+
 class TestPretrainEncoder:
     def test_writes_checkpoint_and_loss_trace(self, tmp_path, summaries):
         out = tmp_path / "enc"
@@ -92,6 +139,13 @@ class TestPretrainEncoder:
         feat = tmp_path / "feat"
         assert run("featurize", "--summaries", summaries, "--out", feat,
                    "--encoder", out / "encoder.json", "--feature-len", "6") == 0
+
+    def test_non_finite_loss_is_divergence(self, tmp_path, summaries, capsys, monkeypatch):
+        monkeypatch.setattr(enc, "mlm_loss", lambda *args: Tensor(np.nan))
+        assert run("pretrain-encoder", "--summaries", summaries, "--out", tmp_path / "enc",
+                   "--pretrain-epochs", "2", "--seed", "2") == 3
+        message = _one_error_line(capsys, "DivergenceError")
+        assert "epoch 0" in message and "sentence 0" in message
 
 
 class TestTrain:
@@ -200,6 +254,23 @@ class TestEvaluate:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "DataError"
         assert "checkpoint.json" in lines[0]
+
+    @pytest.mark.parametrize("text, detail", [
+        ('{"format_version": 1, "params": ', "not valid JSON"),
+        ('{"format_version": 1, "params": {"cell.w1": {"shape": [2]}}}', "'data'"),
+        ('{"format_version": 1, "params": {"cell.w1": {"data": [1.0]}}}', "'shape'"),
+        ('{"format_version": 1, "params": {"cell.w1": {"data": [1.0, 2.0, 3.0], '
+         '"shape": [2, 2]}}}', "cannot reshape"),
+    ], ids=["invalid_json", "no_data", "no_shape", "data_does_not_fit_shape"])
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, market_csv, capsys,
+                                                text, detail):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(text)
+        args = _train_args(market_csv, tmp_path / "eval", epochs=2)
+        args[0] = "evaluate"
+        assert run(*args, "--checkpoint", checkpoint) == 2
+        message = _one_error_line(capsys, "DataError")
+        assert "checkpoint.json" in message and detail in message
 
     def test_checkpoint_without_params_is_data_error(self, tmp_path, market_csv, capsys):
         checkpoint = tmp_path / "checkpoint.json"

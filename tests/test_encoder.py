@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import attention_rows, max_rel_err
+import oracles
+from oracles import attention_rows, max_rel_err, self_attention
 
 from trendfuse import encoder as enc
 from trendfuse import numerics as nm
@@ -141,12 +142,18 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             enc.positional_encoding(4, 7)
 
+    def test_table_is_built_once_and_read_only(self):
+        pe = enc.positional_encoding(6, 8)
+        assert enc.positional_encoding(6, 8) is pe
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+
 
 class TestSelfAttention:
     def test_single_row_returns_value(self):
         q = Tensor([[0.3, -0.2]])
         v = Tensor([[5.0, 7.0]])
-        out = enc.self_attention(q, Tensor([[1.0, 1.0]]), v)
+        out = self_attention(q, Tensor([[1.0, 1.0]]), v)
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_identical_keys_average_values(self):
@@ -154,20 +161,20 @@ class TestSelfAttention:
         k = Tensor(np.tile(rng.normal(size=(1, 3)), (4, 1)))
         v = Tensor(rng.normal(size=(4, 3)))
         q = Tensor(rng.normal(size=(2, 3)))
-        out = enc.self_attention(q, k, v)
+        out = self_attention(q, k, v)
         expected = np.tile(v.data.mean(axis=0), (2, 1))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         q, k, v = (rng.normal(size=(2, 2)) for _ in range(3))
-        out = enc.self_attention(Tensor(q), Tensor(k), Tensor(v))
+        out = self_attention(Tensor(q), Tensor(k), Tensor(v))
         assert max_rel_err(out.data, attention_rows(q, k, v)) < 1e-12
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            enc.self_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))),
-                               Tensor(np.ones((2, 2))))
+            self_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))),
+                           Tensor(np.ones((2, 2))))
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -186,7 +193,7 @@ class TestMultiHead:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 4))
         out = enc.multi_head_attention(Tensor(x), self._identity_params(4), heads=1)
-        expected = enc.self_attention(Tensor(x), Tensor(x), Tensor(x))
+        expected = self_attention(Tensor(x), Tensor(x), Tensor(x))
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
     def test_output_shape(self):
@@ -252,6 +259,93 @@ class TestLayerNormAndFfn:
         assert np.all(np.isfinite(out.data))
 
 
+def _tape_size(loss):
+    """Distinct tensors reachable from `loss` through parent edges, leaves included."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def _assert_same_values_and_grads(fused, composed, arrays, seed):
+    """Outputs and every input's gradient (of a randomly weighted sum of the
+    output) agree between the fused primitive and its composition."""
+    results = []
+    for build in (fused, composed):
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        out = build(leaves)
+        mix = np.random.default_rng(seed).normal(size=out.shape)
+        results.append((out.data, nm.gradients(nm.sum_(nm.mul(out, mix)), leaves)))
+    (out_f, grads_f), (out_c, grads_c) = results
+    assert max_rel_err(out_f, out_c) < 1e-12
+    for key in arrays:
+        assert np.all(np.isfinite(grads_f[key])), key
+        assert max_rel_err(grads_f[key], grads_c[key]) < 1e-12, key
+
+
+@pytest.mark.parametrize("length", [1, TOY_CONFIG.max_len])
+class TestFusedSublayersMatchOracles:
+    """Each fused sublayer against its single-op composition in `oracles`."""
+
+    D = TOY_CONFIG.d_model
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_multi_head_attention(self, length, heads):
+        rng = np.random.default_rng(20 + heads)
+        arrays = {"x": rng.normal(size=(length, self.D)),
+                  **{w: rng.normal(size=(self.D, self.D)) for w in ("wq", "wk", "wv", "wo")}}
+        _assert_same_values_and_grads(
+            lambda p: enc.multi_head_attention(p["x"], p, heads),
+            lambda p: oracles.multi_head_attention(p["x"], p, heads), arrays, seed=heads)
+
+    def test_residual_layer_norm_with_floored_row(self, length):
+        rng = np.random.default_rng(24)
+        arrays = {"x": rng.normal(size=(length, self.D)) * 2.0,
+                  "sub": rng.normal(size=(length, self.D)),
+                  "g": rng.normal(size=(1, self.D)), "b": rng.normal(size=(1, self.D))}
+        # rows whose variance sits on the eps floor: a constant one and, at
+        # full length, one with a spread of ~1e-4
+        arrays["x"][0], arrays["sub"][0] = 1.5, -0.25
+        if length > 1:
+            arrays["x"][-1] = 0.5 + 1e-4 * rng.normal(size=self.D)
+        _assert_same_values_and_grads(
+            lambda p: enc.layer_norm(p["x"], p["g"], p["b"], p["sub"]),
+            lambda p: oracles.layer_norm(p["x"], p["g"], p["b"], p["sub"]), arrays, seed=5)
+        del arrays["sub"]
+        _assert_same_values_and_grads(
+            lambda p: enc.layer_norm(p["x"], p["g"], p["b"]),
+            lambda p: oracles.layer_norm(p["x"], p["g"], p["b"]), arrays, seed=6)
+
+    def test_feed_forward(self, length):
+        rng = np.random.default_rng(25)
+        d, dff = self.D, TOY_CONFIG.d_ff
+        arrays = {"x": rng.normal(size=(length, d)),
+                  "w1": rng.normal(size=(d, dff)), "b1": rng.normal(size=(1, dff)),
+                  "w2": rng.normal(size=(dff, d)), "b2": rng.normal(size=(1, d))}
+        _assert_same_values_and_grads(lambda p: enc.feed_forward(p["x"], p),
+                                      lambda p: oracles.feed_forward(p["x"], p),
+                                      arrays, seed=7)
+
+    def test_mlm_loss_with_zero_probability_target(self, length):
+        rng = np.random.default_rng(26)
+        logits = rng.normal(size=(length, 10))
+        targets = rng.integers(0, 10, size=length)
+        logits[0, targets[0]] = -1000.0  # underflows: probability exactly 0
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        assert p[0, targets[0]] == 0.0
+        positions = np.arange(length)
+        _assert_same_values_and_grads(
+            lambda q: enc.mlm_loss(q["p"], positions, targets),
+            lambda q: oracles.mlm_loss(q["p"], targets), {"p": p}, seed=8)
+        leaf = Tensor(p, requires_grad=True)
+        grad = nm.gradients(enc.mlm_loss(leaf, positions, targets), {"p": leaf})["p"]
+        assert grad[0, targets[0]] == 0.0
+
+
 class TestEncodeText:
     def _setup(self, seed=13):
         vocab = _vocab(("alpha beta gamma delta", "beta delta alpha"))
@@ -287,6 +381,17 @@ class TestEncodeText:
         too_long = np.array([enc.START_ID] + [4] * TOY_CONFIG.max_len)
         with pytest.raises(ContractError):
             enc.encode_text(too_long, TOY_CONFIG, params)
+
+    def test_pretraining_tape_has_one_node_per_sublayer(self):
+        vocab, params = self._setup()
+        tokens = enc.tokenize("alpha beta gamma delta alpha beta", vocab, TOY_CONFIG.max_len)
+        corrupted, positions, targets = enc.similar_word_mask(
+            tokens, vocab, np.random.default_rng(0), 0.3)
+        rows, _ = enc.encode_text(corrupted, TOY_CONFIG, params)
+        loss = enc.mlm_loss(enc.mlm_predictions(rows, positions, params), positions, targets)
+        # parameter leaves + embedding lookup, position table and their add
+        # + 4 sublayers per layer + head (row gather, matmul, bias, softmax) + loss
+        assert _tape_size(loss) == len(params.names()) + 3 + 4 * TOY_CONFIG.layers + 4 + 1
 
     def test_mean_pool_flag(self):
         vocab, params = self._setup()
