@@ -96,8 +96,14 @@ class Vocabulary:
 
 
 def load_similar_words(path) -> dict[str, list[str]]:
-    """Read a JSON object mapping token -> list of substitute tokens."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON object mapping token -> list of substitute tokens.
+
+    A file that is not valid JSON is a DataError naming `path`.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # invalid JSON or text encoding
+        raise DataError(f"{path}: similar-words file is not valid JSON ({err})") from None
     if not isinstance(obj, dict) or not all(isinstance(v, list) for v in obj.values()):
         raise SchemaError(f"{path}: expected an object of token -> [tokens]")
     return {str(k): [str(t) for t in v] for k, v in obj.items()}

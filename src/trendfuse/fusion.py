@@ -5,6 +5,12 @@ convolution with ReLU, and blended with the recurrent output through a
 learnable convex gate. Attention weighting assigns softmax weights over a
 set of candidate feature vectors using a dot-product score against a
 state vector.
+
+Attention weighting (scores, max-shifted softmax and the weighted context)
+and the fusion gate (optional projection plus the convex blend) are each
+one tape primitive (`numerics.fused`) with a hand-written backward.
+`tests/oracles.py` keeps their compositions from single tape ops as
+references.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DivergenceError, ShapeError
 from .numerics import ParameterStore, Tensor
 
 
@@ -34,10 +40,11 @@ def conv_text(embedded: Tensor, params: Mapping[str, Tensor]) -> Tensor:
 
 def attention_over_features(query: Tensor,
                             feats: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
-    """Softmax-weighted combination of candidate features.
+    """Softmax-weighted combination of candidate features, as one tape primitive.
 
     Scores are plain dot products between the query rows and each
-    candidate; returns (weights of shape (B, m), context of query width).
+    candidate, weighted by a max-shifted softmax; returns (weights of shape
+    (B, m), context of query width).
     """
     feats = list(feats)
     if not feats:
@@ -46,32 +53,71 @@ def attention_over_features(query: Tensor,
         if f.shape != query.shape:
             raise ShapeError(f"candidate shape {f.shape} does not match "
                              f"query shape {query.shape}")
-    scores = nm.concat([nm.sum_(nm.mul(query, f), axis=1, keepdims=True)
-                        for f in feats], axis=1)
-    alpha = nm.softmax(scores, axis=-1)
-    context = nm.mul(alpha[:, 0:1], feats[0])
-    for j in range(1, len(feats)):
-        context = nm.add(context, nm.mul(alpha[:, j:j + 1], feats[j]))
-    return alpha, context
+    stacked = np.stack([f.data for f in feats], axis=1)          # (B, m, H)
+    scores = (query.data[:, None, :] * stacked).sum(axis=2)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    context = np.einsum("bm,bmh->bh", alpha, stacked)
+
+    def back(g_alpha, g_context) -> None:
+        d_alpha = np.zeros_like(alpha) if g_alpha is None else g_alpha
+        d_feats = 0.0
+        if g_context is not None:
+            d_alpha = d_alpha + (g_context[:, None, :] * stacked).sum(axis=2)
+            d_feats = alpha[:, :, None] * g_context[:, None, :]
+        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        nm.accumulate(query, np.einsum("bm,bmh->bh", d_scores, stacked))
+        d_feats = d_feats + d_scores[:, :, None] * query.data[:, None, :]
+        for j, f in enumerate(feats):
+            nm.accumulate(f, d_feats[:, j])
+
+    return nm.fused((query, *feats), (alpha, context), back)
 
 
 def fuse(recurrent_out: Tensor, text_context: Tensor,
          params: Mapping[str, Tensor]) -> Tensor:
-    """Convex blend Z = g * recurrent + (1 - g) * text, g = sigmoid(gamma_raw).
+    """Convex blend Z = g * recurrent + (1 - g) * text, g = sigmoid(gamma_raw),
+    as one tape primitive.
 
     When the text context is narrower or wider than the recurrent output it
-    first passes through the learned projection in `params`.
+    first passes through the learned projection in `params`. Non-finite
+    inputs mean training has diverged and raise DivergenceError.
     """
     if not (np.isfinite(recurrent_out.data).all() and np.isfinite(text_context.data).all()):
-        raise ContractError("fuse inputs must be finite")
-    if text_context.shape[1] != recurrent_out.shape[1]:
+        raise DivergenceError("fuse inputs must be finite: the recurrent output or "
+                              "the text context holds NaN or inf")
+    rec, text = recurrent_out.data, text_context.data
+    proj = ()
+    if text.shape[1] != rec.shape[1]:
         if "proj_w" not in params:
-            raise ShapeError(f"text context width {text_context.shape[1]} needs a "
-                             f"projection to {recurrent_out.shape[1]}")
-        text_context = nm.add(nm.matmul(text_context, params["proj_w"]), params["proj_b"])
-    gamma = nm.sigmoid(params["gamma_raw"])
-    blend = nm.mul(gamma, recurrent_out)
-    return nm.add(blend, nm.mul(nm.sub(1.0, gamma), text_context))
+            raise ShapeError(f"text context width {text.shape[1]} needs a "
+                             f"projection to {rec.shape[1]}")
+        proj = (params["proj_w"], params["proj_b"])
+        text = text @ proj[0].data + proj[1].data
+    gamma_raw = params["gamma_raw"]
+    gamma = nm.logistic(gamma_raw.data)
+
+    def back(g: np.ndarray) -> None:
+        nm.accumulate(recurrent_out, g * gamma)
+        d_text = g * (1.0 - gamma)
+        d_gamma = _sum_rows_cols(g * rec) - _sum_rows_cols(g * text)
+        nm.accumulate(gamma_raw, d_gamma * gamma * (1.0 - gamma))
+        if not proj:
+            nm.accumulate(text_context, d_text)
+            return
+        w, b = proj
+        nm.accumulate(w, text_context.data.T @ d_text)
+        nm.accumulate(b, d_text.sum(axis=0, keepdims=True))
+        if text_context.requires_grad:
+            nm.accumulate(text_context, d_text @ w.data.T)
+
+    out = gamma * rec + (1.0 - gamma) * text
+    return nm.fused((recurrent_out, text_context, gamma_raw, *proj), (out,), back)[0]
+
+
+def _sum_rows_cols(a: np.ndarray) -> np.ndarray:
+    """Sum of a 2-D array as a (1, 1) array, rows first."""
+    return a.sum(axis=0, keepdims=True).sum(axis=1, keepdims=True)
 
 
 def conv_output_len(input_len: int, kernel_len: int) -> int:

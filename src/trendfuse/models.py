@@ -20,6 +20,8 @@ RNN recipe (Appleyard et al., arXiv:1604.01946):
 - `gru_step` is the whole GRU update.
 - `gated_tanh` gives h = o * tanh(c).
 
+`output_head` (matmul, bias and logistic) is one fused node as well.
+
 `CELLS` maps every recurrent kind to its parameter init, its once-per-unroll
 weight preparation `prepare(params, spec)`, its step function and the number
 of state tensors it carries. Cells are reached only through it: `unroll` runs
@@ -420,11 +422,24 @@ def feedforward_net(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
 
 
 def output_head(z: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, np.ndarray]:
-    """Sigmoid probability of an upward move; ties at 0.5 label as 1."""
-    logit = nm.add(nm.matmul(z, params["w_out"]), params["b_out"])
-    p = nm.sigmoid(logit)
-    labels = (p.data.reshape(-1) >= 0.5).astype(int)
-    return p, labels
+    """Sigmoid probability of an upward move; ties at 0.5 label as 1.
+
+    p = sigmoid(z @ w_out + b_out) is one tape node.
+    """
+    w, b = params["w_out"], params["b_out"]
+    if z.shape[1] != w.shape[0]:
+        raise ShapeError(f"head input {z.shape} does not fit weights {w.shape}")
+    p = nm.logistic(z.data @ w.data + b.data)
+
+    def back(g: np.ndarray) -> None:
+        d = g * p * (1.0 - p)
+        nm.accumulate(w, z.data.T @ d)
+        nm.accumulate(b, d.sum(axis=0, keepdims=True))
+        if z.requires_grad:
+            nm.accumulate(z, d @ w.data.T)
+
+    labels = (p.reshape(-1) >= 0.5).astype(int)
+    return nm.fused((z, w, b), (p,), back)[0], labels
 
 
 def unroll(spec: ModelSpec, params: Mapping[str, Tensor],

@@ -94,24 +94,10 @@ def add(a, b) -> Tensor:
                    lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
-
-
 def mul(a, b) -> Tensor:
     """Hadamard (elementwise) product with numpy broadcasting."""
     return _binary(a, b, lambda x, y: x * y,
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def neg(x: Tensor) -> Tensor:
-    x = _lift(x)
-
-    def back(g: Array) -> None:
-        x._accumulate(-g)
-
-    return Tensor(-x.data, parents=(x,), backward=back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -150,38 +136,6 @@ def relu(x: Tensor) -> Tensor:
 
     def back(g: Array) -> None:
         x._accumulate(g * (x.data > 0))
-
-    return Tensor(y, parents=(x,), backward=back)
-
-
-def log(x: Tensor) -> Tensor:
-    x = _lift(x)
-    if np.any(x.data <= 0):
-        raise ContractError("log requires strictly positive entries")
-
-    def back(g: Array) -> None:
-        x._accumulate(g / x.data)
-
-    return Tensor(np.log(x.data), parents=(x,), backward=back)
-
-
-def pow_scalar(x: Tensor, p: float) -> Tensor:
-    x = _lift(x)
-    y = x.data ** p
-
-    def back(g: Array) -> None:
-        x._accumulate(g * p * x.data ** (p - 1.0))
-
-    return Tensor(y, parents=(x,), backward=back)
-
-
-def clip_min(x: Tensor, lo: float) -> Tensor:
-    """Clamp below at lo; gradient passes only where x > lo."""
-    x = _lift(x)
-    y = np.maximum(x.data, lo)
-
-    def back(g: Array) -> None:
-        x._accumulate(g * (x.data > lo))
 
     return Tensor(y, parents=(x,), backward=back)
 
@@ -249,15 +203,6 @@ def take(x: Tensor, key) -> Tensor:
         x._accumulate(full)
 
     return Tensor(out_data, parents=(x,), backward=back)
-
-
-def transpose(x: Tensor) -> Tensor:
-    x = _lift(x)
-
-    def back(g: Array) -> None:
-        x._accumulate(g.T)
-
-    return Tensor(x.data.T, parents=(x,), backward=back)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -467,8 +412,9 @@ class ParameterStore:
         if not isinstance(state, dict):
             raise DataError("checkpoint is not a JSON object")
         if state.get("format_version") != CHECKPOINT_VERSION:
-            raise ContractError(
-                f"unsupported checkpoint version {state.get('format_version')!r}")
+            raise DataError(f"unsupported checkpoint format_version "
+                            f"{state.get('format_version')!r}; this program reads "
+                            f"{CHECKPOINT_VERSION}")
         params = state.get("params")
         if not isinstance(params, dict):
             raise DataError("checkpoint has no 'params' object")
@@ -504,41 +450,52 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and step counter for Adam."""
+    """Adam's settings, step counter and moment estimates.
+
+    `m` and `v` are flat vectors over every parameter of the store, in its
+    insertion order.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
+    m: Array = field(default_factory=lambda: np.zeros(0))
+    v: Array = field(default_factory=lambda: np.zeros(0))
 
 
 def adam_state(store: ParameterStore, lr: float = 1e-3) -> AdamState:
     if lr <= 0:
         raise ContractError(f"learning rate must be positive, got {lr}")
-    state = AdamState(lr=lr)
-    for name, t in store.items():
-        state.m[name] = np.zeros_like(t.data)
-        state.v[name] = np.zeros_like(t.data)
-    return state
+    size = sum(t.size for _, t in store.items())
+    return AdamState(lr=lr, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(store: ParameterStore, grads: Mapping[str, Array],
               state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place, over every parameter."""
+    """One bias-corrected Adam update, in place, over every parameter.
+
+    The gradients are concatenated once, in store order, the moments and the
+    step are whole-vector operations, and each parameter subtracts its slice
+    of the step in place. Element by element the arithmetic is that of a
+    per-parameter update, so the parameters come out bitwise the same.
+    """
+    try:
+        g = np.concatenate([grads[name].reshape(-1) for name, _ in store.items()])
+    except KeyError as err:
+        raise KeyError(f"missing gradient for parameter {err.args[0]!r}") from None
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** state.t
-    bias2 = 1.0 - b2 ** state.t
-    for name, p in store.items():
-        if name not in grads:
-            raise KeyError(f"missing gradient for parameter {name!r}")
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * g * g
+    m_hat = state.m / (1.0 - b1 ** state.t)
+    v_hat = state.v / (1.0 - b2 ** state.t)
+    step = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    start = 0
+    for _, p in store.items():
+        p.data -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
     return state

@@ -8,6 +8,12 @@ the text context meet in the convex fusion gate; a fully connected head
 emits the upward-move probability. The feedforward baseline instead maps
 the flattened inputs straight to a logit.
 
+Attention pooling, the fusion gate, the head and the loss are each one
+tape primitive (`numerics.fused`) with a hand-written backward.
+`train_model` stacks its samples into
+arrays once per run and slices each batch's rows from them; Adam updates
+all parameters as one flat vector (`numerics.adam_step`).
+
 Batches run in chronological order with no shuffling, so a fixed
 (config, data, seed) triple reproduces bit-identical parameters, loss
 traces, and reports.
@@ -27,6 +33,9 @@ from .errors import ConfigError, ContractError, DivergenceError
 from .ingest import FusedSample
 from .models import ModelSpec
 from .numerics import ParameterStore, Tensor
+
+# Lower clamp of p and of 1 - p inside the loss.
+PROB_CLAMP = 1e-7
 
 
 @dataclass
@@ -88,19 +97,31 @@ class EvalReport:
 
 
 def bce_loss(p: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy; probabilities clamped to [1e-7, 1 - 1e-7]."""
+    """Mean binary cross-entropy, as one tape node.
+
+    Probabilities are clamped below at 1e-7 on both sides (p and 1 - p);
+    no gradient flows through a clamped side.
+    """
     y = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     if p.shape != y.shape:
         raise ContractError(f"{p.shape} probabilities for {y.shape} targets")
-    if np.any((p.data < 0) | (p.data > 1)):
+    pd = p.data
+    if np.any((pd < 0) | (pd > 1)):
         raise ContractError("probabilities must lie in [0, 1]")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
+    if not np.all((y == 0) | (y == 1)):
         raise ContractError("targets must be 0 or 1")
-    p_pos = nm.clip_min(p, 1e-7)
-    p_neg = nm.clip_min(nm.sub(1.0, p), 1e-7)
-    per = nm.add(nm.mul(Tensor(y), nm.log(p_pos)),
-                 nm.mul(Tensor(1.0 - y), nm.log(p_neg)))
-    return nm.neg(nm.mean_(per))
+    p_pos = np.maximum(pd, PROB_CLAMP)
+    p_neg = np.maximum(1.0 - pd, PROB_CLAMP)
+    per = y * np.log(p_pos) + (1.0 - y) * np.log(p_neg)
+    scale = 1.0 / pd.size
+
+    def back(g: np.ndarray) -> None:
+        c = -g * scale
+        d_pos = c * y / p_pos * (pd > PROB_CLAMP)
+        d_neg = c * (1.0 - y) / p_neg * ((1.0 - pd) > PROB_CLAMP)
+        nm.accumulate(p, d_pos - d_neg)
+
+    return nm.fused((p,), (-(per.sum() * scale),), back)[0]
 
 
 def init_pipeline_params(config: TrainConfig) -> ParameterStore:
@@ -147,8 +168,8 @@ def forward_batch(store: ParameterStore, config: TrainConfig, priors: np.ndarray
     if config.model.kind == "feedforward":
         flat = nm.concat([Tensor(prices), Tensor(priors), context], axis=1)
         return nm.sigmoid(models.feedforward_net(flat, store.view("cell")))
-    steps = [nm.concat([Tensor(prices[:, t:t + 1]), Tensor(priors[:, t:t + 1])], axis=1)
-             for t in range(prices.shape[1])]
+    pairs = np.stack([prices, priors], axis=2)
+    steps = [Tensor(pairs[:, t]) for t in range(pairs.shape[1])]
     step_feats, final = models.unroll(config.model, store.view("cell"), steps)
     _, pooled = fusion.attention_over_features(final, step_feats)
     fused = fusion.fuse(pooled, context, text_params)
@@ -164,12 +185,13 @@ def train_model(samples: Sequence[FusedSample],
     store = init_pipeline_params(config)
     state = nm.adam_state(store, lr=config.lr)
     n = len(samples)
+    arrays = batch_arrays(samples, config.prior_effect)
     trace: list[float] = []
     for epoch in range(config.epochs):
         total = 0.0
         for start in range(0, n, config.batch_size):
-            batch = samples[start:start + config.batch_size]
-            priors, prices, texts, targets = batch_arrays(batch, config.prior_effect)
+            rows = slice(start, start + config.batch_size)
+            priors, prices, texts, targets = (a[rows] for a in arrays)
             p = forward_batch(store, config, priors, prices, texts)
             loss = bce_loss(p, targets)
             value = loss.item()
@@ -179,7 +201,7 @@ def train_model(samples: Sequence[FusedSample],
             store.zero_grad()
             nm.backward(loss)
             nm.adam_step(store, store.grads(), state)
-            total += value * len(batch)
+            total += value * len(targets)
         trace.append(total / n)
     return store, trace
 

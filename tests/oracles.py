@@ -10,6 +10,11 @@ composes LSTM steps by hand, as a reference for the table-driven
 `feed_forward` and `mlm_loss` build the encoder's sublayers from single
 tape ops, as references for the fused primitives in `encoder`: their
 gradients come from the tape's per-op backwards, not from a hand-written one.
+`attention_over_features`, `fuse`, `output_head` and `bce_loss` do the same
+for the fused predictor tail in `fusion`, `models` and `train`.
+
+`sub`, `neg`, `log`, `pow_scalar`, `clip_min` and `transpose` are tape ops
+that only these references use; they live here rather than in `numerics`.
 """
 
 import math
@@ -41,6 +46,45 @@ def max_rel_err(a, b, floor=1e-6):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def tape_size(loss):
+    """Distinct tensors reachable from `loss` through parent edges, leaves included."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def assert_same_values_and_grads(fused, composed, arrays, seed):
+    """Outputs and every input's gradient agree between a fused primitive and
+    its composition.
+
+    `fused` and `composed` map a dict of leaf tensors (one per entry of
+    `arrays`) to one output tensor or a tuple of them; the gradients are of
+    a sum of every output weighted by fixed random draws from `seed`.
+    """
+    results = []
+    for build in (fused, composed):
+        leaves = {k: nm.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        outs = build(leaves)
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        rng = np.random.default_rng(seed)
+        terms = [nm.sum_(nm.mul(out, rng.normal(size=out.shape))) for out in outs]
+        total = terms[0]
+        for term in terms[1:]:
+            total = nm.add(total, term)
+        results.append(([out.data for out in outs], nm.gradients(total, leaves)))
+    (outs_f, grads_f), (outs_c, grads_c) = results
+    for out_f, out_c in zip(outs_f, outs_c):
+        assert out_f.shape == out_c.shape
+        assert max_rel_err(out_f, out_c) < 1e-12
+    for key in arrays:
+        assert np.all(np.isfinite(grads_f[key])), key
+        assert max_rel_err(grads_f[key], grads_c[key]) < 1e-12, key
 
 
 def naive_matmul(a, b):
@@ -147,6 +191,67 @@ def bilstm_forward(xs, params_fwd, params_bwd):
     return nm.concat([h, hb], axis=1)
 
 
+# --- tape ops used only by the references below ---------------------------
+
+
+def sub(a, b):
+    return nm._binary(a, b, lambda x, y: x - y,
+                      lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def neg(x):
+    x = nm._lift(x)
+
+    def back(g):
+        x._accumulate(-g)
+
+    return nm.Tensor(-x.data, parents=(x,), backward=back)
+
+
+def log(x):
+    x = nm._lift(x)
+    if np.any(x.data <= 0):
+        raise ContractError("log requires strictly positive entries")
+
+    def back(g):
+        x._accumulate(g / x.data)
+
+    return nm.Tensor(np.log(x.data), parents=(x,), backward=back)
+
+
+def pow_scalar(x, p):
+    x = nm._lift(x)
+    y = x.data ** p
+
+    def back(g):
+        x._accumulate(g * p * x.data ** (p - 1.0))
+
+    return nm.Tensor(y, parents=(x,), backward=back)
+
+
+def clip_min(x, lo):
+    """Clamp below at lo; gradient passes only where x > lo."""
+    x = nm._lift(x)
+    y = np.maximum(x.data, lo)
+
+    def back(g):
+        x._accumulate(g * (x.data > lo))
+
+    return nm.Tensor(y, parents=(x,), backward=back)
+
+
+def transpose(x):
+    x = nm._lift(x)
+
+    def back(g):
+        x._accumulate(g.T)
+
+    return nm.Tensor(x.data.T, parents=(x,), backward=back)
+
+
+# --- compositions of single tape ops, references for the fused primitives ---
+
+
 def self_attention(q, k, v):
     """Scaled dot-product attention with row-wise softmax weights."""
     if q.shape[1] != k.shape[1]:
@@ -154,7 +259,7 @@ def self_attention(q, k, v):
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[1])
-    scores = nm.mul(nm.matmul(q, nm.transpose(k)), scale)
+    scores = nm.mul(nm.matmul(q, transpose(k)), scale)
     return nm.matmul(nm.softmax(scores, axis=-1), v)
 
 
@@ -179,9 +284,9 @@ def layer_norm(x, gain, bias, sublayer=None):
     if sublayer is not None:
         x = nm.add(x, sublayer)
     mu = nm.mean_(x, axis=1, keepdims=True)
-    centered = nm.sub(x, mu)
+    centered = sub(x, mu)
     var = nm.mean_(nm.mul(centered, centered), axis=1, keepdims=True)
-    normed = nm.mul(centered, nm.pow_scalar(nm.clip_min(var, enc.LAYER_NORM_EPS), -0.5))
+    normed = nm.mul(centered, pow_scalar(clip_min(var, enc.LAYER_NORM_EPS), -0.5))
     return nm.add(nm.mul(normed, gain), bias)
 
 
@@ -195,7 +300,51 @@ def mlm_loss(predicted, targets):
     onehot = np.zeros(predicted.shape)
     onehot[np.arange(predicted.shape[0]), targets] = 1.0
     picked = nm.sum_(nm.mul(predicted, onehot), axis=1)
-    return nm.neg(nm.sum_(nm.log(nm.clip_min(picked, enc.PROB_FLOOR))))
+    return neg(nm.sum_(log(clip_min(picked, enc.PROB_FLOOR))))
+
+
+def attention_over_features(query, feats):
+    """Dot-product scores per candidate, softmax, and the weighted sum."""
+    feats = list(feats)
+    if not feats:
+        raise ContractError("need at least one candidate feature")
+    for f in feats:
+        if f.shape != query.shape:
+            raise ShapeError(f"candidate shape {f.shape} does not match "
+                             f"query shape {query.shape}")
+    scores = nm.concat([nm.sum_(nm.mul(query, f), axis=1, keepdims=True)
+                        for f in feats], axis=1)
+    alpha = nm.softmax(scores, axis=-1)
+    context = nm.mul(alpha[:, 0:1], feats[0])
+    for j in range(1, len(feats)):
+        context = nm.add(context, nm.mul(alpha[:, j:j + 1], feats[j]))
+    return alpha, context
+
+
+def fuse(recurrent_out, text_context, params):
+    """g * recurrent + (1 - g) * text with g = sigmoid(gamma_raw), text
+    projected first when its width differs."""
+    if text_context.shape[1] != recurrent_out.shape[1]:
+        text_context = nm.add(nm.matmul(text_context, params["proj_w"]), params["proj_b"])
+    gamma = nm.sigmoid(params["gamma_raw"])
+    blend = nm.mul(gamma, recurrent_out)
+    return nm.add(blend, nm.mul(sub(1.0, gamma), text_context))
+
+
+def output_head(z, params):
+    """sigmoid(z @ w_out + b_out) and its labels (ties at 0.5 label as 1)."""
+    p = nm.sigmoid(nm.add(nm.matmul(z, params["w_out"]), params["b_out"]))
+    return p, (p.data.reshape(-1) >= 0.5).astype(int)
+
+
+def bce_loss(p, targets):
+    """Mean binary cross-entropy, both sides clamped below at 1e-7."""
+    y = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    p_pos = clip_min(p, 1e-7)
+    p_neg = clip_min(sub(1.0, p), 1e-7)
+    per = nm.add(nm.mul(nm.Tensor(y), log(p_pos)),
+                 nm.mul(nm.Tensor(1.0 - y), log(p_neg)))
+    return neg(nm.mean_(per))
 
 
 def confusion_counts(labels, targets):

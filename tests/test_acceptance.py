@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (bilstm_forward, cell_step, confusion_counts, fd_gradients, max_rel_err,
                      self_attention)
 
@@ -55,18 +56,18 @@ def _primitive_grad_cases(rng):
     mix43 = Tensor(rng.normal(size=(4, 3)))
     return [
         ("add", lambda p: nm.sum_(nm.add(p["x"], p["y"])), {"x": x, "y": y}),
-        ("sub", lambda p: nm.sum_(nm.sub(p["x"], p["y"])), {"x": x, "y": y}),
+        ("sub", lambda p: nm.sum_(oracles.sub(p["x"], p["y"])), {"x": x, "y": y}),
         ("mul", lambda p: nm.sum_(nm.mul(p["x"], p["y"])), {"x": x, "y": y}),
-        ("neg", lambda p: nm.sum_(nm.neg(p["x"])), {"x": x}),
+        ("neg", lambda p: nm.sum_(oracles.neg(p["x"])), {"x": x}),
         ("matmul", lambda p: nm.sum_(nm.matmul(p["a"], p["b"])),
          {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}),
         ("sigmoid", lambda p: nm.sum_(nm.sigmoid(p["x"])), {"x": x}),
         ("relu", lambda p: nm.sum_(nm.relu(p["x"])),
          {"x": x + np.sign(x) * 0.05}),
-        ("log", lambda p: nm.sum_(nm.log(p["x"])), {"x": np.abs(x) + 0.5}),
-        ("pow", lambda p: nm.sum_(nm.pow_scalar(p["x"], -0.5)),
+        ("log", lambda p: nm.sum_(oracles.log(p["x"])), {"x": np.abs(x) + 0.5}),
+        ("pow", lambda p: nm.sum_(oracles.pow_scalar(p["x"], -0.5)),
          {"x": np.abs(x) + 0.5}),
-        ("clip_min", lambda p: nm.sum_(nm.clip_min(p["x"], 0.3)),
+        ("clip_min", lambda p: nm.sum_(oracles.clip_min(p["x"], 0.3)),
          {"x": np.abs(x) + 0.5}),
         ("softmax", lambda p: nm.sum_(nm.mul(nm.softmax(p["x"], axis=-1), p["y"])),
          {"x": x, "y": y}),
@@ -77,7 +78,7 @@ def _primitive_grad_cases(rng):
         ("concat", lambda p: nm.sum_(nm.mul(nm.concat([p["x"], p["y"]], axis=1), mix)),
          {"x": x, "y": y}),
         ("take", lambda p: nm.sum_(p["x"][1:, 0:2]), {"x": x}),
-        ("transpose", lambda p: nm.sum_(nm.mul(nm.transpose(p["x"]), mix43)),
+        ("transpose", lambda p: nm.sum_(nm.mul(oracles.transpose(p["x"]), mix43)),
          {"x": x}),
         ("gather_rows", lambda p: nm.sum_(nm.gather_rows(p["x"], [0, 2, 2, 1])),
          {"x": x}),
@@ -401,6 +402,63 @@ def _fused_grad_cases(rng):
     return cases
 
 
+def _tail_grad_cases(rng):
+    """The fused predictor tail: attention pooling, the fusion gate, the head
+    and the loss, including one-candidate, constant-input and clamped cases."""
+    batch, width = 3, 4
+
+    def arrays(**shapes):
+        return {name: rng.normal(size=shape) for name, shape in shapes.items()}
+
+    mix_alpha1, mix_ctx = Tensor(rng.normal(size=(batch, 1))), Tensor(rng.normal(size=(batch, width)))
+    mix_out = Tensor(rng.normal(size=(batch, width)))
+    mix_p = Tensor(rng.normal(size=(batch, 1)))
+
+    def weighted(t, mix):
+        return nm.sum_(nm.mul(t, mix))
+
+    def build_att_one(p):
+        alpha, ctx = fusion.attention_over_features(p["q"], [p["f0"]])
+        return nm.add(weighted(alpha, mix_alpha1), weighted(ctx, mix_ctx))
+
+    def build_att_context(p):
+        # the pipeline's use: the query is also the last candidate, alpha unused
+        _, ctx = fusion.attention_over_features(p["q"], [p["f0"], p["f1"], p["q"]])
+        return weighted(ctx, mix_ctx)
+
+    text_const = Tensor(rng.normal(size=(batch, width)))
+
+    def build_fuse(p):
+        return weighted(fusion.fuse(p["o"], p["c"], {"gamma_raw": p["gamma_raw"]}), mix_out)
+
+    def build_fuse_const_text(p):
+        return weighted(fusion.fuse(p["o"], text_const, {"gamma_raw": p["gamma_raw"]}), mix_out)
+
+    def build_head(p):
+        return weighted(models.output_head(p["z"], p)[0], mix_p)
+
+    targets = np.array([1, 0, 1])
+
+    def build_bce(p):
+        return tr.bce_loss(nm.sigmoid(p["logits"]), targets)
+
+    clamped = rng.normal(size=(batch, 1))
+    clamped[0, 0], clamped[1, 0] = -40.0, 40.0  # p is exactly 0 and 1: both clamped
+
+    att_one = arrays(q=(batch, width), f0=(batch, width))
+    return [("fusion.attention.one_candidate", build_att_one, att_one),
+            ("fusion.attention.context_only", build_att_context,
+             arrays(q=(batch, width), f0=(batch, width), f1=(batch, width))),
+            ("fusion.fuse.no_projection", build_fuse,
+             arrays(o=(batch, width), c=(batch, width), gamma_raw=(1, 1))),
+            ("fusion.fuse.const_text", build_fuse_const_text,
+             arrays(o=(batch, width), gamma_raw=(1, 1))),
+            ("models.output_head", build_head,
+             arrays(z=(batch, width), w_out=(width, 1), b_out=(1, 1))),
+            ("train.bce_loss", build_bce, arrays(logits=(batch, 1))),
+            ("train.bce_loss.clamped", build_bce, {"logits": clamped})]
+
+
 def _pipeline_grad_case(kind, seed):
     samples = synthetic.markov_samples(5, 5, seed=seed, feature_len=6)
     cfg = tr.TrainConfig(epochs=1, batch_size=5, seed=seed, window=5, feature_len=6,
@@ -439,6 +497,8 @@ def test_criterion_1_gradient_suite():
                     np.random.default_rng(3000 + 10 * seed + steps), steps):
                 configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
         for label, build, arrays in _fused_grad_cases(np.random.default_rng(3500 + seed)):
+            configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
+        for label, build, arrays in _tail_grad_cases(np.random.default_rng(3700 + seed)):
             configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
     configs += _check_zero_probability_gradient()
     label, build, arrays = _full_encoder_grad_case(4000)

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from trendfuse import cli, encoder as enc, synthetic
+from trendfuse import cli, encoder as enc, fusion, synthetic
+from trendfuse import numerics as nm
 from trendfuse.encoder import read_features
 from trendfuse.numerics import Tensor
 
@@ -148,6 +149,15 @@ class TestPretrainEncoder:
         assert "epoch 0" in message and "sentence 0" in message
 
 
+    def test_invalid_similar_words_json_is_data_error(self, tmp_path, summaries, capsys):
+        similar = tmp_path / "similar.json"
+        similar.write_text('{"a": ["b"')
+        assert run("pretrain-encoder", "--summaries", summaries, "--out", tmp_path / "enc",
+                   "--pretrain-epochs", "1", "--seed", "2", "--similar-words", similar) == 2
+        message = _one_error_line(capsys, "DataError")
+        assert "similar.json" in message and "not valid JSON" in message
+
+
 class TestTrain:
     def test_artifacts_exist_and_parse(self, tmp_path, market_csv):
         out = tmp_path / "run"
@@ -199,6 +209,15 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "ParseError" in err and "line 2" in err
+
+    def test_non_finite_fuse_input_is_divergence(self, tmp_path, market_csv, capsys,
+                                                  monkeypatch):
+        conv_text = fusion.conv_text
+        monkeypatch.setattr(fusion, "conv_text",
+                            lambda embedded, params: nm.mul(conv_text(embedded, params), np.nan))
+        assert run(*_train_args(market_csv, tmp_path / "run", epochs=2)) == 3
+        message = _one_error_line(capsys, "DivergenceError")
+        assert "fuse" in message
 
     def test_missing_market_path_is_config_error(self, tmp_path):
         assert run("train", "--market", tmp_path / "nope.csv",
@@ -271,6 +290,15 @@ class TestEvaluate:
         assert run(*args, "--checkpoint", checkpoint) == 2
         message = _one_error_line(capsys, "DataError")
         assert "checkpoint.json" in message and detail in message
+
+    def test_unsupported_format_version_is_data_error(self, tmp_path, market_csv, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps({"format_version": 2, "params": {}}))
+        args = _train_args(market_csv, tmp_path / "eval", epochs=2)
+        args[0] = "evaluate"
+        assert run(*args, "--checkpoint", checkpoint) == 2
+        message = _one_error_line(capsys, "DataError")
+        assert "checkpoint.json" in message and "format_version 2" in message
 
     def test_checkpoint_without_params_is_data_error(self, tmp_path, market_csv, capsys):
         checkpoint = tmp_path / "checkpoint.json"

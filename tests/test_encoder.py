@@ -259,33 +259,6 @@ class TestLayerNormAndFfn:
         assert np.all(np.isfinite(out.data))
 
 
-def _tape_size(loss):
-    """Distinct tensors reachable from `loss` through parent edges, leaves included."""
-    seen, stack = {id(loss)}, [loss]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
-
-
-def _assert_same_values_and_grads(fused, composed, arrays, seed):
-    """Outputs and every input's gradient (of a randomly weighted sum of the
-    output) agree between the fused primitive and its composition."""
-    results = []
-    for build in (fused, composed):
-        leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        out = build(leaves)
-        mix = np.random.default_rng(seed).normal(size=out.shape)
-        results.append((out.data, nm.gradients(nm.sum_(nm.mul(out, mix)), leaves)))
-    (out_f, grads_f), (out_c, grads_c) = results
-    assert max_rel_err(out_f, out_c) < 1e-12
-    for key in arrays:
-        assert np.all(np.isfinite(grads_f[key])), key
-        assert max_rel_err(grads_f[key], grads_c[key]) < 1e-12, key
-
-
 @pytest.mark.parametrize("length", [1, TOY_CONFIG.max_len])
 class TestFusedSublayersMatchOracles:
     """Each fused sublayer against its single-op composition in `oracles`."""
@@ -297,7 +270,7 @@ class TestFusedSublayersMatchOracles:
         rng = np.random.default_rng(20 + heads)
         arrays = {"x": rng.normal(size=(length, self.D)),
                   **{w: rng.normal(size=(self.D, self.D)) for w in ("wq", "wk", "wv", "wo")}}
-        _assert_same_values_and_grads(
+        oracles.assert_same_values_and_grads(
             lambda p: enc.multi_head_attention(p["x"], p, heads),
             lambda p: oracles.multi_head_attention(p["x"], p, heads), arrays, seed=heads)
 
@@ -311,11 +284,11 @@ class TestFusedSublayersMatchOracles:
         arrays["x"][0], arrays["sub"][0] = 1.5, -0.25
         if length > 1:
             arrays["x"][-1] = 0.5 + 1e-4 * rng.normal(size=self.D)
-        _assert_same_values_and_grads(
+        oracles.assert_same_values_and_grads(
             lambda p: enc.layer_norm(p["x"], p["g"], p["b"], p["sub"]),
             lambda p: oracles.layer_norm(p["x"], p["g"], p["b"], p["sub"]), arrays, seed=5)
         del arrays["sub"]
-        _assert_same_values_and_grads(
+        oracles.assert_same_values_and_grads(
             lambda p: enc.layer_norm(p["x"], p["g"], p["b"]),
             lambda p: oracles.layer_norm(p["x"], p["g"], p["b"]), arrays, seed=6)
 
@@ -325,7 +298,7 @@ class TestFusedSublayersMatchOracles:
         arrays = {"x": rng.normal(size=(length, d)),
                   "w1": rng.normal(size=(d, dff)), "b1": rng.normal(size=(1, dff)),
                   "w2": rng.normal(size=(dff, d)), "b2": rng.normal(size=(1, d))}
-        _assert_same_values_and_grads(lambda p: enc.feed_forward(p["x"], p),
+        oracles.assert_same_values_and_grads(lambda p: enc.feed_forward(p["x"], p),
                                       lambda p: oracles.feed_forward(p["x"], p),
                                       arrays, seed=7)
 
@@ -338,7 +311,7 @@ class TestFusedSublayersMatchOracles:
         p /= p.sum(axis=1, keepdims=True)
         assert p[0, targets[0]] == 0.0
         positions = np.arange(length)
-        _assert_same_values_and_grads(
+        oracles.assert_same_values_and_grads(
             lambda q: enc.mlm_loss(q["p"], positions, targets),
             lambda q: oracles.mlm_loss(q["p"], targets), {"p": p}, seed=8)
         leaf = Tensor(p, requires_grad=True)
@@ -391,7 +364,7 @@ class TestEncodeText:
         loss = enc.mlm_loss(enc.mlm_predictions(rows, positions, params), positions, targets)
         # parameter leaves + embedding lookup, position table and their add
         # + 4 sublayers per layer + head (row gather, matmul, bias, softmax) + loss
-        assert _tape_size(loss) == len(params.names()) + 3 + 4 * TOY_CONFIG.layers + 4 + 1
+        assert oracles.tape_size(loss) == len(params.names()) + 3 + 4 * TOY_CONFIG.layers + 4 + 1
 
     def test_mean_pool_flag(self):
         vocab, params = self._setup()

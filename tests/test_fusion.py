@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import conv1d_valid, max_rel_err, softmax_rows
 
 from trendfuse import fusion
 from trendfuse import numerics as nm
-from trendfuse.errors import ContractError, ShapeError
+from trendfuse.errors import ContractError, DivergenceError, ShapeError
 from trendfuse.numerics import ParameterStore, Tensor
 
 
@@ -182,7 +183,7 @@ class TestFuse:
                         self._params(0.0))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DivergenceError):
             fusion.fuse(Tensor([[np.nan]]), Tensor([[1.0]]), self._params(0.0))
 
     def test_gradient_flows_through_gate(self):
@@ -195,3 +196,72 @@ class TestFuse:
         g = 1.0 / (1.0 + np.exp(-0.3))
         expected = g * (1 - g) * ((2.0 - 4.0) + (-1.0 - 3.0))
         np.testing.assert_allclose(grads["gamma_raw"], [[expected]], atol=1e-12)
+
+
+def _candidates(p, m):
+    return [p[f"f{j}"] for j in range(m)]
+
+
+class TestFusedTailMatchesOracles:
+    """Attention pooling and the fusion gate against their single-op
+    compositions in `oracles`: values and every input's gradient."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_attention(self, m):
+        rng = np.random.default_rng(50 + m)
+        arrays = {"q": rng.normal(size=(4, 3)),
+                  **{f"f{j}": rng.normal(size=(4, 3)) for j in range(m)}}
+        for pick, seed in ((slice(None), 1), (slice(1, 2), 2), (slice(0, 1), 3)):
+            # both outputs, the context alone (as the pipeline uses it), alpha alone
+            oracles.assert_same_values_and_grads(
+                lambda p: fusion.attention_over_features(p["q"], _candidates(p, m))[pick],
+                lambda p: oracles.attention_over_features(p["q"], _candidates(p, m))[pick],
+                arrays, seed=seed)
+
+    def test_attention_with_the_query_among_the_candidates(self):
+        # the pipeline's query is the last step state, which is also a candidate
+        rng = np.random.default_rng(54)
+        arrays = {"q": rng.normal(size=(4, 3)), "f0": rng.normal(size=(4, 3)),
+                  "f1": rng.normal(size=(4, 3))}
+        oracles.assert_same_values_and_grads(
+            lambda p: fusion.attention_over_features(p["q"], [p["f0"], p["f1"], p["q"]]),
+            lambda p: oracles.attention_over_features(p["q"], [p["f0"], p["f1"], p["q"]]),
+            arrays, seed=4)
+
+    def test_attention_with_constant_query_or_candidates(self):
+        rng = np.random.default_rng(55)
+        q = Tensor(rng.normal(size=(4, 3)))
+        feats = [Tensor(rng.normal(size=(4, 3))) for _ in range(3)]
+        arrays = {f"f{j}": f.data for j, f in enumerate(feats)}
+        oracles.assert_same_values_and_grads(
+            lambda p: fusion.attention_over_features(q, _candidates(p, 3)),
+            lambda p: oracles.attention_over_features(q, _candidates(p, 3)), arrays, seed=5)
+        oracles.assert_same_values_and_grads(
+            lambda p: fusion.attention_over_features(p["q"], feats),
+            lambda p: oracles.attention_over_features(p["q"], feats), {"q": q.data}, seed=6)
+
+    @pytest.mark.parametrize("text_width", [4, 6], ids=["no_projection", "projection"])
+    def test_fuse(self, text_width):
+        rng = np.random.default_rng(56 + text_width)
+        arrays = {"o": rng.normal(size=(5, 4)), "c": rng.normal(size=(5, text_width)),
+                  "gamma_raw": rng.normal(size=(1, 1))}
+        if text_width != 4:
+            arrays.update(proj_w=rng.normal(size=(text_width, 4)),
+                          proj_b=rng.normal(size=(1, 4)))
+        oracles.assert_same_values_and_grads(lambda p: fusion.fuse(p["o"], p["c"], p),
+                                             lambda p: oracles.fuse(p["o"], p["c"], p),
+                                             arrays, seed=7)
+
+    def test_fuse_with_frozen_gate_and_constant_text(self):
+        rng = np.random.default_rng(63)
+        text = Tensor(rng.normal(size=(5, 6)))
+        frozen = {"gamma_raw": Tensor([[0.4]])}
+        arrays = {"o": rng.normal(size=(5, 4)), "proj_w": rng.normal(size=(6, 4)),
+                  "proj_b": rng.normal(size=(1, 4))}
+        oracles.assert_same_values_and_grads(
+            lambda p: fusion.fuse(p["o"], text, {**p, **frozen}),
+            lambda p: oracles.fuse(p["o"], text, {**p, **frozen}), arrays, seed=8)
+        oracles.assert_same_values_and_grads(
+            lambda p: fusion.fuse(Tensor(arrays["o"]), p["c"], frozen),
+            lambda p: oracles.fuse(Tensor(arrays["o"]), p["c"], frozen),
+            {"c": rng.normal(size=(5, 4))}, seed=9)

