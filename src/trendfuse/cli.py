@@ -201,16 +201,16 @@ def cmd_featurize(cfg: ExperimentConfig) -> None:
     provider = ingest.ExtractiveSummaryProvider()
     corpus = [r.text for r in records]
     encoder_cfg, vocab, params = _load_encoder_or_pretrain(cfg, corpus, out)
-    features = []
+    texts = []
     for record in records:
         try:
-            text = ingest.summarize(record.text, provider)
+            texts.append(ingest.summarize(record.text, provider))
         except ProviderError:
             log.warning("summary provider failed for %s; using raw text", record.date)
-            text = record.text
-        values = enc.encode_feature(text, vocab, encoder_cfg, params,
-                                    cfg.train.feature_len)
-        features.append(enc.TextFeature(date=record.date, values=values))
+            texts.append(record.text)
+    rows = enc.encode_features(texts, vocab, encoder_cfg, params, cfg.train.feature_len)
+    features = [enc.TextFeature(date=record.date, values=values)
+                for record, values in zip(records, rows)]
     enc.write_features(out / "features.csv", features)
     log.info("wrote %d feature rows to %s", len(features), out / "features.csv")
 

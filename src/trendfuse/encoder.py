@@ -13,6 +13,14 @@ residual add plus layer norm, the feed-forward block and the masked-token
 loss. A sentence's pretraining tape thus has a few dozen nodes, most of
 them parameter leaves. The composed reference versions live in
 `tests/oracles.py`.
+
+The forward arithmetic of each sublayer is written once, over arrays with
+any leading axes (`_attend`, `_add_norm`, `_feed_forward`), and the tape
+nodes call it. `encode_text` takes one text's (L,) ids for pretraining, or
+an (n, L) block of same-length texts: featurizing (`encode_features`) runs
+it under `numerics.no_grad` on blocks of up to FEATURIZE_CHUNK texts of one
+token count, so no tape is kept, and gets bitwise the rows the per-text
+tape path gives.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import csv
 import functools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -42,18 +51,14 @@ _SPECIAL_TOKENS = ("<pad>", "<s>", "<unk>", "<mask>")
 
 # CJK tokens carry no whitespace; fall back to per-character segmentation.
 _CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF))
-
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+_CJK_CHAR = re.compile("[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES) + "]")
 
 
 def segment(text: str) -> list[str]:
     """Whitespace segmentation; runs of CJK characters split per character."""
     pieces: list[str] = []
     for chunk in text.split():
-        if any(_is_cjk(ch) for ch in chunk):
+        if _CJK_CHAR.search(chunk):
             pieces.extend(chunk)
         else:
             pieces.append(chunk)
@@ -234,6 +239,56 @@ def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
     return pe
 
 
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., L, d_model) -> (..., heads, L, d_k)."""
+    *lead, length, d_model = a.shape
+    return a.reshape(*lead, length, heads, d_model // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, L, d_k) -> (..., L, heads * d_k)."""
+    *lead, heads, length, d_k = a.shape
+    return a.swapaxes(-3, -2).reshape(*lead, length, heads * d_k)
+
+
+# The forward arithmetic of each sublayer, over arrays with any leading axes
+# (one text's (L, d) rows or a batch's (n, L, d) block); each returns its
+# output and what the tape node's backward needs.
+
+def _attend(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+            wo: np.ndarray, heads: int) -> tuple[np.ndarray, tuple]:
+    d_model = x.shape[-1]
+    if d_model % heads:
+        raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
+    scale = 1.0 / math.sqrt(d_model // heads)
+    q, k, v = (_split_heads(x @ w, heads) for w in (wq, wk, wv))
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    merged = _merge_heads(weights @ v)
+    return merged @ wo, (q, k, v, weights, merged, scale)
+
+
+LAYER_NORM_EPS = 1e-5
+
+
+def _add_norm(x: np.ndarray, sublayer: np.ndarray | None, gain: np.ndarray,
+              bias: np.ndarray) -> tuple[np.ndarray, tuple]:
+    total = x if sublayer is None else x + sublayer
+    width = total.shape[-1]
+    centered = total - total.sum(axis=-1, keepdims=True) * (1.0 / width)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width)
+    inv_std = np.maximum(var, LAYER_NORM_EPS) ** -0.5
+    normed = centered * inv_std
+    return normed * gain + bias, (centered, var, inv_std, normed)
+
+
+def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                  b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hidden = np.maximum(0.0, x @ w1 + b1)
+    return hidden @ w2 + b2, hidden
+
+
 def multi_head_attention(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
     """Project into per-head subspaces, attend, concatenate, and mix.
 
@@ -241,42 +296,24 @@ def multi_head_attention(x: Tensor, params: Mapping[str, Tensor], heads: int) ->
     head then takes max-shifted softmax weights of its scaled dot-product
     scores and averages its values, all heads in each 3-D matmul.
     """
-    length, d_model = x.shape
-    if d_model % heads:
-        raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
-    d_k = d_model // heads
-    scale = 1.0 / math.sqrt(d_k)
     wq, wk, wv, wo = (params[w] for w in ("wq", "wk", "wv", "wo"))
-
-    def split(a):
-        return a.reshape(length, heads, d_k).transpose(1, 0, 2)
-
-    def merge(a):
-        return a.transpose(1, 0, 2).reshape(length, d_model)
-
-    q, k, v = (split(x.data @ w.data) for w in (wq, wk, wv))
-    scores = (q @ k.transpose(0, 2, 1)) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    merged = merge(weights @ v)
+    out, (q, k, v, weights, merged, scale) = _attend(x.data, wq.data, wk.data, wv.data,
+                                                     wo.data, heads)
 
     def back(g):
         nm.accumulate(wo, merged.T @ g)
-        d_ctx = split(g @ wo.data.T)
+        d_ctx = _split_heads(g @ wo.data.T, heads)
         d_weights = d_ctx @ v.transpose(0, 2, 1)
         d_scores = ((d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
                     * weights * scale)
-        grad_q = merge(d_scores @ k)
-        grad_k = merge(d_scores.transpose(0, 2, 1) @ q)
-        grad_v = merge(weights.transpose(0, 2, 1) @ d_ctx)
+        grad_q = _merge_heads(d_scores @ k)
+        grad_k = _merge_heads(d_scores.transpose(0, 2, 1) @ q)
+        grad_v = _merge_heads(weights.transpose(0, 2, 1) @ d_ctx)
         for w, grad in ((wq, grad_q), (wk, grad_k), (wv, grad_v)):
             nm.accumulate(w, x.data.T @ grad)
         nm.accumulate(x, grad_q @ wq.data.T + grad_k @ wk.data.T + grad_v @ wv.data.T)
 
-    return nm.fused((x, wq, wk, wv, wo), (merged @ wo.data,), back)[0]
-
-
-LAYER_NORM_EPS = 1e-5
+    return nm.fused((x, wq, wk, wv, wo), (out,), back)[0]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -290,12 +327,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     instead of dividing by zero. Where the floor applies, no gradient flows
     through the variance.
     """
-    total = x.data if sublayer is None else x.data + sublayer.data
-    width = total.shape[1]
-    centered = total - total.sum(axis=1, keepdims=True) * (1.0 / width)
-    var = (centered * centered).sum(axis=1, keepdims=True) * (1.0 / width)
-    inv_std = np.maximum(var, LAYER_NORM_EPS) ** -0.5
-    normed = centered * inv_std
+    out, (centered, var, inv_std, normed) = _add_norm(
+        x.data, None if sublayer is None else sublayer.data, gain.data, bias.data)
+    width = out.shape[-1]
 
     def back(g):
         nm.accumulate(gain, (g * normed).sum(axis=0, keepdims=True))
@@ -310,13 +344,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
             nm.accumulate(sublayer, d_total)
 
     parents = (x, gain, bias) if sublayer is None else (x, gain, bias, sublayer)
-    return nm.fused(parents, (normed * gain.data + bias.data,), back)[0]
+    return nm.fused(parents, (out,), back)[0]
 
 
 def feed_forward(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     """relu(x·w1 + b1)·w2 + b2 as one tape node."""
     w1, b1, w2, b2 = (params[w] for w in ("w1", "b1", "w2", "b2"))
-    hidden = np.maximum(0.0, x.data @ w1.data + b1.data)
+    out, hidden = _feed_forward(x.data, w1.data, b1.data, w2.data, b2.data)
 
     def back(g):
         nm.accumulate(w2, hidden.T @ g)
@@ -326,7 +360,7 @@ def feed_forward(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
         nm.accumulate(b1, d_pre.sum(axis=0, keepdims=True))
         nm.accumulate(x, d_pre @ w1.data.T)
 
-    return nm.fused((x, w1, b1, w2, b2), (hidden @ w2.data + b2.data,), back)[0]
+    return nm.fused((x, w1, b1, w2, b2), (out,), back)[0]
 
 
 def encoder_layer(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
@@ -361,21 +395,29 @@ def init_encoder_params(config: EncoderConfig, vocab_size: int,
 
 def encode_text(token_ids: np.ndarray, config: EncoderConfig,
                 params: ParameterStore) -> tuple[Tensor, Tensor]:
-    """Run the full encoder; returns (per-token rows, pooled sentence row)."""
-    if len(token_ids) == 0 or token_ids[0] != START_ID:
+    """Run the full encoder; returns (per-token rows, pooled sentence row).
+
+    `token_ids` is one text's (L,) ids, giving (L, d) rows and a (1, d)
+    pooled row, or an (..., L) block of same-length texts, giving
+    (..., L, d) rows and (..., 1, d) pooled rows. The sublayers' backwards
+    take one text, so a block is for forward-only use under
+    `numerics.no_grad`.
+    """
+    token_ids = np.asarray(token_ids)
+    length = token_ids.shape[-1]
+    if length == 0 or np.any(token_ids[..., 0] != START_ID):
         raise ContractError("token sequence must begin with the start id")
-    if len(token_ids) > config.max_len:
+    if length > config.max_len:
         raise ContractError(
-            f"sequence of {len(token_ids)} tokens exceeds max_len={config.max_len}")
+            f"sequence of {length} tokens exceeds max_len={config.max_len}")
     pe = positional_encoding(config.max_len, config.d_model)
-    x = nm.add(nm.gather_rows(params["emb"], token_ids),
-               Tensor(pe[: len(token_ids)]))
+    x = nm.add(nm.gather_rows(params["emb"], token_ids), Tensor(pe[:length]))
     for i in range(config.layers):
         x = encoder_layer(x, params.view(f"layer{i}"), config.heads)
     if config.pool == "mean":
-        pooled = nm.mean_(x, axis=0, keepdims=True)
+        pooled = nm.mean_(x, axis=-2, keepdims=True)
     else:
-        pooled = x[0:1, :]
+        pooled = x[..., 0:1, :]
     return x, pooled
 
 
@@ -437,11 +479,41 @@ def standardize_features(pooled: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([flat, np.zeros(length - flat.size)])
 
 
+# Same-length texts per tape-free forward: a bound on the (n, L, d) arrays.
+FEATURIZE_CHUNK = 32
+
+
+def encode_features(texts: Sequence[str], vocab: Vocabulary, config: EncoderConfig,
+                    params: ParameterStore, length: int) -> np.ndarray:
+    """One standardized feature row per text, in input order.
+
+    The encoder runs forward only, under `numerics.no_grad`: texts are
+    grouped by token count and each group goes through `encode_text` as
+    (n, L) blocks of at most FEATURIZE_CHUNK texts. Row i is bitwise the
+    row that `encode_text` pools for texts[i] alone, through
+    `standardize_features`.
+    """
+    if not texts:
+        raise ContractError("no texts to encode")
+    tokens = [tokenize(text, vocab, config.max_len) for text in texts]
+    groups: dict[int, list[int]] = {}
+    for index, ids in enumerate(tokens):
+        groups.setdefault(len(ids), []).append(index)
+    rows: list = [None] * len(texts)
+    with nm.no_grad():
+        for members in groups.values():
+            for start in range(0, len(members), FEATURIZE_CHUNK):
+                chunk = members[start:start + FEATURIZE_CHUNK]
+                _, pooled = encode_text(np.stack([tokens[i] for i in chunk]), config, params)
+                for index, row in zip(chunk, pooled.data):
+                    rows[index] = standardize_features(row, length)
+    return np.stack(rows)
+
+
 def encode_feature(text: str, vocab: Vocabulary, config: EncoderConfig,
                    params: ParameterStore, length: int) -> np.ndarray:
-    tokens = tokenize(text, vocab, config.max_len)
-    rows, pooled = encode_text(tokens, config, params)
-    return standardize_features(pooled.data, length)
+    """The feature row of one text (`encode_features` of a one-text list)."""
+    return encode_features([text], vocab, config, params, length)[0]
 
 
 # --- encoder checkpoint (config + vocab + params in one JSON document) ---

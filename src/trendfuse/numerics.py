@@ -10,6 +10,7 @@ bit-identical outputs and gradients.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +24,25 @@ Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
 
+# False inside `no_grad`: operations then record no parents and no backward.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only scope, in the `torch.no_grad` idiom.
+
+    Tensors made inside it record no parents and no backward closure, so
+    nothing is kept for a backward pass. Leaves asked for with
+    requires_grad=True (parameters) are still trainable.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
 
 class Tensor:
     """A float64 array plus the graph edge that produced it."""
@@ -34,7 +54,8 @@ class Tensor:
                  backward: Callable[[Array], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in parents))
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
@@ -54,9 +75,13 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: Array) -> None:
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif np.shape(g) == self.data.shape:
+            self.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
 
     def __getitem__(self, key):
         return take(self, key)

@@ -231,11 +231,15 @@ def confusion_report(labels, targets) -> EvalReport:
 def evaluate(store: ParameterStore, config: TrainConfig,
              samples: Sequence[FusedSample],
              loss_trace: list[float] | None = None) -> EvalReport:
-    """Confusion counts and derived metrics over a held-out sample set."""
+    """Confusion counts and derived metrics over a held-out sample set.
+
+    Scoring runs under `numerics.no_grad`, so it builds no tape.
+    """
     if not samples:
         raise ContractError("evaluation set is empty")
     priors, prices, texts, targets = batch_arrays(samples, config.prior_effect)
-    p = forward_batch(store, config, priors, prices, texts)
+    with nm.no_grad():
+        p = forward_batch(store, config, priors, prices, texts)
     probs = p.data.reshape(-1)
     labels = (probs >= 0.5).astype(int)
     report = confusion_report(labels, targets)

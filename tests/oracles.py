@@ -12,6 +12,8 @@ tape ops, as references for the fused primitives in `encoder`: their
 gradients come from the tape's per-op backwards, not from a hand-written one.
 `attention_over_features`, `fuse`, `output_head` and `bce_loss` do the same
 for the fused predictor tail in `fusion`, `models` and `train`.
+`segment` tests each character against the CJK ranges one by one, as a
+reference for the compiled pattern in `encoder.segment`.
 
 `sub`, `neg`, `log`, `pow_scalar`, `clip_min` and `transpose` are tape ops
 that only these references use; they live here rather than in `numerics`.
@@ -128,6 +130,22 @@ def attention_rows(q, k, v):
         for c in range(v.shape[1]):
             out[i, c] = sum(weights[i, j] * v[j, c] for j in range(v.shape[0]))
     return out
+
+
+def segment(text):
+    """Per-character reference for `encoder.segment`: a whitespace chunk that
+    holds any code point of a CJK range splits into its characters."""
+    def is_cjk(ch):
+        cp = ord(ch)
+        return any(lo <= cp <= hi for lo, hi in enc._CJK_RANGES)
+
+    pieces = []
+    for chunk in text.split():
+        if any(is_cjk(ch) for ch in chunk):
+            pieces.extend(chunk)
+        else:
+            pieces.append(chunk)
+    return pieces
 
 
 def conv1d_valid(x, kernel, bias=0.0):

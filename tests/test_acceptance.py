@@ -5,13 +5,10 @@ lines. Settings (epoch budgets, tolerances, seeds) are pinned here; the
 oracles module supplies the independent reference implementations.
 """
 
-import csv
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 import oracles
 from oracles import (bilstm_forward, cell_step, confusion_counts, fd_gradients, max_rel_err,

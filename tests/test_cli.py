@@ -2,11 +2,12 @@
 
 import csv
 import json
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from trendfuse import cli, encoder as enc, fusion, synthetic
+from trendfuse import cli, encoder as enc, fusion, ingest, synthetic
 from trendfuse import numerics as nm
 from trendfuse.encoder import read_features
 from trendfuse.numerics import Tensor
@@ -89,6 +90,33 @@ class TestFeaturize:
         assert run("featurize", "--summaries", summaries, "--out", second,
                    "--encoder", first / "encoder.json", "--feature-len", "6") == 0
         assert (first / "features.csv").read_bytes() == (second / "features.csv").read_bytes()
+
+    def test_features_match_a_per_text_tape_loop(self, tmp_path):
+        """Texts of many token counts, 40 of one count (more than a chunk), a
+        text past max_len and a CJK one: the batched CSV equals, byte for
+        byte, a CSV of the rows that `encode_text` pools one text at a time."""
+        rng = np.random.default_rng(8)
+        words = ["rates", "rise", "policy", "bank", "credit", "growth", "货币", "政策"]
+        texts = ([" ".join(rng.choice(words, size=5)) for _ in range(40)]
+                 + [" ".join(rng.choice(words, size=n)) + ". Tail words." for n in range(1, 14)]
+                 + [" ".join(rng.choice(words, size=60)), "货币政策 稳健"])
+        days = [date(2023, 1, 1) + timedelta(days=i) for i in range(len(texts))]
+        summaries = tmp_path / "summaries.jsonl"
+        summaries.write_text("".join(json.dumps({"date": d.isoformat(), "text": t}) + "\n"
+                                     for d, t in zip(days, texts)), encoding="utf-8")
+        params, vocab, _ = enc.pretrain_mlm(texts, enc.EncoderConfig(), 1, seed=2)
+        enc.save_encoder(tmp_path / "encoder.json", enc.EncoderConfig(), vocab, params)
+        assert run("featurize", "--summaries", summaries, "--out", tmp_path / "feat",
+                   "--encoder", tmp_path / "encoder.json", "--feature-len", "20") == 0
+        config, vocab, params = enc.load_encoder(tmp_path / "encoder.json")
+        rows = []
+        for record in ingest.load_summaries(summaries):
+            tokens = enc.tokenize(ingest.summarize(record.text), vocab, config.max_len)
+            _, pooled = enc.encode_text(tokens, config, params)
+            rows.append(enc.TextFeature(record.date, enc.standardize_features(pooled.data, 20)))
+        enc.write_features(tmp_path / "loop.csv", rows)
+        assert (tmp_path / "feat" / "features.csv").read_bytes() \
+            == (tmp_path / "loop.csv").read_bytes()
 
 
 def _truncated(doc):

@@ -1,5 +1,6 @@
 """Transformer text encoder: tokenization, masking, attention, pretraining."""
 
+import dataclasses
 import math
 from datetime import date
 
@@ -49,6 +50,36 @@ class TestTokenize:
         pieces = enc.segment("货币 policy")
         assert pieces == ["货", "币", "policy"]
         assert vocab.id_for("货") != enc.UNK_ID
+
+
+class TestSegmentMatchesOracle:
+    """The compiled CJK pattern against the per-character reference."""
+
+    @pytest.mark.parametrize("text", [
+        "rates rise as the central bank tightens policy",
+        "货币政策 policy 稳健",
+        "abc货 def 政策rates x",
+        "", "   ", "\t\n \u3000 ",
+    ])
+    def test_examples(self, text):
+        assert enc.segment(text) == oracles.segment(text)
+
+    @pytest.mark.parametrize("lo, hi", enc._CJK_RANGES)
+    def test_range_endpoints_and_neighbours(self, lo, hi):
+        for cp in (lo, hi):
+            chunk = f"a{chr(cp)}b"
+            assert enc.segment(chunk) == oracles.segment(chunk) == ["a", chr(cp), "b"]
+        for cp in (lo - 1, hi + 1):
+            if not any(a <= cp <= b for a, b in enc._CJK_RANGES):
+                chunk = f"a{chr(cp)}b"
+                assert enc.segment(chunk) == oracles.segment(chunk) == [chunk]
+
+    @given(st.text(alphabet=st.sampled_from(
+        [" ", "a", "Z", "\u3000", "\u33ff", "\u4dc0", "\ua000", "\ufb00", "货", "币"]
+        + [chr(cp) for lo, hi in enc._CJK_RANGES for cp in (lo, hi)]), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_random_mixtures(self, text):
+        assert enc.segment(text) == oracles.segment(text)
 
 
 class TestMacMask:
@@ -354,6 +385,9 @@ class TestEncodeText:
         too_long = np.array([enc.START_ID] + [4] * TOY_CONFIG.max_len)
         with pytest.raises(ContractError):
             enc.encode_text(too_long, TOY_CONFIG, params)
+        block = np.array([[enc.START_ID, 4], [4, enc.START_ID]])
+        with pytest.raises(ContractError), nm.no_grad():
+            enc.encode_text(block, TOY_CONFIG, params)
 
     def test_pretraining_tape_has_one_node_per_sublayer(self):
         vocab, params = self._setup()
@@ -394,6 +428,100 @@ class TestPretrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
             enc.pretrain_mlm([], TOY_CONFIG, epochs=1, seed=0)
+
+    def test_two_epoch_loss_trace_is_pinned(self):
+        corpus = ["alpha beta gamma delta", "beta gamma delta alpha epsilon",
+                  "gamma delta alpha", "delta alpha beta gamma epsilon zeta",
+                  "货币 政策 alpha beta"]
+        _, _, trace = enc.pretrain_mlm(corpus, TOY_CONFIG, epochs=2, seed=4)
+        assert trace == [3.0020261598910616, 2.7321265895751754]
+
+
+class TestEncodeFeatures:
+    """The tape-free batched featurizer against the tape path, bitwise."""
+
+    WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "货", "币")
+
+    def _setup(self, config=TOY_CONFIG, seed=17):
+        vocab = _vocab((" ".join(self.WORDS),))
+        rng = np.random.default_rng(seed)
+        params = enc.init_encoder_params(config, vocab.size, rng)
+        for _, t in params.items():  # move the gains and biases off 1 and 0
+            t.data += 0.1 * rng.normal(size=t.shape)
+        return vocab, params
+
+    def _texts(self, seed, count, words):
+        rng = np.random.default_rng(seed)
+        return [" ".join(rng.choice(self.WORDS, size=words)) for _ in range(count)]
+
+    def _assert_tape_equal(self, texts, config=TOY_CONFIG, length=TOY_CONFIG.d_model):
+        vocab, params = self._setup(config)
+        got = enc.encode_features(texts, vocab, config, params, length)
+        want = []
+        for text in texts:
+            _, pooled = enc.encode_text(enc.tokenize(text, vocab, config.max_len),
+                                        config, params)
+            want.append(enc.standardize_features(pooled.data, length))
+        want = np.stack(want)
+        assert got.shape == want.shape == (len(texts), length)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("pool", ["start", "mean"])
+    @pytest.mark.parametrize("length", [3, TOY_CONFIG.d_model, 20])
+    def test_several_lengths_keep_input_order(self, pool, length):
+        config = dataclasses.replace(TOY_CONFIG, pool=pool)
+        texts = [t for n in (3, 1, 6, 3, 10, 1) for t in self._texts(n, 2, n)]
+        rows = self._assert_tape_equal(texts, config, length)
+        vocab, params = self._setup(config)
+        reversed_rows = enc.encode_features(texts[::-1], vocab, config, params, length)
+        assert reversed_rows.tobytes() == rows[::-1].tobytes()
+
+    @pytest.mark.parametrize("pool", ["start", "mean"])
+    def test_group_larger_than_one_chunk(self, pool):
+        config = dataclasses.replace(TOY_CONFIG, pool=pool)
+        texts = self._texts(30, enc.FEATURIZE_CHUNK + 9, 5)
+        rows = self._assert_tape_equal(texts, config)
+        assert len({row.tobytes() for row in rows}) > 1
+
+    def test_chunks_run_without_a_tape(self, monkeypatch):
+        vocab, params = self._setup()
+        pooled_blocks = []
+        encode_text = enc.encode_text
+
+        def record(*args):
+            rows, pooled = encode_text(*args)
+            pooled_blocks.append(pooled)
+            return rows, pooled
+
+        monkeypatch.setattr(enc, "encode_text", record)
+        enc.encode_features(self._texts(33, enc.FEATURIZE_CHUNK + 8, 4), vocab, TOY_CONFIG,
+                            params, 4)
+        assert [p.shape for p in pooled_blocks] == [
+            (enc.FEATURIZE_CHUNK, 1, TOY_CONFIG.d_model), (8, 1, TOY_CONFIG.d_model)]
+        assert not any(p.requires_grad or p._parents for p in pooled_blocks)
+
+    def test_texts_truncated_at_max_len(self):
+        long = self._texts(31, 4, 3 * TOY_CONFIG.max_len)
+        rows = self._assert_tape_equal(long + self._texts(32, 3, 4))
+        vocab, params = self._setup()
+        cut = [" ".join(t.split()[:TOY_CONFIG.max_len - 1]) for t in long]
+        assert enc.encode_features(cut, vocab, TOY_CONFIG, params,
+                                   TOY_CONFIG.d_model).tobytes() == rows[:4].tobytes()
+
+    @pytest.mark.parametrize("text", ["gamma", "货币 alpha 币 beta"])
+    def test_single_text_and_encode_feature(self, text):
+        row = self._assert_tape_equal([text])[0]
+        vocab, params = self._setup()
+        assert enc.encode_feature(text, vocab, TOY_CONFIG, params,
+                                  TOY_CONFIG.d_model).tobytes() == row.tobytes()
+
+    def test_empty_input_rejected(self):
+        vocab, params = self._setup()
+        with pytest.raises(ContractError):
+            enc.encode_features([], vocab, TOY_CONFIG, params, 4)
+        with pytest.raises(ContractError):
+            enc.encode_features(["alpha", "  "], vocab, TOY_CONFIG, params, 4)
 
 
 class TestStandardizeFeatures:

@@ -166,6 +166,61 @@ class TestBackward:
         np.testing.assert_array_equal(g1, g2)
 
 
+class TestNoGrad:
+    def test_operations_record_no_graph(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with nm.no_grad():
+            outs = [nm.matmul(w, w), nm.sigmoid(w),
+                    *nm.fused((w,), (w.data * 2.0,), lambda g: None),
+                    *nm.fused((w,), (w.data, w.data + 1.0), lambda ga, gb: None)]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(outs[0].data, np.full((2, 2), 2.0))
+
+    def test_parameters_stay_trainable_leaves(self):
+        with nm.no_grad():
+            store = ParameterStore()
+            w = store.add("w", np.ones((1, 2)))
+            explicit = Tensor([1.0], requires_grad=True)
+        assert w.requires_grad and explicit.requires_grad
+        loss = nm.sum_(nm.mul(w, w))
+        np.testing.assert_array_equal(nm.gradients(loss, {"w": w})["w"], [[2.0, 2.0]])
+
+    def test_scope_is_restored_after_an_error_and_when_nested(self):
+        w = Tensor([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with nm.no_grad():
+                with nm.no_grad():
+                    pass
+                assert not nm.mul(w, 2.0).requires_grad
+                raise RuntimeError
+        assert nm.mul(w, 2.0)._parents
+
+
+class TestAccumulate:
+    def test_first_gradient_is_a_copy(self):
+        a = Tensor(np.zeros((2, 3)), requires_grad=True)
+        b = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.arange(6.0).reshape(2, 3)
+        a._accumulate(g)
+        b._accumulate(g)
+        a._accumulate(g)
+        np.testing.assert_array_equal(a.grad, 2 * np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(b.grad, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(g, np.arange(6.0).reshape(2, 3))
+
+    def test_first_gradient_takes_the_tensor_shape_and_dtype(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        t._accumulate(np.ones((1, 3)))
+        np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
+        m = Tensor(np.zeros(2), requires_grad=True)
+        m._accumulate(np.array([True, False]))
+        assert m.grad.dtype == np.float64
+        m._accumulate(np.array([0.5, 0.5]))
+        np.testing.assert_array_equal(m.grad, [1.5, 0.5])
+
+
 def _primitive_cases():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(3, 4))

@@ -223,6 +223,37 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             tr.evaluate(store, cfg, [])
 
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_scoring_builds_no_tape(self, kind, monkeypatch):
+        samples = synthetic.markov_samples(48, 6, seed=4, feature_len=8)
+        cfg = _config(epochs=2, model=ModelSpec(kind=kind, hidden=8))
+        store, _ = tr.train_model(samples[:32], cfg)
+        scored = []
+        real = tr.forward_batch
+
+        def keeping(*args):
+            scored.append(real(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(tr, "forward_batch", keeping)
+        report = tr.evaluate(store, cfg, samples[32:])
+        (p,) = scored
+        assert p._parents == () and p._backward is None
+        taped = real(store, cfg, *tr.batch_arrays(samples[32:], True)[:3])
+        assert taped._parents
+        assert np.array([r["probability"] for r in report.predictions]).tobytes() \
+            == taped.data.reshape(-1).tobytes()
+
+    def test_training_after_evaluate_is_unchanged(self):
+        samples = synthetic.markov_samples(48, 6, seed=5, feature_len=8)
+        cfg = _config(epochs=3)
+        fresh, fresh_trace = tr.train_model(samples, cfg)
+        tr.evaluate(fresh, cfg, samples)
+        again, again_trace = tr.train_model(samples, cfg)
+        assert again_trace == fresh_trace
+        for name, t in again.items():
+            assert t.data.tobytes() == fresh[name].data.tobytes()
+
 
 class TestBatchArrays:
     def test_prior_zero_masked_when_disabled(self):
