@@ -21,7 +21,7 @@ from . import encoder as enc
 from . import ingest
 from . import train as tr
 from .errors import (ConfigError, ContractError, DataError, DivergenceError,
-                     ProviderError)
+                     ProviderError, check_integer, is_real)
 from .models import VALID_KINDS, ModelSpec
 from .numerics import ParameterStore
 
@@ -48,12 +48,23 @@ class ExperimentConfig:
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
+    def __post_init__(self):
+        check_integer("pretrain_epochs", self.pretrain_epochs, 0)
+        if not is_real(self.split_ratio) or not 0 < self.split_ratio < 1:
+            raise ConfigError(f"split_ratio must be a number in (0, 1), got {self.split_ratio!r}")
+        for name in ("market_csv", "summaries", "similar_words", "features",
+                     "encoder_checkpoint", "checkpoint", "out"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
+
 
 def load_config_file(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON config ({err.msg})") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: config is not UTF-8 text ({err.reason})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
@@ -67,6 +78,14 @@ def _model_spec(doc: dict) -> ModelSpec:
     return ModelSpec(**doc)
 
 
+def _section(doc: dict, key: str) -> dict:
+    """A copy of the JSON object under `key` ({} when absent)."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _first_set(*values):
     """The first value that is not None; 0 and other falsy values count as set."""
     return next(v for v in values if v is not None)
@@ -75,9 +94,10 @@ def _first_set(*values):
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge the config file (if any) with command-line overrides."""
     doc = load_config_file(args.config) if getattr(args, "config", None) else {}
-    train_doc = dict(doc.get("train", {}))
-    model_doc = dict(train_doc.pop("model", {}))
-    encoder_doc = dict(doc.get("encoder", {}))
+    train_doc = _section(doc, "train")
+    model_doc = _section(train_doc, "model")
+    encoder_doc = _section(doc, "encoder")
+    train_doc.pop("model", None)
 
     def override(d: dict, key: str, value) -> None:
         if value is not None:
@@ -99,8 +119,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         train_doc["prior_effect"] = False
 
     try:
-        train_cfg = tr.TrainConfig(model=_model_spec(model_doc), **{
-            k: v for k, v in train_doc.items() if k != "model"})
+        train_cfg = tr.TrainConfig(model=_model_spec(model_doc), **train_doc)
         encoder_cfg = enc.EncoderConfig(**encoder_doc)
     except TypeError as err:
         raise ConfigError(f"bad config key: {err}") from None
@@ -301,6 +320,21 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
     log.info("ablation table at %s", out / "ablation.csv")
 
 
+def _read_run_file(path: Path, required: tuple[str, ...]) -> dict:
+    """A run's JSON object; DataError naming the file when it is not valid
+    JSON, not an object, or lacks a required key."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:  # invalid JSON or text encoding
+        raise DataError(f"{path}: not valid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a JSON object")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise DataError(f"{path}: missing {', '.join(repr(k) for k in missing)}")
+    return doc
+
+
 def cmd_report(cfg: ExperimentConfig, runs_dir: str) -> None:
     """Collect run artifacts into loss-curve CSVs and a comparison table."""
     root = Path(runs_dir)
@@ -319,13 +353,15 @@ def cmd_report(cfg: ExperimentConfig, runs_dir: str) -> None:
         loss_path = run / "loss.csv"
         if not loss_path.exists():
             raise DataError(f"missing loss curve: {loss_path}")
-        metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
+        metrics = _read_run_file(metrics_path, ("accuracy", "precision", "recall", "f1"))
         meta_path = run / "run.json"
-        meta = (json.loads(meta_path.read_text(encoding="utf-8"))
-                if meta_path.exists() else {})
+        meta = _read_run_file(meta_path, ()) if meta_path.exists() else {}
         name = run.name if run != root else root.name
-        (out / f"loss_{name}.csv").write_text(
-            loss_path.read_text(encoding="utf-8"), encoding="utf-8")
+        try:
+            loss_text = loss_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise DataError(f"{loss_path}: not UTF-8 text ({err.reason})") from None
+        (out / f"loss_{name}.csv").write_text(loss_text, encoding="utf-8")
         comparison.append([meta.get("model", name), meta.get("epochs", ""),
                            repr(metrics["accuracy"]), repr(metrics["precision"]),
                            repr(metrics["recall"]), repr(metrics["f1"])])

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import (ConfigError, ContractError, DataError, DivergenceError, ParseError,
-                     SchemaError)
+                     SchemaError, check_integer, is_real)
 from .numerics import ParameterStore, Tensor
 
 PAD_ID = 0
@@ -125,13 +125,13 @@ class EncoderConfig:
     pool: str = "start"  # "start" or "mean"
 
     def __post_init__(self):
-        if min(self.d_model, self.heads, self.layers, self.d_ff, self.max_len) < 1:
-            raise ConfigError("all encoder dimensions must be >= 1")
+        for name in ("d_model", "heads", "layers", "d_ff", "max_len"):
+            check_integer(name, getattr(self, name), 1)
         if self.d_model % self.heads:
             raise ConfigError(f"d_model={self.d_model} not divisible by heads={self.heads}")
         if self.d_model % 2:
             raise ConfigError(f"d_model must be even for positional encoding, got {self.d_model}")
-        if not 0 < self.mask_rate < 1:
+        if not is_real(self.mask_rate) or not 0 < self.mask_rate < 1:
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         if self.pool not in ("start", "mean"):
             raise ConfigError(f"pool must be 'start' or 'mean', got {self.pool!r}")

@@ -2,8 +2,12 @@
 
 Data-shaped problems (bad files, bad values) derive from DataError so the
 CLI can map them to one exit code; config and contract violations stay
-separate because they indicate caller bugs, not bad inputs.
+separate because they indicate caller bugs, not bad inputs. The config
+dataclasses check their values with `is_real` and `check_integer`, so a
+malformed value is a ConfigError, never a TypeError deep in the program.
 """
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -44,3 +48,14 @@ class DivergenceError(RuntimeError):
 
 class ProviderError(RuntimeError):
     """A summary provider failed; `__cause__` carries the original error."""
+
+
+def is_real(value) -> bool:
+    """Whether a config value is a real number; bools and strings are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise ConfigError unless a config value is an integer (not a bool) >= low."""
+    if not (is_real(value) and isinstance(value, numbers.Integral)) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -6,8 +6,9 @@ learnable convex gate. Attention weighting assigns softmax weights over a
 set of candidate feature vectors using a dot-product score against a
 state vector.
 
-Attention weighting (scores, max-shifted softmax and the weighted context)
-and the fusion gate (optional projection plus the convex blend) are each
+Attention weighting (scores, max-shifted softmax and the weighted context
+over the (B, m, H) block of candidates that `models.unroll` returns) and
+the fusion gate (optional projection plus the convex blend) are each
 one tape primitive (`numerics.fused`) with a hand-written backward.
 `tests/oracles.py` keeps their compositions from single tape ops as
 references.
@@ -15,7 +16,7 @@ references.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -38,22 +39,21 @@ def conv_text(embedded: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     return nm.relu(nm.add(nm.conv1d_rows(embedded, params["w_c"]), params["b_c"]))
 
 
-def attention_over_features(query: Tensor,
-                            feats: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+def attention_over_features(query: Tensor, candidates: Tensor) -> tuple[Tensor, Tensor]:
     """Softmax-weighted combination of candidate features, as one tape primitive.
 
-    Scores are plain dot products between the query rows and each
-    candidate, weighted by a max-shifted softmax; returns (weights of shape
-    (B, m), context of query width).
+    `candidates` stacks m candidate rows per query row as (B, m, H), as
+    `models.unroll` returns its step rows. Scores are plain dot products
+    between the query rows and each candidate, weighted by a max-shifted
+    softmax; returns (weights of shape (B, m), context of query width).
     """
-    feats = list(feats)
-    if not feats:
-        raise ContractError("need at least one candidate feature")
-    for f in feats:
-        if f.shape != query.shape:
-            raise ShapeError(f"candidate shape {f.shape} does not match "
-                             f"query shape {query.shape}")
-    stacked = np.stack([f.data for f in feats], axis=1)          # (B, m, H)
+    stacked = candidates.data
+    if stacked.ndim != 3 or stacked.shape[1] == 0:
+        raise ContractError(f"need a (B, m, H) block of at least one candidate, "
+                            f"got {candidates.shape}")
+    if stacked.shape[::2] != query.shape:
+        raise ShapeError(f"candidate shape {candidates.shape} does not match "
+                         f"query shape {query.shape}")
     scores = (query.data[:, None, :] * stacked).sum(axis=2)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = e / e.sum(axis=1, keepdims=True)
@@ -67,11 +67,9 @@ def attention_over_features(query: Tensor,
             d_feats = alpha[:, :, None] * g_context[:, None, :]
         d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
         nm.accumulate(query, np.einsum("bm,bmh->bh", d_scores, stacked))
-        d_feats = d_feats + d_scores[:, :, None] * query.data[:, None, :]
-        for j, f in enumerate(feats):
-            nm.accumulate(f, d_feats[:, j])
+        nm.accumulate(candidates, d_feats + d_scores[:, :, None] * query.data[:, None, :])
 
-    return nm.fused((query, *feats), (alpha, context), back)
+    return nm.fused((query, candidates), (alpha, context), back)
 
 
 def fuse(recurrent_out: Tensor, text_context: Tensor,

@@ -159,10 +159,13 @@ def zscore_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     # offset leaves behind, keeping the output mean at float noise level
     centered = arr - arr.mean()
     centered -= centered.mean()
-    sigma = centered.std()
-    if sigma == 0:
+    peak = np.abs(centered).max()
+    if peak == 0:
         raise DegenerateInputError("zero variance; cannot z-score")
-    return centered / sigma
+    # scaling to a peak of 1 first keeps the squares of a tiny spread out of
+    # the subnormal range, where they would lose precision
+    centered /= peak
+    return centered / centered.std()
 
 
 def make_windows(series: LabeledSeries, n: int,

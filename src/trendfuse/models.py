@@ -6,28 +6,28 @@ the classic formulation. Variants are written so that specific parameter
 settings collapse them exactly onto the plain LSTM, which the test suite
 uses as a correctness oracle.
 
-Each cell step is a handful of fused tape primitives (`numerics.fused`).
-Each computes its gates in numpy and records one node with a hand-written
-backward (plus one node per output when it has two), following the cuDNN
-RNN recipe (Appleyard et al., arXiv:1604.01946):
+`unroll` runs a whole sequence as one tape node (`numerics.fused`) with two
+outputs, the step rows (B, T, H * directions) and the final row, after the
+cuDNN sequence kernels (Appleyard et al., arXiv:1604.01946). `CELLS` maps
+every recurrent kind to its parameter init, the weight blocks it steps with
+and a pair of pure-numpy step functions:
 
-- `gate_block` is the LSTM core: one matmul of [h, x] against the gate
-  weights stacked column-wise, then the gated memory update; it returns
-  (o, c). The Mogrifier, ST-LSTM and SwinLSTM cells reuse it unchanged
-  and add only their extras, which are fused too: `mogrify` (all
-  Mogrifier rounds), the ST-LSTM M-memory path (`gate_block` without an
-  output gate) and `window_pool` (SwinLSTM's windowed attention).
-- `gru_step` is the whole GRU update.
-- `gated_tanh` gives h = o * tanh(c).
+- `forward(x_t, state, weights) -> (state, cache)`;
+- `backward(cache, d_state) -> (d_x, d_state_prev, d_weights)`.
+
+The node runs the forward over time, then BPTT in reverse, and sums each
+weight gradient over the steps. BiLSTM is the LSTM entry run in both
+directions inside the same node. Weights are stacked column-wise once per
+unroll, and each step does one matmul of [h, x] against them. The input
+projection X @ W_x is not hoisted out of the loop: that saves little in
+training and, on a large scoring batch, holds (T, B, 4H) buffers that add
+about a tenth to peak memory. SwinLSTM's windowed attention
+(`window_pool`) reads only the step input, so it is one tape node over
+every step's row before the unroll node. The Mogrifier, ST-LSTM and
+SwinLSTM steps reuse the LSTM gate block. Every gate sigmoid is
+`numerics.logistic`, the package's one logistic function.
 
 `output_head` (matmul, bias and logistic) is one fused node as well.
-
-`CELLS` maps every recurrent kind to its parameter init, its once-per-unroll
-weight preparation `prepare(params, spec)`, its step function and the number
-of state tensors it carries. Cells are reached only through it: `unroll` runs
-any kind from the table, and BiLSTM is the LSTM entry run forward and then
-reversed. Every gate sigmoid is `numerics.logistic`, the package's one
-logistic function.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_integer
 from .numerics import ParameterStore, Tensor
 
 VALID_KINDS = ("feedforward", "lstm", "bilstm", "gru", "mogrifier", "stlstm", "swinlstm")
@@ -62,186 +62,219 @@ class ModelSpec:
         if self.kind not in VALID_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; "
                               f"valid kinds: {', '.join(VALID_KINDS)}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden width must be >= 1, got {self.hidden}")
-        if self.mogrifier_rounds < 0:
-            raise ConfigError(f"mogrifier rounds must be >= 0, got {self.mogrifier_rounds}")
-        if self.swin_window < 1:
-            raise ConfigError(f"swin window must be >= 1, got {self.swin_window}")
+        for name, low in (("hidden", 1), ("mogrifier_rounds", 0), ("swin_window", 1)):
+            check_integer(name, getattr(self, name), low)
 
     @property
     def output_width(self) -> int:
         return 2 * self.hidden if self.kind == "bilstm" else self.hidden
 
 
-def _check_widths(first: Tensor, second: Tensor, w: Tensor) -> None:
-    if first.shape[0] != second.shape[0]:
-        raise ShapeError(f"batch mismatch: {first.shape} vs {second.shape}")
-    if first.shape[1] + second.shape[1] != w.shape[0]:
-        raise ShapeError(f"gate weights {w.shape} do not fit "
-                         f"concatenated width {first.shape[1] + second.shape[1]}")
+def _gate_blocks(gates: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The weight block of `gates` and its bias block."""
+    return tuple(gates), tuple(g.replace("w", "b", 1) for g in gates)
 
 
-def _stack(params: Mapping[str, Tensor], gates: Sequence[str]) -> tuple[Tensor, Tensor]:
-    """Gate weights and biases stacked column-wise: two tape nodes."""
-    return (nm.concat([params[g] for g in gates], axis=1),
-            nm.concat([params[g.replace("w", "b", 1)] for g in gates], axis=1))
+LSTM_BLOCKS = _gate_blocks(LSTM_STACK)
 
 
-# --- fused primitives ---------------------------------------------------------
+def _stacked(params: Mapping[str, Tensor], blocks) -> tuple[np.ndarray, ...]:
+    """Each block's parameters stacked column-wise."""
+    return tuple(params[b[0]].data if len(b) == 1 else
+                 np.concatenate([params[name].data for name in b], axis=1) for b in blocks)
 
 
-def gate_block(first: Tensor, second: Tensor, mem_prev: Tensor, w: Tensor, b: Tensor,
-               out_gate: bool = True):
-    """Gated memory update over the row [first, second] as one tape primitive.
+def _route(params: Mapping[str, Tensor], blocks, d_weights) -> None:
+    """Split each block's gradient back into its parameters' columns."""
+    for block, d in zip(blocks, d_weights):
+        start = 0
+        for name in block:
+            width = params[name].shape[1]
+            nm.accumulate(params[name], d[:, start:start + width])
+            start += width
 
-    w and b stack the gate columns [i, f, o, g] ([i, f, g] without the output
-    gate): z = [first, second] @ w + b, sigmoid on the gates, tanh on the
-    candidate g, and mem = f * mem_prev + i * g. Returns (o, mem) with the
-    output gate, else the mem tensor alone.
+
+# --- numpy step pairs ------------------------------------------------------------
+
+
+def _gates(cat, w, b, mem, n_sig):
+    """Gate activations of cat @ w + b and the new memory f * mem + i * g.
+
+    Columns are [i, f, (o,) g]: sigmoid on the first n_sig, tanh on the
+    candidate g.
     """
-    _check_widths(first, second, w)
-    hidden = mem_prev.shape[1]
-    n_sig = (3 if out_gate else 2) * hidden
-    split = first.shape[1]
-    cat = np.concatenate([first.data, second.data], axis=1)
-    act = cat @ w.data + b.data
+    hid = mem.shape[1]
+    act = cat @ w + b
     act[:, :n_sig] = nm.logistic(act[:, :n_sig])
     act[:, n_sig:] = np.tanh(act[:, n_sig:])
-    i, f, g = act[:, :hidden], act[:, hidden:2 * hidden], act[:, n_sig:]
-    mem = f * mem_prev.data + i * g
-
-    def back(g_o, g_mem) -> None:
-        if g_mem is None:
-            g_mem = np.zeros_like(mem)
-        d = np.empty_like(act)
-        d[:, :hidden] = g_mem * g
-        d[:, hidden:2 * hidden] = g_mem * mem_prev.data
-        d[:, n_sig:] = g_mem * i
-        if out_gate:
-            d[:, 2 * hidden:n_sig] = 0.0 if g_o is None else g_o
-        sig = act[:, :n_sig]
-        d[:, :n_sig] *= sig * (1.0 - sig)
-        d[:, n_sig:] *= 1.0 - g * g
-        nm.accumulate(mem_prev, g_mem * f)
-        nm.accumulate(w, cat.T @ d)
-        nm.accumulate(b, d.sum(axis=0, keepdims=True))
-        if first.requires_grad or second.requires_grad:
-            d_cat = d @ w.data.T
-            nm.accumulate(first, d_cat[:, :split])
-            nm.accumulate(second, d_cat[:, split:])
-
-    parents = (first, second, mem_prev, w, b)
-    if out_gate:
-        return nm.fused(parents, (act[:, 2 * hidden:n_sig], mem), back)
-    return nm.fused(parents, (mem,), lambda g_mem: back(None, g_mem))[0]
+    return act, act[:, hid:2 * hid] * mem + act[:, :hid] * act[:, n_sig:]
 
 
-def gated_tanh(gate: Tensor, pre: Tensor) -> Tensor:
-    """gate * tanh(pre) as one tape node."""
-    t = np.tanh(pre.data)
+def _gates_back(act, mem, g_mem, g_o, n_sig):
+    """Gradient of the gate pre-activations from those of the memory and of
+    the output gate (0.0 for a block without one)."""
+    hid = mem.shape[1]
+    g = act[:, n_sig:]
+    d = np.empty_like(act)
+    d[:, :hid] = g_mem * g
+    d[:, hid:2 * hid] = g_mem * mem
+    d[:, 2 * hid:n_sig] = g_o
+    d[:, n_sig:] = g_mem * act[:, :hid]
+    sig = act[:, :n_sig]
+    d[:, :n_sig] *= sig * (1.0 - sig)
+    d[:, n_sig:] *= 1.0 - g * g
+    return d
 
-    def back(g: np.ndarray) -> None:
-        nm.accumulate(gate, g * t)
-        nm.accumulate(pre, g * gate.data * (1.0 - t * t))
 
-    return nm.fused((gate, pre), (gate.data * t,), back)[0]
+def _lstm_forward(x, state, weights):
+    """Standard gated update: input/forget/output gates plus tanh candidate."""
+    h, c_prev = state
+    w, b = weights[:2]
+    hid = h.shape[1]
+    cat = np.concatenate([h, x], axis=1)
+    act, c = _gates(cat, w, b, c_prev, 3 * hid)
+    t = np.tanh(c)
+    return (act[:, 2 * hid:3 * hid] * t, c), (cat, act, c_prev, t, w)
 
 
-def gru_step(x: Tensor, h_prev: Tensor, w_zr: Tensor, b_zr: Tensor,
-             w_h: Tensor, b_h: Tensor) -> Tensor:
-    """The whole GRU update as one tape node.
+def _lstm_backward(cache, d_state):
+    cat, act, c_prev, t, w = cache
+    d_h, d_c = d_state
+    hid = c_prev.shape[1]
+    g_mem = d_h * act[:, 2 * hid:3 * hid] * (1.0 - t * t) + d_c
+    d = _gates_back(act, c_prev, g_mem, d_h * t, 3 * hid)
+    d_cat = d @ w.T
+    return (d_cat[:, hid:], (d_cat[:, :hid], g_mem * act[:, hid:2 * hid]),
+            (cat.T @ d, d.sum(axis=0, keepdims=True)))
 
-    [z, r] = sigmoid([h_prev, x] @ w_zr + b_zr),
-    h_tilde = tanh([r * h_prev, x] @ w_h + b_h), h = (1 - z) * h_prev + z * h_tilde.
+
+def _gru_forward(x, state, weights):
+    """[z, r] = sigmoid([h, x] @ w_zr + b_zr),
+    h_tilde = tanh([r * h, x] @ w_h + b_h), h' = (1 - z) * h + z * h_tilde."""
+    (h,) = state
+    w_zr, b_zr, w_h, b_h = weights
+    hid = h.shape[1]
+    cat = np.concatenate([h, x], axis=1)
+    zr = nm.logistic(cat @ w_zr + b_zr)
+    z, r = zr[:, :hid], zr[:, hid:]
+    cat_r = np.concatenate([r * h, x], axis=1)
+    h_tilde = np.tanh(cat_r @ w_h + b_h)
+    return ((1.0 - z) * h + z * h_tilde,), (cat, zr, cat_r, h_tilde, w_zr, w_h)
+
+
+def _gru_backward(cache, d_state):
+    cat, zr, cat_r, h_tilde, w_zr, w_h = cache
+    (g,) = d_state
+    hid = h_tilde.shape[1]
+    h, z, r = cat[:, :hid], zr[:, :hid], zr[:, hid:]
+    d_h = g * z * (1.0 - h_tilde * h_tilde)
+    d_cat_r = d_h @ w_h.T
+    d_rh = d_cat_r[:, :hid]
+    d_zr = np.concatenate([g * (h_tilde - h), d_rh * h], axis=1)
+    d_zr *= zr * (1.0 - zr)
+    d_cat = d_zr @ w_zr.T
+    return (d_cat_r[:, hid:] + d_cat[:, hid:], (g * (1.0 - z) + d_rh * r + d_cat[:, :hid],),
+            (cat.T @ d_zr, d_zr.sum(axis=0, keepdims=True),
+             cat_r.T @ d_h, d_h.sum(axis=0, keepdims=True)))
+
+
+def _mogrifier_forward(x, state, weights):
+    """Alternating Mogrifier rounds on (x, h), then an LSTM step.
+
+    weights[2:] holds one matrix per round (q, r, q, ...): odd rounds rescale
+    x by 2*sigmoid(h @ q), even rounds rescale h by 2*sigmoid(x @ r). With
+    no rounds this is the plain LSTM.
     """
-    _check_widths(h_prev, x, w_zr)
-    hidden = h_prev.shape[1]
-    hd = h_prev.data
-    cat = np.concatenate([hd, x.data], axis=1)
-    zr = nm.logistic(cat @ w_zr.data + b_zr.data)
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    cat_r = np.concatenate([r * hd, x.data], axis=1)
-    h_tilde = np.tanh(cat_r @ w_h.data + b_h.data)
-
-    def back(g: np.ndarray) -> None:
-        d_h = g * z * (1.0 - h_tilde * h_tilde)
-        d_cat_r = d_h @ w_h.data.T
-        d_rh = d_cat_r[:, :hidden]
-        d_zr = np.concatenate([g * (h_tilde - hd), d_rh * hd], axis=1)
-        d_zr *= zr * (1.0 - zr)
-        nm.accumulate(w_h, cat_r.T @ d_h)
-        nm.accumulate(b_h, d_h.sum(axis=0, keepdims=True))
-        nm.accumulate(w_zr, cat.T @ d_zr)
-        nm.accumulate(b_zr, d_zr.sum(axis=0, keepdims=True))
-        if h_prev.requires_grad or x.requires_grad:
-            d_cat = d_zr @ w_zr.data.T
-            nm.accumulate(h_prev, g * (1.0 - z) + d_rh * r + d_cat[:, :hidden])
-            nm.accumulate(x, d_cat_r[:, hidden:] + d_cat[:, hidden:])
-
-    return nm.fused((x, h_prev, w_zr, b_zr, w_h, b_h), ((1.0 - z) * hd + z * h_tilde,), back)[0]
-
-
-def mogrify(x: Tensor, h: Tensor, q: Tensor, r: Tensor | None,
-            rounds: int) -> tuple[Tensor, Tensor]:
-    """All Mogrifier rounds as one tape primitive; returns the gated (x, h).
-
-    Odd rounds rescale x by 2*sigmoid(h @ q); even rounds rescale h by
-    2*sigmoid(x @ r). r is needed only from two rounds on.
-    """
-    xd, hd = x.data, h.data
+    h, c = state
     saved = []
-    for k in range(1, rounds + 1):
+    for k, m in enumerate(weights[2:]):
+        s = nm.logistic(x @ m if k % 2 else h @ m)
+        saved.append((s, x, h))
         if k % 2:
-            s = nm.logistic(hd @ q.data)
-            saved.append((s, xd, hd))
-            xd = 2.0 * s * xd
+            h = 2.0 * s * h
         else:
-            s = nm.logistic(xd @ r.data)
-            saved.append((s, xd, hd))
-            hd = 2.0 * s * hd
+            x = 2.0 * s * x
+    state, cache = _lstm_forward(x, (h, c), weights)
+    return state, (cache, saved, weights[2:])
 
-    def back(g_x, g_h) -> None:
-        g_x = np.zeros_like(xd) if g_x is None else g_x
-        g_h = np.zeros_like(hd) if g_h is None else g_h
-        g_q = g_r = 0.0
-        for k in range(rounds, 0, -1):
-            s, x_in, h_in = saved[k - 1]
-            if k % 2:
-                d_z = g_x * 2.0 * x_in * s * (1.0 - s)
-                g_q = g_q + h_in.T @ d_z
-                g_x = g_x * 2.0 * s
-                g_h = g_h + d_z @ q.data.T
-            else:
-                d_z = g_h * 2.0 * h_in * s * (1.0 - s)
-                g_r = g_r + x_in.T @ d_z
-                g_h = g_h * 2.0 * s
-                g_x = g_x + d_z @ r.data.T
-        nm.accumulate(x, g_x)
-        nm.accumulate(h, g_h)
-        nm.accumulate(q, g_q)
-        if rounds >= 2:
-            nm.accumulate(r, g_r)
 
-    weights = (q,) if rounds < 2 else (q, r)
-    return nm.fused((x, h, *weights), (xd, hd), back)
+def _mogrifier_backward(cache, d_state):
+    cache, saved, mats = cache
+    g_x, (g_h, d_c), d_lstm = _lstm_backward(cache, d_state)
+    d_mats = [None] * len(mats)
+    for k in range(len(mats) - 1, -1, -1):
+        s, x, h = saved[k]
+        if k % 2:
+            d_z = g_h * 2.0 * h * s * (1.0 - s)
+            d_mats[k] = x.T @ d_z
+            g_h = g_h * 2.0 * s
+            g_x = g_x + d_z @ mats[k].T
+        else:
+            d_z = g_x * 2.0 * x * s * (1.0 - s)
+            d_mats[k] = h.T @ d_z
+            g_x = g_x * 2.0 * s
+            g_h = g_h + d_z @ mats[k].T
+    return g_x, (g_h, d_c), (*d_lstm, *d_mats)
+
+
+def _stlstm_forward(x, state, weights):
+    """Dual-memory update: a second cell state M with its own gates.
+
+    The M path is driven by [x, M_prev] through a gate block without an
+    output gate; the hidden output mixes both memories through w_mix before
+    the output gate's tanh.
+    """
+    h, c_prev, m_prev = state
+    w, b, w_m, b_m, w_mix = weights
+    hid = h.shape[1]
+    cat = np.concatenate([h, x], axis=1)
+    act, c = _gates(cat, w, b, c_prev, 3 * hid)
+    cat_m = np.concatenate([x, m_prev], axis=1)
+    act_m, m = _gates(cat_m, w_m, b_m, m_prev, 2 * hid)
+    mems = np.concatenate([c, m], axis=1)
+    t = np.tanh(mems @ w_mix)
+    return ((act[:, 2 * hid:3 * hid] * t, c, m),
+            (cat, act, c_prev, cat_m, act_m, m_prev, mems, t, weights))
+
+
+def _stlstm_backward(cache, d_state):
+    cat, act, c_prev, cat_m, act_m, m_prev, mems, t, (w, _, w_m, _, w_mix) = cache
+    d_h, d_c, d_m = d_state
+    hid = c_prev.shape[1]
+    split = cat_m.shape[1] - hid
+    d_pre = d_h * act[:, 2 * hid:3 * hid] * (1.0 - t * t)
+    d_mems = d_pre @ w_mix.T + np.concatenate([d_c, d_m], axis=1)
+    g_c, g_m = d_mems[:, :hid], d_mems[:, hid:]
+    d = _gates_back(act, c_prev, g_c, d_h * t, 3 * hid)
+    d_gm = _gates_back(act_m, m_prev, g_m, 0.0, 2 * hid)
+    d_cat, d_cat_m = d @ w.T, d_gm @ w_m.T
+    return (d_cat[:, hid:] + d_cat_m[:, :split],
+            (d_cat[:, :hid], g_c * act[:, hid:2 * hid],
+             g_m * act_m[:, hid:2 * hid] + d_cat_m[:, split:]),
+            (cat.T @ d, d.sum(axis=0, keepdims=True), cat_m.T @ d_gm,
+             d_gm.sum(axis=0, keepdims=True), mems.T @ d_pre))
+
+
+# --- SwinLSTM's input pooling, hoisted out of the time loop -------------------------
 
 
 def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
                 window: int) -> Tensor:
     """SwinLSTM's windowed self-attention and pooling as one tape node.
 
-    The feature row is zero-padded to a multiple of `window`. Inside each
-    window, every scalar entry u_i attends over the window's entries with
-    scores (u_i * wq) * (u_j * wk) and values u_j * wv (max-shifted
-    softmax); each window's output is u + attention * wp, and the windows
-    are averaged elementwise into a (B, window) row.
+    Each row along the last axis of x (any leading axes) is zero-padded to a
+    multiple of `window`. Inside each window, every scalar entry u_i attends
+    over the window's entries with scores (u_i * wq) * (u_j * wk) and values
+    u_j * wv (max-shifted softmax); each window's output is
+    u + attention * wp, and the windows are averaged elementwise into a row
+    of width `window`.
     """
-    batch, feat = x.shape
+    lead, feat = x.shape[:-1], x.shape[-1]
+    rows = x.data.reshape(-1, feat)
     pad = (-feat) % window
-    xd = np.concatenate([x.data, np.zeros((batch, pad))], axis=1) if pad else x.data
+    xd = np.concatenate([rows, np.zeros((len(rows), pad))], axis=1) if pad else rows
     n_windows = xd.shape[1] // window
-    u = xd.reshape(batch, n_windows, window)
+    u = xd.reshape(len(rows), n_windows, window)
     aq, ak, av, ap = (t.data.reshape(()) for t in (wq, wk, wv, wp))
     q, k, v = u * aq, u * ak, u * av
     scores = q[..., :, None] * k[..., None, :]
@@ -251,6 +284,7 @@ def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
     out = u + att * ap
 
     def back(g: np.ndarray) -> None:
+        g = g.reshape(len(rows), window)
         d_out = np.broadcast_to((g * (1.0 / n_windows))[:, None, :], u.shape)
         d_att = d_out * ap
         d_alpha = d_att[..., :, None] * v[..., None, :]
@@ -260,84 +294,16 @@ def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
         d_k = (d_s * q[..., :, None]).sum(axis=-2)
         if x.requires_grad:
             d_u = d_out + d_q * aq + d_k * ak + d_v * av
-            nm.accumulate(x, d_u.reshape(batch, -1)[:, :feat])
+            nm.accumulate(x, d_u.reshape(len(rows), -1)[:, :feat].reshape(x.shape))
         for param, grad in ((wq, d_q * u), (wk, d_k * u), (wv, d_v * u), (wp, d_out * att)):
             nm.accumulate(param, np.array([[grad.sum()]]))
 
-    return nm.fused((x, wq, wk, wv, wp), (out.sum(axis=1) * (1.0 / n_windows),), back)[0]
+    pooled = (out.sum(axis=1) * (1.0 / n_windows)).reshape(*lead, window)
+    return nm.fused((x, wq, wk, wv, wp), (pooled,), back)[0]
 
 
-# --- cell steps: step(x, state, weights) -> state, with weights prepared once ---
-
-
-def _lstm_weights(params: Mapping[str, Tensor], spec: ModelSpec):
-    return _stack(params, LSTM_STACK)
-
-
-def _lstm_step(x: Tensor, state, weights):
-    """Standard gated update: input/forget/output gates plus tanh candidate."""
-    h, c = state
-    o, c = gate_block(h, x, c, *weights)
-    return gated_tanh(o, c), c
-
-
-def _gru_weights(params: Mapping[str, Tensor], spec: ModelSpec):
-    return (*_stack(params, ("w_z", "w_r")), params["w_h"], params["b_h"])
-
-
-def _gru_step(x: Tensor, state, weights):
-    """Update/reset gated state: h = (1-z)*h_prev + z*h_tilde."""
-    return (gru_step(x, state[0], *weights),)
-
-
-def _mogrifier_weights(params: Mapping[str, Tensor], spec: ModelSpec):
-    rounds = spec.mogrifier_rounds
-    q = params["q"] if rounds >= 1 else None
-    r = params["r"] if rounds >= 2 else None
-    return _lstm_weights(params, spec), q, r, rounds
-
-
-def _mogrifier_step(x: Tensor, state, weights):
-    """`rounds` alternating Mogrifier rounds on (x, h), then an LSTM step.
-
-    Odd rounds rescale x by 2*sigmoid(h @ q); even rounds rescale h by
-    2*sigmoid(x @ r) (see `mogrify`). rounds=0 is the plain LSTM.
-    """
-    lstm, q, r, rounds = weights
-    h, c = state
-    if rounds:
-        x, h = mogrify(x, h, q, r, rounds)
-    return _lstm_step(x, (h, c), lstm)
-
-
-def _stlstm_weights(params: Mapping[str, Tensor], spec: ModelSpec):
-    return _lstm_weights(params, spec), _stack(params, ("w_mi", "w_mf", "w_mc")), params["w_mix"]
-
-
-def _stlstm_step(x: Tensor, state, weights):
-    """Dual-memory update: a second cell state M with its own gates.
-
-    The M path is driven by [x, M_prev]; the hidden output mixes both
-    memories through w_mix before the output gate's tanh.
-    """
-    lstm, m_block, w_mix = weights
-    h, c, m = state
-    o, c = gate_block(h, x, c, *lstm)
-    m = gate_block(x, m, m, *m_block, out_gate=False)
-    h = gated_tanh(o, nm.matmul(nm.concat([c, m], axis=1), w_mix))
-    return h, c, m
-
-
-def _swinlstm_weights(params: Mapping[str, Tensor], spec: ModelSpec):
-    attention = tuple(params[name] for name in ("wq", "wk", "wv", "wp"))
-    return attention, spec.swin_window, _lstm_weights(params, spec)
-
-
-def _swinlstm_step(x: Tensor, state, weights):
-    """Windowed self-attention pooling of the step features (see `window_pool`),
-    then an LSTM step on the pooled (B, window) row."""
-    attention, window, lstm = weights
-    return _lstm_step(window_pool(x, *attention, window), state, lstm)
+def _swin_pool(xs: Tensor, params: Mapping[str, Tensor], spec: ModelSpec) -> Tensor:
+    return window_pool(xs, *(params[n] for n in ("wq", "wk", "wv", "wp")), spec.swin_window)
 
 
 # --- parameter init -------------------------------------------------------------
@@ -388,26 +354,39 @@ def _init_swinlstm(store, prefix, input_width, spec, rng) -> None:
 class Cell:
     """How one recurrent kind creates its parameters and steps through time.
 
-    `prepare` runs once per unroll (stacking gate weights); `step` maps
-    (x, state, prepared weights) to the next state tuple of `arity`
-    tensors, the hidden row first. Each name in `directions` is a parameter
-    sub-prefix run in turn, the second one over the reversed sequence.
+    `blocks(spec)` names the weight matrices the step pair takes, each a
+    group of parameters stacked column-wise once per unroll. `forward` maps
+    (x_t, state, weights) to (state, cache), the state a tuple of `arity`
+    arrays with the hidden row first; `backward` maps (cache, d_state) to
+    (d_x, d_state_prev, d_weights), d_weights in block order. `pool`, when
+    set, maps the whole step-input block once before the time loop. Each
+    name in `directions` is a parameter sub-prefix run in turn, the second
+    one over the reversed sequence.
     """
 
     init: Callable[[ParameterStore, str, int, ModelSpec, np.random.Generator], None]
-    prepare: Callable[[Mapping[str, Tensor], ModelSpec], tuple]
-    step: Callable[[Tensor, tuple, tuple], tuple]
+    blocks: Callable[[ModelSpec], tuple[tuple[str, ...], ...]]
+    forward: Callable[[np.ndarray, tuple, tuple], tuple]
+    backward: Callable[[object, tuple], tuple]
     arity: int
     directions: tuple[str, ...] = ("",)
+    pool: Callable[[Tensor, Mapping[str, Tensor], ModelSpec], Tensor] | None = None
 
 
 CELLS = {
-    "lstm": Cell(_init_lstm, _lstm_weights, _lstm_step, 2),
-    "bilstm": Cell(_init_lstm, _lstm_weights, _lstm_step, 2, directions=("fwd", "bwd")),
-    "gru": Cell(_init_gru, _gru_weights, _gru_step, 1),
-    "mogrifier": Cell(_init_mogrifier, _mogrifier_weights, _mogrifier_step, 2),
-    "stlstm": Cell(_init_stlstm, _stlstm_weights, _stlstm_step, 3),
-    "swinlstm": Cell(_init_swinlstm, _swinlstm_weights, _swinlstm_step, 2),
+    "lstm": Cell(_init_lstm, lambda spec: LSTM_BLOCKS, _lstm_forward, _lstm_backward, 2),
+    "bilstm": Cell(_init_lstm, lambda spec: LSTM_BLOCKS, _lstm_forward, _lstm_backward, 2,
+                   directions=("fwd", "bwd")),
+    "gru": Cell(_init_gru, lambda spec: _gate_blocks(("w_z", "w_r")) + _gate_blocks(("w_h",)),
+                _gru_forward, _gru_backward, 1),
+    "mogrifier": Cell(_init_mogrifier, lambda spec: LSTM_BLOCKS + tuple(
+        ("r",) if k % 2 else ("q",) for k in range(spec.mogrifier_rounds)),
+        _mogrifier_forward, _mogrifier_backward, 2),
+    "stlstm": Cell(_init_stlstm, lambda spec: (
+        LSTM_BLOCKS + _gate_blocks(("w_mi", "w_mf", "w_mc")) + (("w_mix",),)),
+        _stlstm_forward, _stlstm_backward, 3),
+    "swinlstm": Cell(_init_swinlstm, lambda spec: LSTM_BLOCKS, _lstm_forward, _lstm_backward,
+                     2, pool=_swin_pool),
 }
 
 
@@ -442,38 +421,70 @@ def output_head(z: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, np.nda
     return nm.fused((z, w, b), (p,), back)[0], labels
 
 
-def unroll(spec: ModelSpec, params: Mapping[str, Tensor],
-           xs: Sequence[Tensor]) -> tuple[list[Tensor], Tensor]:
-    """Run a recurrent model over step inputs.
+def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[Tensor, Tensor]:
+    """Run a recurrent model over the (B, T, I) step inputs as one tape node.
 
-    Returns the per-step feature rows (for attention pooling) and the
-    model's final output row. For bilstm the per-step features pair the
-    forward state with the co-located backward state, and the final output
-    concatenates both directions' final states.
+    Returns the step rows (B, T, H * directions), for attention pooling, and
+    the final row. For bilstm a step row pairs the forward state with the
+    co-located backward state, and the final row concatenates both
+    directions' final states. Per-step caches are kept only when the node
+    is recorded for a backward pass.
     """
     if spec.kind not in CELLS:
         raise ConfigError(f"cannot unroll non-recurrent kind {spec.kind!r}")
-    if not xs:
-        raise ContractError("empty step-input sequence")
+    if xs.ndim != 3 or xs.shape[1] == 0:
+        raise ContractError(f"step inputs must be a non-empty (B, T, I) block, got {xs.shape}")
     cell = CELLS[spec.kind]
-    zero = Tensor(np.zeros((xs[0].shape[0], spec.hidden)))
+    if cell.pool is not None:
+        xs = cell.pool(xs, params, spec)
+    blocks = cell.blocks(spec)
+    subs = [params if not d else {k[len(d) + 1:]: v for k, v in params.items()
+                                  if k.startswith(d + ".")} for d in cell.directions]
+    weights = [_stacked(sub, blocks) for sub in subs]
+    hid, (batch, steps, width) = spec.hidden, xs.shape
+    if weights[0][0].shape[0] != hid + width:
+        raise ShapeError(f"gate weights {weights[0][0].shape} do not fit "
+                         f"[h, x] rows of width {hid} + {width}")
+    names = dict.fromkeys(name for block in blocks for name in block)
+    parents = (xs, *(sub[name] for sub in subs for name in names))
+    keep = nm.grad_needed(parents)
+    zero = np.zeros((batch, hid))
+    out = np.empty((batch, steps, hid * len(subs)))
     runs = []
-    for direction in cell.directions:
-        sub = params if not direction else {
-            k[len(direction) + 1:]: v for k, v in params.items()
-            if k.startswith(direction + ".")}
-        weights = cell.prepare(sub, spec)
-        state = (zero,) * cell.arity
-        hs = []
-        for x in (reversed(xs) if runs else xs):
-            state = cell.step(x, state, weights)
-            hs.append(state[0])
-        runs.append(hs[::-1] if runs else hs)
-    if len(runs) == 1:
-        return runs[0], runs[0][-1]
-    fwd, bwd = runs
-    steps = [nm.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return steps, nm.concat([fwd[-1], bwd[0]], axis=1)
+    for k, w in enumerate(weights):
+        state, run = (zero,) * cell.arity, []
+        for t in (range(steps - 1, -1, -1) if k else range(steps)):
+            state, cache = cell.forward(xs.data[:, t], state, w)
+            out[:, t, k * hid:(k + 1) * hid] = state[0]
+            if keep:
+                run.append((t, cache))
+            del cache  # unkept, its memory is free for the next step
+        runs.append(run)
+    final = out[:, -1] if len(subs) == 1 else np.concatenate(
+        [out[:, -1, :hid], out[:, 0, hid:]], axis=1)
+
+    def back(g_steps, g_final) -> None:
+        d_xs = np.zeros(xs.shape) if xs.requires_grad else None
+        for k, (sub, run) in enumerate(zip(subs, runs)):
+            cols, last = slice(k * hid, (k + 1) * hid), run[-1][0]
+            d_state, totals = (zero,) * cell.arity, None
+            for t, cache in reversed(run):
+                d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[:, t, cols]
+                if g_final is not None and t == last:
+                    d_h = d_h + g_final[:, cols]
+                d_x, d_state, d_w = cell.backward(cache, (d_h, *d_state[1:]))
+                if totals is None:  # later steps add into the first one's arrays
+                    totals = list(d_w)
+                else:
+                    for total, d in zip(totals, d_w):
+                        total += d
+                if d_xs is not None:
+                    d_xs[:, t] += d_x
+            _route(sub, blocks, totals)
+        if d_xs is not None:
+            nm.accumulate(xs, d_xs)
+
+    return nm.fused(parents, (out, final), back)
 
 
 def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,

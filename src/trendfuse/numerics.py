@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ContractError, DataError, GraphError, ShapeError
+from .errors import ContractError, DataError, ShapeError
 
 Array = np.ndarray
 
@@ -54,8 +54,7 @@ class Tensor:
                  backward: Callable[[Array], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
-        self.requires_grad = requires_grad or (
-            _grad_enabled and any(p.requires_grad for p in parents))
+        self.requires_grad = requires_grad or grad_needed(parents)
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
@@ -85,6 +84,11 @@ class Tensor:
 
     def __getitem__(self, key):
         return take(self, key)
+
+
+def grad_needed(inputs: Iterable[Tensor]) -> bool:
+    """Whether an operation on `inputs` is recorded for a backward pass."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
 def _lift(x) -> Tensor:
@@ -346,24 +350,6 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
-    """Gradients of a scalar loss for each named leaf parameter.
-
-    Raises GraphError if a parameter does not participate in the graph
-    under `loss`.
-    """
-    if loss.size != 1:
-        raise ContractError(f"gradients needs a scalar loss, got shape {loss.shape}")
-    reachable = {id(node) for node in _topo_order(loss)}
-    for name, p in params.items():
-        if id(p) not in reachable:
-            raise GraphError(f"parameter {name!r} is not on the tape of this loss")
-        p.grad = None
-    backward(loss)
-    return {name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            for name, p in params.items()}
-
-
 class ParameterStore:
     """Ordered, named collection of trainable tensors."""
 
@@ -382,9 +368,6 @@ class ParameterStore:
 
     def items(self):
         return self._params.items()
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def view(self, prefix: str) -> dict[str, Tensor]:
         """Sub-dictionary of parameters under `prefix.`, keys stripped."""

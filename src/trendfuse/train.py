@@ -2,7 +2,8 @@
 
 The forward pass per sample batch: the text feature runs through the
 embedding/convolution path; the per-day [normalized price, prior bit]
-pairs unroll through the configured recurrent cell; the per-step states
+pairs, stacked as one (B, T, 2) block, unroll through the configured
+recurrent cell as one tape node (`models.unroll`); the per-step states
 are attention-pooled with the final state as query; the pooled state and
 the text context meet in the convex fusion gate; a fully connected head
 emits the upward-move probability. The feedforward baseline instead maps
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fusion, models, numerics as nm
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, check_integer, is_real
 from .ingest import FusedSample
 from .models import ModelSpec
 from .numerics import ParameterStore, Tensor
@@ -52,17 +53,12 @@ class TrainConfig:
     kernel_len: int = 3
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.window < 2:
-            raise ConfigError(f"window must be >= 2, got {self.window}")
-        if self.feature_len < 1:
-            raise ConfigError(f"feature_len must be >= 1, got {self.feature_len}")
-        if not 1 <= self.kernel_len <= self.embed_width:
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("window", 2),
+                          ("feature_len", 1), ("embed_width", 1), ("kernel_len", 1)):
+            check_integer(name, getattr(self, name), low)
+        if not is_real(self.lr) or not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if self.kernel_len > self.embed_width:
             raise ConfigError(f"kernel_len must be in [1, embed_width={self.embed_width}], "
                               f"got {self.kernel_len}")
 
@@ -168,10 +164,9 @@ def forward_batch(store: ParameterStore, config: TrainConfig, priors: np.ndarray
     if config.model.kind == "feedforward":
         flat = nm.concat([Tensor(prices), Tensor(priors), context], axis=1)
         return nm.sigmoid(models.feedforward_net(flat, store.view("cell")))
-    pairs = np.stack([prices, priors], axis=2)
-    steps = [Tensor(pairs[:, t]) for t in range(pairs.shape[1])]
-    step_feats, final = models.unroll(config.model, store.view("cell"), steps)
-    _, pooled = fusion.attention_over_features(final, step_feats)
+    pairs = Tensor(np.stack([prices, priors], axis=2))               # (B, T, 2)
+    steps, final = models.unroll(config.model, store.view("cell"), pairs)
+    _, pooled = fusion.attention_over_features(final, steps)
     fused = fusion.fuse(pooled, context, text_params)
     p, _ = models.output_head(fused, store.view("head"))
     return p

@@ -3,10 +3,10 @@
 Everything here except `cell_step`, `bilstm_forward` and the encoder
 compositions is deliberately written without the package's tensor or graph
 machinery (plain loops and numpy scalars), so a passing comparison means
-two unrelated code paths agree. `cell_step` runs one step of a recurrent
-kind through the library's `models.CELLS` table, and `bilstm_forward`
-composes LSTM steps by hand, as a reference for the table-driven
-`models.unroll`. `self_attention`, `multi_head_attention`, `layer_norm`,
+two unrelated code paths agree. `cell_step` wraps one numpy step pair of
+the library's `models.CELLS` table as a tape node, and `bilstm_forward`
+composes such steps by hand, as a reference for the whole-sequence
+`models.unroll` node. `self_attention`, `multi_head_attention`, `layer_norm`,
 `feed_forward` and `mlm_loss` build the encoder's sublayers from single
 tape ops, as references for the fused primitives in `encoder`: their
 gradients come from the tape's per-op backwards, not from a hand-written one.
@@ -16,7 +16,8 @@ for the fused predictor tail in `fusion`, `models` and `train`.
 reference for the compiled pattern in `encoder.segment`.
 
 `sub`, `neg`, `log`, `pow_scalar`, `clip_min` and `transpose` are tape ops
-that only these references use; they live here rather than in `numerics`.
+that only these references use, and `gradients` and `names` are helpers
+that only the tests use; they live here rather than in `numerics`.
 """
 
 import math
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from trendfuse import encoder as enc, models, numerics as nm
-from trendfuse.errors import ConfigError, ContractError, ShapeError
+from trendfuse.errors import ConfigError, ContractError, GraphError, ShapeError
 
 
 def fd_gradients(f, arrays, h=1e-5):
@@ -79,7 +80,7 @@ def assert_same_values_and_grads(fused, composed, arrays, seed):
         total = terms[0]
         for term in terms[1:]:
             total = nm.add(total, term)
-        results.append(([out.data for out in outs], nm.gradients(total, leaves)))
+        results.append(([out.data for out in outs], gradients(total, leaves)))
     (outs_f, grads_f), (outs_c, grads_c) = results
     for out_f, out_c in zip(outs_f, outs_c):
         assert out_f.shape == out_c.shape
@@ -186,14 +187,33 @@ def gru_step(x, h, p):
 
 
 def cell_step(kind, x, state, params, **knobs):
-    """One step of a recurrent kind through `models.CELLS`: prepare, then step.
+    """One step of a recurrent kind through `models.CELLS`, as one tape node.
 
-    `knobs` are `ModelSpec` fields such as `mogrifier_rounds` or
-    `swin_window`; the new state tuple comes back, hidden row first.
+    The kind's numpy step pair runs on the data of x, of the state tensors
+    and of the weight blocks, and its backward routes gradients to all of
+    them, so a step can start from any state. SwinLSTM pools x first, as
+    `models.unroll` does. `knobs` are `ModelSpec` fields such as
+    `mogrifier_rounds` or `swin_window`; the new state tuple comes back,
+    hidden row first.
     """
+    spec = models.ModelSpec(kind=kind, **knobs)
     cell = models.CELLS[kind]
-    weights = cell.prepare(params, models.ModelSpec(kind=kind, **knobs))
-    return cell.step(x, tuple(state), weights)
+    if cell.pool is not None:
+        x = cell.pool(x, params, spec)
+    blocks = cell.blocks(spec)
+    new_state, cache = cell.forward(x.data, tuple(s.data for s in state),
+                                    models._stacked(params, blocks))
+
+    def back(*grads):
+        d_state = tuple(np.zeros_like(s) if g is None else g for g, s in zip(grads, new_state))
+        d_x, d_prev, d_weights = cell.backward(cache, d_state)
+        nm.accumulate(x, d_x)
+        for s, d in zip(state, d_prev):
+            nm.accumulate(s, d)
+        models._route(params, blocks, d_weights)
+
+    names = dict.fromkeys(name for block in blocks for name in block)
+    return nm.fused((x, *state, *(params[n] for n in names)), new_state, back)
 
 
 def bilstm_forward(xs, params_fwd, params_bwd):
@@ -207,6 +227,29 @@ def bilstm_forward(xs, params_fwd, params_bwd):
     for x in reversed(xs):
         hb, cb = cell_step("lstm", x, (hb, cb), params_bwd)
     return nm.concat([h, hb], axis=1)
+
+
+def names(store):
+    """Parameter names of a store, in its insertion order."""
+    return [name for name, _ in store.items()]
+
+
+def gradients(loss, params):
+    """Gradients of a scalar loss for each named leaf parameter.
+
+    Raises GraphError if a parameter does not participate in the graph
+    under `loss`.
+    """
+    if loss.size != 1:
+        raise ContractError(f"gradients needs a scalar loss, got shape {loss.shape}")
+    reachable = {id(node) for node in nm._topo_order(loss)}
+    for name, p in params.items():
+        if id(p) not in reachable:
+            raise GraphError(f"parameter {name!r} is not on the tape of this loss")
+        p.grad = None
+    nm.backward(loss)
+    return {name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+            for name, p in params.items()}
 
 
 # --- tape ops used only by the references below ---------------------------
@@ -321,15 +364,12 @@ def mlm_loss(predicted, targets):
     return neg(nm.sum_(log(clip_min(picked, enc.PROB_FLOOR))))
 
 
-def attention_over_features(query, feats):
-    """Dot-product scores per candidate, softmax, and the weighted sum."""
-    feats = list(feats)
+def attention_over_features(query, candidates):
+    """Dot-product scores per candidate of the (B, m, H) block, softmax, and
+    the weighted sum."""
+    feats = [candidates[:, j] for j in range(candidates.shape[1])]
     if not feats:
         raise ContractError("need at least one candidate feature")
-    for f in feats:
-        if f.shape != query.shape:
-            raise ShapeError(f"candidate shape {f.shape} does not match "
-                             f"query shape {query.shape}")
     scores = nm.concat([nm.sum_(nm.mul(query, f), axis=1, keepdims=True)
                         for f in feats], axis=1)
     alpha = nm.softmax(scores, axis=-1)

@@ -34,7 +34,7 @@ def _passed(number, name):
 def _check_grad_case(build, arrays, label):
     """Analytic tape gradients vs central finite differences for one case."""
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    analytic = nm.gradients(build(params), params)
+    analytic = oracles.gradients(build(params), params)
 
     def value(raw):
         return build({k: Tensor(v) for k, v in raw.items()}).item()
@@ -91,9 +91,7 @@ def _fusion_grad_cases(rng):
     embed_arrays = {"f": f, "w_e": rng.normal(size=(5, 6)), "b_e": rng.normal(size=(1, 6))}
     conv_arrays = {"e": rng.normal(size=(2, 6)), "w_c": rng.normal(size=3),
                    "b_c": rng.normal(size=(1, 1))}
-    att_arrays = {"q": rng.normal(size=(2, 4)),
-                  "f1": rng.normal(size=(2, 4)), "f2": rng.normal(size=(2, 4)),
-                  "f3": rng.normal(size=(2, 4))}
+    att_arrays = {"q": rng.normal(size=(2, 4)), "feats": rng.normal(size=(2, 3, 4))}
     fuse_arrays = {"o": rng.normal(size=(2, 4)), "c": rng.normal(size=(2, 6)),
                    "proj_w": rng.normal(size=(6, 4)), "proj_b": rng.normal(size=(1, 4)),
                    "gamma_raw": rng.normal(size=(1, 1))}
@@ -105,7 +103,7 @@ def _fusion_grad_cases(rng):
         return nm.sum_(fusion.conv_text(p["e"], {"w_c": p["w_c"], "b_c": p["b_c"]}))
 
     def build_att(p):
-        alpha, ctx = fusion.attention_over_features(p["q"], [p["f1"], p["f2"], p["f3"]])
+        alpha, ctx = fusion.attention_over_features(p["q"], p["feats"])
         return nm.sum_(nm.add(nm.sum_(alpha), nm.sum_(ctx)))
 
     def build_fuse(p):
@@ -175,7 +173,7 @@ def _check_zero_probability_gradient():
     """A target whose predicted probability is 0 gets a finite, zero gradient."""
     probs = Tensor([[0.0, 0.25, 0.75], [0.5, 0.5, 0.0]], requires_grad=True)
     loss = enc.mlm_loss(probs, np.arange(2), np.array([0, 1]))
-    grad = nm.gradients(loss, {"p": probs})["p"]
+    grad = oracles.gradients(loss, {"p": probs})["p"]
     assert np.all(np.isfinite(grad)) and grad[0, 0] == 0.0 and grad[1, 1] == -2.0
     return 1
 
@@ -189,7 +187,7 @@ def _full_encoder_grad_case(seed):
     tokens = enc.tokenize("alpha beta gamma delta epsilon", vocab, config.max_len)
     corrupted, positions, targets = enc.similar_word_mask(tokens, vocab,
                                                  np.random.default_rng(seed + 1), 0.3)
-    arrays = {name: params[name].data.copy() for name in params.names()}
+    arrays = {name: params[name].data.copy() for name in oracles.names(params)}
 
     def build(p):
         store = ParameterStore()
@@ -300,14 +298,15 @@ def _cell_grad_cases(rng, steps):
 
 
 def _fused_grad_cases(rng):
-    """The fused cell primitives, directly and through unroll.
+    """SwinLSTM's window pooling and the whole-sequence unroll node of every kind.
 
-    Each loss mixes every output with fixed random weights so no gradient
-    path cancels. Cases marked const/frozen keep some inputs as plain
-    constants, so the primitive's backward must skip them.
+    Each loss mixes every output it uses with fixed random weights so no
+    gradient path cancels. Cases marked const/frozen keep some inputs as
+    plain constants, so the node's backward must skip them; the only_final
+    and only_steps cases leave one of the unroll node's two outputs without
+    a gradient.
     """
     hid, inp, batch = 3, 2, 2
-    rows = hid + inp
 
     def const(*shape):
         return Tensor(rng.normal(size=shape))
@@ -326,50 +325,6 @@ def _fused_grad_cases(rng):
         return {name: rng.normal(size=shape) for name, shape in shapes.items()}
 
     cases = []
-    block = arrays(h=(batch, hid), x=(batch, inp), c=(batch, hid),
-                   w=(rows, 4 * hid), b=(1, 4 * hid))
-    mix_oc = mixed((batch, hid), (batch, hid))
-    cases.append(("fused.gate_block", lambda p: mix_oc(models.gate_block(
-        p["h"], p["x"], p["c"], p["w"], p["b"])), block))
-    mix_c = mixed((batch, hid))
-    cases.append(("fused.gate_block.c_only", lambda p: mix_c(models.gate_block(
-        p["h"], p["x"], p["c"], p["w"], p["b"])[1:]), block))
-    zero = Tensor(np.zeros((batch, hid)))
-    cases.append(("fused.gate_block.const_zero_state", lambda p: mix_oc(models.gate_block(
-        zero, p["x"], zero, p["w"], p["b"])),
-        {k: block[k] for k in ("x", "w", "b")}))
-    x_const, w_frozen, b_frozen = const(batch, inp), const(rows, 4 * hid), const(1, 4 * hid)
-    cases.append(("fused.gate_block.const_x_frozen_w", lambda p: mix_oc(models.gate_block(
-        p["h"], x_const, p["c"], w_frozen, b_frozen)),
-        {k: block[k] for k in ("h", "c")}))
-    m_block = arrays(x=(batch, inp), m=(batch, hid), w=(rows, 3 * hid), b=(1, 3 * hid))
-    cases.append(("fused.gate_block.m_path", lambda p: mix_c((models.gate_block(
-        p["x"], p["m"], p["m"], p["w"], p["b"], out_gate=False),)), m_block))
-    cases.append(("fused.gated_tanh", lambda p: mix_c((models.gated_tanh(p["o"], p["c"]),)),
-                  arrays(o=(batch, hid), c=(batch, hid))))
-
-    gru = arrays(x=(batch, inp), h=(batch, hid), w_zr=(rows, 2 * hid), b_zr=(1, 2 * hid),
-                 w_h=(rows, hid), b_h=(1, hid))
-    cases.append(("fused.gru_step", lambda p: mix_c((models.gru_step(
-        p["x"], p["h"], p["w_zr"], p["b_zr"], p["w_h"], p["b_h"]),)), gru))
-    frozen = {k: Tensor(gru[k]) for k in ("w_zr", "b_zr", "w_h", "b_h")}
-    cases.append(("fused.gru_step.frozen_weights", lambda p: mix_c((models.gru_step(
-        p["x"], p["h"], **frozen),)), {k: gru[k] for k in ("x", "h")}))
-    cases.append(("fused.gru_step.const_zero_state", lambda p: mix_c((models.gru_step(
-        x_const, zero, p["w_zr"], p["b_zr"], p["w_h"], p["b_h"]),)),
-        {k: gru[k] for k in ("w_zr", "b_zr", "w_h", "b_h")}))
-
-    mog = arrays(x=(batch, inp), h=(batch, hid), q=(hid, inp), r=(inp, hid))
-    mix_xh = mixed((batch, inp), (batch, hid))
-    for rounds in (1, 2, 3, 4):
-        keys = ("x", "h", "q") if rounds == 1 else ("x", "h", "q", "r")
-        cases.append((f"fused.mogrify.{rounds}rounds", lambda p, n=rounds: mix_xh(
-            models.mogrify(p["x"], p["h"], p["q"], p.get("r"), n)),
-            {k: mog[k] for k in keys}))
-    cases.append(("fused.mogrify.const_x", lambda p: mix_xh(
-        models.mogrify(x_const, p["h"], p["q"], p["r"], 3)),
-        {k: mog[k] for k in ("h", "q", "r")}))
-
     swin = arrays(x=(batch, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))
     mix_w = mixed((batch, 2))
     cases.append(("fused.window_pool.padded", lambda p: mix_w((models.window_pool(
@@ -382,20 +337,41 @@ def _fused_grad_cases(rng):
     cases.append(("fused.window_pool.one_window", lambda p: mix_3((models.window_pool(
         p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 3),)),
         {**swin, "x": rng.normal(size=(batch, 3))}))
+    mix_steps_w = mixed((batch, 3, 2))
+    cases.append(("fused.window_pool.step_block", lambda p: mix_steps_w((models.window_pool(
+        p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 2),)),
+        {**swin, "x": rng.normal(size=(batch, 3, 5))}))
 
-    xs = [const(batch, inp) for _ in range(3)]
     for kind in models.RECURRENT_KINDS:
         spec = ModelSpec(kind=kind, hidden=hid, mogrifier_rounds=3, swin_window=2)
         store = ParameterStore()
         models.add_model_params(store, spec, inp, rng)
-        mix_steps = mixed(*[(batch, spec.output_width)] * 4)
+        weights = {k: t.data.copy() for k, t in store.view("cell").items()}
+        frozen = {k: Tensor(v) for k, v in weights.items()}
+        width = spec.output_width
+        for steps in (1, 3):
+            xs = const(batch, steps, inp)
+            mix_both = mixed((batch, steps, width), (batch, width))
+            mix_steps, mix_final = mixed((batch, steps, width)), mixed((batch, width))
 
-        def build(p, spec=spec, mix_steps=mix_steps):
-            steps, final = models.unroll(spec, p, xs)
-            return mix_steps([*steps, final])
+            def build(p, spec=spec, xs=xs, mix=mix_both):
+                return mix(models.unroll(spec, p, xs))
 
-        cases.append((f"fused.unroll.{kind}.const_inputs", build,
-                      {k: t.data.copy() for k, t in store.view("cell").items()}))
+            def only_final(p, spec=spec, xs=xs, mix=mix_final):
+                return mix(models.unroll(spec, p, xs)[1:])
+
+            def only_steps(p, spec=spec, xs=xs, mix=mix_steps):
+                return mix(models.unroll(spec, p, xs)[:1])
+
+            def frozen_weights(p, spec=spec, mix=mix_both, frozen=frozen):
+                return mix(models.unroll(spec, frozen, p["xs"]))
+
+            label = f"fused.unroll.{kind}.T{steps}"
+            cases += [(f"{label}.const_inputs", build, weights),
+                      (f"{label}.only_final", only_final, weights),
+                      (f"{label}.only_steps", only_steps, weights),
+                      (f"{label}.frozen_weights", frozen_weights,
+                       {"xs": rng.normal(size=(batch, steps, inp))})]
     return cases
 
 
@@ -415,12 +391,12 @@ def _tail_grad_cases(rng):
         return nm.sum_(nm.mul(t, mix))
 
     def build_att_one(p):
-        alpha, ctx = fusion.attention_over_features(p["q"], [p["f0"]])
+        alpha, ctx = fusion.attention_over_features(p["q"], p["feats"])
         return nm.add(weighted(alpha, mix_alpha1), weighted(ctx, mix_ctx))
 
     def build_att_context(p):
-        # the pipeline's use: the query is also the last candidate, alpha unused
-        _, ctx = fusion.attention_over_features(p["q"], [p["f0"], p["f1"], p["q"]])
+        # the pipeline's use: alpha unused
+        _, ctx = fusion.attention_over_features(p["q"], p["feats"])
         return weighted(ctx, mix_ctx)
 
     text_const = Tensor(rng.normal(size=(batch, width)))
@@ -442,10 +418,10 @@ def _tail_grad_cases(rng):
     clamped = rng.normal(size=(batch, 1))
     clamped[0, 0], clamped[1, 0] = -40.0, 40.0  # p is exactly 0 and 1: both clamped
 
-    att_one = arrays(q=(batch, width), f0=(batch, width))
+    att_one = arrays(q=(batch, width), feats=(batch, 1, width))
     return [("fusion.attention.one_candidate", build_att_one, att_one),
             ("fusion.attention.context_only", build_att_context,
-             arrays(q=(batch, width), f0=(batch, width), f1=(batch, width))),
+             arrays(q=(batch, width), feats=(batch, 3, width))),
             ("fusion.fuse.no_projection", build_fuse,
              arrays(o=(batch, width), c=(batch, width), gamma_raw=(1, 1))),
             ("fusion.fuse.const_text", build_fuse_const_text,
@@ -464,7 +440,7 @@ def _pipeline_grad_case(kind, seed):
                                          swin_window=2))
     store = tr.init_pipeline_params(cfg)
     priors, prices, texts, targets = tr.batch_arrays(samples, True)
-    arrays = {name: store[name].data.copy() for name in store.names()}
+    arrays = {name: store[name].data.copy() for name in oracles.names(store)}
 
     def build(p):
         sub = ParameterStore()
@@ -573,7 +549,7 @@ def test_criterion_3_normalization_laws():
 
     for i in range(0, 1000, 100):
         q = Tensor(rng.normal(size=(100, 5)))
-        feats = [Tensor(rng.normal(size=(100, 5))) for _ in range(4)]
+        feats = Tensor(np.stack([rng.normal(size=(100, 5)) for _ in range(4)], axis=1))
         alpha, _ = fusion.attention_over_features(q, feats)
         assert np.max(np.abs(alpha.data.sum(axis=1) - 1.0)) < 1e-9
 

@@ -404,6 +404,26 @@ class TestReport:
     def test_missing_directory_is_data_error(self, tmp_path):
         assert run("report", tmp_path / "ghost", "--out", tmp_path / "rep") == 2
 
+    @pytest.mark.parametrize("name,content,detail", [
+        ("metrics.json", b"{not json", "not valid JSON"),
+        ("metrics.json", json.dumps({"precision": 0.5, "recall": 0.5, "f1": 0.5}).encode(),
+         "'accuracy'"),
+        ("run.json", b"[1, 2", "not valid JSON"),
+        ("run.json", b"[1, 2]", "not a JSON object"),
+        ("loss.csv", b"epoch,mean_loss\n0,\xff\n", "not UTF-8"),
+    ], ids=["metrics_invalid_json", "metrics_without_accuracy", "run_invalid_json",
+            "run_not_an_object", "loss_not_utf8"])
+    def test_broken_run_file_is_data_error(self, tmp_path, capsys, name, content, detail):
+        run_dir = tmp_path / "runs" / "one"
+        run_dir.mkdir(parents=True)
+        (run_dir / "metrics.json").write_text(json.dumps(
+            {"accuracy": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5}))
+        (run_dir / "loss.csv").write_text("epoch,mean_loss\n0,0.69\n")
+        (run_dir / name).write_bytes(content)
+        assert run("report", tmp_path / "runs", "--out", tmp_path / "rep") == 2
+        message = _one_error_line(capsys, "DataError")
+        assert str(run_dir / name) in message and detail in message
+
 
 class TestBuildConfig:
     def _config(self, *argv):
@@ -425,3 +445,32 @@ class TestBuildConfig:
                             "--pretrain-epochs", "0").pretrain_epochs == 0
         assert self._config("featurize", "--config", config).pretrain_epochs == 7
         assert self._config("featurize").pretrain_epochs == 50
+
+
+class TestBadConfigValues:
+    """Malformed config values end as one ConfigError line and exit 1."""
+
+    @pytest.mark.parametrize("config,flags,detail", [
+        (json.dumps({"split_ratio": "0.8"}).encode(), [], "split_ratio"),
+        (json.dumps({"train": {"epochs": 1.5}}).encode(), [], "epochs"),
+        (json.dumps({"train": ["x"]}).encode(), [], "'train'"),
+        (b'{"split_ratio": "\xff"}', [], "UTF-8"),
+        (None, ["--lr", "nan"], "lr"),
+        (json.dumps({"pretrain_epochs": -1}).encode(), [], "pretrain_epochs"),
+        (json.dumps({"out": 5}).encode(), [], "out"),
+        (json.dumps({"train": {"model": {"hidden": 8.5}}}).encode(), [], "hidden"),
+        (json.dumps({"encoder": {"d_model": 8.0}}).encode(), [], "d_model"),
+        (json.dumps({"encoder": {"mask_rate": "0.15"}}).encode(), [], "mask_rate"),
+    ], ids=["split_ratio_string", "fractional_epochs", "train_not_an_object", "not_utf8",
+            "nan_lr", "negative_pretrain_epochs", "path_not_a_string", "fractional_hidden",
+            "float_d_model", "mask_rate_string"])
+    def test_is_one_line_usage_error(self, tmp_path, market_csv, capsys, monkeypatch,
+                                     config, flags, detail):
+        monkeypatch.chdir(tmp_path)  # the default output directory, were one written
+        argv = ["train", "--market", market_csv, *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_bytes(config)
+            argv += ["--config", tmp_path / "cfg.json"]
+        assert run(*argv) == 1
+        assert detail in _one_error_line(capsys, "ConfigError")
+        assert not (tmp_path / "runs").exists()

@@ -12,6 +12,11 @@ from trendfuse.errors import ContractError, DivergenceError, ShapeError
 from trendfuse.numerics import ParameterStore, Tensor
 
 
+def _stacked(feats):
+    """A (B, m, H) candidate block of (B, H) rows."""
+    return Tensor(np.stack([f.data for f in feats], axis=1))
+
+
 def _embed_params(w, b):
     return {"w_e": Tensor(np.asarray(w, dtype=float)),
             "b_e": Tensor(np.asarray(b, dtype=float))}
@@ -90,14 +95,14 @@ class TestAttentionOverFeatures:
     def test_single_candidate(self):
         q = Tensor([[0.2, -0.4]])
         f = Tensor([[3.0, 5.0]])
-        alpha, context = fusion.attention_over_features(q, [f])
+        alpha, context = fusion.attention_over_features(q, _stacked([f]))
         np.testing.assert_allclose(alpha.data, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(context.data, f.data, atol=1e-12)
 
     def test_zero_query_uniform_weights(self):
         rng = np.random.default_rng(3)
         feats = [Tensor(rng.normal(size=(1, 4))) for _ in range(5)]
-        alpha, _ = fusion.attention_over_features(Tensor(np.zeros((1, 4))), feats)
+        alpha, _ = fusion.attention_over_features(Tensor(np.zeros((1, 4))), _stacked(feats))
         np.testing.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
 
     def test_two_candidates_match_brute_force(self):
@@ -105,7 +110,7 @@ class TestAttentionOverFeatures:
         q = rng.normal(size=(1, 3))
         f1, f2 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
         alpha, context = fusion.attention_over_features(
-            Tensor(q), [Tensor(f1), Tensor(f2)])
+            Tensor(q), _stacked([Tensor(f1), Tensor(f2)]))
         scores = np.array([[(q @ f1.T).item(), (q @ f2.T).item()]])
         weights = softmax_rows(scores)
         expected = weights[0, 0] * f1 + weights[0, 1] * f2
@@ -117,24 +122,23 @@ class TestAttentionOverFeatures:
         for _ in range(30):
             q = Tensor(rng.normal(size=(3, 4)))
             feats = [Tensor(rng.normal(size=(3, 4))) for _ in range(4)]
-            alpha, _ = fusion.attention_over_features(q, feats)
+            alpha, _ = fusion.attention_over_features(q, _stacked(feats))
             np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(3), atol=1e-9)
 
     def test_context_in_convex_hull(self):
         rng = np.random.default_rng(6)
         q = Tensor(rng.normal(size=(1, 3)))
         feats = [Tensor(rng.normal(size=(1, 3))) for _ in range(4)]
-        _, context = fusion.attention_over_features(q, feats)
+        _, context = fusion.attention_over_features(q, _stacked(feats))
         stacked = np.vstack([f.data for f in feats])
         assert np.all(context.data >= stacked.min(axis=0) - 1e-12)
         assert np.all(context.data <= stacked.max(axis=0) + 1e-12)
 
     def test_errors(self):
         with pytest.raises(ContractError):
-            fusion.attention_over_features(Tensor(np.zeros((1, 2))), [])
+            fusion.attention_over_features(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 0, 2))))
         with pytest.raises(ShapeError):
-            fusion.attention_over_features(Tensor(np.zeros((1, 2))),
-                                           [Tensor(np.zeros((1, 3)))])
+            fusion.attention_over_features(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))))
 
 
 class TestFuse:
@@ -192,14 +196,10 @@ class TestFuse:
         o = Tensor([[2.0, -1.0]])
         c = Tensor([[4.0, 3.0]])
         out = fusion.fuse(o, c, {"gamma_raw": params["gamma_raw"]})
-        grads = nm.gradients(nm.sum_(out), {"gamma_raw": params["gamma_raw"]})
+        grads = oracles.gradients(nm.sum_(out), {"gamma_raw": params["gamma_raw"]})
         g = 1.0 / (1.0 + np.exp(-0.3))
         expected = g * (1 - g) * ((2.0 - 4.0) + (-1.0 - 3.0))
         np.testing.assert_allclose(grads["gamma_raw"], [[expected]], atol=1e-12)
-
-
-def _candidates(p, m):
-    return [p[f"f{j}"] for j in range(m)]
 
 
 class TestFusedTailMatchesOracles:
@@ -209,33 +209,31 @@ class TestFusedTailMatchesOracles:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_attention(self, m):
         rng = np.random.default_rng(50 + m)
-        arrays = {"q": rng.normal(size=(4, 3)),
-                  **{f"f{j}": rng.normal(size=(4, 3)) for j in range(m)}}
+        arrays = {"q": rng.normal(size=(4, 3)), "feats": rng.normal(size=(4, m, 3))}
         for pick, seed in ((slice(None), 1), (slice(1, 2), 2), (slice(0, 1), 3)):
             # both outputs, the context alone (as the pipeline uses it), alpha alone
             oracles.assert_same_values_and_grads(
-                lambda p: fusion.attention_over_features(p["q"], _candidates(p, m))[pick],
-                lambda p: oracles.attention_over_features(p["q"], _candidates(p, m))[pick],
+                lambda p: fusion.attention_over_features(p["q"], p["feats"])[pick],
+                lambda p: oracles.attention_over_features(p["q"], p["feats"])[pick],
                 arrays, seed=seed)
 
     def test_attention_with_the_query_among_the_candidates(self):
-        # the pipeline's query is the last step state, which is also a candidate
+        # the query is read from the candidate block, so both gradients meet there
         rng = np.random.default_rng(54)
-        arrays = {"q": rng.normal(size=(4, 3)), "f0": rng.normal(size=(4, 3)),
-                  "f1": rng.normal(size=(4, 3))}
+        arrays = {"feats": rng.normal(size=(4, 3, 3))}
         oracles.assert_same_values_and_grads(
-            lambda p: fusion.attention_over_features(p["q"], [p["f0"], p["f1"], p["q"]]),
-            lambda p: oracles.attention_over_features(p["q"], [p["f0"], p["f1"], p["q"]]),
+            lambda p: fusion.attention_over_features(p["feats"][:, 2], p["feats"]),
+            lambda p: oracles.attention_over_features(p["feats"][:, 2], p["feats"]),
             arrays, seed=4)
 
     def test_attention_with_constant_query_or_candidates(self):
         rng = np.random.default_rng(55)
         q = Tensor(rng.normal(size=(4, 3)))
-        feats = [Tensor(rng.normal(size=(4, 3))) for _ in range(3)]
-        arrays = {f"f{j}": f.data for j, f in enumerate(feats)}
+        feats = Tensor(rng.normal(size=(4, 3, 3)))
         oracles.assert_same_values_and_grads(
-            lambda p: fusion.attention_over_features(q, _candidates(p, 3)),
-            lambda p: oracles.attention_over_features(q, _candidates(p, 3)), arrays, seed=5)
+            lambda p: fusion.attention_over_features(q, p["feats"]),
+            lambda p: oracles.attention_over_features(q, p["feats"]),
+            {"feats": feats.data}, seed=5)
         oracles.assert_same_values_and_grads(
             lambda p: fusion.attention_over_features(p["q"], feats),
             lambda p: oracles.attention_over_features(p["q"], feats), {"q": q.data}, seed=6)

@@ -8,6 +8,7 @@ from oracles import (attention_rows, bilstm_forward, cell_step, gru_step, lstm_s
                      max_rel_err, sigmoid)
 
 from trendfuse import models
+from trendfuse import numerics as nm
 from trendfuse.errors import ConfigError, ContractError, ShapeError
 from trendfuse.models import ModelSpec
 from trendfuse.numerics import ParameterStore, Tensor
@@ -90,8 +91,8 @@ class TestLstmCell:
     def test_width_mismatch_rejected(self):
         params = _zero_gate_params()
         with pytest.raises(ShapeError):
-            cell_step("lstm", _t(np.zeros((1, INP + 1))),
-                      (_t(np.zeros((1, HID))), _t(np.zeros((1, HID)))), params)
+            models.unroll(ModelSpec(kind="lstm", hidden=HID), params,
+                          _t(np.zeros((1, 2, INP + 1))))
 
 
 class TestGruCell:
@@ -437,12 +438,13 @@ class TestUnroll:
         store = ParameterStore()
         spec = ModelSpec(kind="lstm", hidden=HID)
         models.add_model_params(store, spec, INP, rng)
-        xs = [_t(rng.normal(size=(1, INP))) for _ in range(3)]
-        steps, final = models.unroll(spec, store.view("cell"), xs)
+        xs = rng.normal(size=(1, 3, INP))
+        steps, final = models.unroll(spec, store.view("cell"), _t(xs))
+        assert steps.shape == (1, 3, HID)
         h, c = _t(np.zeros((1, HID))), _t(np.zeros((1, HID)))
-        for i, x in enumerate(xs):
-            h, c = cell_step("lstm", x, (h, c), store.view("cell"))
-            np.testing.assert_array_equal(steps[i].data, h.data)
+        for i in range(3):
+            h, c = cell_step("lstm", _t(xs[:, i]), (h, c), store.view("cell"))
+            np.testing.assert_array_equal(steps.data[:, i], h.data)
         np.testing.assert_array_equal(final.data, h.data)
 
     def test_bilstm_final_pairs_both_directions(self):
@@ -450,13 +452,54 @@ class TestUnroll:
         store = ParameterStore()
         spec = ModelSpec(kind="bilstm", hidden=HID)
         models.add_model_params(store, spec, INP, rng)
-        xs = [_t(rng.normal(size=(1, INP))) for _ in range(3)]
-        steps, final = models.unroll(spec, store.view("cell"), xs)
-        expected = bilstm_forward(xs, store.view("cell.fwd"),
-                                         store.view("cell.bwd"))
+        xs = rng.normal(size=(1, 3, INP))
+        steps, final = models.unroll(spec, store.view("cell"), _t(xs))
+        expected = bilstm_forward([_t(xs[:, i]) for i in range(3)], store.view("cell.fwd"),
+                                  store.view("cell.bwd"))
         np.testing.assert_array_equal(final.data, expected.data)
-        assert all(s.shape == (1, 2 * HID) for s in steps)
+        assert steps.shape == (1, 3, 2 * HID)
+        np.testing.assert_array_equal(steps.data[:, -1, :HID], final.data[:, :HID])
+        np.testing.assert_array_equal(steps.data[:, 0, HID:], final.data[:, HID:])
+
+    @pytest.mark.parametrize("kind", models.RECURRENT_KINDS)
+    def test_steps_match_a_loop_of_single_steps(self, kind):
+        rng = np.random.default_rng(21)
+        spec = ModelSpec(kind=kind, hidden=HID, mogrifier_rounds=3, swin_window=2)
+        store = ParameterStore()
+        models.add_model_params(store, spec, INP, rng)
+        xs = rng.normal(size=(4, 5, INP))
+        steps, final = models.unroll(spec, store.view("cell"), _t(xs))
+        cell = models.CELLS[kind]
+        runs = []
+        for direction in cell.directions:
+            params = store.view(f"cell.{direction}" if direction else "cell")
+            state = (_t(np.zeros((4, HID))),) * cell.arity
+            order = range(4, -1, -1) if runs else range(5)
+            rows = {}
+            for t in order:
+                state = cell_step(kind, _t(xs[:, t]), state, params, mogrifier_rounds=3,
+                                  swin_window=2)
+                rows[t] = state[0].data
+            runs.append(np.stack([rows[t] for t in range(5)], axis=1))
+        assert max_rel_err(steps.data, np.concatenate(runs, axis=2)) < 1e-12
+        assert max_rel_err(final.data, np.concatenate(
+            [runs[0][:, -1], *(r[:, 0] for r in runs[1:])], axis=1)) < 1e-12
+
+    def test_no_tape_without_gradients(self):
+        rng = np.random.default_rng(22)
+        spec = ModelSpec(kind="stlstm", hidden=HID)
+        store = ParameterStore()
+        models.add_model_params(store, spec, INP, rng)
+        with nm.no_grad():
+            steps, final = models.unroll(spec, store.view("cell"), _t(rng.normal(size=(2, 3, INP))))
+        assert not steps.requires_grad and steps._backward is None
+        assert not final.requires_grad and final._parents == ()
+
+    def test_empty_sequence_rejected(self):
+        spec = ModelSpec(kind="lstm", hidden=HID)
+        with pytest.raises(ContractError):
+            models.unroll(spec, _zero_gate_params(), _t(np.zeros((1, 0, INP))))
 
     def test_feedforward_cannot_unroll(self):
         with pytest.raises(ConfigError):
-            models.unroll(ModelSpec(kind="feedforward"), {}, [_t(np.zeros((1, 2)))])
+            models.unroll(ModelSpec(kind="feedforward"), {}, _t(np.zeros((1, 1, 2))))
