@@ -30,6 +30,7 @@ import functools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -577,6 +578,8 @@ def write_features(path, features: Sequence[TextFeature]) -> None:
 
 
 def read_features(path, expected_len: int | None = None) -> dict[Date, np.ndarray]:
+    """Feature rows by date. A malformed, non-finite or repeated row is a
+    DataError naming `path` (and the line, where there is one)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -586,13 +589,25 @@ def read_features(path, expected_len: int | None = None) -> dict[Date, np.ndarra
         actual_len = len(header) - 1
         if expected_len is not None and actual_len != expected_len:
             raise DataError(f"{path}: feature length {actual_len}, expected {expected_len}")
-        out: dict[Date, np.ndarray] = {}
+        dates: list[Date] = []
+        cells: list[float] = []  # every row's values, in one flat list
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}: line {line_no} has {len(row)} fields, "
                                 f"expected {len(header)}")
             try:
-                out[Date.fromisoformat(row[0])] = np.array([float(v) for v in row[1:]])
+                dates.append(Date.fromisoformat(row[0]))
+                cells.extend(map(float, row[1:]))
             except ValueError as err:
                 raise ParseError(f"{path}: line {line_no}: {err}") from None
+    values = np.array(cells, dtype=np.float64).reshape(len(dates), actual_len)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(f"{path}: line {i + 2}: non-finite {header[j + 1]}="
+                         f"{float(values[i, j])!r}")
+    out = dict(zip(dates, values))
+    if len(out) != len(dates):
+        dupes = sorted(d for d, count in Counter(dates).items() if count > 1)
+        raise DataError(f"{path}: duplicate date(s): " + ", ".join(d.isoformat() for d in dupes))
     return out

@@ -4,7 +4,8 @@ All cells operate on row-batches: step input x is (B, I), states are
 (B, H). Gate weights act on the concatenated [h_prev, x] row, matching
 the classic formulation. Variants are written so that specific parameter
 settings collapse them exactly onto the plain LSTM, which the test suite
-uses as a correctness oracle.
+uses as a correctness oracle. Every primitive also takes (R, B, ·) blocks
+against parameters stacked as (R, ...), for `train.train_replicas`.
 
 `unroll` runs a whole sequence as one tape node (`numerics.fused`) with two
 outputs, the step rows (B, T, H * directions) and the final row, after the
@@ -81,7 +82,7 @@ LSTM_BLOCKS = _gate_blocks(LSTM_STACK)
 def _stacked(params: Mapping[str, Tensor], blocks) -> tuple[np.ndarray, ...]:
     """Each block's parameters stacked column-wise."""
     return tuple(params[b[0]].data if len(b) == 1 else
-                 np.concatenate([params[name].data for name in b], axis=1) for b in blocks)
+                 np.concatenate([params[name].data for name in b], axis=-1) for b in blocks)
 
 
 def _route(params: Mapping[str, Tensor], blocks, d_weights) -> None:
@@ -89,8 +90,8 @@ def _route(params: Mapping[str, Tensor], blocks, d_weights) -> None:
     for block, d in zip(blocks, d_weights):
         start = 0
         for name in block:
-            width = params[name].shape[1]
-            nm.accumulate(params[name], d[:, start:start + width])
+            width = params[name].shape[-1]
+            nm.accumulate(params[name], d[..., start:start + width])
             start += width
 
 
@@ -103,26 +104,26 @@ def _gates(cat, w, b, mem, n_sig):
     Columns are [i, f, (o,) g]: sigmoid on the first n_sig, tanh on the
     candidate g.
     """
-    hid = mem.shape[1]
+    hid = mem.shape[-1]
     act = cat @ w + b
-    act[:, :n_sig] = nm.logistic(act[:, :n_sig])
-    act[:, n_sig:] = np.tanh(act[:, n_sig:])
-    return act, act[:, hid:2 * hid] * mem + act[:, :hid] * act[:, n_sig:]
+    act[..., :n_sig] = nm.logistic(act[..., :n_sig])
+    act[..., n_sig:] = np.tanh(act[..., n_sig:])
+    return act, act[..., hid:2 * hid] * mem + act[..., :hid] * act[..., n_sig:]
 
 
 def _gates_back(act, mem, g_mem, g_o, n_sig):
     """Gradient of the gate pre-activations from those of the memory and of
     the output gate (0.0 for a block without one)."""
-    hid = mem.shape[1]
-    g = act[:, n_sig:]
+    hid = mem.shape[-1]
+    g = act[..., n_sig:]
     d = np.empty_like(act)
-    d[:, :hid] = g_mem * g
-    d[:, hid:2 * hid] = g_mem * mem
-    d[:, 2 * hid:n_sig] = g_o
-    d[:, n_sig:] = g_mem * act[:, :hid]
-    sig = act[:, :n_sig]
-    d[:, :n_sig] *= sig * (1.0 - sig)
-    d[:, n_sig:] *= 1.0 - g * g
+    d[..., :hid] = g_mem * g
+    d[..., hid:2 * hid] = g_mem * mem
+    d[..., 2 * hid:n_sig] = g_o
+    d[..., n_sig:] = g_mem * act[..., :hid]
+    sig = act[..., :n_sig]
+    d[..., :n_sig] *= sig * (1.0 - sig)
+    d[..., n_sig:] *= 1.0 - g * g
     return d
 
 
@@ -130,22 +131,22 @@ def _lstm_forward(x, state, weights):
     """Standard gated update: input/forget/output gates plus tanh candidate."""
     h, c_prev = state
     w, b = weights[:2]
-    hid = h.shape[1]
-    cat = np.concatenate([h, x], axis=1)
+    hid = h.shape[-1]
+    cat = np.concatenate([h, x], axis=-1)
     act, c = _gates(cat, w, b, c_prev, 3 * hid)
     t = np.tanh(c)
-    return (act[:, 2 * hid:3 * hid] * t, c), (cat, act, c_prev, t, w)
+    return (act[..., 2 * hid:3 * hid] * t, c), (cat, act, c_prev, t, w)
 
 
 def _lstm_backward(cache, d_state):
     cat, act, c_prev, t, w = cache
     d_h, d_c = d_state
-    hid = c_prev.shape[1]
-    g_mem = d_h * act[:, 2 * hid:3 * hid] * (1.0 - t * t) + d_c
+    hid = c_prev.shape[-1]
+    g_mem = d_h * act[..., 2 * hid:3 * hid] * (1.0 - t * t) + d_c
     d = _gates_back(act, c_prev, g_mem, d_h * t, 3 * hid)
-    d_cat = d @ w.T
-    return (d_cat[:, hid:], (d_cat[:, :hid], g_mem * act[:, hid:2 * hid]),
-            (cat.T @ d, d.sum(axis=0, keepdims=True)))
+    d_cat = d @ nm.mT(w)
+    return (d_cat[..., hid:], (d_cat[..., :hid], g_mem * act[..., hid:2 * hid]),
+            (nm.mT(cat) @ d, nm.row_sum(d)))
 
 
 def _gru_forward(x, state, weights):
@@ -153,11 +154,11 @@ def _gru_forward(x, state, weights):
     h_tilde = tanh([r * h, x] @ w_h + b_h), h' = (1 - z) * h + z * h_tilde."""
     (h,) = state
     w_zr, b_zr, w_h, b_h = weights
-    hid = h.shape[1]
-    cat = np.concatenate([h, x], axis=1)
+    hid = h.shape[-1]
+    cat = np.concatenate([h, x], axis=-1)
     zr = nm.logistic(cat @ w_zr + b_zr)
-    z, r = zr[:, :hid], zr[:, hid:]
-    cat_r = np.concatenate([r * h, x], axis=1)
+    z, r = zr[..., :hid], zr[..., hid:]
+    cat_r = np.concatenate([r * h, x], axis=-1)
     h_tilde = np.tanh(cat_r @ w_h + b_h)
     return ((1.0 - z) * h + z * h_tilde,), (cat, zr, cat_r, h_tilde, w_zr, w_h)
 
@@ -165,17 +166,17 @@ def _gru_forward(x, state, weights):
 def _gru_backward(cache, d_state):
     cat, zr, cat_r, h_tilde, w_zr, w_h = cache
     (g,) = d_state
-    hid = h_tilde.shape[1]
-    h, z, r = cat[:, :hid], zr[:, :hid], zr[:, hid:]
+    hid = h_tilde.shape[-1]
+    h, z, r = cat[..., :hid], zr[..., :hid], zr[..., hid:]
     d_h = g * z * (1.0 - h_tilde * h_tilde)
-    d_cat_r = d_h @ w_h.T
-    d_rh = d_cat_r[:, :hid]
-    d_zr = np.concatenate([g * (h_tilde - h), d_rh * h], axis=1)
+    d_cat_r = d_h @ nm.mT(w_h)
+    d_rh = d_cat_r[..., :hid]
+    d_zr = np.concatenate([g * (h_tilde - h), d_rh * h], axis=-1)
     d_zr *= zr * (1.0 - zr)
-    d_cat = d_zr @ w_zr.T
-    return (d_cat_r[:, hid:] + d_cat[:, hid:], (g * (1.0 - z) + d_rh * r + d_cat[:, :hid],),
-            (cat.T @ d_zr, d_zr.sum(axis=0, keepdims=True),
-             cat_r.T @ d_h, d_h.sum(axis=0, keepdims=True)))
+    d_cat = d_zr @ nm.mT(w_zr)
+    return (d_cat_r[..., hid:] + d_cat[..., hid:],
+            (g * (1.0 - z) + d_rh * r + d_cat[..., :hid],),
+            (nm.mT(cat) @ d_zr, nm.row_sum(d_zr), nm.mT(cat_r) @ d_h, nm.row_sum(d_h)))
 
 
 def _mogrifier_forward(x, state, weights):
@@ -206,14 +207,14 @@ def _mogrifier_backward(cache, d_state):
         s, x, h = saved[k]
         if k % 2:
             d_z = g_h * 2.0 * h * s * (1.0 - s)
-            d_mats[k] = x.T @ d_z
+            d_mats[k] = nm.mT(x) @ d_z
             g_h = g_h * 2.0 * s
-            g_x = g_x + d_z @ mats[k].T
+            g_x = g_x + d_z @ nm.mT(mats[k])
         else:
             d_z = g_x * 2.0 * x * s * (1.0 - s)
-            d_mats[k] = h.T @ d_z
+            d_mats[k] = nm.mT(h) @ d_z
             g_x = g_x * 2.0 * s
-            g_h = g_h + d_z @ mats[k].T
+            g_h = g_h + d_z @ nm.mT(mats[k])
     return g_x, (g_h, d_c), (*d_lstm, *d_mats)
 
 
@@ -226,33 +227,33 @@ def _stlstm_forward(x, state, weights):
     """
     h, c_prev, m_prev = state
     w, b, w_m, b_m, w_mix = weights
-    hid = h.shape[1]
-    cat = np.concatenate([h, x], axis=1)
+    hid = h.shape[-1]
+    cat = np.concatenate([h, x], axis=-1)
     act, c = _gates(cat, w, b, c_prev, 3 * hid)
-    cat_m = np.concatenate([x, m_prev], axis=1)
+    cat_m = np.concatenate([x, m_prev], axis=-1)
     act_m, m = _gates(cat_m, w_m, b_m, m_prev, 2 * hid)
-    mems = np.concatenate([c, m], axis=1)
+    mems = np.concatenate([c, m], axis=-1)
     t = np.tanh(mems @ w_mix)
-    return ((act[:, 2 * hid:3 * hid] * t, c, m),
+    return ((act[..., 2 * hid:3 * hid] * t, c, m),
             (cat, act, c_prev, cat_m, act_m, m_prev, mems, t, weights))
 
 
 def _stlstm_backward(cache, d_state):
     cat, act, c_prev, cat_m, act_m, m_prev, mems, t, (w, _, w_m, _, w_mix) = cache
     d_h, d_c, d_m = d_state
-    hid = c_prev.shape[1]
-    split = cat_m.shape[1] - hid
-    d_pre = d_h * act[:, 2 * hid:3 * hid] * (1.0 - t * t)
-    d_mems = d_pre @ w_mix.T + np.concatenate([d_c, d_m], axis=1)
-    g_c, g_m = d_mems[:, :hid], d_mems[:, hid:]
+    hid = c_prev.shape[-1]
+    split = cat_m.shape[-1] - hid
+    d_pre = d_h * act[..., 2 * hid:3 * hid] * (1.0 - t * t)
+    d_mems = d_pre @ nm.mT(w_mix) + np.concatenate([d_c, d_m], axis=-1)
+    g_c, g_m = d_mems[..., :hid], d_mems[..., hid:]
     d = _gates_back(act, c_prev, g_c, d_h * t, 3 * hid)
     d_gm = _gates_back(act_m, m_prev, g_m, 0.0, 2 * hid)
-    d_cat, d_cat_m = d @ w.T, d_gm @ w_m.T
-    return (d_cat[:, hid:] + d_cat_m[:, :split],
-            (d_cat[:, :hid], g_c * act[:, hid:2 * hid],
-             g_m * act_m[:, hid:2 * hid] + d_cat_m[:, split:]),
-            (cat.T @ d, d.sum(axis=0, keepdims=True), cat_m.T @ d_gm,
-             d_gm.sum(axis=0, keepdims=True), mems.T @ d_pre))
+    d_cat, d_cat_m = d @ nm.mT(w), d_gm @ nm.mT(w_m)
+    return (d_cat[..., hid:] + d_cat_m[..., :split],
+            (d_cat[..., :hid], g_c * act[..., hid:2 * hid],
+             g_m * act_m[..., hid:2 * hid] + d_cat_m[..., split:]),
+            (nm.mT(cat) @ d, nm.row_sum(d), nm.mT(cat_m) @ d_gm, nm.row_sum(d_gm),
+             nm.mT(mems) @ d_pre))
 
 
 # --- SwinLSTM's input pooling, hoisted out of the time loop -------------------------
@@ -267,15 +268,16 @@ def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
     over the window's entries with scores (u_i * wq) * (u_j * wk) and values
     u_j * wv (max-shifted softmax); each window's output is
     u + attention * wp, and the windows are averaged elementwise into a row
-    of width `window`.
+    of width `window`. The four (..., 1, 1) weights may carry replica axes,
+    which lead x's axes.
     """
-    lead, feat = x.shape[:-1], x.shape[-1]
-    rows = x.data.reshape(-1, feat)
+    lead, feat, reps = x.shape[:-1], x.shape[-1], wq.shape[:-2]
     pad = (-feat) % window
-    xd = np.concatenate([rows, np.zeros((len(rows), pad))], axis=1) if pad else rows
-    n_windows = xd.shape[1] // window
-    u = xd.reshape(len(rows), n_windows, window)
-    aq, ak, av, ap = (t.data.reshape(()) for t in (wq, wk, wv, wp))
+    xd = np.concatenate([x.data, np.zeros((*lead, pad))], axis=-1) if pad else x.data
+    n_windows = xd.shape[-1] // window
+    u = xd.reshape(*lead, n_windows, window)
+    scalar = (*reps, *(1,) * (u.ndim - len(reps)))
+    aq, ak, av, ap = (t.data.reshape(scalar) for t in (wq, wk, wv, wp))
     q, k, v = u * aq, u * ak, u * av
     scores = q[..., :, None] * k[..., None, :]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -284,8 +286,7 @@ def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
     out = u + att * ap
 
     def back(g: np.ndarray) -> None:
-        g = g.reshape(len(rows), window)
-        d_out = np.broadcast_to((g * (1.0 / n_windows))[:, None, :], u.shape)
+        d_out = np.broadcast_to((g * (1.0 / n_windows))[..., None, :], u.shape)
         d_att = d_out * ap
         d_alpha = d_att[..., :, None] * v[..., None, :]
         d_v = (alpha * d_att[..., :, None]).sum(axis=-2)
@@ -294,11 +295,11 @@ def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
         d_k = (d_s * q[..., :, None]).sum(axis=-2)
         if x.requires_grad:
             d_u = d_out + d_q * aq + d_k * ak + d_v * av
-            nm.accumulate(x, d_u.reshape(len(rows), -1)[:, :feat].reshape(x.shape))
+            nm.accumulate(x, d_u.reshape(*lead, -1)[..., :feat])
         for param, grad in ((wq, d_q * u), (wk, d_k * u), (wv, d_v * u), (wp, d_out * att)):
-            nm.accumulate(param, np.array([[grad.sum()]]))
+            nm.accumulate(param, grad.reshape(*reps, -1).sum(axis=-1).reshape(param.shape))
 
-    pooled = (out.sum(axis=1) * (1.0 / n_windows)).reshape(*lead, window)
+    pooled = out.sum(axis=-2) * (1.0 / n_windows)
     return nm.fused((x, wq, wk, wv, wp), (pooled,), back)[0]
 
 
@@ -391,13 +392,27 @@ CELLS = {
 
 
 def feedforward_net(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
-    """Two hidden ReLU layers down to a single logit column."""
-    if x.shape[1] != params["w1"].shape[0]:
+    """Two hidden ReLU layers down to a single logit column, as one tape node."""
+    layers = [(params[f"w{k}"], params[f"b{k}"]) for k in (1, 2, 3)]
+    if x.shape[-1] != layers[0][0].shape[-2]:
         raise ShapeError(f"input width {x.shape} does not match first layer "
-                         f"{params['w1'].shape}")
-    h1 = nm.relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
-    h2 = nm.relu(nm.add(nm.matmul(h1, params["w2"]), params["b2"]))
-    return nm.add(nm.matmul(h2, params["w3"]), params["b3"])
+                         f"{layers[0][0].shape}")
+    acts = [x.data]  # each layer's input, then the logit
+    for k, (w, b) in enumerate(layers):
+        z = acts[-1] @ w.data + b.data
+        acts.append(np.maximum(0.0, z) if k < 2 else z)
+
+    def back(g: np.ndarray) -> None:
+        for k in (2, 1, 0):
+            w, b = layers[k]
+            if k < 2:
+                g = g * (acts[k + 1] > 0)
+            nm.accumulate(w, nm.mT(acts[k]) @ g)
+            nm.accumulate(b, nm.row_sum(g))
+            g = g @ nm.mT(w.data)
+        nm.accumulate(x, g)
+
+    return nm.fused((x, *(t for layer in layers for t in layer)), (acts[-1],), back)[0]
 
 
 def output_head(z: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, np.ndarray]:
@@ -406,33 +421,25 @@ def output_head(z: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, np.nda
     p = sigmoid(z @ w_out + b_out) is one tape node.
     """
     w, b = params["w_out"], params["b_out"]
-    if z.shape[1] != w.shape[0]:
+    if z.shape[-1] != w.shape[-2]:
         raise ShapeError(f"head input {z.shape} does not fit weights {w.shape}")
     p = nm.logistic(z.data @ w.data + b.data)
-
-    def back(g: np.ndarray) -> None:
-        d = g * p * (1.0 - p)
-        nm.accumulate(w, z.data.T @ d)
-        nm.accumulate(b, d.sum(axis=0, keepdims=True))
-        if z.requires_grad:
-            nm.accumulate(z, d @ w.data.T)
-
-    labels = (p.reshape(-1) >= 0.5).astype(int)
-    return nm.fused((z, w, b), (p,), back)[0], labels
+    head = nm.fused((z, w, b), (p,), lambda g: nm.affine_back(z, w, b, g * p * (1.0 - p)))
+    return head[0], (p[..., 0] >= 0.5).astype(int)
 
 
 def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[Tensor, Tensor]:
-    """Run a recurrent model over the (B, T, I) step inputs as one tape node.
+    """Run a recurrent model over the (..., B, T, I) step inputs as one tape node.
 
-    Returns the step rows (B, T, H * directions), for attention pooling, and
-    the final row. For bilstm a step row pairs the forward state with the
-    co-located backward state, and the final row concatenates both
-    directions' final states. Per-step caches are kept only when the node
+    Returns the step rows (..., B, T, H * directions), for attention
+    pooling, and the final row. For bilstm a step row pairs the forward
+    state with the co-located backward state, and the final row
+    concatenates both directions' final states. Per-step caches are kept only when the node
     is recorded for a backward pass.
     """
     if spec.kind not in CELLS:
         raise ConfigError(f"cannot unroll non-recurrent kind {spec.kind!r}")
-    if xs.ndim != 3 or xs.shape[1] == 0:
+    if xs.ndim < 3 or xs.shape[-2] == 0:
         raise ContractError(f"step inputs must be a non-empty (B, T, I) block, got {xs.shape}")
     cell = CELLS[spec.kind]
     if cell.pool is not None:
@@ -441,27 +448,27 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[T
     subs = [params if not d else {k[len(d) + 1:]: v for k, v in params.items()
                                   if k.startswith(d + ".")} for d in cell.directions]
     weights = [_stacked(sub, blocks) for sub in subs]
-    hid, (batch, steps, width) = spec.hidden, xs.shape
-    if weights[0][0].shape[0] != hid + width:
+    hid, lead, (steps, width) = spec.hidden, xs.shape[:-2], xs.shape[-2:]
+    if weights[0][0].shape[-2] != hid + width:
         raise ShapeError(f"gate weights {weights[0][0].shape} do not fit "
                          f"[h, x] rows of width {hid} + {width}")
     names = dict.fromkeys(name for block in blocks for name in block)
     parents = (xs, *(sub[name] for sub in subs for name in names))
     keep = nm.grad_needed(parents)
-    zero = np.zeros((batch, hid))
-    out = np.empty((batch, steps, hid * len(subs)))
+    zero = np.zeros((*lead, hid))
+    out = np.empty((*lead, steps, hid * len(subs)))
     runs = []
     for k, w in enumerate(weights):
         state, run = (zero,) * cell.arity, []
         for t in (range(steps - 1, -1, -1) if k else range(steps)):
-            state, cache = cell.forward(xs.data[:, t], state, w)
-            out[:, t, k * hid:(k + 1) * hid] = state[0]
+            state, cache = cell.forward(xs.data[..., t, :], state, w)
+            out[..., t, k * hid:(k + 1) * hid] = state[0]
             if keep:
                 run.append((t, cache))
             del cache  # unkept, its memory is free for the next step
         runs.append(run)
-    final = out[:, -1] if len(subs) == 1 else np.concatenate(
-        [out[:, -1, :hid], out[:, 0, hid:]], axis=1)
+    final = out[..., -1, :] if len(subs) == 1 else np.concatenate(
+        [out[..., -1, :hid], out[..., 0, hid:]], axis=-1)
 
     def back(g_steps, g_final) -> None:
         d_xs = np.zeros(xs.shape) if xs.requires_grad else None
@@ -469,9 +476,9 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[T
             cols, last = slice(k * hid, (k + 1) * hid), run[-1][0]
             d_state, totals = (zero,) * cell.arity, None
             for t, cache in reversed(run):
-                d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[:, t, cols]
+                d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[..., t, cols]
                 if g_final is not None and t == last:
-                    d_h = d_h + g_final[:, cols]
+                    d_h = d_h + g_final[..., cols]
                 d_x, d_state, d_w = cell.backward(cache, (d_h, *d_state[1:]))
                 if totals is None:  # later steps add into the first one's arrays
                     totals = list(d_w)
@@ -479,7 +486,7 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[T
                     for total, d in zip(totals, d_w):
                         total += d
                 if d_xs is not None:
-                    d_xs[:, t] += d_x
+                    d_xs[..., t, :] += d_x
             _route(sub, blocks, totals)
         if d_xs is not None:
             nm.accumulate(xs, d_xs)

@@ -144,6 +144,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=back)
 
 
+def mT(a: Array) -> Array:
+    """Transpose of the last two axes, so a matmul gradient takes any leading axes."""
+    return a.swapaxes(-1, -2)
+
+
+def row_sum(g: Array) -> Array:
+    """Sum over the row axis (-2), keeping it: the gradient of a broadcast bias row."""
+    return g.sum(axis=-2, keepdims=True)
+
+
+def affine_back(x: Tensor, w: Tensor, b: Tensor, d: Array) -> None:
+    """Accumulate the gradients of x @ w + b from d, its output's gradient."""
+    accumulate(w, mT(x.data) @ d)
+    accumulate(b, row_sum(d))
+    if x.requires_grad:
+        accumulate(x, d @ mT(w.data))
+
+
 def logistic(z: Array) -> Array:
     """The logistic function on an array, through tanh, which cannot overflow."""
     return 0.5 * np.tanh(0.5 * z) + 0.5
@@ -155,16 +173,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def back(g: Array) -> None:
         x._accumulate(g * y * (1.0 - y))
-
-    return Tensor(y, parents=(x,), backward=back)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _lift(x)
-    y = np.maximum(0.0, x.data)
-
-    def back(g: Array) -> None:
-        x._accumulate(g * (x.data > 0))
 
     return Tensor(y, parents=(x,), backward=back)
 
@@ -247,37 +255,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         table._accumulate(full)
 
     return Tensor(table.data[ids], parents=(table,), backward=back)
-
-
-def conv1d_rows(x: Tensor, kernel: Tensor) -> Tensor:
-    """Valid 1-D cross-correlation of each row of x with a shared kernel.
-
-    x is (B, L), kernel is (k,); output is (B, L - k + 1), stride 1,
-    no padding: out[:, i] = sum_j kernel[j] * x[:, i + j].
-    """
-    x, kernel = _lift(x), _lift(kernel)
-    if x.ndim != 2 or kernel.ndim != 1:
-        raise ShapeError(f"conv1d_rows expects (B, L) and (k,), got {x.shape} and {kernel.shape}")
-    k = kernel.shape[0]
-    length = x.shape[1]
-    if k > length:
-        raise ShapeError(f"kernel length {k} exceeds input length {length}")
-    out_len = length - k + 1
-    out_data = np.zeros((x.shape[0], out_len))
-    for j in range(k):
-        out_data += kernel.data[j] * x.data[:, j:j + out_len]
-
-    def back(g: Array) -> None:
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for j in range(k):
-                gx[:, j:j + out_len] += kernel.data[j] * g
-            x._accumulate(gx)
-        if kernel.requires_grad:
-            gk = np.array([(g * x.data[:, j:j + out_len]).sum() for j in range(k)])
-            kernel._accumulate(gk)
-
-    return Tensor(out_data, parents=(x, kernel), backward=back)
 
 
 def accumulate(t: Tensor, g: Array) -> None:

@@ -9,11 +9,12 @@ the text context meet in the convex fusion gate; a fully connected head
 emits the upward-move probability. The feedforward baseline instead maps
 the flattened inputs straight to a logit.
 
-Attention pooling, the fusion gate, the head and the loss are each one
-tape primitive (`numerics.fused`) with a hand-written backward.
-`train_model` stacks its samples into
-arrays once per run and slices each batch's rows from them; Adam updates
-all parameters as one flat vector (`numerics.adam_step`).
+The text path, the feedforward baseline, attention pooling, the fusion
+gate, the head and the loss are each one tape primitive (`numerics.fused`)
+with a hand-written backward. `train_replicas` trains several models in
+lockstep as one stacked model, and `train_model` is its one-replica case.
+Samples are stacked into arrays once per run, and each batch's rows are
+sliced from them; Adam updates all parameters as one flat vector.
 
 Batches run in chronological order with no shuffling, so a fixed
 (config, data, seed) triple reproduces bit-identical parameters, loss
@@ -93,12 +94,13 @@ class EvalReport:
 
 
 def bce_loss(p: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy, as one tape node.
+    """Mean BCE of a (..., B, 1) probability column against (..., B) targets,
+    as one tape node of the leading shape (a scalar for one column).
 
     Probabilities are clamped below at 1e-7 on both sides (p and 1 - p);
     no gradient flows through a clamped side.
     """
-    y = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    y = np.asarray(targets, dtype=np.float64)[..., None]
     if p.shape != y.shape:
         raise ContractError(f"{p.shape} probabilities for {y.shape} targets")
     pd = p.data
@@ -109,15 +111,15 @@ def bce_loss(p: Tensor, targets) -> Tensor:
     p_pos = np.maximum(pd, PROB_CLAMP)
     p_neg = np.maximum(1.0 - pd, PROB_CLAMP)
     per = y * np.log(p_pos) + (1.0 - y) * np.log(p_neg)
-    scale = 1.0 / pd.size
+    scale = 1.0 / pd.shape[-2]
 
     def back(g: np.ndarray) -> None:
-        c = -g * scale
+        c = -g[..., None, None] * scale
         d_pos = c * y / p_pos * (pd > PROB_CLAMP)
         d_neg = c * (1.0 - y) / p_neg * ((1.0 - pd) > PROB_CLAMP)
         nm.accumulate(p, d_pos - d_neg)
 
-    return nm.fused((p,), (-(per.sum() * scale),), back)[0]
+    return nm.fused((p,), (-(per.sum(axis=(-2, -1)) * scale),), back)[0]
 
 
 def init_pipeline_params(config: TrainConfig) -> ParameterStore:
@@ -157,14 +159,15 @@ def batch_arrays(samples: Sequence[FusedSample],
 
 def forward_batch(store: ParameterStore, config: TrainConfig, priors: np.ndarray,
                   prices: np.ndarray, texts: np.ndarray) -> Tensor:
-    """Probability column for a batch of stacked sample arrays."""
+    """Probability column for a batch of stacked sample arrays, which may
+    carry a leading replica axis to match parameters stacked as (R, ...)."""
     text_params = store.view("text")
     embedded = fusion.embed(Tensor(texts), text_params)
     context = fusion.conv_text(embedded, text_params)
     if config.model.kind == "feedforward":
-        flat = nm.concat([Tensor(prices), Tensor(priors), context], axis=1)
+        flat = nm.concat([Tensor(prices), Tensor(priors), context], axis=-1)
         return nm.sigmoid(models.feedforward_net(flat, store.view("cell")))
-    pairs = Tensor(np.stack([prices, priors], axis=2))               # (B, T, 2)
+    pairs = Tensor(np.stack([prices, priors], axis=-1))              # (..., B, T, 2)
     steps, final = models.unroll(config.model, store.view("cell"), pairs)
     _, pooled = fusion.attention_over_features(final, steps)
     fused = fusion.fuse(pooled, context, text_params)
@@ -172,33 +175,68 @@ def forward_batch(store: ParameterStore, config: TrainConfig, priors: np.ndarray
     return p
 
 
+def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
+                   configs: Sequence[TrainConfig]) -> list[tuple[ParameterStore, list[float]]]:
+    """Adam-train R predictors in lockstep (`torch.func` model ensembling);
+    returns (params, per-epoch loss) per replica.
+
+    Parameters are stacked as (R, ...), and each batch runs as (R, B, ·)
+    blocks through one forward, backward and flat Adam step. The loss sums
+    the replicas' mean BCE, so each gets exactly its own gradient. Configs
+    may differ only in `seed` (each replica draws its init from its own
+    `default_rng(seed)`) and `prior_effect`, with one sample count for all;
+    else ContractError. Each replica equals its solo `train_model` run: the
+    same loss trace and labels, parameters and probabilities within 1e-12.
+    """
+    if not configs or len(configs) != len(samples_per_replica):
+        raise ContractError(f"{len(samples_per_replica)} sample sets for "
+                            f"{len(configs)} replica configs")
+    base = configs[0]
+    if any(dataclasses.replace(c, seed=base.seed, prior_effect=base.prior_effect) != base
+           for c in configs):
+        raise ContractError("replica configs may differ only in seed and prior_effect")
+    n = len(samples_per_replica[0])
+    if any(len(s) != n for s in samples_per_replica):
+        raise ContractError("every replica needs the same number of training samples")
+    if not n:
+        raise ContractError("training set is empty")
+    lead = (len(configs),) if len(configs) > 1 else ()  # one replica runs unstacked
+
+    def stack(parts: Sequence[np.ndarray]) -> np.ndarray:
+        return np.stack(parts).reshape(*lead, *parts[0].shape)
+
+    stores = [init_pipeline_params(c) for c in configs]
+    store = ParameterStore()
+    for name, _ in stores[0].items():
+        block = store.add(name, stack([s[name].data for s in stores])).data
+        for r, replica in enumerate(stores):  # Adam updates the block in place
+            replica[name].data = block[r] if lead else block
+    state = nm.adam_state(store, lr=base.lr)
+    arrays = [stack(parts) for parts in zip(*(
+        batch_arrays(s, c.prior_effect) for s, c in zip(samples_per_replica, configs)))]
+    traces = np.empty((base.epochs, len(configs)))
+    for epoch in range(base.epochs):
+        totals = np.zeros(len(configs))
+        for start in range(0, n, base.batch_size):
+            rows = (slice(None),) * len(lead) + (slice(start, start + base.batch_size),)
+            priors, prices, texts, targets = (a[rows] for a in arrays)
+            means = bce_loss(forward_batch(store, base, priors, prices, texts), targets)
+            finite = np.isfinite(means.data).reshape(-1)
+            if not finite.all():
+                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch "
+                                      f"{start // base.batch_size}, replica {finite.argmin()}")
+            store.zero_grad()
+            nm.backward(nm.sum_(means) if lead else means)
+            nm.adam_step(store, store.grads(), state)
+            totals += means.data * targets.shape[-1]
+        traces[epoch] = totals / n
+    return [(replica, traces[:, r].tolist()) for r, replica in enumerate(stores)]
+
+
 def train_model(samples: Sequence[FusedSample],
                 config: TrainConfig) -> tuple[ParameterStore, list[float]]:
     """Adam-train the configured predictor; returns params and per-epoch loss."""
-    if not samples:
-        raise ContractError("training set is empty")
-    store = init_pipeline_params(config)
-    state = nm.adam_state(store, lr=config.lr)
-    n = len(samples)
-    arrays = batch_arrays(samples, config.prior_effect)
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = slice(start, start + config.batch_size)
-            priors, prices, texts, targets = (a[rows] for a in arrays)
-            p = forward_batch(store, config, priors, prices, texts)
-            loss = bce_loss(p, targets)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
-            store.zero_grad()
-            nm.backward(loss)
-            nm.adam_step(store, store.grads(), state)
-            total += value * len(targets)
-        trace.append(total / n)
-    return store, trace
+    return train_replicas([samples], [config])[0]
 
 
 def confusion_report(labels, targets) -> EvalReport:
@@ -262,13 +300,14 @@ def ablate_prior_effect(train_samples: Sequence[FusedSample],
     """Train twice from the same seed, toggling only the prior-history input.
 
     The disabled arm feeds a zero vector of the same length, so both arms
-    share identical architectures and parameter shapes. Returns the two
-    reports plus the F1/recall deltas (enabled minus disabled).
+    share identical architectures and parameter shapes, and they train in
+    lockstep as two replicas. Returns the two reports plus the F1/recall
+    deltas (enabled minus disabled).
     """
-    cfg_with = dataclasses.replace(config, prior_effect=arm_flags[0])
-    cfg_without = dataclasses.replace(config, prior_effect=arm_flags[1])
-    _, report_with = train_and_evaluate(train_samples, test_samples, cfg_with)
-    _, report_without = train_and_evaluate(train_samples, test_samples, cfg_without)
+    arms = [dataclasses.replace(config, prior_effect=flag) for flag in arm_flags]
+    trained = train_replicas([train_samples] * len(arms), arms)
+    report_with, report_without = (evaluate(store, cfg, test_samples, loss_trace=trace)
+                                   for (store, trace), cfg in zip(trained, arms))
     deltas = {"f1_delta": report_with.f1 - report_without.f1,
               "recall_delta": report_with.recall - report_without.recall}
     return report_with, report_without, deltas

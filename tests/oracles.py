@@ -10,13 +10,14 @@ composes such steps by hand, as a reference for the whole-sequence
 `feed_forward` and `mlm_loss` build the encoder's sublayers from single
 tape ops, as references for the fused primitives in `encoder`: their
 gradients come from the tape's per-op backwards, not from a hand-written one.
-`attention_over_features`, `fuse`, `output_head` and `bce_loss` do the same
-for the fused predictor tail in `fusion`, `models` and `train`.
+`embed`, `conv_text`, `feedforward_net`, `attention_over_features`, `fuse`,
+`output_head` and `bce_loss` do the same for the fused text path,
+feedforward baseline and predictor tail in `fusion`, `models` and `train`.
 `segment` tests each character against the CJK ranges one by one, as a
 reference for the compiled pattern in `encoder.segment`.
 
-`sub`, `neg`, `log`, `pow_scalar`, `clip_min` and `transpose` are tape ops
-that only these references use, and `gradients` and `names` are helpers
+`sub`, `neg`, `log`, `pow_scalar`, `clip_min`, `transpose`, `relu` and
+`conv1d_rows` are tape ops that only these references use, and `gradients` and `names` are helpers
 that only the tests use; they live here rather than in `numerics`.
 """
 
@@ -88,6 +89,37 @@ def assert_same_values_and_grads(fused, composed, arrays, seed):
     for key in arrays:
         assert np.all(np.isfinite(grads_f[key])), key
         assert max_rel_err(grads_f[key], grads_c[key]) < 1e-12, key
+
+
+def assert_replicas_match_solo(build, arrays, seed):
+    """A primitive run on (R, ...) stacked arrays gives, for each replica r,
+    what it gives on that replica's slices alone: every output and every
+    input's gradient, to 1e-12.
+
+    `build` maps a dict of leaf tensors to one output tensor or a tuple of
+    them; the gradients are of a sum of every output weighted by fixed
+    random draws from `seed`, each replica's solo run taking its slice.
+    """
+    def run(arrs, mixes=None):
+        leaves = {k: nm.Tensor(v, requires_grad=True) for k, v in arrs.items()}
+        outs = build(leaves)
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        if mixes is None:
+            rng = np.random.default_rng(seed)
+            mixes = [rng.normal(size=out.shape) for out in outs]
+        total = nm.sum_(nm.mul(outs[0], mixes[0]))
+        for out, mix in zip(outs[1:], mixes[1:]):
+            total = nm.add(total, nm.sum_(nm.mul(out, mix)))
+        return [out.data for out in outs], gradients(total, leaves), mixes
+
+    outs, grads, mixes = run(arrays)
+    for r in range(len(next(iter(arrays.values())))):
+        outs_r, grads_r, _ = run({k: v[r] for k, v in arrays.items()}, [m[r] for m in mixes])
+        for out, out_r in zip(outs, outs_r):
+            assert out[r].shape == out_r.shape
+            assert max_rel_err(out[r], out_r) < 1e-12
+        for key in arrays:
+            assert max_rel_err(grads[key][r], grads_r[key]) < 1e-12, key
 
 
 def naive_matmul(a, b):
@@ -310,6 +342,47 @@ def transpose(x):
     return nm.Tensor(x.data.T, parents=(x,), backward=back)
 
 
+def relu(x):
+    x = nm._lift(x)
+    y = np.maximum(0.0, x.data)
+
+    def back(g):
+        x._accumulate(g * (x.data > 0))
+
+    return nm.Tensor(y, parents=(x,), backward=back)
+
+
+def conv1d_rows(x, kernel):
+    """Valid 1-D cross-correlation of each row of x with a shared kernel.
+
+    x is (B, L), kernel is (k,); output is (B, L - k + 1), stride 1,
+    no padding: out[:, i] = sum_j kernel[j] * x[:, i + j].
+    """
+    x, kernel = nm._lift(x), nm._lift(kernel)
+    if x.ndim != 2 or kernel.ndim != 1:
+        raise ShapeError(f"conv1d_rows expects (B, L) and (k,), got {x.shape} and {kernel.shape}")
+    k = kernel.shape[0]
+    length = x.shape[1]
+    if k > length:
+        raise ShapeError(f"kernel length {k} exceeds input length {length}")
+    out_len = length - k + 1
+    out_data = np.zeros((x.shape[0], out_len))
+    for j in range(k):
+        out_data += kernel.data[j] * x.data[:, j:j + out_len]
+
+    def back(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for j in range(k):
+                gx[:, j:j + out_len] += kernel.data[j] * g
+            x._accumulate(gx)
+        if kernel.requires_grad:
+            gk = np.array([(g * x.data[:, j:j + out_len]).sum() for j in range(k)])
+            kernel._accumulate(gk)
+
+    return nm.Tensor(out_data, parents=(x, kernel), backward=back)
+
+
 # --- compositions of single tape ops, references for the fused primitives ---
 
 
@@ -352,7 +425,7 @@ def layer_norm(x, gain, bias, sublayer=None):
 
 
 def feed_forward(x, params):
-    hidden = nm.relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
+    hidden = relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
     return nm.add(nm.matmul(hidden, params["w2"]), params["b2"])
 
 
@@ -362,6 +435,20 @@ def mlm_loss(predicted, targets):
     onehot[np.arange(predicted.shape[0]), targets] = 1.0
     picked = nm.sum_(nm.mul(predicted, onehot), axis=1)
     return neg(nm.sum_(log(clip_min(picked, enc.PROB_FLOOR))))
+
+
+def embed(feature, params):
+    return nm.add(nm.matmul(feature, params["w_e"]), params["b_e"])
+
+
+def conv_text(embedded, params):
+    return relu(nm.add(conv1d_rows(embedded, params["w_c"]), params["b_c"]))
+
+
+def feedforward_net(x, params):
+    h1 = relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
+    h2 = relu(nm.add(nm.matmul(h1, params["w2"]), params["b2"]))
+    return nm.add(nm.matmul(h2, params["w3"]), params["b3"])
 
 
 def attention_over_features(query, candidates):

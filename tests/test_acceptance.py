@@ -5,6 +5,7 @@ lines. Settings (epoch budgets, tolerances, seeds) are pinned here; the
 oracles module supplies the independent reference implementations.
 """
 
+import dataclasses
 import math
 import time
 
@@ -59,7 +60,7 @@ def _primitive_grad_cases(rng):
         ("matmul", lambda p: nm.sum_(nm.matmul(p["a"], p["b"])),
          {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}),
         ("sigmoid", lambda p: nm.sum_(nm.sigmoid(p["x"])), {"x": x}),
-        ("relu", lambda p: nm.sum_(nm.relu(p["x"])),
+        ("relu", lambda p: nm.sum_(oracles.relu(p["x"])),
          {"x": x + np.sign(x) * 0.05}),
         ("log", lambda p: nm.sum_(oracles.log(p["x"])), {"x": np.abs(x) + 0.5}),
         ("pow", lambda p: nm.sum_(oracles.pow_scalar(p["x"], -0.5)),
@@ -79,7 +80,7 @@ def _primitive_grad_cases(rng):
          {"x": x}),
         ("gather_rows", lambda p: nm.sum_(nm.gather_rows(p["x"], [0, 2, 2, 1])),
          {"x": x}),
-        ("conv1d", lambda p: nm.sum_(nm.conv1d_rows(p["x"], p["k"])),
+        ("conv1d", lambda p: nm.sum_(oracles.conv1d_rows(p["x"], p["k"])),
          {"x": x, "k": rng.normal(size=2)}),
         ("broadcast_bias", lambda p: nm.sum_(nm.add(p["x"], p["b"])),
          {"x": x, "b": rng.normal(size=(1, 4))}),
@@ -432,6 +433,96 @@ def _tail_grad_cases(rng):
             ("train.bce_loss.clamped", build_bce, {"logits": clamped})]
 
 
+def _text_path_grad_cases(rng):
+    """The fused text path and feedforward baseline, with constant inputs."""
+    batch = 3
+
+    def arrays(**shapes):
+        return {name: rng.normal(size=shape) for name, shape in shapes.items()}
+
+    mix_e, mix_c, mix_ff = (Tensor(rng.normal(size=shape))
+                            for shape in ((batch, 6), (batch, 4), (batch, 1)))
+    f_const, e_const = Tensor(rng.normal(size=(batch, 5))), Tensor(rng.normal(size=(batch, 6)))
+
+    def weighted(t, mix):
+        return nm.sum_(nm.mul(t, mix))
+
+    ff = arrays(x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4), w3=(4, 1), b3=(1, 1))
+    return [("fusion.embed.const_feature", lambda p: weighted(fusion.embed(f_const, p), mix_e),
+             arrays(w_e=(5, 6), b_e=(1, 6))),
+            ("fusion.conv_text.const_input",
+             lambda p: weighted(fusion.conv_text(e_const, p), mix_c),
+             arrays(w_c=(3,), b_c=(1, 1))),
+            ("models.feedforward_net", lambda p: weighted(models.feedforward_net(p["x"], p),
+                                                          mix_ff), ff),
+            ("models.feedforward_net.const_input",
+             lambda p: weighted(models.feedforward_net(Tensor(ff["x"]), p), mix_ff),
+             {k: v for k, v in ff.items() if k != "x"})]
+
+
+def _replica_grad_cases(rng):
+    """Every rank-agnostic primitive on R = 2 replicas: (R, B, ...) blocks
+    against parameters stacked as (R, ...)."""
+    reps, batch, hid, inp = 2, 3, 3, 2
+
+    def arrays(**shapes):
+        return {name: rng.normal(size=(reps, *shape)) for name, shape in shapes.items()}
+
+    def mixed(*shapes):
+        weights = [Tensor(rng.normal(size=(reps, *shape))) for shape in shapes]
+
+        def loss(*values):
+            total = nm.sum_(nm.mul(values[0], weights[0]))
+            for value, w in zip(values[1:], weights[1:]):
+                total = nm.add(total, nm.sum_(nm.mul(value, w)))
+            return total
+        return loss
+
+    mix_e, mix_c, mix_1, mix_h = (mixed(shape) for shape in
+                                  ((batch, 6), (batch, 4), (batch, 1), (batch, hid)))
+    mix_att, mix_pool = mixed((batch, 3), (batch, hid)), mixed((batch, 4, 2))
+    targets = rng.integers(0, 2, size=(reps, batch))
+    cases = [
+        ("replicas.fusion.embed", lambda p: mix_e(fusion.embed(p["f"], p)),
+         arrays(f=(batch, 5), w_e=(5, 6), b_e=(1, 6))),
+        ("replicas.fusion.conv_text", lambda p: mix_c(fusion.conv_text(p["e"], p)),
+         arrays(e=(batch, 6), w_c=(3,), b_c=(1, 1))),
+        ("replicas.models.feedforward_net",
+         lambda p: mix_1(models.feedforward_net(p["x"], p)),
+         arrays(x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4), w3=(4, 1),
+                b3=(1, 1))),
+        ("replicas.fusion.attention",
+         lambda p: mix_att(*fusion.attention_over_features(p["q"], p["feats"])),
+         arrays(q=(batch, hid), feats=(batch, 3, hid))),
+        ("replicas.fusion.fuse", lambda p: mix_h(fusion.fuse(p["o"], p["c"], p)),
+         arrays(o=(batch, hid), c=(batch, 5), proj_w=(5, hid), proj_b=(1, hid),
+                gamma_raw=(1, 1))),
+        ("replicas.models.output_head", lambda p: mix_1(models.output_head(p["z"], p)[0]),
+         arrays(z=(batch, hid), w_out=(hid, 1), b_out=(1, 1))),
+        ("replicas.train.bce_loss",
+         lambda p: nm.sum_(tr.bce_loss(nm.sigmoid(p["logits"]), targets)),
+         arrays(logits=(batch, 1))),
+        ("replicas.fused.window_pool", lambda p: mix_pool(models.window_pool(
+            p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 2)),
+         arrays(x=(batch, 4, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))),
+    ]
+    for kind in models.RECURRENT_KINDS:
+        spec = ModelSpec(kind=kind, hidden=hid, mogrifier_rounds=3, swin_window=2)
+        stores = [ParameterStore() for _ in range(reps)]
+        for store in stores:
+            models.add_model_params(store, spec, inp, rng)
+        weights = {k: np.stack([s["cell." + k].data for s in stores])
+                   for k in stores[0].view("cell")}
+        mix = mixed((batch, 3, spec.output_width), (batch, spec.output_width))
+
+        def build(p, spec=spec, mix=mix):
+            return mix(*models.unroll(spec, p, p["xs"]))
+
+        cases.append((f"replicas.fused.unroll.{kind}", build,
+                      {**weights, "xs": rng.normal(size=(reps, batch, 3, inp))}))
+    return cases
+
+
 def _pipeline_grad_case(kind, seed):
     samples = synthetic.markov_samples(5, 5, seed=seed, feature_len=6)
     cfg = tr.TrainConfig(epochs=1, batch_size=5, seed=seed, window=5, feature_len=6,
@@ -472,6 +563,10 @@ def test_criterion_1_gradient_suite():
         for label, build, arrays in _fused_grad_cases(np.random.default_rng(3500 + seed)):
             configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
         for label, build, arrays in _tail_grad_cases(np.random.default_rng(3700 + seed)):
+            configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
+        for label, build, arrays in _text_path_grad_cases(np.random.default_rng(3800 + seed)):
+            configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
+        for label, build, arrays in _replica_grad_cases(np.random.default_rng(3900 + seed)):
             configs += _check_grad_case(build, arrays, f"{label}#s{seed}")
     configs += _check_zero_probability_gradient()
     label, build, arrays = _full_encoder_grad_case(4000)
@@ -628,17 +723,23 @@ def test_criterion_5_learnability():
 
 
 def test_criterion_6_ablation_direction():
+    # both arms of all 10 seeds train in lockstep, as 20 replicas per kind;
+    # each replica equals its solo run (tests/test_train.py::TestTrainReplicas)
     for kind in ("feedforward", "lstm"):
-        wins = 0
+        splits, arms = [], []
         for seed in range(10):
             samples = synthetic.markov_samples(160, 6, seed=100 + seed,
                                                persistence=0.85, feature_len=8)
-            train_s, test_s = ingest.split_train_test(samples, 0.8)
             cfg = tr.TrainConfig(epochs=300, batch_size=32, lr=1e-3, seed=seed,
                                  window=6, feature_len=8, embed_width=8, kernel_len=3,
                                  model=ModelSpec(kind=kind, hidden=8))
-            _, _, deltas = tr.ablate_prior_effect(train_s, test_s, cfg)
-            wins += deltas["f1_delta"] > 0
+            for prior_effect in (True, False):
+                splits.append(ingest.split_train_test(samples, 0.8))
+                arms.append(dataclasses.replace(cfg, prior_effect=prior_effect))
+        trained = tr.train_replicas([train_s for train_s, _ in splits], arms)
+        f1 = [tr.evaluate(store, cfg, test_s).f1
+              for (store, _), cfg, (_, test_s) in zip(trained, arms, splits)]
+        wins = sum(f1[2 * seed] - f1[2 * seed + 1] > 0 for seed in range(10))
         assert wins >= 8, f"{kind}: prior effect improved F1 on only {wins}/10 seeds"
         print(f"  criterion 6 {kind}: {wins}/10 seeds improved", flush=True)
     _passed(6, "ablation direction (with-prior F1 > without on >= 8/10 seeds)")

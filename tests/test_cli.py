@@ -238,6 +238,40 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "ParseError" in err and "line 2" in err
 
+    @staticmethod
+    def _features_for_market(market_csv, path, edit):
+        """A feature file with one row per market date; `edit(rows)` alters the
+        rows (after the header) before they are written."""
+        dates = [r.date for r in ingest.parse_market_csv(market_csv).records]
+        rows = [[d.isoformat()] + [repr(0.1 * k) for k in range(6)] for d in dates]
+        edit(rows)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["date"] + [f"f{k}" for k in range(6)], *rows])
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_data_error(self, tmp_path, market_csv, capsys, value):
+        def poison(rows):
+            rows[30][3] = value
+
+        features = self._features_for_market(market_csv, tmp_path / "features.csv", poison)
+        code = run(*_train_args(market_csv, tmp_path / "run", features=features))
+        assert code == 2
+        message = _one_error_line(capsys, "ParseError")
+        assert "features.csv" in message and "line 32" in message and "f2" in message
+
+    def test_duplicate_feature_dates_are_data_error(self, tmp_path, market_csv, capsys):
+        def repeat(rows):
+            rows.insert(11, [rows[10][0]] + [repr(0.5)] * 6)
+
+        features = self._features_for_market(market_csv, tmp_path / "features.csv", repeat)
+        code = run(*_train_args(market_csv, tmp_path / "run", features=features))
+        assert code == 2
+        message = _one_error_line(capsys, "DataError")
+        dates = [r.date for r in ingest.parse_market_csv(market_csv).records]
+        assert "features.csv" in message and "duplicate date" in message
+        assert dates[10].isoformat() in message
+
     def test_non_finite_fuse_input_is_divergence(self, tmp_path, market_csv, capsys,
                                                   monkeypatch):
         conv_text = fusion.conv_text

@@ -565,6 +565,26 @@ class TestPersistence:
         with pytest.raises(DataError, match="3.*expected 5"):
             enc.read_features(path, expected_len=5)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_names_path_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        path.write_text(f"date,f0,f1,f2\n2023-01-03,0.1,0.2,0.3\n2023-01-04,0.5,{cell},1.0\n")
+        with pytest.raises(ParseError, match=r"features\.csv: line 3: non-finite f1="):
+            enc.read_features(path, expected_len=3)
+
+    def test_duplicate_dates_are_rejected(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("date,f0\n2023-01-04,0.1\n2023-01-03,0.2\n2023-01-04,0.3\n"
+                        "2023-01-03,0.4\n2023-01-05,0.5\n")
+        with pytest.raises(DataError, match=r"features\.csv: duplicate date\(s\): "
+                                            r"2023-01-03, 2023-01-04$"):
+            enc.read_features(path)
+
+    def test_empty_feature_file_gives_no_rows(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("date,f0,f1\n")
+        assert enc.read_features(path, expected_len=2) == {}
+
     @pytest.mark.parametrize("row", ["2023-01-04,0.5,abc,1.0", "notadate,0.5,0.1,1.0"])
     def test_unparseable_feature_row_names_path_and_line(self, tmp_path, row):
         path = tmp_path / "features.csv"

@@ -91,6 +91,36 @@ class TestConvText:
         assert max_rel_err(out.data[0], expected) < 1e-12
 
 
+class TestFusedTextPathMatchesOracles:
+    """The embedding and the convolution against their single-op
+    compositions in `oracles`: values and every input's gradient."""
+
+    def test_embed(self):
+        rng = np.random.default_rng(80)
+        arrays = {"f": rng.normal(size=(4, 5)), "w_e": rng.normal(size=(5, 6)),
+                  "b_e": rng.normal(size=(1, 6))}
+        oracles.assert_same_values_and_grads(lambda p: fusion.embed(p["f"], p),
+                                             lambda p: oracles.embed(p["f"], p), arrays, seed=1)
+        feature = Tensor(arrays.pop("f"))
+        oracles.assert_same_values_and_grads(lambda p: fusion.embed(feature, p),
+                                             lambda p: oracles.embed(feature, p), arrays, seed=2)
+
+    @pytest.mark.parametrize("kernel_len", [1, 3, 6])
+    def test_conv_text(self, kernel_len):
+        rng = np.random.default_rng(81 + kernel_len)
+        arrays = {"e": rng.normal(size=(4, 6)), "w_c": rng.normal(size=kernel_len),
+                  "b_c": rng.normal(size=(1, 1))}
+        arrays["e"][0] = -1.0 - np.abs(arrays["e"][0])  # rows where the ReLU is closed
+        arrays["w_c"] = np.abs(arrays["w_c"])
+        oracles.assert_same_values_and_grads(lambda p: fusion.conv_text(p["e"], p),
+                                             lambda p: oracles.conv_text(p["e"], p),
+                                             arrays, seed=3)
+        embedded = Tensor(arrays.pop("e"))
+        oracles.assert_same_values_and_grads(lambda p: fusion.conv_text(embedded, p),
+                                             lambda p: oracles.conv_text(embedded, p),
+                                             arrays, seed=4)
+
+
 class TestAttentionOverFeatures:
     def test_single_candidate(self):
         q = Tensor([[0.2, -0.4]])

@@ -365,6 +365,21 @@ class TestFeedforward:
         with pytest.raises(ShapeError):
             models.feedforward_net(_t(np.ones((1, 5))), params)
 
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(17)
+        arrays = {"x": rng.normal(size=(6, 5)), "w1": rng.normal(size=(5, 4)),
+                  "b1": rng.normal(size=(1, 4)), "w2": rng.normal(size=(4, 3)),
+                  "b2": rng.normal(size=(1, 3)), "w3": rng.normal(size=(3, 1)),
+                  "b3": rng.normal(size=(1, 1))}
+        arrays["b1"][0, 0] = -50.0  # a unit whose ReLU is closed on every row
+        oracles.assert_same_values_and_grads(lambda p: models.feedforward_net(p["x"], p),
+                                             lambda p: oracles.feedforward_net(p["x"], p),
+                                             arrays, seed=1)
+        x = _t(arrays.pop("x"))
+        oracles.assert_same_values_and_grads(lambda p: models.feedforward_net(x, p),
+                                             lambda p: oracles.feedforward_net(x, p),
+                                             arrays, seed=2)
+
 
 class TestOutputHead:
     def _params(self, w, b):

@@ -1,5 +1,6 @@
 """Loss, training loop, metrics, and the prior-effect ablation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 import oracles
 from oracles import confusion_counts
 
+from trendfuse import fusion, models, synthetic
 from trendfuse import numerics as nm
-from trendfuse import synthetic
 from trendfuse import train as tr
 from trendfuse.errors import ConfigError, ContractError, DivergenceError
 from trendfuse.ingest import split_train_test
-from trendfuse.models import VALID_KINDS, ModelSpec
+from trendfuse.models import RECURRENT_KINDS, VALID_KINDS, ModelSpec
 from trendfuse.numerics import Tensor
 
 
@@ -131,8 +132,8 @@ class TestTrainingStepTape:
     leaves included) at the benchmark's zoo-train shape: batch 32, window 6,
     feature_len 8, embed_width 8, hidden 8."""
 
-    NODES = {"feedforward": 29, "lstm": 31, "bilstm": 39, "gru": 29,
-             "mogrifier": 33, "stlstm": 38, "swinlstm": 36}
+    NODES = {"feedforward": 18, "lstm": 27, "bilstm": 35, "gru": 25,
+             "mogrifier": 29, "stlstm": 34, "swinlstm": 32}
 
     @pytest.mark.parametrize("kind", VALID_KINDS)
     def test_nodes_per_step_are_pinned(self, kind):
@@ -154,6 +155,133 @@ class TestTrainingStepTape:
         tr.train_model(synthetic.markov_samples(40, 6, seed=2, feature_len=8),
                        _config(epochs=3, batch_size=16))
         assert calls == [40]
+
+
+class TestTrainReplicas:
+    """Lockstep training: each replica equals its solo `train_model` run."""
+
+    @staticmethod
+    def _replicas(kind, n=40):
+        base = _config(epochs=3, model=ModelSpec(kind=kind, hidden=6))
+        data = [synthetic.markov_samples(n + 24, 6, seed=60 + r, feature_len=8)
+                for r in range(3)]
+        configs = [dataclasses.replace(base, seed=seed, prior_effect=prior)
+                   for seed, prior in ((1, True), (4, False), (1, False))]
+        return data, configs
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_each_replica_matches_its_solo_run(self, kind):
+        data, configs = self._replicas(kind)
+        trained = tr.train_replicas([d[:40] for d in data], configs)
+        assert len(trained) == 3
+        for (store, trace), d, cfg in zip(trained, data, configs):
+            solo, solo_trace = tr.train_model(d[:40], cfg)
+            assert trace == solo_trace
+            assert oracles.names(store) == oracles.names(solo)
+            for name, t in solo.items():
+                assert store[name].shape == t.shape
+                assert np.max(np.abs(store[name].data - t.data)) <= 1e-12, name
+            report, solo_report = (tr.evaluate(s, cfg, d[40:]) for s in (store, solo))
+            assert ((report.tp, report.fp, report.tn, report.fn)
+                    == (solo_report.tp, solo_report.fp, solo_report.tn, solo_report.fn))
+            for row, solo_row in zip(report.predictions, solo_report.predictions):
+                assert row["label"] == solo_row["label"]
+                assert abs(row["probability"] - solo_row["probability"]) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["feedforward", "swinlstm"])
+    def test_other_replicas_do_not_see_one_replicas_data(self, kind):
+        data, configs = self._replicas(kind)
+        first = tr.train_replicas([d[:40] for d in data], configs)
+        changed = [data[0][:40], data[1][:40], data[1][:40][::-1]]
+        second = tr.train_replicas(changed, configs)
+        assert first[2][1] != second[2][1]
+        for (store, trace), (again, again_trace) in zip(first[:2], second[:2]):
+            assert trace == again_trace
+            for name, t in store.items():
+                assert t.data.tobytes() == again[name].data.tobytes()
+
+    def test_params_come_back_as_ordinary_stores(self):
+        data, configs = self._replicas("lstm")
+        trained = tr.train_replicas([d[:40] for d in data], configs)
+        for (store, _), cfg in zip(trained, configs):
+            store.check_layout(tr.init_pipeline_params(cfg), "replica")
+            assert all(t.requires_grad for _, t in store.items())
+
+    def test_contract(self):
+        data, configs = self._replicas("lstm")
+        samples = [d[:40] for d in data]
+        with pytest.raises(ContractError, match="sample sets"):
+            tr.train_replicas(samples[:2], configs)
+        with pytest.raises(ContractError, match="sample sets"):
+            tr.train_replicas([], [])
+        with pytest.raises(ContractError, match="same number"):
+            tr.train_replicas([samples[0], samples[1], samples[2][:39]], configs)
+        with pytest.raises(ContractError, match="empty"):
+            tr.train_replicas([[], [], []], configs)
+        for change in ({"lr": 2e-3}, {"epochs": 2}, {"batch_size": 8},
+                       {"model": ModelSpec(kind="lstm", hidden=5)}):
+            odd = [*configs[:2], dataclasses.replace(configs[2], **change)]
+            with pytest.raises(ContractError, match="seed and prior_effect"):
+                tr.train_replicas(samples, odd)
+
+    def test_ablation_arms_match_solo_runs(self):
+        samples = synthetic.markov_samples(40, 6, seed=5, feature_len=8)
+        train_s, test_s = split_train_test(samples, 0.8)
+        cfg = _config(epochs=3)
+        reports = tr.ablate_prior_effect(train_s, test_s, cfg)[:2]
+        for report, prior in zip(reports, (True, False)):
+            arm = dataclasses.replace(cfg, prior_effect=prior)
+            _, solo = tr.train_and_evaluate(train_s, test_s, arm)
+            assert report.loss_trace == solo.loss_trace
+            assert [r["label"] for r in report.predictions] == \
+                [r["label"] for r in solo.predictions]
+
+
+def _replica_block_cases():
+    """Each rank-agnostic primitive with R = 2 stacked arrays."""
+    rng = np.random.default_rng(71)
+    reps, batch = 2, 4
+
+    def arrays(**shapes):
+        return {k: rng.normal(size=(reps, *shape)) for k, shape in shapes.items()}
+
+    targets = np.array([1, 0, 0, 1])
+    cases = {
+        "embed": (lambda p: fusion.embed(p["f"], p),
+                  arrays(f=(batch, 5), w_e=(5, 6), b_e=(1, 6))),
+        "conv_text": (lambda p: fusion.conv_text(p["e"], p),
+                      arrays(e=(batch, 6), w_c=(3,), b_c=(1, 1))),
+        "feedforward_net": (lambda p: models.feedforward_net(p["x"], p), arrays(
+            x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4), w3=(4, 1), b3=(1, 1))),
+        "attention": (lambda p: fusion.attention_over_features(p["q"], p["feats"]),
+                      arrays(q=(batch, 3), feats=(batch, 5, 3))),
+        "fuse": (lambda p: fusion.fuse(p["o"], p["c"], p), arrays(
+            o=(batch, 3), c=(batch, 5), proj_w=(5, 3), proj_b=(1, 3), gamma_raw=(1, 1))),
+        "output_head": (lambda p: models.output_head(p["z"], p)[0],
+                        arrays(z=(batch, 3), w_out=(3, 1), b_out=(1, 1))),
+        "bce_loss": (lambda p: tr.bce_loss(nm.sigmoid(p["logits"]), np.broadcast_to(
+            targets, p["logits"].shape[:-1])), arrays(logits=(batch, 1))),
+        "window_pool": (lambda p: models.window_pool(p["x"], p["wq"], p["wk"], p["wv"],
+                                                     p["wp"], 2),
+                        arrays(x=(batch, 3, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))),
+    }
+    for kind in RECURRENT_KINDS:
+        spec = ModelSpec(kind=kind, hidden=3, mogrifier_rounds=3)
+        stores = [nm.ParameterStore() for _ in range(reps)]
+        for store in stores:
+            models.add_model_params(store, spec, 2, rng)
+        weights = {k: np.stack([s["cell." + k].data for s in stores])
+                   for k in stores[0].view("cell")}
+        cases[f"unroll.{kind}"] = (lambda p, spec=spec: models.unroll(spec, p, p["xs"]),
+                                   {**weights, "xs": rng.normal(size=(reps, batch, 4, 2))})
+    return cases
+
+
+class TestReplicaBlocks:
+    @pytest.mark.parametrize("name", sorted(_replica_block_cases()))
+    def test_each_replica_is_its_solo_run(self, name):
+        build, arrays = _replica_block_cases()[name]
+        oracles.assert_replicas_match_solo(build, arrays, seed=72)
 
 
 class TestEvaluate:
