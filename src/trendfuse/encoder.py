@@ -10,17 +10,22 @@ to a fixed feature length.
 Each sublayer is one tape primitive with a hand-written backward
 (`numerics.fused`): multi-head attention over all heads at once, the
 residual add plus layer norm, the feed-forward block and the masked-token
-loss. A sentence's pretraining tape thus has a few dozen nodes, most of
-them parameter leaves. The composed reference versions live in
-`tests/oracles.py`.
+loss. The composed reference versions live in `tests/oracles.py`.
 
-The forward arithmetic of each sublayer is written once, over arrays with
-any leading axes (`_attend`, `_add_norm`, `_feed_forward`), and the tape
-nodes call it. `encode_text` takes one text's (L,) ids for pretraining, or
-an (n, L) block of same-length texts: featurizing (`encode_features`) runs
-it under `numerics.no_grad` on blocks of up to FEATURIZE_CHUNK texts of one
-token count, so no tape is kept, and gets bitwise the rows the per-text
-tape path gives.
+The arithmetic of each sublayer is written once, in numpy helpers: the
+forwards (`_attend`, `_add_norm`, `_feed_forward`, `_mlm_nll`) over arrays
+with any leading axes, and their backwards over one text. The tape nodes
+call them, and so does pretraining, which builds no tape: `mlm_step` runs
+one sentence's forward and backward in numpy and writes the gradient into
+one flat vector, which Adam applies to the flat vector the parameters are
+views of. Its sums come in the tape's order, so the loss trace and the
+parameters are bitwise those of a tape per sentence.
+
+`encode_text` takes one text's (L,) ids, or an (n, L) block of
+same-length texts: featurizing (`encode_features`) runs it under
+`numerics.no_grad` on blocks of up to FEATURIZE_CHUNK texts of one token
+count, so no tape is kept, and gets bitwise the rows the per-text tape
+path gives.
 """
 
 from __future__ import annotations
@@ -155,6 +160,10 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
 
 _SPAN_SIZES = np.array([1, 2, 3])
 _SPAN_PROBS = np.array([0.4, 0.3, 0.3])
+# The cdf `rng.choice(_SPAN_SIZES, p=_SPAN_PROBS)` searches: one uniform draw
+# against it gives the same size from the same stream, without choice's checks.
+_SPAN_CDF = _SPAN_PROBS.cumsum()
+_SPAN_CDF /= _SPAN_CDF[-1]
 
 
 def similar_word_mask(tokens: np.ndarray, vocab: Vocabulary,
@@ -174,7 +183,7 @@ def similar_word_mask(tokens: np.ndarray, vocab: Vocabulary,
     chosen: set[int] = set()
     while len(chosen) < k:
         start = int(rng.integers(first, len(tokens)))
-        span = int(rng.choice(_SPAN_SIZES, p=_SPAN_PROBS))
+        span = int(_SPAN_SIZES[_SPAN_CDF.searchsorted(rng.random(), side="right")])
         for pos in range(start, min(start + span, len(tokens))):
             if len(chosen) >= k:
                 break
@@ -196,6 +205,24 @@ def similar_word_mask(tokens: np.ndarray, vocab: Vocabulary,
 PROB_FLOOR = 1e-12
 
 
+def _mlm_nll(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The loss arithmetic of `mlm_loss`: its value and what its backward needs."""
+    sums = probs.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > 1e-9):
+        raise ContractError("predicted rows must each sum to 1")
+    rows = np.arange(len(probs))
+    picked = probs[rows, targets]
+    floored = np.maximum(picked, PROB_FLOOR)
+    return -np.log(floored).sum(), (rows, picked, floored)
+
+
+def _mlm_nll_back(g, probs: np.ndarray, targets: np.ndarray, saved: tuple) -> np.ndarray:
+    rows, picked, floored = saved
+    grad = np.zeros_like(probs)
+    grad[rows, targets] = -g * (picked > PROB_FLOOR) / floored
+    return grad
+
+
 def mlm_loss(predicted: Tensor, positions: np.ndarray, targets: np.ndarray) -> Tensor:
     """Negative log likelihood of the original ids under the predictions.
 
@@ -207,19 +234,12 @@ def mlm_loss(predicted: Tensor, positions: np.ndarray, targets: np.ndarray) -> T
     if n != len(positions) or n != len(targets):
         raise ContractError(
             f"{n} prediction rows for {len(positions)} positions / {len(targets)} targets")
-    sums = predicted.data.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ContractError("predicted rows must each sum to 1")
-    rows = np.arange(n)
-    picked = predicted.data[rows, targets]
-    floored = np.maximum(picked, PROB_FLOOR)
+    loss, saved = _mlm_nll(predicted.data, targets)
 
     def back(g):
-        grad = np.zeros_like(predicted.data)
-        grad[rows, targets] = -g * (picked > PROB_FLOOR) / floored
-        nm.accumulate(predicted, grad)
+        nm.accumulate(predicted, _mlm_nll_back(g, predicted.data, targets, saved))
 
-    return nm.fused((predicted,), (-np.log(floored).sum(),), back)[0]
+    return nm.fused((predicted,), (loss,), back)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -252,9 +272,11 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-3, -2).reshape(*lead, length, heads * d_k)
 
 
-# The forward arithmetic of each sublayer, over arrays with any leading axes
-# (one text's (L, d) rows or a batch's (n, L, d) block); each returns its
-# output and what the tape node's backward needs.
+# The arithmetic of each sublayer, over arrays. The forwards take any leading
+# axes (one text's (L, d) rows or a batch's (n, L, d) block) and return the
+# output and what the backward needs; the backwards take one text and return
+# the input gradient first, then the weights' in argument order. The tape
+# nodes below and the tape-free `mlm_step` both call them.
 
 def _attend(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
             wo: np.ndarray, heads: int) -> tuple[np.ndarray, tuple]:
@@ -268,6 +290,20 @@ def _attend(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     weights = e / e.sum(axis=-1, keepdims=True)
     merged = _merge_heads(weights @ v)
     return merged @ wo, (q, k, v, weights, merged, scale)
+
+
+def _attend_back(g: np.ndarray, x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
+                 wv: np.ndarray, wo: np.ndarray, saved: tuple, heads: int) -> tuple:
+    q, k, v, weights, merged, scale = saved
+    d_ctx = _split_heads(g @ wo.T, heads)
+    d_weights = d_ctx @ v.transpose(0, 2, 1)
+    d_scores = ((d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+                * weights * scale)
+    grad_q = _merge_heads(d_scores @ k)
+    grad_k = _merge_heads(d_scores.transpose(0, 2, 1) @ q)
+    grad_v = _merge_heads(weights.transpose(0, 2, 1) @ d_ctx)
+    return (grad_q @ wq.T + grad_k @ wk.T + grad_v @ wv.T,
+            x.T @ grad_q, x.T @ grad_k, x.T @ grad_v, merged.T @ g)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -284,10 +320,34 @@ def _add_norm(x: np.ndarray, sublayer: np.ndarray | None, gain: np.ndarray,
     return normed * gain + bias, (centered, var, inv_std, normed)
 
 
+def _add_norm_back(g: np.ndarray, gain: np.ndarray, saved: tuple) -> tuple:
+    """(gradient of x + sublayer, of gain, of bias)."""
+    centered, var, inv_std, normed = saved
+    width = centered.shape[-1]
+    d_normed = g * gain
+    d_var = ((d_normed * centered).sum(axis=1, keepdims=True)
+             * (-0.5 * inv_std ** 3) * (var > LAYER_NORM_EPS))
+    d_centered = d_normed * inv_std + d_var * (2.0 / width) * centered
+    d_total = d_centered - d_centered.sum(axis=1, keepdims=True) * (1.0 / width)
+    return d_total, (g * normed).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+
 def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                   b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hidden = np.maximum(0.0, x @ w1 + b1)
     return hidden @ w2 + b2, hidden
+
+
+def _feed_forward_back(g: np.ndarray, x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                       hidden: np.ndarray) -> tuple:
+    d_pre = (g @ w2.T) * (hidden > 0)
+    return (d_pre @ w1.T, x.T @ d_pre, d_pre.sum(axis=0, keepdims=True),
+            hidden.T @ g, g.sum(axis=0, keepdims=True))
+
+
+_ATTEND_WEIGHTS = ("wq", "wk", "wv", "wo")
+_FEED_FORWARD_WEIGHTS = ("w1", "b1", "w2", "b2")
+_LAYER_WEIGHTS = (*_ATTEND_WEIGHTS, "ln1_g", "ln1_b", *_FEED_FORWARD_WEIGHTS, "ln2_g", "ln2_b")
 
 
 def multi_head_attention(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
@@ -297,24 +357,17 @@ def multi_head_attention(x: Tensor, params: Mapping[str, Tensor], heads: int) ->
     head then takes max-shifted softmax weights of its scaled dot-product
     scores and averages its values, all heads in each 3-D matmul.
     """
-    wq, wk, wv, wo = (params[w] for w in ("wq", "wk", "wv", "wo"))
-    out, (q, k, v, weights, merged, scale) = _attend(x.data, wq.data, wk.data, wv.data,
-                                                     wo.data, heads)
+    weights = [params[w] for w in _ATTEND_WEIGHTS]
+    arrays = [w.data for w in weights]
+    out, saved = _attend(x.data, *arrays, heads)
 
     def back(g):
-        nm.accumulate(wo, merged.T @ g)
-        d_ctx = _split_heads(g @ wo.data.T, heads)
-        d_weights = d_ctx @ v.transpose(0, 2, 1)
-        d_scores = ((d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
-                    * weights * scale)
-        grad_q = _merge_heads(d_scores @ k)
-        grad_k = _merge_heads(d_scores.transpose(0, 2, 1) @ q)
-        grad_v = _merge_heads(weights.transpose(0, 2, 1) @ d_ctx)
-        for w, grad in ((wq, grad_q), (wk, grad_k), (wv, grad_v)):
-            nm.accumulate(w, x.data.T @ grad)
-        nm.accumulate(x, grad_q @ wq.data.T + grad_k @ wk.data.T + grad_v @ wv.data.T)
+        d_x, *d_weights = _attend_back(g, x.data, *arrays, saved, heads)
+        for w, d in zip(weights, d_weights):
+            nm.accumulate(w, d)
+        nm.accumulate(x, d_x)
 
-    return nm.fused((x, wq, wk, wv, wo), (out,), back)[0]
+    return nm.fused((x, *weights), (out,), back)[0]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -328,18 +381,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     instead of dividing by zero. Where the floor applies, no gradient flows
     through the variance.
     """
-    out, (centered, var, inv_std, normed) = _add_norm(
-        x.data, None if sublayer is None else sublayer.data, gain.data, bias.data)
-    width = out.shape[-1]
+    out, saved = _add_norm(x.data, None if sublayer is None else sublayer.data,
+                           gain.data, bias.data)
 
     def back(g):
-        nm.accumulate(gain, (g * normed).sum(axis=0, keepdims=True))
-        nm.accumulate(bias, g.sum(axis=0, keepdims=True))
-        d_normed = g * gain.data
-        d_var = ((d_normed * centered).sum(axis=1, keepdims=True)
-                 * (-0.5 * inv_std ** 3) * (var > LAYER_NORM_EPS))
-        d_centered = d_normed * inv_std + d_var * (2.0 / width) * centered
-        d_total = d_centered - d_centered.sum(axis=1, keepdims=True) * (1.0 / width)
+        d_total, d_gain, d_bias = _add_norm_back(g, gain.data, saved)
+        nm.accumulate(gain, d_gain)
+        nm.accumulate(bias, d_bias)
         nm.accumulate(x, d_total)
         if sublayer is not None:
             nm.accumulate(sublayer, d_total)
@@ -350,18 +398,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
 
 def feed_forward(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     """relu(x·w1 + b1)·w2 + b2 as one tape node."""
-    w1, b1, w2, b2 = (params[w] for w in ("w1", "b1", "w2", "b2"))
-    out, hidden = _feed_forward(x.data, w1.data, b1.data, w2.data, b2.data)
+    weights = [params[w] for w in _FEED_FORWARD_WEIGHTS]
+    arrays = [w.data for w in weights]
+    w1, _, w2, _ = arrays
+    out, hidden = _feed_forward(x.data, *arrays)
 
     def back(g):
-        nm.accumulate(w2, hidden.T @ g)
-        nm.accumulate(b2, g.sum(axis=0, keepdims=True))
-        d_pre = (g @ w2.data.T) * (hidden > 0)
-        nm.accumulate(w1, x.data.T @ d_pre)
-        nm.accumulate(b1, d_pre.sum(axis=0, keepdims=True))
-        nm.accumulate(x, d_pre @ w1.data.T)
+        d_x, *d_weights = _feed_forward_back(g, x.data, w1, w2, hidden)
+        for w, d in zip(weights, d_weights):
+            nm.accumulate(w, d)
+        nm.accumulate(x, d_x)
 
-    return nm.fused((x, w1, b1, w2, b2), (out,), back)[0]
+    return nm.fused((x, *weights), (out,), back)[0]
 
 
 def encoder_layer(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
@@ -379,7 +427,7 @@ def init_encoder_params(config: EncoderConfig, vocab_size: int,
     store.add("emb", nm.uniform_init(rng, d, (vocab_size, d)))
     for i in range(config.layers):
         p = f"layer{i}"
-        for w in ("wq", "wk", "wv", "wo"):
+        for w in _ATTEND_WEIGHTS:
             store.add(f"{p}.{w}", nm.uniform_init(rng, d, (d, d)))
         store.add(f"{p}.ln1_g", np.ones((1, d)))
         store.add(f"{p}.ln1_b", np.zeros((1, d)))
@@ -430,6 +478,62 @@ def mlm_predictions(rows: Tensor, positions: np.ndarray,
     return nm.softmax(logits, axis=-1)
 
 
+def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
+             config: EncoderConfig, weights: Mapping[str, np.ndarray],
+             grads: Mapping[str, np.ndarray]) -> float:
+    """The masked-token loss of one corrupted text, and its gradient, tape-free.
+
+    `weights` maps each encoder parameter name to its array. The forward is
+    that of `encode_text`, `mlm_predictions` and `mlm_loss`, and the backward
+    runs the sublayer backwards by hand and writes each parameter's gradient
+    into its array of `grads`. The sums come in the tape's order, so the
+    loss and every gradient are bitwise those of `numerics.backward` through
+    that tape. Returns the loss, which may be non-finite.
+    """
+    heads = config.heads
+    pe = positional_encoding(config.max_len, config.d_model)
+    x = weights["emb"][token_ids] + pe[:len(token_ids)]
+    layers = []
+    for i in range(config.layers):
+        prefix = f"layer{i}."
+        w = {name: weights[prefix + name] for name in _LAYER_WEIGHTS}
+        attended, att_saved = _attend(x, *(w[n] for n in _ATTEND_WEIGHTS), heads)
+        a, norm1 = _add_norm(x, attended, w["ln1_g"], w["ln1_b"])
+        ff, hidden = _feed_forward(a, *(w[n] for n in _FEED_FORWARD_WEIGHTS))
+        out, norm2 = _add_norm(a, ff, w["ln2_g"], w["ln2_b"])
+        layers.append((prefix, w, x, att_saved, a, norm1, hidden, norm2))
+        x = out
+    picked = x[positions]
+    probs = nm.softmax_probs(picked @ weights["mlm.w"] + weights["mlm.b"])
+    loss, saved = _mlm_nll(probs, targets)
+
+    def put(prefix, names, values):
+        for name, value in zip(names, values):
+            grads[prefix + name][...] = value
+
+    d_logits = nm.softmax_back(_mlm_nll_back(1.0, probs, targets, saved), probs)
+    # one row is the bias gradient as it is: a sum would turn its -0.0 into 0.0
+    d_bias = d_logits if len(d_logits) == 1 else nm.row_sum(d_logits)
+    put("mlm.", ("w", "b"), (picked.T @ d_logits, d_bias))
+    d_x = np.zeros_like(x)
+    np.add.at(d_x, positions, d_logits @ weights["mlm.w"].T)
+    for prefix, w, x_in, att_saved, a, norm1, hidden, norm2 in reversed(layers):
+        d_total, *d_norm = _add_norm_back(d_x, w["ln2_g"], norm2)
+        put(prefix, ("ln2_g", "ln2_b"), d_norm)
+        d_a, *d_ff = _feed_forward_back(d_total, a, w["w1"], w["w2"], hidden)
+        put(prefix, _FEED_FORWARD_WEIGHTS, d_ff)
+        d_total, *d_norm = _add_norm_back(d_total + d_a, w["ln1_g"], norm1)
+        put(prefix, ("ln1_g", "ln1_b"), d_norm)
+        d_x, *d_att = _attend_back(d_total, x_in, *(w[n] for n in _ATTEND_WEIGHTS),
+                                   att_saved, heads)
+        put(prefix, _ATTEND_WEIGHTS, d_att)
+        d_x = d_total + d_x
+    d_emb = grads["emb"]
+    d_emb[...] = 0.0
+    np.add.at(d_emb, token_ids, d_x)
+    return float(loss)
+
+
 def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
                  seed: int, similar_words: Mapping[str, Sequence[str]] | None = None,
                  lr: float = 1e-3) -> tuple[ParameterStore, Vocabulary, list[float]]:
@@ -438,6 +542,10 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     Returns the trained parameters, the corpus vocabulary, and the mean
     per-epoch loss trace. epochs=0 returns the untouched initialization.
     A non-finite loss raises DivergenceError naming the epoch and sentence.
+
+    Each sentence is one Adam step: `mlm_step` writes the gradient into one
+    flat vector in store order, and Adam updates the flat parameter vector
+    that the store's tensors are views of, in place.
     """
     corpus = [t for t in corpus if t.strip()]
     if not corpus:
@@ -447,22 +555,26 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     params = init_encoder_params(config, vocab.size, rng)
     state = nm.adam_state(params, lr=lr)
     trace: list[float] = []
+    if not epochs:
+        return params, vocab, trace
+    tokenized = ((index, tokenize(text, vocab, config.max_len))
+                 for index, text in enumerate(corpus))
+    sentences = [(index, ids) for index, ids in tokenized if len(ids) >= 2]
+    flat = np.concatenate([t.data.reshape(-1) for _, t in params.items()])
+    weights = params.flat_views(flat)
+    for name, view in weights.items():
+        params[name].data = view
+    grad = np.zeros_like(flat)
+    grads = params.flat_views(grad)
     for epoch in range(epochs):
         losses = []
-        for index, text in enumerate(corpus):
-            tokens = tokenize(text, vocab, config.max_len)
-            if len(tokens) < 2:
-                continue
+        for index, tokens in sentences:
             corrupted, positions, targets = similar_word_mask(tokens, vocab, rng, config.mask_rate)
-            rows, _ = encode_text(corrupted, config, params)
-            loss = mlm_loss(mlm_predictions(rows, positions, params), positions, targets)
-            value = loss.item()
+            value = mlm_step(corrupted, positions, targets, config, weights, grads)
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"non-finite pretraining loss at epoch {epoch}, sentence {index}")
-            params.zero_grad()
-            nm.backward(loss)
-            nm.adam_step(params, params.grads(), state)
+            flat -= nm.adam_update(state, grad)
             losses.append(value)
         trace.append(float(np.mean(losses)))
     return params, vocab, trace

@@ -182,15 +182,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _lift(x)
     if x.size == 0:
         raise ShapeError("softmax of an empty tensor")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_probs(x.data, axis)
 
     def back(g: Array) -> None:
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        x._accumulate((g - inner) * y)
+        x._accumulate(softmax_back(g, y, axis))
 
     return Tensor(y, parents=(x,), backward=back)
+
+
+def softmax_probs(x: Array, axis: int = -1) -> Array:
+    """Max-shifted softmax of an array along `axis` (the arithmetic of `softmax`)."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_back(g: Array, y: Array, axis: int = -1) -> Array:
+    """Gradient at the input of a softmax with output y, from g at its output."""
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
 
 
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -359,6 +367,14 @@ class ParameterStore:
     def grads(self) -> dict[str, Array]:
         return {name: t.grad for name, t in self._params.items() if t.grad is not None}
 
+    def flat_views(self, flat: Array) -> dict[str, Array]:
+        """Each parameter's slice of a flat vector in store order, shaped like it."""
+        views, start = {}, 0
+        for name, t in self._params.items():
+            views[name] = flat[start:start + t.size].reshape(t.shape)
+            start += t.size
+        return views
+
     def state_dict(self) -> dict:
         return {
             "format_version": CHECKPOINT_VERSION,
@@ -411,6 +427,8 @@ class ParameterStore:
                 raise DataError(f"checkpoint parameter {name!r} has no {err}") from None
             except (TypeError, ValueError) as err:
                 raise DataError(f"checkpoint parameter {name!r} is malformed: {err}") from None
+            if not np.isfinite(arr).all():
+                raise DataError(f"checkpoint parameter {name!r} has a non-finite value")
             store.add(name, arr)
         return store
 
@@ -457,19 +475,9 @@ def adam_state(store: ParameterStore, lr: float = 1e-3) -> AdamState:
     return AdamState(lr=lr, m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(store: ParameterStore, grads: Mapping[str, Array],
-              state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place, over every parameter.
-
-    The gradients are concatenated once, in store order, the moments and the
-    step are whole-vector operations, and each parameter subtracts its slice
-    of the step in place. Element by element the arithmetic is that of a
-    per-parameter update, so the parameters come out bitwise the same.
-    """
-    try:
-        g = np.concatenate([grads[name].reshape(-1) for name, _ in store.items()])
-    except KeyError as err:
-        raise KeyError(f"missing gradient for parameter {err.args[0]!r}") from None
+def adam_update(state: AdamState, g: Array) -> Array:
+    """Advance the moments by one flat gradient g, in store order, and return
+    the bias-corrected step to subtract from the flat parameters."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     state.m *= b1
@@ -478,9 +486,23 @@ def adam_step(store: ParameterStore, grads: Mapping[str, Array],
     state.v += (1.0 - b2) * g * g
     m_hat = state.m / (1.0 - b1 ** state.t)
     v_hat = state.v / (1.0 - b2 ** state.t)
-    step = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    start = 0
-    for _, p in store.items():
-        p.data -= step[start:start + p.size].reshape(p.shape)
-        start += p.size
+    return state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+def adam_step(store: ParameterStore, grads: Mapping[str, Array],
+              state: AdamState) -> AdamState:
+    """One bias-corrected Adam update, in place, over every parameter.
+
+    The gradients are concatenated once, in store order, `adam_update` takes
+    the whole-vector step, and each parameter subtracts its slice of it in
+    place. Element by element the arithmetic is that of a per-parameter
+    update, so the parameters come out bitwise the same.
+    """
+    try:
+        g = np.concatenate([grads[name].reshape(-1) for name, _ in store.items()])
+    except KeyError as err:
+        raise KeyError(f"missing gradient for parameter {err.args[0]!r}") from None
+    step = store.flat_views(adam_update(state, g))
+    for name, p in store.items():
+        p.data -= step[name]
     return state

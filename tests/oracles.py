@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here except `cell_step`, `bilstm_forward` and the encoder
-compositions is deliberately written without the package's tensor or graph
+compositions and pretraining loop is deliberately written without the package's tensor or graph
 machinery (plain loops and numpy scalars), so a passing comparison means
 two unrelated code paths agree. `cell_step` wraps one numpy step pair of
 the library's `models.CELLS` table as a tape node, and `bilstm_forward`
@@ -14,7 +14,11 @@ gradients come from the tape's per-op backwards, not from a hand-written one.
 `output_head` and `bce_loss` do the same for the fused text path,
 feedforward baseline and predictor tail in `fusion`, `models` and `train`.
 `segment` tests each character against the CJK ranges one by one, as a
-reference for the compiled pattern in `encoder.segment`.
+reference for the compiled pattern in `encoder.segment`. `similar_word_mask`
+draws span sizes with `rng.choice`, as a reference for the encoder's cdf
+search, and `pretrain_mlm` is the per-sentence tape loop (through
+`mlm_tape_loss`, `numerics.backward` and `numerics.adam_step`), as a reference
+for the encoder's tape-free `mlm_step`.
 
 `sub`, `neg`, `log`, `pow_scalar`, `clip_min`, `transpose`, `relu` and
 `conv1d_rows` are tape ops that only these references use, and `gradients` and `names` are helpers
@@ -505,3 +509,68 @@ def confusion_counts(labels, targets):
         else:
             fn += 1
     return tp, fp, tn, fn
+
+
+# --- the encoder's masking and pretraining loop on the tape ---
+
+
+def similar_word_mask(tokens, vocab, rng, mask_rate=0.15):
+    """`encoder.similar_word_mask` drawing each span size with `rng.choice`."""
+    maskable = len(tokens) - (1 if len(tokens) and tokens[0] == enc.START_ID else 0)
+    if maskable < 1:
+        raise ContractError("nothing to mask: sequence has no ordinary tokens")
+    first = len(tokens) - maskable
+    k = math.ceil(mask_rate * maskable)
+    chosen = set()
+    while len(chosen) < k:
+        start = int(rng.integers(first, len(tokens)))
+        span = int(rng.choice(np.array([1, 2, 3]), p=np.array([0.4, 0.3, 0.3])))
+        for pos in range(start, min(start + span, len(tokens))):
+            if len(chosen) >= k:
+                break
+            chosen.add(pos)
+    positions = np.array(sorted(chosen), dtype=np.int64)
+    targets = tokens[positions].copy()
+    corrupted = tokens.copy()
+    for pos in positions:
+        if rng.random() < 0.1:
+            continue
+        cands = vocab.similar.get(int(tokens[pos]))
+        if cands:
+            corrupted[pos] = cands[int(rng.integers(0, len(cands)))]
+        elif vocab.size > enc.NUM_SPECIALS:
+            corrupted[pos] = int(rng.integers(enc.NUM_SPECIALS, vocab.size))
+    return corrupted, positions, targets
+
+
+def mlm_tape_loss(token_ids, positions, targets, config, params):
+    """One sentence's masked-token loss built on the tape from the encoder's
+    public pieces: `encode_text`, `mlm_predictions` and `mlm_loss`."""
+    rows, _ = enc.encode_text(token_ids, config, params)
+    return enc.mlm_loss(enc.mlm_predictions(rows, positions, params), positions, targets)
+
+
+def pretrain_mlm(corpus, config, epochs, seed, similar_words=None, lr=1e-3):
+    """`encoder.pretrain_mlm` as one tape per sentence: tokenize every epoch,
+    mask with `similar_word_mask` above, `nm.backward`, then `nm.adam_step`."""
+    corpus = [t for t in corpus if t.strip()]
+    vocab = enc.Vocabulary.build(corpus, similar_words)
+    rng = np.random.default_rng(seed)
+    params = enc.init_encoder_params(config, vocab.size, rng)
+    state = nm.adam_state(params, lr=lr)
+    trace = []
+    for epoch in range(epochs):
+        losses = []
+        for index, text in enumerate(corpus):
+            tokens = enc.tokenize(text, vocab, config.max_len)
+            if len(tokens) < 2:
+                continue
+            corrupted, positions, targets = similar_word_mask(tokens, vocab, rng,
+                                                              config.mask_rate)
+            loss = mlm_tape_loss(corrupted, positions, targets, config, params)
+            params.zero_grad()
+            nm.backward(loss)
+            nm.adam_step(params, params.grads(), state)
+            losses.append(loss.item())
+        trace.append(float(np.mean(losses)))
+    return params, vocab, trace

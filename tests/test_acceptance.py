@@ -179,7 +179,7 @@ def _check_zero_probability_gradient():
     return 1
 
 
-def _full_encoder_grad_case(seed):
+def _full_encoder_setup(seed):
     config = enc.EncoderConfig(d_model=8, heads=2, layers=2, d_ff=16, max_len=10)
     corpus = ["alpha beta gamma delta", "beta delta alpha epsilon"]
     vocab = enc.Vocabulary.build(corpus)
@@ -189,6 +189,28 @@ def _full_encoder_grad_case(seed):
     corrupted, positions, targets = enc.similar_word_mask(tokens, vocab,
                                                  np.random.default_rng(seed + 1), 0.3)
     arrays = {name: params[name].data.copy() for name in oracles.names(params)}
+    return config, arrays, corrupted, positions, targets
+
+
+def _check_mlm_step_case(seed):
+    """The tape-free pretraining step's gradients vs central finite differences."""
+    config, arrays, corrupted, positions, targets = _full_encoder_setup(seed)
+    analytic = {name: np.empty_like(a) for name, a in arrays.items()}
+    enc.mlm_step(corrupted, positions, targets, config, arrays, analytic)
+    scratch = {name: np.empty_like(a) for name, a in arrays.items()}
+
+    def value(raw):
+        return enc.mlm_step(corrupted, positions, targets, config, raw, scratch)
+
+    numeric = fd_gradients(value, arrays, h=FD_STEP)
+    for key in arrays:
+        err = max_rel_err(analytic[key], numeric[key])
+        assert err < GRAD_TOL, f"encoder.mlm_step/{key}: rel err {err:.3e}"
+    return 1
+
+
+def _full_encoder_grad_case(seed):
+    config, arrays, corrupted, positions, targets = _full_encoder_setup(seed)
 
     def build(p):
         store = ParameterStore()
@@ -571,6 +593,7 @@ def test_criterion_1_gradient_suite():
     configs += _check_zero_probability_gradient()
     label, build, arrays = _full_encoder_grad_case(4000)
     configs += _check_grad_case(build, arrays, label)
+    configs += _check_mlm_step_case(4000)
     for kind in VALID_KINDS:
         label, build, arrays = _pipeline_grad_case(kind, 5000)
         configs += _check_grad_case(build, arrays, label)

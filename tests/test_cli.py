@@ -10,7 +10,6 @@ import pytest
 from trendfuse import cli, encoder as enc, fusion, ingest, synthetic
 from trendfuse import numerics as nm
 from trendfuse.encoder import read_features
-from trendfuse.numerics import Tensor
 
 pytestmark = pytest.mark.usefixtures("quiet_logs")
 
@@ -129,6 +128,11 @@ def _without_emb(doc):
     return json.dumps(doc)
 
 
+def _infinite_weight(doc):
+    doc["params"]["params"]["layer0.wq"]["data"][3] = float("inf")
+    return json.dumps(doc)  # written as the JSON extension `Infinity`
+
+
 def _unknown_config_key(doc):
     doc["config"]["depth"] = 3
     return json.dumps(doc)
@@ -140,7 +144,8 @@ class TestFeaturizeBadEncoderCheckpoint:
         (lambda doc: json.dumps({"format_version": 1}), "config"),
         (_unknown_config_key, "depth"),
         (_without_emb, "'emb'"),
-    ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb"])
+        (_infinite_weight, "'layer0.wq' has a non-finite value"),
+    ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb", "infinite_weight"])
     def test_is_one_line_data_error(self, tmp_path, summaries, capsys, corrupt, detail):
         params, vocab, _ = enc.pretrain_mlm(["alpha beta", "beta gamma"], enc.EncoderConfig(),
                                             0, seed=1)
@@ -170,7 +175,7 @@ class TestPretrainEncoder:
                    "--encoder", out / "encoder.json", "--feature-len", "6") == 0
 
     def test_non_finite_loss_is_divergence(self, tmp_path, summaries, capsys, monkeypatch):
-        monkeypatch.setattr(enc, "mlm_loss", lambda *args: Tensor(np.nan))
+        monkeypatch.setattr(enc, "mlm_step", lambda *args: float("nan"))
         assert run("pretrain-encoder", "--summaries", summaries, "--out", tmp_path / "enc",
                    "--pretrain-epochs", "2", "--seed", "2") == 3
         message = _one_error_line(capsys, "DivergenceError")
@@ -352,6 +357,22 @@ class TestEvaluate:
         assert run(*args, "--checkpoint", checkpoint) == 2
         message = _one_error_line(capsys, "DataError")
         assert "checkpoint.json" in message and detail in message
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+    def test_non_finite_checkpoint_value_is_data_error(self, tmp_path, market_csv, capsys,
+                                                       value):
+        out = tmp_path / "run"
+        assert run(*_train_args(market_csv, out, epochs=2)) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "checkpoint.json").read_text())
+        name = next(iter(doc["params"]))
+        doc["params"][name]["data"][0] = value
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        args = _train_args(market_csv, tmp_path / "eval", epochs=2)
+        args[0] = "evaluate"
+        assert run(*args, "--checkpoint", out / "checkpoint.json") == 2
+        message = _one_error_line(capsys, "DataError")
+        assert "checkpoint.json" in message and f"{name!r} has a non-finite value" in message
 
     def test_unsupported_format_version_is_data_error(self, tmp_path, market_csv, capsys):
         checkpoint = tmp_path / "checkpoint.json"

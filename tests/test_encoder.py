@@ -128,6 +128,22 @@ class TestMacMask:
         _, positions, _ = enc.similar_word_mask(tokens, vocab, np.random.default_rng(0), 0.15)
         assert len(positions) == 1
 
+    @pytest.mark.parametrize("n, rate", [(1, 0.15), (3, 0.5), (10, 0.15), (23, 0.3),
+                                         (40, 0.9)])
+    def test_span_draws_match_rng_choice(self, n, rate):
+        vocab = enc.Vocabulary.build(("up down flat rise fall",),
+                                     {"up": ["rise", "fall"], "down": ["fall"]})
+        for seed in range(250):
+            body = np.random.default_rng(seed + 10_000).integers(enc.NUM_SPECIALS,
+                                                                 vocab.size, n)
+            tokens = np.concatenate([[enc.START_ID], body])
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = enc.similar_word_mask(tokens, vocab, rng, rate)
+            want = oracles.similar_word_mask(tokens, vocab, reference, rate)
+            for left, right in zip(got, want):
+                np.testing.assert_array_equal(left, right)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
 
 class TestMlmLoss:
     def test_perfect_prediction_zero(self):
@@ -410,6 +426,62 @@ class TestEncodeText:
                                    atol=1e-12)
 
 
+class TestMlmStep:
+    """The tape-free step against the same sentence's tape (`oracles.mlm_tape_loss`):
+    the loss and every parameter's gradient are bitwise equal."""
+
+    VOCAB = 7  # three ordinary tokens, so ids repeat
+
+    def _case(self, config, length, seed, masked=None):
+        rng = np.random.default_rng(seed)
+        params = enc.init_encoder_params(config, self.VOCAB, rng)
+        ids = np.concatenate([[enc.START_ID],
+                              rng.integers(enc.NUM_SPECIALS, self.VOCAB, length - 1)])
+        count = masked or int(rng.integers(1, length))
+        positions = np.sort(rng.choice(np.arange(1, length), size=count, replace=False))
+        targets = rng.integers(enc.NUM_SPECIALS, self.VOCAB, size=count)
+        return params, ids, positions, targets
+
+    def _assert_step_equals_tape(self, config, params, ids, positions, targets):
+        loss = oracles.mlm_tape_loss(ids, positions, targets, config, params)
+        params.zero_grad()
+        nm.backward(loss)
+        weights = {name: t.data for name, t in params.items()}
+        grads = {name: np.full(t.shape, np.nan) for name, t in params.items()}
+        assert enc.mlm_step(ids, positions, targets, config, weights, grads) == loss.item()
+        for name, t in params.items():
+            assert grads[name].tobytes() == t.grad.tobytes(), name
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_every_length(self, heads, layers):
+        config = dataclasses.replace(TOY_CONFIG, heads=heads, layers=layers)
+        for length in range(2, config.max_len + 1):
+            self._assert_step_equals_tape(
+                config, *self._case(config, length, seed=100 * heads + 10 * layers + length))
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_one_masked_position_and_a_target_under_the_floor(self, heads, layers):
+        config = dataclasses.replace(TOY_CONFIG, heads=heads, layers=layers)
+        for masked in (1, 3):
+            params, ids, positions, targets = self._case(config, config.max_len,
+                                                         seed=heads + layers, masked=masked)
+            params["mlm.b"].data[0, targets[0]] = -1000.0  # exp underflows to 0
+            rows, _ = enc.encode_text(ids, config, params)
+            probs = enc.mlm_predictions(rows, positions, params).data
+            assert probs[0, targets[0]] < enc.PROB_FLOOR
+            self._assert_step_equals_tape(config, params, ids, positions, targets)
+
+    def test_rows_that_do_not_sum_to_one_are_a_contract_error(self, monkeypatch):
+        params, ids, positions, targets = self._case(TOY_CONFIG, 5, seed=3)
+        monkeypatch.setattr(nm, "softmax_probs", lambda logits: np.full_like(logits, 0.5))
+        weights = {name: t.data for name, t in params.items()}
+        grads = {name: np.empty(t.shape) for name, t in params.items()}
+        with pytest.raises(ContractError, match="sum to 1"):
+            enc.mlm_step(ids, positions, targets, TOY_CONFIG, weights, grads)
+
+
 class TestPretrain:
     def test_zero_epochs_keeps_initialization(self):
         corpus = ["alpha beta gamma", "beta gamma delta", "gamma delta alpha"]
@@ -435,6 +507,30 @@ class TestPretrain:
                   "货币 政策 alpha beta"]
         _, _, trace = enc.pretrain_mlm(corpus, TOY_CONFIG, epochs=2, seed=4)
         assert trace == [3.0020261598910616, 2.7321265895751754]
+
+    @pytest.mark.parametrize("similar", [None, {"alpha": ["beta", "zeta"], "gamma": ["delta"],
+                                                "货币": ["政策"]}],
+                             ids=["no_table", "similar_words"])
+    def test_matches_the_tape_loop(self, similar):
+        corpus = ["alpha beta gamma delta", "beta gamma delta alpha epsilon", "  ",
+                  "gamma delta alpha", "delta alpha beta gamma epsilon zeta eta theta iota "
+                  "kappa lambda mu nu", "货币 政策 alpha beta", "zeta"]
+        config = dataclasses.replace(TOY_CONFIG, mask_rate=0.3)
+        for seed in range(4):
+            params, vocab, trace = enc.pretrain_mlm(corpus, config, 3, seed, similar)
+            ref_params, ref_vocab, ref_trace = oracles.pretrain_mlm(corpus, config, 3, seed,
+                                                                    similar)
+            assert vocab == ref_vocab and trace == ref_trace
+            for name, t in ref_params.items():
+                assert params[name].data.tobytes() == t.data.tobytes(), (seed, name)
+
+    def test_zero_epochs_tokenizes_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tokenize called")
+
+        monkeypatch.setattr(enc, "tokenize", refuse)
+        _, _, trace = enc.pretrain_mlm(["alpha beta", "beta gamma"], TOY_CONFIG, 0, seed=1)
+        assert trace == []
 
 
 class TestEncodeFeatures:
