@@ -543,9 +543,11 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     per-epoch loss trace. epochs=0 returns the untouched initialization.
     A non-finite loss raises DivergenceError naming the epoch and sentence.
 
-    Each sentence is one Adam step: `mlm_step` writes the gradient into one
-    flat vector in store order, and Adam updates the flat parameter vector
-    that the store's tensors are views of, in place.
+    Each sentence is one Adam step: `mlm_step` writes the gradient into the
+    store's flat gradient (`ParameterStore.flatten`), and `numerics.adam_step`
+    updates the flat parameter vector that the store's tensors are views of,
+    in place. With epochs > 0, a max_len below 2 leaves no token to mask
+    and is a ConfigError.
     """
     corpus = [t for t in corpus if t.strip()]
     if not corpus:
@@ -560,12 +562,12 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     tokenized = ((index, tokenize(text, vocab, config.max_len))
                  for index, text in enumerate(corpus))
     sentences = [(index, ids) for index, ids in tokenized if len(ids) >= 2]
-    flat = np.concatenate([t.data.reshape(-1) for _, t in params.items()])
-    weights = params.flat_views(flat)
-    for name, view in weights.items():
-        params[name].data = view
-    grad = np.zeros_like(flat)
-    grads = params.flat_views(grad)
+    if not sentences:  # every non-blank text has the start token and a piece
+        raise ConfigError(f"pretraining needs max_len >= 2 to mask a token, "
+                          f"got max_len={config.max_len}")
+    flat, grad = params.flatten()
+    weights = {name: t.data for name, t in params.items()}
+    grads = {name: t.grad for name, t in params.items()}
     for epoch in range(epochs):
         losses = []
         for index, tokens in sentences:
@@ -574,7 +576,7 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"non-finite pretraining loss at epoch {epoch}, sentence {index}")
-            flat -= nm.adam_update(state, grad)
+            nm.adam_step(state, flat, grad)
             losses.append(value)
         trace.append(float(np.mean(losses)))
     return params, vocab, trace

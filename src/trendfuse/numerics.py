@@ -14,7 +14,7 @@ import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -340,12 +340,14 @@ class ParameterStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._views: dict[str, dict[str, Tensor]] = {}
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
+        self._views.clear()
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -355,25 +357,38 @@ class ParameterStore:
         return self._params.items()
 
     def view(self, prefix: str) -> dict[str, Tensor]:
-        """Sub-dictionary of parameters under `prefix.`, keys stripped."""
-        dot = prefix + "."
-        return {name[len(dot):]: t for name, t in self._params.items()
-                if name.startswith(dot)}
+        """Sub-dictionary of parameters under `prefix.`, keys stripped.
 
-    def zero_grad(self) -> None:
+        Built once per prefix and shared until the next `add`; callers must
+        not change it.
+        """
+        cached = self._views.get(prefix)
+        if cached is None:
+            dot = prefix + "."
+            cached = {name[len(dot):]: t for name, t in self._params.items()
+                      if name.startswith(dot)}
+            self._views[prefix] = cached
+        return cached
+
+    def flatten(self) -> tuple[Array, Array]:
+        """Move every parameter into one flat vector, in store order, and bind
+        each tensor's gradient to its slice of one zeroed flat gradient.
+
+        Each tensor's `data` and `grad` become views of the two vectors,
+        which are returned as (flat, grad): an in-place update of `flat`
+        updates every parameter, and the tape's `_accumulate` adds into
+        `grad` once it is zeroed.
+        """
+        flat = np.zeros(sum(t.size for t in self._params.values()))
+        grad = np.zeros_like(flat)
+        start = 0
         for t in self._params.values():
-            t.grad = None
-
-    def grads(self) -> dict[str, Array]:
-        return {name: t.grad for name, t in self._params.items() if t.grad is not None}
-
-    def flat_views(self, flat: Array) -> dict[str, Array]:
-        """Each parameter's slice of a flat vector in store order, shaped like it."""
-        views, start = {}, 0
-        for name, t in self._params.items():
-            views[name] = flat[start:start + t.size].reshape(t.shape)
-            start += t.size
-        return views
+            stop = start + t.size
+            flat[start:stop] = t.data.reshape(-1)
+            t.data = flat[start:stop].reshape(t.shape)
+            t.grad = grad[start:stop].reshape(t.shape)
+            start = stop
+        return flat, grad
 
     def state_dict(self) -> dict:
         return {
@@ -456,7 +471,8 @@ class AdamState:
     """Adam's settings, step counter and moment estimates.
 
     `m` and `v` are flat vectors over every parameter of the store, in its
-    insertion order.
+    insertion order: the layout of the vectors `ParameterStore.flatten`
+    returns, which `adam_step` updates.
     """
 
     lr: float = 1e-3
@@ -475,34 +491,22 @@ def adam_state(store: ParameterStore, lr: float = 1e-3) -> AdamState:
     return AdamState(lr=lr, m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_update(state: AdamState, g: Array) -> Array:
-    """Advance the moments by one flat gradient g, in store order, and return
-    the bias-corrected step to subtract from the flat parameters."""
+def adam_step(state: AdamState, flat: Array, grad: Array) -> None:
+    """One bias-corrected Adam update of a flat parameter vector, in place.
+
+    `grad` is the flat gradient in the same order (see
+    `ParameterStore.flatten`); element by element the arithmetic is that
+    of a per-parameter update.
+    """
+    if not flat.shape == grad.shape == state.m.shape:
+        raise ShapeError(f"Adam over {state.m.shape} moments got parameters of shape "
+                         f"{flat.shape} and a gradient of shape {grad.shape}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     state.m *= b1
-    state.m += (1.0 - b1) * g
+    state.m += (1.0 - b1) * grad
     state.v *= b2
-    state.v += (1.0 - b2) * g * g
+    state.v += (1.0 - b2) * grad * grad
     m_hat = state.m / (1.0 - b1 ** state.t)
     v_hat = state.v / (1.0 - b2 ** state.t)
-    return state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-
-
-def adam_step(store: ParameterStore, grads: Mapping[str, Array],
-              state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place, over every parameter.
-
-    The gradients are concatenated once, in store order, `adam_update` takes
-    the whole-vector step, and each parameter subtracts its slice of it in
-    place. Element by element the arithmetic is that of a per-parameter
-    update, so the parameters come out bitwise the same.
-    """
-    try:
-        g = np.concatenate([grads[name].reshape(-1) for name, _ in store.items()])
-    except KeyError as err:
-        raise KeyError(f"missing gradient for parameter {err.args[0]!r}") from None
-    step = store.flat_views(adam_update(state, g))
-    for name, p in store.items():
-        p.data -= step[name]
-    return state
+    flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)

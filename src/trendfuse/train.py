@@ -14,7 +14,10 @@ gate, the head and the loss are each one tape primitive (`numerics.fused`)
 with a hand-written backward. `train_replicas` trains several models in
 lockstep as one stacked model, and `train_model` is its one-replica case.
 Samples are stacked into arrays once per run, and each batch's rows are
-sliced from them; Adam updates all parameters as one flat vector.
+sliced from them. The parameters live in one flat vector and their
+gradients in one flat gradient (`ParameterStore.flatten`): each step zeroes
+the gradient, the backward adds into it, and `numerics.adam_step` updates
+the flat vector in place.
 
 Batches run in chronological order with no shuffling, so a fixed
 (config, data, seed) triple reproduces bit-identical parameters, loss
@@ -148,11 +151,11 @@ def batch_arrays(samples: Sequence[FusedSample],
     With the prior effect disabled the prior block is zero-masked, keeping
     every input width identical across ablation arms.
     """
-    priors = np.stack([s.prior for s in samples])
+    priors = np.array([s.prior for s in samples], dtype=np.float64)
     if not prior_effect:
         priors = np.zeros_like(priors)
-    prices = np.stack([s.price_window for s in samples])
-    texts = np.stack([s.text_feature for s in samples])
+    prices = np.array([s.price_window for s in samples], dtype=np.float64)
+    texts = np.array([s.text_feature for s in samples], dtype=np.float64)
     targets = np.array([s.target for s in samples], dtype=np.float64)
     return priors, prices, texts, targets
 
@@ -208,9 +211,11 @@ def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
     stores = [init_pipeline_params(c) for c in configs]
     store = ParameterStore()
     for name, _ in stores[0].items():
-        block = store.add(name, stack([s[name].data for s in stores])).data
+        store.add(name, stack([s[name].data for s in stores]))
+    flat, grad = store.flatten()
+    for name, t in store.items():
         for r, replica in enumerate(stores):  # Adam updates the block in place
-            replica[name].data = block[r] if lead else block
+            replica[name].data = t.data[r] if lead else t.data
     state = nm.adam_state(store, lr=base.lr)
     arrays = [stack(parts) for parts in zip(*(
         batch_arrays(s, c.prior_effect) for s, c in zip(samples_per_replica, configs)))]
@@ -225,9 +230,9 @@ def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
             if not finite.all():
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch "
                                       f"{start // base.batch_size}, replica {finite.argmin()}")
-            store.zero_grad()
+            grad.fill(0.0)
             nm.backward(nm.sum_(means) if lead else means)
-            nm.adam_step(store, store.grads(), state)
+            nm.adam_step(state, flat, grad)
             totals += means.data * targets.shape[-1]
         traces[epoch] = totals / n
     return [(replica, traces[:, r].tolist()) for r, replica in enumerate(stores)]
@@ -278,9 +283,9 @@ def evaluate(store: ParameterStore, config: TrainConfig,
     report = confusion_report(labels, targets)
     report.loss_trace = list(loss_trace or [])
     report.predictions = [
-        {"date": s.date.isoformat(), "probability": float(pr),
-         "label": int(lb), "target": int(tg)}
-        for s, pr, lb, tg in zip(samples, probs, labels, targets.astype(int))
+        {"date": s.date.isoformat(), "probability": pr, "label": lb, "target": tg}
+        for s, pr, lb, tg in zip(samples, probs.tolist(), labels.tolist(),
+                                 targets.astype(int).tolist())
     ]
     return report
 

@@ -17,8 +17,11 @@ feedforward baseline and predictor tail in `fusion`, `models` and `train`.
 reference for the compiled pattern in `encoder.segment`. `similar_word_mask`
 draws span sizes with `rng.choice`, as a reference for the encoder's cdf
 search, and `pretrain_mlm` is the per-sentence tape loop (through
-`mlm_tape_loss`, `numerics.backward` and `numerics.adam_step`), as a reference
-for the encoder's tape-free `mlm_step`.
+`mlm_tape_loss`, `numerics.backward` and the store Adam `adam_step`), as a
+reference for the encoder's tape-free `mlm_step`. `train_replicas` is the
+predictor loop with fresh gradient arrays per step (`zero_grad`, then the store
+Adam `adam_step`), as a reference for the flat-vector training loop, and
+`batch_arrays` stacks sample blocks with `np.stack`.
 
 `sub`, `neg`, `log`, `pow_scalar`, `clip_min`, `transpose`, `relu` and
 `conv1d_rows` are tape ops that only these references use, and `gradients` and `names` are helpers
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 
-from trendfuse import encoder as enc, models, numerics as nm
+from trendfuse import encoder as enc, models, numerics as nm, train as tr
 from trendfuse.errors import ConfigError, ContractError, GraphError, ShapeError
 
 
@@ -552,7 +555,8 @@ def mlm_tape_loss(token_ids, positions, targets, config, params):
 
 def pretrain_mlm(corpus, config, epochs, seed, similar_words=None, lr=1e-3):
     """`encoder.pretrain_mlm` as one tape per sentence: tokenize every epoch,
-    mask with `similar_word_mask` above, `nm.backward`, then `nm.adam_step`."""
+    mask with `similar_word_mask` above, `nm.backward`, then the store Adam
+    `adam_step` below."""
     corpus = [t for t in corpus if t.strip()]
     vocab = enc.Vocabulary.build(corpus, similar_words)
     rng = np.random.default_rng(seed)
@@ -568,9 +572,85 @@ def pretrain_mlm(corpus, config, epochs, seed, similar_words=None, lr=1e-3):
             corrupted, positions, targets = similar_word_mask(tokens, vocab, rng,
                                                               config.mask_rate)
             loss = mlm_tape_loss(corrupted, positions, targets, config, params)
-            params.zero_grad()
+            zero_grad(params)
             nm.backward(loss)
-            nm.adam_step(params, params.grads(), state)
+            adam_step(params, state)
             losses.append(loss.item())
         trace.append(float(np.mean(losses)))
     return params, vocab, trace
+
+
+# --- training with per-step gradient arrays ---------------------------------
+
+
+def zero_grad(store):
+    """Drop every parameter's gradient, so the next backward allocates it."""
+    for _, t in store.items():
+        t.grad = None
+
+
+def adam_step(store, state):
+    """Store-based Adam: concatenate the parameters' gradients in store order,
+    take the whole-vector step, and subtract each parameter's slice of it.
+
+    The reference for `numerics.adam_step`, which updates the flat vector the
+    parameters are views of.
+    """
+    g = np.concatenate([t.grad.reshape(-1) for _, t in store.items()])
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * g * g
+    m_hat = state.m / (1.0 - b1 ** state.t)
+    v_hat = state.v / (1.0 - b2 ** state.t)
+    step = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    start = 0
+    for _, p in store.items():
+        p.data -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
+
+
+def batch_arrays(samples, prior_effect):
+    """`train.batch_arrays` with `np.stack` blocks."""
+    priors = np.stack([s.prior for s in samples])
+    if not prior_effect:
+        priors = np.zeros_like(priors)
+    prices = np.stack([s.price_window for s in samples])
+    texts = np.stack([s.text_feature for s in samples])
+    return priors, prices, texts, np.array([s.target for s in samples], dtype=np.float64)
+
+
+def train_replicas(samples_per_replica, configs):
+    """`train.train_replicas` with fresh gradient arrays every step: `zero_grad`,
+    `nm.backward`, then the store Adam above over the stacked store."""
+    base = configs[0]
+    lead = (len(configs),) if len(configs) > 1 else ()
+
+    def stack(parts):
+        return np.stack(parts).reshape(*lead, *parts[0].shape)
+
+    stores = [tr.init_pipeline_params(c) for c in configs]
+    store = nm.ParameterStore()
+    for name, _ in stores[0].items():
+        block = store.add(name, stack([s[name].data for s in stores])).data
+        for r, replica in enumerate(stores):
+            replica[name].data = block[r] if lead else block
+    state = nm.adam_state(store, lr=base.lr)
+    arrays = [stack(parts) for parts in zip(*(
+        batch_arrays(s, c.prior_effect) for s, c in zip(samples_per_replica, configs)))]
+    n = len(samples_per_replica[0])
+    traces = np.empty((base.epochs, len(configs)))
+    for epoch in range(base.epochs):
+        totals = np.zeros(len(configs))
+        for start in range(0, n, base.batch_size):
+            rows = (slice(None),) * len(lead) + (slice(start, start + base.batch_size),)
+            priors, prices, texts, targets = (a[rows] for a in arrays)
+            means = tr.bce_loss(tr.forward_batch(store, base, priors, prices, texts), targets)
+            zero_grad(store)
+            nm.backward(nm.sum_(means) if lead else means)
+            adam_step(store, state)
+            totals += means.data * targets.shape[-1]
+        traces[epoch] = totals / n
+    return [(replica, traces[:, r].tolist()) for r, replica in enumerate(stores)]

@@ -182,6 +182,17 @@ class TestPretrainEncoder:
         assert "epoch 0" in message and "sentence 0" in message
 
 
+    @pytest.mark.parametrize("command", [["pretrain-encoder"], ["featurize", "--pretrain"]])
+    def test_max_len_one_is_config_error(self, tmp_path, summaries, capsys, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"encoder": {"max_len": 1}}))
+        out = tmp_path / "enc"
+        assert run(*command, "--config", config, "--summaries", summaries, "--out", out,
+                   "--pretrain-epochs", "2", "--seed", "2") == 1
+        message = _one_error_line(capsys, "ConfigError")
+        assert "max_len" in message
+        assert not (out / "pretrain_loss.csv").exists()
+
     def test_invalid_similar_words_json_is_data_error(self, tmp_path, summaries, capsys):
         similar = tmp_path / "similar.json"
         similar.write_text('{"a": ["b"')

@@ -444,7 +444,7 @@ class TestMlmStep:
 
     def _assert_step_equals_tape(self, config, params, ids, positions, targets):
         loss = oracles.mlm_tape_loss(ids, positions, targets, config, params)
-        params.zero_grad()
+        oracles.zero_grad(params)
         nm.backward(loss)
         weights = {name: t.data for name, t in params.items()}
         grads = {name: np.full(t.shape, np.nan) for name, t in params.items()}
@@ -523,6 +523,13 @@ class TestPretrain:
             assert vocab == ref_vocab and trace == ref_trace
             for name, t in ref_params.items():
                 assert params[name].data.tobytes() == t.data.tobytes(), (seed, name)
+
+    def test_max_len_one_leaves_nothing_to_mask(self):
+        config = dataclasses.replace(TOY_CONFIG, max_len=1)
+        with pytest.raises(ConfigError, match="max_len"):
+            enc.pretrain_mlm(["alpha beta", "beta gamma"], config, epochs=2, seed=1)
+        _, _, trace = enc.pretrain_mlm(["alpha beta", "beta gamma"], config, epochs=0, seed=1)
+        assert trace == []
 
     def test_zero_epochs_tokenizes_nothing(self, monkeypatch):
         def refuse(*args):

@@ -277,10 +277,16 @@ class TestAdam:
         store.add("theta", np.array([value]))
         return store
 
+    def _step(self, store, state, g):
+        """One `adam_step` on the store's flat vector with gradient g."""
+        flat, grad = store.flatten()
+        grad[...] = g
+        nm.adam_step(state, flat, grad)
+
     def test_zero_gradient_keeps_params(self):
         store = self._store(1.5)
         state = nm.adam_state(store)
-        nm.adam_step(store, {"theta": np.array([0.0])}, state)
+        self._step(store, state, [0.0])
         assert store["theta"].data[0] == 1.5
         assert state.t == 1
 
@@ -288,7 +294,7 @@ class TestAdam:
     def test_first_step_bias_correction_identity(self, g):
         store = self._store(0.0)
         state = nm.adam_state(store, lr=1e-3)
-        nm.adam_step(store, {"theta": np.array([g])}, state)
+        self._step(store, state, [g])
         expected = -state.lr * g / (abs(g) + state.epsilon)
         np.testing.assert_allclose(store["theta"].data[0], expected, rtol=1e-12)
         # approximately -lr; the deviation is the epsilon share of |g|
@@ -297,20 +303,24 @@ class TestAdam:
     def test_descends_quadratic(self):
         store = self._store(1.0)
         state = nm.adam_state(store, lr=1e-1)
+        flat, grad = store.flatten()
         for _ in range(100):
-            theta = store["theta"].data[0]
-            nm.adam_step(store, {"theta": np.array([2.0 * theta])}, state)
+            grad[...] = 2.0 * flat
+            nm.adam_step(state, flat, grad)
         final = store["theta"].data[0]
         assert abs(final) < 0.1
         assert final ** 2 < 1.0
         assert state.t == 100
 
-    def test_missing_gradient_is_key_error(self):
+    def test_gradient_of_another_size_is_shape_error(self):
         store = self._store(1.0)
         store.add("other", np.array([2.0]))
         state = nm.adam_state(store)
-        with pytest.raises(KeyError, match="other"):
-            nm.adam_step(store, {"theta": np.array([0.1])}, state)
+        flat, _ = store.flatten()
+        with pytest.raises(ShapeError, match=r"gradient of shape \(1,\)"):
+            nm.adam_step(state, flat, np.array([0.1]))
+        assert state.t == 0
+        assert flat.tolist() == [1.0, 2.0]
 
     def test_flat_update_is_bitwise_the_per_parameter_update(self):
         rng = np.random.default_rng(12)
@@ -322,11 +332,14 @@ class TestAdam:
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
         state = nm.adam_state(store, lr=0.05)
+        vector, grad = store.flatten()
         b1, b2, eps = state.beta1, state.beta2, state.epsilon
         for t in range(1, 6):
             grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
                      for name, shape in shapes.items()}
-            nm.adam_step(store, grads, state)
+            for name, g in grads.items():
+                store[name].grad[...] = g
+            nm.adam_step(state, vector, grad)
             for name, g in grads.items():
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -371,3 +384,36 @@ class TestParameterStore:
         store.add("head.w", np.ones(1))
         view = store.view("cell")
         assert list(view) == ["w"]
+
+    def test_view_is_cached_until_the_next_add(self):
+        store = ParameterStore()
+        store.add("cell.w", np.zeros(1))
+        first = store.view("cell")
+        assert store.view("cell") is first
+        store.add("cell.u", np.ones(2))
+        after = store.view("cell")
+        assert after is not first
+        assert list(after) == ["w", "u"]
+        assert after["u"] is store["cell.u"]
+
+    def test_flatten_makes_data_and_grad_views_of_two_vectors(self):
+        rng = np.random.default_rng(6)
+        store = ParameterStore()
+        for name, shape in (("a.w", (3, 4)), ("a.b", (1, 4)), ("c", ()), ("d", (2, 1, 3))):
+            store.add(name, rng.normal(size=shape))
+        before = store.state_dict()
+        flat, grad = store.flatten()
+        assert store.state_dict() == before
+        assert flat.shape == grad.shape == (sum(t.size for _, t in store.items()),)
+        assert not grad.any()
+        assert flat.tolist() == [x for entry in before["params"].values()
+                                 for x in entry["data"]]
+        for name, t in store.items():
+            assert t.shape == tuple(before["params"][name]["shape"])
+            assert t.grad.shape == t.shape
+            assert np.shares_memory(t.data, flat) and np.shares_memory(t.grad, grad), name
+        flat += 1.0
+        grad -= 2.0
+        for _, t in store.items():
+            assert np.all(t.grad == -2.0)
+        assert store["c"].data.tolist() == before["params"]["c"]["data"][0] + 1.0

@@ -224,6 +224,27 @@ class TestTrainReplicas:
             with pytest.raises(ContractError, match="seed and prior_effect"):
                 tr.train_replicas(samples, odd)
 
+    @pytest.mark.parametrize("arms", [(True,), (True, False)], ids=["solo", "lockstep"])
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_flat_training_is_bitwise_the_per_step_gradient_loop(self, kind, arms):
+        """`oracles.train_replicas` allocates fresh gradients every step and
+        runs the store Adam: traces, parameters and held-out probabilities
+        are bitwise those of the flat vector and flat gradient."""
+        samples = synthetic.markov_samples(64, 6, seed=9, feature_len=8)
+        base = _config(epochs=3, model=ModelSpec(kind=kind, hidden=6))
+        configs = [dataclasses.replace(base, prior_effect=flag) for flag in arms]
+        trained = tr.train_replicas([samples[:40]] * len(arms), configs)
+        expected = oracles.train_replicas([samples[:40]] * len(arms), configs)
+        for (store, trace), (ref, ref_trace), cfg in zip(trained, expected, configs):
+            assert trace == ref_trace
+            assert oracles.names(store) == oracles.names(ref)
+            for name, t in ref.items():
+                assert store[name].data.tobytes() == t.data.tobytes(), name
+            probs = [np.array([row["probability"] for row in
+                               tr.evaluate(s, cfg, samples[40:]).predictions])
+                     for s in (store, ref)]
+            assert probs[0].tobytes() == probs[1].tobytes()
+
     def test_ablation_arms_match_solo_runs(self):
         samples = synthetic.markov_samples(40, 6, seed=5, feature_len=8)
         train_s, test_s = split_train_test(samples, 0.8)
@@ -344,6 +365,15 @@ class TestEvaluate:
         assert report.loss_trace == trace
         payload = report.to_dict()
         assert payload["metrics_at"] == "final_epoch"
+        priors, prices, texts, targets = tr.batch_arrays(samples, cfg.prior_effect)
+        probs = tr.forward_batch(store, cfg, priors, prices, texts).data.reshape(-1)
+        labels = (probs >= 0.5).astype(int)
+        rows = [{"date": s.date.isoformat(), "probability": float(pr),
+                 "label": int(lb), "target": int(tg)}
+                for s, pr, lb, tg in zip(samples, probs, labels, targets.astype(int))]
+        assert report.predictions == rows
+        assert [[type(v) for v in row.values()] for row in report.predictions] \
+            == [[str, float, int, int]] * len(rows)
 
     def test_empty_set_rejected(self):
         cfg = _config()
@@ -392,6 +422,11 @@ class TestBatchArrays:
         assert np.any(priors_on != 0)
         np.testing.assert_array_equal(priors_off, np.zeros_like(priors_off))
         np.testing.assert_array_equal(prices, np.stack([s.price_window for s in samples]))
+        for prior_effect in (True, False):  # bitwise the np.stack blocks
+            for got, want in zip(tr.batch_arrays(samples, prior_effect),
+                                 oracles.batch_arrays(samples, prior_effect)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestAblation:
