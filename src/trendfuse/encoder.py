@@ -7,25 +7,24 @@ contains an artificial mask symbol. The encoder output at the leading
 start token is pooled as the whole-text representation and standardized
 to a fixed feature length.
 
-Each sublayer is one tape primitive with a hand-written backward
-(`numerics.fused`): multi-head attention over all heads at once, the
-residual add plus layer norm, the feed-forward block and the masked-token
-loss. The composed reference versions live in `tests/oracles.py`.
+The encoder is numpy only. The arithmetic of each sublayer (multi-head
+attention over all heads at once, the residual add plus layer norm, the
+feed-forward block, the masked-token loss) is written once: the forwards
+(`_attend`, `_add_norm`, `_feed_forward`, `_mlm_nll`) over arrays with any
+leading axes, and their backwards over one text.
 
-The arithmetic of each sublayer is written once, in numpy helpers: the
-forwards (`_attend`, `_add_norm`, `_feed_forward`, `_mlm_nll`) over arrays
-with any leading axes, and their backwards over one text. The tape nodes
-call them, and so does pretraining, which builds no tape: `mlm_step` runs
-one sentence's forward and backward in numpy and writes the gradient into
-one flat vector, which Adam applies to the flat vector the parameters are
-views of. Its sums come in the tape's order, so the loss trace and the
-parameters are bitwise those of a tape per sentence.
+`encode_text` is the one encoder forward. Featurizing (`encode_features`)
+runs it on (n, L) blocks of up to FEATURIZE_CHUNK texts of one token count
+and keeps nothing for a backward pass. Pretraining's `mlm_step` runs it on
+one sentence with a list that collects each layer's saved values, adds the
+masked-token head and loss, then runs the backwards by hand and writes the
+gradient into one flat vector, which Adam applies to the flat vector the
+parameters are views of. Its sums come in the order of a tape of the same
+sublayers, so the loss trace and the parameters are bitwise those of
+`numerics.backward` through that tape, which `tests/oracles.py` builds.
 
-`encode_text` takes one text's (L,) ids, or an (n, L) block of
-same-length texts: featurizing (`encode_features`) runs it under
-`numerics.no_grad` on blocks of up to FEATURIZE_CHUNK texts of one token
-count, so no tape is kept, and gets bitwise the rows the per-text tape
-path gives.
+`mlm_loss`, the masked-token loss as one tape node, is not called by the
+program; `perfbench/tracing.py` wraps it by name.
 """
 
 from __future__ import annotations
@@ -100,7 +99,8 @@ class Vocabulary:
         if similar_words:
             for token, cands in similar_words.items():
                 tid = token_to_id.get(token)
-                ids = tuple(token_to_id[c] for c in cands if c in token_to_id)
+                ids = tuple(token_to_id[c] for c in cands
+                            if token_to_id.get(c, UNK_ID) >= NUM_SPECIALS)
                 if tid is not None and tid >= NUM_SPECIALS and ids:
                     vocab.similar[tid] = ids
         return vocab
@@ -275,8 +275,7 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 # The arithmetic of each sublayer, over arrays. The forwards take any leading
 # axes (one text's (L, d) rows or a batch's (n, L, d) block) and return the
 # output and what the backward needs; the backwards take one text and return
-# the input gradient first, then the weights' in argument order. The tape
-# nodes below and the tape-free `mlm_step` both call them.
+# the input gradient first, then the weights' in argument order.
 
 def _attend(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
             wo: np.ndarray, heads: int) -> tuple[np.ndarray, tuple]:
@@ -350,74 +349,23 @@ _FEED_FORWARD_WEIGHTS = ("w1", "b1", "w2", "b2")
 _LAYER_WEIGHTS = (*_ATTEND_WEIGHTS, "ln1_g", "ln1_b", *_FEED_FORWARD_WEIGHTS, "ln2_g", "ln2_b")
 
 
-def multi_head_attention(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
-    """Project into per-head subspaces, attend, concatenate, and mix.
+def _encoder_layer(x: np.ndarray, w: Mapping[str, np.ndarray], heads: int,
+                   saved: list | None) -> np.ndarray:
+    """Post-norm block: attention and feed-forward, each behind a residual.
 
-    One tape node. q, k and v are split into (heads, L, d_k) blocks; every
-    head then takes max-shifted softmax weights of its scaled dot-product
-    scores and averages its values, all heads in each 3-D matmul.
+    Appends what the backwards need to `saved` when it is a list. Otherwise
+    it keeps nothing: the attention's arrays, the largest, go before the
+    feed-forward runs, so a forward-only pass peaks at one sublayer's.
     """
-    weights = [params[w] for w in _ATTEND_WEIGHTS]
-    arrays = [w.data for w in weights]
-    out, saved = _attend(x.data, *arrays, heads)
-
-    def back(g):
-        d_x, *d_weights = _attend_back(g, x.data, *arrays, saved, heads)
-        for w, d in zip(weights, d_weights):
-            nm.accumulate(w, d)
-        nm.accumulate(x, d_x)
-
-    return nm.fused((x, *weights), (out,), back)[0]
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               sublayer: Tensor | None = None) -> Tensor:
-    """Row-wise standardization (population variance) with learned affine.
-
-    Normalizes x + sublayer when a sublayer output is given (the residual
-    connection), else x; one tape node either way. The variance is floored
-    at eps rather than shifted by it, so any row with real spread comes out
-    with exactly unit population std, while constant rows map to zeros
-    instead of dividing by zero. Where the floor applies, no gradient flows
-    through the variance.
-    """
-    out, saved = _add_norm(x.data, None if sublayer is None else sublayer.data,
-                           gain.data, bias.data)
-
-    def back(g):
-        d_total, d_gain, d_bias = _add_norm_back(g, gain.data, saved)
-        nm.accumulate(gain, d_gain)
-        nm.accumulate(bias, d_bias)
-        nm.accumulate(x, d_total)
-        if sublayer is not None:
-            nm.accumulate(sublayer, d_total)
-
-    parents = (x, gain, bias) if sublayer is None else (x, gain, bias, sublayer)
-    return nm.fused(parents, (out,), back)[0]
-
-
-def feed_forward(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
-    """relu(x·w1 + b1)·w2 + b2 as one tape node."""
-    weights = [params[w] for w in _FEED_FORWARD_WEIGHTS]
-    arrays = [w.data for w in weights]
-    w1, _, w2, _ = arrays
-    out, hidden = _feed_forward(x.data, *arrays)
-
-    def back(g):
-        d_x, *d_weights = _feed_forward_back(g, x.data, w1, w2, hidden)
-        for w, d in zip(weights, d_weights):
-            nm.accumulate(w, d)
-        nm.accumulate(x, d_x)
-
-    return nm.fused((x, *weights), (out,), back)[0]
-
-
-def encoder_layer(x: Tensor, params: Mapping[str, Tensor], heads: int) -> Tensor:
-    """Post-norm block: attention and feed-forward, each behind a residual."""
-    attended = layer_norm(x, params["ln1_g"], params["ln1_b"],
-                          multi_head_attention(x, params, heads))
-    return layer_norm(attended, params["ln2_g"], params["ln2_b"],
-                      feed_forward(attended, params))
+    attended, att_saved = _attend(x, *(w[n] for n in _ATTEND_WEIGHTS), heads)
+    a, norm1 = _add_norm(x, attended, w["ln1_g"], w["ln1_b"])
+    if saved is None:
+        del attended, att_saved, norm1
+    ff, hidden = _feed_forward(a, *(w[n] for n in _FEED_FORWARD_WEIGHTS))
+    out, norm2 = _add_norm(a, ff, w["ln2_g"], w["ln2_b"])
+    if saved is not None:
+        saved.append((w, x, att_saved, a, norm1, hidden, norm2))
+    return out
 
 
 def init_encoder_params(config: EncoderConfig, vocab_size: int,
@@ -443,14 +391,16 @@ def init_encoder_params(config: EncoderConfig, vocab_size: int,
 
 
 def encode_text(token_ids: np.ndarray, config: EncoderConfig,
-                params: ParameterStore) -> tuple[Tensor, Tensor]:
+                weights: Mapping[str, np.ndarray],
+                saved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run the full encoder; returns (per-token rows, pooled sentence row).
 
     `token_ids` is one text's (L,) ids, giving (L, d) rows and a (1, d)
     pooled row, or an (..., L) block of same-length texts, giving
-    (..., L, d) rows and (..., 1, d) pooled rows. The sublayers' backwards
-    take one text, so a block is for forward-only use under
-    `numerics.no_grad`.
+    (..., L, d) rows and (..., 1, d) pooled rows. `weights` maps each
+    encoder parameter name to its array. When `saved` is a list, each layer
+    appends what its backward needs, for `mlm_step`; the backwards take one
+    text.
     """
     token_ids = np.asarray(token_ids)
     length = token_ids.shape[-1]
@@ -459,52 +409,43 @@ def encode_text(token_ids: np.ndarray, config: EncoderConfig,
     if length > config.max_len:
         raise ContractError(
             f"sequence of {length} tokens exceeds max_len={config.max_len}")
-    pe = positional_encoding(config.max_len, config.d_model)
-    x = nm.add(nm.gather_rows(params["emb"], token_ids), Tensor(pe[:length]))
+    # Tables come in powers of two: pretraining's many lengths share a few
+    # cache entries, and a checkpoint's max_len never sizes one. A table's
+    # first rows are those of any longer table.
+    pe = positional_encoding(1 << (length - 1).bit_length(), config.d_model)
+    x = weights["emb"][token_ids] + pe[:length]
     for i in range(config.layers):
-        x = encoder_layer(x, params.view(f"layer{i}"), config.heads)
+        layer = {name: weights[f"layer{i}.{name}"] for name in _LAYER_WEIGHTS}
+        x = _encoder_layer(x, layer, config.heads, saved)
     if config.pool == "mean":
-        pooled = nm.mean_(x, axis=-2, keepdims=True)
+        pooled = x.sum(axis=-2, keepdims=True) * (1.0 / length)
     else:
         pooled = x[..., 0:1, :]
     return x, pooled
 
 
-def mlm_predictions(rows: Tensor, positions: np.ndarray,
-                    params: ParameterStore) -> Tensor:
-    """Vocabulary distributions at the masked positions."""
-    picked = nm.gather_rows(rows, positions)
-    logits = nm.add(nm.matmul(picked, params["mlm.w"]), params["mlm.b"])
-    return nm.softmax(logits, axis=-1)
+def mlm_predictions(rows: np.ndarray, positions: np.ndarray,
+                    weights: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Vocabulary distributions at the masked positions, one row each."""
+    return nm.softmax_probs(rows[positions] @ weights["mlm.w"] + weights["mlm.b"])
 
 
 def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
              config: EncoderConfig, weights: Mapping[str, np.ndarray],
              grads: Mapping[str, np.ndarray]) -> float:
-    """The masked-token loss of one corrupted text, and its gradient, tape-free.
+    """The masked-token loss of one corrupted text, and its gradient.
 
     `weights` maps each encoder parameter name to its array. The forward is
-    that of `encode_text`, `mlm_predictions` and `mlm_loss`, and the backward
-    runs the sublayer backwards by hand and writes each parameter's gradient
-    into its array of `grads`. The sums come in the tape's order, so the
-    loss and every gradient are bitwise those of `numerics.backward` through
-    that tape. Returns the loss, which may be non-finite.
+    `encode_text`, keeping each layer's saved values, then `mlm_predictions`
+    and the loss arithmetic of `mlm_loss`; the backward runs the sublayer
+    backwards by hand and writes each parameter's gradient into its array
+    of `grads`. The sums come in the tape's order, so the loss and every
+    gradient are bitwise those of `numerics.backward` through a tape of the
+    same sublayers. Returns the loss, which may be non-finite.
     """
-    heads = config.heads
-    pe = positional_encoding(config.max_len, config.d_model)
-    x = weights["emb"][token_ids] + pe[:len(token_ids)]
-    layers = []
-    for i in range(config.layers):
-        prefix = f"layer{i}."
-        w = {name: weights[prefix + name] for name in _LAYER_WEIGHTS}
-        attended, att_saved = _attend(x, *(w[n] for n in _ATTEND_WEIGHTS), heads)
-        a, norm1 = _add_norm(x, attended, w["ln1_g"], w["ln1_b"])
-        ff, hidden = _feed_forward(a, *(w[n] for n in _FEED_FORWARD_WEIGHTS))
-        out, norm2 = _add_norm(a, ff, w["ln2_g"], w["ln2_b"])
-        layers.append((prefix, w, x, att_saved, a, norm1, hidden, norm2))
-        x = out
-    picked = x[positions]
-    probs = nm.softmax_probs(picked @ weights["mlm.w"] + weights["mlm.b"])
+    layers: list = []
+    rows, _ = encode_text(token_ids, config, weights, layers)
+    probs = mlm_predictions(rows, positions, weights)
     loss, saved = _mlm_nll(probs, targets)
 
     def put(prefix, names, values):
@@ -514,10 +455,12 @@ def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
     d_logits = nm.softmax_back(_mlm_nll_back(1.0, probs, targets, saved), probs)
     # one row is the bias gradient as it is: a sum would turn its -0.0 into 0.0
     d_bias = d_logits if len(d_logits) == 1 else nm.row_sum(d_logits)
-    put("mlm.", ("w", "b"), (picked.T @ d_logits, d_bias))
-    d_x = np.zeros_like(x)
+    put("mlm.", ("w", "b"), (rows[positions].T @ d_logits, d_bias))
+    d_x = np.zeros_like(rows)
     np.add.at(d_x, positions, d_logits @ weights["mlm.w"].T)
-    for prefix, w, x_in, att_saved, a, norm1, hidden, norm2 in reversed(layers):
+    for i in reversed(range(config.layers)):
+        prefix = f"layer{i}."
+        w, x_in, att_saved, a, norm1, hidden, norm2 = layers[i]
         d_total, *d_norm = _add_norm_back(d_x, w["ln2_g"], norm2)
         put(prefix, ("ln2_g", "ln2_b"), d_norm)
         d_a, *d_ff = _feed_forward_back(d_total, a, w["w1"], w["w2"], hidden)
@@ -525,7 +468,7 @@ def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
         d_total, *d_norm = _add_norm_back(d_total + d_a, w["ln1_g"], norm1)
         put(prefix, ("ln1_g", "ln1_b"), d_norm)
         d_x, *d_att = _attend_back(d_total, x_in, *(w[n] for n in _ATTEND_WEIGHTS),
-                                   att_saved, heads)
+                                   att_saved, config.heads)
         put(prefix, _ATTEND_WEIGHTS, d_att)
         d_x = d_total + d_x
     d_emb = grads["emb"]
@@ -594,7 +537,7 @@ def standardize_features(pooled: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([flat, np.zeros(length - flat.size)])
 
 
-# Same-length texts per tape-free forward: a bound on the (n, L, d) arrays.
+# Same-length texts per forward: a bound on the (n, L, d) arrays.
 FEATURIZE_CHUNK = 32
 
 
@@ -602,10 +545,9 @@ def encode_features(texts: Sequence[str], vocab: Vocabulary, config: EncoderConf
                     params: ParameterStore, length: int) -> np.ndarray:
     """One standardized feature row per text, in input order.
 
-    The encoder runs forward only, under `numerics.no_grad`: texts are
-    grouped by token count and each group goes through `encode_text` as
-    (n, L) blocks of at most FEATURIZE_CHUNK texts. Row i is bitwise the
-    row that `encode_text` pools for texts[i] alone, through
+    Texts are grouped by token count and each group goes through
+    `encode_text` as (n, L) blocks of at most FEATURIZE_CHUNK texts. Row i
+    is bitwise the row that `encode_text` pools for texts[i] alone, through
     `standardize_features`.
     """
     if not texts:
@@ -614,14 +556,14 @@ def encode_features(texts: Sequence[str], vocab: Vocabulary, config: EncoderConf
     groups: dict[int, list[int]] = {}
     for index, ids in enumerate(tokens):
         groups.setdefault(len(ids), []).append(index)
+    weights = {name: t.data for name, t in params.items()}
     rows: list = [None] * len(texts)
-    with nm.no_grad():
-        for members in groups.values():
-            for start in range(0, len(members), FEATURIZE_CHUNK):
-                chunk = members[start:start + FEATURIZE_CHUNK]
-                _, pooled = encode_text(np.stack([tokens[i] for i in chunk]), config, params)
-                for index, row in zip(chunk, pooled.data):
-                    rows[index] = standardize_features(row, length)
+    for members in groups.values():
+        for start in range(0, len(members), FEATURIZE_CHUNK):
+            chunk = members[start:start + FEATURIZE_CHUNK]
+            _, pooled = encode_text(np.stack([tokens[i] for i in chunk]), config, weights)
+            for index, row in zip(chunk, pooled):
+                rows[index] = standardize_features(row, length)
     return np.stack(rows)
 
 
@@ -656,15 +598,20 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict) or doc.get("format_version") != 1:
+        if (not isinstance(doc, dict) or type(doc.get("format_version")) is not int
+                or doc["format_version"] != 1):  # True == 1.0 == 1
             raise DataError("not a version 1 encoder checkpoint")
         config = EncoderConfig(**doc["config"])
         tokens = doc["vocab"]["tokens"]
         if (tokens[:NUM_SPECIALS] != list(_SPECIAL_TOKENS)
                 or not all(isinstance(t, str) for t in tokens)):
             raise DataError("vocabulary must be a list of tokens led by the special tokens")
-        similar = {int(k): tuple(int(i) for i in v)
-                   for k, v in doc["vocab"]["similar"].items()}
+        similar = {int(k): tuple(v) for k, v in doc["vocab"]["similar"].items()}
+        for key, ids in similar.items():
+            if not all(type(i) is int and NUM_SPECIALS <= i < len(tokens)
+                       for i in (key, *ids)):
+                raise DataError(f"similar-word entry {key} names something other than "
+                                f"an ordinary token id in [{NUM_SPECIALS}, {len(tokens)})")
         params = ParameterStore.from_state_dict(doc["params"])
     except KeyError as err:
         raise DataError(f"{path}: encoder checkpoint lacks {err}") from None

@@ -391,18 +391,26 @@ CELLS = {
 }
 
 
-def feedforward_net(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
-    """Two hidden ReLU layers down to a single logit column, as one tape node."""
+def feedforward_net(prices: np.ndarray, priors: np.ndarray, context: Tensor,
+                    params: Mapping[str, Tensor]) -> Tensor:
+    """Probability of an upward move from the price window, the priors and
+    the text context, side by side: two hidden ReLU layers down to one
+    logit, then the logistic, as one tape node. Only the context and the
+    weights take gradients.
+    """
+    x = np.concatenate([prices, priors, context.data], axis=-1)
     layers = [(params[f"w{k}"], params[f"b{k}"]) for k in (1, 2, 3)]
     if x.shape[-1] != layers[0][0].shape[-2]:
         raise ShapeError(f"input width {x.shape} does not match first layer "
                          f"{layers[0][0].shape}")
-    acts = [x.data]  # each layer's input, then the logit
+    acts = [x]  # each layer's input, then the logit
     for k, (w, b) in enumerate(layers):
         z = acts[-1] @ w.data + b.data
         acts.append(np.maximum(0.0, z) if k < 2 else z)
+    p = nm.logistic(acts[-1])
 
     def back(g: np.ndarray) -> None:
+        g = g * p * (1.0 - p)
         for k in (2, 1, 0):
             w, b = layers[k]
             if k < 2:
@@ -410,9 +418,9 @@ def feedforward_net(x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
             nm.accumulate(w, nm.mT(acts[k]) @ g)
             nm.accumulate(b, nm.row_sum(g))
             g = g @ nm.mT(w.data)
-        nm.accumulate(x, g)
+        nm.accumulate(context, g[..., x.shape[-1] - context.shape[-1]:])
 
-    return nm.fused((x, *(t for layer in layers for t in layer)), (acts[-1],), back)[0]
+    return nm.fused((context, *(t for layer in layers for t in layer)), (p,), back)[0]
 
 
 def output_head(z: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, np.ndarray]:

@@ -6,6 +6,15 @@ doubles as the tape: replaying it backward in topological order yields
 gradients for every leaf. All arithmetic stays in float64 and reduction
 orders are fixed by graph construction order, so identical inputs give
 bit-identical outputs and gradients.
+
+Every tape node the program builds is a primitive with a hand-written
+backward (`fused`), whose arithmetic lives in the module that uses it, or
+`sum_`, which adds lockstep replicas' losses. Besides the tape, this
+module keeps only what some program path calls: the array helpers those
+backwards share (`mT`, `row_sum`, `affine_back`, `logistic`,
+`softmax_probs`/`softmax_back`), the `no_grad` scope, the parameter store
+and its checkpoint format, and Adam. Single-op tape ops that only tests
+compose live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -82,9 +91,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
             self.grad += g
 
-    def __getitem__(self, key):
-        return take(self, key)
-
 
 def grad_needed(inputs: Iterable[Tensor]) -> bool:
     """Whether an operation on `inputs` is recorded for a backward pass."""
@@ -93,55 +99,6 @@ def grad_needed(inputs: Iterable[Tensor]) -> bool:
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum gradient g down to `shape` after numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
-
-
-def _binary(a, b, fwd, da, db) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out_data = fwd(a.data, b.data)
-
-    def back(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(da(g, a.data, b.data), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(db(g, a.data, b.data), b.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=back)
-
-
-def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
-
-
-def mul(a, b) -> Tensor:
-    """Hadamard (elementwise) product with numpy broadcasting."""
-    return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def back(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return Tensor(out_data, parents=(a, b), backward=back)
 
 
 def mT(a: Array) -> Array:
@@ -167,31 +124,8 @@ def logistic(z: Array) -> Array:
     return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _lift(x)
-    y = logistic(x.data)
-
-    def back(g: Array) -> None:
-        x._accumulate(g * y * (1.0 - y))
-
-    return Tensor(y, parents=(x,), backward=back)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along `axis`; rows sum to 1, shift-invariant."""
-    x = _lift(x)
-    if x.size == 0:
-        raise ShapeError("softmax of an empty tensor")
-    y = softmax_probs(x.data, axis)
-
-    def back(g: Array) -> None:
-        x._accumulate(softmax_back(g, y, axis))
-
-    return Tensor(y, parents=(x,), backward=back)
-
-
 def softmax_probs(x: Array, axis: int = -1) -> Array:
-    """Max-shifted softmax of an array along `axis` (the arithmetic of `softmax`)."""
+    """Max-shifted softmax of an array along `axis`; rows sum to 1, shift-invariant."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
@@ -211,58 +145,6 @@ def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         x._accumulate(np.broadcast_to(g, x.shape).copy())
 
     return Tensor(y, parents=(x,), backward=back)
-
-
-def mean_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _lift(x)
-    count = x.size if axis is None else x.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [_lift(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g: Array) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                p._accumulate(g[tuple(idx)])
-
-    return Tensor(out_data, parents=tuple(parts), backward=back)
-
-
-def take(x: Tensor, key) -> Tensor:
-    """Basic (slice/integer) indexing with scatter-back gradient."""
-    x = _lift(x)
-    out_data = x.data[key]
-
-    def back(g: Array) -> None:
-        full = np.zeros_like(x.data)
-        full[key] = g
-        x._accumulate(full)
-
-    return Tensor(out_data, parents=(x,), backward=back)
-
-
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows of a 2-D table by integer ids (embedding lookup)."""
-    table = _lift(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-D table, got {table.shape}")
-
-    def back(g: Array) -> None:
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        table._accumulate(full)
-
-    return Tensor(table.data[ids], parents=(table,), backward=back)
 
 
 def accumulate(t: Tensor, g: Array) -> None:
@@ -427,17 +309,20 @@ class ParameterStore:
     def from_state_dict(cls, state: dict) -> "ParameterStore":
         if not isinstance(state, dict):
             raise DataError("checkpoint is not a JSON object")
-        if state.get("format_version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint format_version "
-                            f"{state.get('format_version')!r}; this program reads "
-                            f"{CHECKPOINT_VERSION}")
+        version = state.get("format_version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1.0 == 1
+            raise DataError(f"unsupported checkpoint format_version {version!r}; "
+                            f"this program reads {CHECKPOINT_VERSION}")
         params = state.get("params")
         if not isinstance(params, dict):
             raise DataError("checkpoint has no 'params' object")
         store = cls()
         for name, entry in params.items():
             try:
-                arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                arr = np.asarray(entry["data"])
+                if arr.dtype.kind not in "iuf":
+                    raise TypeError("data must be a list of numbers")
+                arr = arr.astype(np.float64, copy=False).reshape(entry["shape"])
             except KeyError as err:
                 raise DataError(f"checkpoint parameter {name!r} has no {err}") from None
             except (TypeError, ValueError) as err:

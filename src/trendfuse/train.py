@@ -7,7 +7,7 @@ recurrent cell as one tape node (`models.unroll`); the per-step states
 are attention-pooled with the final state as query; the pooled state and
 the text context meet in the convex fusion gate; a fully connected head
 emits the upward-move probability. The feedforward baseline instead maps
-the flattened inputs straight to a logit.
+the flattened inputs straight to the probability.
 
 The text path, the feedforward baseline, attention pooling, the fusion
 gate, the head and the loss are each one tape primitive (`numerics.fused`)
@@ -168,8 +168,7 @@ def forward_batch(store: ParameterStore, config: TrainConfig, priors: np.ndarray
     embedded = fusion.embed(Tensor(texts), text_params)
     context = fusion.conv_text(embedded, text_params)
     if config.model.kind == "feedforward":
-        flat = nm.concat([Tensor(prices), Tensor(priors), context], axis=-1)
-        return nm.sigmoid(models.feedforward_net(flat, store.view("cell")))
+        return models.feedforward_net(prices, priors, context, store.view("cell"))
     pairs = Tensor(np.stack([prices, priors], axis=-1))              # (..., B, T, 2)
     steps, final = models.unroll(config.model, store.view("cell"), pairs)
     _, pooled = fusion.attention_over_features(final, steps)

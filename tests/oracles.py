@@ -1,31 +1,43 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here except `cell_step`, `bilstm_forward` and the encoder
-compositions and pretraining loop is deliberately written without the package's tensor or graph
-machinery (plain loops and numpy scalars), so a passing comparison means
-two unrelated code paths agree. `cell_step` wraps one numpy step pair of
-the library's `models.CELLS` table as a tape node, and `bilstm_forward`
-composes such steps by hand, as a reference for the whole-sequence
-`models.unroll` node. `self_attention`, `multi_head_attention`, `layer_norm`,
-`feed_forward` and `mlm_loss` build the encoder's sublayers from single
-tape ops, as references for the fused primitives in `encoder`: their
-gradients come from the tape's per-op backwards, not from a hand-written one.
-`embed`, `conv_text`, `feedforward_net`, `attention_over_features`, `fuse`,
-`output_head` and `bce_loss` do the same for the fused text path,
-feedforward baseline and predictor tail in `fusion`, `models` and `train`.
-`segment` tests each character against the CJK ranges one by one, as a
-reference for the compiled pattern in `encoder.segment`. `similar_word_mask`
-draws span sizes with `rng.choice`, as a reference for the encoder's cdf
-search, and `pretrain_mlm` is the per-sentence tape loop (through
-`mlm_tape_loss`, `numerics.backward` and the store Adam `adam_step`), as a
-reference for the encoder's tape-free `mlm_step`. `train_replicas` is the
-predictor loop with fresh gradient arrays per step (`zero_grad`, then the store
-Adam `adam_step`), as a reference for the flat-vector training loop, and
-`batch_arrays` stacks sample blocks with `np.stack`.
+Everything here except the tape ops and the compositions built on them is
+deliberately written without the package's tensor or graph machinery
+(plain loops and numpy scalars), so a passing comparison means two
+unrelated code paths agree.
 
-`sub`, `neg`, `log`, `pow_scalar`, `clip_min`, `transpose`, `relu` and
-`conv1d_rows` are tape ops that only these references use, and `gradients` and `names` are helpers
-that only the tests use; they live here rather than in `numerics`.
+`add`, `sub`, `mul`, `neg`, `matmul`, `sigmoid`, `softmax`, `log`,
+`pow_scalar`, `clip_min`, `relu`, `transpose`, `mean_`,
+`concat`, `take`, `gather_rows` and `conv1d_rows` are single tape ops that
+only the tests use; they live here rather than in `numerics`. `sigmoid` and
+`softmax` wrap the program's `numerics.logistic` and
+`numerics.softmax_probs`/`softmax_back`. The `composed_*` encoder sublayers,
+`self_attention` and `mlm_loss` build the encoder's pieces from those ops,
+and `embed`, `conv_text`, `feedforward_net`, `attention_over_features`,
+`fuse`, `output_head` and `bce_loss` do the same for the fused text path,
+feedforward baseline and predictor tail in `fusion`, `models` and `train`:
+their gradients come from the per-op backwards, not from a hand-written
+one.
+
+`multi_head_attention`, `layer_norm`, `feed_forward` and `encoder_layer`
+wrap the encoder's numpy sublayers (`_attend`/`_attend_back`,
+`_add_norm`/`_add_norm_back`, `_feed_forward`/`_feed_forward_back`) as one
+tape node each, so the finite-difference suite checks the backwards that
+pretraining runs. `encode_text` and `mlm_predictions` compose them into
+the encoder on the tape, and `mlm_tape_loss` adds `encoder.mlm_loss`: the
+reference for the tape-free `encoder.mlm_step`. `pretrain_mlm` is the
+per-sentence tape loop through it (`numerics.backward`, then the store
+Adam `adam_step`). `cell_step` wraps one numpy step pair of the library's
+`models.CELLS` table as a tape node, and `bilstm_forward` composes such
+steps by hand, as a reference for the whole-sequence `models.unroll` node.
+
+`segment` tests each character against the CJK ranges one by one, as a
+reference for the compiled pattern in `encoder.segment`.
+`similar_word_mask` draws span sizes with `rng.choice`, as a reference for
+the encoder's cdf search. `train_replicas` is the predictor loop with
+fresh gradient arrays per step (`zero_grad`, then the store Adam
+`adam_step`), as a reference for the flat-vector training loop, and
+`batch_arrays` stacks sample blocks with `np.stack`. `gradients` and
+`names` are helpers that only the tests use.
 """
 
 import math
@@ -84,10 +96,10 @@ def assert_same_values_and_grads(fused, composed, arrays, seed):
         outs = build(leaves)
         outs = outs if isinstance(outs, tuple) else (outs,)
         rng = np.random.default_rng(seed)
-        terms = [nm.sum_(nm.mul(out, rng.normal(size=out.shape))) for out in outs]
+        terms = [nm.sum_(mul(out, rng.normal(size=out.shape))) for out in outs]
         total = terms[0]
         for term in terms[1:]:
-            total = nm.add(total, term)
+            total = add(total, term)
         results.append(([out.data for out in outs], gradients(total, leaves)))
     (outs_f, grads_f), (outs_c, grads_c) = results
     for out_f, out_c in zip(outs_f, outs_c):
@@ -114,9 +126,9 @@ def assert_replicas_match_solo(build, arrays, seed):
         if mixes is None:
             rng = np.random.default_rng(seed)
             mixes = [rng.normal(size=out.shape) for out in outs]
-        total = nm.sum_(nm.mul(outs[0], mixes[0]))
+        total = nm.sum_(mul(outs[0], mixes[0]))
         for out, mix in zip(outs[1:], mixes[1:]):
-            total = nm.add(total, nm.sum_(nm.mul(out, mix)))
+            total = add(total, nm.sum_(mul(out, mix)))
         return [out.data for out in outs], gradients(total, leaves), mixes
 
     outs, grads, mixes = run(arrays)
@@ -196,7 +208,8 @@ def conv1d_valid(x, kernel, bias=0.0):
                      for i in range(out_len)])
 
 
-def sigmoid(x):
+def plain_sigmoid(x):
+    """1 / (1 + exp(-x)) in plain numpy."""
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
@@ -207,9 +220,9 @@ def lstm_step(x, h, c, p):
     the concatenated [h, x] row.
     """
     cat = np.concatenate([h, x])
-    i = sigmoid(cat @ p["w_i"] + p["b_i"].reshape(-1))
-    f = sigmoid(cat @ p["w_f"] + p["b_f"].reshape(-1))
-    o = sigmoid(cat @ p["w_o"] + p["b_o"].reshape(-1))
+    i = plain_sigmoid(cat @ p["w_i"] + p["b_i"].reshape(-1))
+    f = plain_sigmoid(cat @ p["w_f"] + p["b_f"].reshape(-1))
+    o = plain_sigmoid(cat @ p["w_o"] + p["b_o"].reshape(-1))
     c_tilde = np.tanh(cat @ p["w_c"] + p["b_c"].reshape(-1))
     c_new = f * c + i * c_tilde
     h_new = o * np.tanh(c_new)
@@ -218,8 +231,8 @@ def lstm_step(x, h, c, p):
 
 def gru_step(x, h, p):
     cat = np.concatenate([h, x])
-    z = sigmoid(cat @ p["w_z"] + p["b_z"].reshape(-1))
-    r = sigmoid(cat @ p["w_r"] + p["b_r"].reshape(-1))
+    z = plain_sigmoid(cat @ p["w_z"] + p["b_z"].reshape(-1))
+    r = plain_sigmoid(cat @ p["w_r"] + p["b_r"].reshape(-1))
     cat_r = np.concatenate([r * h, x])
     h_tilde = np.tanh(cat_r @ p["w_h"] + p["b_h"].reshape(-1))
     return (1 - z) * h + z * h_tilde
@@ -265,7 +278,7 @@ def bilstm_forward(xs, params_fwd, params_bwd):
         h, c = cell_step("lstm", x, (h, c), params_fwd)
     for x in reversed(xs):
         hb, cb = cell_step("lstm", x, (hb, cb), params_bwd)
-    return nm.concat([h, hb], axis=1)
+    return concat([h, hb], axis=1)
 
 
 def names(store):
@@ -291,12 +304,137 @@ def gradients(loss, params):
             for name, p in params.items()}
 
 
-# --- tape ops used only by the references below ---------------------------
+# --- single tape ops: the references and the tests compose them -------------
+
+
+def _unbroadcast(g, shape):
+    """Sum gradient g down to `shape` after numpy broadcasting."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g.reshape(shape)
+
+
+def _binary(a, b, fwd, da, db):
+    a, b = nm._lift(a), nm._lift(b)
+    out_data = fwd(a.data, b.data)
+
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(da(g, a.data, b.data), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(db(g, a.data, b.data), b.shape))
+
+    return nm.Tensor(out_data, parents=(a, b), backward=back)
+
+
+def add(a, b):
+    return _binary(a, b, lambda x, y: x + y,
+                   lambda g, x, y: g, lambda g, x, y: g)
+
+
+def mul(a, b):
+    """Hadamard (elementwise) product with numpy broadcasting."""
+    return _binary(a, b, lambda x, y: x * y,
+                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def matmul(a, b):
+    a, b = nm._lift(a), nm._lift(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
+    out_data = a.data @ b.data
+
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    return nm.Tensor(out_data, parents=(a, b), backward=back)
+
+
+def sigmoid(x):
+    """`numerics.logistic` as a tape op."""
+    x = nm._lift(x)
+    y = nm.logistic(x.data)
+
+    def back(g):
+        x._accumulate(g * y * (1.0 - y))
+
+    return nm.Tensor(y, parents=(x,), backward=back)
+
+
+def softmax(x, axis=-1):
+    """`numerics.softmax_probs` and `numerics.softmax_back` as a tape op."""
+    x = nm._lift(x)
+    if x.size == 0:
+        raise ShapeError("softmax of an empty tensor")
+    y = nm.softmax_probs(x.data, axis)
+
+    def back(g):
+        x._accumulate(nm.softmax_back(g, y, axis))
+
+    return nm.Tensor(y, parents=(x,), backward=back)
+
+
+def mean_(x, axis=None, keepdims=False):
+    x = nm._lift(x)
+    count = x.size if axis is None else x.shape[axis]
+    return mul(nm.sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def concat(parts, axis=0):
+    parts = [nm._lift(p) for p in parts]
+    if not parts:
+        raise ShapeError("concat of zero tensors")
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def back(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                p._accumulate(g[tuple(idx)])
+
+    return nm.Tensor(out_data, parents=tuple(parts), backward=back)
+
+
+def take(x, key):
+    """Basic (slice/integer) indexing with scatter-back gradient."""
+    x = nm._lift(x)
+    out_data = x.data[key]
+
+    def back(g):
+        full = np.zeros_like(x.data)
+        full[key] = g
+        x._accumulate(full)
+
+    return nm.Tensor(out_data, parents=(x,), backward=back)
+
+
+def gather_rows(table, ids):
+    """Select rows of a table by integer ids (embedding lookup)."""
+    table = nm._lift(table)
+    ids = np.asarray(ids, dtype=np.int64)
+    if table.ndim != 2:
+        raise ShapeError(f"gather_rows expects a 2-D table, got {table.shape}")
+
+    def back(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        table._accumulate(full)
+
+    return nm.Tensor(table.data[ids], parents=(table,), backward=back)
 
 
 def sub(a, b):
-    return nm._binary(a, b, lambda x, y: x - y,
-                      lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, lambda x, y: x - y,
+                   lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def neg(x):
@@ -400,76 +538,79 @@ def self_attention(q, k, v):
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[1])
-    scores = nm.mul(nm.matmul(q, transpose(k)), scale)
-    return nm.matmul(nm.softmax(scores, axis=-1), v)
+    scores = mul(matmul(q, transpose(k)), scale)
+    return matmul(softmax(scores, axis=-1), v)
 
 
-def multi_head_attention(x, params, heads):
+def composed_multi_head_attention(x, params, heads):
     """Project into per-head subspaces, attend head by head, concatenate, and mix."""
     d_model = x.shape[1]
     if d_model % heads:
         raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
     d_k = d_model // heads
-    q = nm.matmul(x, params["wq"])
-    k = nm.matmul(x, params["wk"])
-    v = nm.matmul(x, params["wv"])
+    q = matmul(x, params["wq"])
+    k = matmul(x, params["wk"])
+    v = matmul(x, params["wv"])
     outs = []
     for h in range(heads):
         cols = slice(h * d_k, (h + 1) * d_k)
-        outs.append(self_attention(q[:, cols], k[:, cols], v[:, cols]))
-    return nm.matmul(nm.concat(outs, axis=1), params["wo"])
+        rows = (slice(None), cols)
+        outs.append(self_attention(take(q, rows), take(k, rows), take(v, rows)))
+    return matmul(concat(outs, axis=1), params["wo"])
 
 
-def layer_norm(x, gain, bias, sublayer=None):
+def composed_layer_norm(x, gain, bias, sublayer=None):
     """Row-wise standardization of x (+ sublayer), variance floored at eps."""
     if sublayer is not None:
-        x = nm.add(x, sublayer)
-    mu = nm.mean_(x, axis=1, keepdims=True)
+        x = add(x, sublayer)
+    mu = mean_(x, axis=1, keepdims=True)
     centered = sub(x, mu)
-    var = nm.mean_(nm.mul(centered, centered), axis=1, keepdims=True)
-    normed = nm.mul(centered, pow_scalar(clip_min(var, enc.LAYER_NORM_EPS), -0.5))
-    return nm.add(nm.mul(normed, gain), bias)
+    var = mean_(mul(centered, centered), axis=1, keepdims=True)
+    normed = mul(centered, pow_scalar(clip_min(var, enc.LAYER_NORM_EPS), -0.5))
+    return add(mul(normed, gain), bias)
 
 
-def feed_forward(x, params):
-    hidden = relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
-    return nm.add(nm.matmul(hidden, params["w2"]), params["b2"])
+def composed_feed_forward(x, params):
+    hidden = relu(add(matmul(x, params["w1"]), params["b1"]))
+    return add(matmul(hidden, params["w2"]), params["b2"])
 
 
 def mlm_loss(predicted, targets):
     """Negative log likelihood of `targets`, probabilities clamped at the floor."""
     onehot = np.zeros(predicted.shape)
     onehot[np.arange(predicted.shape[0]), targets] = 1.0
-    picked = nm.sum_(nm.mul(predicted, onehot), axis=1)
+    picked = nm.sum_(mul(predicted, onehot), axis=1)
     return neg(nm.sum_(log(clip_min(picked, enc.PROB_FLOOR))))
 
 
 def embed(feature, params):
-    return nm.add(nm.matmul(feature, params["w_e"]), params["b_e"])
+    return add(matmul(feature, params["w_e"]), params["b_e"])
 
 
 def conv_text(embedded, params):
-    return relu(nm.add(conv1d_rows(embedded, params["w_c"]), params["b_c"]))
+    return relu(add(conv1d_rows(embedded, params["w_c"]), params["b_c"]))
 
 
-def feedforward_net(x, params):
-    h1 = relu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
-    h2 = relu(nm.add(nm.matmul(h1, params["w2"]), params["b2"]))
-    return nm.add(nm.matmul(h2, params["w3"]), params["b3"])
+def feedforward_net(prices, priors, context, params):
+    """sigmoid of the three-layer net on [prices, priors, context]."""
+    x = concat([nm.Tensor(prices), nm.Tensor(priors), context], axis=1)
+    h1 = relu(add(matmul(x, params["w1"]), params["b1"]))
+    h2 = relu(add(matmul(h1, params["w2"]), params["b2"]))
+    return sigmoid(add(matmul(h2, params["w3"]), params["b3"]))
 
 
 def attention_over_features(query, candidates):
     """Dot-product scores per candidate of the (B, m, H) block, softmax, and
     the weighted sum."""
-    feats = [candidates[:, j] for j in range(candidates.shape[1])]
+    feats = [take(candidates, (slice(None), j)) for j in range(candidates.shape[1])]
     if not feats:
         raise ContractError("need at least one candidate feature")
-    scores = nm.concat([nm.sum_(nm.mul(query, f), axis=1, keepdims=True)
+    scores = concat([nm.sum_(mul(query, f), axis=1, keepdims=True)
                         for f in feats], axis=1)
-    alpha = nm.softmax(scores, axis=-1)
-    context = nm.mul(alpha[:, 0:1], feats[0])
+    alpha = softmax(scores, axis=-1)
+    context = mul(take(alpha, (slice(None), slice(0, 1))), feats[0])
     for j in range(1, len(feats)):
-        context = nm.add(context, nm.mul(alpha[:, j:j + 1], feats[j]))
+        context = add(context, mul(take(alpha, (slice(None), slice(j, j + 1))), feats[j]))
     return alpha, context
 
 
@@ -477,15 +618,15 @@ def fuse(recurrent_out, text_context, params):
     """g * recurrent + (1 - g) * text with g = sigmoid(gamma_raw), text
     projected first when its width differs."""
     if text_context.shape[1] != recurrent_out.shape[1]:
-        text_context = nm.add(nm.matmul(text_context, params["proj_w"]), params["proj_b"])
-    gamma = nm.sigmoid(params["gamma_raw"])
-    blend = nm.mul(gamma, recurrent_out)
-    return nm.add(blend, nm.mul(sub(1.0, gamma), text_context))
+        text_context = add(matmul(text_context, params["proj_w"]), params["proj_b"])
+    gamma = sigmoid(params["gamma_raw"])
+    blend = mul(gamma, recurrent_out)
+    return add(blend, mul(sub(1.0, gamma), text_context))
 
 
 def output_head(z, params):
     """sigmoid(z @ w_out + b_out) and its labels (ties at 0.5 label as 1)."""
-    p = nm.sigmoid(nm.add(nm.matmul(z, params["w_out"]), params["b_out"]))
+    p = sigmoid(add(matmul(z, params["w_out"]), params["b_out"]))
     return p, (p.data.reshape(-1) >= 0.5).astype(int)
 
 
@@ -494,9 +635,9 @@ def bce_loss(p, targets):
     y = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     p_pos = clip_min(p, 1e-7)
     p_neg = clip_min(sub(1.0, p), 1e-7)
-    per = nm.add(nm.mul(nm.Tensor(y), log(p_pos)),
-                 nm.mul(nm.Tensor(1.0 - y), log(p_neg)))
-    return neg(nm.mean_(per))
+    per = add(mul(nm.Tensor(y), log(p_pos)),
+                 mul(nm.Tensor(1.0 - y), log(p_neg)))
+    return neg(mean_(per))
 
 
 def confusion_counts(labels, targets):
@@ -512,6 +653,90 @@ def confusion_counts(labels, targets):
         else:
             fn += 1
     return tp, fp, tn, fn
+
+
+# --- the encoder on the tape: its numpy sublayers as one node each ---------
+
+
+def multi_head_attention(x, params, heads):
+    """`encoder._attend` and `_attend_back` as one tape node: every head
+    takes max-shifted softmax weights of its scaled dot-product scores and
+    averages its values, all heads in each 3-D matmul."""
+    weights = [params[w] for w in enc._ATTEND_WEIGHTS]
+    arrays = [w.data for w in weights]
+    out, saved = enc._attend(x.data, *arrays, heads)
+
+    def back(g):
+        d_x, *d_weights = enc._attend_back(g, x.data, *arrays, saved, heads)
+        for w, d in zip(weights, d_weights):
+            nm.accumulate(w, d)
+        nm.accumulate(x, d_x)
+
+    return nm.fused((x, *weights), (out,), back)[0]
+
+
+def layer_norm(x, gain, bias, sublayer=None):
+    """`encoder._add_norm` and `_add_norm_back` as one tape node: x (+ the
+    sublayer output, the residual connection) standardized row by row with
+    the variance floored at eps, so constant rows map to zeros; where the
+    floor applies, no gradient flows through the variance."""
+    out, saved = enc._add_norm(x.data, None if sublayer is None else sublayer.data,
+                               gain.data, bias.data)
+
+    def back(g):
+        d_total, d_gain, d_bias = enc._add_norm_back(g, gain.data, saved)
+        nm.accumulate(gain, d_gain)
+        nm.accumulate(bias, d_bias)
+        nm.accumulate(x, d_total)
+        if sublayer is not None:
+            nm.accumulate(sublayer, d_total)
+
+    parents = (x, gain, bias) if sublayer is None else (x, gain, bias, sublayer)
+    return nm.fused(parents, (out,), back)[0]
+
+
+def feed_forward(x, params):
+    """relu(x·w1 + b1)·w2 + b2: `encoder._feed_forward` and
+    `_feed_forward_back` as one tape node."""
+    weights = [params[w] for w in enc._FEED_FORWARD_WEIGHTS]
+    arrays = [w.data for w in weights]
+    w1, _, w2, _ = arrays
+    out, hidden = enc._feed_forward(x.data, *arrays)
+
+    def back(g):
+        d_x, *d_weights = enc._feed_forward_back(g, x.data, w1, w2, hidden)
+        for w, d in zip(weights, d_weights):
+            nm.accumulate(w, d)
+        nm.accumulate(x, d_x)
+
+    return nm.fused((x, *weights), (out,), back)[0]
+
+
+def encoder_layer(x, params, heads):
+    """Post-norm block: attention and feed-forward, each behind a residual."""
+    attended = layer_norm(x, params["ln1_g"], params["ln1_b"],
+                          multi_head_attention(x, params, heads))
+    return layer_norm(attended, params["ln2_g"], params["ln2_b"],
+                      feed_forward(attended, params))
+
+
+def encode_text(token_ids, config, params):
+    """`encoder.encode_text` on one text's ids as a tape over the store's
+    tensors: embedding lookup plus positions, the layers, then the pool."""
+    length = len(token_ids)
+    pe = enc.positional_encoding(config.max_len, config.d_model)
+    x = add(gather_rows(params["emb"], token_ids), nm.Tensor(pe[:length]))
+    for i in range(config.layers):
+        x = encoder_layer(x, params.view(f"layer{i}"), config.heads)
+    if config.pool == "mean":
+        return x, mean_(x, axis=0, keepdims=True)
+    return x, take(x, (slice(0, 1), slice(None)))
+
+
+def mlm_predictions(rows, positions, params):
+    """`encoder.mlm_predictions` on the tape."""
+    logits = add(matmul(gather_rows(rows, positions), params["mlm.w"]), params["mlm.b"])
+    return softmax(logits, axis=-1)
 
 
 # --- the encoder's masking and pretraining loop on the tape ---
@@ -547,10 +772,10 @@ def similar_word_mask(tokens, vocab, rng, mask_rate=0.15):
 
 
 def mlm_tape_loss(token_ids, positions, targets, config, params):
-    """One sentence's masked-token loss built on the tape from the encoder's
-    public pieces: `encode_text`, `mlm_predictions` and `mlm_loss`."""
-    rows, _ = enc.encode_text(token_ids, config, params)
-    return enc.mlm_loss(enc.mlm_predictions(rows, positions, params), positions, targets)
+    """One sentence's masked-token loss on the tape: `encode_text` and
+    `mlm_predictions` below, then the encoder's `mlm_loss` node."""
+    rows, _ = encode_text(token_ids, config, params)
+    return enc.mlm_loss(mlm_predictions(rows, positions, params), positions, targets)
 
 
 def pretrain_mlm(corpus, config, epochs, seed, similar_words=None, lr=1e-3):

@@ -53,13 +53,13 @@ def _primitive_grad_cases(rng):
     mix = Tensor(rng.normal(size=(3, 8)))
     mix43 = Tensor(rng.normal(size=(4, 3)))
     return [
-        ("add", lambda p: nm.sum_(nm.add(p["x"], p["y"])), {"x": x, "y": y}),
+        ("add", lambda p: nm.sum_(oracles.add(p["x"], p["y"])), {"x": x, "y": y}),
         ("sub", lambda p: nm.sum_(oracles.sub(p["x"], p["y"])), {"x": x, "y": y}),
-        ("mul", lambda p: nm.sum_(nm.mul(p["x"], p["y"])), {"x": x, "y": y}),
+        ("mul", lambda p: nm.sum_(oracles.mul(p["x"], p["y"])), {"x": x, "y": y}),
         ("neg", lambda p: nm.sum_(oracles.neg(p["x"])), {"x": x}),
-        ("matmul", lambda p: nm.sum_(nm.matmul(p["a"], p["b"])),
+        ("matmul", lambda p: nm.sum_(oracles.matmul(p["a"], p["b"])),
          {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}),
-        ("sigmoid", lambda p: nm.sum_(nm.sigmoid(p["x"])), {"x": x}),
+        ("sigmoid", lambda p: nm.sum_(oracles.sigmoid(p["x"])), {"x": x}),
         ("relu", lambda p: nm.sum_(oracles.relu(p["x"])),
          {"x": x + np.sign(x) * 0.05}),
         ("log", lambda p: nm.sum_(oracles.log(p["x"])), {"x": np.abs(x) + 0.5}),
@@ -67,22 +67,23 @@ def _primitive_grad_cases(rng):
          {"x": np.abs(x) + 0.5}),
         ("clip_min", lambda p: nm.sum_(oracles.clip_min(p["x"], 0.3)),
          {"x": np.abs(x) + 0.5}),
-        ("softmax", lambda p: nm.sum_(nm.mul(nm.softmax(p["x"], axis=-1), p["y"])),
+        ("softmax", lambda p: nm.sum_(oracles.mul(oracles.softmax(p["x"], axis=-1), p["y"])),
          {"x": x, "y": y}),
-        ("sum_axis", lambda p: nm.sum_(nm.mul(nm.sum_(p["x"], axis=0, keepdims=True), 2.0)),
+        ("sum_axis", lambda p: nm.sum_(oracles.mul(nm.sum_(p["x"], axis=0, keepdims=True), 2.0)),
          {"x": x}),
-        ("mean_axis", lambda p: nm.sum_(nm.mul(nm.mean_(p["x"], axis=1, keepdims=True), 3.0)),
+        ("mean_axis",
+         lambda p: nm.sum_(oracles.mul(oracles.mean_(p["x"], axis=1, keepdims=True), 3.0)),
          {"x": x}),
-        ("concat", lambda p: nm.sum_(nm.mul(nm.concat([p["x"], p["y"]], axis=1), mix)),
+        ("concat", lambda p: nm.sum_(oracles.mul(oracles.concat([p["x"], p["y"]], axis=1), mix)),
          {"x": x, "y": y}),
-        ("take", lambda p: nm.sum_(p["x"][1:, 0:2]), {"x": x}),
-        ("transpose", lambda p: nm.sum_(nm.mul(oracles.transpose(p["x"]), mix43)),
+        ("take", lambda p: nm.sum_(oracles.take(p["x"], (slice(1, None), slice(0, 2)))), {"x": x}),
+        ("transpose", lambda p: nm.sum_(oracles.mul(oracles.transpose(p["x"]), mix43)),
          {"x": x}),
-        ("gather_rows", lambda p: nm.sum_(nm.gather_rows(p["x"], [0, 2, 2, 1])),
+        ("gather_rows", lambda p: nm.sum_(oracles.gather_rows(p["x"], [0, 2, 2, 1])),
          {"x": x}),
         ("conv1d", lambda p: nm.sum_(oracles.conv1d_rows(p["x"], p["k"])),
          {"x": x, "k": rng.normal(size=2)}),
-        ("broadcast_bias", lambda p: nm.sum_(nm.add(p["x"], p["b"])),
+        ("broadcast_bias", lambda p: nm.sum_(oracles.add(p["x"], p["b"])),
          {"x": x, "b": rng.normal(size=(1, 4))}),
     ]
 
@@ -105,7 +106,7 @@ def _fusion_grad_cases(rng):
 
     def build_att(p):
         alpha, ctx = fusion.attention_over_features(p["q"], p["feats"])
-        return nm.sum_(nm.add(nm.sum_(alpha), nm.sum_(ctx)))
+        return nm.sum_(oracles.add(nm.sum_(alpha), nm.sum_(ctx)))
 
     def build_fuse(p):
         out = fusion.fuse(p["o"], p["c"], {"proj_w": p["proj_w"], "proj_b": p["proj_b"],
@@ -147,19 +148,19 @@ def _encoder_grad_cases(rng):
 
     def build_mha(p, heads):
         params = {w: p[w] for w in ("wq", "wk", "wv", "wo")}
-        return nm.sum_(enc.multi_head_attention(p["x"], params, heads=heads))
+        return nm.sum_(oracles.multi_head_attention(p["x"], params, heads=heads))
 
     def build_ln(p):
-        return nm.sum_(enc.layer_norm(p["x"], p["g"], p["b"]))
+        return nm.sum_(oracles.layer_norm(p["x"], p["g"], p["b"]))
 
     def build_res_ln(p):
-        return nm.sum_(enc.layer_norm(p["x"], p["g"], p["b"], p["sub"]))
+        return nm.sum_(oracles.layer_norm(p["x"], p["g"], p["b"], p["sub"]))
 
     def build_ffn(p):
-        return nm.sum_(enc.feed_forward(p["x"], p))
+        return nm.sum_(oracles.feed_forward(p["x"], p))
 
     def build_mlm(p):
-        return enc.mlm_loss(nm.softmax(p["logits"], axis=-1), np.arange(3), targets)
+        return enc.mlm_loss(oracles.softmax(p["logits"], axis=-1), np.arange(3), targets)
 
     return [("oracles.self_attention", build_attention, att_arrays),
             *[(f"encoder.mha.{heads}heads", lambda p, n=heads: build_mha(p, n), mha_arrays)
@@ -216,8 +217,8 @@ def _full_encoder_grad_case(seed):
         store = ParameterStore()
         for name in arrays:
             store._params[name] = p[name]
-        rows, _ = enc.encode_text(corrupted, config, store)
-        return enc.mlm_loss(enc.mlm_predictions(rows, positions, store),
+        rows, _ = oracles.encode_text(corrupted, config, store)
+        return enc.mlm_loss(oracles.mlm_predictions(rows, positions, store),
                             positions, targets)
 
     return ("encoder.full_mlm", build, arrays)
@@ -338,9 +339,9 @@ def _fused_grad_cases(rng):
         weights = [const(*shape) for shape in shapes]
 
         def loss(values):
-            total = nm.sum_(nm.mul(values[0], weights[0]))
+            total = nm.sum_(oracles.mul(values[0], weights[0]))
             for value, w in zip(values[1:], weights[1:]):
-                total = nm.add(total, nm.sum_(nm.mul(value, w)))
+                total = oracles.add(total, nm.sum_(oracles.mul(value, w)))
             return total
         return loss
 
@@ -411,11 +412,11 @@ def _tail_grad_cases(rng):
     mix_p = Tensor(rng.normal(size=(batch, 1)))
 
     def weighted(t, mix):
-        return nm.sum_(nm.mul(t, mix))
+        return nm.sum_(oracles.mul(t, mix))
 
     def build_att_one(p):
         alpha, ctx = fusion.attention_over_features(p["q"], p["feats"])
-        return nm.add(weighted(alpha, mix_alpha1), weighted(ctx, mix_ctx))
+        return oracles.add(weighted(alpha, mix_alpha1), weighted(ctx, mix_ctx))
 
     def build_att_context(p):
         # the pipeline's use: alpha unused
@@ -436,7 +437,7 @@ def _tail_grad_cases(rng):
     targets = np.array([1, 0, 1])
 
     def build_bce(p):
-        return tr.bce_loss(nm.sigmoid(p["logits"]), targets)
+        return tr.bce_loss(oracles.sigmoid(p["logits"]), targets)
 
     clamped = rng.normal(size=(batch, 1))
     clamped[0, 0], clamped[1, 0] = -40.0, 40.0  # p is exactly 0 and 1: both clamped
@@ -467,19 +468,34 @@ def _text_path_grad_cases(rng):
     f_const, e_const = Tensor(rng.normal(size=(batch, 5))), Tensor(rng.normal(size=(batch, 6)))
 
     def weighted(t, mix):
-        return nm.sum_(nm.mul(t, mix))
+        return nm.sum_(oracles.mul(t, mix))
 
     ff = arrays(x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4), w3=(4, 1), b3=(1, 1))
+    build_ff, ff_arrays = _feedforward_case(ff, lambda prob: weighted(prob, mix_ff))
+    weights = {k: v for k, v in ff_arrays.items() if k != "context"}
+    context_const = Tensor(ff_arrays["context"])
+    prices, priors = ff["x"][:, :1], ff["x"][:, 1:2]
     return [("fusion.embed.const_feature", lambda p: weighted(fusion.embed(f_const, p), mix_e),
              arrays(w_e=(5, 6), b_e=(1, 6))),
             ("fusion.conv_text.const_input",
              lambda p: weighted(fusion.conv_text(e_const, p), mix_c),
              arrays(w_c=(3,), b_c=(1, 1))),
-            ("models.feedforward_net", lambda p: weighted(models.feedforward_net(p["x"], p),
-                                                          mix_ff), ff),
+            ("models.feedforward_net", build_ff, ff_arrays),
             ("models.feedforward_net.const_input",
-             lambda p: weighted(models.feedforward_net(Tensor(ff["x"]), p), mix_ff),
-             {k: v for k, v in ff.items() if k != "x"})]
+             lambda p: weighted(models.feedforward_net(prices, priors, context_const, p),
+                                mix_ff), weights)]
+
+
+def _feedforward_case(arrays, loss):
+    """`loss` of the feedforward baseline on `arrays`' x split into a price
+    column, a prior column (both constants) and the context, which takes a
+    gradient; returns the builder and the arrays it differentiates."""
+    x = arrays["x"]
+
+    def build(p):
+        return loss(models.feedforward_net(x[..., :1], x[..., 1:2], p["context"], p))
+
+    return build, {"context": x[..., 2:], **{k: v for k, v in arrays.items() if k != "x"}}
 
 
 def _replica_grad_cases(rng):
@@ -494,9 +510,9 @@ def _replica_grad_cases(rng):
         weights = [Tensor(rng.normal(size=(reps, *shape))) for shape in shapes]
 
         def loss(*values):
-            total = nm.sum_(nm.mul(values[0], weights[0]))
+            total = nm.sum_(oracles.mul(values[0], weights[0]))
             for value, w in zip(values[1:], weights[1:]):
-                total = nm.add(total, nm.sum_(nm.mul(value, w)))
+                total = oracles.add(total, nm.sum_(oracles.mul(value, w)))
             return total
         return loss
 
@@ -510,9 +526,8 @@ def _replica_grad_cases(rng):
         ("replicas.fusion.conv_text", lambda p: mix_c(fusion.conv_text(p["e"], p)),
          arrays(e=(batch, 6), w_c=(3,), b_c=(1, 1))),
         ("replicas.models.feedforward_net",
-         lambda p: mix_1(models.feedforward_net(p["x"], p)),
-         arrays(x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4), w3=(4, 1),
-                b3=(1, 1))),
+         *_feedforward_case(arrays(x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4),
+                                   w3=(4, 1), b3=(1, 1)), mix_1)),
         ("replicas.fusion.attention",
          lambda p: mix_att(*fusion.attention_over_features(p["q"], p["feats"])),
          arrays(q=(batch, hid), feats=(batch, 3, hid))),
@@ -522,7 +537,7 @@ def _replica_grad_cases(rng):
         ("replicas.models.output_head", lambda p: mix_1(models.output_head(p["z"], p)[0]),
          arrays(z=(batch, hid), w_out=(hid, 1), b_out=(1, 1))),
         ("replicas.train.bce_loss",
-         lambda p: nm.sum_(tr.bce_loss(nm.sigmoid(p["logits"]), targets)),
+         lambda p: nm.sum_(tr.bce_loss(oracles.sigmoid(p["logits"]), targets)),
          arrays(logits=(batch, 1))),
         ("replicas.fused.window_pool", lambda p: mix_pool(models.window_pool(
             p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 2)),
@@ -662,7 +677,7 @@ def test_criterion_2_reduction_identities():
 def test_criterion_3_normalization_laws():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(1000, 9)) * 4.0
-    sums = nm.softmax(Tensor(x), axis=-1).data.sum(axis=1)
+    sums = oracles.softmax(Tensor(x), axis=-1).data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
     for i in range(0, 1000, 100):
@@ -677,7 +692,7 @@ def test_criterion_3_normalization_laws():
     assert np.all((pe >= -1.0) & (pe <= 1.0))
 
     rows = rng.normal(size=(1000, 8)) * 3.0 + 1.0
-    out = enc.layer_norm(Tensor(rows), Tensor(np.ones((1, 8))),
+    out = oracles.layer_norm(Tensor(rows), Tensor(np.ones((1, 8))),
                          Tensor(np.zeros((1, 8)))).data
     assert np.max(np.abs(out.mean(axis=1))) < 1e-9
     assert np.max(np.abs(out.std(axis=1) - 1.0)) < 1e-9

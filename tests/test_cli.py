@@ -7,8 +7,9 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+import oracles
+
 from trendfuse import cli, encoder as enc, fusion, ingest, synthetic
-from trendfuse import numerics as nm
 from trendfuse.encoder import read_features
 
 pytestmark = pytest.mark.usefixtures("quiet_logs")
@@ -93,7 +94,7 @@ class TestFeaturize:
     def test_features_match_a_per_text_tape_loop(self, tmp_path):
         """Texts of many token counts, 40 of one count (more than a chunk), a
         text past max_len and a CJK one: the batched CSV equals, byte for
-        byte, a CSV of the rows that `encode_text` pools one text at a time."""
+        byte, a CSV of the rows that the encoder on the tape pools one text at a time."""
         rng = np.random.default_rng(8)
         words = ["rates", "rise", "policy", "bank", "credit", "growth", "货币", "政策"]
         texts = ([" ".join(rng.choice(words, size=5)) for _ in range(40)]
@@ -111,7 +112,7 @@ class TestFeaturize:
         rows = []
         for record in ingest.load_summaries(summaries):
             tokens = enc.tokenize(ingest.summarize(record.text), vocab, config.max_len)
-            _, pooled = enc.encode_text(tokens, config, params)
+            _, pooled = oracles.encode_text(tokens, config, params)
             rows.append(enc.TextFeature(record.date, enc.standardize_features(pooled.data, 20)))
         enc.write_features(tmp_path / "loop.csv", rows)
         assert (tmp_path / "feat" / "features.csv").read_bytes() \
@@ -138,6 +139,17 @@ def _unknown_config_key(doc):
     return json.dumps(doc)
 
 
+def _replaced(path, value):
+    """A corruption that sets the entry at `path` (keys from the document root)."""
+    def corrupt(doc):
+        entry = doc
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value(entry[path[-1]]) if callable(value) else value
+        return json.dumps(doc)
+    return corrupt
+
+
 class TestFeaturizeBadEncoderCheckpoint:
     @pytest.mark.parametrize("corrupt, detail", [
         (_truncated, "malformed"),
@@ -145,7 +157,20 @@ class TestFeaturizeBadEncoderCheckpoint:
         (_unknown_config_key, "depth"),
         (_without_emb, "'emb'"),
         (_infinite_weight, "'layer0.wq' has a non-finite value"),
-    ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb", "infinite_weight"])
+        (_replaced(["format_version"], True), "not a version 1"),
+        (_replaced(["params", "format_version"], True), "format_version True"),
+        (_replaced(["params", "params", "emb", "data"], lambda data: [str(v) for v in data]),
+         "'emb' is malformed"),
+        (_replaced(["params", "params", "mlm.b", "data"], lambda data: [False for _ in data]),
+         "'mlm.b' is malformed"),
+        (_replaced(["vocab", "similar"], {"2": [5]}), "similar-word entry 2"),
+        (_replaced(["vocab", "similar"], {"5": [6, 7]}), "similar-word entry 5"),
+        (_replaced(["vocab", "similar"], {"5": [5.9]}), "similar-word entry 5"),
+        (_replaced(["vocab", "similar"], {"5": ["6"]}), "similar-word entry 5"),
+    ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb", "infinite_weight",
+            "document_version_true", "params_version_true", "string_data", "boolean_data",
+            "special_similar_key", "similar_id_past_the_vocabulary", "float_similar_id",
+            "string_similar_id"])
     def test_is_one_line_data_error(self, tmp_path, summaries, capsys, corrupt, detail):
         params, vocab, _ = enc.pretrain_mlm(["alpha beta", "beta gamma"], enc.EncoderConfig(),
                                             0, seed=1)
@@ -291,8 +316,8 @@ class TestTrain:
     def test_non_finite_fuse_input_is_divergence(self, tmp_path, market_csv, capsys,
                                                   monkeypatch):
         conv_text = fusion.conv_text
-        monkeypatch.setattr(fusion, "conv_text",
-                            lambda embedded, params: nm.mul(conv_text(embedded, params), np.nan))
+        monkeypatch.setattr(fusion, "conv_text", lambda embedded, params:
+                            oracles.mul(conv_text(embedded, params), np.nan))
         assert run(*_train_args(market_csv, tmp_path / "run", epochs=2)) == 3
         message = _one_error_line(capsys, "DivergenceError")
         assert "fuse" in message
@@ -358,7 +383,14 @@ class TestEvaluate:
         ('{"format_version": 1, "params": {"cell.w1": {"data": [1.0]}}}', "'shape'"),
         ('{"format_version": 1, "params": {"cell.w1": {"data": [1.0, 2.0, 3.0], '
          '"shape": [2, 2]}}}', "cannot reshape"),
-    ], ids=["invalid_json", "no_data", "no_shape", "data_does_not_fit_shape"])
+        ('{"format_version": true, "params": {}}', "format_version True"),
+        ('{"format_version": 1.0, "params": {}}', "format_version 1.0"),
+        ('{"format_version": 1, "params": {"cell.w1": {"data": ["1", "2"], "shape": [2]}}}',
+         "'cell.w1' is malformed"),
+        ('{"format_version": 1, "params": {"cell.w1": {"data": [true], "shape": [1]}}}',
+         "'cell.w1' is malformed"),
+    ], ids=["invalid_json", "no_data", "no_shape", "data_does_not_fit_shape", "version_true",
+            "version_float", "string_data", "boolean_data"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, market_csv, capsys,
                                                 text, detail):
         checkpoint = tmp_path / "checkpoint.json"

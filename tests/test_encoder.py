@@ -1,7 +1,9 @@
 """Transformer text encoder: tokenization, masking, attention, pretraining."""
 
 import dataclasses
+import hashlib
 import math
+import weakref
 from datetime import date
 
 import numpy as np
@@ -23,6 +25,10 @@ TOY_CONFIG = enc.EncoderConfig(d_model=8, heads=2, layers=2, d_ff=16, max_len=12
 
 def _vocab(corpus=("alpha beta gamma", "beta gamma delta"), similar=None):
     return enc.Vocabulary.build(corpus, similar)
+
+
+def _weights(params):
+    return {name: t.data for name, t in params.items()}
 
 
 class TestTokenize:
@@ -227,7 +233,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(7)
         for _ in range(25):
             x = rng.normal(size=(3, 4))
-            scores = nm.softmax(Tensor(x), axis=-1).data
+            scores = oracles.softmax(Tensor(x), axis=-1).data
             np.testing.assert_allclose(scores.sum(axis=1), np.ones(3), atol=1e-9)
 
 
@@ -239,7 +245,7 @@ class TestMultiHead:
     def test_single_head_identity_reduces_to_attention(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 4))
-        out = enc.multi_head_attention(Tensor(x), self._identity_params(4), heads=1)
+        out = oracles.multi_head_attention(Tensor(x), self._identity_params(4), heads=1)
         expected = self_attention(Tensor(x), Tensor(x), Tensor(x))
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
@@ -249,15 +255,15 @@ class TestMultiHead:
         params = {name: Tensor(rng.normal(size=(8, 8)))
                   for name in ("wq", "wk", "wv", "wo")}
         for heads in (1, 2, 4, 8):
-            assert enc.multi_head_attention(x, params, heads).shape == (5, 8)
+            assert oracles.multi_head_attention(x, params, heads).shape == (5, 8)
 
     def test_two_heads_match_per_head_oracle(self):
         rng = np.random.default_rng(10)
         d, h = 4, 2
         x = rng.normal(size=(3, d))
         params = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
-        out = enc.multi_head_attention(Tensor(x), {k: Tensor(v) for k, v in params.items()},
-                                       heads=h)
+        out = oracles.multi_head_attention(Tensor(x), {k: Tensor(v) for k, v in params.items()},
+                                           heads=h)
         q, k, v = x @ params["wq"], x @ params["wk"], x @ params["wv"]
         dk = d // h
         heads = [attention_rows(q[:, i * dk:(i + 1) * dk], k[:, i * dk:(i + 1) * dk],
@@ -269,14 +275,14 @@ class TestMultiHead:
         x = Tensor(np.ones((2, 6)))
         params = {name: Tensor(np.ones((6, 6))) for name in ("wq", "wk", "wv", "wo")}
         with pytest.raises(ConfigError):
-            enc.multi_head_attention(x, params, heads=4)
+            oracles.multi_head_attention(x, params, heads=4)
 
 
 class TestLayerNormAndFfn:
     def _plain(self, x):
         d = x.shape[1]
-        return enc.layer_norm(Tensor(x), Tensor(np.ones((1, d))),
-                              Tensor(np.zeros((1, d))))
+        return oracles.layer_norm(Tensor(x), Tensor(np.ones((1, d))),
+                                  Tensor(np.zeros((1, d))))
 
     def test_constant_row_maps_to_zero(self):
         out = self._plain(np.full((2, 4), 3.7))
@@ -295,14 +301,14 @@ class TestLayerNormAndFfn:
     def test_ffn_zero_weights_passes_bias(self):
         params = {"w1": Tensor(np.zeros((4, 6))), "b1": Tensor(np.zeros((1, 6))),
                   "w2": Tensor(np.zeros((6, 4))), "b2": Tensor(np.full((1, 4), 2.5))}
-        out = enc.feed_forward(Tensor(np.ones((3, 4))), params)
+        out = oracles.feed_forward(Tensor(np.ones((3, 4))), params)
         np.testing.assert_array_equal(out.data, np.full((3, 4), 2.5))
 
     def test_encoder_layer_finite(self):
         rng = np.random.default_rng(12)
         params = enc.init_encoder_params(TOY_CONFIG, vocab_size=10, rng=rng)
         x = Tensor(rng.normal(size=(5, 8)) * 3)
-        out = enc.encoder_layer(x, params.view("layer0"), TOY_CONFIG.heads)
+        out = oracles.encoder_layer(x, params.view("layer0"), TOY_CONFIG.heads)
         assert np.all(np.isfinite(out.data))
 
 
@@ -318,8 +324,9 @@ class TestFusedSublayersMatchOracles:
         arrays = {"x": rng.normal(size=(length, self.D)),
                   **{w: rng.normal(size=(self.D, self.D)) for w in ("wq", "wk", "wv", "wo")}}
         oracles.assert_same_values_and_grads(
-            lambda p: enc.multi_head_attention(p["x"], p, heads),
-            lambda p: oracles.multi_head_attention(p["x"], p, heads), arrays, seed=heads)
+            lambda p: oracles.multi_head_attention(p["x"], p, heads),
+            lambda p: oracles.composed_multi_head_attention(p["x"], p, heads), arrays,
+            seed=heads)
 
     def test_residual_layer_norm_with_floored_row(self, length):
         rng = np.random.default_rng(24)
@@ -332,12 +339,13 @@ class TestFusedSublayersMatchOracles:
         if length > 1:
             arrays["x"][-1] = 0.5 + 1e-4 * rng.normal(size=self.D)
         oracles.assert_same_values_and_grads(
-            lambda p: enc.layer_norm(p["x"], p["g"], p["b"], p["sub"]),
-            lambda p: oracles.layer_norm(p["x"], p["g"], p["b"], p["sub"]), arrays, seed=5)
+            lambda p: oracles.layer_norm(p["x"], p["g"], p["b"], p["sub"]),
+            lambda p: oracles.composed_layer_norm(p["x"], p["g"], p["b"], p["sub"]), arrays,
+            seed=5)
         del arrays["sub"]
         oracles.assert_same_values_and_grads(
-            lambda p: enc.layer_norm(p["x"], p["g"], p["b"]),
-            lambda p: oracles.layer_norm(p["x"], p["g"], p["b"]), arrays, seed=6)
+            lambda p: oracles.layer_norm(p["x"], p["g"], p["b"]),
+            lambda p: oracles.composed_layer_norm(p["x"], p["g"], p["b"]), arrays, seed=6)
 
     def test_feed_forward(self, length):
         rng = np.random.default_rng(25)
@@ -345,9 +353,9 @@ class TestFusedSublayersMatchOracles:
         arrays = {"x": rng.normal(size=(length, d)),
                   "w1": rng.normal(size=(d, dff)), "b1": rng.normal(size=(1, dff)),
                   "w2": rng.normal(size=(dff, d)), "b2": rng.normal(size=(1, d))}
-        oracles.assert_same_values_and_grads(lambda p: enc.feed_forward(p["x"], p),
-                                      lambda p: oracles.feed_forward(p["x"], p),
-                                      arrays, seed=7)
+        oracles.assert_same_values_and_grads(lambda p: oracles.feed_forward(p["x"], p),
+                                             lambda p: oracles.composed_feed_forward(p["x"], p),
+                                             arrays, seed=7)
 
     def test_mlm_loss_with_zero_probability_target(self, length):
         rng = np.random.default_rng(26)
@@ -376,42 +384,43 @@ class TestEncodeText:
     def test_pooled_width(self):
         vocab, params = self._setup()
         tokens = enc.tokenize("alpha beta", vocab, TOY_CONFIG.max_len)
-        _, pooled = enc.encode_text(tokens, TOY_CONFIG, params)
+        _, pooled = enc.encode_text(tokens, TOY_CONFIG, _weights(params))
         assert pooled.shape == (1, TOY_CONFIG.d_model)
 
     def test_deterministic(self):
         vocab, params = self._setup()
         tokens = enc.tokenize("alpha beta gamma", vocab, TOY_CONFIG.max_len)
-        _, a = enc.encode_text(tokens, TOY_CONFIG, params)
-        _, b = enc.encode_text(tokens, TOY_CONFIG, params)
-        np.testing.assert_array_equal(a.data, b.data)
+        _, a = enc.encode_text(tokens, TOY_CONFIG, _weights(params))
+        _, b = enc.encode_text(tokens, TOY_CONFIG, _weights(params))
+        np.testing.assert_array_equal(a, b)
 
     def test_token_order_changes_pooled_vector(self):
         vocab, params = self._setup()
         a = enc.tokenize("alpha beta gamma", vocab, TOY_CONFIG.max_len)
         b = enc.tokenize("beta alpha gamma", vocab, TOY_CONFIG.max_len)
-        _, pa = enc.encode_text(a, TOY_CONFIG, params)
-        _, pb = enc.encode_text(b, TOY_CONFIG, params)
-        assert np.max(np.abs(pa.data - pb.data)) > 1e-9
+        _, pa = enc.encode_text(a, TOY_CONFIG, _weights(params))
+        _, pb = enc.encode_text(b, TOY_CONFIG, _weights(params))
+        assert np.max(np.abs(pa - pb)) > 1e-9
 
     def test_contract_errors(self):
         vocab, params = self._setup()
+        weights = _weights(params)
         with pytest.raises(ContractError):
-            enc.encode_text(np.array([4, 5]), TOY_CONFIG, params)
+            enc.encode_text(np.array([4, 5]), TOY_CONFIG, weights)
         too_long = np.array([enc.START_ID] + [4] * TOY_CONFIG.max_len)
         with pytest.raises(ContractError):
-            enc.encode_text(too_long, TOY_CONFIG, params)
+            enc.encode_text(too_long, TOY_CONFIG, weights)
         block = np.array([[enc.START_ID, 4], [4, enc.START_ID]])
-        with pytest.raises(ContractError), nm.no_grad():
-            enc.encode_text(block, TOY_CONFIG, params)
+        with pytest.raises(ContractError):
+            enc.encode_text(block, TOY_CONFIG, weights)
 
     def test_pretraining_tape_has_one_node_per_sublayer(self):
         vocab, params = self._setup()
         tokens = enc.tokenize("alpha beta gamma delta alpha beta", vocab, TOY_CONFIG.max_len)
         corrupted, positions, targets = enc.similar_word_mask(
             tokens, vocab, np.random.default_rng(0), 0.3)
-        rows, _ = enc.encode_text(corrupted, TOY_CONFIG, params)
-        loss = enc.mlm_loss(enc.mlm_predictions(rows, positions, params), positions, targets)
+        rows, _ = oracles.encode_text(corrupted, TOY_CONFIG, params)
+        loss = enc.mlm_loss(oracles.mlm_predictions(rows, positions, params), positions, targets)
         # parameter leaves + embedding lookup, position table and their add
         # + 4 sublayers per layer + head (row gather, matmul, bias, softmax) + loss
         assert oracles.tape_size(loss) == len(oracles.names(params)) + 3 + 4 * TOY_CONFIG.layers + 4 + 1
@@ -421,9 +430,8 @@ class TestEncodeText:
         cfg = enc.EncoderConfig(d_model=8, heads=2, layers=2, d_ff=16, max_len=12,
                                 pool="mean")
         tokens = enc.tokenize("alpha beta gamma", vocab, cfg.max_len)
-        rows, pooled = enc.encode_text(tokens, cfg, params)
-        np.testing.assert_allclose(pooled.data, rows.data.mean(axis=0, keepdims=True),
-                                   atol=1e-12)
+        rows, pooled = enc.encode_text(tokens, cfg, _weights(params))
+        np.testing.assert_allclose(pooled, rows.mean(axis=0, keepdims=True), atol=1e-12)
 
 
 class TestMlmStep:
@@ -468,8 +476,8 @@ class TestMlmStep:
             params, ids, positions, targets = self._case(config, config.max_len,
                                                          seed=heads + layers, masked=masked)
             params["mlm.b"].data[0, targets[0]] = -1000.0  # exp underflows to 0
-            rows, _ = enc.encode_text(ids, config, params)
-            probs = enc.mlm_predictions(rows, positions, params).data
+            rows, _ = enc.encode_text(ids, config, _weights(params))
+            probs = enc.mlm_predictions(rows, positions, _weights(params))
             assert probs[0, targets[0]] < enc.PROB_FLOOR
             self._assert_step_equals_tape(config, params, ids, positions, targets)
 
@@ -480,6 +488,11 @@ class TestMlmStep:
         grads = {name: np.empty(t.shape) for name, t in params.items()}
         with pytest.raises(ContractError, match="sum to 1"):
             enc.mlm_step(ids, positions, targets, TOY_CONFIG, weights, grads)
+
+
+PINNED_CORPUS = ["alpha beta gamma delta", "beta gamma delta alpha epsilon",
+                 "gamma delta alpha", "delta alpha beta gamma epsilon zeta",
+                 "货币 政策 alpha beta"]
 
 
 class TestPretrain:
@@ -502,11 +515,26 @@ class TestPretrain:
             enc.pretrain_mlm([], TOY_CONFIG, epochs=1, seed=0)
 
     def test_two_epoch_loss_trace_is_pinned(self):
-        corpus = ["alpha beta gamma delta", "beta gamma delta alpha epsilon",
-                  "gamma delta alpha", "delta alpha beta gamma epsilon zeta",
-                  "货币 政策 alpha beta"]
-        _, _, trace = enc.pretrain_mlm(corpus, TOY_CONFIG, epochs=2, seed=4)
+        _, _, trace = enc.pretrain_mlm(PINNED_CORPUS, TOY_CONFIG, epochs=2, seed=4)
         assert trace == [3.0020261598910616, 2.7321265895751754]
+
+    def test_each_sentence_goes_through_encode_text_and_builds_no_tape(self, monkeypatch):
+        calls = []
+        encode_text = enc.encode_text
+
+        def record(token_ids, config, weights, saved=None):
+            calls.append(len(token_ids))
+            return encode_text(token_ids, config, weights, saved)
+
+        def refuse(*args):
+            raise AssertionError("mlm_loss called")
+
+        monkeypatch.setattr(enc, "encode_text", record)
+        monkeypatch.setattr(enc, "mlm_loss", refuse)
+        enc.pretrain_mlm(PINNED_CORPUS, TOY_CONFIG, epochs=2, seed=4)
+        vocab = enc.Vocabulary.build(PINNED_CORPUS)
+        lengths = [len(enc.tokenize(t, vocab, TOY_CONFIG.max_len)) for t in PINNED_CORPUS]
+        assert calls == lengths * 2
 
     @pytest.mark.parametrize("similar", [None, {"alpha": ["beta", "zeta"], "gamma": ["delta"],
                                                 "货币": ["政策"]}],
@@ -541,7 +569,7 @@ class TestPretrain:
 
 
 class TestEncodeFeatures:
-    """The tape-free batched featurizer against the tape path, bitwise."""
+    """The batched featurizer against the encoder on the tape, text by text, bitwise."""
 
     WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "货", "币")
 
@@ -562,8 +590,8 @@ class TestEncodeFeatures:
         got = enc.encode_features(texts, vocab, config, params, length)
         want = []
         for text in texts:
-            _, pooled = enc.encode_text(enc.tokenize(text, vocab, config.max_len),
-                                        config, params)
+            _, pooled = oracles.encode_text(enc.tokenize(text, vocab, config.max_len),
+                                            config, params)
             want.append(enc.standardize_features(pooled.data, length))
         want = np.stack(want)
         assert got.shape == want.shape == (len(texts), length)
@@ -602,7 +630,26 @@ class TestEncodeFeatures:
                             params, 4)
         assert [p.shape for p in pooled_blocks] == [
             (enc.FEATURIZE_CHUNK, 1, TOY_CONFIG.d_model), (8, 1, TOY_CONFIG.d_model)]
-        assert not any(p.requires_grad or p._parents for p in pooled_blocks)
+        assert all(type(p) is np.ndarray for p in pooled_blocks)
+
+    def test_attention_arrays_are_freed_before_the_feed_forward(self, monkeypatch):
+        vocab, params = self._setup()
+        attend, feed_forward = enc._attend, enc._feed_forward
+        alive = []
+
+        def attend_spy(*args):
+            out, saved = attend(*args)
+            alive.append([weakref.ref(a) for a in saved if isinstance(a, np.ndarray)])
+            return out, saved
+
+        def feed_forward_spy(*args):
+            assert all(ref() is None for ref in alive[-1])
+            return feed_forward(*args)
+
+        monkeypatch.setattr(enc, "_attend", attend_spy)
+        monkeypatch.setattr(enc, "_feed_forward", feed_forward_spy)
+        enc.encode_features(self._texts(34, 5, 6), vocab, TOY_CONFIG, params, 4)
+        assert len(alive) == TOY_CONFIG.layers
 
     def test_texts_truncated_at_max_len(self):
         long = self._texts(31, 4, 3 * TOY_CONFIG.max_len)
@@ -618,6 +665,40 @@ class TestEncodeFeatures:
         vocab, params = self._setup()
         assert enc.encode_feature(text, vocab, TOY_CONFIG, params,
                                   TOY_CONFIG.d_model).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("pool, digest", [
+        ("start", "33900b7fa329e05a351b2c69e1e557f02e0d4652d4462d375d042c367a3fcfba"),
+        ("mean", "f0f39c3e3a1dbce14fa577898e14c00f03bc48b7f1a8d7099e008c82164d290f"),
+    ])
+    def test_rows_of_the_pinned_encoder_are_pinned(self, pool, digest):
+        params, vocab, _ = enc.pretrain_mlm(PINNED_CORPUS, TOY_CONFIG, epochs=2, seed=4)
+        texts = (PINNED_CORPUS + ["zeta", "omega alpha unknown 货币 words",
+                                  " ".join(["beta", "gamma"] * 10)] + PINNED_CORPUS[::-1])
+        config = dataclasses.replace(TOY_CONFIG, pool=pool)
+        rows = enc.encode_features(texts, vocab, config, params, TOY_CONFIG.d_model)
+        assert rows.shape == (13, TOY_CONFIG.d_model)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+    def test_position_table_follows_the_texts_not_max_len(self, monkeypatch):
+        config = dataclasses.replace(TOY_CONFIG, max_len=10 ** 6)
+        vocab, params = self._setup(config)
+        requested = []
+        table = enc.positional_encoding
+
+        def spy(length, d_model):
+            requested.append(length)
+            assert length <= 1024, f"a table of {length} rows"
+            return table(length, d_model)
+
+        monkeypatch.setattr(enc, "positional_encoding", spy)
+        # 2, 3, 4, 8, 9, 10 and 41 tokens: each table is the next power of two
+        texts = [t for n in (1, 2, 3, 7, 8, 9, 40) for t in self._texts(n, 2, n)]
+        rows = enc.encode_features(texts, vocab, config, params, 8)
+        monkeypatch.undo()
+        assert sorted(set(requested)) == [2, 4, 8, 16, 64]
+        want = enc.encode_features(texts, vocab, dataclasses.replace(config, max_len=64),
+                                   params, 8)
+        assert rows.tobytes() == want.tobytes()
 
     def test_empty_input_rejected(self):
         vocab, params = self._setup()
@@ -657,6 +738,13 @@ class TestPersistence:
         assert vocab2.id_to_token == vocab.id_to_token
         for name in oracles.names(params):
             np.testing.assert_array_equal(params2[name].data, params[name].data)
+
+    def test_special_tokens_are_never_similar_words(self, tmp_path):
+        similar = {"alpha": ["<s>", "beta", "<mask>", "omega"], "gamma": ["<pad>"]}
+        params, vocab, _ = enc.pretrain_mlm(["alpha beta gamma"], TOY_CONFIG, 0, 1, similar)
+        assert vocab.similar == {vocab.id_for("alpha"): (vocab.id_for("beta"),)}
+        enc.save_encoder(tmp_path / "encoder.json", TOY_CONFIG, vocab, params)
+        assert enc.load_encoder(tmp_path / "encoder.json")[1].similar == vocab.similar
 
     def test_feature_csv_round_trip_and_validation(self, tmp_path):
         feats = [enc.TextFeature(date(2023, 1, 3), np.array([0.1, -0.2, 0.3])),

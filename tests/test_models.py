@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from oracles import (attention_rows, bilstm_forward, cell_step, gru_step, lstm_step,
-                     max_rel_err, sigmoid)
+                     max_rel_err, plain_sigmoid)
 
 from trendfuse import models
 from trendfuse import numerics as nm
@@ -201,8 +201,8 @@ class TestMogrifier:
         h0 = rng.normal(size=(1, HID))
         c0 = rng.normal(size=(1, HID))
         hm, cm = cell_step("mogrifier", _t(x), (_t(h0), _t(c0)), params, mogrifier_rounds=2)
-        x_mod = 2 * sigmoid(h0 @ q) * x          # round 1 rescales x
-        h_mod = 2 * sigmoid(x_mod @ r) * h0      # round 2 rescales h
+        x_mod = 2 * plain_sigmoid(h0 @ q) * x          # round 1 rescales x
+        h_mod = 2 * plain_sigmoid(x_mod @ r) * h0      # round 2 rescales h
         h_ref, c_ref = lstm_step(x_mod[0], h_mod[0], c0[0],
                                  {k: v.data for k, v in params.items()})
         assert max_rel_err(hm.data[0], h_ref) < 1e-12
@@ -252,13 +252,13 @@ class TestStlstm:
                                 _t(m0.reshape(1, -1))), params)
         p = {k: v.data for k, v in params.items()}
         cat = np.concatenate([h0, x])
-        i = sigmoid(cat @ p["w_i"] + p["b_i"].reshape(-1))
-        f = sigmoid(cat @ p["w_f"] + p["b_f"].reshape(-1))
-        o = sigmoid(cat @ p["w_o"] + p["b_o"].reshape(-1))
+        i = plain_sigmoid(cat @ p["w_i"] + p["b_i"].reshape(-1))
+        f = plain_sigmoid(cat @ p["w_f"] + p["b_f"].reshape(-1))
+        o = plain_sigmoid(cat @ p["w_o"] + p["b_o"].reshape(-1))
         c_ref = f * c0 + i * np.tanh(cat @ p["w_c"] + p["b_c"].reshape(-1))
         cat_m = np.concatenate([x, m0])
-        i_m = sigmoid(cat_m @ p["w_mi"] + p["b_mi"].reshape(-1))
-        f_m = sigmoid(cat_m @ p["w_mf"] + p["b_mf"].reshape(-1))
+        i_m = plain_sigmoid(cat_m @ p["w_mi"] + p["b_mi"].reshape(-1))
+        f_m = plain_sigmoid(cat_m @ p["w_mf"] + p["b_mf"].reshape(-1))
         m_ref = f_m * m0 + i_m * np.tanh(cat_m @ p["w_mc"] + p["b_mc"].reshape(-1))
         h_ref = o * np.tanh(np.concatenate([c_ref, m_ref]) @ p["w_mix"])
         assert max_rel_err(cs.data[0], c_ref) < 1e-12
@@ -331,11 +331,16 @@ class TestFeedforward:
         return {"w1": _t(w1), "b1": _t(b1), "w2": _t(w2), "b2": _t(b2),
                 "w3": _t(w3), "b3": _t(b3)}
 
+    @staticmethod
+    def _net(x, params):
+        """The baseline on x's columns: one price, one prior, the rest context."""
+        return models.feedforward_net(x[:, :1], x[:, 1:2], _t(x[:, 2:]), params)
+
     def test_zero_network_outputs_final_bias(self):
         params = self._params(np.zeros((3, 4)), np.zeros((1, 4)), np.zeros((4, 2)),
                               np.zeros((1, 2)), np.zeros((2, 1)), np.array([[0.7]]))
-        out = models.feedforward_net(_t(np.ones((5, 3))), params)
-        np.testing.assert_array_equal(out.data, np.full((5, 1), 0.7))
+        out = self._net(np.ones((5, 3)), params)
+        np.testing.assert_array_equal(out.data, nm.logistic(np.full((5, 1), 0.7)))
 
     def test_constructed_pass_through(self):
         # route coordinate 0 through one positive path untouched
@@ -345,8 +350,8 @@ class TestFeedforward:
         params = self._params(w1, np.zeros((1, 4)), w2, np.zeros((1, 2)),
                               w3, np.zeros((1, 1)))
         x = np.array([[2.5, -1.0, 9.9]])
-        out = models.feedforward_net(_t(x), params)
-        np.testing.assert_allclose(out.data, [[2.5]], atol=1e-12)
+        out = self._net(x, params)
+        np.testing.assert_allclose(out.data, plain_sigmoid([[2.5]]), atol=1e-12)
 
     def test_random_matches_manual_chain(self):
         rng = np.random.default_rng(16)
@@ -354,16 +359,16 @@ class TestFeedforward:
         w2, b2 = rng.normal(size=(4, 2)), rng.normal(size=(1, 2))
         w3, b3 = rng.normal(size=(2, 1)), rng.normal(size=(1, 1))
         x = rng.normal(size=(2, 3))
-        out = models.feedforward_net(_t(x), self._params(w1, b1, w2, b2, w3, b3))
+        out = self._net(x, self._params(w1, b1, w2, b2, w3, b3))
         h1 = np.maximum(x @ w1 + b1, 0.0)
         h2 = np.maximum(h1 @ w2 + b2, 0.0)
-        assert max_rel_err(out.data, h2 @ w3 + b3) < 1e-12
+        assert max_rel_err(out.data, plain_sigmoid(h2 @ w3 + b3)) < 1e-12
 
     def test_width_mismatch_rejected(self):
         params = self._params(np.zeros((3, 4)), np.zeros((1, 4)), np.zeros((4, 2)),
                               np.zeros((1, 2)), np.zeros((2, 1)), np.zeros((1, 1)))
         with pytest.raises(ShapeError):
-            models.feedforward_net(_t(np.ones((1, 5))), params)
+            self._net(np.ones((1, 5)), params)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(17)
@@ -372,13 +377,15 @@ class TestFeedforward:
                   "b2": rng.normal(size=(1, 3)), "w3": rng.normal(size=(3, 1)),
                   "b3": rng.normal(size=(1, 1))}
         arrays["b1"][0, 0] = -50.0  # a unit whose ReLU is closed on every row
-        oracles.assert_same_values_and_grads(lambda p: models.feedforward_net(p["x"], p),
-                                             lambda p: oracles.feedforward_net(p["x"], p),
-                                             arrays, seed=1)
-        x = _t(arrays.pop("x"))
-        oracles.assert_same_values_and_grads(lambda p: models.feedforward_net(x, p),
-                                             lambda p: oracles.feedforward_net(x, p),
-                                             arrays, seed=2)
+        x = arrays["x"]
+        arrays["x"] = x[:, 2:]  # the context; the price and prior columns are constants
+        oracles.assert_same_values_and_grads(
+            lambda p: models.feedforward_net(x[:, :1], x[:, 1:2], p["x"], p),
+            lambda p: oracles.feedforward_net(x[:, :1], x[:, 1:2], p["x"], p), arrays, seed=1)
+        context = _t(arrays.pop("x"))
+        oracles.assert_same_values_and_grads(
+            lambda p: models.feedforward_net(x[:, :1], x[:, 1:2], context, p),
+            lambda p: oracles.feedforward_net(x[:, :1], x[:, 1:2], context, p), arrays, seed=2)
 
 
 class TestOutputHead:

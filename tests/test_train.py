@@ -132,7 +132,7 @@ class TestTrainingStepTape:
     leaves included) at the benchmark's zoo-train shape: batch 32, window 6,
     feature_len 8, embed_width 8, hidden 8."""
 
-    NODES = {"feedforward": 18, "lstm": 27, "bilstm": 35, "gru": 25,
+    NODES = {"feedforward": 14, "lstm": 27, "bilstm": 35, "gru": 25,
              "mogrifier": 29, "stlstm": 34, "swinlstm": 32}
 
     @pytest.mark.parametrize("kind", VALID_KINDS)
@@ -272,7 +272,10 @@ def _replica_block_cases():
                   arrays(f=(batch, 5), w_e=(5, 6), b_e=(1, 6))),
         "conv_text": (lambda p: fusion.conv_text(p["e"], p),
                       arrays(e=(batch, 6), w_c=(3,), b_c=(1, 1))),
-        "feedforward_net": (lambda p: models.feedforward_net(p["x"], p), arrays(
+        # price and prior columns are constants; the context is the rest of x
+        "feedforward_net": (lambda p: models.feedforward_net(
+            p["x"].data[..., :1], p["x"].data[..., 1:2],
+            oracles.take(p["x"], (Ellipsis, slice(2, None))), p), arrays(
             x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4), w3=(4, 1), b3=(1, 1))),
         "attention": (lambda p: fusion.attention_over_features(p["q"], p["feats"]),
                       arrays(q=(batch, 3), feats=(batch, 5, 3))),
@@ -280,7 +283,7 @@ def _replica_block_cases():
             o=(batch, 3), c=(batch, 5), proj_w=(5, 3), proj_b=(1, 3), gamma_raw=(1, 1))),
         "output_head": (lambda p: models.output_head(p["z"], p)[0],
                         arrays(z=(batch, 3), w_out=(3, 1), b_out=(1, 1))),
-        "bce_loss": (lambda p: tr.bce_loss(nm.sigmoid(p["logits"]), np.broadcast_to(
+        "bce_loss": (lambda p: tr.bce_loss(oracles.sigmoid(p["logits"]), np.broadcast_to(
             targets, p["logits"].shape[:-1])), arrays(logits=(batch, 1))),
         "window_pool": (lambda p: models.window_pool(p["x"], p["wq"], p["wk"], p["wv"],
                                                      p["wp"], 2),
