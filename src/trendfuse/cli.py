@@ -450,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ContractError) as err:
         _fail(err)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as err:
+    except (DataError, OSError) as err:  # OSError: an unreadable path
         _fail(err)
         return EXIT_DATA
     except DivergenceError as err:

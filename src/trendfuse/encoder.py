@@ -44,7 +44,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import (ConfigError, ContractError, DataError, DivergenceError, ParseError,
-                     SchemaError, check_integer, is_real)
+                     SchemaError, check_integer, is_real, open_text)
 from .numerics import ParameterStore, Tensor
 
 PAD_ID = 0
@@ -239,7 +239,7 @@ def mlm_loss(predicted: Tensor, positions: np.ndarray, targets: np.ndarray) -> T
     def back(g):
         nm.accumulate(predicted, _mlm_nll_back(g, predicted.data, targets, saved))
 
-    return nm.fused((predicted,), (loss,), back)[0]
+    return nm.fused((predicted,), loss, back)
 
 
 @functools.lru_cache(maxsize=8)
@@ -642,7 +642,7 @@ def read_features(path, expected_len: int | None = None) -> dict[Date, np.ndarra
     """Feature rows by date. A malformed, non-finite or repeated row is a
     DataError naming `path` (and the line, where there is one)."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "date":

@@ -5,8 +5,10 @@ CLI can map them to one exit code; config and contract violations stay
 separate because they indicate caller bugs, not bad inputs. The config
 dataclasses check their values with `is_real` and `check_integer`, so a
 malformed value is a ConfigError, never a TypeError deep in the program.
+`open_text` makes a data file that is not UTF-8 a DataError.
 """
 
+import contextlib
 import numbers
 
 
@@ -16,10 +18,6 @@ class ShapeError(ValueError):
 
 class ContractError(ValueError):
     """A documented precondition was violated by the caller."""
-
-
-class GraphError(RuntimeError):
-    """A node is not part of the computation graph being differentiated."""
 
 
 class ConfigError(ValueError):
@@ -59,3 +57,14 @@ def check_integer(name: str, value, low: int) -> None:
     """Raise ConfigError unless a config value is an integer (not a bool) >= low."""
     if not (is_real(value) and isinstance(value, numbers.Integral)) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """`path` opened for reading as UTF-8 text, with newline="" for csv;
+    bytes that do not decode are a DataError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None

@@ -6,11 +6,14 @@ learnable convex gate. Attention weighting assigns softmax weights over a
 set of candidate feature vectors using a dot-product score against a
 state vector.
 
-The embedding, the convolution with its bias and ReLU, attention
-weighting over the (B, m, H) candidates that `models.unroll` returns, and
-the fusion gate are each one tape primitive (`numerics.fused`) with a
-hand-written backward, which also takes (R, B, ·) replica blocks.
-`tests/oracles.py` keeps their single-op compositions as references.
+Each primitive is a numpy forward and its backward, `<name>_back`, and
+takes (R, B, ·) replica blocks against parameters stacked as (R, ...).
+A forward given a `saved` list appends what its backward needs; the
+backward pops that entry, adds the parameter gradients into the
+parameters' `grad` arrays and returns the input gradients. Parameters are
+the `numerics.Tensor`s of a store view, read through `.data`.
+`train._backward_batch` runs the backwards in reverse; `tests/oracles.py`
+puts each pair on the tape and keeps single-op compositions as references.
 """
 
 from __future__ import annotations
@@ -23,110 +26,124 @@ from . import numerics as nm
 from .errors import ContractError, DivergenceError, ShapeError
 from .numerics import ParameterStore, Tensor
 
+Params = Mapping[str, Tensor]
 
-def embed(feature: Tensor, params: Mapping[str, Tensor]) -> Tensor:
+
+def embed(feature: np.ndarray, params: Params, saved: list | None = None) -> np.ndarray:
     """Affine lift of a feature row-batch into the embedding width."""
     w, b = params["w_e"], params["b_e"]
     if feature.shape[-1] != w.shape[-2]:
         raise ShapeError(f"feature width {feature.shape} does not match "
                          f"embedding weights {w.shape}")
-    return nm.fused((feature, w, b), (feature.data @ w.data + b.data,),
-                    lambda g: nm.affine_back(feature, w, b, g))[0]
+    if saved is not None:
+        saved.append((feature, params))
+    return feature @ w.data + b.data
 
 
-def conv_text(embedded: Tensor, params: Mapping[str, Tensor]) -> Tensor:
+def embed_back(g: np.ndarray, saved: list) -> np.ndarray:
+    feature, params = saved.pop()
+    return nm.affine_back(feature, params["w_e"], params["b_e"], g)
+
+
+def conv_text(embedded: np.ndarray, params: Params, saved: list | None = None) -> np.ndarray:
     """Valid stride-1 cross-correlation over each row with the (k,) kernel,
     bias, then ReLU: out[..., i] = relu(b + sum_j kernel[j] * x[..., i + j])."""
-    kernel, bias, x = params["w_c"], params["b_c"], embedded.data
+    kernel, x = params["w_c"], embedded
     out_len = conv_output_len(x.shape[-1], kernel.shape[-1])
     taps = [kernel.data[..., j, None, None] for j in range(kernel.shape[-1])]
     pre = np.zeros((*x.shape[:-1], out_len))
     for j, tap in enumerate(taps):
         pre += tap * x[..., j:j + out_len]
-    pre += bias.data
-
-    def back(g: np.ndarray) -> None:
-        d = g * (pre > 0)
-        nm.accumulate(bias, _sum_rows_cols(d))
-        nm.accumulate(kernel, np.stack([(d * x[..., j:j + out_len]).sum(axis=(-2, -1))
-                                        for j in range(len(taps))], axis=-1))
-        if embedded.requires_grad:
-            d_x = np.zeros_like(x)
-            for j, tap in enumerate(taps):
-                d_x[..., j:j + out_len] += tap * d
-            nm.accumulate(embedded, d_x)
-
-    return nm.fused((embedded, kernel, bias), (np.maximum(0.0, pre),), back)[0]
+    pre += params["b_c"].data
+    if saved is not None:
+        saved.append((x, params, taps, pre))
+    return np.maximum(0.0, pre)
 
 
-def attention_over_features(query: Tensor, candidates: Tensor) -> tuple[Tensor, Tensor]:
-    """Softmax-weighted combination of candidate features, as one tape primitive.
+def conv_text_back(g: np.ndarray, saved: list) -> np.ndarray:
+    x, params, taps, pre = saved.pop()
+    out_len = pre.shape[-1]
+    d = g * (pre > 0)
+    params["b_c"].grad += _sum_rows_cols(d)
+    params["w_c"].grad += np.stack([(d * x[..., j:j + out_len]).sum(axis=(-2, -1))
+                                    for j in range(len(taps))], axis=-1)
+    d_x = np.zeros_like(x)
+    for j, tap in enumerate(taps):
+        d_x[..., j:j + out_len] += tap * d
+    return d_x
+
+
+def attention_over_features(query: np.ndarray, candidates: np.ndarray,
+                            saved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax-weighted combination of candidate features.
 
     `candidates` stacks m candidate rows per query row as (..., B, m, H), as
     `models.unroll` returns its step rows. Scores are plain dot products
     between the query rows and each candidate, weighted by a max-shifted
     softmax; returns (weights of shape (..., B, m), context of query width).
     """
-    stacked = candidates.data
-    if stacked.ndim < 3 or stacked.shape[-2] == 0:
+    if candidates.ndim < 3 or candidates.shape[-2] == 0:
         raise ContractError(f"need a (B, m, H) block of at least one candidate, "
                             f"got {candidates.shape}")
-    if stacked.shape[:-2] + stacked.shape[-1:] != query.shape:
+    if candidates.shape[:-2] + candidates.shape[-1:] != query.shape:
         raise ShapeError(f"candidate shape {candidates.shape} does not match "
                          f"query shape {query.shape}")
-    scores = (query.data[..., None, :] * stacked).sum(axis=-1)
+    scores = (query[..., None, :] * candidates).sum(axis=-1)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     alpha = e / e.sum(axis=-1, keepdims=True)
-    context = np.einsum("...m,...mh->...h", alpha, stacked)
-
-    def back(g_alpha, g_context) -> None:
-        d_alpha = np.zeros_like(alpha) if g_alpha is None else g_alpha
-        d_feats = 0.0
-        if g_context is not None:
-            d_alpha = d_alpha + (g_context[..., None, :] * stacked).sum(axis=-1)
-            d_feats = alpha[..., None] * g_context[..., None, :]
-        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
-        nm.accumulate(query, np.einsum("...m,...mh->...h", d_scores, stacked))
-        nm.accumulate(candidates, d_feats + d_scores[..., None] * query.data[..., None, :])
-
-    return nm.fused((query, candidates), (alpha, context), back)
+    if saved is not None:
+        saved.append((query, candidates, alpha))
+    return alpha, np.einsum("...m,...mh->...h", alpha, candidates)
 
 
-def fuse(recurrent_out: Tensor, text_context: Tensor,
-         params: Mapping[str, Tensor]) -> Tensor:
-    """Convex blend Z = g * recurrent + (1 - g) * text, g = sigmoid(gamma_raw),
-    as one tape primitive.
+def attention_over_features_back(g_alpha: np.ndarray | None, g_context: np.ndarray | None,
+                                 saved: list) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the query and the candidates; either output's gradient
+    may be None (no gradient)."""
+    query, stacked, alpha = saved.pop()
+    d_alpha = np.zeros_like(alpha) if g_alpha is None else g_alpha
+    d_feats = 0.0
+    if g_context is not None:
+        d_alpha = d_alpha + (g_context[..., None, :] * stacked).sum(axis=-1)
+        d_feats = alpha[..., None] * g_context[..., None, :]
+    d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+    return (np.einsum("...m,...mh->...h", d_scores, stacked),
+            d_feats + d_scores[..., None] * query[..., None, :])
+
+
+def fuse(recurrent_out: np.ndarray, text_context: np.ndarray, params: Params,
+         saved: list | None = None) -> np.ndarray:
+    """Convex blend Z = g * recurrent + (1 - g) * text, g = sigmoid(gamma_raw).
 
     When the text context is narrower or wider than the recurrent output it
     first passes through the learned projection in `params`. Non-finite
     inputs mean training has diverged and raise DivergenceError.
     """
-    if not (np.isfinite(recurrent_out.data).all() and np.isfinite(text_context.data).all()):
+    if not (np.isfinite(recurrent_out).all() and np.isfinite(text_context).all()):
         raise DivergenceError("fuse inputs must be finite: the recurrent output or "
                               "the text context holds NaN or inf")
-    rec, text = recurrent_out.data, text_context.data
-    proj = ()
-    if text.shape[-1] != rec.shape[-1]:
+    rec, text = recurrent_out, text_context
+    project = text.shape[-1] != rec.shape[-1]
+    if project:
         if "proj_w" not in params:
             raise ShapeError(f"text context width {text.shape[-1]} needs a "
                              f"projection to {rec.shape[-1]}")
-        proj = (params["proj_w"], params["proj_b"])
-        text = text @ proj[0].data + proj[1].data
-    gamma_raw = params["gamma_raw"]
-    gamma = nm.logistic(gamma_raw.data)
+        text = text @ params["proj_w"].data + params["proj_b"].data
+    gamma = nm.logistic(params["gamma_raw"].data)
+    if saved is not None:
+        saved.append((rec, text_context, text, gamma, project, params))
+    return gamma * rec + (1.0 - gamma) * text
 
-    def back(g: np.ndarray) -> None:
-        nm.accumulate(recurrent_out, g * gamma)
-        d_text = g * (1.0 - gamma)
-        d_gamma = _sum_rows_cols(g * rec) - _sum_rows_cols(g * text)
-        nm.accumulate(gamma_raw, d_gamma * gamma * (1.0 - gamma))
-        if proj:
-            nm.affine_back(text_context, *proj, d_text)
-        else:
-            nm.accumulate(text_context, d_text)
 
-    out = gamma * rec + (1.0 - gamma) * text
-    return nm.fused((recurrent_out, text_context, gamma_raw, *proj), (out,), back)[0]
+def fuse_back(g: np.ndarray, saved: list) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the recurrent output and of the text context."""
+    rec, text_context, text, gamma, project, params = saved.pop()
+    d_text = g * (1.0 - gamma)
+    d_gamma = _sum_rows_cols(g * rec) - _sum_rows_cols(g * text)
+    params["gamma_raw"].grad += d_gamma * gamma * (1.0 - gamma)
+    if project:
+        d_text = nm.affine_back(text_context, params["proj_w"], params["proj_b"], d_text)
+    return g * gamma, d_text
 
 
 def _sum_rows_cols(a: np.ndarray) -> np.ndarray:

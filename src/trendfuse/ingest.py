@@ -21,7 +21,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import (ContractError, DataError, DegenerateInputError,
-                     ParseError, ProviderError, SchemaError)
+                     ParseError, ProviderError, SchemaError, open_text)
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ def _parse_float(raw: str, column: str, line: int) -> float:
 def parse_market_csv(path) -> MarketSeries:
     """Load a market CSV (header Date,Chg,Open,Close,Volume; Chg may end in %)."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in MARKET_COLUMNS if c not in header]
@@ -97,7 +97,10 @@ def parse_market_csv(path) -> MarketSeries:
         records = []
         for row in reader:
             line = reader.line_num
-            raw_date = (row["Date"] or "").strip()
+            if None in row.values():
+                raise ParseError(f"line {line}: missing field(s) "
+                                 + ", ".join(k for k, v in row.items() if v is None))
+            raw_date = row["Date"].strip()
             try:
                 day = Date.fromisoformat(raw_date)
             except ValueError:
@@ -243,7 +246,7 @@ def load_summaries(path) -> list[SummaryRecord]:
     path = Path(path)
     merged: dict[Date, list[str]] = {}
     skipped = 0
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

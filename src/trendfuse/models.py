@@ -5,30 +5,28 @@ All cells operate on row-batches: step input x is (B, I), states are
 the classic formulation. Variants are written so that specific parameter
 settings collapse them exactly onto the plain LSTM, which the test suite
 uses as a correctness oracle. Every primitive also takes (R, B, ·) blocks
-against parameters stacked as (R, ...), for `train.train_replicas`.
+against parameters stacked as (R, ...), for `train.train_replicas`, and
+is a numpy forward plus `<name>_back`, on the `saved`-list convention of
+`fusion`.
 
-`unroll` runs a whole sequence as one tape node (`numerics.fused`) with two
-outputs, the step rows (B, T, H * directions) and the final row, after the
-cuDNN sequence kernels (Appleyard et al., arXiv:1604.01946). `CELLS` maps
-every recurrent kind to its parameter init, the weight blocks it steps with
-and a pair of pure-numpy step functions:
+`unroll` runs a whole sequence, after the cuDNN sequence kernels
+(Appleyard et al., arXiv:1604.01946), and `unroll_back` runs BPTT.
+`CELLS` maps every recurrent kind to its parameter init, the weight
+blocks it steps with and a pair of pure-numpy step functions:
 
 - `forward(x_t, state, weights) -> (state, cache)`;
 - `backward(cache, d_state) -> (d_x, d_state_prev, d_weights)`.
 
-The node runs the forward over time, then BPTT in reverse, and sums each
-weight gradient over the steps. BiLSTM is the LSTM entry run in both
-directions inside the same node. Weights are stacked column-wise once per
-unroll, and each step does one matmul of [h, x] against them. The input
-projection X @ W_x is not hoisted out of the loop: that saves little in
-training and, on a large scoring batch, holds (T, B, 4H) buffers that add
-about a tenth to peak memory. SwinLSTM's windowed attention
-(`window_pool`) reads only the step input, so it is one tape node over
-every step's row before the unroll node. The Mogrifier, ST-LSTM and
-SwinLSTM steps reuse the LSTM gate block. Every gate sigmoid is
-`numerics.logistic`, the package's one logistic function.
-
-`output_head` (matmul, bias and logistic) is one fused node as well.
+BiLSTM is the LSTM entry run in both directions. Weights are stacked
+column-wise once per unroll, and each step does one matmul of [h, x]
+against them. The input projection X @ W_x is not hoisted out of the
+loop: that saves little in training and, on a large scoring batch, holds
+(T, B, 4H) buffers that add about a tenth to peak memory; for the same
+reason an unroll without a `saved` list keeps no per-step caches.
+SwinLSTM's windowed attention (`window_pool`) reads only the step input,
+so it runs once over every step's row before the time loop. The
+Mogrifier, ST-LSTM and SwinLSTM steps reuse the LSTM gate block. Every
+gate sigmoid is `numerics.logistic`, the package's one logistic function.
 """
 
 from __future__ import annotations
@@ -50,6 +48,8 @@ RECURRENT_KINDS = tuple(k for k in VALID_KINDS if k != "feedforward")
 # the fused core uses (sigmoid gates first, then the tanh candidate).
 LSTM_GATES = ("w_i", "w_f", "w_c", "w_o")
 LSTM_STACK = ("w_i", "w_f", "w_o", "w_c")
+# SwinLSTM's (1, 1) pooling weights: query, key, value and output scales.
+_POOL_WEIGHTS = ("wq", "wk", "wv", "wp")
 
 
 @dataclass
@@ -91,7 +91,7 @@ def _route(params: Mapping[str, Tensor], blocks, d_weights) -> None:
         start = 0
         for name in block:
             width = params[name].shape[-1]
-            nm.accumulate(params[name], d[..., start:start + width])
+            params[name].grad += d[..., start:start + width]
             start += width
 
 
@@ -259,52 +259,51 @@ def _stlstm_backward(cache, d_state):
 # --- SwinLSTM's input pooling, hoisted out of the time loop -------------------------
 
 
-def window_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wp: Tensor,
-                window: int) -> Tensor:
-    """SwinLSTM's windowed self-attention and pooling as one tape node.
+def window_pool(x: np.ndarray, params: Mapping[str, Tensor], window: int,
+                saved: list | None = None) -> np.ndarray:
+    """SwinLSTM's windowed self-attention and pooling.
 
     Each row along the last axis of x (any leading axes) is zero-padded to a
     multiple of `window`. Inside each window, every scalar entry u_i attends
     over the window's entries with scores (u_i * wq) * (u_j * wk) and values
     u_j * wv (max-shifted softmax); each window's output is
     u + attention * wp, and the windows are averaged elementwise into a row
-    of width `window`. The four (..., 1, 1) weights may carry replica axes,
-    which lead x's axes.
+    of width `window`. The four (..., 1, 1) weights in `params` may carry
+    replica axes, which lead x's axes.
     """
-    lead, feat, reps = x.shape[:-1], x.shape[-1], wq.shape[:-2]
+    lead, feat, reps = x.shape[:-1], x.shape[-1], params["wq"].shape[:-2]
     pad = (-feat) % window
-    xd = np.concatenate([x.data, np.zeros((*lead, pad))], axis=-1) if pad else x.data
+    xd = np.concatenate([x, np.zeros((*lead, pad))], axis=-1) if pad else x
     n_windows = xd.shape[-1] // window
     u = xd.reshape(*lead, n_windows, window)
     scalar = (*reps, *(1,) * (u.ndim - len(reps)))
-    aq, ak, av, ap = (t.data.reshape(scalar) for t in (wq, wk, wv, wp))
+    aq, ak, av, ap = (params[n].data.reshape(scalar) for n in _POOL_WEIGHTS)
     q, k, v = u * aq, u * ak, u * av
     scores = q[..., :, None] * k[..., None, :]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     alpha = e / e.sum(axis=-1, keepdims=True)
     att = (alpha * v[..., None, :]).sum(axis=-1)
     out = u + att * ap
-
-    def back(g: np.ndarray) -> None:
-        d_out = np.broadcast_to((g * (1.0 / n_windows))[..., None, :], u.shape)
-        d_att = d_out * ap
-        d_alpha = d_att[..., :, None] * v[..., None, :]
-        d_v = (alpha * d_att[..., :, None]).sum(axis=-2)
-        d_s = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
-        d_q = (d_s * k[..., None, :]).sum(axis=-1)
-        d_k = (d_s * q[..., :, None]).sum(axis=-2)
-        if x.requires_grad:
-            d_u = d_out + d_q * aq + d_k * ak + d_v * av
-            nm.accumulate(x, d_u.reshape(*lead, -1)[..., :feat])
-        for param, grad in ((wq, d_q * u), (wk, d_k * u), (wv, d_v * u), (wp, d_out * att)):
-            nm.accumulate(param, grad.reshape(*reps, -1).sum(axis=-1).reshape(param.shape))
-
-    pooled = out.sum(axis=-2) * (1.0 / n_windows)
-    return nm.fused((x, wq, wk, wv, wp), (pooled,), back)[0]
+    if saved is not None:
+        saved.append((params, feat, u, (aq, ak, av, ap), q, k, v, alpha, att))
+    return out.sum(axis=-2) * (1.0 / n_windows)
 
 
-def _swin_pool(xs: Tensor, params: Mapping[str, Tensor], spec: ModelSpec) -> Tensor:
-    return window_pool(xs, *(params[n] for n in ("wq", "wk", "wv", "wp")), spec.swin_window)
+def window_pool_back(g: np.ndarray, saved: list) -> np.ndarray:
+    params, feat, u, (aq, ak, av, ap), q, k, v, alpha, att = saved.pop()
+    lead, reps = u.shape[:-2], params["wq"].shape[:-2]
+    d_out = np.broadcast_to((g * (1.0 / u.shape[-2]))[..., None, :], u.shape)
+    d_att = d_out * ap
+    d_alpha = d_att[..., :, None] * v[..., None, :]
+    d_v = (alpha * d_att[..., :, None]).sum(axis=-2)
+    d_s = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+    d_q = (d_s * k[..., None, :]).sum(axis=-1)
+    d_k = (d_s * q[..., :, None]).sum(axis=-2)
+    for name, grad in zip(_POOL_WEIGHTS, (d_q * u, d_k * u, d_v * u, d_out * att)):
+        param = params[name]
+        param.grad += grad.reshape(*reps, -1).sum(axis=-1).reshape(param.shape)
+    d_u = d_out + d_q * aq + d_k * ak + d_v * av
+    return d_u.reshape(*lead, -1)[..., :feat]
 
 
 # --- parameter init -------------------------------------------------------------
@@ -343,7 +342,7 @@ def _init_stlstm(store, prefix, input_width, spec, rng) -> None:
 
 
 def _init_swinlstm(store, prefix, input_width, spec, rng) -> None:
-    for name in ("wq", "wk", "wv", "wp"):
+    for name in _POOL_WEIGHTS:
         store.add(f"{prefix}.{name}", nm.uniform_init(rng, 1, (1, 1)))
     _init_lstm(store, prefix, spec.swin_window, spec, rng)
 
@@ -360,9 +359,9 @@ class Cell:
     (x_t, state, weights) to (state, cache), the state a tuple of `arity`
     arrays with the hidden row first; `backward` maps (cache, d_state) to
     (d_x, d_state_prev, d_weights), d_weights in block order. `pool`, when
-    set, maps the whole step-input block once before the time loop. Each
-    name in `directions` is a parameter sub-prefix run in turn, the second
-    one over the reversed sequence.
+    set, is the `window_pool` pair, run over the whole step-input block
+    once before the time loop. Each name in `directions` is a parameter
+    sub-prefix run in turn, the second one over the reversed sequence.
     """
 
     init: Callable[[ParameterStore, str, int, ModelSpec, np.random.Generator], None]
@@ -371,7 +370,7 @@ class Cell:
     backward: Callable[[object, tuple], tuple]
     arity: int
     directions: tuple[str, ...] = ("",)
-    pool: Callable[[Tensor, Mapping[str, Tensor], ModelSpec], Tensor] | None = None
+    pool: tuple[Callable, Callable] | None = None
 
 
 CELLS = {
@@ -387,18 +386,17 @@ CELLS = {
         LSTM_BLOCKS + _gate_blocks(("w_mi", "w_mf", "w_mc")) + (("w_mix",),)),
         _stlstm_forward, _stlstm_backward, 3),
     "swinlstm": Cell(_init_swinlstm, lambda spec: LSTM_BLOCKS, _lstm_forward, _lstm_backward,
-                     2, pool=_swin_pool),
+                     2, pool=(window_pool, window_pool_back)),
 }
 
 
-def feedforward_net(prices: np.ndarray, priors: np.ndarray, context: Tensor,
-                    params: Mapping[str, Tensor]) -> Tensor:
+def feedforward_net(prices: np.ndarray, priors: np.ndarray, context: np.ndarray,
+                    params: Mapping[str, Tensor], saved: list | None = None) -> np.ndarray:
     """Probability of an upward move from the price window, the priors and
     the text context, side by side: two hidden ReLU layers down to one
-    logit, then the logistic, as one tape node. Only the context and the
-    weights take gradients.
+    logit, then the logistic. Only the context takes a gradient.
     """
-    x = np.concatenate([prices, priors, context.data], axis=-1)
+    x = np.concatenate([prices, priors, context], axis=-1)
     layers = [(params[f"w{k}"], params[f"b{k}"]) for k in (1, 2, 3)]
     if x.shape[-1] != layers[0][0].shape[-2]:
         raise ShapeError(f"input width {x.shape} does not match first layer "
@@ -408,42 +406,50 @@ def feedforward_net(prices: np.ndarray, priors: np.ndarray, context: Tensor,
         z = acts[-1] @ w.data + b.data
         acts.append(np.maximum(0.0, z) if k < 2 else z)
     p = nm.logistic(acts[-1])
-
-    def back(g: np.ndarray) -> None:
-        g = g * p * (1.0 - p)
-        for k in (2, 1, 0):
-            w, b = layers[k]
-            if k < 2:
-                g = g * (acts[k + 1] > 0)
-            nm.accumulate(w, nm.mT(acts[k]) @ g)
-            nm.accumulate(b, nm.row_sum(g))
-            g = g @ nm.mT(w.data)
-        nm.accumulate(context, g[..., x.shape[-1] - context.shape[-1]:])
-
-    return nm.fused((context, *(t for layer in layers for t in layer)), (p,), back)[0]
+    if saved is not None:
+        saved.append((acts, layers, p, context.shape[-1]))
+    return p
 
 
-def output_head(z: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, np.ndarray]:
-    """Sigmoid probability of an upward move; ties at 0.5 label as 1.
+def feedforward_net_back(g: np.ndarray, saved: list) -> np.ndarray:
+    acts, layers, p, context_width = saved.pop()
+    g = g * p * (1.0 - p)
+    for k in (2, 1, 0):
+        w, b = layers[k]
+        if k < 2:
+            g = g * (acts[k + 1] > 0)
+        w.grad += nm.mT(acts[k]) @ g
+        b.grad += nm.row_sum(g)
+        g = g @ nm.mT(w.data)
+    return g[..., g.shape[-1] - context_width:]
 
-    p = sigmoid(z @ w_out + b_out) is one tape node.
-    """
+
+def output_head(z: np.ndarray, params: Mapping[str, Tensor],
+                saved: list | None = None) -> np.ndarray:
+    """Probability of an upward move, p = sigmoid(z @ w_out + b_out)."""
     w, b = params["w_out"], params["b_out"]
     if z.shape[-1] != w.shape[-2]:
         raise ShapeError(f"head input {z.shape} does not fit weights {w.shape}")
-    p = nm.logistic(z.data @ w.data + b.data)
-    head = nm.fused((z, w, b), (p,), lambda g: nm.affine_back(z, w, b, g * p * (1.0 - p)))
-    return head[0], (p[..., 0] >= 0.5).astype(int)
+    p = nm.logistic(z @ w.data + b.data)
+    if saved is not None:
+        saved.append((z, params, p))
+    return p
 
 
-def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[Tensor, Tensor]:
-    """Run a recurrent model over the (..., B, T, I) step inputs as one tape node.
+def output_head_back(g: np.ndarray, saved: list) -> np.ndarray:
+    z, params, p = saved.pop()
+    return nm.affine_back(z, params["w_out"], params["b_out"], g * p * (1.0 - p))
+
+
+def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
+           saved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run a recurrent model over the (..., B, T, I) step inputs.
 
     Returns the step rows (..., B, T, H * directions), for attention
     pooling, and the final row. For bilstm a step row pairs the forward
     state with the co-located backward state, and the final row
-    concatenates both directions' final states. Per-step caches are kept only when the node
-    is recorded for a backward pass.
+    concatenates both directions' final states. Per-step caches are kept
+    only in `saved`.
     """
     if spec.kind not in CELLS:
         raise ConfigError(f"cannot unroll non-recurrent kind {spec.kind!r}")
@@ -451,7 +457,7 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[T
         raise ContractError(f"step inputs must be a non-empty (B, T, I) block, got {xs.shape}")
     cell = CELLS[spec.kind]
     if cell.pool is not None:
-        xs = cell.pool(xs, params, spec)
+        xs = cell.pool[0](xs, params, spec.swin_window, saved)
     blocks = cell.blocks(spec)
     subs = [params if not d else {k[len(d) + 1:]: v for k, v in params.items()
                                   if k.startswith(d + ".")} for d in cell.directions]
@@ -460,46 +466,48 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: Tensor) -> tuple[T
     if weights[0][0].shape[-2] != hid + width:
         raise ShapeError(f"gate weights {weights[0][0].shape} do not fit "
                          f"[h, x] rows of width {hid} + {width}")
-    names = dict.fromkeys(name for block in blocks for name in block)
-    parents = (xs, *(sub[name] for sub in subs for name in names))
-    keep = nm.grad_needed(parents)
     zero = np.zeros((*lead, hid))
     out = np.empty((*lead, steps, hid * len(subs)))
     runs = []
     for k, w in enumerate(weights):
         state, run = (zero,) * cell.arity, []
         for t in (range(steps - 1, -1, -1) if k else range(steps)):
-            state, cache = cell.forward(xs.data[..., t, :], state, w)
+            state, cache = cell.forward(xs[..., t, :], state, w)
             out[..., t, k * hid:(k + 1) * hid] = state[0]
-            if keep:
+            if saved is not None:
                 run.append((t, cache))
             del cache  # unkept, its memory is free for the next step
         runs.append(run)
     final = out[..., -1, :] if len(subs) == 1 else np.concatenate(
         [out[..., -1, :hid], out[..., 0, hid:]], axis=-1)
+    if saved is not None:
+        saved.append((cell, blocks, subs, runs, xs.shape, zero))
+    return out, final
 
-    def back(g_steps, g_final) -> None:
-        d_xs = np.zeros(xs.shape) if xs.requires_grad else None
-        for k, (sub, run) in enumerate(zip(subs, runs)):
-            cols, last = slice(k * hid, (k + 1) * hid), run[-1][0]
-            d_state, totals = (zero,) * cell.arity, None
-            for t, cache in reversed(run):
-                d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[..., t, cols]
-                if g_final is not None and t == last:
-                    d_h = d_h + g_final[..., cols]
-                d_x, d_state, d_w = cell.backward(cache, (d_h, *d_state[1:]))
-                if totals is None:  # later steps add into the first one's arrays
-                    totals = list(d_w)
-                else:
-                    for total, d in zip(totals, d_w):
-                        total += d
-                if d_xs is not None:
-                    d_xs[..., t, :] += d_x
-            _route(sub, blocks, totals)
-        if d_xs is not None:
-            nm.accumulate(xs, d_xs)
 
-    return nm.fused(parents, (out, final), back)
+def unroll_back(g_steps: np.ndarray | None, g_final: np.ndarray | None,
+                saved: list) -> np.ndarray:
+    """BPTT: the step inputs' gradient, from those of the step rows and of
+    the final row (either may be None)."""
+    cell, blocks, subs, runs, shape, zero = saved.pop()
+    hid = zero.shape[-1]
+    d_xs = np.zeros(shape)
+    for k, (sub, run) in enumerate(zip(subs, runs)):
+        cols, last = slice(k * hid, (k + 1) * hid), run[-1][0]
+        d_state, totals = (zero,) * cell.arity, None
+        for t, cache in reversed(run):
+            d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[..., t, cols]
+            if g_final is not None and t == last:
+                d_h = d_h + g_final[..., cols]
+            d_x, d_state, d_w = cell.backward(cache, (d_h, *d_state[1:]))
+            if totals is None:  # later steps add into the first one's arrays
+                totals = list(d_w)
+            else:
+                for total, d in zip(totals, d_w):
+                    total += d
+            d_xs[..., t, :] += d_x
+        _route(sub, blocks, totals)
+    return d_xs if cell.pool is None else cell.pool[1](d_xs, saved)
 
 
 def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,

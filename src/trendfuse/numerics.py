@@ -7,23 +7,24 @@ gradients for every leaf. All arithmetic stays in float64 and reduction
 orders are fixed by graph construction order, so identical inputs give
 bit-identical outputs and gradients.
 
-Every tape node the program builds is a primitive with a hand-written
-backward (`fused`), whose arithmetic lives in the module that uses it, or
-`sum_`, which adds lockstep replicas' losses. Besides the tape, this
-module keeps only what some program path calls: the array helpers those
-backwards share (`mT`, `row_sum`, `affine_back`, `logistic`,
-`softmax_probs`/`softmax_back`), the `no_grad` scope, the parameter store
-and its checkpoint format, and Adam. Single-op tape ops that only tests
-compose live in `tests/oracles.py`.
+The program's tape is short. A predictor training step is one `fused`
+node for the whole forward (whose backward runs the primitives' numpy
+backwards in reverse), then the loss, then `sum_` over lockstep replicas'
+losses; parameters are its leaves. Besides the tape, this module keeps
+only what some program path calls: the array helpers the numpy backwards
+share (`mT`, `row_sum`, `affine_back`, `logistic`,
+`softmax_probs`/`softmax_back`), the parameter store and its checkpoint
+format, and Adam. Single-op tape ops, multi-output nodes and the adapter
+that puts a numpy forward/backward pair on the tape live in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -32,25 +33,6 @@ from .errors import ContractError, DataError, ShapeError
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
-
-# False inside `no_grad`: operations then record no parents and no backward.
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Forward-only scope, in the `torch.no_grad` idiom.
-
-    Tensors made inside it record no parents and no backward closure, so
-    nothing is kept for a backward pass. Leaves asked for with
-    requires_grad=True (parameters) are still trainable.
-    """
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
 
 
 class Tensor:
@@ -63,17 +45,13 @@ class Tensor:
                  backward: Callable[[Array], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
-        self.requires_grad = requires_grad or grad_needed(parents)
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def size(self) -> int:
@@ -92,15 +70,6 @@ class Tensor:
             self.grad += g
 
 
-def grad_needed(inputs: Iterable[Tensor]) -> bool:
-    """Whether an operation on `inputs` is recorded for a backward pass."""
-    return _grad_enabled and any(t.requires_grad for t in inputs)
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def mT(a: Array) -> Array:
     """Transpose of the last two axes, so a matmul gradient takes any leading axes."""
     return a.swapaxes(-1, -2)
@@ -111,12 +80,12 @@ def row_sum(g: Array) -> Array:
     return g.sum(axis=-2, keepdims=True)
 
 
-def affine_back(x: Tensor, w: Tensor, b: Tensor, d: Array) -> None:
-    """Accumulate the gradients of x @ w + b from d, its output's gradient."""
-    accumulate(w, mT(x.data) @ d)
-    accumulate(b, row_sum(d))
-    if x.requires_grad:
-        accumulate(x, d @ mT(w.data))
+def affine_back(x: Array, w: Tensor, b: Tensor, d: Array) -> Array:
+    """Backward of x @ w + b from d, its output's gradient: add the weight and
+    bias gradients into w.grad and b.grad, and return x's gradient."""
+    w.grad += mT(x) @ d
+    b.grad += row_sum(d)
+    return d @ mT(w.data)
 
 
 def logistic(z: Array) -> Array:
@@ -136,7 +105,6 @@ def softmax_back(g: Array, y: Array, axis: int = -1) -> Array:
 
 
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _lift(x)
     y = x.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g: Array) -> None:
@@ -148,43 +116,20 @@ def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def accumulate(t: Tensor, g: Array) -> None:
-    """Add g to t's gradient if t takes part in differentiation.
-
-    For hand-written backward closures of fused primitives, which skip the
-    inputs that need no gradient.
-    """
+    """Add g to t's gradient if t takes part in differentiation."""
     if t.requires_grad:
         t._accumulate(g)
 
 
-def fused(parents: tuple[Tensor, ...], outputs: tuple[Array, ...],
-          backward: Callable[..., None]) -> tuple[Tensor, ...]:
-    """One tape primitive with a hand-written backward, returning its outputs.
+def fused(parents: tuple[Tensor, ...], output: Array,
+          backward: Callable[[Array], None]) -> Tensor:
+    """One tape node with a hand-written backward.
 
-    Only the parents that need gradients are recorded; `backward` accumulates
-    into them itself (see `accumulate`). A single output is one node whose
-    backward is `backward(grad)`. Several outputs hang off one joint node:
-    every consumer of every output runs before it, and it then calls
-    `backward(*grads)` once, with each output's gradient (None for an output
-    that got none).
+    Only the parents that need gradients are recorded; `backward(grad)`
+    accumulates into them itself (see `accumulate`).
     """
-    parents = tuple(p for p in parents if p.requires_grad)
-    if len(outputs) == 1:
-        return (Tensor(outputs[0], parents=parents, backward=backward),)
-    # Output gradients travel through this list rather than through references
-    # to the outputs, so the graph holds no reference cycle and is freed as
-    # soon as the last output is dropped.
-    grads: list[Array | None] = [None] * len(outputs)
-    joint = Tensor(np.empty(0), parents=parents, backward=lambda _: backward(*grads))
-
-    def output(k: int, data: Array) -> Tensor:
-        def mark(g: Array) -> None:
-            grads[k] = g
-            joint.grad = joint.data  # any gradient schedules the joint node
-
-        return Tensor(data, parents=(joint,), backward=mark)
-
-    return tuple(output(k, data) for k, data in enumerate(outputs))
+    return Tensor(output, parents=tuple(p for p in parents if p.requires_grad),
+                  backward=backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -258,8 +203,8 @@ class ParameterStore:
 
         Each tensor's `data` and `grad` become views of the two vectors,
         which are returned as (flat, grad): an in-place update of `flat`
-        updates every parameter, and the tape's `_accumulate` adds into
-        `grad` once it is zeroed.
+        updates every parameter, and a backward adds into `grad` once it
+        is zeroed.
         """
         flat = np.zeros(sum(t.size for t in self._params.values()))
         grad = np.zeros_like(flat)

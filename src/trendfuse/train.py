@@ -3,21 +3,21 @@
 The forward pass per sample batch: the text feature runs through the
 embedding/convolution path; the per-day [normalized price, prior bit]
 pairs, stacked as one (B, T, 2) block, unroll through the configured
-recurrent cell as one tape node (`models.unroll`); the per-step states
-are attention-pooled with the final state as query; the pooled state and
-the text context meet in the convex fusion gate; a fully connected head
+recurrent cell (`models.unroll`); the per-step states are
+attention-pooled with the final state as query; the pooled state and the
+text context meet in the convex fusion gate; a fully connected head
 emits the upward-move probability. The feedforward baseline instead maps
 the flattened inputs straight to the probability.
 
-The text path, the feedforward baseline, attention pooling, the fusion
-gate, the head and the loss are each one tape primitive (`numerics.fused`)
-with a hand-written backward. `train_replicas` trains several models in
-lockstep as one stacked model, and `train_model` is its one-replica case.
-Samples are stacked into arrays once per run, and each batch's rows are
-sliced from them. The parameters live in one flat vector and their
-gradients in one flat gradient (`ParameterStore.flatten`): each step zeroes
-the gradient, the backward adds into it, and `numerics.adam_step` updates
-the flat vector in place.
+`forward_batch` runs that pass in numpy and `_backward_batch` runs the
+primitives' backwards in reverse. A training step records them as one
+`numerics.fused` node over the parameters, then the BCE loss node (and,
+in lockstep, `numerics.sum_`); scoring runs `forward_batch` alone.
+`train_replicas` trains several models in lockstep as one stacked model,
+and `train_model` is its one-replica case. Samples are stacked into
+arrays once per run. Parameters and gradients live in one flat vector
+each (`ParameterStore.flatten`): each step zeroes the gradient, the
+backward adds into it, and `numerics.adam_step` updates in place.
 
 Batches run in chronological order with no shuffling, so a fixed
 (config, data, seed) triple reproduces bit-identical parameters, loss
@@ -122,7 +122,7 @@ def bce_loss(p: Tensor, targets) -> Tensor:
         d_neg = c * (1.0 - y) / p_neg * ((1.0 - pd) > PROB_CLAMP)
         nm.accumulate(p, d_pos - d_neg)
 
-    return nm.fused((p,), (-(per.sum(axis=(-2, -1)) * scale),), back)[0]
+    return nm.fused((p,), -(per.sum(axis=(-2, -1)) * scale), back)
 
 
 def init_pipeline_params(config: TrainConfig) -> ParameterStore:
@@ -161,20 +161,33 @@ def batch_arrays(samples: Sequence[FusedSample],
 
 
 def forward_batch(store: ParameterStore, config: TrainConfig, priors: np.ndarray,
-                  prices: np.ndarray, texts: np.ndarray) -> Tensor:
+                  prices: np.ndarray, texts: np.ndarray,
+                  saved: list | None = None) -> np.ndarray:
     """Probability column for a batch of stacked sample arrays, which may
-    carry a leading replica axis to match parameters stacked as (R, ...)."""
+    carry a leading replica axis to match parameters stacked as (R, ...).
+    With a `saved` list, each primitive keeps what `_backward_batch` needs."""
     text_params = store.view("text")
-    embedded = fusion.embed(Tensor(texts), text_params)
-    context = fusion.conv_text(embedded, text_params)
+    embedded = fusion.embed(texts, text_params, saved)
+    context = fusion.conv_text(embedded, text_params, saved)
     if config.model.kind == "feedforward":
-        return models.feedforward_net(prices, priors, context, store.view("cell"))
-    pairs = Tensor(np.stack([prices, priors], axis=-1))              # (..., B, T, 2)
-    steps, final = models.unroll(config.model, store.view("cell"), pairs)
-    _, pooled = fusion.attention_over_features(final, steps)
-    fused = fusion.fuse(pooled, context, text_params)
-    p, _ = models.output_head(fused, store.view("head"))
-    return p
+        return models.feedforward_net(prices, priors, context, store.view("cell"), saved)
+    pairs = np.stack([prices, priors], axis=-1)                     # (..., B, T, 2)
+    steps, final = models.unroll(config.model, store.view("cell"), pairs, saved)
+    _, pooled = fusion.attention_over_features(final, steps, saved)
+    fused = fusion.fuse(pooled, context, text_params, saved)
+    return models.output_head(fused, store.view("head"), saved)
+
+
+def _backward_batch(config: TrainConfig, saved: list, d_p: np.ndarray) -> None:
+    """Backward of `forward_batch` from d_p, the probabilities' gradient:
+    the primitives' backwards in reverse, adding into the parameters' grads."""
+    if config.model.kind == "feedforward":
+        d_context = models.feedforward_net_back(d_p, saved)
+    else:
+        d_pooled, d_context = fusion.fuse_back(models.output_head_back(d_p, saved), saved)
+        d_final, d_steps = fusion.attention_over_features_back(None, d_pooled, saved)
+        models.unroll_back(d_steps, d_final, saved)
+    fusion.embed_back(fusion.conv_text_back(d_context, saved), saved)
 
 
 def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
@@ -212,6 +225,7 @@ def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
     for name, _ in stores[0].items():
         store.add(name, stack([s[name].data for s in stores]))
     flat, grad = store.flatten()
+    params = tuple(t for _, t in store.items())
     for name, t in store.items():
         for r, replica in enumerate(stores):  # Adam updates the block in place
             replica[name].data = t.data[r] if lead else t.data
@@ -224,7 +238,10 @@ def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
         for start in range(0, n, base.batch_size):
             rows = (slice(None),) * len(lead) + (slice(start, start + base.batch_size),)
             priors, prices, texts, targets = (a[rows] for a in arrays)
-            means = bce_loss(forward_batch(store, base, priors, prices, texts), targets)
+            saved: list = []
+            probs = nm.fused(params, forward_batch(store, base, priors, prices, texts, saved),
+                             lambda g: _backward_batch(base, saved, g))
+            means = bce_loss(probs, targets)
             finite = np.isfinite(means.data).reshape(-1)
             if not finite.all():
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch "
@@ -270,14 +287,13 @@ def evaluate(store: ParameterStore, config: TrainConfig,
              loss_trace: list[float] | None = None) -> EvalReport:
     """Confusion counts and derived metrics over a held-out sample set.
 
-    Scoring runs under `numerics.no_grad`, so it builds no tape.
+    A probability of 0.5 or more labels as 1. Scoring keeps nothing for a
+    backward pass.
     """
     if not samples:
         raise ContractError("evaluation set is empty")
     priors, prices, texts, targets = batch_arrays(samples, config.prior_effect)
-    with nm.no_grad():
-        p = forward_batch(store, config, priors, prices, texts)
-    probs = p.data.reshape(-1)
+    probs = forward_batch(store, config, priors, prices, texts).reshape(-1)
     labels = (probs >= 0.5).astype(int)
     report = confusion_report(labels, targets)
     report.loss_trace = list(loss_trace or [])

@@ -13,10 +13,18 @@ only the tests use; they live here rather than in `numerics`. `sigmoid` and
 `numerics.softmax_probs`/`softmax_back`. The `composed_*` encoder sublayers,
 `self_attention` and `mlm_loss` build the encoder's pieces from those ops,
 and `embed`, `conv_text`, `feedforward_net`, `attention_over_features`,
-`fuse`, `output_head` and `bce_loss` do the same for the fused text path,
+`fuse`, `output_head` and `bce_loss` do the same for the text path,
 feedforward baseline and predictor tail in `fusion`, `models` and `train`:
 their gradients come from the per-op backwards, not from a hand-written
 one.
+
+`taped` is the generic adapter that puts one of the program's numpy
+forward/backward pairs (`fusion.embed`/`embed_back`, `models.unroll`/
+`unroll_back`, ...) on the tape as one node, built on `node`, which also
+gives a node several outputs; the tests differentiate the program's own
+backwards through it. `forward_batch` composes the predictor from those
+nodes, one per primitive, and `train_replicas` trains through it: the
+reference for the one-node training step of `train.train_replicas`.
 
 `multi_head_attention`, `layer_norm`, `feed_forward` and `encoder_layer`
 wrap the encoder's numpy sublayers (`_attend`/`_attend_back`,
@@ -28,24 +36,32 @@ reference for the tape-free `encoder.mlm_step`. `pretrain_mlm` is the
 per-sentence tape loop through it (`numerics.backward`, then the store
 Adam `adam_step`). `cell_step` wraps one numpy step pair of the library's
 `models.CELLS` table as a tape node, and `bilstm_forward` composes such
-steps by hand, as a reference for the whole-sequence `models.unroll` node.
+steps by hand, as a reference for the whole-sequence `models.unroll`.
 
 `segment` tests each character against the CJK ranges one by one, as a
 reference for the compiled pattern in `encoder.segment`.
 `similar_word_mask` draws span sizes with `rng.choice`, as a reference for
 the encoder's cdf search. `train_replicas` is the predictor loop with
 fresh gradient arrays per step (`zero_grad`, then the store Adam
-`adam_step`), as a reference for the flat-vector training loop, and
-`batch_arrays` stacks sample blocks with `np.stack`. `gradients` and
-`names` are helpers that only the tests use.
+`adam_step`), as a reference for the flat-vector training loop with its
+one forward node, and `batch_arrays` stacks sample blocks with
+`np.stack`. `gradients` (which raises `GraphError` for a leaf off the
+tape) and `names` are helpers that only the tests use.
 """
 
+import dataclasses
 import math
+import sys
+from collections.abc import Mapping
 
 import numpy as np
 
-from trendfuse import encoder as enc, models, numerics as nm, train as tr
-from trendfuse.errors import ConfigError, ContractError, GraphError, ShapeError
+from trendfuse import encoder as enc, fusion, models, numerics as nm, train as tr
+from trendfuse.errors import ConfigError, ContractError, ShapeError
+
+
+class GraphError(RuntimeError):
+    """A node is not part of the computation graph being differentiated."""
 
 
 def fd_gradients(f, arrays, h=1e-5):
@@ -251,10 +267,11 @@ def cell_step(kind, x, state, params, **knobs):
     spec = models.ModelSpec(kind=kind, **knobs)
     cell = models.CELLS[kind]
     if cell.pool is not None:
-        x = cell.pool(x, params, spec)
+        x = taped(models.window_pool)(x, params, spec.swin_window)
     blocks = cell.blocks(spec)
     new_state, cache = cell.forward(x.data, tuple(s.data for s in state),
                                     models._stacked(params, blocks))
+    names = dict.fromkeys(name for block in blocks for name in block)
 
     def back(*grads):
         d_state = tuple(np.zeros_like(s) if g is None else g for g, s in zip(grads, new_state))
@@ -262,10 +279,10 @@ def cell_step(kind, x, state, params, **knobs):
         nm.accumulate(x, d_x)
         for s, d in zip(state, d_prev):
             nm.accumulate(s, d)
+        _zero_missing_grads(params[n] for n in names)
         models._route(params, blocks, d_weights)
 
-    names = dict.fromkeys(name for block in blocks for name in block)
-    return nm.fused((x, *state, *(params[n] for n in names)), new_state, back)
+    return node((x, *state, *(params[n] for n in names)), new_state, back)
 
 
 def bilstm_forward(xs, params_fwd, params_bwd):
@@ -304,6 +321,76 @@ def gradients(loss, params):
             for name, p in params.items()}
 
 
+def node(parents, outputs, backward):
+    """One tape node with several outputs, returned as a tuple of tensors.
+
+    The outputs hang off one joint node: every consumer of every output
+    runs before it, and it then calls `backward(*grads)` once, with each
+    output's gradient (None for an output that got none). Only the parents
+    that need gradients are recorded. A single output is `numerics.fused`.
+    """
+    if len(outputs) == 1:
+        return (nm.fused(parents, outputs[0], backward),)
+    # Output gradients travel through this list rather than through references
+    # to the outputs, so the graph holds no reference cycle.
+    grads = [None] * len(outputs)
+    joint = nm.fused(parents, np.empty(0), lambda _: backward(*grads))
+
+    def output(k, data):
+        def mark(g):
+            grads[k] = g
+            joint.grad = joint.data  # any gradient schedules the joint node
+
+        return nm.Tensor(data, parents=(joint,), backward=mark)
+
+    return tuple(output(k, data) for k, data in enumerate(outputs))
+
+
+def _zero_missing_grads(tensors):
+    for t in tensors:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+
+
+def taped(forward, backward=None):
+    """A numpy forward/backward pair of the program as one tape node.
+
+    `backward` defaults to `<name>_back` beside `forward` in its module. The
+    returned function takes `forward`'s arguments with tensors in place of
+    its array inputs. It runs `forward` on their data with a `saved` list and
+    returns its output as a tensor, or a tuple of them through `node`. The
+    node's parents are those tensors and every tensor of a mapping or store
+    argument (the parameters). Its backward gives each parameter a zeroed
+    gradient if it has none, calls `backward(*output_grads, saved)`, which
+    adds into the parameters' gradients, and accumulates the input
+    gradients it returns into the input tensors.
+    """
+    if backward is None:
+        backward = getattr(sys.modules[forward.__module__], forward.__name__ + "_back")
+
+    def run(*args):
+        inputs = [a for a in args if isinstance(a, nm.Tensor)]
+        params = [t for a in args if isinstance(a, (Mapping, nm.ParameterStore))
+                  for _, t in a.items() if isinstance(t, nm.Tensor)]
+        saved = []
+        out = forward(*(a.data if isinstance(a, nm.Tensor) else a for a in args), saved=saved)
+
+        def back(*grads):
+            _zero_missing_grads(params)
+            d_inputs = backward(*grads, saved)
+            for x, d in zip(inputs, d_inputs if isinstance(d_inputs, tuple) else (d_inputs,)):
+                nm.accumulate(x, d)
+
+        outs = node((*inputs, *params), out if isinstance(out, tuple) else (out,), back)
+        return outs if isinstance(out, tuple) else outs[0]
+
+    return run
+
+
+def _lift(x):
+    return x if isinstance(x, nm.Tensor) else nm.Tensor(x)
+
+
 # --- single tape ops: the references and the tests compose them -------------
 
 
@@ -318,7 +405,7 @@ def _unbroadcast(g, shape):
 
 
 def _binary(a, b, fwd, da, db):
-    a, b = nm._lift(a), nm._lift(b)
+    a, b = _lift(a), _lift(b)
     out_data = fwd(a.data, b.data)
 
     def back(g):
@@ -342,8 +429,8 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    a, b = nm._lift(a), nm._lift(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    a, b = _lift(a), _lift(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     out_data = a.data @ b.data
 
@@ -358,7 +445,7 @@ def matmul(a, b):
 
 def sigmoid(x):
     """`numerics.logistic` as a tape op."""
-    x = nm._lift(x)
+    x = _lift(x)
     y = nm.logistic(x.data)
 
     def back(g):
@@ -369,7 +456,7 @@ def sigmoid(x):
 
 def softmax(x, axis=-1):
     """`numerics.softmax_probs` and `numerics.softmax_back` as a tape op."""
-    x = nm._lift(x)
+    x = _lift(x)
     if x.size == 0:
         raise ShapeError("softmax of an empty tensor")
     y = nm.softmax_probs(x.data, axis)
@@ -381,13 +468,13 @@ def softmax(x, axis=-1):
 
 
 def mean_(x, axis=None, keepdims=False):
-    x = nm._lift(x)
+    x = _lift(x)
     count = x.size if axis is None else x.shape[axis]
     return mul(nm.sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def concat(parts, axis=0):
-    parts = [nm._lift(p) for p in parts]
+    parts = [_lift(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
     out_data = np.concatenate([p.data for p in parts], axis=axis)
@@ -406,7 +493,7 @@ def concat(parts, axis=0):
 
 def take(x, key):
     """Basic (slice/integer) indexing with scatter-back gradient."""
-    x = nm._lift(x)
+    x = _lift(x)
     out_data = x.data[key]
 
     def back(g):
@@ -419,9 +506,9 @@ def take(x, key):
 
 def gather_rows(table, ids):
     """Select rows of a table by integer ids (embedding lookup)."""
-    table = nm._lift(table)
+    table = _lift(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2:
+    if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D table, got {table.shape}")
 
     def back(g):
@@ -438,7 +525,7 @@ def sub(a, b):
 
 
 def neg(x):
-    x = nm._lift(x)
+    x = _lift(x)
 
     def back(g):
         x._accumulate(-g)
@@ -447,7 +534,7 @@ def neg(x):
 
 
 def log(x):
-    x = nm._lift(x)
+    x = _lift(x)
     if np.any(x.data <= 0):
         raise ContractError("log requires strictly positive entries")
 
@@ -458,7 +545,7 @@ def log(x):
 
 
 def pow_scalar(x, p):
-    x = nm._lift(x)
+    x = _lift(x)
     y = x.data ** p
 
     def back(g):
@@ -469,7 +556,7 @@ def pow_scalar(x, p):
 
 def clip_min(x, lo):
     """Clamp below at lo; gradient passes only where x > lo."""
-    x = nm._lift(x)
+    x = _lift(x)
     y = np.maximum(x.data, lo)
 
     def back(g):
@@ -479,7 +566,7 @@ def clip_min(x, lo):
 
 
 def transpose(x):
-    x = nm._lift(x)
+    x = _lift(x)
 
     def back(g):
         x._accumulate(g.T)
@@ -488,7 +575,7 @@ def transpose(x):
 
 
 def relu(x):
-    x = nm._lift(x)
+    x = _lift(x)
     y = np.maximum(0.0, x.data)
 
     def back(g):
@@ -503,8 +590,8 @@ def conv1d_rows(x, kernel):
     x is (B, L), kernel is (k,); output is (B, L - k + 1), stride 1,
     no padding: out[:, i] = sum_j kernel[j] * x[:, i + j].
     """
-    x, kernel = nm._lift(x), nm._lift(kernel)
-    if x.ndim != 2 or kernel.ndim != 1:
+    x, kernel = _lift(x), _lift(kernel)
+    if x.data.ndim != 2 or kernel.data.ndim != 1:
         raise ShapeError(f"conv1d_rows expects (B, L) and (k,), got {x.shape} and {kernel.shape}")
     k = kernel.shape[0]
     length = x.shape[1]
@@ -625,9 +712,8 @@ def fuse(recurrent_out, text_context, params):
 
 
 def output_head(z, params):
-    """sigmoid(z @ w_out + b_out) and its labels (ties at 0.5 label as 1)."""
-    p = sigmoid(add(matmul(z, params["w_out"]), params["b_out"]))
-    return p, (p.data.reshape(-1) >= 0.5).astype(int)
+    """sigmoid(z @ w_out + b_out)."""
+    return sigmoid(add(matmul(z, params["w_out"]), params["b_out"]))
 
 
 def bce_loss(p, targets):
@@ -672,7 +758,7 @@ def multi_head_attention(x, params, heads):
             nm.accumulate(w, d)
         nm.accumulate(x, d_x)
 
-    return nm.fused((x, *weights), (out,), back)[0]
+    return nm.fused((x, *weights), out, back)
 
 
 def layer_norm(x, gain, bias, sublayer=None):
@@ -692,7 +778,7 @@ def layer_norm(x, gain, bias, sublayer=None):
             nm.accumulate(sublayer, d_total)
 
     parents = (x, gain, bias) if sublayer is None else (x, gain, bias, sublayer)
-    return nm.fused(parents, (out,), back)[0]
+    return nm.fused(parents, out, back)
 
 
 def feed_forward(x, params):
@@ -709,7 +795,7 @@ def feed_forward(x, params):
             nm.accumulate(w, d)
         nm.accumulate(x, d_x)
 
-    return nm.fused((x, *weights), (out,), back)[0]
+    return nm.fused((x, *weights), out, back)
 
 
 def encoder_layer(x, params, heads):
@@ -847,9 +933,28 @@ def batch_arrays(samples, prior_effect):
     return priors, prices, texts, np.array([s.target for s in samples], dtype=np.float64)
 
 
+def forward_batch(store, config, priors, prices, texts):
+    """`train.forward_batch` on the tape, one node per primitive through
+    `taped`; SwinLSTM's window pooling is a node of its own before an LSTM
+    unroll. Returns the probability column as a tensor."""
+    text, cell, spec = store.view("text"), store.view("cell"), config.model
+    context = taped(fusion.conv_text)(taped(fusion.embed)(nm.Tensor(texts), text), text)
+    if spec.kind == "feedforward":
+        return taped(models.feedforward_net)(prices, priors, context, cell)
+    pairs = nm.Tensor(np.stack([prices, priors], axis=-1))
+    if spec.kind == "swinlstm":
+        pairs = taped(models.window_pool)(pairs, cell, spec.swin_window)
+        spec = dataclasses.replace(spec, kind="lstm")
+    steps, final = taped(models.unroll)(spec, cell, pairs)
+    _, pooled = taped(fusion.attention_over_features)(final, steps)
+    return taped(models.output_head)(taped(fusion.fuse)(pooled, context, text),
+                                     store.view("head"))
+
+
 def train_replicas(samples_per_replica, configs):
-    """`train.train_replicas` with fresh gradient arrays every step: `zero_grad`,
-    `nm.backward`, then the store Adam above over the stacked store."""
+    """`train.train_replicas` through the per-primitive tape of `forward_batch`
+    above, with fresh gradient arrays every step: `zero_grad`, `nm.backward`,
+    then the store Adam above over the stacked store."""
     base = configs[0]
     lead = (len(configs),) if len(configs) > 1 else ()
 
@@ -872,7 +977,7 @@ def train_replicas(samples_per_replica, configs):
         for start in range(0, n, base.batch_size):
             rows = (slice(None),) * len(lead) + (slice(start, start + base.batch_size),)
             priors, prices, texts, targets = (a[rows] for a in arrays)
-            means = tr.bce_loss(tr.forward_batch(store, base, priors, prices, texts), targets)
+            means = tr.bce_loss(forward_batch(store, base, priors, prices, texts), targets)
             zero_grad(store)
             nm.backward(nm.sum_(means) if lead else means)
             adam_step(store, state)

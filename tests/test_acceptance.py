@@ -13,7 +13,7 @@ import numpy as np
 
 import oracles
 from oracles import (bilstm_forward, cell_step, confusion_counts, fd_gradients, max_rel_err,
-                     self_attention)
+                     self_attention, taped)
 
 from trendfuse import cli, encoder as enc, fusion, ingest, models
 from trendfuse import numerics as nm
@@ -99,17 +99,17 @@ def _fusion_grad_cases(rng):
                    "gamma_raw": rng.normal(size=(1, 1))}
 
     def build_embed(p):
-        return nm.sum_(fusion.embed(p["f"], {"w_e": p["w_e"], "b_e": p["b_e"]}))
+        return nm.sum_(taped(fusion.embed)(p["f"], {"w_e": p["w_e"], "b_e": p["b_e"]}))
 
     def build_conv(p):
-        return nm.sum_(fusion.conv_text(p["e"], {"w_c": p["w_c"], "b_c": p["b_c"]}))
+        return nm.sum_(taped(fusion.conv_text)(p["e"], {"w_c": p["w_c"], "b_c": p["b_c"]}))
 
     def build_att(p):
-        alpha, ctx = fusion.attention_over_features(p["q"], p["feats"])
+        alpha, ctx = taped(fusion.attention_over_features)(p["q"], p["feats"])
         return nm.sum_(oracles.add(nm.sum_(alpha), nm.sum_(ctx)))
 
     def build_fuse(p):
-        out = fusion.fuse(p["o"], p["c"], {"proj_w": p["proj_w"], "proj_b": p["proj_b"],
+        out = taped(fusion.fuse)(p["o"], p["c"], {"proj_w": p["proj_w"], "proj_b": p["proj_b"],
                                            "gamma_raw": p["gamma_raw"]})
         return nm.sum_(out)
 
@@ -351,19 +351,16 @@ def _fused_grad_cases(rng):
     cases = []
     swin = arrays(x=(batch, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))
     mix_w = mixed((batch, 2))
-    cases.append(("fused.window_pool.padded", lambda p: mix_w((models.window_pool(
-        p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 2),)), swin))
+    pool = taped(models.window_pool)
+    cases.append(("fused.window_pool.padded", lambda p: mix_w((pool(p["x"], p, 2),)), swin))
     x_feat = const(batch, 6)
-    cases.append(("fused.window_pool.const_x", lambda p: mix_w((models.window_pool(
-        x_feat, p["wq"], p["wk"], p["wv"], p["wp"], 2),)),
+    cases.append(("fused.window_pool.const_x", lambda p: mix_w((pool(x_feat, p, 2),)),
         {k: swin[k] for k in ("wq", "wk", "wv", "wp")}))
     mix_3 = mixed((batch, 3))
-    cases.append(("fused.window_pool.one_window", lambda p: mix_3((models.window_pool(
-        p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 3),)),
+    cases.append(("fused.window_pool.one_window", lambda p: mix_3((pool(p["x"], p, 3),)),
         {**swin, "x": rng.normal(size=(batch, 3))}))
     mix_steps_w = mixed((batch, 3, 2))
-    cases.append(("fused.window_pool.step_block", lambda p: mix_steps_w((models.window_pool(
-        p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 2),)),
+    cases.append(("fused.window_pool.step_block", lambda p: mix_steps_w((pool(p["x"], p, 2),)),
         {**swin, "x": rng.normal(size=(batch, 3, 5))}))
 
     for kind in models.RECURRENT_KINDS:
@@ -379,16 +376,16 @@ def _fused_grad_cases(rng):
             mix_steps, mix_final = mixed((batch, steps, width)), mixed((batch, width))
 
             def build(p, spec=spec, xs=xs, mix=mix_both):
-                return mix(models.unroll(spec, p, xs))
+                return mix(taped(models.unroll)(spec, p, xs))
 
             def only_final(p, spec=spec, xs=xs, mix=mix_final):
-                return mix(models.unroll(spec, p, xs)[1:])
+                return mix(taped(models.unroll)(spec, p, xs)[1:])
 
             def only_steps(p, spec=spec, xs=xs, mix=mix_steps):
-                return mix(models.unroll(spec, p, xs)[:1])
+                return mix(taped(models.unroll)(spec, p, xs)[:1])
 
             def frozen_weights(p, spec=spec, mix=mix_both, frozen=frozen):
-                return mix(models.unroll(spec, frozen, p["xs"]))
+                return mix(taped(models.unroll)(spec, frozen, p["xs"]))
 
             label = f"fused.unroll.{kind}.T{steps}"
             cases += [(f"{label}.const_inputs", build, weights),
@@ -415,24 +412,26 @@ def _tail_grad_cases(rng):
         return nm.sum_(oracles.mul(t, mix))
 
     def build_att_one(p):
-        alpha, ctx = fusion.attention_over_features(p["q"], p["feats"])
+        alpha, ctx = taped(fusion.attention_over_features)(p["q"], p["feats"])
         return oracles.add(weighted(alpha, mix_alpha1), weighted(ctx, mix_ctx))
 
     def build_att_context(p):
         # the pipeline's use: alpha unused
-        _, ctx = fusion.attention_over_features(p["q"], p["feats"])
+        _, ctx = taped(fusion.attention_over_features)(p["q"], p["feats"])
         return weighted(ctx, mix_ctx)
 
     text_const = Tensor(rng.normal(size=(batch, width)))
 
     def build_fuse(p):
-        return weighted(fusion.fuse(p["o"], p["c"], {"gamma_raw": p["gamma_raw"]}), mix_out)
+        return weighted(taped(fusion.fuse)(p["o"], p["c"], {"gamma_raw": p["gamma_raw"]}),
+                        mix_out)
 
     def build_fuse_const_text(p):
-        return weighted(fusion.fuse(p["o"], text_const, {"gamma_raw": p["gamma_raw"]}), mix_out)
+        return weighted(taped(fusion.fuse)(p["o"], text_const, {"gamma_raw": p["gamma_raw"]}),
+                        mix_out)
 
     def build_head(p):
-        return weighted(models.output_head(p["z"], p)[0], mix_p)
+        return weighted(taped(models.output_head)(p["z"], p), mix_p)
 
     targets = np.array([1, 0, 1])
 
@@ -475,14 +474,15 @@ def _text_path_grad_cases(rng):
     weights = {k: v for k, v in ff_arrays.items() if k != "context"}
     context_const = Tensor(ff_arrays["context"])
     prices, priors = ff["x"][:, :1], ff["x"][:, 1:2]
-    return [("fusion.embed.const_feature", lambda p: weighted(fusion.embed(f_const, p), mix_e),
+    return [("fusion.embed.const_feature",
+             lambda p: weighted(taped(fusion.embed)(f_const, p), mix_e),
              arrays(w_e=(5, 6), b_e=(1, 6))),
             ("fusion.conv_text.const_input",
-             lambda p: weighted(fusion.conv_text(e_const, p), mix_c),
+             lambda p: weighted(taped(fusion.conv_text)(e_const, p), mix_c),
              arrays(w_c=(3,), b_c=(1, 1))),
             ("models.feedforward_net", build_ff, ff_arrays),
             ("models.feedforward_net.const_input",
-             lambda p: weighted(models.feedforward_net(prices, priors, context_const, p),
+             lambda p: weighted(taped(models.feedforward_net)(prices, priors, context_const, p),
                                 mix_ff), weights)]
 
 
@@ -493,7 +493,7 @@ def _feedforward_case(arrays, loss):
     x = arrays["x"]
 
     def build(p):
-        return loss(models.feedforward_net(x[..., :1], x[..., 1:2], p["context"], p))
+        return loss(taped(models.feedforward_net)(x[..., :1], x[..., 1:2], p["context"], p))
 
     return build, {"context": x[..., 2:], **{k: v for k, v in arrays.items() if k != "x"}}
 
@@ -521,26 +521,25 @@ def _replica_grad_cases(rng):
     mix_att, mix_pool = mixed((batch, 3), (batch, hid)), mixed((batch, 4, 2))
     targets = rng.integers(0, 2, size=(reps, batch))
     cases = [
-        ("replicas.fusion.embed", lambda p: mix_e(fusion.embed(p["f"], p)),
+        ("replicas.fusion.embed", lambda p: mix_e(taped(fusion.embed)(p["f"], p)),
          arrays(f=(batch, 5), w_e=(5, 6), b_e=(1, 6))),
-        ("replicas.fusion.conv_text", lambda p: mix_c(fusion.conv_text(p["e"], p)),
+        ("replicas.fusion.conv_text", lambda p: mix_c(taped(fusion.conv_text)(p["e"], p)),
          arrays(e=(batch, 6), w_c=(3,), b_c=(1, 1))),
         ("replicas.models.feedforward_net",
          *_feedforward_case(arrays(x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4),
                                    w3=(4, 1), b3=(1, 1)), mix_1)),
         ("replicas.fusion.attention",
-         lambda p: mix_att(*fusion.attention_over_features(p["q"], p["feats"])),
+         lambda p: mix_att(*taped(fusion.attention_over_features)(p["q"], p["feats"])),
          arrays(q=(batch, hid), feats=(batch, 3, hid))),
-        ("replicas.fusion.fuse", lambda p: mix_h(fusion.fuse(p["o"], p["c"], p)),
+        ("replicas.fusion.fuse", lambda p: mix_h(taped(fusion.fuse)(p["o"], p["c"], p)),
          arrays(o=(batch, hid), c=(batch, 5), proj_w=(5, hid), proj_b=(1, hid),
                 gamma_raw=(1, 1))),
-        ("replicas.models.output_head", lambda p: mix_1(models.output_head(p["z"], p)[0]),
+        ("replicas.models.output_head", lambda p: mix_1(taped(models.output_head)(p["z"], p)),
          arrays(z=(batch, hid), w_out=(hid, 1), b_out=(1, 1))),
         ("replicas.train.bce_loss",
          lambda p: nm.sum_(tr.bce_loss(oracles.sigmoid(p["logits"]), targets)),
          arrays(logits=(batch, 1))),
-        ("replicas.fused.window_pool", lambda p: mix_pool(models.window_pool(
-            p["x"], p["wq"], p["wk"], p["wv"], p["wp"], 2)),
+        ("replicas.fused.window_pool", lambda p: mix_pool(taped(models.window_pool)(p["x"], p, 2)),
          arrays(x=(batch, 4, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))),
     ]
     for kind in models.RECURRENT_KINDS:
@@ -553,7 +552,7 @@ def _replica_grad_cases(rng):
         mix = mixed((batch, 3, spec.output_width), (batch, spec.output_width))
 
         def build(p, spec=spec, mix=mix):
-            return mix(*models.unroll(spec, p, p["xs"]))
+            return mix(*taped(models.unroll)(spec, p, p["xs"]))
 
         cases.append((f"replicas.fused.unroll.{kind}", build,
                       {**weights, "xs": rng.normal(size=(reps, batch, 3, inp))}))
@@ -569,12 +568,14 @@ def _pipeline_grad_case(kind, seed):
     store = tr.init_pipeline_params(cfg)
     priors, prices, texts, targets = tr.batch_arrays(samples, True)
     arrays = {name: store[name].data.copy() for name in oracles.names(store)}
+    # the training step's one forward node, as `train.train_replicas` records it
+    step = taped(tr.forward_batch, lambda g, saved: tr._backward_batch(cfg, saved, g))
 
     def build(p):
         sub = ParameterStore()
         for name in arrays:
             sub._params[name] = p[name]
-        prob = tr.forward_batch(sub, cfg, priors, prices, texts)
+        prob = step(sub, cfg, priors, prices, texts)
         return tr.bce_loss(prob, targets)
 
     return (f"pipeline.{kind}", build, arrays)
@@ -681,10 +682,10 @@ def test_criterion_3_normalization_laws():
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
     for i in range(0, 1000, 100):
-        q = Tensor(rng.normal(size=(100, 5)))
-        feats = Tensor(np.stack([rng.normal(size=(100, 5)) for _ in range(4)], axis=1))
+        q = rng.normal(size=(100, 5))
+        feats = np.stack([rng.normal(size=(100, 5)) for _ in range(4)], axis=1)
         alpha, _ = fusion.attention_over_features(q, feats)
-        assert np.max(np.abs(alpha.data.sum(axis=1) - 1.0)) < 1e-9
+        assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) < 1e-9
 
     pe = enc.positional_encoding(64, 12)
     assert np.array_equal(pe[0, 0::2], np.zeros(6))

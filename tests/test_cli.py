@@ -316,8 +316,8 @@ class TestTrain:
     def test_non_finite_fuse_input_is_divergence(self, tmp_path, market_csv, capsys,
                                                   monkeypatch):
         conv_text = fusion.conv_text
-        monkeypatch.setattr(fusion, "conv_text", lambda embedded, params:
-                            oracles.mul(conv_text(embedded, params), np.nan))
+        monkeypatch.setattr(fusion, "conv_text", lambda embedded, params, saved=None:
+                            conv_text(embedded, params, saved) * np.nan)
         assert run(*_train_args(market_csv, tmp_path / "run", epochs=2)) == 3
         message = _one_error_line(capsys, "DivergenceError")
         assert "fuse" in message
@@ -521,6 +521,65 @@ class TestReport:
         assert run("report", tmp_path / "runs", "--out", tmp_path / "rep") == 2
         message = _one_error_line(capsys, "DataError")
         assert str(run_dir / name) in message and detail in message
+
+
+def _evaluate_args(market, out, checkpoint):
+    args = _train_args(market, out, epochs=2, checkpoint=checkpoint)
+    args[0] = "evaluate"
+    return args
+
+
+# argv for each path flag, given the unreadable path, the market CSV, the
+# summaries file and an output directory
+PATH_FLAGS = {
+    "market": lambda bad, market, summaries, out: ["train", "--market", bad, "--out", out],
+    "features": lambda bad, market, summaries, out: _train_args(market, out, features=bad),
+    "summaries": lambda bad, market, summaries, out: [
+        "featurize", "--summaries", bad, "--out", out, "--pretrain"],
+    "checkpoint": lambda bad, market, summaries, out: _evaluate_args(market, out, bad),
+    "encoder": lambda bad, market, summaries, out: [
+        "featurize", "--summaries", summaries, "--out", out, "--encoder", bad],
+    "similar-words": lambda bad, market, summaries, out: [
+        "pretrain-encoder", "--summaries", summaries, "--out", out, "--similar-words", bad],
+    "config": lambda bad, market, summaries, out: [
+        "train", "--config", bad, "--market", market, "--out", out],
+}
+
+
+class TestUnreadableInputs:
+    """An input that cannot be read ends in one JSON line and exit 2."""
+
+    @pytest.mark.parametrize("flag", sorted(PATH_FLAGS))
+    def test_directory_is_data_error(self, tmp_path, market_csv, summaries, capsys, flag):
+        bad = tmp_path / "a_directory"
+        bad.mkdir()
+        argv = PATH_FLAGS[flag](bad, market_csv, summaries, tmp_path / "out")
+        assert run(*argv) == 2
+        assert str(bad) in _one_error_line(capsys, "IsADirectoryError")
+
+    @pytest.mark.parametrize("flag", ["market", "features", "summaries"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, market_csv, summaries, capsys,
+                                         flag):
+        source = {"market": market_csv, "summaries": summaries}.get(flag)
+        if source is None:
+            source = tmp_path / "features.csv"
+            assert run("featurize", "--summaries", summaries, "--out", tmp_path / "feat",
+                       "--pretrain", "--pretrain-epochs", "1", "--feature-len", "6") == 0
+            source.write_bytes((tmp_path / "feat" / "features.csv").read_bytes())
+        bad = tmp_path / f"latin1_{flag}"
+        bad.write_bytes(source.read_bytes() + "caf\u00e9\n".encode("latin-1"))
+        argv = PATH_FLAGS[flag](bad, market_csv, summaries, tmp_path / "out")
+        assert run(*argv) == 2
+        message = _one_error_line(capsys, "DataError")
+        assert bad.name in message and "not UTF-8" in message
+
+    def test_truncated_market_row_is_parse_error(self, tmp_path, market_csv, capsys):
+        lines = market_csv.read_text().splitlines()
+        truncated = tmp_path / "truncated.csv"
+        truncated.write_text("\n".join(lines[:-1] + [lines[-1].split(",")[0] + ",0.5"]) + "\n")
+        assert run("train", "--market", truncated, "--out", tmp_path / "out") == 2
+        message = _one_error_line(capsys, "ParseError")
+        assert f"line {len(lines)}" in message and "Volume" in message
 
 
 class TestBuildConfig:

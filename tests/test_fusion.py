@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import conv1d_valid, max_rel_err, softmax_rows
+from oracles import conv1d_valid, max_rel_err, softmax_rows, taped
 
 from trendfuse import fusion
 from trendfuse import numerics as nm
@@ -14,7 +14,7 @@ from trendfuse.numerics import ParameterStore, Tensor
 
 def _stacked(feats):
     """A (B, m, H) candidate block of (B, H) rows."""
-    return Tensor(np.stack([f.data for f in feats], axis=1))
+    return np.stack(feats, axis=1)
 
 
 def _embed_params(w, b):
@@ -30,65 +30,65 @@ def _conv_params(kernel, bias):
 class TestEmbed:
     def test_identity_map(self):
         f = np.array([[1.0, -2.0, 3.0]])
-        out = fusion.embed(Tensor(f), _embed_params(np.eye(3), np.zeros((1, 3))))
-        np.testing.assert_array_equal(out.data, f)
+        out = fusion.embed(f, _embed_params(np.eye(3), np.zeros((1, 3))))
+        np.testing.assert_array_equal(out, f)
 
     def test_zero_input_gives_bias(self):
         b = np.array([[0.5, -0.5, 2.0]])
-        out = fusion.embed(Tensor(np.zeros((1, 3))), _embed_params(np.eye(3), b))
-        np.testing.assert_array_equal(out.data, b)
+        out = fusion.embed(np.zeros((1, 3)), _embed_params(np.eye(3), b))
+        np.testing.assert_array_equal(out, b)
 
     def test_random_affine_matches_manual(self):
         rng = np.random.default_rng(0)
         f = rng.normal(size=(1, 3))
         w = rng.normal(size=(3, 5))
         b = rng.normal(size=(1, 5))
-        out = fusion.embed(Tensor(f), _embed_params(w, b))
+        out = fusion.embed(f, _embed_params(w, b))
         expected = np.array([[sum(f[0, i] * w[i, j] for i in range(3)) + b[0, j]
                               for j in range(5)]])
-        assert max_rel_err(out.data, expected) < 1e-12
+        assert max_rel_err(out, expected) < 1e-12
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            fusion.embed(Tensor(np.ones((1, 4))), _embed_params(np.eye(3), np.zeros((1, 3))))
+            fusion.embed(np.ones((1, 4)), _embed_params(np.eye(3), np.zeros((1, 3))))
 
 
 class TestConvText:
     def test_identity_kernel_is_relu(self):
         e = np.array([[-1.0, 2.0, -3.0, 4.0]])
-        out = fusion.conv_text(Tensor(e), _conv_params([1.0], 0.0))
-        np.testing.assert_array_equal(out.data, np.maximum(e, 0.0))
+        out = fusion.conv_text(e, _conv_params([1.0], 0.0))
+        np.testing.assert_array_equal(out, np.maximum(e, 0.0))
 
     def test_hand_oracle_case(self):
-        out = fusion.conv_text(Tensor([[2.0, 4.0]]), _conv_params([0.5, 0.5], 0.0))
-        np.testing.assert_array_equal(out.data, [[3.0]])
-        np.testing.assert_array_equal(out.data[0], conv1d_valid([2.0, 4.0], [0.5, 0.5]))
+        out = fusion.conv_text(np.array([[2.0, 4.0]]), _conv_params([0.5, 0.5], 0.0))
+        np.testing.assert_array_equal(out, [[3.0]])
+        np.testing.assert_array_equal(out[0], conv1d_valid([2.0, 4.0], [0.5, 0.5]))
 
     def test_negative_preactivation_clamps(self):
-        out = fusion.conv_text(Tensor([[1.0, 2.0, 3.0]]), _conv_params([0.0, 0.0], -1.0))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
+        out = fusion.conv_text(np.array([[1.0, 2.0, 3.0]]), _conv_params([0.0, 0.0], -1.0))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_output_length_law(self):
         rng = np.random.default_rng(1)
         for length in range(1, 8):
             for k in range(1, length + 1):
-                e = Tensor(rng.normal(size=(2, length)))
+                e = rng.normal(size=(2, length))
                 out = fusion.conv_text(e, _conv_params(rng.normal(size=k), 0.1))
                 assert out.shape == (2, length - k + 1)
                 assert fusion.conv_output_len(length, k) == length - k + 1
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
-            fusion.conv_text(Tensor(np.ones((1, 2))), _conv_params([1.0, 1.0, 1.0], 0.0))
+            fusion.conv_text(np.ones((1, 2)), _conv_params([1.0, 1.0, 1.0], 0.0))
 
     def test_random_against_loop_oracle(self):
         rng = np.random.default_rng(2)
         e = rng.normal(size=6)
         k = rng.normal(size=3)
         b = 0.3
-        out = fusion.conv_text(Tensor(e.reshape(1, -1)), _conv_params(k, b))
+        out = fusion.conv_text(e.reshape(1, -1), _conv_params(k, b))
         expected = np.maximum(conv1d_valid(e, k, b), 0.0)
-        assert max_rel_err(out.data[0], expected) < 1e-12
+        assert max_rel_err(out[0], expected) < 1e-12
 
 
 class TestFusedTextPathMatchesOracles:
@@ -99,10 +99,10 @@ class TestFusedTextPathMatchesOracles:
         rng = np.random.default_rng(80)
         arrays = {"f": rng.normal(size=(4, 5)), "w_e": rng.normal(size=(5, 6)),
                   "b_e": rng.normal(size=(1, 6))}
-        oracles.assert_same_values_and_grads(lambda p: fusion.embed(p["f"], p),
+        oracles.assert_same_values_and_grads(lambda p: taped(fusion.embed)(p["f"], p),
                                              lambda p: oracles.embed(p["f"], p), arrays, seed=1)
         feature = Tensor(arrays.pop("f"))
-        oracles.assert_same_values_and_grads(lambda p: fusion.embed(feature, p),
+        oracles.assert_same_values_and_grads(lambda p: taped(fusion.embed)(feature, p),
                                              lambda p: oracles.embed(feature, p), arrays, seed=2)
 
     @pytest.mark.parametrize("kernel_len", [1, 3, 6])
@@ -112,63 +112,62 @@ class TestFusedTextPathMatchesOracles:
                   "b_c": rng.normal(size=(1, 1))}
         arrays["e"][0] = -1.0 - np.abs(arrays["e"][0])  # rows where the ReLU is closed
         arrays["w_c"] = np.abs(arrays["w_c"])
-        oracles.assert_same_values_and_grads(lambda p: fusion.conv_text(p["e"], p),
+        oracles.assert_same_values_and_grads(lambda p: taped(fusion.conv_text)(p["e"], p),
                                              lambda p: oracles.conv_text(p["e"], p),
                                              arrays, seed=3)
         embedded = Tensor(arrays.pop("e"))
-        oracles.assert_same_values_and_grads(lambda p: fusion.conv_text(embedded, p),
+        oracles.assert_same_values_and_grads(lambda p: taped(fusion.conv_text)(embedded, p),
                                              lambda p: oracles.conv_text(embedded, p),
                                              arrays, seed=4)
 
 
 class TestAttentionOverFeatures:
     def test_single_candidate(self):
-        q = Tensor([[0.2, -0.4]])
-        f = Tensor([[3.0, 5.0]])
+        q = np.array([[0.2, -0.4]])
+        f = np.array([[3.0, 5.0]])
         alpha, context = fusion.attention_over_features(q, _stacked([f]))
-        np.testing.assert_allclose(alpha.data, [[1.0]], atol=1e-12)
-        np.testing.assert_allclose(context.data, f.data, atol=1e-12)
+        np.testing.assert_allclose(alpha, [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(context, f, atol=1e-12)
 
     def test_zero_query_uniform_weights(self):
         rng = np.random.default_rng(3)
-        feats = [Tensor(rng.normal(size=(1, 4))) for _ in range(5)]
-        alpha, _ = fusion.attention_over_features(Tensor(np.zeros((1, 4))), _stacked(feats))
-        np.testing.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
+        feats = [rng.normal(size=(1, 4)) for _ in range(5)]
+        alpha, _ = fusion.attention_over_features(np.zeros((1, 4)), _stacked(feats))
+        np.testing.assert_allclose(alpha, np.full((1, 5), 0.2), atol=1e-12)
 
     def test_two_candidates_match_brute_force(self):
         rng = np.random.default_rng(4)
         q = rng.normal(size=(1, 3))
         f1, f2 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
-        alpha, context = fusion.attention_over_features(
-            Tensor(q), _stacked([Tensor(f1), Tensor(f2)]))
+        alpha, context = fusion.attention_over_features(q, _stacked([f1, f2]))
         scores = np.array([[(q @ f1.T).item(), (q @ f2.T).item()]])
         weights = softmax_rows(scores)
         expected = weights[0, 0] * f1 + weights[0, 1] * f2
-        assert max_rel_err(alpha.data, weights) < 1e-12
-        assert max_rel_err(context.data, expected) < 1e-12
+        assert max_rel_err(alpha, weights) < 1e-12
+        assert max_rel_err(context, expected) < 1e-12
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
-            q = Tensor(rng.normal(size=(3, 4)))
-            feats = [Tensor(rng.normal(size=(3, 4))) for _ in range(4)]
+            q = rng.normal(size=(3, 4))
+            feats = [rng.normal(size=(3, 4)) for _ in range(4)]
             alpha, _ = fusion.attention_over_features(q, _stacked(feats))
-            np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(3), atol=1e-9)
+            np.testing.assert_allclose(alpha.sum(axis=1), np.ones(3), atol=1e-9)
 
     def test_context_in_convex_hull(self):
         rng = np.random.default_rng(6)
-        q = Tensor(rng.normal(size=(1, 3)))
-        feats = [Tensor(rng.normal(size=(1, 3))) for _ in range(4)]
+        q = rng.normal(size=(1, 3))
+        feats = [rng.normal(size=(1, 3)) for _ in range(4)]
         _, context = fusion.attention_over_features(q, _stacked(feats))
-        stacked = np.vstack([f.data for f in feats])
-        assert np.all(context.data >= stacked.min(axis=0) - 1e-12)
-        assert np.all(context.data <= stacked.max(axis=0) + 1e-12)
+        stacked = np.vstack(feats)
+        assert np.all(context >= stacked.min(axis=0) - 1e-12)
+        assert np.all(context <= stacked.max(axis=0) + 1e-12)
 
     def test_errors(self):
         with pytest.raises(ContractError):
-            fusion.attention_over_features(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 0, 2))))
+            fusion.attention_over_features(np.zeros((1, 2)), np.zeros((1, 0, 2)))
         with pytest.raises(ShapeError):
-            fusion.attention_over_features(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))))
+            fusion.attention_over_features(np.zeros((1, 2)), np.zeros((1, 1, 3)))
 
 
 class TestFuse:
@@ -176,27 +175,27 @@ class TestFuse:
         return {"gamma_raw": Tensor(np.array([[float(gamma_raw)]]))}
 
     def test_gate_open_limit(self):
-        o = Tensor([[2.0, -1.0]])
-        c = Tensor([[40.0, 10.0]])
+        o = np.array([[2.0, -1.0]])
+        c = np.array([[40.0, 10.0]])
         out = fusion.fuse(o, c, self._params(25.0))
-        assert np.max(np.abs(out.data - o.data)) < 1e-6
+        assert np.max(np.abs(out - o)) < 1e-6
 
     def test_gate_closed_limit(self):
-        o = Tensor([[2.0, -1.0]])
-        c = Tensor([[40.0, 10.0]])
+        o = np.array([[2.0, -1.0]])
+        c = np.array([[40.0, 10.0]])
         out = fusion.fuse(o, c, self._params(-25.0))
-        assert np.max(np.abs(out.data - c.data)) < 1e-6
+        assert np.max(np.abs(out - c)) < 1e-6
 
     def test_midpoint(self):
-        out = fusion.fuse(Tensor([[2.0]]), Tensor([[4.0]]), self._params(0.0))
-        np.testing.assert_allclose(out.data, [[3.0]], atol=1e-12)
+        out = fusion.fuse(np.array([[2.0]]), np.array([[4.0]]), self._params(0.0))
+        np.testing.assert_allclose(out, [[3.0]], atol=1e-12)
 
     def test_componentwise_convexity(self):
         rng = np.random.default_rng(7)
         for gamma_raw in (-3.0, -0.5, 0.0, 1.2, 6.0):
             o = rng.normal(size=(2, 4))
             c = rng.normal(size=(2, 4))
-            out = fusion.fuse(Tensor(o), Tensor(c), self._params(gamma_raw)).data
+            out = fusion.fuse(o, c, self._params(gamma_raw))
             lo, hi = np.minimum(o, c), np.maximum(o, c)
             assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
@@ -204,28 +203,28 @@ class TestFuse:
         params = self._params(25.0)
         params["proj_w"] = Tensor(np.ones((3, 2)))
         params["proj_b"] = Tensor(np.zeros((1, 2)))
-        o = Tensor([[1.0, 1.0]])
-        c = Tensor([[1.0, 2.0, 3.0]])
+        o = np.array([[1.0, 1.0]])
+        c = np.array([[1.0, 2.0, 3.0]])
         out = fusion.fuse(o, c, params)
-        assert np.max(np.abs(out.data - o.data)) < 1e-6  # gate fully open
+        assert np.max(np.abs(out - o)) < 1e-6  # gate fully open
         out_closed = fusion.fuse(o, c, {**params, "gamma_raw": Tensor([[-25.0]])})
-        np.testing.assert_allclose(out_closed.data, [[6.0, 6.0]], atol=1e-5)
+        np.testing.assert_allclose(out_closed, [[6.0, 6.0]], atol=1e-5)
 
     def test_width_mismatch_without_projection_rejected(self):
         with pytest.raises(ShapeError):
-            fusion.fuse(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3))),
+            fusion.fuse(np.ones((1, 2)), np.ones((1, 3)),
                         self._params(0.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(DivergenceError):
-            fusion.fuse(Tensor([[np.nan]]), Tensor([[1.0]]), self._params(0.0))
+            fusion.fuse(np.array([[np.nan]]), np.array([[1.0]]), self._params(0.0))
 
     def test_gradient_flows_through_gate(self):
         params = ParameterStore()
         params.add("gamma_raw", np.array([[0.3]]))
         o = Tensor([[2.0, -1.0]])
         c = Tensor([[4.0, 3.0]])
-        out = fusion.fuse(o, c, {"gamma_raw": params["gamma_raw"]})
+        out = taped(fusion.fuse)(o, c, {"gamma_raw": params["gamma_raw"]})
         grads = oracles.gradients(nm.sum_(out), {"gamma_raw": params["gamma_raw"]})
         g = 1.0 / (1.0 + np.exp(-0.3))
         expected = g * (1 - g) * ((2.0 - 4.0) + (-1.0 - 3.0))
@@ -243,7 +242,7 @@ class TestFusedTailMatchesOracles:
         for pick, seed in ((slice(None), 1), (slice(1, 2), 2), (slice(0, 1), 3)):
             # both outputs, the context alone (as the pipeline uses it), alpha alone
             oracles.assert_same_values_and_grads(
-                lambda p: fusion.attention_over_features(p["q"], p["feats"])[pick],
+                lambda p: taped(fusion.attention_over_features)(p["q"], p["feats"])[pick],
                 lambda p: oracles.attention_over_features(p["q"], p["feats"])[pick],
                 arrays, seed=seed)
 
@@ -255,7 +254,7 @@ class TestFusedTailMatchesOracles:
             return oracles.take(p["feats"], (slice(None), 2))
 
         oracles.assert_same_values_and_grads(
-            lambda p: fusion.attention_over_features(query(p), p["feats"]),
+            lambda p: taped(fusion.attention_over_features)(query(p), p["feats"]),
             lambda p: oracles.attention_over_features(query(p), p["feats"]),
             arrays, seed=4)
 
@@ -264,11 +263,11 @@ class TestFusedTailMatchesOracles:
         q = Tensor(rng.normal(size=(4, 3)))
         feats = Tensor(rng.normal(size=(4, 3, 3)))
         oracles.assert_same_values_and_grads(
-            lambda p: fusion.attention_over_features(q, p["feats"]),
+            lambda p: taped(fusion.attention_over_features)(q, p["feats"]),
             lambda p: oracles.attention_over_features(q, p["feats"]),
             {"feats": feats.data}, seed=5)
         oracles.assert_same_values_and_grads(
-            lambda p: fusion.attention_over_features(p["q"], feats),
+            lambda p: taped(fusion.attention_over_features)(p["q"], feats),
             lambda p: oracles.attention_over_features(p["q"], feats), {"q": q.data}, seed=6)
 
     @pytest.mark.parametrize("text_width", [4, 6], ids=["no_projection", "projection"])
@@ -279,7 +278,7 @@ class TestFusedTailMatchesOracles:
         if text_width != 4:
             arrays.update(proj_w=rng.normal(size=(text_width, 4)),
                           proj_b=rng.normal(size=(1, 4)))
-        oracles.assert_same_values_and_grads(lambda p: fusion.fuse(p["o"], p["c"], p),
+        oracles.assert_same_values_and_grads(lambda p: taped(fusion.fuse)(p["o"], p["c"], p),
                                              lambda p: oracles.fuse(p["o"], p["c"], p),
                                              arrays, seed=7)
 
@@ -290,9 +289,9 @@ class TestFusedTailMatchesOracles:
         arrays = {"o": rng.normal(size=(5, 4)), "proj_w": rng.normal(size=(6, 4)),
                   "proj_b": rng.normal(size=(1, 4))}
         oracles.assert_same_values_and_grads(
-            lambda p: fusion.fuse(p["o"], text, {**p, **frozen}),
+            lambda p: taped(fusion.fuse)(p["o"], text, {**p, **frozen}),
             lambda p: oracles.fuse(p["o"], text, {**p, **frozen}), arrays, seed=8)
         oracles.assert_same_values_and_grads(
-            lambda p: fusion.fuse(Tensor(arrays["o"]), p["c"], frozen),
+            lambda p: taped(fusion.fuse)(Tensor(arrays["o"]), p["c"], frozen),
             lambda p: oracles.fuse(Tensor(arrays["o"]), p["c"], frozen),
             {"c": rng.normal(size=(5, 4))}, seed=9)

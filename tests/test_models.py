@@ -1,11 +1,14 @@
 """Recurrent cells, their reduction identities, and the output head."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 import oracles
 from oracles import (attention_rows, bilstm_forward, cell_step, gru_step, lstm_step,
-                     max_rel_err, plain_sigmoid)
+                     max_rel_err, plain_sigmoid, taped)
 
 from trendfuse import models
 from trendfuse import numerics as nm
@@ -92,7 +95,7 @@ class TestLstmCell:
         params = _zero_gate_params()
         with pytest.raises(ShapeError):
             models.unroll(ModelSpec(kind="lstm", hidden=HID), params,
-                          _t(np.zeros((1, 2, INP + 1))))
+                          np.zeros((1, 2, INP + 1)))
 
 
 class TestGruCell:
@@ -334,13 +337,13 @@ class TestFeedforward:
     @staticmethod
     def _net(x, params):
         """The baseline on x's columns: one price, one prior, the rest context."""
-        return models.feedforward_net(x[:, :1], x[:, 1:2], _t(x[:, 2:]), params)
+        return models.feedforward_net(x[:, :1], x[:, 1:2], x[:, 2:], params)
 
     def test_zero_network_outputs_final_bias(self):
         params = self._params(np.zeros((3, 4)), np.zeros((1, 4)), np.zeros((4, 2)),
                               np.zeros((1, 2)), np.zeros((2, 1)), np.array([[0.7]]))
         out = self._net(np.ones((5, 3)), params)
-        np.testing.assert_array_equal(out.data, nm.logistic(np.full((5, 1), 0.7)))
+        np.testing.assert_array_equal(out, nm.logistic(np.full((5, 1), 0.7)))
 
     def test_constructed_pass_through(self):
         # route coordinate 0 through one positive path untouched
@@ -351,7 +354,7 @@ class TestFeedforward:
                               w3, np.zeros((1, 1)))
         x = np.array([[2.5, -1.0, 9.9]])
         out = self._net(x, params)
-        np.testing.assert_allclose(out.data, plain_sigmoid([[2.5]]), atol=1e-12)
+        np.testing.assert_allclose(out, plain_sigmoid([[2.5]]), atol=1e-12)
 
     def test_random_matches_manual_chain(self):
         rng = np.random.default_rng(16)
@@ -362,7 +365,7 @@ class TestFeedforward:
         out = self._net(x, self._params(w1, b1, w2, b2, w3, b3))
         h1 = np.maximum(x @ w1 + b1, 0.0)
         h2 = np.maximum(h1 @ w2 + b2, 0.0)
-        assert max_rel_err(out.data, plain_sigmoid(h2 @ w3 + b3)) < 1e-12
+        assert max_rel_err(out, plain_sigmoid(h2 @ w3 + b3)) < 1e-12
 
     def test_width_mismatch_rejected(self):
         params = self._params(np.zeros((3, 4)), np.zeros((1, 4)), np.zeros((4, 2)),
@@ -380,11 +383,11 @@ class TestFeedforward:
         x = arrays["x"]
         arrays["x"] = x[:, 2:]  # the context; the price and prior columns are constants
         oracles.assert_same_values_and_grads(
-            lambda p: models.feedforward_net(x[:, :1], x[:, 1:2], p["x"], p),
+            lambda p: taped(models.feedforward_net)(x[:, :1], x[:, 1:2], p["x"], p),
             lambda p: oracles.feedforward_net(x[:, :1], x[:, 1:2], p["x"], p), arrays, seed=1)
         context = _t(arrays.pop("x"))
         oracles.assert_same_values_and_grads(
-            lambda p: models.feedforward_net(x[:, :1], x[:, 1:2], context, p),
+            lambda p: taped(models.feedforward_net)(x[:, :1], x[:, 1:2], context, p),
             lambda p: oracles.feedforward_net(x[:, :1], x[:, 1:2], context, p), arrays, seed=2)
 
 
@@ -392,49 +395,36 @@ class TestOutputHead:
     def _params(self, w, b):
         return {"w_out": _t(w), "b_out": _t(np.array([[float(b)]]))}
 
-    def test_zero_head_ties_to_one(self):
-        p, labels = models.output_head(_t(np.ones((1, 3))),
-                                       self._params(np.zeros((3, 1)), 0.0))
-        assert p.data[0, 0] == 0.5
-        assert labels[0] == 1
-
     def test_positive_saturation(self):
-        p, labels = models.output_head(_t(np.zeros((1, 2))),
-                                       self._params(np.zeros((2, 1)), 10.0))
-        assert p.data[0, 0] > 0.9999
-        assert labels[0] == 1
+        p = models.output_head(np.zeros((1, 2)), self._params(np.zeros((2, 1)), 10.0))
+        assert p[0, 0] > 0.9999
 
     def test_negative_saturation(self):
-        p, labels = models.output_head(_t(np.zeros((1, 2))),
-                                       self._params(np.zeros((2, 1)), -10.0))
-        assert p.data[0, 0] < 0.0001
-        assert labels[0] == 0
+        p = models.output_head(np.zeros((1, 2)), self._params(np.zeros((2, 1)), -10.0))
+        assert p[0, 0] < 0.0001
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            models.output_head(_t(np.ones((2, 3))), self._params(np.zeros((4, 1)), 0.0))
+            models.output_head(np.ones((2, 3)), self._params(np.zeros((4, 1)), 0.0))
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(40)
         arrays = {"z": rng.normal(size=(6, 4)), "w_out": rng.normal(size=(4, 1)),
                   "b_out": rng.normal(size=(1, 1))}
-        oracles.assert_same_values_and_grads(lambda p: models.output_head(p["z"], p)[0],
-                                             lambda p: oracles.output_head(p["z"], p)[0],
+        oracles.assert_same_values_and_grads(lambda p: taped(models.output_head)(p["z"], p),
+                                             lambda p: oracles.output_head(p["z"], p),
                                              arrays, seed=1)
-        params = {k: _t(v) for k, v in arrays.items()}
-        _, labels = models.output_head(params["z"], params)
-        np.testing.assert_array_equal(labels, oracles.output_head(params["z"], params)[1])
 
     def test_matches_oracle_with_frozen_weights_or_constant_input(self):
         rng = np.random.default_rng(41)
         z = rng.normal(size=(6, 4))
         frozen = {"w_out": _t(rng.normal(size=(4, 1))), "b_out": _t(rng.normal(size=(1, 1)))}
-        oracles.assert_same_values_and_grads(lambda p: models.output_head(p["z"], frozen)[0],
-                                             lambda p: oracles.output_head(p["z"], frozen)[0],
+        oracles.assert_same_values_and_grads(lambda p: taped(models.output_head)(p["z"], frozen),
+                                             lambda p: oracles.output_head(p["z"], frozen),
                                              {"z": z}, seed=2)
         const = _t(z)
         oracles.assert_same_values_and_grads(
-            lambda p: models.output_head(const, p)[0], lambda p: oracles.output_head(const, p)[0],
+            lambda p: taped(models.output_head)(const, p), lambda p: oracles.output_head(const, p),
             {k: t.data for k, t in frozen.items()}, seed=3)
 
 
@@ -461,13 +451,13 @@ class TestUnroll:
         spec = ModelSpec(kind="lstm", hidden=HID)
         models.add_model_params(store, spec, INP, rng)
         xs = rng.normal(size=(1, 3, INP))
-        steps, final = models.unroll(spec, store.view("cell"), _t(xs))
+        steps, final = models.unroll(spec, store.view("cell"), xs)
         assert steps.shape == (1, 3, HID)
         h, c = _t(np.zeros((1, HID))), _t(np.zeros((1, HID)))
         for i in range(3):
             h, c = cell_step("lstm", _t(xs[:, i]), (h, c), store.view("cell"))
-            np.testing.assert_array_equal(steps.data[:, i], h.data)
-        np.testing.assert_array_equal(final.data, h.data)
+            np.testing.assert_array_equal(steps[:, i], h.data)
+        np.testing.assert_array_equal(final, h.data)
 
     def test_bilstm_final_pairs_both_directions(self):
         rng = np.random.default_rng(18)
@@ -475,13 +465,13 @@ class TestUnroll:
         spec = ModelSpec(kind="bilstm", hidden=HID)
         models.add_model_params(store, spec, INP, rng)
         xs = rng.normal(size=(1, 3, INP))
-        steps, final = models.unroll(spec, store.view("cell"), _t(xs))
+        steps, final = models.unroll(spec, store.view("cell"), xs)
         expected = bilstm_forward([_t(xs[:, i]) for i in range(3)], store.view("cell.fwd"),
                                   store.view("cell.bwd"))
-        np.testing.assert_array_equal(final.data, expected.data)
+        np.testing.assert_array_equal(final, expected.data)
         assert steps.shape == (1, 3, 2 * HID)
-        np.testing.assert_array_equal(steps.data[:, -1, :HID], final.data[:, :HID])
-        np.testing.assert_array_equal(steps.data[:, 0, HID:], final.data[:, HID:])
+        np.testing.assert_array_equal(steps[:, -1, :HID], final[:, :HID])
+        np.testing.assert_array_equal(steps[:, 0, HID:], final[:, HID:])
 
     @pytest.mark.parametrize("kind", models.RECURRENT_KINDS)
     def test_steps_match_a_loop_of_single_steps(self, kind):
@@ -490,7 +480,7 @@ class TestUnroll:
         store = ParameterStore()
         models.add_model_params(store, spec, INP, rng)
         xs = rng.normal(size=(4, 5, INP))
-        steps, final = models.unroll(spec, store.view("cell"), _t(xs))
+        steps, final = models.unroll(spec, store.view("cell"), xs)
         cell = models.CELLS[kind]
         runs = []
         for direction in cell.directions:
@@ -503,25 +493,43 @@ class TestUnroll:
                                   swin_window=2)
                 rows[t] = state[0].data
             runs.append(np.stack([rows[t] for t in range(5)], axis=1))
-        assert max_rel_err(steps.data, np.concatenate(runs, axis=2)) < 1e-12
-        assert max_rel_err(final.data, np.concatenate(
+        assert max_rel_err(steps, np.concatenate(runs, axis=2)) < 1e-12
+        assert max_rel_err(final, np.concatenate(
             [runs[0][:, -1], *(r[:, 0] for r in runs[1:])], axis=1)) < 1e-12
 
-    def test_no_tape_without_gradients(self):
+    def test_no_tape_without_gradients(self, monkeypatch):
+        """Without a saved list no step cache outlives its step; with one,
+        every cache is kept for the backward."""
         rng = np.random.default_rng(22)
-        spec = ModelSpec(kind="stlstm", hidden=HID)
-        store = ParameterStore()
-        models.add_model_params(store, spec, INP, rng)
-        with nm.no_grad():
-            steps, final = models.unroll(spec, store.view("cell"), _t(rng.normal(size=(2, 3, INP))))
-        assert not steps.requires_grad and steps._backward is None
-        assert not final.requires_grad and final._parents == ()
+
+        class Cache:  # a step's cache, watched through a weak reference
+            pass
+
+        for kind in ("stlstm", "swinlstm"):
+            spec = ModelSpec(kind=kind, hidden=HID)
+            store = ParameterStore()
+            models.add_model_params(store, spec, INP, rng)
+            cell, refs = models.CELLS[kind], []
+
+            def forward(x, state, weights, cell=cell, refs=refs):
+                state, _ = cell.forward(x, state, weights)
+                cache = Cache()
+                refs.append(weakref.ref(cache))
+                return state, cache
+
+            monkeypatch.setitem(models.CELLS, kind, dataclasses.replace(cell, forward=forward))
+            xs = rng.normal(size=(2, 3, INP))
+            models.unroll(spec, store.view("cell"), xs)
+            assert len(refs) == 3 and all(ref() is None for ref in refs)
+            saved = []
+            models.unroll(spec, store.view("cell"), xs, saved)
+            assert len(refs) == 6 and all(ref() is not None for ref in refs[3:])
 
     def test_empty_sequence_rejected(self):
         spec = ModelSpec(kind="lstm", hidden=HID)
         with pytest.raises(ContractError):
-            models.unroll(spec, _zero_gate_params(), _t(np.zeros((1, 0, INP))))
+            models.unroll(spec, _zero_gate_params(), np.zeros((1, 0, INP)))
 
     def test_feedforward_cannot_unroll(self):
         with pytest.raises(ConfigError):
-            models.unroll(ModelSpec(kind="feedforward"), {}, _t(np.zeros((1, 1, 2))))
+            models.unroll(ModelSpec(kind="feedforward"), {}, np.zeros((1, 1, 2)))

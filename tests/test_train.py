@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import confusion_counts
+from oracles import confusion_counts, taped
 
 from trendfuse import fusion, models, synthetic
 from trendfuse import numerics as nm
@@ -107,8 +107,8 @@ class TestTrainModel:
     def test_divergence_detected(self, monkeypatch):
         samples = synthetic.periodic_pattern_samples(8, 6, feature_len=8)
 
-        def bad_forward(store, config, priors, prices, texts):
-            return Tensor(np.full((len(priors), 1), np.nan))
+        def bad_forward(store, config, priors, prices, texts, saved=None):
+            return np.full((len(priors), 1), np.nan)
 
         monkeypatch.setattr(tr, "forward_batch", bad_forward)
         with pytest.raises(DivergenceError, match="epoch 0"):
@@ -128,20 +128,50 @@ class TestTrainModel:
 
 
 class TestTrainingStepTape:
-    """Tape nodes of one training step (forward pass and loss, parameter
-    leaves included) at the benchmark's zoo-train shape: batch 32, window 6,
-    feature_len 8, embed_width 8, hidden 8."""
+    """Tape nodes of one training step (parameter leaves included) at the
+    benchmark's zoo-train shape: batch 32, window 6, feature_len 8,
+    embed_width 8, hidden 8."""
 
-    NODES = {"feedforward": 14, "lstm": 27, "bilstm": 35, "gru": 25,
-             "mogrifier": 29, "stlstm": 34, "swinlstm": 32}
+    # the parameters, the one forward node and the loss
+    NODES = {"feedforward": 12, "lstm": 19, "bilstm": 27, "gru": 17,
+             "mogrifier": 21, "stlstm": 26, "swinlstm": 23}
+    # the reference tape of `oracles.forward_batch`, one node per primitive
+    PER_PRIMITIVE_NODES = {"feedforward": 14, "lstm": 27, "bilstm": 35, "gru": 25,
+                           "mogrifier": 29, "stlstm": 34, "swinlstm": 32}
+
+    @staticmethod
+    def _step_tapes(kind, arms, monkeypatch):
+        """Tape size at each `numerics.backward` of one epoch of one batch."""
+        sizes, real = [], nm.backward
+
+        def counting(loss):
+            sizes.append(oracles.tape_size(loss))
+            real(loss)
+
+        monkeypatch.setattr(nm, "backward", counting)
+        samples = synthetic.markov_samples(32, 6, seed=0, feature_len=8)
+        cfg = _config(epochs=1, batch_size=32, model=ModelSpec(kind=kind, hidden=8))
+        tr.train_replicas([samples] * len(arms),
+                          [dataclasses.replace(cfg, prior_effect=flag) for flag in arms])
+        return sizes, len(oracles.names(tr.init_pipeline_params(cfg)))
 
     @pytest.mark.parametrize("kind", VALID_KINDS)
-    def test_nodes_per_step_are_pinned(self, kind):
+    def test_nodes_per_step_are_pinned(self, kind, monkeypatch):
+        sizes, params = self._step_tapes(kind, (True,), monkeypatch)
+        assert sizes == [self.NODES[kind]] and self.NODES[kind] == params + 2
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_lockstep_step_adds_one_node_for_the_replica_sum(self, kind, monkeypatch):
+        sizes, _ = self._step_tapes(kind, (True, False), monkeypatch)
+        assert sizes == [self.NODES[kind] + 1]
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_per_primitive_composition_nodes_are_pinned(self, kind):
         samples = synthetic.markov_samples(32, 6, seed=0, feature_len=8)
         cfg = _config(batch_size=32, model=ModelSpec(kind=kind, hidden=8))
         priors, prices, texts, targets = tr.batch_arrays(samples, True)
-        p = tr.forward_batch(tr.init_pipeline_params(cfg), cfg, priors, prices, texts)
-        assert oracles.tape_size(tr.bce_loss(p, targets)) == self.NODES[kind]
+        p = oracles.forward_batch(tr.init_pipeline_params(cfg), cfg, priors, prices, texts)
+        assert oracles.tape_size(tr.bce_loss(p, targets)) == self.PER_PRIMITIVE_NODES[kind]
 
     def test_samples_are_stacked_once_per_run(self, monkeypatch):
         calls = []
@@ -268,25 +298,24 @@ def _replica_block_cases():
 
     targets = np.array([1, 0, 0, 1])
     cases = {
-        "embed": (lambda p: fusion.embed(p["f"], p),
+        "embed": (lambda p: taped(fusion.embed)(p["f"], p),
                   arrays(f=(batch, 5), w_e=(5, 6), b_e=(1, 6))),
-        "conv_text": (lambda p: fusion.conv_text(p["e"], p),
+        "conv_text": (lambda p: taped(fusion.conv_text)(p["e"], p),
                       arrays(e=(batch, 6), w_c=(3,), b_c=(1, 1))),
         # price and prior columns are constants; the context is the rest of x
-        "feedforward_net": (lambda p: models.feedforward_net(
+        "feedforward_net": (lambda p: taped(models.feedforward_net)(
             p["x"].data[..., :1], p["x"].data[..., 1:2],
             oracles.take(p["x"], (Ellipsis, slice(2, None))), p), arrays(
             x=(batch, 5), w1=(5, 6), b1=(1, 6), w2=(6, 4), b2=(1, 4), w3=(4, 1), b3=(1, 1))),
-        "attention": (lambda p: fusion.attention_over_features(p["q"], p["feats"]),
+        "attention": (lambda p: taped(fusion.attention_over_features)(p["q"], p["feats"]),
                       arrays(q=(batch, 3), feats=(batch, 5, 3))),
-        "fuse": (lambda p: fusion.fuse(p["o"], p["c"], p), arrays(
+        "fuse": (lambda p: taped(fusion.fuse)(p["o"], p["c"], p), arrays(
             o=(batch, 3), c=(batch, 5), proj_w=(5, 3), proj_b=(1, 3), gamma_raw=(1, 1))),
-        "output_head": (lambda p: models.output_head(p["z"], p)[0],
+        "output_head": (lambda p: taped(models.output_head)(p["z"], p),
                         arrays(z=(batch, 3), w_out=(3, 1), b_out=(1, 1))),
         "bce_loss": (lambda p: tr.bce_loss(oracles.sigmoid(p["logits"]), np.broadcast_to(
             targets, p["logits"].shape[:-1])), arrays(logits=(batch, 1))),
-        "window_pool": (lambda p: models.window_pool(p["x"], p["wq"], p["wk"], p["wv"],
-                                                     p["wp"], 2),
+        "window_pool": (lambda p: taped(models.window_pool)(p["x"], p, 2),
                         arrays(x=(batch, 3, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))),
     }
     for kind in RECURRENT_KINDS:
@@ -296,7 +325,7 @@ def _replica_block_cases():
             models.add_model_params(store, spec, 2, rng)
         weights = {k: np.stack([s["cell." + k].data for s in stores])
                    for k in stores[0].view("cell")}
-        cases[f"unroll.{kind}"] = (lambda p, spec=spec: models.unroll(spec, p, p["xs"]),
+        cases[f"unroll.{kind}"] = (lambda p, spec=spec: taped(models.unroll)(spec, p, p["xs"]),
                                    {**weights, "xs": rng.normal(size=(reps, batch, 4, 2))})
     return cases
 
@@ -369,7 +398,7 @@ class TestEvaluate:
         payload = report.to_dict()
         assert payload["metrics_at"] == "final_epoch"
         priors, prices, texts, targets = tr.batch_arrays(samples, cfg.prior_effect)
-        probs = tr.forward_batch(store, cfg, priors, prices, texts).data.reshape(-1)
+        probs = tr.forward_batch(store, cfg, priors, prices, texts).reshape(-1)
         labels = (probs >= 0.5).astype(int)
         rows = [{"date": s.date.isoformat(), "probability": float(pr),
                  "label": int(lb), "target": int(tg)}
@@ -389,21 +418,36 @@ class TestEvaluate:
         samples = synthetic.markov_samples(48, 6, seed=4, feature_len=8)
         cfg = _config(epochs=2, model=ModelSpec(kind=kind, hidden=8))
         store, _ = tr.train_model(samples[:32], cfg)
-        scored = []
+        calls = []
         real = tr.forward_batch
 
-        def keeping(*args):
-            scored.append(real(*args))
-            return scored[-1]
+        def keeping(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(tr, "forward_batch", keeping)
         report = tr.evaluate(store, cfg, samples[32:])
-        (p,) = scored
-        assert p._parents == () and p._backward is None
-        taped = real(store, cfg, *tr.batch_arrays(samples[32:], True)[:3])
-        assert taped._parents
+        ((args, kwargs),) = calls
+        assert len(args) == 5 and not kwargs  # no saved list: nothing kept for a backward
+        saved = []
+        kept = real(store, cfg, *tr.batch_arrays(samples[32:], True)[:3], saved)
+        assert saved
         assert np.array([r["probability"] for r in report.predictions]).tobytes() \
-            == taped.data.reshape(-1).tobytes()
+            == kept.reshape(-1).tobytes()
+
+    def test_zero_head_ties_to_one(self):
+        """A probability of exactly 0.5 labels as 1; saturated heads label
+        every row 1 or 0."""
+        samples = synthetic.markov_samples(12, 6, seed=3, feature_len=8)
+        cfg = _config()
+        store = tr.init_pipeline_params(cfg)
+        store["head.w_out"].data[...] = 0.0
+        for bias, label in ((0.0, 1), (10.0, 1), (-10.0, 0)):
+            store["head.b_out"].data[...] = bias
+            rows = tr.evaluate(store, cfg, samples).predictions
+            assert {row["label"] for row in rows} == {label}
+            if bias == 0.0:
+                assert {row["probability"] for row in rows} == {0.5}
 
     def test_training_after_evaluate_is_unchanged(self):
         samples = synthetic.markov_samples(48, 6, seed=5, feature_len=8)
