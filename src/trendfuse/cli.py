@@ -21,8 +21,8 @@ from . import encoder as enc
 from . import ingest
 from . import train as tr
 from .errors import (ConfigError, ContractError, DataError, DivergenceError,
-                     ProviderError, check_integer, is_real)
-from .models import VALID_KINDS, ModelSpec
+                     ProviderError, check_bool, check_integer, is_real)
+from .models import VALID_KINDS
 from .numerics import ParameterStore
 
 log = logging.getLogger(__name__)
@@ -49,18 +49,52 @@ class ExperimentConfig:
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
     def __post_init__(self):
+        check_bool("pretrain", self.pretrain)
         check_integer("pretrain_epochs", self.pretrain_epochs, 0)
         if not is_real(self.split_ratio) or not 0 < self.split_ratio < 1:
             raise ConfigError(f"split_ratio must be a number in (0, 1), got {self.split_ratio!r}")
         for name in ("market_csv", "summaries", "similar_words", "features",
                      "encoder_checkpoint", "checkpoint", "out"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value or value is None and name != "out"):
+                raise ConfigError(f"{name} must be a non-empty path string, got {value!r}")
+
+
+# One row per flag: the flag, the dotted ExperimentConfig key it sets, and its
+# argparse options. A flag left out is None and leaves the file's value alone.
+OPTIONS = (
+    ("--model", "train.model.kind", {"choices": VALID_KINDS, "help": "predictor kind"}),
+    ("--epochs", "train.epochs", {"type": int, "help": "training epochs (e.g. 100, 200, 400)"}),
+    ("--seed", "train.seed", {"type": int, "help": "RNG seed"}),
+    ("--no-prior-effect", "train.prior_effect",
+     {"action": "store_const", "const": False,
+      "help": "zero-mask the prior movement history"}),
+    ("--features", "features", {"help": "feature CSV (date,f0..fN)"}),
+    ("--out", "out", {"help": "output directory"}),
+    ("--market", "market_csv", {"help": "market CSV (Date,Chg,Open,Close,Volume)"}),
+    ("--summaries", "summaries", {"help": "JSON-lines summaries file"}),
+    ("--similar-words", "similar_words", {"help": "JSON table token -> [substitute tokens]"}),
+    ("--encoder", "encoder_checkpoint", {"help": "encoder checkpoint JSON"}),
+    ("--checkpoint", "checkpoint", {"help": "model checkpoint JSON"}),
+    ("--hidden", "train.model.hidden", {"type": int, "help": "recurrent hidden width"}),
+    ("--window", "train.window", {"type": int, "help": "sliding window length n"}),
+    ("--feature-len", "train.feature_len", {"type": int, "help": "text feature length L"}),
+    ("--batch-size", "train.batch_size", {"type": int}),
+    ("--lr", "train.lr", {"type": float}),
+    ("--mogrifier-rounds", "train.model.mogrifier_rounds", {"type": int}),
+    ("--swin-window", "train.model.swin_window", {"type": int}),
+    ("--pretrain", "pretrain",
+     {"action": "store_const", "const": True,
+      "help": "pretrain the encoder when no checkpoint is given"}),
+    ("--pretrain-epochs", "pretrain_epochs", {"type": int}),
+)
 
 
 def load_config_file(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"cannot read config file '{path}' ({err.strerror})") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON config ({err.msg})") from None
     except UnicodeDecodeError as err:
@@ -70,83 +104,52 @@ def load_config_file(path) -> dict:
     return doc
 
 
-def _model_spec(doc: dict) -> ModelSpec:
-    known = {f.name for f in dataclasses.fields(ModelSpec)}
-    unknown = set(doc) - known
+def _set(doc: dict, key: str, value) -> None:
+    """Set the dotted `key` in the nested JSON object `doc`."""
+    *sections, name = key.split(".")
+    for section in sections:
+        doc = doc.setdefault(section, {})
+        if not isinstance(doc, dict):
+            return  # `_build` refuses the section
+    doc[name] = value
+
+
+def _build(cls, doc, where: str = ""):
+    """A `cls` dataclass from a JSON object; a dataclass field is built from
+    its section by its default_factory. A section that is not an object and
+    an unknown key are a ConfigError naming them."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config section {where!r} must be a JSON object, got {doc!r}")
+    prefix = f"{where}." if where else ""
+    fields = {f.name: f.default_factory for f in dataclasses.fields(cls)}
+    unknown = [prefix + key for key in doc if key not in fields]
     if unknown:
-        raise ConfigError(f"unknown model option(s): {', '.join(sorted(unknown))}")
-    return ModelSpec(**doc)
-
-
-def _section(doc: dict, key: str) -> dict:
-    """A copy of the JSON object under `key` ({} when absent)."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {key!r} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
-def _first_set(*values):
-    """The first value that is not None; 0 and other falsy values count as set."""
-    return next(v for v in values if v is not None)
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    return cls(**{key: value if fields[key] is dataclasses.MISSING
+                  else _build(fields[key], value, prefix + key)
+                  for key, value in doc.items()})
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file (if any) with command-line overrides."""
-    doc = load_config_file(args.config) if getattr(args, "config", None) else {}
-    train_doc = _section(doc, "train")
-    model_doc = _section(train_doc, "model")
-    encoder_doc = _section(doc, "encoder")
-    train_doc.pop("model", None)
-
-    def override(d: dict, key: str, value) -> None:
+    """The config file (if any), then each given flag over it, as one checked
+    ExperimentConfig. Top-level `window`/`feature_len` set the train section."""
+    doc = load_config_file(args.config) if args.config is not None else {}
+    for key in ("window", "feature_len"):
+        if key in doc:
+            _set(doc, f"train.{key}", doc.pop(key))
+    for flag, key, _ in OPTIONS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            d[key] = value
-
-    override(model_doc, "kind", getattr(args, "model", None))
-    override(model_doc, "hidden", getattr(args, "hidden", None))
-    override(model_doc, "mogrifier_rounds", getattr(args, "mogrifier_rounds", None))
-    override(model_doc, "swin_window", getattr(args, "swin_window", None))
-    override(train_doc, "epochs", getattr(args, "epochs", None))
-    override(train_doc, "seed", getattr(args, "seed", None))
-    override(train_doc, "batch_size", getattr(args, "batch_size", None))
-    override(train_doc, "lr", getattr(args, "lr", None))
-    override(train_doc, "window", doc.get("window"))
-    override(train_doc, "window", getattr(args, "window", None))
-    override(train_doc, "feature_len", doc.get("feature_len"))
-    override(train_doc, "feature_len", getattr(args, "feature_len", None))
-    if getattr(args, "no_prior_effect", False):
-        train_doc["prior_effect"] = False
-
-    try:
-        train_cfg = tr.TrainConfig(model=_model_spec(model_doc), **train_doc)
-        encoder_cfg = enc.EncoderConfig(**encoder_doc)
-    except TypeError as err:
-        raise ConfigError(f"bad config key: {err}") from None
-
-    cfg = ExperimentConfig(
-        market_csv=getattr(args, "market", None) or doc.get("market_csv"),
-        summaries=getattr(args, "summaries", None) or doc.get("summaries"),
-        similar_words=getattr(args, "similar_words", None) or doc.get("similar_words"),
-        features=getattr(args, "features", None) or doc.get("features"),
-        encoder_checkpoint=getattr(args, "encoder", None) or doc.get("encoder_checkpoint"),
-        checkpoint=getattr(args, "checkpoint", None) or doc.get("checkpoint"),
-        out=getattr(args, "out", None) or doc.get("out") or "runs/latest",
-        pretrain=bool(getattr(args, "pretrain", False) or doc.get("pretrain", False)),
-        pretrain_epochs=_first_set(getattr(args, "pretrain_epochs", None),
-                                   doc.get("pretrain_epochs"), 50),
-        split_ratio=doc.get("split_ratio", 0.8),
-        train=train_cfg,
-        encoder=encoder_cfg,
-    )
-    return cfg
+            _set(doc, key, value)
+    return _build(ExperimentConfig, doc)
 
 
 def _require_paths(cfg: ExperimentConfig, names: list[str]) -> None:
     for name in names:
         value = getattr(cfg, name)
-        if not value:
-            raise ConfigError(f"missing required input: --{name.replace('_', '-')}")
+        if value is None:
+            flag = next(flag for flag, key, _ in OPTIONS if key == name)
+            raise ConfigError(f"missing required input: {flag}")
         if not Path(value).exists():
             raise ConfigError(f"{name} path does not exist: {value}")
 
@@ -164,21 +167,11 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _write_loss_csv(path: Path, trace: list[float]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, value in enumerate(trace):
-            writer.writerow([epoch, repr(value)])
-
-
-def _write_predictions_csv(path: Path, predictions: list[dict]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "probability", "label", "target"])
-        for row in predictions:
-            writer.writerow([row["date"], repr(row["probability"]),
-                             row["label"], row["target"]])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str],
@@ -188,7 +181,7 @@ def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str],
     params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
                                             cfg.train.seed, similar_words=similar)
     enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
-    _write_loss_csv(out / "pretrain_loss.csv", trace)
+    _write_csv(out / "pretrain_loss.csv", ["epoch", "mean_loss"], enumerate(map(repr, trace)))
     return cfg.encoder, vocab, params
 
 
@@ -272,9 +265,11 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     train_samples, test_samples = _load_split_samples(cfg)
     store, report = tr.train_and_evaluate(train_samples, test_samples, cfg.train)
     store.save(out / "checkpoint.json")
-    _write_loss_csv(out / "loss.csv", report.loss_trace)
+    _write_csv(out / "loss.csv", ["epoch", "mean_loss"], enumerate(map(repr, report.loss_trace)))
     _write_json(out / "metrics.json", report.to_dict())
-    _write_predictions_csv(out / "predictions.csv", report.predictions)
+    _write_csv(out / "predictions.csv", ["date", "probability", "label", "target"],
+               [(row["date"], repr(row["probability"]), row["label"], row["target"])
+                for row in report.predictions])
     _write_json(out / "run.json", _run_metadata(cfg))
     log.info("train done: accuracy=%.4f f1=%.4f -> %s",
              report.accuracy, report.f1, out)
@@ -312,11 +307,8 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
                      repr(deltas["f1_delta"]),
                      repr(without_report.recall), repr(with_report.recall),
                      repr(deltas["recall_delta"])])
-    with (out / "ablation.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "f1_without", "f1_with", "f1_delta",
-                         "recall_without", "recall_with", "recall_delta"])
-        writer.writerows(rows)
+    _write_csv(out / "ablation.csv", ["model", "f1_without", "f1_with", "f1_delta",
+                                      "recall_without", "recall_with", "recall_delta"], rows)
     log.info("ablation table at %s", out / "ablation.csv")
 
 
@@ -365,10 +357,8 @@ def cmd_report(cfg: ExperimentConfig, runs_dir: str) -> None:
         comparison.append([meta.get("model", name), meta.get("epochs", ""),
                            repr(metrics["accuracy"]), repr(metrics["precision"]),
                            repr(metrics["recall"]), repr(metrics["f1"])])
-    with (out / "comparison.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "epochs", "accuracy", "precision", "recall", "f1"])
-        writer.writerows(comparison)
+    _write_csv(out / "comparison.csv",
+               ["model", "epochs", "accuracy", "precision", "recall", "f1"], comparison)
     log.info("comparison table with %d run(s) at %s", len(comparison),
              out / "comparison.csv")
 
@@ -381,30 +371,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--model", choices=VALID_KINDS, help="predictor kind")
-    sub.add_argument("--epochs", type=int, help="training epochs (e.g. 100, 200, 400)")
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--no-prior-effect", action="store_true",
-                     help="zero-mask the prior movement history")
-    sub.add_argument("--features", help="feature CSV (date,f0..fN)")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--market", help="market CSV (Date,Chg,Open,Close,Volume)")
-    sub.add_argument("--summaries", help="JSON-lines summaries file")
-    sub.add_argument("--similar-words", dest="similar_words",
-                     help="JSON table token -> [substitute tokens]")
-    sub.add_argument("--encoder", help="encoder checkpoint JSON")
-    sub.add_argument("--checkpoint", help="model checkpoint JSON")
-    sub.add_argument("--hidden", type=int, help="recurrent hidden width")
-    sub.add_argument("--window", type=int, help="sliding window length n")
-    sub.add_argument("--feature-len", dest="feature_len", type=int,
-                     help="text feature length L")
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--mogrifier-rounds", dest="mogrifier_rounds", type=int)
-    sub.add_argument("--swin-window", dest="swin_window", type=int)
-    sub.add_argument("--pretrain", action="store_true",
-                     help="pretrain the encoder when no checkpoint is given")
-    sub.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
+    for flag, _, options in OPTIONS:
+        sub.add_argument(flag, **options)
 
 
 def build_parser() -> _Parser:

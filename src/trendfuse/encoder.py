@@ -284,9 +284,7 @@ def _attend(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
         raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
     scale = 1.0 / math.sqrt(d_model // heads)
     q, k, v = (_split_heads(x @ w, heads) for w in (wq, wk, wv))
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+    weights = nm.softmax_probs((q @ k.swapaxes(-1, -2)) * scale)
     merged = _merge_heads(weights @ v)
     return merged @ wo, (q, k, v, weights, merged, scale)
 
@@ -296,8 +294,7 @@ def _attend_back(g: np.ndarray, x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
     q, k, v, weights, merged, scale = saved
     d_ctx = _split_heads(g @ wo.T, heads)
     d_weights = d_ctx @ v.transpose(0, 2, 1)
-    d_scores = ((d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
-                * weights * scale)
+    d_scores = nm.softmax_back(d_weights, weights) * scale
     grad_q = _merge_heads(d_scores @ k)
     grad_k = _merge_heads(d_scores.transpose(0, 2, 1) @ q)
     grad_v = _merge_heads(weights.transpose(0, 2, 1) @ d_ctx)

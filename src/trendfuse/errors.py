@@ -3,8 +3,9 @@
 Data-shaped problems (bad files, bad values) derive from DataError so the
 CLI can map them to one exit code; config and contract violations stay
 separate because they indicate caller bugs, not bad inputs. The config
-dataclasses check their values with `is_real` and `check_integer`, so a
-malformed value is a ConfigError, never a TypeError deep in the program.
+dataclasses check their values with `is_real`, `check_integer` and
+`check_bool`, so a malformed value is a ConfigError, never a TypeError deep
+in the program.
 `open_text` makes a data file that is not UTF-8 a DataError.
 """
 
@@ -57,6 +58,12 @@ def check_integer(name: str, value, low: int) -> None:
     """Raise ConfigError unless a config value is an integer (not a bool) >= low."""
     if not (is_real(value) and isinstance(value, numbers.Integral)) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """Raise ConfigError unless a config value is true or false (not "no", 0)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 @contextlib.contextmanager

@@ -88,9 +88,7 @@ def attention_over_features(query: np.ndarray, candidates: np.ndarray,
     if candidates.shape[:-2] + candidates.shape[-1:] != query.shape:
         raise ShapeError(f"candidate shape {candidates.shape} does not match "
                          f"query shape {query.shape}")
-    scores = (query[..., None, :] * candidates).sum(axis=-1)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
+    alpha = nm.softmax_probs((query[..., None, :] * candidates).sum(axis=-1))
     if saved is not None:
         saved.append((query, candidates, alpha))
     return alpha, np.einsum("...m,...mh->...h", alpha, candidates)
@@ -106,7 +104,7 @@ def attention_over_features_back(g_alpha: np.ndarray | None, g_context: np.ndarr
     if g_context is not None:
         d_alpha = d_alpha + (g_context[..., None, :] * stacked).sum(axis=-1)
         d_feats = alpha[..., None] * g_context[..., None, :]
-    d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+    d_scores = nm.softmax_back(d_alpha, alpha)
     return (np.einsum("...m,...mh->...h", d_scores, stacked),
             d_feats + d_scores[..., None] * query[..., None, :])
 

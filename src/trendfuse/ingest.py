@@ -100,6 +100,9 @@ def parse_market_csv(path) -> MarketSeries:
             if None in row.values():
                 raise ParseError(f"line {line}: missing field(s) "
                                  + ", ".join(k for k, v in row.items() if v is None))
+            if None in row:  # DictReader files fields past the header under None
+                raise ParseError(f"line {line}: {len(header) + len(row[None])} fields "
+                                 f"for a header of {len(header)}")
             raw_date = row["Date"].strip()
             try:
                 day = Date.fromisoformat(raw_date)

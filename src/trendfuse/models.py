@@ -279,9 +279,7 @@ def window_pool(x: np.ndarray, params: Mapping[str, Tensor], window: int,
     scalar = (*reps, *(1,) * (u.ndim - len(reps)))
     aq, ak, av, ap = (params[n].data.reshape(scalar) for n in _POOL_WEIGHTS)
     q, k, v = u * aq, u * ak, u * av
-    scores = q[..., :, None] * k[..., None, :]
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
+    alpha = nm.softmax_probs(q[..., :, None] * k[..., None, :])
     att = (alpha * v[..., None, :]).sum(axis=-1)
     out = u + att * ap
     if saved is not None:
@@ -296,7 +294,7 @@ def window_pool_back(g: np.ndarray, saved: list) -> np.ndarray:
     d_att = d_out * ap
     d_alpha = d_att[..., :, None] * v[..., None, :]
     d_v = (alpha * d_att[..., :, None]).sum(axis=-2)
-    d_s = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+    d_s = nm.softmax_back(d_alpha, alpha)
     d_q = (d_s * k[..., None, :]).sum(axis=-1)
     d_k = (d_s * q[..., :, None]).sum(axis=-2)
     for name, grad in zip(_POOL_WEIGHTS, (d_q * u, d_k * u, d_v * u, d_out * att)):
@@ -415,12 +413,9 @@ def feedforward_net_back(g: np.ndarray, saved: list) -> np.ndarray:
     acts, layers, p, context_width = saved.pop()
     g = g * p * (1.0 - p)
     for k in (2, 1, 0):
-        w, b = layers[k]
         if k < 2:
             g = g * (acts[k + 1] > 0)
-        w.grad += nm.mT(acts[k]) @ g
-        b.grad += nm.row_sum(g)
-        g = g @ nm.mT(w.data)
+        g = nm.affine_back(acts[k], *layers[k], g)
     return g[..., g.shape[-1] - context_width:]
 
 

@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from . import fusion, models, numerics as nm
-from .errors import ConfigError, ContractError, DivergenceError, check_integer, is_real
+from .errors import (ConfigError, ContractError, DivergenceError, check_bool,
+                     check_integer, is_real)
 from .ingest import FusedSample
 from .models import ModelSpec
 from .numerics import ParameterStore, Tensor
@@ -60,6 +61,7 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("window", 2),
                           ("feature_len", 1), ("embed_width", 1), ("kernel_len", 1)):
             check_integer(name, getattr(self, name), low)
+        check_bool("prior_effect", self.prior_effect)
         if not is_real(self.lr) or not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
         if self.kernel_len > self.embed_width:

@@ -1,6 +1,7 @@
 """Command surface: artifacts, determinism, exit codes, and file contracts."""
 
 import csv
+import dataclasses
 import json
 from datetime import date, timedelta
 
@@ -541,8 +542,6 @@ PATH_FLAGS = {
         "featurize", "--summaries", summaries, "--out", out, "--encoder", bad],
     "similar-words": lambda bad, market, summaries, out: [
         "pretrain-encoder", "--summaries", summaries, "--out", out, "--similar-words", bad],
-    "config": lambda bad, market, summaries, out: [
-        "train", "--config", bad, "--market", market, "--out", out],
 }
 
 
@@ -581,6 +580,14 @@ class TestUnreadableInputs:
         message = _one_error_line(capsys, "ParseError")
         assert f"line {len(lines)}" in message and "Volume" in message
 
+    def test_row_wider_than_header_is_parse_error(self, tmp_path, market_csv, capsys):
+        lines = market_csv.read_text().splitlines()
+        wider = tmp_path / "wider.csv"
+        wider.write_text("\n".join(lines + ["2099-01-01,0.5%,10,11,1,000"]) + "\n")
+        assert run("train", "--market", wider, "--out", tmp_path / "out") == 2
+        message = _one_error_line(capsys, "ParseError")
+        assert f"line {len(lines) + 1}" in message and "6 fields" in message
+
 
 class TestBuildConfig:
     def _config(self, *argv):
@@ -603,6 +610,52 @@ class TestBuildConfig:
         assert self._config("featurize", "--config", config).pretrain_epochs == 7
         assert self._config("featurize").pretrain_epochs == 50
 
+    def test_top_level_window_and_feature_len_win_over_train(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"window": 5, "feature_len": 7,
+                                      "train": {"window": 9, "feature_len": 3, "epochs": 4}}))
+        cfg = self._config("train", "--config", config)
+        assert (cfg.train.window, cfg.train.feature_len, cfg.train.epochs) == (5, 7, 4)
+        assert self._config("train", "--config", config, "--window", "3").train.window == 3
+
+    def test_absent_flags_leave_the_file_alone(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pretrain": True, "train": {"prior_effect": False}}))
+        cfg = self._config("featurize", "--config", config)
+        assert cfg.pretrain is True and cfg.train.prior_effect is False
+
+
+def _resolve(cfg, key):
+    """The value at a dotted OPTIONS key, which must name a dataclass field."""
+    *sections, name = key.split(".")
+    for section in sections:
+        cfg = getattr(cfg, section)
+    assert name in {f.name for f in dataclasses.fields(cfg)}, key
+    return getattr(cfg, name)
+
+
+class TestOptions:
+    def test_every_flag_is_declared_once(self):
+        flags = [flag for flag, _, _ in cli.OPTIONS]
+        assert len(set(flags)) == len(flags) == 20
+        assert len({key for _, key, _ in cli.OPTIONS}) == 20
+
+    @pytest.mark.parametrize("flag,key,options", cli.OPTIONS,
+                             ids=[flag for flag, _, _ in cli.OPTIONS])
+    def test_flag_lands_in_its_field(self, flag, key, options):
+        if "const" in options:
+            argv, expected = [flag], options["const"]
+        else:
+            value = options["choices"][-1] if "choices" in options else "3"
+            argv, expected = [flag, value], options.get("type", str)(value)
+        default = _resolve(cli.ExperimentConfig(), key)
+        cfg = cli.build_config(cli.build_parser().parse_args(["train", *argv]))
+        assert _resolve(cfg, key) == expected != default
+
+    def test_missing_market_names_the_flag(self, tmp_path, capsys):
+        assert run("train", "--out", tmp_path / "out") == 1
+        assert "--market" in _one_error_line(capsys, "ConfigError").split()
+
 
 class TestBadConfigValues:
     """Malformed config values end as one ConfigError line and exit 1."""
@@ -618,9 +671,19 @@ class TestBadConfigValues:
         (json.dumps({"train": {"model": {"hidden": 8.5}}}).encode(), [], "hidden"),
         (json.dumps({"encoder": {"d_model": 8.0}}).encode(), [], "d_model"),
         (json.dumps({"encoder": {"mask_rate": "0.15"}}).encode(), [], "mask_rate"),
+        (json.dumps({"epoch": 5}).encode(), [], "epoch"),
+        (json.dumps({"trian": {"epochs": 2}}).encode(), [], "trian"),
+        (json.dumps({"train": {"model": {"hiden": 8}}}).encode(), [], "train.model.hiden"),
+        (json.dumps({"train": {"model": 4}}).encode(), [], "'train.model'"),
+        (json.dumps({"pretrain": "false"}).encode(), [], "pretrain"),
+        (json.dumps({"train": {"prior_effect": "no"}}).encode(), [], "prior_effect"),
+        (json.dumps({"out": ""}).encode(), [], "out"),
+        (json.dumps({"pretrain_epochs": None}).encode(), [], "pretrain_epochs"),
     ], ids=["split_ratio_string", "fractional_epochs", "train_not_an_object", "not_utf8",
             "nan_lr", "negative_pretrain_epochs", "path_not_a_string", "fractional_hidden",
-            "float_d_model", "mask_rate_string"])
+            "float_d_model", "mask_rate_string", "unknown_top_level_key",
+            "misspelled_section", "unknown_model_key", "model_not_an_object",
+            "pretrain_string", "prior_effect_string", "empty_out", "null_pretrain_epochs"])
     def test_is_one_line_usage_error(self, tmp_path, market_csv, capsys, monkeypatch,
                                      config, flags, detail):
         monkeypatch.chdir(tmp_path)  # the default output directory, were one written
@@ -631,3 +694,12 @@ class TestBadConfigValues:
         assert run(*argv) == 1
         assert detail in _one_error_line(capsys, "ConfigError")
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, market_csv, capsys, kind):
+        bad = tmp_path / "cfg.json"
+        if kind == "directory":
+            bad.mkdir()
+        assert run("train", "--config", bad, "--market", market_csv,
+                   "--out", tmp_path / "out") == 1
+        assert str(bad) in _one_error_line(capsys, "ConfigError")

@@ -58,6 +58,11 @@ class TestParseMarketCsv:
         with pytest.raises(ParseError, match="line 2"):
             ingest.parse_market_csv(_write(tmp_path, "m.csv", content))
 
+    def test_row_wider_than_header_reports_line(self, tmp_path):
+        content = GOOD_CSV + "2023-01-09,0.5%,10,11,1,000\n"
+        with pytest.raises(ParseError, match="line 5: 6 fields for a header of 5"):
+            ingest.parse_market_csv(_write(tmp_path, "m.csv", content))
+
     def test_extra_columns_ignored(self, tmp_path):
         content = "Date,Chg,Open,Close,Volume,Note\n2023-01-03,1.0,100,101,500,hi\n" \
                   "2023-01-04,-1.0,101,100,400,lo\n"
