@@ -47,7 +47,6 @@ from .errors import (ConfigError, ContractError, DataError, DivergenceError, Par
                      SchemaError, check_integer, is_real, open_text)
 from .numerics import ParameterStore, Tensor
 
-PAD_ID = 0
 START_ID = 1
 UNK_ID = 2
 NUM_SPECIALS = 4

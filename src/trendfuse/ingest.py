@@ -129,16 +129,6 @@ def parse_market_csv(path) -> MarketSeries:
     return MarketSeries(records=tuple(records))
 
 
-def write_market_csv(series: MarketSeries, path) -> None:
-    """Serialize a series so that parse(write(parse(x))) is a fixed point."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MARKET_COLUMNS)
-        for r in series.records:
-            writer.writerow([r.date.isoformat(), repr(r.chg), repr(r.open),
-                             repr(r.close), repr(r.volume)])
-
-
 def to_binary_labels(series: MarketSeries) -> LabeledSeries:
     """Label 1 for a positive change, 0 otherwise (flat days count as 0)."""
     labels = tuple(1 if r.chg > 0 else 0 for r in series.records)
@@ -168,6 +158,9 @@ def zscore_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     peak = np.abs(centered).max()
     if peak == 0:
         raise DegenerateInputError("zero variance; cannot z-score")
+    if peak < np.finfo(np.float64).tiny:  # subnormal: too few bits left to centre
+        raise DegenerateInputError(f"spread {peak!r} is below the smallest normal float; "
+                                   "cannot z-score")
     # scaling to a peak of 1 first keeps the squares of a tiny spread out of
     # the subnormal range, where they would lose precision
     centered /= peak

@@ -11,22 +11,24 @@ is a numpy forward plus `<name>_back`, on the `saved`-list convention of
 
 `unroll` runs a whole sequence, after the cuDNN sequence kernels
 (Appleyard et al., arXiv:1604.01946), and `unroll_back` runs BPTT.
-`CELLS` maps every recurrent kind to its parameter init, the weight
-blocks it steps with and a pair of pure-numpy step functions:
+`CELLS` maps every recurrent kind to its parameter init, the names of
+the weights it steps with and a pair of pure-numpy step functions:
 
 - `forward(x_t, state, weights) -> (state, cache)`;
 - `backward(cache, d_state) -> (d_x, d_state_prev, d_weights)`.
 
-BiLSTM is the LSTM entry run in both directions. Weights are stacked
-column-wise once per unroll, and each step does one matmul of [h, x]
-against them. The input projection X @ W_x is not hoisted out of the
-loop: that saves little in training and, on a large scoring batch, holds
-(T, B, 4H) buffers that add about a tenth to peak memory; for the same
-reason an unroll without a `saved` list keeps no per-step caches.
-SwinLSTM's windowed attention (`window_pool`) reads only the step input,
-so it runs once over every step's row before the time loop. The
-Mogrifier, ST-LSTM and SwinLSTM steps reuse the LSTM gate block. Every
-gate sigmoid is `numerics.logistic`, the package's one logistic function.
+Each gate block is stored as the one matrix a step multiplies, as cuDNN
+keeps it: the LSTM block is `w` (H + I, 4H), rows [h; x] and columns
+[i, f, o, c], with bias `b` (1, 4H). BiLSTM is the LSTM entry run in both
+directions. Each step does one matmul of [h, x] against the block. The
+input projection X @ W_x is not hoisted out of the loop: that saves
+little in training and, on a large scoring batch, holds (T, B, 4H)
+buffers that add about a tenth to peak memory; for the same reason an
+unroll without a `saved` list keeps no per-step caches. SwinLSTM's
+windowed attention (`window_pool`) reads only the step input, so it runs
+once over every step's row before the time loop. The Mogrifier, ST-LSTM
+and SwinLSTM steps reuse the LSTM gate block. Every gate sigmoid is
+`numerics.logistic`, the package's one logistic function.
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ from .numerics import ParameterStore, Tensor
 VALID_KINDS = ("feedforward", "lstm", "bilstm", "gru", "mogrifier", "stlstm", "swinlstm")
 
 RECURRENT_KINDS = tuple(k for k in VALID_KINDS if k != "feedforward")
-
-# Parameter draw order of the LSTM gate block, and the stacked column order
-# the fused core uses (sigmoid gates first, then the tanh candidate).
-LSTM_GATES = ("w_i", "w_f", "w_c", "w_o")
-LSTM_STACK = ("w_i", "w_f", "w_o", "w_c")
-# SwinLSTM's (1, 1) pooling weights: query, key, value and output scales.
-_POOL_WEIGHTS = ("wq", "wk", "wv", "wp")
-
 
 @dataclass
 class ModelSpec:
@@ -69,30 +63,6 @@ class ModelSpec:
     @property
     def output_width(self) -> int:
         return 2 * self.hidden if self.kind == "bilstm" else self.hidden
-
-
-def _gate_blocks(gates: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The weight block of `gates` and its bias block."""
-    return tuple(gates), tuple(g.replace("w", "b", 1) for g in gates)
-
-
-LSTM_BLOCKS = _gate_blocks(LSTM_STACK)
-
-
-def _stacked(params: Mapping[str, Tensor], blocks) -> tuple[np.ndarray, ...]:
-    """Each block's parameters stacked column-wise."""
-    return tuple(params[b[0]].data if len(b) == 1 else
-                 np.concatenate([params[name].data for name in b], axis=-1) for b in blocks)
-
-
-def _route(params: Mapping[str, Tensor], blocks, d_weights) -> None:
-    """Split each block's gradient back into its parameters' columns."""
-    for block, d in zip(blocks, d_weights):
-        start = 0
-        for name in block:
-            width = params[name].shape[-1]
-            params[name].grad += d[..., start:start + width]
-            start += width
 
 
 # --- numpy step pairs ------------------------------------------------------------
@@ -268,16 +238,17 @@ def window_pool(x: np.ndarray, params: Mapping[str, Tensor], window: int,
     over the window's entries with scores (u_i * wq) * (u_j * wk) and values
     u_j * wv (max-shifted softmax); each window's output is
     u + attention * wp, and the windows are averaged elementwise into a row
-    of width `window`. The four (..., 1, 1) weights in `params` may carry
-    replica axes, which lead x's axes.
+    of width `window`. The scales are the (..., 1, 4) row `params["pool"]`,
+    [wq, wk, wv, wp], whose replica axes, if any, lead x's axes.
     """
-    lead, feat, reps = x.shape[:-1], x.shape[-1], params["wq"].shape[:-2]
+    pool = params["pool"].data
+    lead, feat, reps = x.shape[:-1], x.shape[-1], pool.shape[:-2]
     pad = (-feat) % window
     xd = np.concatenate([x, np.zeros((*lead, pad))], axis=-1) if pad else x
     n_windows = xd.shape[-1] // window
     u = xd.reshape(*lead, n_windows, window)
     scalar = (*reps, *(1,) * (u.ndim - len(reps)))
-    aq, ak, av, ap = (params[n].data.reshape(scalar) for n in _POOL_WEIGHTS)
+    aq, ak, av, ap = (pool[..., k].reshape(scalar) for k in range(4))
     q, k, v = u * aq, u * ak, u * av
     alpha = nm.softmax_probs(q[..., :, None] * k[..., None, :])
     att = (alpha * v[..., None, :]).sum(axis=-1)
@@ -289,7 +260,8 @@ def window_pool(x: np.ndarray, params: Mapping[str, Tensor], window: int,
 
 def window_pool_back(g: np.ndarray, saved: list) -> np.ndarray:
     params, feat, u, (aq, ak, av, ap), q, k, v, alpha, att = saved.pop()
-    lead, reps = u.shape[:-2], params["wq"].shape[:-2]
+    pool = params["pool"]
+    lead, reps = u.shape[:-2], pool.shape[:-2]
     d_out = np.broadcast_to((g * (1.0 / u.shape[-2]))[..., None, :], u.shape)
     d_att = d_out * ap
     d_alpha = d_att[..., :, None] * v[..., None, :]
@@ -297,9 +269,9 @@ def window_pool_back(g: np.ndarray, saved: list) -> np.ndarray:
     d_s = nm.softmax_back(d_alpha, alpha)
     d_q = (d_s * k[..., None, :]).sum(axis=-1)
     d_k = (d_s * q[..., :, None]).sum(axis=-2)
-    for name, grad in zip(_POOL_WEIGHTS, (d_q * u, d_k * u, d_v * u, d_out * att)):
-        param = params[name]
-        param.grad += grad.reshape(*reps, -1).sum(axis=-1).reshape(param.shape)
+    grads = (d_q * u, d_k * u, d_v * u, d_out * att)
+    pool.grad += np.stack([grad.reshape(*reps, -1).sum(axis=-1) for grad in grads],
+                          axis=-1).reshape(pool.shape)
     d_u = d_out + d_q * aq + d_k * ak + d_v * av
     return d_u.reshape(*lead, -1)[..., :feat]
 
@@ -307,20 +279,28 @@ def window_pool_back(g: np.ndarray, saved: list) -> np.ndarray:
 # --- parameter init -------------------------------------------------------------
 
 
-def _add_gates(store: ParameterStore, prefix: str, gates: Sequence[str], rows: int,
-               hidden: int, rng: np.random.Generator) -> None:
-    for gate in gates:
-        store.add(f"{prefix}.{gate}", nm.uniform_init(rng, rows, (rows, hidden)))
-        store.add(f"{prefix}.{gate.replace('w', 'b', 1)}", np.zeros((1, hidden)))
+def _add_gates(store: ParameterStore, prefix: str, block: str, columns: Sequence[int],
+               rows: int, hidden: int, rng: np.random.Generator) -> None:
+    """One gate block: the weight `w{block}` (rows, hidden * len(columns))
+    and its zero bias `b{block}`. Each gate's (rows, hidden) matrix is
+    drawn in turn into the column slot `columns` gives it, so the draw
+    order is independent of the column order."""
+    w = np.empty((rows, hidden * len(columns)))
+    for col in columns:
+        w[:, col * hidden:(col + 1) * hidden] = nm.uniform_init(rng, rows, (rows, hidden))
+    store.add(f"{prefix}.w{block}", w)
+    store.add(f"{prefix}.b{block}", np.zeros((1, w.shape[1])))
 
 
 def _init_lstm(store, prefix, input_width, spec, rng) -> None:
-    _add_gates(store, prefix, LSTM_GATES, spec.hidden + input_width, spec.hidden, rng)
+    # drawn i, f, c, o; stored i, f, o, c
+    _add_gates(store, prefix, "", (0, 1, 3, 2), spec.hidden + input_width, spec.hidden, rng)
 
 
 def _init_gru(store, prefix, input_width, spec, rng) -> None:
-    _add_gates(store, prefix, ("w_z", "w_r", "w_h"), spec.hidden + input_width,
-               spec.hidden, rng)
+    rows = spec.hidden + input_width
+    _add_gates(store, prefix, "_zr", (0, 1), rows, spec.hidden, rng)
+    _add_gates(store, prefix, "_h", (0,), rows, spec.hidden, rng)
 
 
 def _init_mogrifier(store, prefix, input_width, spec, rng) -> None:
@@ -335,13 +315,12 @@ def _init_mogrifier(store, prefix, input_width, spec, rng) -> None:
 def _init_stlstm(store, prefix, input_width, spec, rng) -> None:
     hidden = spec.hidden
     _init_lstm(store, prefix, input_width, spec, rng)
-    _add_gates(store, prefix, ("w_mi", "w_mf", "w_mc"), input_width + hidden, hidden, rng)
+    _add_gates(store, prefix, "_m", (0, 1, 2), input_width + hidden, hidden, rng)
     store.add(f"{prefix}.w_mix", nm.uniform_init(rng, 2 * hidden, (2 * hidden, hidden)))
 
 
 def _init_swinlstm(store, prefix, input_width, spec, rng) -> None:
-    for name in _POOL_WEIGHTS:
-        store.add(f"{prefix}.{name}", nm.uniform_init(rng, 1, (1, 1)))
+    store.add(f"{prefix}.pool", nm.uniform_init(rng, 1, (1, 4)))
     _init_lstm(store, prefix, spec.swin_window, spec, rng)
 
 
@@ -352,18 +331,19 @@ def _init_swinlstm(store, prefix, input_width, spec, rng) -> None:
 class Cell:
     """How one recurrent kind creates its parameters and steps through time.
 
-    `blocks(spec)` names the weight matrices the step pair takes, each a
-    group of parameters stacked column-wise once per unroll. `forward` maps
+    `weights(spec)` names the parameters the step pair takes, in order;
+    the Mogrifier's `q, r` repeat once per round. `forward` maps
     (x_t, state, weights) to (state, cache), the state a tuple of `arity`
     arrays with the hidden row first; `backward` maps (cache, d_state) to
-    (d_x, d_state_prev, d_weights), d_weights in block order. `pool`, when
-    set, is the `window_pool` pair, run over the whole step-input block
-    once before the time loop. Each name in `directions` is a parameter
-    sub-prefix run in turn, the second one over the reversed sequence.
+    (d_x, d_state_prev, d_weights), d_weights in the order of `weights`.
+    `pool`, when set, is the `window_pool` pair, run over the whole
+    step-input block once before the time loop. Each name in `directions`
+    is a parameter sub-prefix run in turn, the second one over the reversed
+    sequence.
     """
 
     init: Callable[[ParameterStore, str, int, ModelSpec, np.random.Generator], None]
-    blocks: Callable[[ModelSpec], tuple[tuple[str, ...], ...]]
+    weights: Callable[[ModelSpec], tuple[str, ...]]
     forward: Callable[[np.ndarray, tuple, tuple], tuple]
     backward: Callable[[object, tuple], tuple]
     arity: int
@@ -372,18 +352,17 @@ class Cell:
 
 
 CELLS = {
-    "lstm": Cell(_init_lstm, lambda spec: LSTM_BLOCKS, _lstm_forward, _lstm_backward, 2),
-    "bilstm": Cell(_init_lstm, lambda spec: LSTM_BLOCKS, _lstm_forward, _lstm_backward, 2,
+    "lstm": Cell(_init_lstm, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2),
+    "bilstm": Cell(_init_lstm, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2,
                    directions=("fwd", "bwd")),
-    "gru": Cell(_init_gru, lambda spec: _gate_blocks(("w_z", "w_r")) + _gate_blocks(("w_h",)),
+    "gru": Cell(_init_gru, lambda spec: ("w_zr", "b_zr", "w_h", "b_h"),
                 _gru_forward, _gru_backward, 1),
-    "mogrifier": Cell(_init_mogrifier, lambda spec: LSTM_BLOCKS + tuple(
-        ("r",) if k % 2 else ("q",) for k in range(spec.mogrifier_rounds)),
+    "mogrifier": Cell(_init_mogrifier, lambda spec: ("w", "b", *(
+        "r" if k % 2 else "q" for k in range(spec.mogrifier_rounds))),
         _mogrifier_forward, _mogrifier_backward, 2),
-    "stlstm": Cell(_init_stlstm, lambda spec: (
-        LSTM_BLOCKS + _gate_blocks(("w_mi", "w_mf", "w_mc")) + (("w_mix",),)),
-        _stlstm_forward, _stlstm_backward, 3),
-    "swinlstm": Cell(_init_swinlstm, lambda spec: LSTM_BLOCKS, _lstm_forward, _lstm_backward,
+    "stlstm": Cell(_init_stlstm, lambda spec: ("w", "b", "w_m", "b_m", "w_mix"),
+                   _stlstm_forward, _stlstm_backward, 3),
+    "swinlstm": Cell(_init_swinlstm, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward,
                      2, pool=(window_pool, window_pool_back)),
 }
 
@@ -453,10 +432,10 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
     cell = CELLS[spec.kind]
     if cell.pool is not None:
         xs = cell.pool[0](xs, params, spec.swin_window, saved)
-    blocks = cell.blocks(spec)
+    names = cell.weights(spec)
     subs = [params if not d else {k[len(d) + 1:]: v for k, v in params.items()
                                   if k.startswith(d + ".")} for d in cell.directions]
-    weights = [_stacked(sub, blocks) for sub in subs]
+    weights = [tuple(sub[n].data for n in names) for sub in subs]
     hid, lead, (steps, width) = spec.hidden, xs.shape[:-2], xs.shape[-2:]
     if weights[0][0].shape[-2] != hid + width:
         raise ShapeError(f"gate weights {weights[0][0].shape} do not fit "
@@ -476,7 +455,7 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
     final = out[..., -1, :] if len(subs) == 1 else np.concatenate(
         [out[..., -1, :hid], out[..., 0, hid:]], axis=-1)
     if saved is not None:
-        saved.append((cell, blocks, subs, runs, xs.shape, zero))
+        saved.append((cell, names, subs, runs, xs.shape, zero))
     return out, final
 
 
@@ -484,7 +463,7 @@ def unroll_back(g_steps: np.ndarray | None, g_final: np.ndarray | None,
                 saved: list) -> np.ndarray:
     """BPTT: the step inputs' gradient, from those of the step rows and of
     the final row (either may be None)."""
-    cell, blocks, subs, runs, shape, zero = saved.pop()
+    cell, names, subs, runs, shape, zero = saved.pop()
     hid = zero.shape[-1]
     d_xs = np.zeros(shape)
     for k, (sub, run) in enumerate(zip(subs, runs)):
@@ -501,7 +480,8 @@ def unroll_back(g_steps: np.ndarray | None, g_final: np.ndarray | None,
                 for total, d in zip(totals, d_w):
                     total += d
             d_xs[..., t, :] += d_x
-        _route(sub, blocks, totals)
+        for name, total in zip(names, totals):
+            sub[name].grad += total
     return d_xs if cell.pool is None else cell.pool[1](d_xs, saved)
 
 

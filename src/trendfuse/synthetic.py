@@ -1,10 +1,9 @@
 """Deterministic synthetic datasets for experiments and verification.
 
-Two families: a periodic movement pattern whose next move is a pure
-function of the visible history (used to check that every predictor can
-fit an easy series), and Markov-persistent label series where the prior
-history is the only informative input (used to measure the prior-effect
-ablation direction).
+Markov-persistent label series, where the prior history is the only
+informative input (used to measure the prior-effect ablation direction),
+as samples or as a market CSV, plus toy policy summaries and a toy
+sentence corpus for the text encoder.
 """
 
 from __future__ import annotations
@@ -25,27 +24,6 @@ _WORDS = ("rates", "policy", "growth", "liquidity", "credit", "outlook",
 
 def _dates(count: int) -> list[Date]:
     return [_EPOCH + timedelta(days=i) for i in range(count)]
-
-
-def periodic_pattern_samples(count: int, window: int, feature_len: int = 8,
-                             period: tuple[int, ...] = (1, 1, 0, 0)) -> list[FusedSample]:
-    """Samples from a repeating movement pattern; the target is determined
-    exactly by the preceding window, in both the prior bits and the price
-    channel (prices mirror the labels), with zero text features."""
-    total = count + window - 1
-    labels = np.array([period[i % len(period)] for i in range(total)], dtype=np.float64)
-    dates = _dates(total)
-    samples = []
-    for i in range(count):
-        t = i + window - 1
-        samples.append(FusedSample(
-            date=dates[t],
-            prior=labels[i:t].copy(),
-            price_window=labels[i:t].copy(),
-            text_feature=np.zeros(feature_len),
-            target=int(labels[t]),
-        ))
-    return samples
 
 
 def markov_labels(count: int, persistence: float, rng: np.random.Generator) -> np.ndarray:

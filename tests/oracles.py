@@ -37,6 +37,10 @@ per-sentence tape loop through it (`numerics.backward`, then the store
 Adam `adam_step`). `cell_step` wraps one numpy step pair of the library's
 `models.CELLS` table as a tape node, and `bilstm_forward` composes such
 steps by hand, as a reference for the whole-sequence `models.unroll`.
+`stack_gates` puts per-gate arrays (`w_i`, `w_f`, ...) into the stored
+gate blocks of `models`, with the column order written out in
+`GATE_BLOCKS`, so the scalar references `lstm_step` and `gru_step` and the
+tests' fixtures stay per gate.
 
 `segment` tests each character against the CJK ranges one by one, as a
 reference for the compiled pattern in `encoder.segment`.
@@ -46,17 +50,22 @@ fresh gradient arrays per step (`zero_grad`, then the store Adam
 `adam_step`), as a reference for the flat-vector training loop with its
 one forward node, and `batch_arrays` stacks sample blocks with
 `np.stack`. `gradients` (which raises `GraphError` for a leaf off the
-tape) and `names` are helpers that only the tests use.
+tape), `names`, `write_market_csv` (the inverse of
+`ingest.parse_market_csv`) and `periodic_pattern_samples` (a series every
+predictor can fit) are helpers that only the tests use.
 """
 
+import csv
 import dataclasses
 import math
 import sys
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 
-from trendfuse import encoder as enc, fusion, models, numerics as nm, train as tr
+from trendfuse import encoder as enc, fusion, ingest, models, numerics as nm, synthetic
+from trendfuse import train as tr
 from trendfuse.errors import ConfigError, ContractError, ShapeError
 
 
@@ -254,12 +263,32 @@ def gru_step(x, h, p):
     return (1 - z) * h + z * h_tilde
 
 
+# Each stored gate block of `models` and the per-gate arrays it holds, in
+# column order, written out here rather than read from the program.
+GATE_BLOCKS = {"w": ("w_i", "w_f", "w_o", "w_c"), "b": ("b_i", "b_f", "b_o", "b_c"),
+               "w_zr": ("w_z", "w_r"), "b_zr": ("b_z", "b_r"),
+               "w_m": ("w_mi", "w_mf", "w_mc"), "b_m": ("b_mi", "b_mf", "b_mc"),
+               "pool": ("wq", "wk", "wv", "wp")}
+
+
+def stack_gates(per_gate):
+    """Per-gate arrays (`w_i`, `b_i`, ..., `wq`, ...) in the stored layout of
+    `models`: each block of `GATE_BLOCKS` whose gates are present becomes
+    one array, the gates side by side along the last axis. Other names,
+    such as `w_h`, `q` or `w_mix`, pass through."""
+    out = dict(per_gate)
+    for name, gates in GATE_BLOCKS.items():
+        if gates[0] in out:
+            out[name] = np.concatenate([out.pop(g) for g in gates], axis=-1)
+    return out
+
+
 def cell_step(kind, x, state, params, **knobs):
     """One step of a recurrent kind through `models.CELLS`, as one tape node.
 
     The kind's numpy step pair runs on the data of x, of the state tensors
-    and of the weight blocks, and its backward routes gradients to all of
-    them, so a step can start from any state. SwinLSTM pools x first, as
+    and of the weights, and its backward adds gradients to all of them, so
+    a step can start from any state. SwinLSTM pools x first, as
     `models.unroll` does. `knobs` are `ModelSpec` fields such as
     `mogrifier_rounds` or `swin_window`; the new state tuple comes back,
     hidden row first.
@@ -268,10 +297,10 @@ def cell_step(kind, x, state, params, **knobs):
     cell = models.CELLS[kind]
     if cell.pool is not None:
         x = taped(models.window_pool)(x, params, spec.swin_window)
-    blocks = cell.blocks(spec)
+    weights = cell.weights(spec)
     new_state, cache = cell.forward(x.data, tuple(s.data for s in state),
-                                    models._stacked(params, blocks))
-    names = dict.fromkeys(name for block in blocks for name in block)
+                                    tuple(params[n].data for n in weights))
+    leaves = [params[n] for n in dict.fromkeys(weights)]
 
     def back(*grads):
         d_state = tuple(np.zeros_like(s) if g is None else g for g, s in zip(grads, new_state))
@@ -279,17 +308,18 @@ def cell_step(kind, x, state, params, **knobs):
         nm.accumulate(x, d_x)
         for s, d in zip(state, d_prev):
             nm.accumulate(s, d)
-        _zero_missing_grads(params[n] for n in names)
-        models._route(params, blocks, d_weights)
+        _zero_missing_grads(leaves)
+        for n, d in zip(weights, d_weights):
+            params[n].grad += d
 
-    return node((x, *state, *(params[n] for n in names)), new_state, back)
+    return node((x, *state, *leaves), new_state, back)
 
 
 def bilstm_forward(xs, params_fwd, params_bwd):
     """Concatenation of the forward and backward final hidden states."""
     if not xs:
         raise ContractError("bilstm needs at least one step input")
-    zero = nm.Tensor(np.zeros((xs[0].shape[0], params_fwd["w_i"].shape[1])))
+    zero = nm.Tensor(np.zeros((xs[0].shape[0], params_fwd["b"].shape[-1] // 4)))
     h = c = hb = cb = zero
     for x in xs:
         h, c = cell_step("lstm", x, (h, c), params_fwd)
@@ -921,6 +951,38 @@ def adam_step(store, state):
     for _, p in store.items():
         p.data -= step[start:start + p.size].reshape(p.shape)
         start += p.size
+
+
+def write_market_csv(series, path):
+    """Serialize a market series so that parse(write(parse(x))) is a fixed
+    point of `ingest.parse_market_csv`."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ingest.MARKET_COLUMNS)
+        for r in series.records:
+            writer.writerow([r.date.isoformat(), repr(r.chg), repr(r.open),
+                             repr(r.close), repr(r.volume)])
+
+
+def periodic_pattern_samples(count, window, feature_len=8, period=(1, 1, 0, 0)):
+    """Samples from a repeating movement pattern; the target is determined
+    exactly by the preceding window, in both the prior bits and the price
+    channel (prices mirror the labels), with zero text features. Every
+    predictor should fit it."""
+    total = count + window - 1
+    labels = np.array([period[i % len(period)] for i in range(total)], dtype=np.float64)
+    dates = synthetic._dates(total)
+    samples = []
+    for i in range(count):
+        t = i + window - 1
+        samples.append(ingest.FusedSample(
+            date=dates[t],
+            prior=labels[i:t].copy(),
+            price_window=labels[i:t].copy(),
+            text_feature=np.zeros(feature_len),
+            target=int(labels[t]),
+        ))
+    return samples
 
 
 def batch_arrays(samples, prior_effect):

@@ -13,7 +13,7 @@ import numpy as np
 
 import oracles
 from oracles import (bilstm_forward, cell_step, confusion_counts, fd_gradients, max_rel_err,
-                     self_attention, taped)
+                     self_attention, stack_gates, taped)
 
 from trendfuse import cli, encoder as enc, fusion, ingest, models
 from trendfuse import numerics as nm
@@ -229,13 +229,14 @@ def _cell_grad_cases(rng, steps):
     rows = hid + inp
     xs = [rng.normal(size=(2, inp)) for _ in range(steps)]
 
-    def gates(prefix="", extra=()):
+    def gates(extra=()):
+        """Per-gate LSTM arrays plus `extra`; `stack_gates` stores them."""
         arrays = {}
         for g in ("w_i", "w_f", "w_c", "w_o"):
-            arrays[prefix + g] = rng.normal(size=(rows, hid))
-            arrays[prefix + g.replace("w", "b")] = rng.normal(size=(1, hid))
+            arrays[g] = rng.normal(size=(rows, hid))
+            arrays[g.replace("w", "b")] = rng.normal(size=(1, hid))
         for name, shape in extra:
-            arrays[prefix + name] = rng.normal(size=shape)
+            arrays[name] = rng.normal(size=shape)
         return arrays
 
     cases = []
@@ -244,7 +245,7 @@ def _cell_grad_cases(rng, steps):
         def build(p):
             return nm.sum_(runner(p))
         cases.append((f"cell.{kind}.{steps}steps", build,
-                      {**arrays, **{f"x{i}": xs[i] for i in range(steps)}}))
+                      {**stack_gates(arrays), **{f"x{i}": xs[i] for i in range(steps)}}))
 
     def run_lstm(p):
         h = c = Tensor(np.zeros((2, hid)))
@@ -308,9 +309,9 @@ def _cell_grad_cases(rng, steps):
         return nm.sum_(run_swin(p))
 
     cases.append((f"cell.swinlstm.{steps}steps", build_swin,
-                  {**swin_arrays, **swin_xs}))
+                  {**stack_gates(swin_arrays), **swin_xs}))
 
-    bi_arrays = {**gates("fwd."), **gates("bwd.")}
+    bi_arrays = {f"{d}.{k}": v for d in ("fwd", "bwd") for k, v in stack_gates(gates()).items()}
 
     def run_bi(p):
         fwd = {k[4:]: v for k, v in p.items() if k.startswith("fwd.")}
@@ -349,13 +350,13 @@ def _fused_grad_cases(rng):
         return {name: rng.normal(size=shape) for name, shape in shapes.items()}
 
     cases = []
-    swin = arrays(x=(batch, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))
+    swin = stack_gates(arrays(x=(batch, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1)))
     mix_w = mixed((batch, 2))
     pool = taped(models.window_pool)
     cases.append(("fused.window_pool.padded", lambda p: mix_w((pool(p["x"], p, 2),)), swin))
     x_feat = const(batch, 6)
     cases.append(("fused.window_pool.const_x", lambda p: mix_w((pool(x_feat, p, 2),)),
-        {k: swin[k] for k in ("wq", "wk", "wv", "wp")}))
+        {"pool": swin["pool"]}))
     mix_3 = mixed((batch, 3))
     cases.append(("fused.window_pool.one_window", lambda p: mix_3((pool(p["x"], p, 3),)),
         {**swin, "x": rng.normal(size=(batch, 3))}))
@@ -540,7 +541,7 @@ def _replica_grad_cases(rng):
          lambda p: nm.sum_(tr.bce_loss(oracles.sigmoid(p["logits"]), targets)),
          arrays(logits=(batch, 1))),
         ("replicas.fused.window_pool", lambda p: mix_pool(taped(models.window_pool)(p["x"], p, 2)),
-         arrays(x=(batch, 4, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))),
+         stack_gates(arrays(x=(batch, 4, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1)))),
     ]
     for kind in models.RECURRENT_KINDS:
         spec = ModelSpec(kind=kind, hidden=hid, mogrifier_rounds=3, swin_window=2)
@@ -627,14 +628,17 @@ def test_criterion_2_reduction_identities():
     hid, inp = 4, 2
     rows = hid + inp
 
-    def gate_tensors(rows_):
+    def gates(rows_):
         out = {}
         for g in ("w_i", "w_f", "w_c", "w_o"):
-            out[g] = Tensor(rng.normal(size=(rows_, hid)))
-            out[g.replace("w", "b")] = Tensor(rng.normal(size=(1, hid)))
+            out[g] = rng.normal(size=(rows_, hid))
+            out[g.replace("w", "b")] = rng.normal(size=(1, hid))
         return out
 
-    params = gate_tensors(rows)
+    def tensors(per_gate):
+        return {k: Tensor(v) for k, v in stack_gates(per_gate).items()}
+
+    params = tensors(gates(rows))
     x = Tensor(rng.normal(size=(2, inp)))
     h0 = Tensor(rng.normal(size=(2, hid)))
     c0 = Tensor(rng.normal(size=(2, hid)))
@@ -650,19 +654,20 @@ def test_criterion_2_reduction_identities():
     assert np.max(np.abs(hq.data - h_ref.data)) < 1e-12
     assert np.max(np.abs(cq.data - c_ref.data)) < 1e-12
 
-    st = dict(params)
+    m_path = {}
     for g in ("w_mi", "w_mf", "w_mc"):
-        st[g] = Tensor(np.zeros((inp + hid, hid)))
-        st[g.replace("w", "b")] = Tensor(np.zeros((1, hid)))
-    st["w_mix"] = Tensor(np.vstack([np.eye(hid), np.zeros((hid, hid))]))
+        m_path[g] = np.zeros((inp + hid, hid))
+        m_path[g.replace("w", "b")] = np.zeros((1, hid))
+    m_path["w_mix"] = np.vstack([np.eye(hid), np.zeros((hid, hid))])
+    st = {**params, **tensors(m_path)}
     hs, cs, _ = cell_step("stlstm", x, (h0, c0, Tensor(np.zeros((2, hid)))), st)
     assert np.max(np.abs(hs.data - h_ref.data)) < 1e-12
     assert np.max(np.abs(cs.data - c_ref.data)) < 1e-12
 
     window = 2
-    swin = {name: Tensor(rng.normal(size=(1, 1))) for name in ("wq", "wk", "wv")}
-    swin["wp"] = Tensor(np.zeros((1, 1)))
-    swin.update(gate_tensors(hid + window))
+    swin = {name: rng.normal(size=(1, 1)) for name in ("wq", "wk", "wv")}
+    swin["wp"] = np.zeros((1, 1))
+    swin = tensors({**swin, **gates(hid + window)})
     feats = Tensor(rng.normal(size=(2, 6)))
     hw, cw = cell_step("swinlstm", feats, (h0, c0), swin, swin_window=window)
     pooled = Tensor(feats.data.reshape(2, 3, 2).mean(axis=1))
@@ -742,7 +747,7 @@ def test_criterion_4_metric_oracle():
 
 def test_criterion_5_learnability():
     start = time.time()
-    samples = synthetic.periodic_pattern_samples(64, 6, feature_len=8)
+    samples = oracles.periodic_pattern_samples(64, 6, feature_len=8)
     results = {}
     for kind in VALID_KINDS:
         cfg = tr.TrainConfig(epochs=400, batch_size=32, lr=1e-3, seed=3, window=6,

@@ -418,6 +418,31 @@ class TestEvaluate:
         message = _one_error_line(capsys, "DataError")
         assert "checkpoint.json" in message and f"{name!r} has a non-finite value" in message
 
+    def test_per_gate_checkpoint_is_data_error(self, tmp_path, market_csv, capsys):
+        """A checkpoint with one matrix per LSTM gate (`cell.w_i`, `cell.b_i`,
+        ...) in place of the stored gate block is refused, naming the block."""
+        out = tmp_path / "run"
+        assert run(*_train_args(market_csv, out, epochs=2)) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "checkpoint.json").read_text())
+        params = {}
+        for name, entry in doc["params"].items():
+            if name not in ("cell.w", "cell.b"):
+                params[name] = entry
+                continue
+            block = np.reshape(entry["data"], entry["shape"])
+            for gate, part in zip(oracles.GATE_BLOCKS[name[len("cell."):]],
+                                  np.split(block, 4, axis=1)):
+                params[f"cell.{gate}"] = {"shape": list(part.shape),
+                                          "data": part.reshape(-1).tolist()}
+        doc["params"] = params
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        args = _train_args(market_csv, tmp_path / "eval", epochs=2)
+        args[0] = "evaluate"
+        assert run(*args, "--checkpoint", out / "checkpoint.json") == 2
+        message = _one_error_line(capsys, "DataError")
+        assert "checkpoint.json" in message and "'cell.w'" in message
+
     def test_unsupported_format_version_is_data_error(self, tmp_path, market_csv, capsys):
         checkpoint = tmp_path / "checkpoint.json"
         checkpoint.write_text(json.dumps({"format_version": 2, "params": {}}))

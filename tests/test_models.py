@@ -10,8 +10,9 @@ import oracles
 from oracles import (attention_rows, bilstm_forward, cell_step, gru_step, lstm_step,
                      max_rel_err, plain_sigmoid, taped)
 
-from trendfuse import models
+from trendfuse import fusion, models
 from trendfuse import numerics as nm
+from trendfuse import train as tr
 from trendfuse.errors import ConfigError, ContractError, ShapeError
 from trendfuse.models import ModelSpec
 from trendfuse.numerics import ParameterStore, Tensor
@@ -24,35 +25,44 @@ def _t(a):
     return Tensor(np.asarray(a, dtype=float))
 
 
-def _zero_gate_params(input_width=INP, hidden=HID, gates=("w_i", "w_f", "w_c", "w_o")):
-    rows = hidden + input_width
-    params = {}
-    for g in gates:
-        params[g] = _t(np.zeros((rows, hidden)))
-        params[g.replace("w", "b")] = _t(np.zeros((1, hidden)))
-    return params
+LSTM_GATES = ("w_i", "w_f", "w_c", "w_o")
+GRU_GATES = ("w_z", "w_r", "w_h")
 
 
-def _random_gate_params(rng, input_width=INP, hidden=HID,
-                        gates=("w_i", "w_f", "w_c", "w_o")):
+def _zero_gates(input_width=INP, hidden=HID, gates=LSTM_GATES):
+    """Per-gate zero weights and biases, for the scalar references."""
     rows = hidden + input_width
-    params = {}
+    p = {}
     for g in gates:
-        params[g] = _t(rng.normal(size=(rows, hidden)))
-        params[g.replace("w", "b")] = _t(rng.normal(size=(1, hidden)))
-    return params
+        p[g] = np.zeros((rows, hidden))
+        p[g.replace("w", "b")] = np.zeros((1, hidden))
+    return p
+
+
+def _random_gates(rng, input_width=INP, hidden=HID, gates=LSTM_GATES):
+    rows = hidden + input_width
+    p = {}
+    for g in gates:
+        p[g] = rng.normal(size=(rows, hidden))
+        p[g.replace("w", "b")] = rng.normal(size=(1, hidden))
+    return p
+
+
+def _cell(per_gate):
+    """Per-gate arrays as the cell's stored parameter tensors."""
+    return {k: _t(v) for k, v in oracles.stack_gates(per_gate).items()}
 
 
 class TestLstmCell:
     def test_all_zero(self):
-        params = _zero_gate_params()
+        params = _cell(_zero_gates())
         h, c = cell_step("lstm", _t(np.zeros((1, INP))),
                          (_t(np.zeros((1, HID))), _t(np.zeros((1, HID)))), params)
         np.testing.assert_array_equal(h.data, np.zeros((1, HID)))
         np.testing.assert_array_equal(c.data, np.zeros((1, HID)))
 
     def test_zero_weights_closed_form(self):
-        params = _zero_gate_params()
+        params = _cell(_zero_gates())
         c_prev = np.array([[0.8, -0.4, 1.2]])
         h, c = cell_step("lstm", _t(np.zeros((1, INP))),
                          (_t(np.zeros((1, HID))), _t(c_prev)), params)
@@ -61,29 +71,27 @@ class TestLstmCell:
 
     def test_random_step_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
-        params = _random_gate_params(rng)
+        p = _random_gates(rng)
         x, h0, c0 = rng.normal(size=INP), rng.normal(size=HID), rng.normal(size=HID)
         h, c = cell_step("lstm", _t(x.reshape(1, -1)),
-                         (_t(h0.reshape(1, -1)), _t(c0.reshape(1, -1))), params)
-        np_params = {k: v.data for k, v in params.items()}
-        h_ref, c_ref = lstm_step(x, h0, c0, np_params)
+                         (_t(h0.reshape(1, -1)), _t(c0.reshape(1, -1))), _cell(p))
+        h_ref, c_ref = lstm_step(x, h0, c0, p)
         assert max_rel_err(h.data[0], h_ref) < 1e-12
         assert max_rel_err(c.data[0], c_ref) < 1e-12
 
     def test_fused_step_at_batch_32_matches_scalar_oracle(self):
         rng = np.random.default_rng(19)
-        params = _random_gate_params(rng)
+        p = _random_gates(rng)
         x, h0, c0 = (rng.normal(size=(32, n)) for n in (INP, HID, HID))
-        h, c = cell_step("lstm", _t(x), (_t(h0), _t(c0)), params)
-        np_params = {k: v.data for k, v in params.items()}
+        h, c = cell_step("lstm", _t(x), (_t(h0), _t(c0)), _cell(p))
         for row in range(32):
-            h_ref, c_ref = lstm_step(x[row], h0[row], c0[row], np_params)
+            h_ref, c_ref = lstm_step(x[row], h0[row], c0[row], p)
             assert max_rel_err(h.data[row], h_ref) < 1e-12
             assert max_rel_err(c.data[row], c_ref) < 1e-12
 
     def test_outputs_bounded(self):
         rng = np.random.default_rng(1)
-        params = _random_gate_params(rng)
+        params = _cell(_random_gates(rng))
         h = _t(rng.normal(size=(4, HID)))
         c = _t(rng.normal(size=(4, HID)))
         for _ in range(5):
@@ -92,7 +100,7 @@ class TestLstmCell:
         assert np.all(np.abs(h.data) < 1.0)
 
     def test_width_mismatch_rejected(self):
-        params = _zero_gate_params()
+        params = _cell(_zero_gates())
         with pytest.raises(ShapeError):
             models.unroll(ModelSpec(kind="lstm", hidden=HID), params,
                           np.zeros((1, 2, INP + 1)))
@@ -100,41 +108,40 @@ class TestLstmCell:
 
 class TestGruCell:
     def test_zero_case(self):
-        params = _zero_gate_params(gates=("w_z", "w_r", "w_h"))
+        params = _cell(_zero_gates(gates=GRU_GATES))
         h = cell_step("gru", _t(np.zeros((1, INP))), (_t(np.zeros((1, HID))),), params)[0]
         np.testing.assert_array_equal(h.data, np.zeros((1, HID)))
 
     def test_copy_through_endpoint(self):
-        params = _zero_gate_params(gates=("w_z", "w_r", "w_h"))
-        params["b_z"] = _t(np.full((1, HID), -30.0))  # z ~ 0 keeps previous state
+        p = _zero_gates(gates=GRU_GATES)
+        p["b_z"] = np.full((1, HID), -30.0)  # z ~ 0 keeps previous state
         h_prev = np.array([[0.7, -0.2, 0.1]])
-        h = cell_step("gru", _t(np.ones((1, INP))), (_t(h_prev),), params)[0]
+        h = cell_step("gru", _t(np.ones((1, INP))), (_t(h_prev),), _cell(p))[0]
         assert np.max(np.abs(h.data - h_prev)) < 1e-6
 
     def test_random_step_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
-        params = _random_gate_params(rng, gates=("w_z", "w_r", "w_h"))
+        p = _random_gates(rng, gates=GRU_GATES)
         x, h0 = rng.normal(size=INP), rng.normal(size=HID)
-        h = cell_step("gru", _t(x.reshape(1, -1)), (_t(h0.reshape(1, -1)),), params)[0]
-        h_ref = gru_step(x, h0, {k: v.data for k, v in params.items()})
+        h = cell_step("gru", _t(x.reshape(1, -1)), (_t(h0.reshape(1, -1)),), _cell(p))[0]
+        h_ref = gru_step(x, h0, p)
         assert max_rel_err(h.data[0], h_ref) < 1e-12
 
 
     def test_fused_step_at_batch_32_matches_scalar_oracle(self):
         rng = np.random.default_rng(20)
-        params = _random_gate_params(rng, gates=("w_z", "w_r", "w_h"))
+        p = _random_gates(rng, gates=GRU_GATES)
         x, h0 = rng.normal(size=(32, INP)), rng.normal(size=(32, HID))
-        h = cell_step("gru", _t(x), (_t(h0),), params)[0]
-        np_params = {k: v.data for k, v in params.items()}
+        h = cell_step("gru", _t(x), (_t(h0),), _cell(p))[0]
         for row in range(32):
-            assert max_rel_err(h.data[row], gru_step(x[row], h0[row], np_params)) < 1e-12
+            assert max_rel_err(h.data[row], gru_step(x[row], h0[row], p)) < 1e-12
 
 
 class TestBilstm:
     def test_forward_half_equals_plain_lstm(self):
         rng = np.random.default_rng(3)
-        p_fwd = _random_gate_params(rng)
-        p_bwd = _random_gate_params(rng)
+        p_fwd = _cell(_random_gates(rng))
+        p_bwd = _cell(_random_gates(rng))
         xs = [_t(rng.normal(size=(1, INP))) for _ in range(4)]
         out = bilstm_forward(xs, p_fwd, p_bwd)
         h, c = _t(np.zeros((1, HID))), _t(np.zeros((1, HID)))
@@ -144,7 +151,7 @@ class TestBilstm:
 
     def test_palindrome_with_shared_params(self):
         rng = np.random.default_rng(4)
-        params = _random_gate_params(rng)
+        params = _cell(_random_gates(rng))
         a, b = rng.normal(size=(1, INP)), rng.normal(size=(1, INP))
         xs = [_t(a), _t(b), _t(a)]
         out = bilstm_forward(xs, params, params)
@@ -152,8 +159,8 @@ class TestBilstm:
 
     def test_two_steps_match_manual_composition(self):
         rng = np.random.default_rng(5)
-        p_fwd = _random_gate_params(rng)
-        p_bwd = _random_gate_params(rng)
+        p_fwd = _cell(_random_gates(rng))
+        p_bwd = _cell(_random_gates(rng))
         x1, x2 = rng.normal(size=(1, INP)), rng.normal(size=(1, INP))
         out = bilstm_forward([_t(x1), _t(x2)], p_fwd, p_bwd)
         z = _t(np.zeros((1, HID)))
@@ -166,13 +173,13 @@ class TestBilstm:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):
-            bilstm_forward([], _zero_gate_params(), _zero_gate_params())
+            bilstm_forward([], _cell(_zero_gates()), _cell(_zero_gates()))
 
 
 class TestMogrifier:
     def test_zero_rounds_is_bitwise_lstm(self):
         rng = np.random.default_rng(6)
-        params = _random_gate_params(rng)
+        params = _cell(_random_gates(rng))
         x = _t(rng.normal(size=(2, INP)))
         h0 = _t(rng.normal(size=(2, HID)))
         c0 = _t(rng.normal(size=(2, HID)))
@@ -183,7 +190,7 @@ class TestMogrifier:
 
     def test_zero_q_r_is_identity_modulation(self):
         rng = np.random.default_rng(7)
-        params = _random_gate_params(rng)
+        params = _cell(_random_gates(rng))
         params["q"] = _t(np.zeros((HID, INP)))
         params["r"] = _t(np.zeros((INP, HID)))
         x = _t(rng.normal(size=(1, INP)))
@@ -196,40 +203,40 @@ class TestMogrifier:
 
     def test_two_rounds_match_manual_unrolling(self):
         rng = np.random.default_rng(8)
-        params = _random_gate_params(rng)
+        p = _random_gates(rng)
         q = rng.normal(size=(HID, INP))
         r = rng.normal(size=(INP, HID))
-        params["q"], params["r"] = _t(q), _t(r)
+        params = _cell({**p, "q": q, "r": r})
         x = rng.normal(size=(1, INP))
         h0 = rng.normal(size=(1, HID))
         c0 = rng.normal(size=(1, HID))
         hm, cm = cell_step("mogrifier", _t(x), (_t(h0), _t(c0)), params, mogrifier_rounds=2)
         x_mod = 2 * plain_sigmoid(h0 @ q) * x          # round 1 rescales x
         h_mod = 2 * plain_sigmoid(x_mod @ r) * h0      # round 2 rescales h
-        h_ref, c_ref = lstm_step(x_mod[0], h_mod[0], c0[0],
-                                 {k: v.data for k, v in params.items()})
+        h_ref, c_ref = lstm_step(x_mod[0], h_mod[0], c0[0], p)
         assert max_rel_err(hm.data[0], h_ref) < 1e-12
         assert max_rel_err(cm.data[0], c_ref) < 1e-12
 
 
-def _stlstm_params(rng=None):
-    params = (_random_gate_params(rng) if rng is not None else _zero_gate_params())
+def _stlstm_gates(rng=None):
+    p = _random_gates(rng) if rng is not None else _zero_gates()
     rows_m = INP + HID
     maker = (lambda shape: rng.normal(size=shape)) if rng is not None else np.zeros
     for g in ("w_mi", "w_mf", "w_mc"):
-        params[g] = _t(maker((rows_m, HID)))
-        params[g.replace("w", "b")] = _t(np.zeros((1, HID)))
-    params["w_mix"] = _t(maker((2 * HID, HID)))
-    return params
+        p[g] = maker((rows_m, HID))
+        p[g.replace("w", "b")] = np.zeros((1, HID))
+    p["w_mix"] = maker((2 * HID, HID))
+    return p
 
 
 class TestStlstm:
     def test_zero_m_path_reduces_to_lstm(self):
         rng = np.random.default_rng(9)
-        params = _stlstm_params(rng)
+        p = _stlstm_gates(rng)
         for g in ("w_mi", "w_mf", "w_mc", "b_mi", "b_mf", "b_mc"):
-            params[g] = _t(np.zeros(params[g].shape))
-        params["w_mix"] = _t(np.vstack([np.eye(HID), np.zeros((HID, HID))]))
+            p[g] = np.zeros(p[g].shape)
+        p["w_mix"] = np.vstack([np.eye(HID), np.zeros((HID, HID))])
+        params = _cell(p)
         x = _t(np.random.default_rng(10).normal(size=(1, INP)))
         h0 = _t(np.zeros((1, HID)))
         c0 = _t(np.random.default_rng(11).normal(size=(1, HID)))
@@ -240,20 +247,19 @@ class TestStlstm:
         assert np.max(np.abs(cs.data - cl.data)) < 1e-12
 
     def test_zero_everything(self):
-        params = _stlstm_params()
+        params = _cell(_stlstm_gates())
         z = _t(np.zeros((1, HID)))
         h, c, m = cell_step("stlstm", _t(np.zeros((1, INP))), (z, z, z), params)
         np.testing.assert_array_equal(h.data, np.zeros((1, HID)))
 
     def test_random_step_matches_hand_evaluation(self):
         rng = np.random.default_rng(12)
-        params = _stlstm_params(rng)
+        p = _stlstm_gates(rng)
         x = rng.normal(size=INP)
         h0, c0, m0 = (rng.normal(size=HID) for _ in range(3))
         hs, cs, ms = cell_step("stlstm", _t(x.reshape(1, -1)),
                                (_t(h0.reshape(1, -1)), _t(c0.reshape(1, -1)),
-                                _t(m0.reshape(1, -1))), params)
-        p = {k: v.data for k, v in params.items()}
+                                _t(m0.reshape(1, -1))), _cell(p))
         cat = np.concatenate([h0, x])
         i = plain_sigmoid(cat @ p["w_i"] + p["b_i"].reshape(-1))
         f = plain_sigmoid(cat @ p["w_f"] + p["b_f"].reshape(-1))
@@ -269,22 +275,21 @@ class TestStlstm:
         assert max_rel_err(hs.data[0], h_ref) < 1e-12
 
 
-def _swin_params(rng=None, window=2, hidden=HID):
-    maker = (lambda shape: rng.normal(size=shape)) if rng is not None else np.zeros
-    params = {name: _t(maker((1, 1))) for name in ("wq", "wk", "wv", "wp")}
+def _swin_gates(rng, window=2, hidden=HID):
+    p = {name: rng.normal(size=(1, 1)) for name in ("wq", "wk", "wv", "wp")}
     rows = hidden + window
-    gate_maker = maker
-    for g in ("w_i", "w_f", "w_c", "w_o"):
-        params[g] = _t(gate_maker((rows, hidden)))
-        params[g.replace("w", "b")] = _t(np.zeros((1, hidden)))
-    return params
+    for g in LSTM_GATES:
+        p[g] = rng.normal(size=(rows, hidden))
+        p[g.replace("w", "b")] = np.zeros((1, hidden))
+    return p
 
 
 class TestSwinlstm:
     def test_zero_projection_reduces_to_pooled_lstm(self):
         rng = np.random.default_rng(13)
-        params = _swin_params(rng, window=2)
-        params["wp"] = _t(np.zeros((1, 1)))
+        p = _swin_gates(rng, window=2)
+        p["wp"] = np.zeros((1, 1))
+        params = _cell(p)
         x = rng.normal(size=(1, 6))  # 3 windows of 2
         h0 = _t(rng.normal(size=(1, HID)))
         c0 = _t(rng.normal(size=(1, HID)))
@@ -296,28 +301,30 @@ class TestSwinlstm:
 
     def test_window_at_least_feature_length_is_full_attention(self):
         rng = np.random.default_rng(14)
-        params = _swin_params(rng, window=4)
+        p = _swin_gates(rng, window=4)
+        params = _cell(p)
         x = rng.normal(size=(1, 4))
         h0 = _t(rng.normal(size=(1, HID)))
         c0 = _t(rng.normal(size=(1, HID)))
         hs, cs = cell_step("swinlstm", _t(x), (h0, c0), params, swin_window=4)
         # manual: single window, d=1 token attention over all entries
-        q = x * params["wq"].data.item()
-        k = x * params["wk"].data.item()
-        v = x * params["wv"].data.item()
+        q = x * p["wq"].item()
+        k = x * p["wk"].item()
+        v = x * p["wv"].item()
         att = attention_rows(q.reshape(-1, 1), k.reshape(-1, 1), v.reshape(-1, 1))
-        pooled = x + att.reshape(1, -1) * params["wp"].data.item()
+        pooled = x + att.reshape(1, -1) * p["wp"].item()
         hl, cl = cell_step("lstm", _t(pooled), (h0, c0), params)
         assert max_rel_err(hs.data, hl.data) < 1e-12
 
     def test_two_window_case_matches_per_window_oracle(self):
         rng = np.random.default_rng(15)
-        params = _swin_params(rng, window=2)
+        p = _swin_gates(rng, window=2)
+        params = _cell(p)
         x = rng.normal(size=(1, 4))
         h0 = _t(rng.normal(size=(1, HID)))
         c0 = _t(rng.normal(size=(1, HID)))
         hs, _ = cell_step("swinlstm", _t(x), (h0, c0), params, swin_window=2)
-        wq, wk, wv, wp = (params[n].data.item() for n in ("wq", "wk", "wv", "wp"))
+        wq, wk, wv, wp = (p[n].item() for n in ("wq", "wk", "wv", "wp"))
         outs = []
         for g in range(2):
             u = x[:, 2 * g:2 * g + 2]
@@ -528,8 +535,64 @@ class TestUnroll:
     def test_empty_sequence_rejected(self):
         spec = ModelSpec(kind="lstm", hidden=HID)
         with pytest.raises(ContractError):
-            models.unroll(spec, _zero_gate_params(), np.zeros((1, 0, INP)))
+            models.unroll(spec, _cell(_zero_gates()), np.zeros((1, 0, INP)))
 
     def test_feedforward_cannot_unroll(self):
         with pytest.raises(ConfigError):
             models.unroll(ModelSpec(kind="feedforward"), {}, np.zeros((1, 1, 2)))
+
+
+def _per_gate_draws(spec, input_width, rng):
+    """The recurrent cell's parameters drawn one (rows, H) matrix per gate,
+    in the draw order of per-gate storage: SwinLSTM's four pool scalars,
+    then the LSTM gates i, f, c, o (GRU: z, r, h), then the Mogrifier's q
+    and r or ST-LSTM's mi, mf, mc and w_mix; BiLSTM draws its forward
+    direction first. Returns {direction prefix: per-gate arrays}."""
+    hid = spec.hidden
+
+    def gates(p, names, rows):
+        for g in names:
+            p[g] = nm.uniform_init(rng, rows, (rows, hid))
+            p[g.replace("w", "b", 1)] = np.zeros((1, hid))
+
+    out = {}
+    for prefix in ("cell.fwd", "cell.bwd") if spec.kind == "bilstm" else ("cell",):
+        p = out[prefix] = {}
+        width = input_width
+        if spec.kind == "swinlstm":
+            for name in ("wq", "wk", "wv", "wp"):
+                p[name] = nm.uniform_init(rng, 1, (1, 1))
+            width = spec.swin_window
+        gates(p, GRU_GATES if spec.kind == "gru" else LSTM_GATES, hid + width)
+        if spec.kind == "mogrifier":
+            if spec.mogrifier_rounds >= 1:
+                p["q"] = nm.uniform_init(rng, hid, (hid, input_width))
+            if spec.mogrifier_rounds >= 2:
+                p["r"] = nm.uniform_init(rng, input_width, (input_width, hid))
+        if spec.kind == "stlstm":
+            gates(p, ("w_mi", "w_mf", "w_mc"), input_width + hid)
+            p["w_mix"] = nm.uniform_init(rng, 2 * hid, (2 * hid, hid))
+    return out
+
+
+@pytest.mark.parametrize("kind", models.RECURRENT_KINDS)
+def test_stored_gate_blocks_hold_the_per_gate_draws(kind):
+    """Each gate block of `init_pipeline_params` holds exactly the per-gate
+    matrices drawn from the same seed in per-gate order, so storing the
+    blocks changed no initial value."""
+    cfg = tr.TrainConfig(seed=5, window=5, feature_len=6, embed_width=6, kernel_len=3,
+                         model=ModelSpec(kind=kind, hidden=4, mogrifier_rounds=3, swin_window=3))
+    rng = np.random.default_rng(cfg.seed)
+    expected = ParameterStore()
+    fusion.add_text_path_params(expected, rng, cfg.feature_len, cfg.embed_width,
+                                cfg.kernel_len)
+    conv_len = fusion.conv_output_len(cfg.embed_width, cfg.kernel_len)
+    fusion.add_fuse_gate_params(expected, rng, conv_len, cfg.model.output_width)
+    for prefix, per_gate in _per_gate_draws(cfg.model, 2, rng).items():
+        for name, arr in oracles.stack_gates(per_gate).items():
+            expected.add(f"{prefix}.{name}", arr)
+    models.add_head_params(expected, cfg.model.output_width, rng)
+    store = tr.init_pipeline_params(cfg)
+    assert sorted(oracles.names(store)) == sorted(oracles.names(expected))
+    for name, t in store.items():
+        assert np.array_equal(t.data, expected[name].data), name

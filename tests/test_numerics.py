@@ -1,6 +1,7 @@
 """Tensor arithmetic, reverse-mode gradients, and Adam."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -404,24 +405,54 @@ class TestParameterStore:
         assert store["c"].data.tolist() == before["params"]["c"]["data"][0] + 1.0
 
 
+# Public functions that nothing in the package calls, each with its caller.
+NO_PACKAGE_CALLER = {
+    "cli.main": "the `trendfuse` console script",
+    "synthetic.markov_samples": "perfbench's zoo-train workload",
+    "synthetic.toy_corpus": "perfbench's text-encoder workload",
+    "synthetic.write_markov_market_csv": "scripts/run_synthetic_experiment.py and perfbench",
+    "synthetic.write_toy_summaries": "scripts/run_synthetic_experiment.py and perfbench",
+    "encoder.encode_feature": "perfbench's text-encoder workload and tracer",
+    "encoder.mlm_loss": "perfbench's tracer, which wraps it",
+    "ingest.zscore_normalize": "acceptance criterion 3's normalization laws",
+}
+
+
+def _is_main_guard(node):
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.Name) and node.test.left.id == "__name__")
+
+
 def test_every_public_function_has_a_caller_in_the_package():
-    """An op that only tests use belongs in `oracles`, not in `numerics`."""
-    used = set()
-    for path in Path(nm.__file__).parent.glob("*.py"):
-        if path.name == "numerics.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = set()
+    """A function that only tests use belongs in `oracles`, not in the
+    package. A caller is a use in another module of the package, or in the
+    function's own module outside its `if __name__ == "__main__"` block;
+    the functions in NO_PACKAGE_CALLER are called from outside."""
+    package = Path(nm.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    used = {module: set() for module in trees}
+    for module, tree in trees.items():
+        aliases = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
-                    if node.module == "numerics":
-                        used.add(alias.name)
-                    elif node.module is None and alias.name == "numerics":
-                        aliases.add(alias.asname or alias.name)
-        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
-    public = [name for name, f in vars(nm).items() if inspect.isfunction(f)
-              and f.__module__ == nm.__name__ and not name.startswith("_")]
-    assert "fused" in public and "backward" in public
-    assert [name for name in public if name not in used] == []
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif node.module in used:
+                        used[node.module].add(alias.name)
+        body = [stmt for stmt in tree.body if not _is_main_guard(stmt)]
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used[module].add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                used[aliases[node.value.id]].add(node.attr)
+    uncalled = set()
+    for module in trees:
+        mod = importlib.import_module(f"trendfuse.{module}")
+        uncalled.update(f"{module}.{name}" for name, f in vars(mod).items()
+                        if inspect.isfunction(f) and f.__module__ == mod.__name__
+                        and not name.startswith("_") and name not in used[module])
+    assert "fused" in used["numerics"] and "unroll" in used["models"]
+    assert sorted(uncalled) == sorted(NO_PACKAGE_CALLER)

@@ -90,7 +90,7 @@ class TestTrainModel:
             _config(epochs=0)
 
     def test_seed_determinism_bit_identical(self):
-        samples = synthetic.periodic_pattern_samples(20, 6, feature_len=8)
+        samples = oracles.periodic_pattern_samples(20, 6, feature_len=8)
         cfg = _config()
         store1, trace1 = tr.train_model(samples, cfg)
         store2, trace2 = tr.train_model(samples, cfg)
@@ -105,7 +105,7 @@ class TestTrainModel:
         assert all(math.isfinite(v) for v in trace)
 
     def test_divergence_detected(self, monkeypatch):
-        samples = synthetic.periodic_pattern_samples(8, 6, feature_len=8)
+        samples = oracles.periodic_pattern_samples(8, 6, feature_len=8)
 
         def bad_forward(store, config, priors, prices, texts, saved=None):
             return np.full((len(priors), 1), np.nan)
@@ -119,7 +119,7 @@ class TestTrainModel:
             tr.train_model([], _config())
 
     def test_learns_separable_pattern(self):
-        samples = synthetic.periodic_pattern_samples(32, 6, feature_len=8)
+        samples = oracles.periodic_pattern_samples(32, 6, feature_len=8)
         cfg = _config(epochs=150, batch_size=32)
         store, trace = tr.train_model(samples, cfg)
         report = tr.evaluate(store, cfg, samples)
@@ -133,11 +133,11 @@ class TestTrainingStepTape:
     embed_width 8, hidden 8."""
 
     # the parameters, the one forward node and the loss
-    NODES = {"feedforward": 12, "lstm": 19, "bilstm": 27, "gru": 17,
-             "mogrifier": 21, "stlstm": 26, "swinlstm": 23}
+    NODES = {"feedforward": 12, "lstm": 13, "bilstm": 15, "gru": 15,
+             "mogrifier": 15, "stlstm": 16, "swinlstm": 14}
     # the reference tape of `oracles.forward_batch`, one node per primitive
-    PER_PRIMITIVE_NODES = {"feedforward": 14, "lstm": 27, "bilstm": 35, "gru": 25,
-                           "mogrifier": 29, "stlstm": 34, "swinlstm": 32}
+    PER_PRIMITIVE_NODES = {"feedforward": 14, "lstm": 21, "bilstm": 23, "gru": 23,
+                           "mogrifier": 23, "stlstm": 24, "swinlstm": 23}
 
     @staticmethod
     def _step_tapes(kind, arms, monkeypatch):
@@ -316,7 +316,8 @@ def _replica_block_cases():
         "bce_loss": (lambda p: tr.bce_loss(oracles.sigmoid(p["logits"]), np.broadcast_to(
             targets, p["logits"].shape[:-1])), arrays(logits=(batch, 1))),
         "window_pool": (lambda p: taped(models.window_pool)(p["x"], p, 2),
-                        arrays(x=(batch, 3, 5), wq=(1, 1), wk=(1, 1), wv=(1, 1), wp=(1, 1))),
+                        oracles.stack_gates(arrays(x=(batch, 3, 5), wq=(1, 1), wk=(1, 1),
+                                                   wv=(1, 1), wp=(1, 1)))),
     }
     for kind in RECURRENT_KINDS:
         spec = ModelSpec(kind=kind, hidden=3, mogrifier_rounds=3)
@@ -387,7 +388,7 @@ class TestEvaluate:
                 assert abs(report.f1 - harmonic) < 1e-12
 
     def test_evaluate_end_to_end_fields(self):
-        samples = synthetic.periodic_pattern_samples(12, 6, feature_len=8)
+        samples = oracles.periodic_pattern_samples(12, 6, feature_len=8)
         cfg = _config(epochs=2)
         store, trace = tr.train_model(samples, cfg)
         report = tr.evaluate(store, cfg, samples, loss_trace=trace)
