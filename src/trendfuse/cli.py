@@ -234,7 +234,7 @@ def cmd_pretrain_encoder(cfg: ExperimentConfig) -> None:
     log.info("encoder checkpoint at %s", out / "encoder.json")
 
 
-def _load_split_samples(cfg: ExperimentConfig) -> tuple[list, list]:
+def _load_split_samples(cfg: ExperimentConfig) -> tuple[ingest.Samples, ingest.Samples]:
     series = ingest.parse_market_csv(cfg.market_csv)
     labeled = ingest.to_binary_labels(series)
     features = None

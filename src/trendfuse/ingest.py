@@ -1,9 +1,11 @@
 """Market CSV and summary-text ingestion, normalization, and windowing.
 
-Turns raw inputs into model-ready samples: each sample carries the
-previous days' binary movement history (the prior vector), the matching
-normalized price window, and the text feature for the target date.
-Everything here is pure over its inputs and chronology-preserving.
+Turns raw inputs into one model-ready `Samples` block whose rows are the
+samples: each row carries the previous days' binary movement history (the
+prior vector), the matching normalized price window, and the text feature
+for the target date. `windows` is the one rule that builds those rows, and
+a chronological span of samples is a row slice of the block. Everything
+here is pure over its inputs and chronology-preserving.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class MarketSeries:
     def __len__(self) -> int:
         return len(self.records)
 
-    def dates(self) -> list[Date]:
-        return [r.date for r in self.records]
-
 
 @dataclass(frozen=True)
 class LabeledSeries:
@@ -63,15 +62,31 @@ class SummaryRecord:
     text: str
 
 
-@dataclass
-class FusedSample:
-    """One training instance: movement history, price window, text feature, label."""
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Row-aligned read-only sample arrays, all float64: row i is one sample
+    with target date `dates[i]`, movement history `priors[i]` (n-1), price
+    window `prices[i]` (n-1), text feature `texts[i]` (L) and label
+    `targets[i]`. Slicing rows gives a `Samples` of views."""
 
-    date: Date
-    prior: np.ndarray
-    price_window: np.ndarray
-    text_feature: np.ndarray
-    target: int
+    dates: tuple[Date, ...]
+    priors: np.ndarray
+    prices: np.ndarray
+    texts: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        for block in (self.priors, self.prices, self.texts, self.targets):
+            block.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, rows: slice) -> Samples:
+        if not isinstance(rows, slice):
+            raise TypeError(f"Samples takes row slices, not {type(rows).__name__}")
+        return Samples(self.dates[rows], self.priors[rows], self.prices[rows],
+                       self.texts[rows], self.targets[rows])
 
 
 def _parse_float(raw: str, column: str, line: int) -> float:
@@ -167,15 +182,27 @@ def zscore_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return centered / centered.std()
 
 
+def windows(dates: Sequence[Date], labels, prices, texts, n: int) -> Samples:
+    """Slide a length-n window over day-aligned arrays; one row per position.
+
+    Row i uses days i..i+n-2 as history (`labels` as the prior vector plus
+    `prices`) and day i+n-1 as the target: its date, label and `texts` row.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    target = np.arange(n - 1, len(labels))
+    history = np.arange(target.size)[:, None] + np.arange(n - 1)    # (N, n-1) day indices
+    return Samples(dates=tuple(dates[n - 1:]), priors=labels[history],
+                   prices=np.asarray(prices, dtype=np.float64)[history],
+                   texts=np.asarray(texts, dtype=np.float64)[target], targets=labels[target])
+
+
 def make_windows(series: LabeledSeries, n: int,
                  features: Mapping[Date, np.ndarray] | None = None,
-                 feature_len: int | None = None) -> list[FusedSample]:
-    """Slide a length-n window over the series; one sample per position.
-
-    Sample i uses days i..i+n-2 as history (binary prior vector plus the
-    min-max-normalized price changes) and day i+n-1 as the target. The
-    text feature is looked up by target date; dates with no feature get a
-    zero vector so the series stays contiguous.
+                 feature_len: int | None = None) -> Samples:
+    """`windows` over the series: binary labels as the prior vector, the
+    min-max-normalized price changes, and the text feature looked up by
+    target date. Dates with no feature get a zero vector so the series stays
+    contiguous.
     """
     if n < 2:
         raise ContractError(f"window length must be >= 2, got {n}")
@@ -194,35 +221,20 @@ def make_windows(series: LabeledSeries, n: int,
     else:
         raise ContractError("feature_len is required when no features are given")
 
-    prices = minmax_normalize([r.chg for r in series.records])
-    labels = np.array(series.labels, dtype=np.float64)
-    samples = []
-    warn_missing = bool(features)
-    missing = 0
-    for i in range(len(series) - n + 1):
-        target_idx = i + n - 1
-        target_date = series.records[target_idx].date
-        feat = features.get(target_date)
-        if feat is None:
-            feat = np.zeros(L)
-            missing += 1
-        else:
-            feat = np.asarray(feat, dtype=np.float64).reshape(-1)
-        samples.append(FusedSample(
-            date=target_date,
-            prior=labels[i:target_idx].copy(),
-            price_window=prices[i:target_idx].copy(),
-            text_feature=feat,
-            target=int(series.labels[target_idx]),
-        ))
-    if missing and warn_missing:
+    dates = [r.date for r in series.records]
+    texts = np.array([np.reshape(features.get(day, np.zeros(L)), -1) for day in dates],
+                     dtype=np.float64)
+    missing = sum(day not in features for day in dates[n - 1:])
+    if missing and features:
         log.warning("%d of %d windows had no text feature; zero vectors substituted",
-                    missing, len(samples))
-    return samples
+                    missing, len(dates) - n + 1)
+    return windows(dates, series.labels, minmax_normalize([r.chg for r in series.records]),
+                   texts, n)
 
 
-def split_train_test(samples: Sequence, ratio: float = 0.8) -> tuple[list, list]:
-    """Chronological split: first floor(ratio*T) samples train, rest test."""
+def split_train_test(samples: Sequence, ratio: float = 0.8) -> tuple[Sequence, Sequence]:
+    """Chronological split: first floor(ratio*T) samples train, rest test,
+    each a slice of `samples` (a `Samples` block gives two blocks)."""
     if not 0 < ratio < 1:
         raise ContractError(f"ratio must be in (0, 1), got {ratio}")
     if len(samples) < 2:
@@ -230,7 +242,7 @@ def split_train_test(samples: Sequence, ratio: float = 0.8) -> tuple[list, list]
     cut = math.floor(ratio * len(samples))
     if cut == 0 or cut == len(samples):
         raise ContractError(f"split of {len(samples)} at ratio {ratio} leaves one side empty")
-    return list(samples[:cut]), list(samples[cut:])
+    return samples[:cut], samples[cut:]
 
 
 def load_summaries(path) -> list[SummaryRecord]:

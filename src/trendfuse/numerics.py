@@ -57,9 +57,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def _accumulate(self, g: Array) -> None:
         if self.grad is not None:
             self.grad += g

@@ -2,8 +2,8 @@
 
 Markov-persistent label series, where the prior history is the only
 informative input (used to measure the prior-effect ablation direction),
-as samples or as a market CSV, plus toy policy summaries and a toy
-sentence corpus for the text encoder.
+as an `ingest.Samples` block cut by `ingest.windows` or as a market CSV,
+plus toy policy summaries and a toy sentence corpus for the text encoder.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import FusedSample
+from .ingest import Samples, windows
 
 _EPOCH = Date(2023, 1, 3)
 
@@ -37,7 +37,7 @@ def markov_labels(count: int, persistence: float, rng: np.random.Generator) -> n
 
 
 def markov_samples(count: int, window: int, seed: int, persistence: float = 0.85,
-                   feature_len: int = 8) -> list[FusedSample]:
+                   feature_len: int = 8) -> Samples:
     """Markov-persistent labels with pure-noise price and text channels.
 
     The prior vector is the only input correlated with the target, which
@@ -45,21 +45,10 @@ def markov_samples(count: int, window: int, seed: int, persistence: float = 0.85
     """
     rng = np.random.default_rng(seed)
     total = count + window - 1
-    labels = markov_labels(total, persistence, rng).astype(np.float64)
+    labels = markov_labels(total, persistence, rng)
     prices = rng.uniform(0.0, 1.0, size=total)
     texts = rng.normal(0.0, 0.1, size=(total, feature_len))
-    dates = _dates(total)
-    samples = []
-    for i in range(count):
-        t = i + window - 1
-        samples.append(FusedSample(
-            date=dates[t],
-            prior=labels[i:t].copy(),
-            price_window=prices[i:t].copy(),
-            text_feature=texts[t].copy(),
-            target=int(labels[t]),
-        ))
-    return samples
+    return windows(_dates(total), labels, prices, texts, window)
 
 
 def write_markov_market_csv(path, count: int, seed: int,

@@ -14,10 +14,11 @@ primitives' backwards in reverse. A training step records them as one
 `numerics.fused` node over the parameters, then the BCE loss node (and,
 in lockstep, `numerics.sum_`); scoring runs `forward_batch` alone.
 `train_replicas` trains several models in lockstep as one stacked model,
-and `train_model` is its one-replica case. Samples are stacked into
-arrays once per run. Parameters and gradients live in one flat vector
-each (`ParameterStore.flatten`): each step zeroes the gradient, the
-backward adds into it, and `numerics.adam_step` updates in place.
+and `train_model` is its one-replica case. Samples arrive as one
+`ingest.Samples` block of row-aligned arrays, and batches are row slices
+of them. Parameters and gradients live in one flat vector each
+(`ParameterStore.flatten`): each step zeroes the gradient, the backward
+adds into it, and `numerics.adam_step` updates in place.
 
 Batches run in chronological order with no shuffling, so a fixed
 (config, data, seed) triple reproduces bit-identical parameters, loss
@@ -36,7 +37,7 @@ import numpy as np
 from . import fusion, models, numerics as nm
 from .errors import (ConfigError, ContractError, DivergenceError, check_bool,
                      check_integer, is_real)
-from .ingest import FusedSample
+from .ingest import Samples
 from .models import ModelSpec
 from .numerics import ParameterStore, Tensor
 
@@ -146,20 +147,15 @@ def init_pipeline_params(config: TrainConfig) -> ParameterStore:
     return store
 
 
-def batch_arrays(samples: Sequence[FusedSample],
+def batch_arrays(samples: Samples,
                  prior_effect: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack samples into (priors, prices, texts, targets) row matrices.
+    """The block's (priors, prices, texts, targets) row matrices.
 
     With the prior effect disabled the prior block is zero-masked, keeping
     every input width identical across ablation arms.
     """
-    priors = np.array([s.prior for s in samples], dtype=np.float64)
-    if not prior_effect:
-        priors = np.zeros_like(priors)
-    prices = np.array([s.price_window for s in samples], dtype=np.float64)
-    texts = np.array([s.text_feature for s in samples], dtype=np.float64)
-    targets = np.array([s.target for s in samples], dtype=np.float64)
-    return priors, prices, texts, targets
+    priors = samples.priors if prior_effect else np.zeros_like(samples.priors)
+    return priors, samples.prices, samples.texts, samples.targets
 
 
 def forward_batch(store: ParameterStore, config: TrainConfig, priors: np.ndarray,
@@ -192,7 +188,7 @@ def _backward_batch(config: TrainConfig, saved: list, d_p: np.ndarray) -> None:
     fusion.embed_back(fusion.conv_text_back(d_context, saved), saved)
 
 
-def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
+def train_replicas(samples_per_replica: Sequence[Samples],
                    configs: Sequence[TrainConfig]) -> list[tuple[ParameterStore, list[float]]]:
     """Adam-train R predictors in lockstep (`torch.func` model ensembling);
     returns (params, per-epoch loss) per replica.
@@ -256,7 +252,7 @@ def train_replicas(samples_per_replica: Sequence[Sequence[FusedSample]],
     return [(replica, traces[:, r].tolist()) for r, replica in enumerate(stores)]
 
 
-def train_model(samples: Sequence[FusedSample],
+def train_model(samples: Samples,
                 config: TrainConfig) -> tuple[ParameterStore, list[float]]:
     """Adam-train the configured predictor; returns params and per-epoch loss."""
     return train_replicas([samples], [config])[0]
@@ -285,7 +281,7 @@ def confusion_report(labels, targets) -> EvalReport:
 
 
 def evaluate(store: ParameterStore, config: TrainConfig,
-             samples: Sequence[FusedSample],
+             samples: Samples,
              loss_trace: list[float] | None = None) -> EvalReport:
     """Confusion counts and derived metrics over a held-out sample set.
 
@@ -300,25 +296,21 @@ def evaluate(store: ParameterStore, config: TrainConfig,
     report = confusion_report(labels, targets)
     report.loss_trace = list(loss_trace or [])
     report.predictions = [
-        {"date": s.date.isoformat(), "probability": pr, "label": lb, "target": tg}
-        for s, pr, lb, tg in zip(samples, probs.tolist(), labels.tolist(),
-                                 targets.astype(int).tolist())
+        {"date": day.isoformat(), "probability": pr, "label": lb, "target": tg}
+        for day, pr, lb, tg in zip(samples.dates, probs.tolist(), labels.tolist(),
+                                   targets.astype(int).tolist())
     ]
     return report
 
 
-def train_and_evaluate(train_samples: Sequence[FusedSample],
-                       test_samples: Sequence[FusedSample],
+def train_and_evaluate(train_samples: Samples, test_samples: Samples,
                        config: TrainConfig) -> tuple[ParameterStore, EvalReport]:
     store, trace = train_model(train_samples, config)
     return store, evaluate(store, config, test_samples, loss_trace=trace)
 
 
-def ablate_prior_effect(train_samples: Sequence[FusedSample],
-                        test_samples: Sequence[FusedSample],
-                        config: TrainConfig,
-                        arm_flags: tuple[bool, bool] = (True, False),
-                        ) -> tuple[EvalReport, EvalReport, dict[str, float]]:
+def ablate_prior_effect(train_samples: Samples, test_samples: Samples,
+                        config: TrainConfig) -> tuple[EvalReport, EvalReport, dict[str, float]]:
     """Train twice from the same seed, toggling only the prior-history input.
 
     The disabled arm feeds a zero vector of the same length, so both arms
@@ -326,8 +318,8 @@ def ablate_prior_effect(train_samples: Sequence[FusedSample],
     lockstep as two replicas. Returns the two reports plus the F1/recall
     deltas (enabled minus disabled).
     """
-    arms = [dataclasses.replace(config, prior_effect=flag) for flag in arm_flags]
-    trained = train_replicas([train_samples] * len(arms), arms)
+    arms = [dataclasses.replace(config, prior_effect=flag) for flag in (True, False)]
+    trained = train_replicas([train_samples] * 2, arms)
     report_with, report_without = (evaluate(store, cfg, test_samples, loss_trace=trace)
                                    for (store, trace), cfg in zip(trained, arms))
     deltas = {"f1_delta": report_with.f1 - report_without.f1,

@@ -48,13 +48,16 @@ reference for the compiled pattern in `encoder.segment`.
 the encoder's cdf search. `train_replicas` is the predictor loop with
 fresh gradient arrays per step (`zero_grad`, then the store Adam
 `adam_step`), as a reference for the flat-vector training loop with its
-one forward node, and `batch_arrays` stacks sample blocks with
-`np.stack`. `gradients` (which raises `GraphError` for a leaf off the
-tape), `names`, `write_market_csv` (the inverse of
-`ingest.parse_market_csv`) and `periodic_pattern_samples` (a series every
-predictor can fit) are helpers that only the tests use.
+one forward node; it trains on per-sample rows, which `batch_arrays`
+stacks with `np.stack`. `window_rows` builds those rows one sample at a
+time, as a reference for the one index gather of `ingest.windows`, and
+`sample_rows` splits a `Samples` block into them. `gradients` (which
+raises `GraphError` for a leaf off the tape), `names`, `write_market_csv`
+(the inverse of `ingest.parse_market_csv`) and `periodic_pattern_samples`
+(a series every predictor can fit) are helpers that only the tests use.
 """
 
+import collections
 import csv
 import dataclasses
 import math
@@ -916,7 +919,7 @@ def pretrain_mlm(corpus, config, epochs, seed, similar_words=None, lr=1e-3):
             zero_grad(params)
             nm.backward(loss)
             adam_step(params, state)
-            losses.append(loss.item())
+            losses.append(loss.data.item())
         trace.append(float(np.mean(losses)))
     return params, vocab, trace
 
@@ -971,28 +974,40 @@ def periodic_pattern_samples(count, window, feature_len=8, period=(1, 1, 0, 0)):
     predictor should fit it."""
     total = count + window - 1
     labels = np.array([period[i % len(period)] for i in range(total)], dtype=np.float64)
-    dates = synthetic._dates(total)
-    samples = []
-    for i in range(count):
-        t = i + window - 1
-        samples.append(ingest.FusedSample(
-            date=dates[t],
-            prior=labels[i:t].copy(),
-            price_window=labels[i:t].copy(),
-            text_feature=np.zeros(feature_len),
-            target=int(labels[t]),
-        ))
-    return samples
+    return ingest.windows(synthetic._dates(total), labels, labels,
+                          np.zeros((total, feature_len)), window)
 
 
-def batch_arrays(samples, prior_effect):
-    """`train.batch_arrays` with `np.stack` blocks."""
-    priors = np.stack([s.prior for s in samples])
+Row = collections.namedtuple("Row", "date prior prices text target")
+
+
+def window_rows(dates, labels, prices, texts, n):
+    """`ingest.windows` one sample at a time: row i takes days i..i+n-2 as
+    history (`labels` as the prior vector, and `prices`) and day i+n-1 as
+    the target (its date, `texts` row and label)."""
+    labels, prices, texts = (np.asarray(a, dtype=np.float64) for a in (labels, prices, texts))
+    rows = []
+    for i in range(len(labels) - n + 1):
+        t = i + n - 1
+        rows.append(Row(dates[t], labels[i:t].copy(), prices[i:t].copy(), texts[t].copy(),
+                        labels[t]))
+    return rows
+
+
+def sample_rows(samples):
+    """A `Samples` block as its per-sample rows."""
+    return [Row(*fields) for fields in zip(samples.dates, samples.priors, samples.prices,
+                                           samples.texts, samples.targets)]
+
+
+def batch_arrays(rows, prior_effect):
+    """`train.batch_arrays` over per-sample rows, stacked with `np.stack`."""
+    priors = np.stack([r.prior for r in rows])
     if not prior_effect:
         priors = np.zeros_like(priors)
-    prices = np.stack([s.price_window for s in samples])
-    texts = np.stack([s.text_feature for s in samples])
-    return priors, prices, texts, np.array([s.target for s in samples], dtype=np.float64)
+    prices = np.stack([r.prices for r in rows])
+    texts = np.stack([r.text for r in rows])
+    return priors, prices, texts, np.array([r.target for r in rows], dtype=np.float64)
 
 
 def forward_batch(store, config, priors, prices, texts):
@@ -1013,10 +1028,11 @@ def forward_batch(store, config, priors, prices, texts):
                                      store.view("head"))
 
 
-def train_replicas(samples_per_replica, configs):
-    """`train.train_replicas` through the per-primitive tape of `forward_batch`
-    above, with fresh gradient arrays every step: `zero_grad`, `nm.backward`,
-    then the store Adam above over the stacked store."""
+def train_replicas(rows_per_replica, configs):
+    """`train.train_replicas` over per-sample rows (see `window_rows`),
+    through the per-primitive tape of `forward_batch` above, with fresh
+    gradient arrays every step: `zero_grad`, `nm.backward`, then the store
+    Adam above over the stacked store."""
     base = configs[0]
     lead = (len(configs),) if len(configs) > 1 else ()
 
@@ -1031,8 +1047,8 @@ def train_replicas(samples_per_replica, configs):
             replica[name].data = block[r] if lead else block
     state = nm.adam_state(store, lr=base.lr)
     arrays = [stack(parts) for parts in zip(*(
-        batch_arrays(s, c.prior_effect) for s, c in zip(samples_per_replica, configs)))]
-    n = len(samples_per_replica[0])
+        batch_arrays(rows, c.prior_effect) for rows, c in zip(rows_per_replica, configs)))]
+    n = len(rows_per_replica[0])
     traces = np.empty((base.epochs, len(configs)))
     for epoch in range(base.epochs):
         totals = np.zeros(len(configs))

@@ -38,7 +38,7 @@ def _check_grad_case(build, arrays, label):
     analytic = oracles.gradients(build(params), params)
 
     def value(raw):
-        return build({k: Tensor(v) for k, v in raw.items()}).item()
+        return build({k: Tensor(v) for k, v in raw.items()}).data.item()
 
     numeric = fd_gradients(value, arrays, h=FD_STEP)
     for key in arrays:
@@ -863,6 +863,6 @@ def test_criterion_9_mlm_sanity():
     n, v = 4, 9
     uniform = Tensor(np.full((n, v), 1.0 / v))
     loss = enc.mlm_loss(uniform, np.arange(n), np.zeros(n, dtype=int))
-    assert abs(loss.item() - n * math.log(v)) < 1e-9
+    assert abs(loss.data.item() - n * math.log(v)) < 1e-9
     print(f"  criterion 9 loss trace: {trace[0]:.4f} -> {trace[-1]:.4f}", flush=True)
     _passed(9, "masked-recovery sanity (strict decrease; uniform loss = N ln V)")

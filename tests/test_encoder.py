@@ -155,18 +155,18 @@ class TestMlmLoss:
     def test_perfect_prediction_zero(self):
         pred = Tensor([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         loss = enc.mlm_loss(pred, np.array([1, 2]), np.array([1, 0]))
-        assert loss.item() == 0.0
+        assert loss.data.item() == 0.0
 
     def test_uniform_over_four(self):
         pred = Tensor([[0.25] * 4])
         loss = enc.mlm_loss(pred, np.array([1]), np.array([2]))
-        np.testing.assert_allclose(loss.item(), math.log(4), atol=1e-12)
+        np.testing.assert_allclose(loss.data.item(), math.log(4), atol=1e-12)
 
     def test_n_targets_uniform_vocab(self):
         n, v = 5, 7
         pred = Tensor(np.full((n, v), 1.0 / v))
         loss = enc.mlm_loss(pred, np.arange(n), np.zeros(n, dtype=int))
-        np.testing.assert_allclose(loss.item(), n * math.log(v), atol=1e-9)
+        np.testing.assert_allclose(loss.data.item(), n * math.log(v), atol=1e-9)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ContractError):
@@ -456,7 +456,7 @@ class TestMlmStep:
         nm.backward(loss)
         weights = {name: t.data for name, t in params.items()}
         grads = {name: np.full(t.shape, np.nan) for name, t in params.items()}
-        assert enc.mlm_step(ids, positions, targets, config, weights, grads) == loss.item()
+        assert enc.mlm_step(ids, positions, targets, config, weights, grads) == loss.data.item()
         for name, t in params.items():
             assert grads[name].tobytes() == t.grad.tobytes(), name
 

@@ -2,7 +2,7 @@
 
 import json
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from trendfuse import ingest
+from trendfuse import ingest, synthetic
 from trendfuse.errors import (ContractError, DataError, DegenerateInputError,
                               ParseError, ProviderError, SchemaError)
 
@@ -32,7 +32,7 @@ class TestParseMarketCsv:
     def test_three_rows_sorted_ascending(self, tmp_path):
         series = ingest.parse_market_csv(_write(tmp_path, "m.csv", GOOD_CSV))
         assert len(series) == 3
-        dates = series.dates()
+        dates = [r.date for r in series.records]
         assert dates == sorted(dates)
         assert dates[0] == date(2023, 1, 3)
 
@@ -146,8 +146,6 @@ class TestZScore:
 
 
 def _series(chgs):
-    from datetime import timedelta
-
     records = tuple(
         ingest.MarketRecord(date(2023, 1, 3) + timedelta(days=i), chg, 1.0, 1.0, 1.0)
         for i, chg in enumerate(chgs)
@@ -160,10 +158,9 @@ class TestMakeWindows:
         labeled = _series([1.0, -1.0, 2.0, 3.0])  # labels 1,0,1,1
         samples = ingest.make_windows(labeled, 3, feature_len=4)
         assert len(samples) == 2
-        np.testing.assert_array_equal(samples[0].prior, [1, 0])
-        assert samples[0].target == 1
-        np.testing.assert_array_equal(samples[1].prior, [0, 1])
-        assert samples[1].target == 1
+        np.testing.assert_array_equal(samples.priors, [[1, 0], [0, 1]])
+        np.testing.assert_array_equal(samples.targets, [1, 1])
+        assert samples.dates == tuple(r.date for r in labeled.records[2:])
 
     def test_exact_length_yields_one_sample(self):
         labeled = _series([1.0, -1.0, 2.0])
@@ -173,17 +170,16 @@ class TestMakeWindows:
     def test_constant_up_series(self):
         labeled = _series([0.5, 1.5, 2.5, 3.5, 4.5])
         samples = ingest.make_windows(labeled, 4, feature_len=2)
-        for s in samples:
-            np.testing.assert_array_equal(s.prior, [1, 1, 1])
-            assert s.target == 1
+        np.testing.assert_array_equal(samples.priors, np.ones((2, 3)))
+        np.testing.assert_array_equal(samples.targets, [1, 1])
 
     def test_prior_equals_label_slice(self):
         chgs = [1.0, -2.0, 0.5, -0.1, 3.0, -4.0, 2.2]
         labeled = _series(chgs)
         samples = ingest.make_windows(labeled, 3, feature_len=2)
         assert len(samples) == len(chgs) - 3 + 1
-        for i, s in enumerate(samples):
-            np.testing.assert_array_equal(s.prior, labeled.labels[i:i + 2])
+        for i, prior in enumerate(samples.priors):
+            np.testing.assert_array_equal(prior, labeled.labels[i:i + 2])
 
     def test_feature_lookup_and_zero_fill(self, caplog):
         labeled = _series([1.0, -1.0, 2.0, 3.0])
@@ -191,8 +187,7 @@ class TestMakeWindows:
         feats = {target_date: np.array([1.0, 2.0, 3.0])}
         with caplog.at_level("WARNING"):
             samples = ingest.make_windows(labeled, 3, feats)
-        np.testing.assert_array_equal(samples[0].text_feature, [1, 2, 3])
-        np.testing.assert_array_equal(samples[1].text_feature, [0, 0, 0])
+        np.testing.assert_array_equal(samples.texts, [[1, 2, 3], [0, 0, 0]])
         assert "1 of 2" in caplog.text
 
     def test_window_too_small_or_series_too_short(self):
@@ -210,10 +205,79 @@ class TestMakeWindows:
             ingest.make_windows(labeled, 2, feats)
 
 
+def _assert_rows(block, rows):
+    """`block` holds exactly `rows`: the same dates, and arrays of the same
+    dtype, shape and bits as the rows stacked one by one."""
+    assert isinstance(block, ingest.Samples) and len(block) == len(rows)
+    assert block.dates == tuple(r.date for r in rows)
+    for got, want in zip((block.priors, block.prices, block.texts, block.targets),
+                         oracles.batch_arrays(rows, True)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestWindows:
+    """`ingest.windows` and the two functions built on it are the per-row
+    window rule of `oracles.window_rows`, bitwise."""
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 9), st.integers(0, 30), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
+    def test_windows_and_row_slices(self, n, extra, feature_len, seed):
+        rng = np.random.default_rng(seed)
+        days = n + extra
+        dates = [date(2023, 1, 3) + timedelta(days=i) for i in range(days)]
+        labels = rng.integers(0, 2, size=days)
+        prices = rng.uniform(size=days)
+        texts = rng.normal(size=(days, feature_len))
+        block = ingest.windows(dates, labels, prices, texts, n)
+        rows = oracles.window_rows(dates, labels, prices, texts, n)
+        _assert_rows(block, rows)
+        lo = int(rng.integers(0, len(rows)))
+        hi = int(rng.integers(lo + 1, len(rows) + 1))
+        step = int(rng.integers(1, 4))
+        _assert_rows(block[lo:hi:step], rows[lo:hi:step])
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 8), st.integers(0, 20), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_make_windows_with_zero_filled_texts(self, n, extra, feature_len, seed):
+        rng = np.random.default_rng(seed)
+        labeled = _series(rng.normal(size=n + extra).tolist())
+        dates = [r.date for r in labeled.records]
+        features = {day: rng.normal(size=feature_len) for day in dates if rng.random() < 0.6}
+        texts = [features.get(day, np.zeros(feature_len)) for day in dates]
+        prices = ingest.minmax_normalize([r.chg for r in labeled.records])
+        _assert_rows(ingest.make_windows(labeled, n, features, feature_len=feature_len),
+                     oracles.window_rows(dates, labeled.labels, prices, texts, n))
+
+    @settings(max_examples=30)
+    @given(st.integers(1, 40), st.integers(2, 8), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_markov_samples(self, count, window, feature_len, seed):
+        rng = np.random.default_rng(seed)  # markov_samples' draws, in its order
+        total = count + window - 1
+        labels = synthetic.markov_labels(total, 0.85, rng)
+        prices = rng.uniform(0.0, 1.0, size=total)
+        texts = rng.normal(0.0, 0.1, size=(total, feature_len))
+        _assert_rows(synthetic.markov_samples(count, window, seed, feature_len=feature_len),
+                     oracles.window_rows(synthetic._dates(total), labels, prices, texts,
+                                         window))
+
+    def test_block_is_read_only_and_sliced_by_rows(self):
+        block = ingest.make_windows(_series([1.0, -1.0, 2.0, 3.0]), 3, feature_len=2)
+        for array in (block.priors, block.prices, block.texts, block.targets,
+                      block[1:].priors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        with pytest.raises(TypeError, match="row slices"):
+            block[0]
+
+
 class TestSplit:
     def test_paper_ratio(self):
         train, test = ingest.split_train_test(list(range(10)), 0.8)
-        assert (len(train), len(test)) == (8, 2)
+        assert (train, test) == (list(range(8)), [8, 9])
 
     @pytest.mark.parametrize("t,expected", [(5, (4, 1)), (2, (1, 1))])
     def test_floor(self, t, expected):
@@ -237,7 +301,8 @@ class TestSplit:
         train, test = ingest.split_train_test(samples, 0.8)
         assert len(train) + len(test) == t
         assert len(train) == math.floor(0.8 * t)
-        assert max(s.date for s in train) < min(s.date for s in test)
+        assert isinstance(train, ingest.Samples) and isinstance(test, ingest.Samples)
+        assert train.dates[-1] < test.dates[0]
 
 
 class TestLoadSummaries:

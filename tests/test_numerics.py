@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ class TestBackward:
 
         loss = run_tensors(params)
         analytic = oracles.gradients(loss, params)
-        numeric = fd_gradients(lambda a: run(a).item(), arrays)
+        numeric = fd_gradients(lambda a: run(a).data.item(), arrays)
         for name in arrays:
             assert max_rel_err(analytic[name], numeric[name]) < 1e-4
 
@@ -248,7 +249,7 @@ def test_primitive_gradients_match_finite_differences(name):
     build, arrays = _primitive_cases()[name]
 
     def value(a):
-        return build({k: Tensor(v) for k, v in a.items()}).item()
+        return build({k: Tensor(v) for k, v in a.items()}).data.item()
 
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     analytic = oracles.gradients(build(params), params)
@@ -423,14 +424,18 @@ def _is_main_guard(node):
             and isinstance(node.test.left, ast.Name) and node.test.left.id == "__name__")
 
 
+def _package_trees():
+    package = Path(nm.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in package.glob("*.py")}
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     """A function that only tests use belongs in `oracles`, not in the
     package. A caller is a use in another module of the package, or in the
     function's own module outside its `if __name__ == "__main__"` block;
     the functions in NO_PACKAGE_CALLER are called from outside."""
-    package = Path(nm.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in package.glob("*.py")}
+    trees = _package_trees()
     used = {module: set() for module in trees}
     for module, tree in trees.items():
         aliases = {}
@@ -456,3 +461,31 @@ def test_every_public_function_has_a_caller_in_the_package():
                         and not name.startswith("_") and name not in used[module])
     assert "fused" in used["numerics"] and "unroll" in used["models"]
     assert sorted(uncalled) == sorted(NO_PACKAGE_CALLER)
+
+
+# Public methods that nothing in the package reads by name, each with its caller.
+NO_PACKAGE_ATTRIBUTE_USE = {
+    "cli._Parser.error": "argparse, on a usage error",
+}
+
+
+def test_every_public_method_is_read_in_the_package():
+    """A method that only tests use belongs in `oracles`, not in the package.
+    A use is an attribute read of its name (`x.name`, whatever `x` is)
+    anywhere in the package outside an `if __name__ == "__main__"` block;
+    the methods in NO_PACKAGE_ATTRIBUTE_USE are called from outside."""
+    trees = _package_trees()
+    read = {node.attr for tree in trees.values()
+            for stmt in tree.body if not _is_main_guard(stmt)
+            for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+    unread = set()
+    for module in trees:
+        mod = importlib.import_module(f"trendfuse.{module}")
+        for cls_name, cls in vars(mod).items():
+            if inspect.isclass(cls) and cls.__module__ == mod.__name__:
+                unread.update(f"{module}.{cls_name}.{name}" for name, member in vars(cls).items()
+                              if isinstance(member, (FunctionType, staticmethod, classmethod,
+                                                     property))
+                              and not name.startswith("_") and name not in read)
+    assert {"flatten", "view", "summarize"} <= read
+    assert sorted(unread) == sorted(NO_PACKAGE_ATTRIBUTE_USE)

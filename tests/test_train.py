@@ -28,22 +28,22 @@ def _config(**overrides):
 class TestBceLoss:
     def test_perfect_prediction_near_zero(self):
         loss = tr.bce_loss(Tensor([[1.0]]), [1])
-        assert 0.0 <= loss.item() < 1e-6
+        assert 0.0 <= loss.data.item() < 1e-6
 
     def test_half_probability_is_log_two(self):
         loss = tr.bce_loss(Tensor([[0.5]]), [1])
-        np.testing.assert_allclose(loss.item(), math.log(2), atol=1e-12)
+        np.testing.assert_allclose(loss.data.item(), math.log(2), atol=1e-12)
 
     def test_mean_of_equal_terms(self):
         loss = tr.bce_loss(Tensor([[0.5], [0.5]]), [1, 0])
-        np.testing.assert_allclose(loss.item(), math.log(2), atol=1e-12)
+        np.testing.assert_allclose(loss.data.item(), math.log(2), atol=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = rng.uniform(0, 1, size=(6, 1))
             y = rng.integers(0, 2, size=6)
-            assert tr.bce_loss(Tensor(p), y).item() >= 0.0
+            assert tr.bce_loss(Tensor(p), y).data.item() >= 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
@@ -81,7 +81,7 @@ class TestBceLoss:
     def test_constant_probabilities_build_no_tape(self):
         loss = tr.bce_loss(Tensor([[0.25], [0.75]]), [0, 1])
         assert not loss.requires_grad
-        assert loss.item() == oracles.bce_loss(Tensor([[0.25], [0.75]]), [0, 1]).item()
+        assert loss.data.item() == oracles.bce_loss(Tensor([[0.25], [0.75]]), [0, 1]).data.item()
 
 
 class TestTrainModel:
@@ -264,7 +264,8 @@ class TestTrainReplicas:
         base = _config(epochs=3, model=ModelSpec(kind=kind, hidden=6))
         configs = [dataclasses.replace(base, prior_effect=flag) for flag in arms]
         trained = tr.train_replicas([samples[:40]] * len(arms), configs)
-        expected = oracles.train_replicas([samples[:40]] * len(arms), configs)
+        expected = oracles.train_replicas([oracles.sample_rows(samples[:40])] * len(arms),
+                                          configs)
         for (store, trace), (ref, ref_trace), cfg in zip(trained, expected, configs):
             assert trace == ref_trace
             assert oracles.names(store) == oracles.names(ref)
@@ -401,9 +402,9 @@ class TestEvaluate:
         priors, prices, texts, targets = tr.batch_arrays(samples, cfg.prior_effect)
         probs = tr.forward_batch(store, cfg, priors, prices, texts).reshape(-1)
         labels = (probs >= 0.5).astype(int)
-        rows = [{"date": s.date.isoformat(), "probability": float(pr),
+        rows = [{"date": day.isoformat(), "probability": float(pr),
                  "label": int(lb), "target": int(tg)}
-                for s, pr, lb, tg in zip(samples, probs, labels, targets.astype(int))]
+                for day, pr, lb, tg in zip(samples.dates, probs, labels, targets.astype(int))]
         assert report.predictions == rows
         assert [[type(v) for v in row.values()] for row in report.predictions] \
             == [[str, float, int, int]] * len(rows)
@@ -469,10 +470,11 @@ class TestBatchArrays:
         assert priors_on.shape == priors_off.shape
         assert np.any(priors_on != 0)
         np.testing.assert_array_equal(priors_off, np.zeros_like(priors_off))
-        np.testing.assert_array_equal(prices, np.stack([s.price_window for s in samples]))
+        np.testing.assert_array_equal(prices, samples.prices)
+        rows = oracles.sample_rows(samples)
         for prior_effect in (True, False):  # bitwise the np.stack blocks
             for got, want in zip(tr.batch_arrays(samples, prior_effect),
-                                 oracles.batch_arrays(samples, prior_effect)):
+                                 oracles.batch_arrays(rows, prior_effect)):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
 
@@ -482,10 +484,10 @@ class TestAblation:
         samples = synthetic.markov_samples(40, 6, seed=4, feature_len=8)
         train_s, test_s = split_train_test(samples, 0.8)
         cfg = _config(epochs=3)
-        with_r, without_r, deltas = tr.ablate_prior_effect(
-            train_s, test_s, cfg, arm_flags=(True, True))
+        trained = tr.train_replicas([train_s] * 2, [cfg] * 2)
+        with_r, without_r = (tr.evaluate(store, cfg, test_s, loss_trace=trace)
+                             for store, trace in trained)
         assert with_r.to_dict() == without_r.to_dict()
-        assert deltas == {"f1_delta": 0.0, "recall_delta": 0.0}
 
     def test_arms_differ_only_in_prior(self):
         samples = synthetic.markov_samples(40, 6, seed=5, feature_len=8)
