@@ -18,10 +18,11 @@ runs it on (n, L) blocks of up to FEATURIZE_CHUNK texts of one token count
 and keeps nothing for a backward pass. Pretraining's `mlm_step` runs it on
 one sentence with a list that collects each layer's saved values, adds the
 masked-token head and loss, then runs the backwards by hand and writes the
-gradient into one flat vector, which Adam applies to the flat vector the
-parameters are views of. Its sums come in the order of a tape of the same
-sublayers, so the loss trace and the parameters are bitwise those of
-`numerics.backward` through that tape, which `tests/oracles.py` builds.
+gradient into the Adam state's flat gradient, which Adam applies to the
+state's flat parameter vector; the store's tensors are views of both.
+Its sums come in the order of a tape of the same sublayers, so the loss
+trace and the parameters are bitwise those of `numerics.backward` through
+that tape, which `tests/oracles.py` builds.
 
 `mlm_loss`, the masked-token loss as one tape node, is not called by the
 program; `perfbench/tracing.py` wraps it by name.
@@ -473,20 +474,21 @@ def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
     return float(loss)
 
 
-def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
-                 seed: int, similar_words: Mapping[str, Sequence[str]] | None = None,
-                 lr: float = 1e-3) -> tuple[ParameterStore, Vocabulary, list[float]]:
+def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int, seed: int,
+                 similar_words: Mapping[str, Sequence[str]] | None = None
+                 ) -> tuple[ParameterStore, Vocabulary, list[float]]:
     """Train the encoder to recover corrupted tokens over the corpus.
 
     Returns the trained parameters, the corpus vocabulary, and the mean
     per-epoch loss trace. epochs=0 returns the untouched initialization.
     A non-finite loss raises DivergenceError naming the epoch and sentence.
 
-    Each sentence is one Adam step: `mlm_step` writes the gradient into the
-    store's flat gradient (`ParameterStore.flatten`), and `numerics.adam_step`
-    updates the flat parameter vector that the store's tensors are views of,
-    in place. With epochs > 0, a max_len below 2 leaves no token to mask
-    and is a ConfigError.
+    Each sentence is one Adam step at Adam's default step size: `mlm_step`
+    writes the gradient into the flat gradient of the Adam state
+    (`numerics.adam_state`), and `numerics.adam_step` updates the flat
+    parameter vector that the store's tensors are views of, in place. With
+    epochs > 0, a max_len below 2 leaves no token to mask and is a
+    ConfigError.
     """
     corpus = [t for t in corpus if t.strip()]
     if not corpus:
@@ -494,7 +496,6 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     vocab = Vocabulary.build(corpus, similar_words)
     rng = np.random.default_rng(seed)
     params = init_encoder_params(config, vocab.size, rng)
-    state = nm.adam_state(params, lr=lr)
     trace: list[float] = []
     if not epochs:
         return params, vocab, trace
@@ -504,7 +505,7 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
     if not sentences:  # every non-blank text has the start token and a piece
         raise ConfigError(f"pretraining needs max_len >= 2 to mask a token, "
                           f"got max_len={config.max_len}")
-    flat, grad = params.flatten()
+    state = nm.adam_state(params)
     weights = {name: t.data for name, t in params.items()}
     grads = {name: t.grad for name, t in params.items()}
     for epoch in range(epochs):
@@ -515,7 +516,7 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int,
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"non-finite pretraining loss at epoch {epoch}, sentence {index}")
-            nm.adam_step(state, flat, grad)
+            nm.adam_step(state)
             losses.append(value)
         trace.append(float(np.mean(losses)))
     return params, vocab, trace

@@ -156,21 +156,19 @@ def conv_output_len(input_len: int, kernel_len: int) -> int:
 
 
 def add_text_path_params(store: ParameterStore, rng: np.random.Generator,
-                         feature_len: int, embed_width: int, kernel_len: int,
-                         prefix: str = "text") -> None:
+                         feature_len: int, embed_width: int, kernel_len: int) -> None:
     """Create the embedding and convolution parameters for the text path."""
     conv_output_len(embed_width, kernel_len)
-    store.add(f"{prefix}.w_e", nm.uniform_init(rng, feature_len, (feature_len, embed_width)))
-    store.add(f"{prefix}.b_e", np.zeros((1, embed_width)))
-    store.add(f"{prefix}.w_c", nm.uniform_init(rng, kernel_len, (kernel_len,)))
-    store.add(f"{prefix}.b_c", np.zeros((1, 1)))
+    store.add("text.w_e", nm.uniform_init(rng, feature_len, (feature_len, embed_width)))
+    store.add("text.b_e", np.zeros((1, embed_width)))
+    store.add("text.w_c", nm.uniform_init(rng, kernel_len, (kernel_len,)))
+    store.add("text.b_c", np.zeros((1, 1)))
 
 
 def add_fuse_gate_params(store: ParameterStore, rng: np.random.Generator,
-                         conv_len: int, out_width: int,
-                         prefix: str = "text") -> None:
+                         conv_len: int, out_width: int) -> None:
     """Create the gate scalar plus the width-aligning projection if needed."""
     if conv_len != out_width:
-        store.add(f"{prefix}.proj_w", nm.uniform_init(rng, conv_len, (conv_len, out_width)))
-        store.add(f"{prefix}.proj_b", np.zeros((1, out_width)))
-    store.add(f"{prefix}.gamma_raw", np.zeros((1, 1)))
+        store.add("text.proj_w", nm.uniform_init(rng, conv_len, (conv_len, out_width)))
+        store.add("text.proj_b", np.zeros((1, out_width)))
+    store.add("text.gamma_raw", np.zeros((1, 1)))

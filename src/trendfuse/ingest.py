@@ -246,7 +246,7 @@ def split_train_test(samples: Sequence, ratio: float = 0.8) -> tuple[Sequence, S
 
 
 def load_summaries(path) -> list[SummaryRecord]:
-    """Read a JSON-lines summaries file with `date` and `text` fields.
+    """Read a JSON-lines summaries file with `date` and `text` string fields.
 
     Lines with an empty text are skipped (with a warning); lines sharing a
     date are merged into one record with the texts joined by a space.
@@ -264,11 +264,15 @@ def load_summaries(path) -> list[SummaryRecord]:
                 raise ParseError(f"line {line_no}: invalid JSON ({err.msg})") from None
             if not isinstance(obj, dict) or "date" not in obj or "text" not in obj:
                 raise ParseError(f"line {line_no}: expected an object with date and text")
+            for key in ("date", "text"):
+                if not isinstance(obj[key], str):
+                    raise ParseError(f"line {line_no}: {key} must be a JSON string, "
+                                     f"got {json.dumps(obj[key])}")
             try:
-                day = Date.fromisoformat(str(obj["date"]).strip())
+                day = Date.fromisoformat(obj["date"].strip())
             except ValueError:
                 raise ParseError(f"line {line_no}: cannot parse date={obj['date']!r}") from None
-            text = str(obj["text"]).strip()
+            text = obj["text"].strip()
             if not text:
                 skipped += 1
                 log.warning("line %d: empty text for %s, record skipped", line_no, day)
@@ -288,16 +292,11 @@ _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
 class ExtractiveSummaryProvider:
-    """Deterministic stub provider: keeps the first k sentences verbatim."""
-
-    def __init__(self, k: int = 3):
-        if k < 1:
-            raise ContractError(f"sentence count must be >= 1, got {k}")
-        self.k = k
+    """Deterministic stub provider: keeps the first three sentences verbatim."""
 
     def summarize(self, text: str) -> str:
         sentences = _SENTENCE_SPLIT.split(text.strip())
-        return " ".join(sentences[: self.k])
+        return " ".join(sentences[:3])
 
 
 def summarize(text: str, provider: SummaryProvider | None = None) -> str:

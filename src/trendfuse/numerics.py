@@ -7,28 +7,29 @@ gradients for every leaf. All arithmetic stays in float64 and reduction
 orders are fixed by graph construction order, so identical inputs give
 bit-identical outputs and gradients.
 
-The program's tape is short. A predictor training step is one `fused`
-node for the whole forward (whose backward runs the primitives' numpy
-backwards in reverse), then the loss, then `sum_` over lockstep replicas'
-losses; parameters are its leaves. Besides the tape, this module keeps
-only what some program path calls: the array helpers the numpy backwards
-share (`mT`, `row_sum`, `affine_back`, `logistic`,
-`softmax_probs`/`softmax_back`), the parameter store and its checkpoint
-format, and Adam. Single-op tape ops, multi-output nodes and the adapter
-that puts a numpy forward/backward pair on the tape live in
-`tests/oracles.py`.
+The program's tape is short. A predictor training step is one node for
+the whole forward, with no parents: its backward runs the primitives'
+numpy backwards in reverse and adds straight into the parameters'
+gradients. Then come the loss and, over lockstep replicas' losses, `sum_`.
+Besides the tape, this module keeps only what some program path calls:
+the array helpers the numpy backwards share (`mT`, `row_sum`,
+`affine_back`, `logistic`, `softmax_probs`/`softmax_back`), the parameter
+store and its checkpoint format, and Adam, whose state owns the flat
+parameter and gradient vectors that every parameter is a view of.
+Single-op tape ops, multi-output nodes and the adapter that puts a numpy
+forward/backward pair on the tape live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DataError, ShapeError
+from .errors import ContractError, DataError
 
 Array = np.ndarray
 
@@ -90,15 +91,15 @@ def logistic(z: Array) -> Array:
     return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
-def softmax_probs(x: Array, axis: int = -1) -> Array:
-    """Max-shifted softmax of an array along `axis`; rows sum to 1, shift-invariant."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax_probs(x: Array) -> Array:
+    """Max-shifted softmax along the last axis; rows sum to 1, shift-invariant."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_back(g: Array, y: Array, axis: int = -1) -> Array:
+def softmax_back(g: Array, y: Array) -> Array:
     """Gradient at the input of a softmax with output y, from g at its output."""
-    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
 
 
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -194,26 +195,6 @@ class ParameterStore:
             self._views[prefix] = cached
         return cached
 
-    def flatten(self) -> tuple[Array, Array]:
-        """Move every parameter into one flat vector, in store order, and bind
-        each tensor's gradient to its slice of one zeroed flat gradient.
-
-        Each tensor's `data` and `grad` become views of the two vectors,
-        which are returned as (flat, grad): an in-place update of `flat`
-        updates every parameter, and a backward adds into `grad` once it
-        is zeroed.
-        """
-        flat = np.zeros(sum(t.size for t in self._params.values()))
-        grad = np.zeros_like(flat)
-        start = 0
-        for t in self._params.values():
-            stop = start + t.size
-            flat[start:stop] = t.data.reshape(-1)
-            t.data = flat[start:stop].reshape(t.shape)
-            t.grad = grad[start:stop].reshape(t.shape)
-            start = stop
-        return flat, grad
-
     def state_dict(self) -> dict:
         return {
             "format_version": CHECKPOINT_VERSION,
@@ -293,47 +274,56 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:
     return rng.uniform(-bound, bound, size=shape)
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam's settings, step counter and moment estimates.
+    """The flat parameter and gradient vectors, the step size, the moment
+    estimates over them and the step counter."""
 
-    `m` and `v` are flat vectors over every parameter of the store, in its
-    insertion order: the layout of the vectors `ParameterStore.flatten`
-    returns, which `adam_step` updates.
-    """
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    flat: Array
+    grad: Array
+    lr: float
+    m: Array
+    v: Array
     t: int = 0
-    m: Array = field(default_factory=lambda: np.zeros(0))
-    v: Array = field(default_factory=lambda: np.zeros(0))
 
 
 def adam_state(store: ParameterStore, lr: float = 1e-3) -> AdamState:
+    """Move every parameter into one flat vector, in store order, and bind
+    each tensor's gradient to its slice of one zeroed flat gradient.
+
+    Each tensor's `data` and `grad` become views of `flat` and `grad`: an
+    in-place update of `flat` updates every parameter, and a backward adds
+    into `grad` once it is zeroed.
+    """
     if lr <= 0:
         raise ContractError(f"learning rate must be positive, got {lr}")
-    size = sum(t.size for _, t in store.items())
-    return AdamState(lr=lr, m=np.zeros(size), v=np.zeros(size))
+    params = [t for _, t in store.items()]
+    flat = np.zeros(sum(t.size for t in params))
+    grad = np.zeros_like(flat)
+    start = 0
+    for t in params:
+        stop = start + t.size
+        flat[start:stop] = t.data.reshape(-1)
+        t.data = flat[start:stop].reshape(t.shape)
+        t.grad = grad[start:stop].reshape(t.shape)
+        start = stop
+    return AdamState(flat, grad, lr, np.zeros_like(flat), np.zeros_like(flat))
 
 
-def adam_step(state: AdamState, flat: Array, grad: Array) -> None:
-    """One bias-corrected Adam update of a flat parameter vector, in place.
-
-    `grad` is the flat gradient in the same order (see
-    `ParameterStore.flatten`); element by element the arithmetic is that
-    of a per-parameter update.
-    """
-    if not flat.shape == grad.shape == state.m.shape:
-        raise ShapeError(f"Adam over {state.m.shape} moments got parameters of shape "
-                         f"{flat.shape} and a gradient of shape {grad.shape}")
+def adam_step(state: AdamState) -> None:
+    """One bias-corrected Adam update of the flat parameter vector from the
+    flat gradient, in place; element by element the arithmetic is that of a
+    per-parameter update."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    state.m *= b1
-    state.m += (1.0 - b1) * grad
-    state.v *= b2
-    state.v += (1.0 - b2) * grad * grad
-    m_hat = state.m / (1.0 - b1 ** state.t)
-    v_hat = state.v / (1.0 - b2 ** state.t)
-    flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * state.grad
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * state.grad * state.grad
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    state.flat -= state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)

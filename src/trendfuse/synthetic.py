@@ -76,14 +76,12 @@ def write_markov_market_csv(path, count: int, seed: int,
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_toy_summaries(path, count: int, seed: int, sentences: int = 3) -> None:
-    """JSON-lines summaries with small deterministic word-salad texts."""
+def write_toy_summaries(path, count: int, seed: int) -> None:
+    """JSON-lines summaries of three four-word sentences of deterministic word salad."""
     rng = np.random.default_rng(seed)
     lines = []
     for day in _dates(count):
-        text = ". ".join(
-            " ".join(rng.choice(_WORDS, size=4)) for _ in range(sentences)
-        ) + "."
+        text = ". ".join(" ".join(rng.choice(_WORDS, size=4)) for _ in range(3)) + "."
         lines.append(json.dumps({"date": day.isoformat(), "text": text}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

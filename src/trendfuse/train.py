@@ -11,13 +11,14 @@ the flattened inputs straight to the probability.
 
 `forward_batch` runs that pass in numpy and `_backward_batch` runs the
 primitives' backwards in reverse. A training step records them as one
-`numerics.fused` node over the parameters, then the BCE loss node (and,
-in lockstep, `numerics.sum_`); scoring runs `forward_batch` alone.
-`train_replicas` trains several models in lockstep as one stacked model,
-and `train_model` is its one-replica case. Samples arrive as one
-`ingest.Samples` block of row-aligned arrays, and batches are row slices
-of them. Parameters and gradients live in one flat vector each
-(`ParameterStore.flatten`): each step zeroes the gradient, the backward
+tape node with no parents, whose backward adds into the parameters'
+gradients itself, then the BCE loss node (and, in lockstep,
+`numerics.sum_`); scoring runs `forward_batch` alone. `train_replicas`
+trains several models in lockstep as one stacked model, and `train_model`
+is its one-replica case. Samples arrive as one `ingest.Samples` block of
+row-aligned arrays, and batches are row slices of them. Parameters and
+gradients are views of the flat vectors of the Adam state
+(`numerics.adam_state`): each step zeroes the flat gradient, the backward
 adds into it, and `numerics.adam_step` updates in place.
 
 Batches run in chronological order with no shuffling, so a fixed
@@ -222,12 +223,10 @@ def train_replicas(samples_per_replica: Sequence[Samples],
     store = ParameterStore()
     for name, _ in stores[0].items():
         store.add(name, stack([s[name].data for s in stores]))
-    flat, grad = store.flatten()
-    params = tuple(t for _, t in store.items())
+    state = nm.adam_state(store, lr=base.lr)
     for name, t in store.items():
         for r, replica in enumerate(stores):  # Adam updates the block in place
             replica[name].data = t.data[r] if lead else t.data
-    state = nm.adam_state(store, lr=base.lr)
     arrays = [stack(parts) for parts in zip(*(
         batch_arrays(s, c.prior_effect) for s, c in zip(samples_per_replica, configs)))]
     traces = np.empty((base.epochs, len(configs)))
@@ -237,16 +236,17 @@ def train_replicas(samples_per_replica: Sequence[Samples],
             rows = (slice(None),) * len(lead) + (slice(start, start + base.batch_size),)
             priors, prices, texts, targets = (a[rows] for a in arrays)
             saved: list = []
-            probs = nm.fused(params, forward_batch(store, base, priors, prices, texts, saved),
-                             lambda g: _backward_batch(base, saved, g))
+            probs = Tensor(forward_batch(store, base, priors, prices, texts, saved),
+                           requires_grad=True,
+                           backward=lambda g: _backward_batch(base, saved, g))
             means = bce_loss(probs, targets)
             finite = np.isfinite(means.data).reshape(-1)
             if not finite.all():
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch "
                                       f"{start // base.batch_size}, replica {finite.argmin()}")
-            grad.fill(0.0)
+            state.grad.fill(0.0)
             nm.backward(nm.sum_(means) if lead else means)
-            nm.adam_step(state, flat, grad)
+            nm.adam_step(state)
             totals += means.data * targets.shape[-1]
         traces[epoch] = totals / n
     return [(replica, traces[:, r].tolist()) for r, replica in enumerate(stores)]

@@ -487,15 +487,16 @@ def sigmoid(x):
     return nm.Tensor(y, parents=(x,), backward=back)
 
 
-def softmax(x, axis=-1):
-    """`numerics.softmax_probs` and `numerics.softmax_back` as a tape op."""
+def softmax(x):
+    """`numerics.softmax_probs` and `numerics.softmax_back` as a tape op
+    over the last axis."""
     x = _lift(x)
     if x.size == 0:
         raise ShapeError("softmax of an empty tensor")
-    y = nm.softmax_probs(x.data, axis)
+    y = nm.softmax_probs(x.data)
 
     def back(g):
-        x._accumulate(nm.softmax_back(g, y, axis))
+        x._accumulate(nm.softmax_back(g, y))
 
     return nm.Tensor(y, parents=(x,), backward=back)
 
@@ -659,7 +660,7 @@ def self_attention(q, k, v):
         raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[1])
     scores = mul(matmul(q, transpose(k)), scale)
-    return matmul(softmax(scores, axis=-1), v)
+    return matmul(softmax(scores), v)
 
 
 def composed_multi_head_attention(x, params, heads):
@@ -727,7 +728,7 @@ def attention_over_features(query, candidates):
         raise ContractError("need at least one candidate feature")
     scores = concat([nm.sum_(mul(query, f), axis=1, keepdims=True)
                         for f in feats], axis=1)
-    alpha = softmax(scores, axis=-1)
+    alpha = softmax(scores)
     context = mul(take(alpha, (slice(None), slice(0, 1))), feats[0])
     for j in range(1, len(feats)):
         context = add(context, mul(take(alpha, (slice(None), slice(j, j + 1))), feats[j]))
@@ -855,7 +856,7 @@ def encode_text(token_ids, config, params):
 def mlm_predictions(rows, positions, params):
     """`encoder.mlm_predictions` on the tape."""
     logits = add(matmul(gather_rows(rows, positions), params["mlm.w"]), params["mlm.b"])
-    return softmax(logits, axis=-1)
+    return softmax(logits)
 
 
 # --- the encoder's masking and pretraining loop on the tape ---
@@ -897,7 +898,7 @@ def mlm_tape_loss(token_ids, positions, targets, config, params):
     return enc.mlm_loss(mlm_predictions(rows, positions, params), positions, targets)
 
 
-def pretrain_mlm(corpus, config, epochs, seed, similar_words=None, lr=1e-3):
+def pretrain_mlm(corpus, config, epochs, seed, similar_words=None):
     """`encoder.pretrain_mlm` as one tape per sentence: tokenize every epoch,
     mask with `similar_word_mask` above, `nm.backward`, then the store Adam
     `adam_step` below."""
@@ -905,7 +906,7 @@ def pretrain_mlm(corpus, config, epochs, seed, similar_words=None, lr=1e-3):
     vocab = enc.Vocabulary.build(corpus, similar_words)
     rng = np.random.default_rng(seed)
     params = enc.init_encoder_params(config, vocab.size, rng)
-    state = nm.adam_state(params, lr=lr)
+    state = nm.adam_state(params)
     trace = []
     for epoch in range(epochs):
         losses = []
@@ -936,20 +937,21 @@ def zero_grad(store):
 def adam_step(store, state):
     """Store-based Adam: concatenate the parameters' gradients in store order,
     take the whole-vector step, and subtract each parameter's slice of it.
+    Only the moments, step counter and step size of `state` are read.
 
     The reference for `numerics.adam_step`, which updates the flat vector the
     parameters are views of.
     """
     g = np.concatenate([t.grad.reshape(-1) for _, t in store.items()])
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = nm.BETA1, nm.BETA2
     state.m *= b1
     state.m += (1.0 - b1) * g
     state.v *= b2
     state.v += (1.0 - b2) * g * g
     m_hat = state.m / (1.0 - b1 ** state.t)
     v_hat = state.v / (1.0 - b2 ** state.t)
-    step = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    step = state.lr * m_hat / (np.sqrt(v_hat) + nm.EPSILON)
     start = 0
     for _, p in store.items():
         p.data -= step[start:start + p.size].reshape(p.shape)
@@ -1042,10 +1044,11 @@ def train_replicas(rows_per_replica, configs):
     stores = [tr.init_pipeline_params(c) for c in configs]
     store = nm.ParameterStore()
     for name, _ in stores[0].items():
-        block = store.add(name, stack([s[name].data for s in stores])).data
+        store.add(name, stack([s[name].data for s in stores]))
+    state = nm.adam_state(store, lr=base.lr)  # the store's data become views of state.flat
+    for name, t in store.items():
         for r, replica in enumerate(stores):
-            replica[name].data = block[r] if lead else block
-    state = nm.adam_state(store, lr=base.lr)
+            replica[name].data = t.data[r] if lead else t.data
     arrays = [stack(parts) for parts in zip(*(
         batch_arrays(rows, c.prior_effect) for rows, c in zip(rows_per_replica, configs)))]
     n = len(rows_per_replica[0])

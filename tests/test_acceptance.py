@@ -67,7 +67,7 @@ def _primitive_grad_cases(rng):
          {"x": np.abs(x) + 0.5}),
         ("clip_min", lambda p: nm.sum_(oracles.clip_min(p["x"], 0.3)),
          {"x": np.abs(x) + 0.5}),
-        ("softmax", lambda p: nm.sum_(oracles.mul(oracles.softmax(p["x"], axis=-1), p["y"])),
+        ("softmax", lambda p: nm.sum_(oracles.mul(oracles.softmax(p["x"]), p["y"])),
          {"x": x, "y": y}),
         ("sum_axis", lambda p: nm.sum_(oracles.mul(nm.sum_(p["x"], axis=0, keepdims=True), 2.0)),
          {"x": x}),
@@ -160,7 +160,7 @@ def _encoder_grad_cases(rng):
         return nm.sum_(oracles.feed_forward(p["x"], p))
 
     def build_mlm(p):
-        return enc.mlm_loss(oracles.softmax(p["logits"], axis=-1), np.arange(3), targets)
+        return enc.mlm_loss(oracles.softmax(p["logits"]), np.arange(3), targets)
 
     return [("oracles.self_attention", build_attention, att_arrays),
             *[(f"encoder.mha.{heads}heads", lambda p, n=heads: build_mha(p, n), mha_arrays)
@@ -683,7 +683,7 @@ def test_criterion_2_reduction_identities():
 def test_criterion_3_normalization_laws():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(1000, 9)) * 4.0
-    sums = oracles.softmax(Tensor(x), axis=-1).data.sum(axis=1)
+    sums = oracles.softmax(Tensor(x)).data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
     for i in range(0, 1000, 100):

@@ -92,6 +92,20 @@ class TestFeaturize:
                    "--encoder", first / "encoder.json", "--feature-len", "6") == 0
         assert (first / "features.csv").read_bytes() == (second / "features.csv").read_bytes()
 
+    @pytest.mark.parametrize("field, value", [("date", 20230103), ("text", None)])
+    def test_non_string_summary_field_is_parse_error(self, tmp_path, summaries, capsys,
+                                                     field, value):
+        lines = summaries.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]) + "\n",
+                       encoding="utf-8")
+        assert run("featurize", "--summaries", bad, "--out", tmp_path / "feat",
+                   "--pretrain", "--pretrain-epochs", "1") == 2
+        message = _one_error_line(capsys, "ParseError")
+        assert "line 3" in message and f"{field} must be a JSON string" in message
+
     def test_features_match_a_per_text_tape_loop(self, tmp_path):
         """Texts of many token counts, 40 of one count (more than a chunk), a
         text past max_len and a CJK one: the batched CSV equals, byte for

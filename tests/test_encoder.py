@@ -233,7 +233,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(7)
         for _ in range(25):
             x = rng.normal(size=(3, 4))
-            scores = oracles.softmax(Tensor(x), axis=-1).data
+            scores = oracles.softmax(Tensor(x)).data
             np.testing.assert_allclose(scores.sum(axis=1), np.ones(3), atol=1e-9)
 
 

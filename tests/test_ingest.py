@@ -343,6 +343,21 @@ class TestLoadSummaries:
         with pytest.raises(ParseError, match="line 1"):
             ingest.load_summaries(path)
 
+    @pytest.mark.parametrize("record, detail", [
+        ({"date": 20230103, "text": "Rates held."}, "date must be a JSON string, got 20230103"),
+        ({"date": ["2023-01-03"], "text": "Rates held."}, "date must be a JSON string"),
+        ({"date": "2023-01-03", "text": None}, "text must be a JSON string, got null"),
+        ({"date": "2023-01-03", "text": 1.5}, "text must be a JSON string, got 1.5"),
+        ({"date": "2023-01-03", "text": ["Rates", "held."]}, "text must be a JSON string"),
+        ({"date": "2023-01-03", "text": {"en": "Rates held."}}, "text must be a JSON string"),
+    ])
+    def test_non_string_field_rejected(self, tmp_path, record, detail):
+        path = _write(tmp_path, "s.jsonl",
+                      '{"date": "2023-01-02", "text": "ok"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match="line 2") as info:
+            ingest.load_summaries(path)
+        assert detail in str(info.value)
+
 
 class TestSummarize:
     def test_short_text_unchanged(self):
@@ -368,7 +383,3 @@ class TestSummarize:
         with pytest.raises(ProviderError) as info:
             ingest.summarize("Some text.", Broken())
         assert isinstance(info.value.__cause__, RuntimeError)
-
-    def test_custom_k(self):
-        provider = ingest.ExtractiveSummaryProvider(k=1)
-        assert ingest.summarize("A one. B two.", provider) == "A one."

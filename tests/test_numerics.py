@@ -225,7 +225,7 @@ def _primitive_cases():
         "pow": (lambda p: nm.sum_(oracles.pow_scalar(p["x"], -0.5)), {"x": np.abs(x) + 0.5}),
         "clip_min": (lambda p: nm.sum_(oracles.clip_min(p["x"], 0.3)),
                      {"x": np.abs(x) + 0.5}),
-        "softmax": (lambda p: nm.sum_(oracles.mul(oracles.softmax(p["x"], axis=-1), p["y"])),
+        "softmax": (lambda p: nm.sum_(oracles.mul(oracles.softmax(p["x"]), p["y"])),
                     {"x": x, "y": y}),
         "mean": (lambda p: nm.sum_(oracles.mul(oracles.mean_(p["x"], axis=1, keepdims=True), 3.0)),
                  {"x": x}),
@@ -264,16 +264,15 @@ class TestAdam:
         store.add("theta", np.array([value]))
         return store
 
-    def _step(self, store, state, g):
-        """One `adam_step` on the store's flat vector with gradient g."""
-        flat, grad = store.flatten()
-        grad[...] = g
-        nm.adam_step(state, flat, grad)
+    def _step(self, state, g):
+        """One `adam_step` with flat gradient g."""
+        state.grad[...] = g
+        nm.adam_step(state)
 
     def test_zero_gradient_keeps_params(self):
         store = self._store(1.5)
         state = nm.adam_state(store)
-        self._step(store, state, [0.0])
+        self._step(state, [0.0])
         assert store["theta"].data[0] == 1.5
         assert state.t == 1
 
@@ -281,33 +280,21 @@ class TestAdam:
     def test_first_step_bias_correction_identity(self, g):
         store = self._store(0.0)
         state = nm.adam_state(store, lr=1e-3)
-        self._step(store, state, [g])
-        expected = -state.lr * g / (abs(g) + state.epsilon)
+        self._step(state, [g])
+        expected = -state.lr * g / (abs(g) + nm.EPSILON)
         np.testing.assert_allclose(store["theta"].data[0], expected, rtol=1e-12)
         # approximately -lr; the deviation is the epsilon share of |g|
-        assert abs(store["theta"].data[0] + state.lr) <= state.lr * (state.epsilon / g) * 1.01
+        assert abs(store["theta"].data[0] + state.lr) <= state.lr * (nm.EPSILON / g) * 1.01
 
     def test_descends_quadratic(self):
         store = self._store(1.0)
         state = nm.adam_state(store, lr=1e-1)
-        flat, grad = store.flatten()
         for _ in range(100):
-            grad[...] = 2.0 * flat
-            nm.adam_step(state, flat, grad)
+            self._step(state, 2.0 * state.flat)
         final = store["theta"].data[0]
         assert abs(final) < 0.1
         assert final ** 2 < 1.0
         assert state.t == 100
-
-    def test_gradient_of_another_size_is_shape_error(self):
-        store = self._store(1.0)
-        store.add("other", np.array([2.0]))
-        state = nm.adam_state(store)
-        flat, _ = store.flatten()
-        with pytest.raises(ShapeError, match=r"gradient of shape \(1,\)"):
-            nm.adam_step(state, flat, np.array([0.1]))
-        assert state.t == 0
-        assert flat.tolist() == [1.0, 2.0]
 
     def test_flat_update_is_bitwise_the_per_parameter_update(self):
         rng = np.random.default_rng(12)
@@ -319,14 +306,13 @@ class TestAdam:
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
         state = nm.adam_state(store, lr=0.05)
-        vector, grad = store.flatten()
-        b1, b2, eps = state.beta1, state.beta2, state.epsilon
+        b1, b2, eps = nm.BETA1, nm.BETA2, nm.EPSILON
         for t in range(1, 6):
             grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
                      for name, shape in shapes.items()}
             for name, g in grads.items():
                 store[name].grad[...] = g
-            nm.adam_step(state, vector, grad)
+            nm.adam_step(state)
             for name, g in grads.items():
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -342,6 +328,30 @@ class TestAdam:
     def test_bad_lr_rejected(self):
         with pytest.raises(ContractError):
             nm.adam_state(self._store(1.0), lr=0.0)
+
+    def test_state_makes_data_and_grad_views_of_its_two_vectors(self):
+        rng = np.random.default_rng(6)
+        store = ParameterStore()
+        for name, shape in (("a.w", (3, 4)), ("a.b", (1, 4)), ("c", ()), ("d", (2, 1, 3))):
+            store.add(name, rng.normal(size=shape))
+        before = store.state_dict()
+        state = nm.adam_state(store)
+        flat, grad = state.flat, state.grad
+        assert store.state_dict() == before
+        assert flat.shape == grad.shape == state.m.shape == state.v.shape \
+            == (sum(t.size for _, t in store.items()),)
+        assert not grad.any() and not state.m.any() and not state.v.any() and state.t == 0
+        assert flat.tolist() == [x for entry in before["params"].values()
+                                 for x in entry["data"]]
+        for name, t in store.items():
+            assert t.shape == tuple(before["params"][name]["shape"])
+            assert t.grad.shape == t.shape
+            assert np.shares_memory(t.data, flat) and np.shares_memory(t.grad, grad), name
+        flat += 1.0
+        grad -= 2.0
+        for _, t in store.items():
+            assert np.all(t.grad == -2.0)
+        assert store["c"].data.tolist() == before["params"]["c"]["data"][0] + 1.0
 
 
 class TestParameterStore:
@@ -382,28 +392,6 @@ class TestParameterStore:
         assert after is not first
         assert list(after) == ["w", "u"]
         assert after["u"] is store["cell.u"]
-
-    def test_flatten_makes_data_and_grad_views_of_two_vectors(self):
-        rng = np.random.default_rng(6)
-        store = ParameterStore()
-        for name, shape in (("a.w", (3, 4)), ("a.b", (1, 4)), ("c", ()), ("d", (2, 1, 3))):
-            store.add(name, rng.normal(size=shape))
-        before = store.state_dict()
-        flat, grad = store.flatten()
-        assert store.state_dict() == before
-        assert flat.shape == grad.shape == (sum(t.size for _, t in store.items()),)
-        assert not grad.any()
-        assert flat.tolist() == [x for entry in before["params"].values()
-                                 for x in entry["data"]]
-        for name, t in store.items():
-            assert t.shape == tuple(before["params"][name]["shape"])
-            assert t.grad.shape == t.shape
-            assert np.shares_memory(t.data, flat) and np.shares_memory(t.grad, grad), name
-        flat += 1.0
-        grad -= 2.0
-        for _, t in store.items():
-            assert np.all(t.grad == -2.0)
-        assert store["c"].data.tolist() == before["params"]["c"]["data"][0] + 1.0
 
 
 # Public functions that nothing in the package calls, each with its caller.
@@ -487,5 +475,71 @@ def test_every_public_method_is_read_in_the_package():
                               if isinstance(member, (FunctionType, staticmethod, classmethod,
                                                      property))
                               and not name.startswith("_") and name not in read)
-    assert {"flatten", "view", "summarize"} <= read
+    assert {"check_layout", "view", "summarize"} <= read
     assert sorted(unread) == sorted(NO_PACKAGE_ATTRIBUTE_USE)
+
+
+# Defaulted parameters that no call in the package passes, each with its caller.
+PASSED_FROM_OUTSIDE = {
+    "cli.main(argv)": "the tests, which pass argv; the console script passes none",
+    "synthetic.markov_samples(persistence)": "acceptance criterion 6 and the training tests",
+    "synthetic.markov_samples(feature_len)": "perfbench's zoo-train workload",
+    "synthetic.write_markov_market_csv(persistence)": "scripts/run_synthetic_experiment.py",
+    "synthetic.toy_corpus(n_sentences)": "perfbench's text-encoder workload",
+    "synthetic.toy_corpus(seed)": "perfbench's text-encoder workload",
+    "numerics.sum_(axis)": "acceptance criterion 1, which differentiates through it",
+    "numerics.sum_(keepdims)": "acceptance criterion 1, which differentiates through it",
+    "models.window_pool(saved)": "`unroll`, through the `Cell.pool` table entry",
+}
+
+
+def _defaulted_parameters(tree):
+    """(called name, positional names, defaulted names) of every def in a
+    module; a method's positional names leave out its bound first one, and
+    an `__init__` is called by its class's name."""
+    for owner in ast.walk(tree):
+        if not isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            continue
+        for node in owner.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            is_method = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            name = owner.name if node.name == "__init__" else node.name
+            yield name, positional[is_method:], defaulted
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    """A default that no caller overrides is a knob nobody turns: fold it
+    into the code. A parameter is passed when some call of its function's
+    name in the package names it as a keyword or reaches its position (a
+    `*args` or `**kwargs` in the call passes everything); the parameters
+    in PASSED_FROM_OUTSIDE are passed from outside."""
+    trees = _package_trees()
+    calls = [node for tree in trees.values() for stmt in tree.body
+             if not _is_main_guard(stmt) for node in ast.walk(stmt)
+             if isinstance(node, ast.Call)]
+
+    def called_name(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    unpassed = set()
+    for module, tree in trees.items():
+        for name, positional, defaulted in _defaulted_parameters(tree):
+            mine = [c for c in calls if called_name(c) == name]
+            for param in defaulted:
+                index = positional.index(param) if param in positional else None
+                if not any(any(isinstance(a, ast.Starred) for a in c.args)
+                           or any(k.arg in (None, param) for k in c.keywords)
+                           or (index is not None and len(c.args) > index)
+                           for c in mine):
+                    unpassed.add(f"{module}.{name}({param})")
+    assert "numerics.adam_state(lr)" not in unpassed
+    assert sorted(unpassed) == sorted(PASSED_FROM_OUTSIDE), sorted(unpassed)
