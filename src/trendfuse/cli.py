@@ -174,10 +174,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str],
-                      out: Path) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
-    """Pretrain the encoder on `corpus`; write its checkpoint and loss trace to `out`."""
+def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str]
+                      ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
+    """Pretrain the encoder on `corpus`; write its checkpoint and loss trace
+    to the output directory, made once the inputs are read."""
     similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
+    out = _out_dir(cfg)
     params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
                                             cfg.train.seed, similar_words=similar)
     enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
@@ -185,8 +187,8 @@ def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str],
     return cfg.encoder, vocab, params
 
 
-def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str],
-                              out: Path) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
+def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str]
+                              ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
     if cfg.encoder_checkpoint:
         if not Path(cfg.encoder_checkpoint).exists():
             raise ConfigError(f"encoder checkpoint does not exist: {cfg.encoder_checkpoint}")
@@ -194,25 +196,25 @@ def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str],
     if not cfg.pretrain:
         raise ConfigError("no encoder checkpoint given; pass --encoder <path> "
                           "or --pretrain to train one on the summaries")
-    return _pretrain_encoder(cfg, corpus, out)
+    return _pretrain_encoder(cfg, corpus)
 
 
-def _load_summaries(cfg: ExperimentConfig) -> tuple[Path, list[ingest.SummaryRecord]]:
-    """The output directory and the summary records; DataError when there are none."""
+def _load_summaries(cfg: ExperimentConfig) -> list[ingest.SummaryRecord]:
+    """The summary records; DataError when there are none."""
     _require_paths(cfg, ["summaries"])
-    out = _out_dir(cfg)
     records = ingest.load_summaries(cfg.summaries)
     if not records:
         raise DataError(f"no usable summaries in {cfg.summaries}")
-    return out, records
+    return records
 
 
 def cmd_featurize(cfg: ExperimentConfig) -> None:
     """Encode each summary into a fixed-length feature row and write the CSV."""
-    out, records = _load_summaries(cfg)
+    records = _load_summaries(cfg)
     provider = ingest.ExtractiveSummaryProvider()
     corpus = [r.text for r in records]
-    encoder_cfg, vocab, params = _load_encoder_or_pretrain(cfg, corpus, out)
+    encoder_cfg, vocab, params = _load_encoder_or_pretrain(cfg, corpus)
+    out = _out_dir(cfg)
     texts = []
     for record in records:
         try:
@@ -229,9 +231,8 @@ def cmd_featurize(cfg: ExperimentConfig) -> None:
 
 def cmd_pretrain_encoder(cfg: ExperimentConfig) -> None:
     """Train the text encoder on the summaries corpus and save a checkpoint."""
-    out, records = _load_summaries(cfg)
-    _pretrain_encoder(cfg, [r.text for r in records], out)
-    log.info("encoder checkpoint at %s", out / "encoder.json")
+    _pretrain_encoder(cfg, [r.text for r in _load_summaries(cfg)])
+    log.info("encoder checkpoint at %s", Path(cfg.out) / "encoder.json")
 
 
 def _load_split_samples(cfg: ExperimentConfig) -> tuple[ingest.Samples, ingest.Samples]:
@@ -261,8 +262,8 @@ def _run_metadata(cfg: ExperimentConfig) -> dict:
 def cmd_train(cfg: ExperimentConfig) -> None:
     """Full pipeline: ingest, window, split, train, evaluate, write artifacts."""
     _require_paths(cfg, ["market_csv"])
-    out = _out_dir(cfg)
     train_samples, test_samples = _load_split_samples(cfg)
+    out = _out_dir(cfg)
     store, report = tr.train_and_evaluate(train_samples, test_samples, cfg.train)
     store.save(out / "checkpoint.json")
     _write_csv(out / "loss.csv", ["epoch", "mean_loss"], enumerate(map(repr, report.loss_trace)))
@@ -278,10 +279,10 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
     """Evaluate a saved checkpoint on the chronological test split."""
     _require_paths(cfg, ["market_csv", "checkpoint"])
-    out = _out_dir(cfg)
     _, test_samples = _load_split_samples(cfg)
     store = ParameterStore.load(cfg.checkpoint)
     store.check_layout(tr.init_pipeline_params(cfg.train), cfg.checkpoint)
+    out = _out_dir(cfg)
     report = tr.evaluate(store, cfg.train, test_samples)
     _write_json(out / "metrics.json", report.to_dict())
     log.info("evaluate done: accuracy=%.4f f1=%.4f", report.accuracy, report.f1)
@@ -291,8 +292,8 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
     """Prior-effect ablation for the feedforward baseline and the configured
     recurrent model; writes per-arm reports and the delta table."""
     _require_paths(cfg, ["market_csv"])
-    out = _out_dir(cfg)
     train_samples, test_samples = _load_split_samples(cfg)
+    out = _out_dir(cfg)
     second = cfg.train.model.kind if cfg.train.model.kind != "feedforward" else "lstm"
     rows = []
     for kind in ("feedforward", second):
@@ -338,8 +339,7 @@ def cmd_report(cfg: ExperimentConfig, runs_dir: str) -> None:
         run_dirs.insert(0, root)
     if not run_dirs:
         raise DataError(f"no runs with metrics.json under: {root}")
-    out = _out_dir(cfg)
-    comparison = []
+    losses, comparison = {}, []
     for run in run_dirs:
         metrics_path = run / "metrics.json"
         loss_path = run / "loss.csv"
@@ -353,10 +353,13 @@ def cmd_report(cfg: ExperimentConfig, runs_dir: str) -> None:
             loss_text = loss_path.read_text(encoding="utf-8")
         except UnicodeDecodeError as err:
             raise DataError(f"{loss_path}: not UTF-8 text ({err.reason})") from None
-        (out / f"loss_{name}.csv").write_text(loss_text, encoding="utf-8")
+        losses[f"loss_{name}.csv"] = loss_text
         comparison.append([meta.get("model", name), meta.get("epochs", ""),
                            repr(metrics["accuracy"]), repr(metrics["precision"]),
                            repr(metrics["recall"]), repr(metrics["f1"])])
+    out = _out_dir(cfg)
+    for file_name, loss_text in losses.items():
+        (out / file_name).write_text(loss_text, encoding="utf-8")
     _write_csv(out / "comparison.csv",
                ["model", "epochs", "accuracy", "precision", "recall", "f1"], comparison)
     log.info("comparison table with %d run(s) at %s", len(comparison),

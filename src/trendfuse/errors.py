@@ -30,7 +30,7 @@ class DataError(ValueError):
 
 
 class ParseError(DataError):
-    """Unparseable field; message carries the 1-based line number."""
+    """Unparseable field; the message starts with the file and its 1-based line."""
 
 
 class SchemaError(DataError):

@@ -2,9 +2,12 @@
 
 Text features are lifted by an affine embedding, scanned by a valid 1-D
 convolution with ReLU, and blended with the recurrent output through a
-learnable convex gate. Attention weighting assigns softmax weights over a
-set of candidate feature vectors using a dot-product score against a
-state vector.
+learnable convex gate. The convolution is one matmul by the kernel's
+banded (E, out_len) matrix, filled from index arrays cached per (E, k);
+its backward multiplies by the band's transpose and sums xᵀ @ d along
+the band's diagonals for the kernel's gradient. Attention weighting
+assigns softmax weights over a set of candidate feature vectors using a
+dot-product score against a state vector.
 
 Each primitive is a numpy forward and its backward, `<name>_back`, and
 takes (R, B, ·) replica blocks against parameters stacked as (R, ...).
@@ -18,6 +21,7 @@ puts each pair on the tape and keeps single-op compositions as references.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
@@ -47,30 +51,37 @@ def embed_back(g: np.ndarray, saved: list) -> np.ndarray:
 
 def conv_text(embedded: np.ndarray, params: Params, saved: list | None = None) -> np.ndarray:
     """Valid stride-1 cross-correlation over each row with the (k,) kernel,
-    bias, then ReLU: out[..., i] = relu(b + sum_j kernel[j] * x[..., i + j])."""
-    kernel, x = params["w_c"], embedded
-    out_len = conv_output_len(x.shape[-1], kernel.shape[-1])
-    taps = [kernel.data[..., j, None, None] for j in range(kernel.shape[-1])]
-    pre = np.zeros((*x.shape[:-1], out_len))
-    for j, tap in enumerate(taps):
-        pre += tap * x[..., j:j + out_len]
+    bias, then ReLU: out[..., i] = relu(b + sum_j kernel[j] * x[..., i + j]).
+
+    The correlation is one matmul by the kernel's banded (E, out_len)
+    matrix, which holds kernel[j] at row i + j of column i."""
+    kernel, x = params["w_c"].data, embedded
+    rows, cols = _band_index(x.shape[-1], kernel.shape[-1])
+    band = np.zeros((*kernel.shape[:-1], x.shape[-1], cols.shape[-1]))
+    band[..., rows, cols] = kernel[..., None]
+    pre = x @ band
     pre += params["b_c"].data
     if saved is not None:
-        saved.append((x, params, taps, pre))
+        saved.append((x, params, band, rows, cols, pre))
     return np.maximum(0.0, pre)
 
 
 def conv_text_back(g: np.ndarray, saved: list) -> np.ndarray:
-    x, params, taps, pre = saved.pop()
-    out_len = pre.shape[-1]
+    x, params, band, rows, cols, pre = saved.pop()
     d = g * (pre > 0)
     params["b_c"].grad += _sum_rows_cols(d)
-    params["w_c"].grad += np.stack([(d * x[..., j:j + out_len]).sum(axis=(-2, -1))
-                                    for j in range(len(taps))], axis=-1)
-    d_x = np.zeros_like(x)
-    for j, tap in enumerate(taps):
-        d_x[..., j:j + out_len] += tap * d
-    return d_x
+    params["w_c"].grad += (nm.mT(x) @ d)[..., rows, cols].sum(axis=-1)
+    return d @ nm.mT(band)
+
+
+@functools.lru_cache(maxsize=None)
+def _band_index(length: int, kernel_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, each (k, out_len), of the entries of the
+    banded convolution matrix: tap j of column i sits at row i + j."""
+    cols = np.arange(conv_output_len(length, kernel_len))
+    rows = cols + np.arange(kernel_len)[:, None]
+    rows.flags.writeable = False
+    return rows, np.broadcast_to(cols, rows.shape)
 
 
 def attention_over_features(query: np.ndarray, candidates: np.ndarray,

@@ -89,14 +89,15 @@ class Samples:
                        self.texts[rows], self.targets[rows])
 
 
-def _parse_float(raw: str, column: str, line: int) -> float:
+def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
     cleaned = raw.strip().rstrip("%").strip()
     try:
         value = float(cleaned)
     except ValueError:
-        raise ParseError(f"line {line}: cannot parse {column}={raw!r} as a number") from None
+        raise ParseError(f"{path}: line {line}: cannot parse {column}={raw!r} "
+                         "as a number") from None
     if not math.isfinite(value):
-        raise ParseError(f"line {line}: non-finite {column}={raw!r}")
+        raise ParseError(f"{path}: line {line}: non-finite {column}={raw!r}")
     return value
 
 
@@ -113,25 +114,25 @@ def parse_market_csv(path) -> MarketSeries:
         for row in reader:
             line = reader.line_num
             if None in row.values():
-                raise ParseError(f"line {line}: missing field(s) "
+                raise ParseError(f"{path}: line {line}: missing field(s) "
                                  + ", ".join(k for k, v in row.items() if v is None))
             if None in row:  # DictReader files fields past the header under None
-                raise ParseError(f"line {line}: {len(header) + len(row[None])} fields "
+                raise ParseError(f"{path}: line {line}: {len(header) + len(row[None])} fields "
                                  f"for a header of {len(header)}")
             raw_date = row["Date"].strip()
             try:
                 day = Date.fromisoformat(raw_date)
             except ValueError:
-                raise ParseError(f"line {line}: cannot parse Date={raw_date!r} "
+                raise ParseError(f"{path}: line {line}: cannot parse Date={raw_date!r} "
                                  "(expected YYYY-MM-DD)") from None
-            volume = _parse_float(row["Volume"], "Volume", line)
+            volume = _parse_float(row["Volume"], "Volume", path, line)
             if volume < 0:
-                raise ParseError(f"line {line}: negative Volume={volume}")
+                raise ParseError(f"{path}: line {line}: negative Volume={volume}")
             records.append(MarketRecord(
                 date=day,
-                chg=_parse_float(row["Chg"], "Chg", line),
-                open=_parse_float(row["Open"], "Open", line),
-                close=_parse_float(row["Close"], "Close", line),
+                chg=_parse_float(row["Chg"], "Chg", path, line),
+                open=_parse_float(row["Open"], "Open", path, line),
+                close=_parse_float(row["Close"], "Close", path, line),
                 volume=volume,
             ))
     counts: dict[Date, int] = {}
@@ -139,7 +140,8 @@ def parse_market_csv(path) -> MarketSeries:
         counts[r.date] = counts.get(r.date, 0) + 1
     dupes = sorted(d for d, c in counts.items() if c > 1)
     if dupes:
-        raise DataError("duplicate date(s): " + ", ".join(d.isoformat() for d in dupes))
+        raise DataError(f"{path}: duplicate date(s): "
+                        + ", ".join(d.isoformat() for d in dupes))
     records.sort(key=lambda r: r.date)
     return MarketSeries(records=tuple(records))
 
@@ -261,17 +263,18 @@ def load_summaries(path) -> list[SummaryRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
-                raise ParseError(f"line {line_no}: invalid JSON ({err.msg})") from None
+                raise ParseError(f"{path}: line {line_no}: invalid JSON ({err.msg})") from None
             if not isinstance(obj, dict) or "date" not in obj or "text" not in obj:
-                raise ParseError(f"line {line_no}: expected an object with date and text")
+                raise ParseError(f"{path}: line {line_no}: expected an object with date and text")
             for key in ("date", "text"):
                 if not isinstance(obj[key], str):
-                    raise ParseError(f"line {line_no}: {key} must be a JSON string, "
+                    raise ParseError(f"{path}: line {line_no}: {key} must be a JSON string, "
                                      f"got {json.dumps(obj[key])}")
             try:
                 day = Date.fromisoformat(obj["date"].strip())
             except ValueError:
-                raise ParseError(f"line {line_no}: cannot parse date={obj['date']!r}") from None
+                raise ParseError(f"{path}: line {line_no}: "
+                                 f"cannot parse date={obj['date']!r}") from None
             text = obj["text"].strip()
             if not text:
                 skipped += 1

@@ -15,24 +15,32 @@ is a numpy forward plus `<name>_back`, on the `saved`-list convention of
 the weights it steps with and a pair of pure-numpy step functions:
 
 - `forward(x_t, state, weights) -> (state, cache)`;
-- `backward(cache, d_state) -> (d_x, d_state_prev, d_weights)`.
+- `backward(cache, d_state) -> (d_x, d_state_prev, d_weights)`, with one
+  `(rows, d)` pair per weight, whose gradient is `mT(rows) @ d`; a bias's
+  pair is `(None, d)`, its gradient `row_sum(d)`.
 
 Each gate block is stored as the one matrix a step multiplies, as cuDNN
 keeps it: the LSTM block is `w` (H + I, 4H), rows [h; x] and columns
 [i, f, o, c], with bias `b` (1, 4H). BiLSTM is the LSTM entry run in both
-directions. Each step does one matmul of [h, x] against the block. The
-input projection X @ W_x is not hoisted out of the loop: that saves
-little in training and, on a large scoring batch, holds (T, B, 4H)
-buffers that add about a tenth to peak memory; for the same reason an
-unroll without a `saved` list keeps no per-step caches. SwinLSTM's
-windowed attention (`window_pool`) reads only the step input, so it runs
-once over every step's row before the time loop. The Mogrifier, ST-LSTM
-and SwinLSTM steps reuse the LSTM gate block. Every gate sigmoid is
-`numerics.logistic`, the package's one logistic function.
+directions. Each step does one matmul of [h, x] against the block and
+activates it in place with one np.tanh (`_squash`): the sigmoid columns
+are scaled by 0.5 before and after and shifted by 0.5, which is bitwise
+`numerics.logistic`. `unroll_back` copies every step's (rows, d) pairs
+into preallocated (..., T * B, ·) blocks and, after the time loop, takes
+each weight's gradient with one matmul or column sum over all steps. The
+input projection X @ W_x is not hoisted out of the loop: at these shapes
+that made training slower and, on a large scoring batch, its (B, T, 4H)
+buffers more than double a forward unroll's peak memory; for the same
+reason an unroll without a `saved` list keeps no per-step caches and
+allocates no time block. SwinLSTM's windowed attention (`window_pool`)
+reads only the step input, so it runs once over every step's row before
+the time loop. The Mogrifier, ST-LSTM and SwinLSTM steps reuse the LSTM
+gate block.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -68,6 +76,30 @@ class ModelSpec:
 # --- numpy step pairs ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_rows(width: int, n_sig: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column rows of a gate block whose first n_sig columns are sigmoid
+    and the rest tanh: the scale (0.5 | 1.0) and shift (0.5 | 0.0) of
+    `_squash`, and the lower bound (0 | -1) of `_gates_back`'s derivative."""
+    sig = np.arange(width) < n_sig
+    rows = (np.where(sig, 0.5, 1.0), np.where(sig, 0.5, 0.0), np.where(sig, 0.0, -1.0))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+def _squash(act, n_sig):
+    """In place, the logistic on the first n_sig columns of act and tanh on
+    the rest, through one np.tanh: bitwise `numerics.logistic` and `np.tanh`,
+    since scaling by 0.5 and 1.0 is exact."""
+    scale, shift, _ = _gate_rows(act.shape[-1], n_sig)
+    act *= scale
+    np.tanh(act, out=act)
+    act *= scale
+    act += shift
+    return act
+
+
 def _gates(cat, w, b, mem, n_sig):
     """Gate activations of cat @ w + b and the new memory f * mem + i * g.
 
@@ -75,25 +107,23 @@ def _gates(cat, w, b, mem, n_sig):
     candidate g.
     """
     hid = mem.shape[-1]
-    act = cat @ w + b
-    act[..., :n_sig] = nm.logistic(act[..., :n_sig])
-    act[..., n_sig:] = np.tanh(act[..., n_sig:])
+    act = cat @ w
+    act += b
+    _squash(act, n_sig)
     return act, act[..., hid:2 * hid] * mem + act[..., :hid] * act[..., n_sig:]
 
 
 def _gates_back(act, mem, g_mem, g_o, n_sig):
     """Gradient of the gate pre-activations from those of the memory and of
-    the output gate (0.0 for a block without one)."""
+    the output gate (None for a block without one). Each column's derivative
+    is (act - low) * (1 - act): act * (1 - act) on a sigmoid, (1 + g)(1 - g)
+    on the tanh candidate."""
     hid = mem.shape[-1]
-    g = act[..., n_sig:]
-    d = np.empty_like(act)
-    d[..., :hid] = g_mem * g
-    d[..., hid:2 * hid] = g_mem * mem
-    d[..., 2 * hid:n_sig] = g_o
-    d[..., n_sig:] = g_mem * act[..., :hid]
-    sig = act[..., :n_sig]
-    d[..., :n_sig] *= sig * (1.0 - sig)
-    d[..., n_sig:] *= 1.0 - g * g
+    products = [g_mem * act[..., n_sig:], g_mem * mem, g_mem * act[..., :hid]]
+    if g_o is not None:
+        products.insert(2, g_o)
+    d = np.concatenate(products, axis=-1)
+    d *= (act - _gate_rows(act.shape[-1], n_sig)[2]) * (1.0 - act)
     return d
 
 
@@ -116,7 +146,7 @@ def _lstm_backward(cache, d_state):
     d = _gates_back(act, c_prev, g_mem, d_h * t, 3 * hid)
     d_cat = d @ nm.mT(w)
     return (d_cat[..., hid:], (d_cat[..., :hid], g_mem * act[..., hid:2 * hid]),
-            (nm.mT(cat) @ d, nm.row_sum(d)))
+            ((cat, d), (None, d)))
 
 
 def _gru_forward(x, state, weights):
@@ -126,10 +156,14 @@ def _gru_forward(x, state, weights):
     w_zr, b_zr, w_h, b_h = weights
     hid = h.shape[-1]
     cat = np.concatenate([h, x], axis=-1)
-    zr = nm.logistic(cat @ w_zr + b_zr)
+    zr = cat @ w_zr
+    zr += b_zr
+    _squash(zr, 2 * hid)
     z, r = zr[..., :hid], zr[..., hid:]
     cat_r = np.concatenate([r * h, x], axis=-1)
-    h_tilde = np.tanh(cat_r @ w_h + b_h)
+    h_tilde = cat_r @ w_h
+    h_tilde += b_h
+    np.tanh(h_tilde, out=h_tilde)
     return ((1.0 - z) * h + z * h_tilde,), (cat, zr, cat_r, h_tilde, w_zr, w_h)
 
 
@@ -146,7 +180,7 @@ def _gru_backward(cache, d_state):
     d_cat = d_zr @ nm.mT(w_zr)
     return (d_cat_r[..., hid:] + d_cat[..., hid:],
             (g * (1.0 - z) + d_rh * r + d_cat[..., :hid],),
-            (nm.mT(cat) @ d_zr, nm.row_sum(d_zr), nm.mT(cat_r) @ d_h, nm.row_sum(d_h)))
+            ((cat, d_zr), (None, d_zr), (cat_r, d_h), (None, d_h)))
 
 
 def _mogrifier_forward(x, state, weights):
@@ -159,7 +193,7 @@ def _mogrifier_forward(x, state, weights):
     h, c = state
     saved = []
     for k, m in enumerate(weights[2:]):
-        s = nm.logistic(x @ m if k % 2 else h @ m)
+        s = _squash(x @ m if k % 2 else h @ m, m.shape[-1])
         saved.append((s, x, h))
         if k % 2:
             h = 2.0 * s * h
@@ -177,12 +211,12 @@ def _mogrifier_backward(cache, d_state):
         s, x, h = saved[k]
         if k % 2:
             d_z = g_h * 2.0 * h * s * (1.0 - s)
-            d_mats[k] = nm.mT(x) @ d_z
+            d_mats[k] = (x, d_z)
             g_h = g_h * 2.0 * s
             g_x = g_x + d_z @ nm.mT(mats[k])
         else:
             d_z = g_x * 2.0 * x * s * (1.0 - s)
-            d_mats[k] = nm.mT(h) @ d_z
+            d_mats[k] = (h, d_z)
             g_x = g_x * 2.0 * s
             g_h = g_h + d_z @ nm.mT(mats[k])
     return g_x, (g_h, d_c), (*d_lstm, *d_mats)
@@ -203,7 +237,8 @@ def _stlstm_forward(x, state, weights):
     cat_m = np.concatenate([x, m_prev], axis=-1)
     act_m, m = _gates(cat_m, w_m, b_m, m_prev, 2 * hid)
     mems = np.concatenate([c, m], axis=-1)
-    t = np.tanh(mems @ w_mix)
+    t = mems @ w_mix
+    np.tanh(t, out=t)
     return ((act[..., 2 * hid:3 * hid] * t, c, m),
             (cat, act, c_prev, cat_m, act_m, m_prev, mems, t, weights))
 
@@ -217,13 +252,12 @@ def _stlstm_backward(cache, d_state):
     d_mems = d_pre @ nm.mT(w_mix) + np.concatenate([d_c, d_m], axis=-1)
     g_c, g_m = d_mems[..., :hid], d_mems[..., hid:]
     d = _gates_back(act, c_prev, g_c, d_h * t, 3 * hid)
-    d_gm = _gates_back(act_m, m_prev, g_m, 0.0, 2 * hid)
+    d_gm = _gates_back(act_m, m_prev, g_m, None, 2 * hid)
     d_cat, d_cat_m = d @ nm.mT(w), d_gm @ nm.mT(w_m)
     return (d_cat[..., hid:] + d_cat_m[..., :split],
             (d_cat[..., :hid], g_c * act[..., hid:2 * hid],
              g_m * act_m[..., hid:2 * hid] + d_cat_m[..., split:]),
-            (nm.mT(cat) @ d, nm.row_sum(d), nm.mT(cat_m) @ d_gm, nm.row_sum(d_gm),
-             nm.mT(mems) @ d_pre))
+            ((cat, d), (None, d), (cat_m, d_gm), (None, d_gm), (mems, d_pre)))
 
 
 # --- SwinLSTM's input pooling, hoisted out of the time loop -------------------------
@@ -335,7 +369,8 @@ class Cell:
     the Mogrifier's `q, r` repeat once per round. `forward` maps
     (x_t, state, weights) to (state, cache), the state a tuple of `arity`
     arrays with the hidden row first; `backward` maps (cache, d_state) to
-    (d_x, d_state_prev, d_weights), d_weights in the order of `weights`.
+    (d_x, d_state_prev, d_weights), d_weights one (rows, d) pair per name
+    of `weights`, in order, with rows None for a bias.
     `pool`, when set, is the `window_pool` pair, run over the whole
     step-input block once before the time loop. Each name in `directions`
     is a parameter sub-prefix run in turn, the second one over the reversed
@@ -464,25 +499,35 @@ def unroll_back(g_steps: np.ndarray | None, g_final: np.ndarray | None,
     """BPTT: the step inputs' gradient, from those of the step rows and of
     the final row (either may be None)."""
     cell, names, subs, runs, shape, zero = saved.pop()
-    hid = zero.shape[-1]
+    batch, hid = zero.shape[-2:]
     d_xs = np.zeros(shape)
     for k, (sub, run) in enumerate(zip(subs, runs)):
         cols, last = slice(k * hid, (k + 1) * hid), run[-1][0]
-        d_state, totals = (zero,) * cell.arity, None
-        for t, cache in reversed(run):
+        d_state, blocks = (zero,) * cell.arity, None
+        for i, (t, cache) in enumerate(reversed(run)):
             d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[..., t, cols]
             if g_final is not None and t == last:
                 d_h = d_h + g_final[..., cols]
-            d_x, d_state, d_w = cell.backward(cache, (d_h, *d_state[1:]))
-            if totals is None:  # later steps add into the first one's arrays
-                totals = list(d_w)
-            else:
-                for total, d in zip(totals, d_w):
-                    total += d
+            d_x, d_state, pairs = cell.backward(cache, (d_h, *d_state[1:]))
+            if blocks is None:
+                blocks = _time_blocks(pairs, len(run))
+            span = slice(i * batch, (i + 1) * batch)
+            for pair, block in zip(pairs, blocks):
+                for a, a_block in zip(pair, block):
+                    if a is not None:
+                        a_block[..., span, :] = a
             d_xs[..., t, :] += d_x
-        for name, total in zip(names, totals):
-            sub[name].grad += total
+        for name, (rows, d) in zip(names, blocks):
+            sub[name].grad += nm.row_sum(d) if rows is None else nm.mT(rows) @ d
     return d_xs if cell.pool is None else cell.pool[1](d_xs, saved)
+
+
+def _time_blocks(pairs, steps: int) -> list[list[np.ndarray | None]]:
+    """Empty (..., steps * B, ·) blocks, one for each array of a step's
+    (rows, d) weight-gradient pairs, to hold every step's array; None for a
+    bias's rows."""
+    return [[None if a is None else np.empty((*a.shape[:-2], steps * a.shape[-2], a.shape[-1]))
+             for a in pair] for pair in pairs]
 
 
 def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,

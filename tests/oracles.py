@@ -294,7 +294,8 @@ def cell_step(kind, x, state, params, **knobs):
     a step can start from any state. SwinLSTM pools x first, as
     `models.unroll` does. `knobs` are `ModelSpec` fields such as
     `mogrifier_rounds` or `swin_window`; the new state tuple comes back,
-    hidden row first.
+    hidden row first. The backward adds each weight's `(rows, d)` pair
+    as `mT(rows) @ d`, or `row_sum(d)` for a bias, one step at a time.
     """
     spec = models.ModelSpec(kind=kind, **knobs)
     cell = models.CELLS[kind]
@@ -312,8 +313,8 @@ def cell_step(kind, x, state, params, **knobs):
         for s, d in zip(state, d_prev):
             nm.accumulate(s, d)
         _zero_missing_grads(leaves)
-        for n, d in zip(weights, d_weights):
-            params[n].grad += d
+        for n, (rows, d) in zip(weights, d_weights):
+            params[n].grad += nm.row_sum(d) if rows is None else nm.mT(rows) @ d
 
     return node((x, *state, *leaves), new_state, back)
 

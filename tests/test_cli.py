@@ -104,7 +104,7 @@ class TestFeaturize:
         assert run("featurize", "--summaries", bad, "--out", tmp_path / "feat",
                    "--pretrain", "--pretrain-epochs", "1") == 2
         message = _one_error_line(capsys, "ParseError")
-        assert "line 3" in message and f"{field} must be a JSON string" in message
+        assert message.startswith(f"{bad}: line 3: {field} must be a JSON string")
 
     def test_features_match_a_per_text_tape_loop(self, tmp_path):
         """Texts of many token counts, 40 of one count (more than a chunk), a
@@ -594,6 +594,7 @@ class TestUnreadableInputs:
         argv = PATH_FLAGS[flag](bad, market_csv, summaries, tmp_path / "out")
         assert run(*argv) == 2
         assert str(bad) in _one_error_line(capsys, "IsADirectoryError")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["market", "features", "summaries"])
     def test_non_utf8_file_is_data_error(self, tmp_path, market_csv, summaries, capsys,
@@ -617,7 +618,7 @@ class TestUnreadableInputs:
         truncated.write_text("\n".join(lines[:-1] + [lines[-1].split(",")[0] + ",0.5"]) + "\n")
         assert run("train", "--market", truncated, "--out", tmp_path / "out") == 2
         message = _one_error_line(capsys, "ParseError")
-        assert f"line {len(lines)}" in message and "Volume" in message
+        assert message.startswith(f"{truncated}: line {len(lines)}: ") and "Volume" in message
 
     def test_row_wider_than_header_is_parse_error(self, tmp_path, market_csv, capsys):
         lines = market_csv.read_text().splitlines()
@@ -626,6 +627,49 @@ class TestUnreadableInputs:
         assert run("train", "--market", wider, "--out", tmp_path / "out") == 2
         message = _one_error_line(capsys, "ParseError")
         assert f"line {len(lines) + 1}" in message and "6 fields" in message
+
+
+# argv for each command that reads summaries or market data, given the bad
+# file, the other (good) inputs and an output directory
+DATA_COMMANDS = {
+    "featurize": lambda bad_summaries, bad_market, market, summaries, out: [
+        "featurize", "--summaries", bad_summaries, "--out", out, "--pretrain"],
+    "pretrain-encoder": lambda bad_summaries, bad_market, market, summaries, out: [
+        "pretrain-encoder", "--summaries", bad_summaries, "--out", out],
+    "train": lambda bad_summaries, bad_market, market, summaries, out: _train_args(
+        bad_market, out),
+    "evaluate": lambda bad_summaries, bad_market, market, summaries, out: _evaluate_args(
+        bad_market, out, market),
+    "ablate": lambda bad_summaries, bad_market, market, summaries, out: [
+        "ablate", "--market", bad_market, "--out", out],
+}
+
+
+class TestFailedRunsLeaveNoOutput:
+    """A run that exits 2 on bad data has read its inputs before making
+    `--out`, so the directory does not exist afterwards."""
+
+    @pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
+    def test_bad_data_makes_no_output_directory(self, tmp_path, market_csv, summaries,
+                                                capsys, command):
+        bad_summaries = tmp_path / "bad.jsonl"
+        bad_summaries.write_text('{"date": "2023-01-03", "text": "ok"}\nnot json\n')
+        bad_market = tmp_path / "bad.csv"
+        bad_market.write_text("Date,Chg,Open,Close,Volume\n2023-01-03,oops,1,1,1\n")
+        out = tmp_path / "out"
+        argv = DATA_COMMANDS[command](bad_summaries, bad_market, market_csv, summaries, out)
+        assert run(*argv) == 2
+        message = _one_error_line(capsys, "ParseError")
+        assert message.startswith(f"{bad_summaries}: line 2: " if "--summaries" in argv
+                                  else f"{bad_market}: line 2: ")
+        assert not out.exists()
+
+    def test_bad_checkpoint_makes_no_output_directory(self, tmp_path, market_csv, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text("{}")
+        assert run(*_evaluate_args(market_csv, tmp_path / "out", checkpoint)) == 2
+        assert "checkpoint.json" in _one_error_line(capsys, "DataError")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBuildConfig:

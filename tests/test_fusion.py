@@ -121,6 +121,22 @@ class TestFusedTextPathMatchesOracles:
                                              arrays, seed=4)
 
 
+    @pytest.mark.parametrize("kernel_len", [1, 3, 6])
+    def test_conv_text_with_replica_stacked_kernels(self, kernel_len):
+        """(R, k) kernels over (R, B, E) rows: each replica gives its solo
+        run, and each solo run matches the single-op composition."""
+        rng = np.random.default_rng(91 + kernel_len)
+        arrays = {"e": rng.normal(size=(2, 4, 6)), "w_c": rng.normal(size=(2, kernel_len)),
+                  "b_c": rng.normal(size=(2, 1, 1))}
+        oracles.assert_replicas_match_solo(lambda p: taped(fusion.conv_text)(p["e"], p),
+                                           arrays, seed=5)
+        for r in range(2):
+            oracles.assert_same_values_and_grads(
+                lambda p: taped(fusion.conv_text)(p["e"], p),
+                lambda p: oracles.conv_text(p["e"], p), {k: v[r] for k, v in arrays.items()},
+                seed=6 + r)
+
+
 class TestAttentionOverFeatures:
     def test_single_candidate(self):
         q = np.array([[0.2, -0.4]])

@@ -65,6 +65,28 @@ class TestParseMarketCsv:
         with pytest.raises(ParseError, match="line 5: 6 fields for a header of 5"):
             ingest.parse_market_csv(_write(tmp_path, "m.csv", content))
 
+    @pytest.mark.parametrize("content, detail", [
+        ("Date,Chg,Open,Close,Volume\n2023-01-03,oops,100,101,500\n",
+         "line 2: cannot parse Chg='oops'"),
+        ("Date,Chg,Open,Close,Volume\n2023-01-03,1.0,nan,101,500\n", "line 2: non-finite Open"),
+        ("Date,Chg,Open,Close,Volume\n03/01/2023,1.0,100,101,500\n",
+         "line 2: cannot parse Date='03/01/2023'"),
+        ("Date,Chg,Open,Close,Volume\n2023-01-03,1.0,100,101,-5\n", "line 2: negative Volume"),
+        ("Date,Chg,Open,Close,Volume\n2023-01-03,1.0,100\n", "line 2: missing field(s)"),
+        (GOOD_CSV + "2023-01-09,0.5%,10,11,1,000\n", "line 5: 6 fields"),
+    ], ids=["number", "non_finite", "date", "negative_volume", "short_row", "wide_row"])
+    def test_parse_error_starts_with_the_path(self, tmp_path, content, detail):
+        path = _write(tmp_path, "m.csv", content)
+        with pytest.raises(ParseError) as info:
+            ingest.parse_market_csv(path)
+        assert str(info.value).startswith(f"{path}: {detail}")
+
+    def test_duplicate_dates_error_starts_with_the_path(self, tmp_path):
+        path = _write(tmp_path, "m.csv", GOOD_CSV + "2023-01-04,0.5,101.2,101.7,47000\n")
+        with pytest.raises(DataError) as info:
+            ingest.parse_market_csv(path)
+        assert str(info.value) == f"{path}: duplicate date(s): 2023-01-04"
+
     def test_extra_columns_ignored(self, tmp_path):
         content = "Date,Chg,Open,Close,Volume,Note\n2023-01-03,1.0,100,101,500,hi\n" \
                   "2023-01-04,-1.0,101,100,400,lo\n"
@@ -354,9 +376,20 @@ class TestLoadSummaries:
     def test_non_string_field_rejected(self, tmp_path, record, detail):
         path = _write(tmp_path, "s.jsonl",
                       '{"date": "2023-01-02", "text": "ok"}\n' + json.dumps(record) + "\n")
-        with pytest.raises(ParseError, match="line 2") as info:
+        with pytest.raises(ParseError) as info:
             ingest.load_summaries(path)
-        assert detail in str(info.value)
+        assert str(info.value).startswith(f"{path}: line 2: {detail}")
+
+    @pytest.mark.parametrize("line, detail", [
+        ("not json", "invalid JSON"),
+        ('["2023-01-03", "text"]', "expected an object with date and text"),
+        ('{"date": "03/01/2023", "text": "ok"}', "cannot parse date='03/01/2023'"),
+    ])
+    def test_parse_error_starts_with_the_path(self, tmp_path, line, detail):
+        path = _write(tmp_path, "s.jsonl", '{"date": "2023-01-02", "text": "ok"}\n' + line + "\n")
+        with pytest.raises(ParseError) as info:
+            ingest.load_summaries(path)
+        assert str(info.value).startswith(f"{path}: line 2: {detail}")
 
 
 class TestSummarize:
