@@ -7,22 +7,23 @@ contains an artificial mask symbol. The encoder output at the leading
 start token is pooled as the whole-text representation and standardized
 to a fixed feature length.
 
-The encoder is numpy only. The arithmetic of each sublayer (multi-head
-attention over all heads at once, the residual add plus layer norm, the
-feed-forward block, the masked-token loss) is written once: the forwards
-(`_attend`, `_add_norm`, `_feed_forward`, `_mlm_nll`) over arrays with any
-leading axes, and their backwards over one text.
+The encoder is numpy only. Each sublayer (multi-head attention over all
+heads at once, the residual add plus layer norm, the feed-forward block)
+and the layer they make is a forward and its `<name>_back`, on the
+`saved`-list convention that `fusion`'s docstring defines. The forwards
+take arrays with any leading axes, the backwards one text. `mlm_loss`
+shares the loss arithmetic (`_mlm_nll`/`_mlm_nll_back`).
 
 `encode_text` is the one encoder forward. Featurizing (`encode_features`)
 runs it on (n, L) blocks of up to FEATURIZE_CHUNK texts of one token count
 and keeps nothing for a backward pass. Pretraining's `mlm_step` runs it on
-one sentence with a list that collects each layer's saved values, adds the
-masked-token head and loss, then runs the backwards by hand and writes the
-gradient into the Adam state's flat gradient, which Adam applies to the
-state's flat parameter vector; the store's tensors are views of both.
-Its sums come in the order of a tape of the same sublayers, so the loss
-trace and the parameters are bitwise those of `numerics.backward` through
-that tape, which `tests/oracles.py` builds.
+one sentence with a `saved` list, adds the masked-token head and loss,
+then runs the head's backward and `_encoder_layer_back` until the list is
+empty. The gradients add into the parameters' `grad` arrays, views of the
+Adam state's flat gradient, which Adam applies to the state's flat
+parameter vector. The sums come in the order of a tape of the same
+sublayers, so the loss trace and the parameters are bitwise those of
+`numerics.backward` through that tape, which `tests/oracles.py` builds.
 
 `mlm_loss`, the masked-token loss as one tape node, is not called by the
 program; `perfbench/tracing.py` wraps it by name.
@@ -39,7 +40,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from . import numerics as nm
 from .errors import (ConfigError, ContractError, DataError, DivergenceError, ParseError,
                      SchemaError, check_integer, is_real, open_text)
 from .numerics import ParameterStore, Tensor
+
+Params = Mapping[str, Tensor]
 
 START_ID = 1
 UNK_ID = 2
@@ -272,132 +275,141 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-3, -2).reshape(*lead, length, heads * d_k)
 
 
-# The arithmetic of each sublayer, over arrays. The forwards take any leading
-# axes (one text's (L, d) rows or a batch's (n, L, d) block) and return the
-# output and what the backward needs; the backwards take one text and return
-# the input gradient first, then the weights' in argument order.
-
-def _attend(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
-            wo: np.ndarray, heads: int) -> tuple[np.ndarray, tuple]:
+def _attend(x: np.ndarray, params: Params, heads: int, saved: list | None = None) -> np.ndarray:
     d_model = x.shape[-1]
     if d_model % heads:
         raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
     scale = 1.0 / math.sqrt(d_model // heads)
-    q, k, v = (_split_heads(x @ w, heads) for w in (wq, wk, wv))
+    q, k, v = (_split_heads(x @ params[w].data, heads) for w in ("wq", "wk", "wv"))
     weights = nm.softmax_probs((q @ k.swapaxes(-1, -2)) * scale)
     merged = _merge_heads(weights @ v)
-    return merged @ wo, (q, k, v, weights, merged, scale)
+    if saved is not None:
+        saved.append((x, params, heads, q, k, v, weights, merged, scale))
+    return merged @ params["wo"].data
 
 
-def _attend_back(g: np.ndarray, x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
-                 wv: np.ndarray, wo: np.ndarray, saved: tuple, heads: int) -> tuple:
-    q, k, v, weights, merged, scale = saved
-    d_ctx = _split_heads(g @ wo.T, heads)
+def _attend_back(g: np.ndarray, saved: list) -> np.ndarray:
+    x, params, heads, q, k, v, weights, merged, scale = saved.pop()
+    wq, wk, wv, wo = (params[w] for w in ("wq", "wk", "wv", "wo"))
+    d_ctx = _split_heads(g @ wo.data.T, heads)
     d_weights = d_ctx @ v.transpose(0, 2, 1)
     d_scores = nm.softmax_back(d_weights, weights) * scale
     grad_q = _merge_heads(d_scores @ k)
     grad_k = _merge_heads(d_scores.transpose(0, 2, 1) @ q)
     grad_v = _merge_heads(weights.transpose(0, 2, 1) @ d_ctx)
-    return (grad_q @ wq.T + grad_k @ wk.T + grad_v @ wv.T,
-            x.T @ grad_q, x.T @ grad_k, x.T @ grad_v, merged.T @ g)
+    wq.grad += x.T @ grad_q
+    wk.grad += x.T @ grad_k
+    wv.grad += x.T @ grad_v
+    wo.grad += merged.T @ g
+    return grad_q @ wq.data.T + grad_k @ wk.data.T + grad_v @ wv.data.T
 
 
 LAYER_NORM_EPS = 1e-5
 
 
-def _add_norm(x: np.ndarray, sublayer: np.ndarray | None, gain: np.ndarray,
-              bias: np.ndarray) -> tuple[np.ndarray, tuple]:
-    total = x if sublayer is None else x + sublayer
+def _add_norm(x: np.ndarray, sublayer: np.ndarray, gain: Tensor, bias: Tensor,
+              saved: list | None = None) -> np.ndarray:
+    """Layer norm of the residual sum x + sublayer; the backward returns the
+    sum's gradient, which is that of both terms."""
+    total = x + sublayer
     width = total.shape[-1]
     centered = total - total.sum(axis=-1, keepdims=True) * (1.0 / width)
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width)
     inv_std = np.maximum(var, LAYER_NORM_EPS) ** -0.5
     normed = centered * inv_std
-    return normed * gain + bias, (centered, var, inv_std, normed)
+    if saved is not None:
+        saved.append((gain, bias, centered, var, inv_std, normed))
+    return normed * gain.data + bias.data
 
 
-def _add_norm_back(g: np.ndarray, gain: np.ndarray, saved: tuple) -> tuple:
-    """(gradient of x + sublayer, of gain, of bias)."""
-    centered, var, inv_std, normed = saved
+def _add_norm_back(g: np.ndarray, saved: list) -> np.ndarray:
+    gain, bias, centered, var, inv_std, normed = saved.pop()
     width = centered.shape[-1]
-    d_normed = g * gain
+    d_normed = g * gain.data
     d_var = ((d_normed * centered).sum(axis=1, keepdims=True)
              * (-0.5 * inv_std ** 3) * (var > LAYER_NORM_EPS))
     d_centered = d_normed * inv_std + d_var * (2.0 / width) * centered
-    d_total = d_centered - d_centered.sum(axis=1, keepdims=True) * (1.0 / width)
-    return d_total, (g * normed).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+    gain.grad += (g * normed).sum(axis=0, keepdims=True)
+    bias.grad += g.sum(axis=0, keepdims=True)
+    return d_centered - d_centered.sum(axis=1, keepdims=True) * (1.0 / width)
 
 
-def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-                  b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.maximum(0.0, x @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+def _feed_forward(x: np.ndarray, params: Params, saved: list | None = None) -> np.ndarray:
+    hidden = np.maximum(0.0, x @ params["w1"].data + params["b1"].data)
+    if saved is not None:
+        saved.append((x, params, hidden))
+    return hidden @ params["w2"].data + params["b2"].data
 
 
-def _feed_forward_back(g: np.ndarray, x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                       hidden: np.ndarray) -> tuple:
-    d_pre = (g @ w2.T) * (hidden > 0)
-    return (d_pre @ w1.T, x.T @ d_pre, d_pre.sum(axis=0, keepdims=True),
-            hidden.T @ g, g.sum(axis=0, keepdims=True))
+def _feed_forward_back(g: np.ndarray, saved: list) -> np.ndarray:
+    x, params, hidden = saved.pop()
+    d_hidden = nm.affine_back(hidden, params["w2"], params["b2"], g)
+    return nm.affine_back(x, params["w1"], params["b1"], d_hidden * (hidden > 0))
 
 
-_ATTEND_WEIGHTS = ("wq", "wk", "wv", "wo")
-_FEED_FORWARD_WEIGHTS = ("w1", "b1", "w2", "b2")
-_LAYER_WEIGHTS = (*_ATTEND_WEIGHTS, "ln1_g", "ln1_b", *_FEED_FORWARD_WEIGHTS, "ln2_g", "ln2_b")
-
-
-def _encoder_layer(x: np.ndarray, w: Mapping[str, np.ndarray], heads: int,
-                   saved: list | None) -> np.ndarray:
+def _encoder_layer(x: np.ndarray, params: Params, heads: int,
+                   saved: list | None = None) -> np.ndarray:
     """Post-norm block: attention and feed-forward, each behind a residual.
 
-    Appends what the backwards need to `saved` when it is a list. Otherwise
-    it keeps nothing: the attention's arrays, the largest, go before the
-    feed-forward runs, so a forward-only pass peaks at one sublayer's.
+    Without a `saved` list it keeps nothing: the attention's arrays, the
+    largest, are gone before the feed-forward runs, so a forward-only pass
+    peaks at one sublayer's.
     """
-    attended, att_saved = _attend(x, *(w[n] for n in _ATTEND_WEIGHTS), heads)
-    a, norm1 = _add_norm(x, attended, w["ln1_g"], w["ln1_b"])
-    if saved is None:
-        del attended, att_saved, norm1
-    ff, hidden = _feed_forward(a, *(w[n] for n in _FEED_FORWARD_WEIGHTS))
-    out, norm2 = _add_norm(a, ff, w["ln2_g"], w["ln2_b"])
-    if saved is not None:
-        saved.append((w, x, att_saved, a, norm1, hidden, norm2))
-    return out
+    a = _add_norm(x, _attend(x, params, heads, saved), params["ln1_g"], params["ln1_b"], saved)
+    return _add_norm(a, _feed_forward(a, params, saved), params["ln2_g"], params["ln2_b"],
+                     saved)
+
+
+def _encoder_layer_back(g: np.ndarray, saved: list) -> np.ndarray:
+    """Each residual input's gradient adds the layer norm's term first."""
+    d_a = _add_norm_back(g, saved)
+    d_a = d_a + _feed_forward_back(d_a, saved)
+    d_x = _add_norm_back(d_a, saved)
+    return d_x + _attend_back(d_x, saved)
+
+
+def _encoder_layout(config: EncoderConfig, vocab_size: int
+                    ) -> Iterator[tuple[str, tuple[int, ...], int | float]]:
+    """Each encoder parameter's name, shape and start, in store order. An
+    int start is the fan-in of a uniform draw; a float is a constant fill,
+    1.0 for a layer-norm gain and 0.0 for a bias. Nothing is allocated, so
+    a checkpoint's layout is checked before any array of its config is."""
+    d, dff = config.d_model, config.d_ff
+    yield "emb", (vocab_size, d), d
+    for i in range(config.layers):
+        p = f"layer{i}."
+        for w in ("wq", "wk", "wv", "wo"):
+            yield p + w, (d, d), d
+        yield p + "ln1_g", (1, d), 1.0
+        yield p + "ln1_b", (1, d), 0.0
+        yield p + "w1", (d, dff), d
+        yield p + "b1", (1, dff), 0.0
+        yield p + "w2", (dff, d), dff
+        yield p + "b2", (1, d), 0.0
+        yield p + "ln2_g", (1, d), 1.0
+        yield p + "ln2_b", (1, d), 0.0
+    yield "mlm.w", (d, vocab_size), d
+    yield "mlm.b", (1, vocab_size), 0.0
 
 
 def init_encoder_params(config: EncoderConfig, vocab_size: int,
                         rng: np.random.Generator) -> ParameterStore:
     store = ParameterStore()
-    d, dff = config.d_model, config.d_ff
-    store.add("emb", nm.uniform_init(rng, d, (vocab_size, d)))
-    for i in range(config.layers):
-        p = f"layer{i}"
-        for w in _ATTEND_WEIGHTS:
-            store.add(f"{p}.{w}", nm.uniform_init(rng, d, (d, d)))
-        store.add(f"{p}.ln1_g", np.ones((1, d)))
-        store.add(f"{p}.ln1_b", np.zeros((1, d)))
-        store.add(f"{p}.w1", nm.uniform_init(rng, d, (d, dff)))
-        store.add(f"{p}.b1", np.zeros((1, dff)))
-        store.add(f"{p}.w2", nm.uniform_init(rng, dff, (dff, d)))
-        store.add(f"{p}.b2", np.zeros((1, d)))
-        store.add(f"{p}.ln2_g", np.ones((1, d)))
-        store.add(f"{p}.ln2_b", np.zeros((1, d)))
-    store.add("mlm.w", nm.uniform_init(rng, d, (d, vocab_size)))
-    store.add("mlm.b", np.zeros((1, vocab_size)))
+    for name, shape, start in _encoder_layout(config, vocab_size):
+        store.add(name, np.full(shape, start) if isinstance(start, float)
+                  else nm.uniform_init(rng, start, shape))
     return store
 
 
-def encode_text(token_ids: np.ndarray, config: EncoderConfig,
-                weights: Mapping[str, np.ndarray],
+def encode_text(token_ids: np.ndarray, config: EncoderConfig, params: ParameterStore,
                 saved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run the full encoder; returns (per-token rows, pooled sentence row).
 
     `token_ids` is one text's (L,) ids, giving (L, d) rows and a (1, d)
     pooled row, or an (..., L) block of same-length texts, giving
-    (..., L, d) rows and (..., 1, d) pooled rows. `weights` maps each
-    encoder parameter name to its array. When `saved` is a list, each layer
-    appends what its backward needs, for `mlm_step`; the backwards take one
-    text.
+    (..., L, d) rows and (..., 1, d) pooled rows. When `saved` is a list,
+    each layer appends what `_encoder_layer_back` needs, for `mlm_step`;
+    the backwards take one text.
     """
     token_ids = np.asarray(token_ids)
     length = token_ids.shape[-1]
@@ -410,10 +422,9 @@ def encode_text(token_ids: np.ndarray, config: EncoderConfig,
     # cache entries, and a checkpoint's max_len never sizes one. A table's
     # first rows are those of any longer table.
     pe = positional_encoding(1 << (length - 1).bit_length(), config.d_model)
-    x = weights["emb"][token_ids] + pe[:length]
+    x = params["emb"].data[token_ids] + pe[:length]
     for i in range(config.layers):
-        layer = {name: weights[f"layer{i}.{name}"] for name in _LAYER_WEIGHTS}
-        x = _encoder_layer(x, layer, config.heads, saved)
+        x = _encoder_layer(x, params.view(f"layer{i}"), config.heads, saved)
     if config.pool == "mean":
         pooled = x.sum(axis=-2, keepdims=True) * (1.0 / length)
     else:
@@ -422,55 +433,34 @@ def encode_text(token_ids: np.ndarray, config: EncoderConfig,
 
 
 def mlm_predictions(rows: np.ndarray, positions: np.ndarray,
-                    weights: Mapping[str, np.ndarray]) -> np.ndarray:
+                    params: ParameterStore) -> np.ndarray:
     """Vocabulary distributions at the masked positions, one row each."""
-    return nm.softmax_probs(rows[positions] @ weights["mlm.w"] + weights["mlm.b"])
+    return nm.softmax_probs(rows[positions] @ params["mlm.w"].data + params["mlm.b"].data)
 
 
 def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
-             config: EncoderConfig, weights: Mapping[str, np.ndarray],
-             grads: Mapping[str, np.ndarray]) -> float:
-    """The masked-token loss of one corrupted text, and its gradient.
+             config: EncoderConfig, params: ParameterStore) -> float:
+    """The masked-token loss of one corrupted text; adds its gradient into
+    the parameters' `grad` arrays, which the caller zeroes.
 
-    `weights` maps each encoder parameter name to its array. The forward is
-    `encode_text`, keeping each layer's saved values, then `mlm_predictions`
-    and the loss arithmetic of `mlm_loss`; the backward runs the sublayer
-    backwards by hand and writes each parameter's gradient into its array
-    of `grads`. The sums come in the tape's order, so the loss and every
-    gradient are bitwise those of `numerics.backward` through a tape of the
-    same sublayers. Returns the loss, which may be non-finite.
+    The forward is `encode_text` with a `saved` list, then
+    `mlm_predictions` and the loss arithmetic of `mlm_loss`; the backward
+    is the head's, then `_encoder_layer_back` until the list is empty. The
+    sums come in the tape's order, so the loss and every gradient are
+    bitwise those of `numerics.backward` through a tape of the same
+    sublayers. Returns the loss, which may be non-finite.
     """
-    layers: list = []
-    rows, _ = encode_text(token_ids, config, weights, layers)
-    probs = mlm_predictions(rows, positions, weights)
-    loss, saved = _mlm_nll(probs, targets)
-
-    def put(prefix, names, values):
-        for name, value in zip(names, values):
-            grads[prefix + name][...] = value
-
-    d_logits = nm.softmax_back(_mlm_nll_back(1.0, probs, targets, saved), probs)
-    # one row is the bias gradient as it is: a sum would turn its -0.0 into 0.0
-    d_bias = d_logits if len(d_logits) == 1 else nm.row_sum(d_logits)
-    put("mlm.", ("w", "b"), (rows[positions].T @ d_logits, d_bias))
+    saved: list = []
+    rows, _ = encode_text(token_ids, config, params, saved)
+    probs = mlm_predictions(rows, positions, params)
+    loss, nll = _mlm_nll(probs, targets)
+    d_logits = nm.softmax_back(_mlm_nll_back(1.0, probs, targets, nll), probs)
     d_x = np.zeros_like(rows)
-    np.add.at(d_x, positions, d_logits @ weights["mlm.w"].T)
-    for i in reversed(range(config.layers)):
-        prefix = f"layer{i}."
-        w, x_in, att_saved, a, norm1, hidden, norm2 = layers[i]
-        d_total, *d_norm = _add_norm_back(d_x, w["ln2_g"], norm2)
-        put(prefix, ("ln2_g", "ln2_b"), d_norm)
-        d_a, *d_ff = _feed_forward_back(d_total, a, w["w1"], w["w2"], hidden)
-        put(prefix, _FEED_FORWARD_WEIGHTS, d_ff)
-        d_total, *d_norm = _add_norm_back(d_total + d_a, w["ln1_g"], norm1)
-        put(prefix, ("ln1_g", "ln1_b"), d_norm)
-        d_x, *d_att = _attend_back(d_total, x_in, *(w[n] for n in _ATTEND_WEIGHTS),
-                                   att_saved, config.heads)
-        put(prefix, _ATTEND_WEIGHTS, d_att)
-        d_x = d_total + d_x
-    d_emb = grads["emb"]
-    d_emb[...] = 0.0
-    np.add.at(d_emb, token_ids, d_x)
+    np.add.at(d_x, positions,
+              nm.affine_back(rows[positions], params["mlm.w"], params["mlm.b"], d_logits))
+    while saved:
+        d_x = _encoder_layer_back(d_x, saved)
+    np.add.at(params["emb"].grad, token_ids, d_x)
     return float(loss)
 
 
@@ -483,12 +473,12 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int, seed
     per-epoch loss trace. epochs=0 returns the untouched initialization.
     A non-finite loss raises DivergenceError naming the epoch and sentence.
 
-    Each sentence is one Adam step at Adam's default step size: `mlm_step`
-    writes the gradient into the flat gradient of the Adam state
-    (`numerics.adam_state`), and `numerics.adam_step` updates the flat
-    parameter vector that the store's tensors are views of, in place. With
-    epochs > 0, a max_len below 2 leaves no token to mask and is a
-    ConfigError.
+    Each sentence is one Adam step at Adam's default step size: the flat
+    gradient of the Adam state (`numerics.adam_state`) is zeroed, `mlm_step`
+    adds the sentence's gradient into it, and `numerics.adam_step` updates
+    the flat parameter vector that the store's tensors are views of, in
+    place. With epochs > 0, a max_len below 2 leaves no token to mask and is
+    a ConfigError.
     """
     corpus = [t for t in corpus if t.strip()]
     if not corpus:
@@ -506,13 +496,12 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int, seed
         raise ConfigError(f"pretraining needs max_len >= 2 to mask a token, "
                           f"got max_len={config.max_len}")
     state = nm.adam_state(params)
-    weights = {name: t.data for name, t in params.items()}
-    grads = {name: t.grad for name, t in params.items()}
     for epoch in range(epochs):
         losses = []
         for index, tokens in sentences:
             corrupted, positions, targets = similar_word_mask(tokens, vocab, rng, config.mask_rate)
-            value = mlm_step(corrupted, positions, targets, config, weights, grads)
+            state.grad.fill(0.0)
+            value = mlm_step(corrupted, positions, targets, config, params)
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"non-finite pretraining loss at epoch {epoch}, sentence {index}")
@@ -553,12 +542,11 @@ def encode_features(texts: Sequence[str], vocab: Vocabulary, config: EncoderConf
     groups: dict[int, list[int]] = {}
     for index, ids in enumerate(tokens):
         groups.setdefault(len(ids), []).append(index)
-    weights = {name: t.data for name, t in params.items()}
     rows: list = [None] * len(texts)
     for members in groups.values():
         for start in range(0, len(members), FEATURIZE_CHUNK):
             chunk = members[start:start + FEATURIZE_CHUNK]
-            _, pooled = encode_text(np.stack([tokens[i] for i in chunk]), config, weights)
+            _, pooled = encode_text(np.stack([tokens[i] for i in chunk]), config, params)
             for index, row in zip(chunk, pooled):
                 rows[index] = standardize_features(row, length)
     return np.stack(rows)
@@ -590,8 +578,9 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
     """Read a checkpoint written by `save_encoder`.
 
     Anything malformed is a DataError naming `path`: the JSON, the config,
-    the vocabulary, or parameters whose names and shapes differ from those
-    the config and vocabulary give.
+    the vocabulary (a repeated token among them), or parameters whose names
+    and shapes differ from those the config and vocabulary give. Those are
+    compared before anything of the config's size is allocated.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -603,6 +592,10 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
         if (tokens[:NUM_SPECIALS] != list(_SPECIAL_TOKENS)
                 or not all(isinstance(t, str) for t in tokens)):
             raise DataError("vocabulary must be a list of tokens led by the special tokens")
+        token_to_id = {t: i for i, t in enumerate(tokens)}
+        if len(token_to_id) < len(tokens):
+            repeat = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
+            raise DataError(f"vocabulary repeats token {repeat!r}")
         similar = {int(k): tuple(v) for k, v in doc["vocab"]["similar"].items()}
         for key, ids in similar.items():
             if not all(type(i) is int and NUM_SPECIALS <= i < len(tokens)
@@ -614,12 +607,9 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
         raise DataError(f"{path}: encoder checkpoint lacks {err}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise DataError(f"{path}: malformed encoder checkpoint: {err}") from None
-    vocab = Vocabulary(id_to_token=tokens,
-                       token_to_id={t: i for i, t in enumerate(tokens)},
-                       similar=similar)
-    params.check_layout(init_encoder_params(config, vocab.size, np.random.default_rng(0)),
-                        path)
-    return config, vocab, params
+    params.check_layout(((name, shape) for name, shape, _ in
+                         _encoder_layout(config, len(tokens))), path)
+    return config, Vocabulary(tokens, token_to_id, similar), params
 
 
 # --- feature file format: CSV with header date,f0..f{L-1} ---

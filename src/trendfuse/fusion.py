@@ -9,14 +9,22 @@ the band's diagonals for the kernel's gradient. Attention weighting
 assigns softmax weights over a set of candidate feature vectors using a
 dot-product score against a state vector.
 
-Each primitive is a numpy forward and its backward, `<name>_back`, and
-takes (R, B, ·) replica blocks against parameters stacked as (R, ...).
-A forward given a `saved` list appends what its backward needs; the
-backward pops that entry, adds the parameter gradients into the
-parameters' `grad` arrays and returns the input gradients. Parameters are
-the `numerics.Tensor`s of a store view, read through `.data`.
-`train._backward_batch` runs the backwards in reverse; `tests/oracles.py`
-puts each pair on the tape and keeps single-op compositions as references.
+Each primitive is a numpy forward and its backward, `<name>_back`, on the
+package's `saved`-list convention, which `models` and `encoder` follow too:
+- the forward takes its parameters as the `numerics.Tensor`s of a store
+  or store view, read through `.data`, and last `saved=None`; given a
+  list, it appends what its backward needs, and without one it keeps
+  nothing;
+- `<name>_back(output gradients..., saved)` pops that entry, adds each
+  parameter's gradient into the parameter's `grad` array, which the
+  caller zeroes, and returns the input gradients;
+- so one list serves a whole model when the backwards run in the reverse
+  order of the forwards. `tests/test_numerics.py` checks the signatures.
+
+Here every primitive takes (R, B, ·) replica blocks against parameters
+stacked as (R, ...). `train._backward_batch` runs the backwards in
+reverse; `tests/oracles.py` puts each pair on the tape (`taped`) and keeps
+single-op compositions as references.
 """
 
 from __future__ import annotations

@@ -163,27 +163,6 @@ def minmax_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def zscore_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Center and scale by the population standard deviation."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise ContractError(f"need at least 2 values, got {arr.size}")
-    # two-pass centering removes the rounding residue a large common
-    # offset leaves behind, keeping the output mean at float noise level
-    centered = arr - arr.mean()
-    centered -= centered.mean()
-    peak = np.abs(centered).max()
-    if peak == 0:
-        raise DegenerateInputError("zero variance; cannot z-score")
-    if peak < np.finfo(np.float64).tiny:  # subnormal: too few bits left to centre
-        raise DegenerateInputError(f"spread {peak!r} is below the smallest normal float; "
-                                   "cannot z-score")
-    # scaling to a peak of 1 first keeps the squares of a tiny spread out of
-    # the subnormal range, where they would lose precision
-    centered /= peak
-    return centered / centered.std()
-
-
 def windows(dates: Sequence[Date], labels, prices, texts, n: int) -> Samples:
     """Slide a length-n window over day-aligned arrays; one row per position.
 

@@ -6,8 +6,8 @@ the classic formulation. Variants are written so that specific parameter
 settings collapse them exactly onto the plain LSTM, which the test suite
 uses as a correctness oracle. Every primitive also takes (R, B, ·) blocks
 against parameters stacked as (R, ...), for `train.train_replicas`, and
-is a numpy forward plus `<name>_back`, on the `saved`-list convention of
-`fusion`.
+is a numpy forward plus `<name>_back`, on the `saved`-list convention
+that `fusion`'s docstring defines.
 
 `unroll` runs a whole sequence, after the cuDNN sequence kernels
 (Appleyard et al., arXiv:1604.01946), and `unroll_back` runs BPTT.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -195,6 +195,10 @@ class ParameterStore:
             self._views[prefix] = cached
         return cached
 
+    def layout(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every parameter, in store order."""
+        return ((name, t.shape) for name, t in self._params.items())
+
     def state_dict(self) -> dict:
         return {
             "format_version": CHECKPOINT_VERSION,
@@ -208,24 +212,24 @@ class ParameterStore:
         # insertion order is the canonical parameter order; do not sort
         Path(path).write_text(json.dumps(self.state_dict()), encoding="utf-8")
 
-    def check_layout(self, expected: "ParameterStore", source) -> None:
+    def check_layout(self, layout: Iterable[tuple[str, tuple[int, ...]]], source) -> None:
         """Raise DataError unless this store has exactly the names and shapes
-        of `expected`, naming the first missing, mis-shaped or extra parameter.
+        of `layout`'s (name, shape) pairs, naming the first missing,
+        mis-shaped or extra parameter. The pairs are read one at a time and
+        the first mismatch stops the check.
 
         `source` (the checkpoint path) starts the message.
         """
-        have = {name: t.shape for name, t in self.items()}
-        want = {name: t.shape for name, t in expected.items()}
-        for name, shape in want.items():
+        have = dict(self.layout())
+        for name, shape in layout:
             if name not in have:
                 raise DataError(f"{source}: checkpoint lacks parameter {name!r} "
                                 "of the configured model")
-            if have[name] != shape:
-                raise DataError(f"{source}: parameter {name!r} has shape {have[name]}, "
+            if have.pop(name) != shape:
+                raise DataError(f"{source}: parameter {name!r} has shape {self[name].shape}, "
                                 f"the configured model needs {shape}")
-        extra = [name for name in have if name not in want]
-        if extra:
-            raise DataError(f"{source}: parameter {extra[0]!r} is not part of the "
+        if have:
+            raise DataError(f"{source}: parameter {next(iter(have))!r} is not part of the "
                             "configured model")
 
     @classmethod

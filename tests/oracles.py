@@ -26,17 +26,18 @@ backwards through it. `forward_batch` composes the predictor from those
 nodes, one per primitive, and `train_replicas` trains through it: the
 reference for the one-node training step of `train.train_replicas`.
 
-`multi_head_attention`, `layer_norm`, `feed_forward` and `encoder_layer`
-wrap the encoder's numpy sublayers (`_attend`/`_attend_back`,
-`_add_norm`/`_add_norm_back`, `_feed_forward`/`_feed_forward_back`) as one
-tape node each, so the finite-difference suite checks the backwards that
-pretraining runs. `encode_text` and `mlm_predictions` compose them into
-the encoder on the tape, and `mlm_tape_loss` adds `encoder.mlm_loss`: the
-reference for the tape-free `encoder.mlm_step`. `pretrain_mlm` is the
-per-sentence tape loop through it (`numerics.backward`, then the store
-Adam `adam_step`). `cell_step` wraps one numpy step pair of the library's
-`models.CELLS` table as a tape node, and `bilstm_forward` composes such
-steps by hand, as a reference for the whole-sequence `models.unroll`.
+`encoder_layer` puts the encoder's numpy sublayers on the tape as one node
+each: `taped(enc._attend)`, `taped(enc._feed_forward)` and `layer_norm`,
+a small adapter for `_add_norm`/`_add_norm_back`, whose gain and bias are
+tensors rather than a mapping. So the finite-difference suite checks the
+backwards that pretraining runs. `encode_text` and `mlm_predictions`
+compose them into the encoder on the tape, and `mlm_tape_loss` adds
+`encoder.mlm_loss`: the reference for the tape-free `encoder.mlm_step`.
+`pretrain_mlm` is the per-sentence tape loop through it
+(`numerics.backward`, then the store Adam `adam_step`). `cell_step` wraps
+one numpy step pair of the library's `models.CELLS` table as a tape node,
+and `bilstm_forward` composes such steps by hand, as a reference for the
+whole-sequence `models.unroll`.
 `stack_gates` puts per-gate arrays (`w_i`, `w_f`, ...) into the stored
 gate blocks of `models`, with the column order written out in
 `GATE_BLOCKS`, so the scalar references `lstm_step` and `gru_step` and the
@@ -51,10 +52,12 @@ fresh gradient arrays per step (`zero_grad`, then the store Adam
 one forward node; it trains on per-sample rows, which `batch_arrays`
 stacks with `np.stack`. `window_rows` builds those rows one sample at a
 time, as a reference for the one index gather of `ingest.windows`, and
-`sample_rows` splits a `Samples` block into them. `gradients` (which
-raises `GraphError` for a leaf off the tape), `names`, `write_market_csv`
-(the inverse of `ingest.parse_market_csv`) and `periodic_pattern_samples`
-(a series every predictor can fit) are helpers that only the tests use.
+`sample_rows` splits a `Samples` block into them. `zscore_normalize` is
+a normalizer the program does not use, whose laws criterion 8 checks.
+`gradients` (which raises `GraphError` for a leaf off the tape), `names`,
+`write_market_csv` (the inverse of `ingest.parse_market_csv`) and
+`periodic_pattern_samples` (a series every predictor can fit) are helpers
+that only the tests use.
 """
 
 import collections
@@ -69,7 +72,7 @@ import numpy as np
 
 from trendfuse import encoder as enc, fusion, ingest, models, numerics as nm, synthetic
 from trendfuse import train as tr
-from trendfuse.errors import ConfigError, ContractError, ShapeError
+from trendfuse.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 
 
 class GraphError(RuntimeError):
@@ -779,66 +782,32 @@ def confusion_counts(labels, targets):
 # --- the encoder on the tape: its numpy sublayers as one node each ---------
 
 
-def multi_head_attention(x, params, heads):
-    """`encoder._attend` and `_attend_back` as one tape node: every head
-    takes max-shifted softmax weights of its scaled dot-product scores and
-    averages its values, all heads in each 3-D matmul."""
-    weights = [params[w] for w in enc._ATTEND_WEIGHTS]
-    arrays = [w.data for w in weights]
-    out, saved = enc._attend(x.data, *arrays, heads)
-
-    def back(g):
-        d_x, *d_weights = enc._attend_back(g, x.data, *arrays, saved, heads)
-        for w, d in zip(weights, d_weights):
-            nm.accumulate(w, d)
-        nm.accumulate(x, d_x)
-
-    return nm.fused((x, *weights), out, back)
-
-
 def layer_norm(x, gain, bias, sublayer=None):
     """`encoder._add_norm` and `_add_norm_back` as one tape node: x (+ the
-    sublayer output, the residual connection) standardized row by row with
-    the variance floored at eps, so constant rows map to zeros; where the
-    floor applies, no gradient flows through the variance."""
-    out, saved = enc._add_norm(x.data, None if sublayer is None else sublayer.data,
-                               gain.data, bias.data)
+    sublayer output, the residual connection; zeros when there is none)
+    standardized row by row with the variance floored at eps, so constant
+    rows map to zeros; where the floor applies, no gradient flows through
+    the variance."""
+    if sublayer is None:
+        sublayer = nm.Tensor(np.zeros(x.shape))
+    saved = []
+    out = enc._add_norm(x.data, sublayer.data, gain, bias, saved)
 
     def back(g):
-        d_total, d_gain, d_bias = enc._add_norm_back(g, gain.data, saved)
-        nm.accumulate(gain, d_gain)
-        nm.accumulate(bias, d_bias)
+        _zero_missing_grads((gain, bias))
+        d_total = enc._add_norm_back(g, saved)
         nm.accumulate(x, d_total)
-        if sublayer is not None:
-            nm.accumulate(sublayer, d_total)
+        nm.accumulate(sublayer, d_total)
 
-    parents = (x, gain, bias) if sublayer is None else (x, gain, bias, sublayer)
-    return nm.fused(parents, out, back)
-
-
-def feed_forward(x, params):
-    """relu(x·w1 + b1)·w2 + b2: `encoder._feed_forward` and
-    `_feed_forward_back` as one tape node."""
-    weights = [params[w] for w in enc._FEED_FORWARD_WEIGHTS]
-    arrays = [w.data for w in weights]
-    w1, _, w2, _ = arrays
-    out, hidden = enc._feed_forward(x.data, *arrays)
-
-    def back(g):
-        d_x, *d_weights = enc._feed_forward_back(g, x.data, w1, w2, hidden)
-        for w, d in zip(weights, d_weights):
-            nm.accumulate(w, d)
-        nm.accumulate(x, d_x)
-
-    return nm.fused((x, *weights), out, back)
+    return nm.fused((x, gain, bias, sublayer), out, back)
 
 
 def encoder_layer(x, params, heads):
     """Post-norm block: attention and feed-forward, each behind a residual."""
     attended = layer_norm(x, params["ln1_g"], params["ln1_b"],
-                          multi_head_attention(x, params, heads))
+                          taped(enc._attend)(x, params, heads))
     return layer_norm(attended, params["ln2_g"], params["ln2_b"],
-                      feed_forward(attended, params))
+                      taped(enc._feed_forward)(attended, params))
 
 
 def encode_text(token_ids, config, params):
@@ -957,6 +926,28 @@ def adam_step(store, state):
     for _, p in store.items():
         p.data -= step[start:start + p.size].reshape(p.shape)
         start += p.size
+
+
+def zscore_normalize(values):
+    """Center and scale by the population standard deviation. The program
+    does not z-score; criterion 8 and `test_ingest` check the laws."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size < 2:
+        raise ContractError(f"need at least 2 values, got {arr.size}")
+    # two-pass centering removes the rounding residue a large common
+    # offset leaves behind, keeping the output mean at float noise level
+    centered = arr - arr.mean()
+    centered -= centered.mean()
+    peak = np.abs(centered).max()
+    if peak == 0:
+        raise DegenerateInputError("zero variance; cannot z-score")
+    if peak < np.finfo(np.float64).tiny:  # subnormal: too few bits left to centre
+        raise DegenerateInputError(f"spread {peak!r} is below the smallest normal float; "
+                                   "cannot z-score")
+    # scaling to a peak of 1 first keeps the squares of a tiny spread out of
+    # the subnormal range, where they would lose precision
+    centered /= peak
+    return centered / centered.std()
 
 
 def write_market_csv(series, path):

@@ -182,10 +182,15 @@ class TestFeaturizeBadEncoderCheckpoint:
         (_replaced(["vocab", "similar"], {"5": [6, 7]}), "similar-word entry 5"),
         (_replaced(["vocab", "similar"], {"5": [5.9]}), "similar-word entry 5"),
         (_replaced(["vocab", "similar"], {"5": ["6"]}), "similar-word entry 5"),
+        # a model of this width would need far more memory than exists
+        (_replaced(["config", "d_model"], 2 ** 62), f"'emb' has shape (7, 16), the "
+         f"configured model needs (7, {2 ** 62})"),
+        (_replaced(["vocab", "tokens"], lambda tokens: tokens[:5] + tokens[4:5] + tokens[6:]),
+         "vocabulary repeats token 'beta'"),
     ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb", "infinite_weight",
             "document_version_true", "params_version_true", "string_data", "boolean_data",
             "special_similar_key", "similar_id_past_the_vocabulary", "float_similar_id",
-            "string_similar_id"])
+            "string_similar_id", "huge_d_model", "repeated_token"])
     def test_is_one_line_data_error(self, tmp_path, summaries, capsys, corrupt, detail):
         params, vocab, _ = enc.pretrain_mlm(["alpha beta", "beta gamma"], enc.EncoderConfig(),
                                             0, seed=1)
@@ -198,6 +203,7 @@ class TestFeaturizeBadEncoderCheckpoint:
         assert code == 2
         message = _one_error_line(capsys, "DataError")
         assert "enc.json" in message and detail in message
+        assert not (tmp_path / "feat").exists()
 
 
 class TestPretrainEncoder:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import attention_rows, max_rel_err, self_attention
+from oracles import attention_rows, max_rel_err, self_attention, taped
 
 from trendfuse import encoder as enc
 from trendfuse import numerics as nm
@@ -25,10 +25,6 @@ TOY_CONFIG = enc.EncoderConfig(d_model=8, heads=2, layers=2, d_ff=16, max_len=12
 
 def _vocab(corpus=("alpha beta gamma", "beta gamma delta"), similar=None):
     return enc.Vocabulary.build(corpus, similar)
-
-
-def _weights(params):
-    return {name: t.data for name, t in params.items()}
 
 
 class TestTokenize:
@@ -245,7 +241,7 @@ class TestMultiHead:
     def test_single_head_identity_reduces_to_attention(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 4))
-        out = oracles.multi_head_attention(Tensor(x), self._identity_params(4), heads=1)
+        out = taped(enc._attend)(Tensor(x), self._identity_params(4), 1)
         expected = self_attention(Tensor(x), Tensor(x), Tensor(x))
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
@@ -255,15 +251,14 @@ class TestMultiHead:
         params = {name: Tensor(rng.normal(size=(8, 8)))
                   for name in ("wq", "wk", "wv", "wo")}
         for heads in (1, 2, 4, 8):
-            assert oracles.multi_head_attention(x, params, heads).shape == (5, 8)
+            assert taped(enc._attend)(x, params, heads).shape == (5, 8)
 
     def test_two_heads_match_per_head_oracle(self):
         rng = np.random.default_rng(10)
         d, h = 4, 2
         x = rng.normal(size=(3, d))
         params = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
-        out = oracles.multi_head_attention(Tensor(x), {k: Tensor(v) for k, v in params.items()},
-                                           heads=h)
+        out = taped(enc._attend)(Tensor(x), {k: Tensor(v) for k, v in params.items()}, h)
         q, k, v = x @ params["wq"], x @ params["wk"], x @ params["wv"]
         dk = d // h
         heads = [attention_rows(q[:, i * dk:(i + 1) * dk], k[:, i * dk:(i + 1) * dk],
@@ -275,7 +270,7 @@ class TestMultiHead:
         x = Tensor(np.ones((2, 6)))
         params = {name: Tensor(np.ones((6, 6))) for name in ("wq", "wk", "wv", "wo")}
         with pytest.raises(ConfigError):
-            oracles.multi_head_attention(x, params, heads=4)
+            taped(enc._attend)(x, params, 4)
 
 
 class TestLayerNormAndFfn:
@@ -301,7 +296,7 @@ class TestLayerNormAndFfn:
     def test_ffn_zero_weights_passes_bias(self):
         params = {"w1": Tensor(np.zeros((4, 6))), "b1": Tensor(np.zeros((1, 6))),
                   "w2": Tensor(np.zeros((6, 4))), "b2": Tensor(np.full((1, 4), 2.5))}
-        out = oracles.feed_forward(Tensor(np.ones((3, 4))), params)
+        out = taped(enc._feed_forward)(Tensor(np.ones((3, 4))), params)
         np.testing.assert_array_equal(out.data, np.full((3, 4), 2.5))
 
     def test_encoder_layer_finite(self):
@@ -324,7 +319,7 @@ class TestFusedSublayersMatchOracles:
         arrays = {"x": rng.normal(size=(length, self.D)),
                   **{w: rng.normal(size=(self.D, self.D)) for w in ("wq", "wk", "wv", "wo")}}
         oracles.assert_same_values_and_grads(
-            lambda p: oracles.multi_head_attention(p["x"], p, heads),
+            lambda p: taped(enc._attend)(p["x"], p, heads),
             lambda p: oracles.composed_multi_head_attention(p["x"], p, heads), arrays,
             seed=heads)
 
@@ -353,7 +348,7 @@ class TestFusedSublayersMatchOracles:
         arrays = {"x": rng.normal(size=(length, d)),
                   "w1": rng.normal(size=(d, dff)), "b1": rng.normal(size=(1, dff)),
                   "w2": rng.normal(size=(dff, d)), "b2": rng.normal(size=(1, d))}
-        oracles.assert_same_values_and_grads(lambda p: oracles.feed_forward(p["x"], p),
+        oracles.assert_same_values_and_grads(lambda p: taped(enc._feed_forward)(p["x"], p),
                                              lambda p: oracles.composed_feed_forward(p["x"], p),
                                              arrays, seed=7)
 
@@ -384,35 +379,34 @@ class TestEncodeText:
     def test_pooled_width(self):
         vocab, params = self._setup()
         tokens = enc.tokenize("alpha beta", vocab, TOY_CONFIG.max_len)
-        _, pooled = enc.encode_text(tokens, TOY_CONFIG, _weights(params))
+        _, pooled = enc.encode_text(tokens, TOY_CONFIG, params)
         assert pooled.shape == (1, TOY_CONFIG.d_model)
 
     def test_deterministic(self):
         vocab, params = self._setup()
         tokens = enc.tokenize("alpha beta gamma", vocab, TOY_CONFIG.max_len)
-        _, a = enc.encode_text(tokens, TOY_CONFIG, _weights(params))
-        _, b = enc.encode_text(tokens, TOY_CONFIG, _weights(params))
+        _, a = enc.encode_text(tokens, TOY_CONFIG, params)
+        _, b = enc.encode_text(tokens, TOY_CONFIG, params)
         np.testing.assert_array_equal(a, b)
 
     def test_token_order_changes_pooled_vector(self):
         vocab, params = self._setup()
         a = enc.tokenize("alpha beta gamma", vocab, TOY_CONFIG.max_len)
         b = enc.tokenize("beta alpha gamma", vocab, TOY_CONFIG.max_len)
-        _, pa = enc.encode_text(a, TOY_CONFIG, _weights(params))
-        _, pb = enc.encode_text(b, TOY_CONFIG, _weights(params))
+        _, pa = enc.encode_text(a, TOY_CONFIG, params)
+        _, pb = enc.encode_text(b, TOY_CONFIG, params)
         assert np.max(np.abs(pa - pb)) > 1e-9
 
     def test_contract_errors(self):
         vocab, params = self._setup()
-        weights = _weights(params)
         with pytest.raises(ContractError):
-            enc.encode_text(np.array([4, 5]), TOY_CONFIG, weights)
+            enc.encode_text(np.array([4, 5]), TOY_CONFIG, params)
         too_long = np.array([enc.START_ID] + [4] * TOY_CONFIG.max_len)
         with pytest.raises(ContractError):
-            enc.encode_text(too_long, TOY_CONFIG, weights)
+            enc.encode_text(too_long, TOY_CONFIG, params)
         block = np.array([[enc.START_ID, 4], [4, enc.START_ID]])
         with pytest.raises(ContractError):
-            enc.encode_text(block, TOY_CONFIG, weights)
+            enc.encode_text(block, TOY_CONFIG, params)
 
     def test_pretraining_tape_has_one_node_per_sublayer(self):
         vocab, params = self._setup()
@@ -430,7 +424,7 @@ class TestEncodeText:
         cfg = enc.EncoderConfig(d_model=8, heads=2, layers=2, d_ff=16, max_len=12,
                                 pool="mean")
         tokens = enc.tokenize("alpha beta gamma", vocab, cfg.max_len)
-        rows, pooled = enc.encode_text(tokens, cfg, _weights(params))
+        rows, pooled = enc.encode_text(tokens, cfg, params)
         np.testing.assert_allclose(pooled, rows.mean(axis=0, keepdims=True), atol=1e-12)
 
 
@@ -452,13 +446,15 @@ class TestMlmStep:
 
     def _assert_step_equals_tape(self, config, params, ids, positions, targets):
         loss = oracles.mlm_tape_loss(ids, positions, targets, config, params)
-        oracles.zero_grad(params)
+        for _, t in params.items():  # both sides add into zeroed gradients
+            t.grad = np.zeros_like(t.data)
         nm.backward(loss)
-        weights = {name: t.data for name, t in params.items()}
-        grads = {name: np.full(t.shape, np.nan) for name, t in params.items()}
-        assert enc.mlm_step(ids, positions, targets, config, weights, grads) == loss.data.item()
+        tape = {name: t.grad for name, t in params.items()}
+        for _, t in params.items():
+            t.grad = np.zeros_like(t.data)
+        assert enc.mlm_step(ids, positions, targets, config, params) == loss.data.item()
         for name, t in params.items():
-            assert grads[name].tobytes() == t.grad.tobytes(), name
+            assert t.grad.tobytes() == tape[name].tobytes(), name
 
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -476,18 +472,16 @@ class TestMlmStep:
             params, ids, positions, targets = self._case(config, config.max_len,
                                                          seed=heads + layers, masked=masked)
             params["mlm.b"].data[0, targets[0]] = -1000.0  # exp underflows to 0
-            rows, _ = enc.encode_text(ids, config, _weights(params))
-            probs = enc.mlm_predictions(rows, positions, _weights(params))
+            rows, _ = enc.encode_text(ids, config, params)
+            probs = enc.mlm_predictions(rows, positions, params)
             assert probs[0, targets[0]] < enc.PROB_FLOOR
             self._assert_step_equals_tape(config, params, ids, positions, targets)
 
     def test_rows_that_do_not_sum_to_one_are_a_contract_error(self, monkeypatch):
         params, ids, positions, targets = self._case(TOY_CONFIG, 5, seed=3)
         monkeypatch.setattr(nm, "softmax_probs", lambda logits: np.full_like(logits, 0.5))
-        weights = {name: t.data for name, t in params.items()}
-        grads = {name: np.empty(t.shape) for name, t in params.items()}
         with pytest.raises(ContractError, match="sum to 1"):
-            enc.mlm_step(ids, positions, targets, TOY_CONFIG, weights, grads)
+            enc.mlm_step(ids, positions, targets, TOY_CONFIG, params)
 
 
 PINNED_CORPUS = ["alpha beta gamma delta", "beta gamma delta alpha epsilon",
@@ -522,9 +516,9 @@ class TestPretrain:
         calls = []
         encode_text = enc.encode_text
 
-        def record(token_ids, config, weights, saved=None):
+        def record(token_ids, config, params, saved=None):
             calls.append(len(token_ids))
-            return encode_text(token_ids, config, weights, saved)
+            return encode_text(token_ids, config, params, saved)
 
         def refuse(*args):
             raise AssertionError("mlm_loss called")
@@ -637,16 +631,27 @@ class TestEncodeFeatures:
         attend, feed_forward = enc._attend, enc._feed_forward
         alive = []
 
+        def recorded(fn):
+            def spy(*args):
+                out = fn(*args)
+                alive[-1].append(weakref.ref(out))
+                return out
+            return spy
+
         def attend_spy(*args):
-            out, saved = attend(*args)
-            alive.append([weakref.ref(a) for a in saved if isinstance(a, np.ndarray)])
-            return out, saved
+            alive.append([])
+            return recorded(attend)(*args)
 
         def feed_forward_spy(*args):
+            # q, k, v, the attention weights, the merged heads and the output
+            assert len(alive[-1]) == 6
             assert all(ref() is None for ref in alive[-1])
             return feed_forward(*args)
 
         monkeypatch.setattr(enc, "_attend", attend_spy)
+        monkeypatch.setattr(enc, "_split_heads", recorded(enc._split_heads))
+        monkeypatch.setattr(enc, "_merge_heads", recorded(enc._merge_heads))
+        monkeypatch.setattr(nm, "softmax_probs", recorded(nm.softmax_probs))
         monkeypatch.setattr(enc, "_feed_forward", feed_forward_spy)
         enc.encode_features(self._texts(34, 5, 6), vocab, TOY_CONFIG, params, 4)
         assert len(alive) == TOY_CONFIG.layers

@@ -142,16 +142,16 @@ class TestZScore:
         # population sigma of [1,2,3] is sqrt(2/3)
         sigma = math.sqrt(2.0 / 3.0)
         expected = [(1 - 2) / sigma, 0.0, (3 - 2) / sigma]
-        np.testing.assert_allclose(ingest.zscore_normalize([1, 2, 3]), expected, atol=1e-4)
+        np.testing.assert_allclose(oracles.zscore_normalize([1, 2, 3]), expected, atol=1e-4)
         np.testing.assert_allclose(expected[2], 1.2247, atol=1e-4)
 
     def test_fixed_point(self):
         data = np.array([-1.0, 1.0])
-        np.testing.assert_allclose(ingest.zscore_normalize(data), data, atol=1e-12)
+        np.testing.assert_allclose(oracles.zscore_normalize(data), data, atol=1e-12)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateInputError):
-            ingest.zscore_normalize([7.0, 7.0])
+            oracles.zscore_normalize([7.0, 7.0])
 
     @settings(max_examples=60)
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=30))
@@ -160,7 +160,7 @@ class TestZScore:
     def test_moments(self, values):
         arr = np.asarray(values)
         try:
-            out = ingest.zscore_normalize(arr)
+            out = oracles.zscore_normalize(arr)
         except DegenerateInputError:
             return  # spread below float resolution
         assert abs(out.mean()) < 1e-12

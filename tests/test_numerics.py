@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import fd_gradients, max_rel_err, naive_matmul
 
-from trendfuse import numerics as nm
+from trendfuse import encoder as enc, fusion, models, numerics as nm
 from trendfuse.errors import ContractError, ShapeError
 from trendfuse.numerics import ParameterStore, Tensor
 
@@ -403,7 +403,6 @@ NO_PACKAGE_CALLER = {
     "synthetic.write_toy_summaries": "scripts/run_synthetic_experiment.py and perfbench",
     "encoder.encode_feature": "perfbench's text-encoder workload and tracer",
     "encoder.mlm_loss": "perfbench's tracer, which wraps it",
-    "ingest.zscore_normalize": "acceptance criterion 3's normalization laws",
 }
 
 
@@ -477,6 +476,34 @@ def test_every_public_method_is_read_in_the_package():
                               and not name.startswith("_") and name not in read)
     assert {"check_layout", "view", "summarize"} <= read
     assert sorted(unread) == sorted(NO_PACKAGE_ATTRIBUTE_USE)
+
+
+# Backwards in the convention's modules that are not on it, each with its reason.
+OFF_CONVENTION = {
+    "models._gates_back": "a helper of the CELLS step pairs, which return their caches",
+    "encoder._mlm_nll_back": "the loss arithmetic that `mlm_loss`'s tape node shares",
+}
+
+
+def test_every_backward_follows_the_saved_list_convention():
+    """In `encoder`, `fusion` and `models`, a forward `f` with a backward
+    `f_back` beside it takes `saved=None`, and `f_back` takes the `saved`
+    list last (see `fusion`); the pairs in OFF_CONVENTION are exempt."""
+    off, seen = set(), set()
+    for module in (enc, fusion, models):
+        for name, back in vars(module).items():
+            forward = vars(module).get(name.removesuffix("_back"))
+            if not (name.endswith("_back") and inspect.isfunction(back)
+                    and inspect.isfunction(forward)):
+                continue
+            qualified = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+            seen.add(qualified)
+            saved = inspect.signature(forward).parameters.get("saved")
+            if (saved is None or saved.default is not None
+                    or list(inspect.signature(back).parameters)[-1] != "saved"):
+                off.add(qualified)
+    assert {"encoder._encoder_layer_back", "fusion.embed_back", "models.unroll_back"} <= seen
+    assert sorted(off) == sorted(OFF_CONVENTION)
 
 
 # Defaulted parameters that no call in the package passes, each with its caller.

@@ -231,7 +231,7 @@ class TestTrainReplicas:
         data, configs = self._replicas("lstm")
         trained = tr.train_replicas([d[:40] for d in data], configs)
         for (store, _), cfg in zip(trained, configs):
-            store.check_layout(tr.init_pipeline_params(cfg), "replica")
+            store.check_layout(tr.init_pipeline_params(cfg).layout(), "replica")
             assert all(t.requires_grad for _, t in store.items())
 
     def test_contract(self):
