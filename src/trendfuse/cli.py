@@ -281,7 +281,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     _require_paths(cfg, ["market_csv", "checkpoint"])
     _, test_samples = _load_split_samples(cfg)
     store = ParameterStore.load(cfg.checkpoint)
-    store.check_layout(tr.init_pipeline_params(cfg.train).layout(), cfg.checkpoint)
+    store.check_layout(tr.pipeline_layout(cfg.train), cfg.checkpoint)
     out = _out_dir(cfg)
     report = tr.evaluate(store, cfg.train, test_samples)
     _write_json(out / "metrics.json", report.to_dict())

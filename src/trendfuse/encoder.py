@@ -20,9 +20,9 @@ and keeps nothing for a backward pass. Pretraining's `mlm_step` runs it on
 one sentence with a `saved` list, adds the masked-token head and loss,
 then runs the head's backward and `_encoder_layer_back` until the list is
 empty. The gradients add into the parameters' `grad` arrays, views of the
-Adam state's flat gradient, which Adam applies to the state's flat
-parameter vector. The sums come in the order of a tape of the same
-sublayers, so the loss trace and the parameters are bitwise those of
+store's flat gradient, which Adam applies to the store's flat parameter
+vector. The sums come in the order of a tape of the same sublayers, so
+the loss trace and the parameters are bitwise those of
 `numerics.backward` through that tape, which `tests/oracles.py` builds.
 
 `mlm_loss`, the masked-token loss as one tape node, is not called by the
@@ -368,37 +368,28 @@ def _encoder_layer_back(g: np.ndarray, saved: list) -> np.ndarray:
     return d_x + _attend_back(d_x, saved)
 
 
-def _encoder_layout(config: EncoderConfig, vocab_size: int
-                    ) -> Iterator[tuple[str, tuple[int, ...], int | float]]:
-    """Each encoder parameter's name, shape and start, in store order. An
-    int start is the fan-in of a uniform draw; a float is a constant fill,
-    1.0 for a layer-norm gain and 0.0 for a bias. Nothing is allocated, so
-    a checkpoint's layout is checked before any array of its config is."""
+def encoder_layout(config: EncoderConfig, vocab_size: int) -> Iterator[nm.Row]:
+    """Each encoder parameter's name, shape and start, in store order: a
+    uniform draw for a weight, 1.0 for a layer-norm gain and 0.0 for a
+    bias. Nothing is allocated, so a checkpoint's layout is checked before
+    any array of its config is. Each layer's `wq`, `wk` and `wv` are
+    adjacent, so one (3, d, d) view of the store's flat vector holds them."""
     d, dff = config.d_model, config.d_ff
-    yield "emb", (vocab_size, d), d
+    yield "emb", (vocab_size, d), nm.Uniform(d)
     for i in range(config.layers):
         p = f"layer{i}."
         for w in ("wq", "wk", "wv", "wo"):
-            yield p + w, (d, d), d
+            yield p + w, (d, d), nm.Uniform(d)
         yield p + "ln1_g", (1, d), 1.0
         yield p + "ln1_b", (1, d), 0.0
-        yield p + "w1", (d, dff), d
+        yield p + "w1", (d, dff), nm.Uniform(d)
         yield p + "b1", (1, dff), 0.0
-        yield p + "w2", (dff, d), dff
+        yield p + "w2", (dff, d), nm.Uniform(dff)
         yield p + "b2", (1, d), 0.0
         yield p + "ln2_g", (1, d), 1.0
         yield p + "ln2_b", (1, d), 0.0
-    yield "mlm.w", (d, vocab_size), d
+    yield "mlm.w", (d, vocab_size), nm.Uniform(d)
     yield "mlm.b", (1, vocab_size), 0.0
-
-
-def init_encoder_params(config: EncoderConfig, vocab_size: int,
-                        rng: np.random.Generator) -> ParameterStore:
-    store = ParameterStore()
-    for name, shape, start in _encoder_layout(config, vocab_size):
-        store.add(name, np.full(shape, start) if isinstance(start, float)
-                  else nm.uniform_init(rng, start, shape))
-    return store
 
 
 def encode_text(token_ids: np.ndarray, config: EncoderConfig, params: ParameterStore,
@@ -473,19 +464,19 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int, seed
     per-epoch loss trace. epochs=0 returns the untouched initialization.
     A non-finite loss raises DivergenceError naming the epoch and sentence.
 
-    Each sentence is one Adam step at Adam's default step size: the flat
-    gradient of the Adam state (`numerics.adam_state`) is zeroed, `mlm_step`
-    adds the sentence's gradient into it, and `numerics.adam_step` updates
-    the flat parameter vector that the store's tensors are views of, in
-    place. With epochs > 0, a max_len below 2 leaves no token to mask and is
-    a ConfigError.
+    Each sentence is one Adam step at Adam's default step size: the store's
+    flat gradient, which the Adam state (`numerics.adam_state`) points at,
+    is zeroed, `mlm_step` adds the sentence's gradient into it, and
+    `numerics.adam_step` updates the flat parameter vector that the store's
+    tensors are views of, in place. With epochs > 0, a max_len below 2
+    leaves no token to mask and is a ConfigError.
     """
     corpus = [t for t in corpus if t.strip()]
     if not corpus:
         raise ContractError("pretraining corpus is empty")
     vocab = Vocabulary.build(corpus, similar_words)
     rng = np.random.default_rng(seed)
-    params = init_encoder_params(config, vocab.size, rng)
+    params = ParameterStore(encoder_layout(config, vocab.size), rng)
     trace: list[float] = []
     if not epochs:
         return params, vocab, trace
@@ -607,8 +598,7 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
         raise DataError(f"{path}: encoder checkpoint lacks {err}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise DataError(f"{path}: malformed encoder checkpoint: {err}") from None
-    params.check_layout(((name, shape) for name, shape, _ in
-                         _encoder_layout(config, len(tokens))), path)
+    params.check_layout(encoder_layout(config, len(tokens)), path)
     return config, Vocabulary(tokens, token_to_id, similar), params
 
 

@@ -22,21 +22,22 @@ package's `saved`-list convention, which `models` and `encoder` follow too:
   order of the forwards. `tests/test_numerics.py` checks the signatures.
 
 Here every primitive takes (R, B, ·) replica blocks against parameters
-stacked as (R, ...). `train._backward_batch` runs the backwards in
-reverse; `tests/oracles.py` puts each pair on the tape (`taped`) and keeps
-single-op compositions as references.
+stacked as (R, ...), whose layout rows `train.pipeline_layout` joins.
+`train._backward_batch` runs the backwards in reverse; `tests/oracles.py`
+puts each pair on the tape (`taped`) and keeps single-op compositions as
+references.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, DivergenceError, ShapeError
-from .numerics import ParameterStore, Tensor
+from .numerics import Row, Tensor
 
 Params = Mapping[str, Tensor]
 
@@ -174,20 +175,17 @@ def conv_output_len(input_len: int, kernel_len: int) -> int:
     return input_len - kernel_len + 1
 
 
-def add_text_path_params(store: ParameterStore, rng: np.random.Generator,
-                         feature_len: int, embed_width: int, kernel_len: int) -> None:
-    """Create the embedding and convolution parameters for the text path."""
-    conv_output_len(embed_width, kernel_len)
-    store.add("text.w_e", nm.uniform_init(rng, feature_len, (feature_len, embed_width)))
-    store.add("text.b_e", np.zeros((1, embed_width)))
-    store.add("text.w_c", nm.uniform_init(rng, kernel_len, (kernel_len,)))
-    store.add("text.b_c", np.zeros((1, 1)))
+def text_path_layout(feature_len: int, embed_width: int, kernel_len: int) -> Iterator[Row]:
+    """The embedding and convolution rows of the text path, in draw order."""
+    yield "text.w_e", (feature_len, embed_width), nm.Uniform(feature_len)
+    yield "text.b_e", (1, embed_width), 0.0
+    yield "text.w_c", (kernel_len,), nm.Uniform(kernel_len)
+    yield "text.b_c", (1, 1), 0.0
 
 
-def add_fuse_gate_params(store: ParameterStore, rng: np.random.Generator,
-                         conv_len: int, out_width: int) -> None:
-    """Create the gate scalar plus the width-aligning projection if needed."""
+def fuse_gate_layout(conv_len: int, out_width: int) -> Iterator[Row]:
+    """The gate scalar's row, after the width-aligning projection's if needed."""
     if conv_len != out_width:
-        store.add("text.proj_w", nm.uniform_init(rng, conv_len, (conv_len, out_width)))
-        store.add("text.proj_b", np.zeros((1, out_width)))
-    store.add("text.gamma_raw", np.zeros((1, 1)))
+        yield "text.proj_w", (conv_len, out_width), nm.Uniform(conv_len)
+        yield "text.proj_b", (1, out_width), 0.0
+    yield "text.gamma_raw", (1, 1), 0.0

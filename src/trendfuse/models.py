@@ -11,8 +11,8 @@ that `fusion`'s docstring defines.
 
 `unroll` runs a whole sequence, after the cuDNN sequence kernels
 (Appleyard et al., arXiv:1604.01946), and `unroll_back` runs BPTT.
-`CELLS` maps every recurrent kind to its parameter init, the names of
-the weights it steps with and a pair of pure-numpy step functions:
+`CELLS` maps every recurrent kind to its parameter layout rows, the
+names of the weights it steps with and a pair of pure-numpy step functions:
 
 - `forward(x_t, state, weights) -> (state, cache)`;
 - `backward(cache, d_state) -> (d_x, d_state_prev, d_weights)`, with one
@@ -21,8 +21,9 @@ the weights it steps with and a pair of pure-numpy step functions:
 
 Each gate block is stored as the one matrix a step multiplies, as cuDNN
 keeps it: the LSTM block is `w` (H + I, 4H), rows [h; x] and columns
-[i, f, o, c], with bias `b` (1, 4H). BiLSTM is the LSTM entry run in both
-directions. Each step does one matmul of [h, x] against the block and
+[i, f, o, c], with bias `b` (1, 4H); its layout row draws the gates in
+the order i, f, c, o into those slots (`numerics.Uniform`). BiLSTM is the
+LSTM entry run in both directions. Each step does one matmul of [h, x] against the block and
 activates it in place with one np.tanh (`_squash`): the sigmoid columns
 are scaled by 0.5 before and after and shifted by 0.5, which is bitwise
 `numerics.logistic`. `unroll_back` copies every step's (rows, d) pairs
@@ -42,13 +43,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, ContractError, ShapeError, check_integer
-from .numerics import ParameterStore, Tensor
+from .numerics import Row, Tensor
 
 VALID_KINDS = ("feedforward", "lstm", "bilstm", "gru", "mogrifier", "stlstm", "swinlstm")
 
@@ -310,52 +311,47 @@ def window_pool_back(g: np.ndarray, saved: list) -> np.ndarray:
     return d_u.reshape(*lead, -1)[..., :feat]
 
 
-# --- parameter init -------------------------------------------------------------
+# --- parameter layouts ------------------------------------------------------------
 
 
-def _add_gates(store: ParameterStore, prefix: str, block: str, columns: Sequence[int],
-               rows: int, hidden: int, rng: np.random.Generator) -> None:
-    """One gate block: the weight `w{block}` (rows, hidden * len(columns))
-    and its zero bias `b{block}`. Each gate's (rows, hidden) matrix is
-    drawn in turn into the column slot `columns` gives it, so the draw
-    order is independent of the column order."""
-    w = np.empty((rows, hidden * len(columns)))
-    for col in columns:
-        w[:, col * hidden:(col + 1) * hidden] = nm.uniform_init(rng, rows, (rows, hidden))
-    store.add(f"{prefix}.w{block}", w)
-    store.add(f"{prefix}.b{block}", np.zeros((1, w.shape[1])))
+def _gate_block(suffix: str, order: tuple[int, ...], rows: int, hidden: int) -> Iterator[Row]:
+    """One gate block: the weight `w{suffix}` (rows, hidden * len(order)),
+    whose gates are drawn in turn into the column slots `order` gives them,
+    and its zero bias `b{suffix}`."""
+    yield f"w{suffix}", (rows, hidden * len(order)), nm.Uniform(rows, order)
+    yield f"b{suffix}", (1, hidden * len(order)), 0.0
 
 
-def _init_lstm(store, prefix, input_width, spec, rng) -> None:
+def _lstm_layout(spec: ModelSpec, input_width: int) -> Iterator[Row]:
     # drawn i, f, c, o; stored i, f, o, c
-    _add_gates(store, prefix, "", (0, 1, 3, 2), spec.hidden + input_width, spec.hidden, rng)
+    return _gate_block("", (0, 1, 3, 2), spec.hidden + input_width, spec.hidden)
 
 
-def _init_gru(store, prefix, input_width, spec, rng) -> None:
+def _gru_layout(spec: ModelSpec, input_width: int) -> Iterator[Row]:
     rows = spec.hidden + input_width
-    _add_gates(store, prefix, "_zr", (0, 1), rows, spec.hidden, rng)
-    _add_gates(store, prefix, "_h", (0,), rows, spec.hidden, rng)
+    yield from _gate_block("_zr", (0, 1), rows, spec.hidden)
+    yield from _gate_block("_h", (0,), rows, spec.hidden)
 
 
-def _init_mogrifier(store, prefix, input_width, spec, rng) -> None:
+def _mogrifier_layout(spec: ModelSpec, input_width: int) -> Iterator[Row]:
     hidden = spec.hidden
-    _init_lstm(store, prefix, input_width, spec, rng)
+    yield from _lstm_layout(spec, input_width)
     if spec.mogrifier_rounds >= 1:
-        store.add(f"{prefix}.q", nm.uniform_init(rng, hidden, (hidden, input_width)))
+        yield "q", (hidden, input_width), nm.Uniform(hidden)
     if spec.mogrifier_rounds >= 2:
-        store.add(f"{prefix}.r", nm.uniform_init(rng, input_width, (input_width, hidden)))
+        yield "r", (input_width, hidden), nm.Uniform(input_width)
 
 
-def _init_stlstm(store, prefix, input_width, spec, rng) -> None:
+def _stlstm_layout(spec: ModelSpec, input_width: int) -> Iterator[Row]:
     hidden = spec.hidden
-    _init_lstm(store, prefix, input_width, spec, rng)
-    _add_gates(store, prefix, "_m", (0, 1, 2), input_width + hidden, hidden, rng)
-    store.add(f"{prefix}.w_mix", nm.uniform_init(rng, 2 * hidden, (2 * hidden, hidden)))
+    yield from _lstm_layout(spec, input_width)
+    yield from _gate_block("_m", (0, 1, 2), input_width + hidden, hidden)
+    yield "w_mix", (2 * hidden, hidden), nm.Uniform(2 * hidden)
 
 
-def _init_swinlstm(store, prefix, input_width, spec, rng) -> None:
-    store.add(f"{prefix}.pool", nm.uniform_init(rng, 1, (1, 4)))
-    _init_lstm(store, prefix, spec.swin_window, spec, rng)
+def _swinlstm_layout(spec: ModelSpec, input_width: int) -> Iterator[Row]:
+    yield "pool", (1, 4), nm.Uniform(1)
+    yield from _lstm_layout(spec, spec.swin_window)
 
 
 # --- the cell table ---------------------------------------------------------------
@@ -363,8 +359,10 @@ def _init_swinlstm(store, prefix, input_width, spec, rng) -> None:
 
 @dataclass(frozen=True)
 class Cell:
-    """How one recurrent kind creates its parameters and steps through time.
+    """How one recurrent kind lays out its parameters and steps through time.
 
+    `layout(spec, input_width)` yields the (name, shape, start) rows of one
+    direction, names without the `cell.` prefix, in draw order.
     `weights(spec)` names the parameters the step pair takes, in order;
     the Mogrifier's `q, r` repeat once per round. `forward` maps
     (x_t, state, weights) to (state, cache), the state a tuple of `arity`
@@ -377,7 +375,7 @@ class Cell:
     sequence.
     """
 
-    init: Callable[[ParameterStore, str, int, ModelSpec, np.random.Generator], None]
+    layout: Callable[[ModelSpec, int], Iterable[Row]]
     weights: Callable[[ModelSpec], tuple[str, ...]]
     forward: Callable[[np.ndarray, tuple, tuple], tuple]
     backward: Callable[[object, tuple], tuple]
@@ -387,17 +385,17 @@ class Cell:
 
 
 CELLS = {
-    "lstm": Cell(_init_lstm, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2),
-    "bilstm": Cell(_init_lstm, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2,
+    "lstm": Cell(_lstm_layout, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2),
+    "bilstm": Cell(_lstm_layout, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2,
                    directions=("fwd", "bwd")),
-    "gru": Cell(_init_gru, lambda spec: ("w_zr", "b_zr", "w_h", "b_h"),
+    "gru": Cell(_gru_layout, lambda spec: ("w_zr", "b_zr", "w_h", "b_h"),
                 _gru_forward, _gru_backward, 1),
-    "mogrifier": Cell(_init_mogrifier, lambda spec: ("w", "b", *(
+    "mogrifier": Cell(_mogrifier_layout, lambda spec: ("w", "b", *(
         "r" if k % 2 else "q" for k in range(spec.mogrifier_rounds))),
         _mogrifier_forward, _mogrifier_backward, 2),
-    "stlstm": Cell(_init_stlstm, lambda spec: ("w", "b", "w_m", "b_m", "w_mix"),
+    "stlstm": Cell(_stlstm_layout, lambda spec: ("w", "b", "w_m", "b_m", "w_mix"),
                    _stlstm_forward, _stlstm_backward, 3),
-    "swinlstm": Cell(_init_swinlstm, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward,
+    "swinlstm": Cell(_swinlstm_layout, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward,
                      2, pool=(window_pool, window_pool_back)),
 }
 
@@ -530,29 +528,27 @@ def _time_blocks(pairs, steps: int) -> list[list[np.ndarray | None]]:
              for a in pair] for pair in pairs]
 
 
-def add_model_params(store: ParameterStore, spec: ModelSpec, input_width: int,
-                     rng: np.random.Generator) -> None:
-    """Create the `cell.*` parameters for one predictor, in a fixed draw order.
+def model_layout(spec: ModelSpec, input_width: int) -> Iterator[Row]:
+    """The `cell.*` rows of one predictor, in draw order.
 
-    Variant-specific extras are drawn after the shared gate block so that
-    a mogrifier with zero rounds consumes exactly the same random stream
-    as a plain LSTM.
+    Variant-specific extras come after the shared gate block, so a
+    mogrifier with zero rounds consumes exactly the same random stream as a
+    plain LSTM.
     """
     hidden = spec.hidden
     if spec.kind == "feedforward":
         h1 = max(2 * hidden, 4)
-        store.add("cell.w1", nm.uniform_init(rng, input_width, (input_width, h1)))
-        store.add("cell.b1", np.zeros((1, h1)))
-        store.add("cell.w2", nm.uniform_init(rng, h1, (h1, hidden)))
-        store.add("cell.b2", np.zeros((1, hidden)))
-        store.add("cell.w3", nm.uniform_init(rng, hidden, (hidden, 1)))
-        store.add("cell.b3", np.zeros((1, 1)))
+        for k, (rows, cols) in enumerate(((input_width, h1), (h1, hidden), (hidden, 1)), 1):
+            yield f"cell.w{k}", (rows, cols), nm.Uniform(rows)
+            yield f"cell.b{k}", (1, cols), 0.0
         return
     cell = CELLS[spec.kind]
     for direction in cell.directions:
-        cell.init(store, f"cell.{direction}" if direction else "cell", input_width, spec, rng)
+        prefix = f"cell.{direction}." if direction else "cell."
+        for name, shape, start in cell.layout(spec, input_width):
+            yield prefix + name, shape, start
 
 
-def add_head_params(store: ParameterStore, width: int, rng: np.random.Generator) -> None:
-    store.add("head.w_out", nm.uniform_init(rng, width, (width, 1)))
-    store.add("head.b_out", np.zeros((1, 1)))
+def head_layout(width: int) -> Iterator[Row]:
+    yield "head.w_out", (width, 1), nm.Uniform(width)
+    yield "head.b_out", (1, 1), 0.0

@@ -14,8 +14,8 @@ gradients. Then come the loss and, over lockstep replicas' losses, `sum_`.
 Besides the tape, this module keeps only what some program path calls:
 the array helpers the numpy backwards share (`mT`, `row_sum`,
 `affine_back`, `logistic`, `softmax_probs`/`softmax_back`), the parameter
-store and its checkpoint format, and Adam, whose state owns the flat
-parameter and gradient vectors that every parameter is a view of.
+store, whose parameters are views of its flat vectors from birth, and its
+checkpoint format, and Adam, whose state adds moments to a store's vectors.
 Single-op tape ops, multi-output nodes and the adapter that puts a numpy
 forward/backward pair on the tape live in `tests/oracles.py`.
 """
@@ -23,13 +23,14 @@ forward/backward pair on the tape live in `tests/oracles.py`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 
 Array = np.ndarray
 
@@ -160,20 +161,57 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-class ParameterStore:
-    """Ordered, named collection of trainable tensors."""
+@dataclass(frozen=True)
+class Uniform:
+    """A start drawn by `uniform_init`: one (..., width / len(order)) block
+    per gate, in turn, the k-th placed in column slot order[k], so the draw
+    order is independent of the column order. One gate is the plain draw."""
 
-    def __init__(self):
+    fan_in: int
+    order: tuple[int, ...] = (0,)
+
+
+# A layout row: a parameter's name, shape and start, which is a constant
+# fill, a uniform draw or an array to copy.
+Row = tuple[str, tuple[int, ...], "float | Uniform | Array"]
+
+
+class ParameterStore:
+    """Named trainable tensors, allocated once from a layout of rows in
+    store order: each parameter and its gradient are the next slices of the
+    zeroed flat vectors `flat` and `grad` from birth, filled from the row's
+    start (a `Uniform` draws from `rng`, in row order), and filed under
+    every dotted prefix of the name, for `view`. A size numpy cannot
+    allocate is a ConfigError naming the parameter count."""
+
+    def __init__(self, layout: Iterable[Row], rng: np.random.Generator | None = None):
+        rows = list(layout)
+        count = sum(math.prod(shape) for _, shape, _ in rows)
+        try:
+            self.flat, self.grad = np.zeros(count), np.zeros(count)
+        except (ValueError, OverflowError, MemoryError) as err:
+            raise ConfigError(f"cannot allocate a model of {count} parameters ({err})") from None
         self._params: dict[str, Tensor] = {}
         self._views: dict[str, dict[str, Tensor]] = {}
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        self._views.clear()
-        return t
+        stop = 0
+        for name, shape, start in rows:
+            if name in self._params:
+                raise ContractError(f"duplicate parameter name {name!r}")
+            span = slice(stop, stop + math.prod(shape))
+            stop = span.stop
+            t = self._params[name] = Tensor(self.flat[span].reshape(shape), requires_grad=True)
+            t.grad = self.grad[span].reshape(shape)
+            if isinstance(start, Uniform):
+                gates = len(start.order)
+                blocks = uniform_init(rng, start.fan_in,
+                                      (gates, *shape[:-1], shape[-1] // gates))
+                t.data.reshape(*shape[:-1], gates, -1)[..., list(start.order), :] = \
+                    np.moveaxis(blocks, 0, -2)
+            else:
+                t.data[...] = start
+            parts = name.split(".")
+            for k in range(1, len(parts)):
+                self._views.setdefault(".".join(parts[:k]), {})[".".join(parts[k:])] = t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -182,22 +220,9 @@ class ParameterStore:
         return self._params.items()
 
     def view(self, prefix: str) -> dict[str, Tensor]:
-        """Sub-dictionary of parameters under `prefix.`, keys stripped.
-
-        Built once per prefix and shared until the next `add`; callers must
-        not change it.
-        """
-        cached = self._views.get(prefix)
-        if cached is None:
-            dot = prefix + "."
-            cached = {name[len(dot):]: t for name, t in self._params.items()
-                      if name.startswith(dot)}
-            self._views[prefix] = cached
-        return cached
-
-    def layout(self) -> Iterator[tuple[str, tuple[int, ...]]]:
-        """(name, shape) of every parameter, in store order."""
-        return ((name, t.shape) for name, t in self._params.items())
+        """Parameters under `prefix.`, keys stripped; shared, so callers
+        must not change it."""
+        return self._views.get(prefix, {})
 
     def state_dict(self) -> dict:
         return {
@@ -209,19 +234,19 @@ class ParameterStore:
         }
 
     def save(self, path) -> None:
-        # insertion order is the canonical parameter order; do not sort
+        # layout order is the canonical parameter order; do not sort
         Path(path).write_text(json.dumps(self.state_dict()), encoding="utf-8")
 
-    def check_layout(self, layout: Iterable[tuple[str, tuple[int, ...]]], source) -> None:
+    def check_layout(self, layout: Iterable[Row], source) -> None:
         """Raise DataError unless this store has exactly the names and shapes
-        of `layout`'s (name, shape) pairs, naming the first missing,
-        mis-shaped or extra parameter. The pairs are read one at a time and
-        the first mismatch stops the check.
+        of `layout`'s rows, naming the first missing, mis-shaped or extra
+        parameter. The rows are read one at a time, nothing is drawn and the
+        first mismatch stops the check.
 
         `source` (the checkpoint path) starts the message.
         """
-        have = dict(self.layout())
-        for name, shape in layout:
+        have = {name: t.shape for name, t in self._params.items()}
+        for name, shape, _ in layout:
             if name not in have:
                 raise DataError(f"{source}: checkpoint lacks parameter {name!r} "
                                 "of the configured model")
@@ -243,7 +268,7 @@ class ParameterStore:
         params = state.get("params")
         if not isinstance(params, dict):
             raise DataError("checkpoint has no 'params' object")
-        store = cls()
+        rows = []
         for name, entry in params.items():
             try:
                 arr = np.asarray(entry["data"])
@@ -256,8 +281,8 @@ class ParameterStore:
                 raise DataError(f"checkpoint parameter {name!r} is malformed: {err}") from None
             if not np.isfinite(arr).all():
                 raise DataError(f"checkpoint parameter {name!r} has a non-finite value")
-            store.add(name, arr)
-        return store
+            rows.append((name, arr.shape, arr))
+        return cls(rows)
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
@@ -285,8 +310,8 @@ EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """The flat parameter and gradient vectors, the step size, the moment
-    estimates over them and the step counter."""
+    """A store's flat parameter and gradient vectors, the step size, the
+    moment estimates over them and the step counter."""
 
     flat: Array
     grad: Array
@@ -297,26 +322,13 @@ class AdamState:
 
 
 def adam_state(store: ParameterStore, lr: float = 1e-3) -> AdamState:
-    """Move every parameter into one flat vector, in store order, and bind
-    each tensor's gradient to its slice of one zeroed flat gradient.
-
-    Each tensor's `data` and `grad` become views of `flat` and `grad`: an
-    in-place update of `flat` updates every parameter, and a backward adds
-    into `grad` once it is zeroed.
-    """
+    """Adam over `store`: the state points at the store's `flat` and `grad`
+    and allocates only the zeroed moments, so `adam_step` updates every
+    parameter in place and a backward adds into `grad` once it is zeroed."""
     if lr <= 0:
         raise ContractError(f"learning rate must be positive, got {lr}")
-    params = [t for _, t in store.items()]
-    flat = np.zeros(sum(t.size for t in params))
-    grad = np.zeros_like(flat)
-    start = 0
-    for t in params:
-        stop = start + t.size
-        flat[start:stop] = t.data.reshape(-1)
-        t.data = flat[start:stop].reshape(t.shape)
-        t.grad = grad[start:stop].reshape(t.shape)
-        start = stop
-    return AdamState(flat, grad, lr, np.zeros_like(flat), np.zeros_like(flat))
+    return AdamState(store.flat, store.grad, lr, np.zeros_like(store.flat),
+                     np.zeros_like(store.flat))
 
 
 def adam_step(state: AdamState) -> None:

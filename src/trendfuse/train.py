@@ -16,10 +16,11 @@ gradients itself, then the BCE loss node (and, in lockstep,
 `numerics.sum_`); scoring runs `forward_batch` alone. `train_replicas`
 trains several models in lockstep as one stacked model, and `train_model`
 is its one-replica case. Samples arrive as one `ingest.Samples` block of
-row-aligned arrays, and batches are row slices of them. Parameters and
-gradients are views of the flat vectors of the Adam state
-(`numerics.adam_state`): each step zeroes the flat gradient, the backward
-adds into it, and `numerics.adam_step` updates in place.
+row-aligned arrays, and batches are row slices of them. A store made
+from `pipeline_layout`'s rows holds every parameter and gradient as views
+of its flat vectors, which the Adam state (`numerics.adam_state`) points
+at: each step zeroes the flat gradient, the backward adds into it, and
+`numerics.adam_step` updates in place.
 
 Batches run in chronological order with no shuffling, so a fixed
 (config, data, seed) triple reproduces bit-identical parameters, loss
@@ -31,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .errors import (ConfigError, ContractError, DivergenceError, check_bool,
                      check_integer, is_real)
 from .ingest import Samples
 from .models import ModelSpec
-from .numerics import ParameterStore, Tensor
+from .numerics import ParameterStore, Row, Tensor
 
 # Lower clamp of p and of 1 - p inside the loss.
 PROB_CLAMP = 1e-7
@@ -129,23 +130,22 @@ def bce_loss(p: Tensor, targets) -> Tensor:
     return nm.fused((p,), -(per.sum(axis=(-2, -1)) * scale), back)
 
 
-def init_pipeline_params(config: TrainConfig) -> ParameterStore:
-    """Parameters for the full forward pass, drawn in a fixed seeded order."""
-    rng = np.random.default_rng(config.seed)
-    store = ParameterStore()
+def pipeline_layout(config: TrainConfig) -> Iterator[Row]:
+    """The (name, shape, start) rows of the full forward pass, in draw order."""
     spec = config.model
     conv_len = fusion.conv_output_len(config.embed_width, config.kernel_len)
-    history = config.window - 1
-    fusion.add_text_path_params(store, rng, config.feature_len,
-                                config.embed_width, config.kernel_len)
+    yield from fusion.text_path_layout(config.feature_len, config.embed_width, config.kernel_len)
     if spec.kind == "feedforward":
-        flat_width = 2 * history + conv_len
-        models.add_model_params(store, spec, flat_width, rng)
-    else:
-        fusion.add_fuse_gate_params(store, rng, conv_len, spec.output_width)
-        models.add_model_params(store, spec, 2, rng)
-        models.add_head_params(store, spec.output_width, rng)
-    return store
+        yield from models.model_layout(spec, 2 * (config.window - 1) + conv_len)
+        return
+    yield from fusion.fuse_gate_layout(conv_len, spec.output_width)
+    yield from models.model_layout(spec, 2)
+    yield from models.head_layout(spec.output_width)
+
+
+def init_pipeline_params(config: TrainConfig) -> ParameterStore:
+    """Parameters for the full forward pass, drawn from `default_rng(seed)`."""
+    return ParameterStore(pipeline_layout(config), np.random.default_rng(config.seed))
 
 
 def batch_arrays(samples: Samples,
@@ -194,13 +194,15 @@ def train_replicas(samples_per_replica: Sequence[Samples],
     """Adam-train R predictors in lockstep (`torch.func` model ensembling);
     returns (params, per-epoch loss) per replica.
 
-    Parameters are stacked as (R, ...), and each batch runs as (R, B, ·)
-    blocks through one forward, backward and flat Adam step. The loss sums
-    the replicas' mean BCE, so each gets exactly its own gradient. Configs
-    may differ only in `seed` (each replica draws its init from its own
-    `default_rng(seed)`) and `prior_effect`, with one sample count for all;
-    else ContractError. Each replica equals its solo `train_model` run: the
-    same loss trace and labels, parameters and probabilities within 1e-12.
+    The replicas' initial stores are stacked as (R, ...) into one store,
+    each batch runs as (R, B, ·) blocks through one forward, backward and
+    flat Adam step, and each returned store is made from its slice. The
+    loss sums the replicas' mean BCE, so each gets exactly its own
+    gradient. Configs may differ only in `seed` (each replica draws its
+    init from its own `default_rng(seed)`) and `prior_effect`, with one
+    sample count for all; else ContractError. Each replica equals its solo
+    `train_model` run: the same loss trace and labels, parameters and
+    probabilities within 1e-12.
     """
     if not configs or len(configs) != len(samples_per_replica):
         raise ContractError(f"{len(samples_per_replica)} sample sets for "
@@ -220,13 +222,9 @@ def train_replicas(samples_per_replica: Sequence[Samples],
         return np.stack(parts).reshape(*lead, *parts[0].shape)
 
     stores = [init_pipeline_params(c) for c in configs]
-    store = ParameterStore()
-    for name, _ in stores[0].items():
-        store.add(name, stack([s[name].data for s in stores]))
+    store = ParameterStore((name, (*lead, *t.shape), stack([s[name].data for s in stores]))
+                           for name, t in stores[0].items())
     state = nm.adam_state(store, lr=base.lr)
-    for name, t in store.items():
-        for r, replica in enumerate(stores):  # Adam updates the block in place
-            replica[name].data = t.data[r] if lead else t.data
     arrays = [stack(parts) for parts in zip(*(
         batch_arrays(s, c.prior_effect) for s, c in zip(samples_per_replica, configs)))]
     traces = np.empty((base.epochs, len(configs)))
@@ -249,7 +247,9 @@ def train_replicas(samples_per_replica: Sequence[Samples],
             nm.adam_step(state)
             totals += means.data * targets.shape[-1]
         traces[epoch] = totals / n
-    return [(replica, traces[:, r].tolist()) for r, replica in enumerate(stores)]
+    return [(ParameterStore((name, t.shape, store[name].data.reshape(-1, *t.shape)[r])
+                            for name, t in stores[0].items()), traces[:, r].tolist())
+            for r in range(len(configs))]
 
 
 def train_model(samples: Samples,

@@ -55,6 +55,7 @@ time, as a reference for the one index gather of `ingest.windows`, and
 `sample_rows` splits a `Samples` block into them. `zscore_normalize` is
 a normalizer the program does not use, whose laws criterion 8 checks.
 `gradients` (which raises `GraphError` for a leaf off the tape), `names`,
+`store_of` (a store of given arrays), `Leaves` (a store of given tensors),
 `write_market_csv` (the inverse of `ingest.parse_market_csv`) and
 `periodic_pattern_samples` (a series every predictor can fit) are helpers
 that only the tests use.
@@ -336,8 +337,24 @@ def bilstm_forward(xs, params_fwd, params_bwd):
 
 
 def names(store):
-    """Parameter names of a store, in its insertion order."""
+    """Parameter names of a store, in its store order."""
     return [name for name, _ in store.items()]
+
+
+class Leaves(dict):
+    """Named tensors with a store's `view`: a store whose parameters are
+    given tape leaves, for differentiating a program forward that reads one."""
+
+    def view(self, prefix):
+        dot = prefix + "."
+        return {name[len(dot):]: t for name, t in self.items() if name.startswith(dot)}
+
+
+def store_of(arrays):
+    """A store holding a copy of each named array, in mapping order, with
+    zeroed gradients."""
+    return nm.ParameterStore((name, np.shape(a), np.asarray(a, dtype=np.float64))
+                             for name, a in arrays.items())
 
 
 def gradients(loss, params):
@@ -875,7 +892,7 @@ def pretrain_mlm(corpus, config, epochs, seed, similar_words=None):
     corpus = [t for t in corpus if t.strip()]
     vocab = enc.Vocabulary.build(corpus, similar_words)
     rng = np.random.default_rng(seed)
-    params = enc.init_encoder_params(config, vocab.size, rng)
+    params = nm.ParameterStore(enc.encoder_layout(config, vocab.size), rng)
     state = nm.adam_state(params)
     trace = []
     for epoch in range(epochs):
@@ -1034,13 +1051,8 @@ def train_replicas(rows_per_replica, configs):
         return np.stack(parts).reshape(*lead, *parts[0].shape)
 
     stores = [tr.init_pipeline_params(c) for c in configs]
-    store = nm.ParameterStore()
-    for name, _ in stores[0].items():
-        store.add(name, stack([s[name].data for s in stores]))
-    state = nm.adam_state(store, lr=base.lr)  # the store's data become views of state.flat
-    for name, t in store.items():
-        for r, replica in enumerate(stores):
-            replica[name].data = t.data[r] if lead else t.data
+    store = store_of({name: stack([s[name].data for s in stores]) for name in names(stores[0])})
+    state = nm.adam_state(store, lr=base.lr)  # only its moments, step size and counter are read
     arrays = [stack(parts) for parts in zip(*(
         batch_arrays(rows, c.prior_effect) for rows, c in zip(rows_per_replica, configs)))]
     n = len(rows_per_replica[0])
@@ -1056,4 +1068,6 @@ def train_replicas(rows_per_replica, configs):
             adam_step(store, state)
             totals += means.data * targets.shape[-1]
         traces[epoch] = totals / n
-    return [(replica, traces[:, r].tolist()) for r, replica in enumerate(stores)]
+    return [(store_of({name: store[name].data[r] if lead else store[name].data
+                       for name in names(store)}), traces[:, r].tolist())
+            for r in range(len(configs))]

@@ -185,7 +185,7 @@ def _full_encoder_setup(seed):
     corpus = ["alpha beta gamma delta", "beta delta alpha epsilon"]
     vocab = enc.Vocabulary.build(corpus)
     rng = np.random.default_rng(seed)
-    params = enc.init_encoder_params(config, vocab.size, rng)
+    params = nm.ParameterStore(enc.encoder_layout(config, vocab.size), rng)
     tokens = enc.tokenize("alpha beta gamma delta epsilon", vocab, config.max_len)
     corrupted, positions, targets = enc.similar_word_mask(tokens, vocab,
                                                  np.random.default_rng(seed + 1), 0.3)
@@ -193,23 +193,15 @@ def _full_encoder_setup(seed):
     return config, arrays, corrupted, positions, targets
 
 
-def _zeroed_store(arrays):
-    """A store of `arrays` whose gradients are zeroed, for `mlm_step` to add into."""
-    store = ParameterStore()
-    for name, a in arrays.items():
-        store.add(name, a).grad = np.zeros_like(a)
-    return store
-
-
 def _check_mlm_step_case(seed):
     """The tape-free pretraining step's gradients vs central finite differences."""
     config, arrays, corrupted, positions, targets = _full_encoder_setup(seed)
-    store = _zeroed_store(arrays)
+    store = oracles.store_of(arrays)
     enc.mlm_step(corrupted, positions, targets, config, store)
     analytic = {name: t.grad for name, t in store.items()}
 
     def value(raw):
-        return enc.mlm_step(corrupted, positions, targets, config, _zeroed_store(raw))
+        return enc.mlm_step(corrupted, positions, targets, config, oracles.store_of(raw))
 
     numeric = fd_gradients(value, arrays, h=FD_STEP)
     for key in arrays:
@@ -222,9 +214,7 @@ def _full_encoder_grad_case(seed):
     config, arrays, corrupted, positions, targets = _full_encoder_setup(seed)
 
     def build(p):
-        store = ParameterStore()
-        for name in arrays:
-            store._params[name] = p[name]
+        store = oracles.Leaves({name: p[name] for name in arrays})
         rows, _ = oracles.encode_text(corrupted, config, store)
         return enc.mlm_loss(oracles.mlm_predictions(rows, positions, store),
                             positions, targets)
@@ -374,8 +364,7 @@ def _fused_grad_cases(rng):
 
     for kind in models.RECURRENT_KINDS:
         spec = ModelSpec(kind=kind, hidden=hid, mogrifier_rounds=3, swin_window=2)
-        store = ParameterStore()
-        models.add_model_params(store, spec, inp, rng)
+        store = ParameterStore(models.model_layout(spec, inp), rng)
         weights = {k: t.data.copy() for k, t in store.view("cell").items()}
         frozen = {k: Tensor(v) for k, v in weights.items()}
         width = spec.output_width
@@ -553,9 +542,7 @@ def _replica_grad_cases(rng):
     ]
     for kind in models.RECURRENT_KINDS:
         spec = ModelSpec(kind=kind, hidden=hid, mogrifier_rounds=3, swin_window=2)
-        stores = [ParameterStore() for _ in range(reps)]
-        for store in stores:
-            models.add_model_params(store, spec, inp, rng)
+        stores = [ParameterStore(models.model_layout(spec, inp), rng) for _ in range(reps)]
         weights = {k: np.stack([s["cell." + k].data for s in stores])
                    for k in stores[0].view("cell")}
         mix = mixed((batch, 3, spec.output_width), (batch, spec.output_width))
@@ -581,10 +568,8 @@ def _pipeline_grad_case(kind, seed):
     step = taped(tr.forward_batch, lambda g, saved: tr._backward_batch(cfg, saved, g))
 
     def build(p):
-        sub = ParameterStore()
-        for name in arrays:
-            sub._params[name] = p[name]
-        prob = step(sub, cfg, priors, prices, texts)
+        prob = step(oracles.Leaves({name: p[name] for name in arrays}), cfg, priors, prices,
+                    texts)
         return tr.bce_loss(prob, targets)
 
     return (f"pipeline.{kind}", build, arrays)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -633,6 +634,41 @@ class TestUnreadableInputs:
         assert run("train", "--market", wider, "--out", tmp_path / "out") == 2
         message = _one_error_line(capsys, "ParseError")
         assert f"line {len(lines) + 1}" in message and "6 fields" in message
+
+
+# A model size numpy refuses before it allocates anything: 2**62 float64s
+# are more bytes than an array may hold.
+HUGE = 2 ** 62
+
+
+class TestImpossibleModelSize:
+    """A model too large to allocate ends in one JSON line, not a traceback."""
+
+    def test_evaluate_is_data_error_from_the_layout_check(self, tmp_path, market_csv, capsys):
+        out = tmp_path / "run"
+        assert run(*_train_args(market_csv, out, epochs=2)) == 0
+        capsys.readouterr()
+        args = _evaluate_args(market_csv, tmp_path / "eval", out / "checkpoint.json")
+        assert run(*args, "--hidden", HUGE) == 2
+        message = _one_error_line(capsys, "DataError")
+        assert "checkpoint.json" in message and str(HUGE) in message
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_training_is_config_error_from_the_allocation(self, tmp_path, market_csv, capsys,
+                                                          command):
+        args = _train_args(market_csv, tmp_path / "out", epochs=2)
+        args[0] = command
+        assert run(*args, "--hidden", HUGE) == 1
+        assert re.search(r"model of \d+ parameters", _one_error_line(capsys, "ConfigError"))
+
+    def test_pretrain_encoder_is_config_error_from_the_allocation(self, tmp_path, summaries,
+                                                                  capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"encoder": {"d_model": HUGE}}))
+        assert run("pretrain-encoder", "--summaries", summaries, "--config", config,
+                   "--out", tmp_path / "out") == 1
+        assert re.search(r"model of \d+ parameters", _one_error_line(capsys, "ConfigError"))
 
 
 # argv for each command that reads summaries or market data, given the bad

@@ -301,7 +301,7 @@ class TestLayerNormAndFfn:
 
     def test_encoder_layer_finite(self):
         rng = np.random.default_rng(12)
-        params = enc.init_encoder_params(TOY_CONFIG, vocab_size=10, rng=rng)
+        params = nm.ParameterStore(enc.encoder_layout(TOY_CONFIG, 10), rng)
         x = Tensor(rng.normal(size=(5, 8)) * 3)
         out = oracles.encoder_layer(x, params.view("layer0"), TOY_CONFIG.heads)
         assert np.all(np.isfinite(out.data))
@@ -373,7 +373,7 @@ class TestEncodeText:
     def _setup(self, seed=13):
         vocab = _vocab(("alpha beta gamma delta", "beta delta alpha"))
         rng = np.random.default_rng(seed)
-        params = enc.init_encoder_params(TOY_CONFIG, vocab.size, rng)
+        params = nm.ParameterStore(enc.encoder_layout(TOY_CONFIG, vocab.size), rng)
         return vocab, params
 
     def test_pooled_width(self):
@@ -436,7 +436,7 @@ class TestMlmStep:
 
     def _case(self, config, length, seed, masked=None):
         rng = np.random.default_rng(seed)
-        params = enc.init_encoder_params(config, self.VOCAB, rng)
+        params = nm.ParameterStore(enc.encoder_layout(config, self.VOCAB), rng)
         ids = np.concatenate([[enc.START_ID],
                               rng.integers(enc.NUM_SPECIALS, self.VOCAB, length - 1)])
         count = masked or int(rng.integers(1, length))
@@ -493,7 +493,8 @@ class TestPretrain:
     def test_zero_epochs_keeps_initialization(self):
         corpus = ["alpha beta gamma", "beta gamma delta", "gamma delta alpha"]
         params, vocab, trace = enc.pretrain_mlm(corpus, TOY_CONFIG, epochs=0, seed=5)
-        fresh = enc.init_encoder_params(TOY_CONFIG, vocab.size, np.random.default_rng(5))
+        fresh = nm.ParameterStore(enc.encoder_layout(TOY_CONFIG, vocab.size),
+                                  np.random.default_rng(5))
         assert trace == []
         for name in oracles.names(params):
             np.testing.assert_array_equal(params[name].data, fresh[name].data)
@@ -570,7 +571,7 @@ class TestEncodeFeatures:
     def _setup(self, config=TOY_CONFIG, seed=17):
         vocab = _vocab((" ".join(self.WORDS),))
         rng = np.random.default_rng(seed)
-        params = enc.init_encoder_params(config, vocab.size, rng)
+        params = nm.ParameterStore(enc.encoder_layout(config, vocab.size), rng)
         for _, t in params.items():  # move the gains and biases off 1 and 0
             t.data += 0.1 * rng.normal(size=t.shape)
         return vocab, params

@@ -9,7 +9,7 @@ from oracles import conv1d_valid, max_rel_err, softmax_rows, taped
 from trendfuse import fusion
 from trendfuse import numerics as nm
 from trendfuse.errors import ContractError, DivergenceError, ShapeError
-from trendfuse.numerics import ParameterStore, Tensor
+from trendfuse.numerics import Tensor
 
 
 def _stacked(feats):
@@ -236,8 +236,7 @@ class TestFuse:
             fusion.fuse(np.array([[np.nan]]), np.array([[1.0]]), self._params(0.0))
 
     def test_gradient_flows_through_gate(self):
-        params = ParameterStore()
-        params.add("gamma_raw", np.array([[0.3]]))
+        params = oracles.store_of({"gamma_raw": [[0.3]]})
         o = Tensor([[2.0, -1.0]])
         c = Tensor([[4.0, 3.0]])
         out = taped(fusion.fuse)(o, c, {"gamma_raw": params["gamma_raw"]})

@@ -11,7 +11,7 @@ import oracles
 from oracles import (attention_rows, bilstm_forward, cell_step, gru_step, lstm_step,
                      max_rel_err, plain_sigmoid, taped)
 
-from trendfuse import fusion, models
+from trendfuse import models
 from trendfuse import numerics as nm
 from trendfuse import train as tr
 from trendfuse.errors import ConfigError, ContractError, ShapeError
@@ -509,9 +509,8 @@ class TestModelSpec:
 class TestUnroll:
     def test_unroll_matches_manual_lstm(self):
         rng = np.random.default_rng(17)
-        store = ParameterStore()
         spec = ModelSpec(kind="lstm", hidden=HID)
-        models.add_model_params(store, spec, INP, rng)
+        store = ParameterStore(models.model_layout(spec, INP), rng)
         xs = rng.normal(size=(1, 3, INP))
         steps, final = models.unroll(spec, store.view("cell"), xs)
         assert steps.shape == (1, 3, HID)
@@ -523,9 +522,8 @@ class TestUnroll:
 
     def test_bilstm_final_pairs_both_directions(self):
         rng = np.random.default_rng(18)
-        store = ParameterStore()
         spec = ModelSpec(kind="bilstm", hidden=HID)
-        models.add_model_params(store, spec, INP, rng)
+        store = ParameterStore(models.model_layout(spec, INP), rng)
         xs = rng.normal(size=(1, 3, INP))
         steps, final = models.unroll(spec, store.view("cell"), xs)
         expected = bilstm_forward([_t(xs[:, i]) for i in range(3)], store.view("cell.fwd"),
@@ -539,8 +537,7 @@ class TestUnroll:
     def test_steps_match_a_loop_of_single_steps(self, kind):
         rng = np.random.default_rng(21)
         spec = ModelSpec(kind=kind, hidden=HID, mogrifier_rounds=3, swin_window=2)
-        store = ParameterStore()
-        models.add_model_params(store, spec, INP, rng)
+        store = ParameterStore(models.model_layout(spec, INP), rng)
         xs = rng.normal(size=(4, 5, INP))
         steps, final = models.unroll(spec, store.view("cell"), xs)
         cell = models.CELLS[kind]
@@ -570,24 +567,18 @@ class TestUnroll:
         spec = ModelSpec(kind=kind, hidden=HID, mogrifier_rounds=3, swin_window=3)
         lead, steps = ((replicas,) if replicas else ()) + (4,), 5
         seeds = range(replicas or 1)
-        draws = [ParameterStore() for _ in seeds]
-        for seed, draw in zip(seeds, draws):
-            models.add_model_params(draw, spec, INP, np.random.default_rng(seed))
+        draws = [ParameterStore(models.model_layout(spec, INP), np.random.default_rng(seed))
+                 for seed in seeds]
 
         def stacked():
-            store = ParameterStore()
-            for name, t in draws[0].items():
-                arrays = [d[name].data for d in draws]
-                store.add(name, np.stack(arrays) if replicas else arrays[0])
-            return store
+            return oracles.store_of({name: np.stack([d[name].data for d in draws])
+                                     if replicas else t.data for name, t in draws[0].items()})
 
         xs = rng.normal(size=(*lead, steps, INP))
         g_steps = rng.normal(size=(*lead, steps, spec.output_width))
         g_final = rng.normal(size=(*lead, spec.output_width))
 
         fused = stacked()
-        for _, t in fused.items():
-            t.grad = np.zeros_like(t.data)
         saved = []
         models.unroll(spec, fused.view("cell"), xs, saved)
         d_xs = models.unroll_back(g_steps, g_final, saved)
@@ -626,8 +617,7 @@ class TestUnroll:
 
         for kind in ("stlstm", "swinlstm"):
             spec = ModelSpec(kind=kind, hidden=HID)
-            store = ParameterStore()
-            models.add_model_params(store, spec, INP, rng)
+            store = ParameterStore(models.model_layout(spec, INP), rng)
             cell, refs = models.CELLS[kind], []
 
             def forward(x, state, weights, cell=cell, refs=refs):
@@ -691,20 +681,25 @@ def _per_gate_draws(spec, input_width, rng):
 def test_stored_gate_blocks_hold_the_per_gate_draws(kind):
     """Each gate block of `init_pipeline_params` holds exactly the per-gate
     matrices drawn from the same seed in per-gate order, so storing the
-    blocks changed no initial value."""
+    blocks changed no initial value. The expected side draws every
+    parameter with `uniform_init` in the documented order: the text path,
+    the gate's projection, the cell, then the head."""
     cfg = tr.TrainConfig(seed=5, window=5, feature_len=6, embed_width=6, kernel_len=3,
                          model=ModelSpec(kind=kind, hidden=4, mogrifier_rounds=3, swin_window=3))
     rng = np.random.default_rng(cfg.seed)
-    expected = ParameterStore()
-    fusion.add_text_path_params(expected, rng, cfg.feature_len, cfg.embed_width,
-                                cfg.kernel_len)
-    conv_len = fusion.conv_output_len(cfg.embed_width, cfg.kernel_len)
-    fusion.add_fuse_gate_params(expected, rng, conv_len, cfg.model.output_width)
+    conv_len, width = cfg.embed_width - cfg.kernel_len + 1, cfg.model.output_width
+    expected = {"text.w_e": nm.uniform_init(rng, 6, (6, 6)), "text.b_e": np.zeros((1, 6)),
+                "text.w_c": nm.uniform_init(rng, 3, (3,)), "text.b_c": np.zeros((1, 1))}
+    if conv_len != width:
+        expected["text.proj_w"] = nm.uniform_init(rng, conv_len, (conv_len, width))
+        expected["text.proj_b"] = np.zeros((1, width))
+    expected["text.gamma_raw"] = np.zeros((1, 1))
     for prefix, per_gate in _per_gate_draws(cfg.model, 2, rng).items():
         for name, arr in oracles.stack_gates(per_gate).items():
-            expected.add(f"{prefix}.{name}", arr)
-    models.add_head_params(expected, cfg.model.output_width, rng)
+            expected[f"{prefix}.{name}"] = arr
+    expected["head.w_out"] = nm.uniform_init(rng, width, (width, 1))
+    expected["head.b_out"] = np.zeros((1, 1))
     store = tr.init_pipeline_params(cfg)
-    assert sorted(oracles.names(store)) == sorted(oracles.names(expected))
+    assert sorted(oracles.names(store)) == sorted(expected)
     for name, t in store.items():
-        assert np.array_equal(t.data, expected[name].data), name
+        assert np.array_equal(t.data, expected[name]), name

@@ -15,7 +15,8 @@ import oracles
 from oracles import fd_gradients, max_rel_err, naive_matmul
 
 from trendfuse import encoder as enc, fusion, models, numerics as nm
-from trendfuse.errors import ContractError, ShapeError
+from trendfuse import train as tr
+from trendfuse.errors import ConfigError, ContractError, ShapeError
 from trendfuse.numerics import ParameterStore, Tensor
 
 
@@ -260,9 +261,7 @@ def test_primitive_gradients_match_finite_differences(name):
 
 class TestAdam:
     def _store(self, value):
-        store = ParameterStore()
-        store.add("theta", np.array([value]))
-        return store
+        return oracles.store_of({"theta": [value]})
 
     def _step(self, state, g):
         """One `adam_step` with flat gradient g."""
@@ -299,9 +298,7 @@ class TestAdam:
     def test_flat_update_is_bitwise_the_per_parameter_update(self):
         rng = np.random.default_rng(12)
         shapes = {"a.w": (3, 4), "a.b": (1, 4), "c": (1, 1), "d": (5,)}
-        store = ParameterStore()
-        for name, shape in shapes.items():
-            store.add(name, rng.normal(size=shape))
+        store = oracles.store_of({name: rng.normal(size=shape) for name, shape in shapes.items()})
         expected = {name: t.data.copy() for name, t in store.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -329,37 +326,100 @@ class TestAdam:
         with pytest.raises(ContractError):
             nm.adam_state(self._store(1.0), lr=0.0)
 
-    def test_state_makes_data_and_grad_views_of_its_two_vectors(self):
-        rng = np.random.default_rng(6)
-        store = ParameterStore()
-        for name, shape in (("a.w", (3, 4)), ("a.b", (1, 4)), ("c", ()), ("d", (2, 1, 3))):
-            store.add(name, rng.normal(size=shape))
+    def test_state_points_at_the_stores_vectors(self):
+        store = oracles.store_of({"a.w": np.ones((3, 4)), "c": np.full((), 2.0)})
         before = store.state_dict()
         state = nm.adam_state(store)
-        flat, grad = state.flat, state.grad
+        assert state.flat is store.flat and state.grad is store.grad
         assert store.state_dict() == before
-        assert flat.shape == grad.shape == state.m.shape == state.v.shape \
-            == (sum(t.size for _, t in store.items()),)
-        assert not grad.any() and not state.m.any() and not state.v.any() and state.t == 0
-        assert flat.tolist() == [x for entry in before["params"].values()
-                                 for x in entry["data"]]
-        for name, t in store.items():
-            assert t.shape == tuple(before["params"][name]["shape"])
-            assert t.grad.shape == t.shape
-            assert np.shares_memory(t.data, flat) and np.shares_memory(t.grad, grad), name
-        flat += 1.0
-        grad -= 2.0
-        for _, t in store.items():
-            assert np.all(t.grad == -2.0)
-        assert store["c"].data.tolist() == before["params"]["c"]["data"][0] + 1.0
+        assert state.m.shape == state.v.shape == (13,)
+        assert not state.m.any() and not state.v.any() and state.t == 0
+
+
+def _assert_tiles(store):
+    """Each parameter and its gradient are the next slices of the store's
+    flat vectors, in store order, with no gap and nothing left over."""
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    offset = 0
+    for name, t in store.items():
+        for leaf, flat in ((t.data, store.flat), (t.grad, store.grad)):
+            assert leaf.flags.c_contiguous and leaf.shape == t.shape, name
+            assert address(leaf) - address(flat) == offset * flat.itemsize, name
+        offset += t.size
+    assert offset == store.flat.size == store.grad.size
+
+
+def _encoder_store():
+    config = enc.EncoderConfig(d_model=6, heads=2, layers=2, d_ff=8)
+    return config, ParameterStore(enc.encoder_layout(config, 11), np.random.default_rng(3))
 
 
 class TestParameterStore:
+    def test_parameters_are_views_of_flat_and_grad_from_birth(self):
+        rng = np.random.default_rng(6)
+        shapes = {"a.w": (3, 4), "a.b": (1, 4), "c": (), "d": (2, 1, 3)}
+        arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        store = oracles.store_of(arrays)
+        _assert_tiles(store)
+        assert not store.grad.any()
+        assert store.flat.tolist() == [x for a in arrays.values() for x in a.reshape(-1)]
+        store.flat += 1.0
+        store.grad -= 2.0
+        for name, t in store.items():
+            np.testing.assert_array_equal(t.data, arrays[name] + 1.0)
+            assert np.all(t.grad == -2.0)
+
+    @pytest.mark.parametrize("kind", models.VALID_KINDS)
+    def test_predictor_store_tiles_its_vectors_in_layout_order(self, kind):
+        cfg = tr.TrainConfig(seed=2, window=5, feature_len=6, embed_width=6,
+                             model=models.ModelSpec(kind=kind, hidden=4, mogrifier_rounds=3))
+        store = tr.init_pipeline_params(cfg)
+        assert oracles.names(store) == [name for name, _, _ in tr.pipeline_layout(cfg)]
+        _assert_tiles(store)
+
+    def test_encoder_store_tiles_its_vectors_with_adjacent_qkv(self):
+        config, store = _encoder_store()
+        _assert_tiles(store)
+        d = config.d_model
+        for i in range(config.layers):
+            names = [f"layer{i}.{w}" for w in ("wq", "wk", "wv")]
+            start = oracles.names(store).index(names[0])
+            assert oracles.names(store)[start:start + 3] == names
+            offset = sum(t.size for _, t in list(store.items())[:start])
+            qkv = store.flat[offset:offset + 3 * d * d].reshape(3, d, d)
+            for k, name in enumerate(names):
+                assert np.shares_memory(qkv[k], store[name].data)
+                np.testing.assert_array_equal(qkv[k], store[name].data)
+
+    def test_loaded_checkpoint_tiles_its_vectors(self, tmp_path):
+        _, store = _encoder_store()
+        store.save(tmp_path / "ckpt.json")
+        loaded = ParameterStore.load(tmp_path / "ckpt.json")
+        assert oracles.names(loaded) == oracles.names(store)
+        _assert_tiles(loaded)
+        assert loaded.flat.tobytes() == store.flat.tobytes()
+
+    def test_gate_draw_is_the_per_gate_draws_in_their_slots(self):
+        store = ParameterStore([("w", (3, 8), nm.Uniform(5, (0, 1, 3, 2))),
+                                ("u", (2, 2), nm.Uniform(7))], np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        gates = [nm.uniform_init(rng, 5, (3, 2)) for _ in range(4)]
+        u = nm.uniform_init(rng, 7, (2, 2))
+        w = store["w"].data
+        for draw, slot in zip(gates, (0, 1, 3, 2)):
+            np.testing.assert_array_equal(w[:, 2 * slot:2 * slot + 2], draw)
+        np.testing.assert_array_equal(store["u"].data, u)
+
+    def test_size_numpy_refuses_is_config_error(self):
+        with pytest.raises(ConfigError, match=f"model of {2 ** 62 + 1} parameters"):
+            ParameterStore([("w", (2 ** 31, 2 ** 31), 0.0), ("b", (1,), 0.0)])
+
     def test_checkpoint_round_trips_exactly(self, tmp_path):
         rng = np.random.default_rng(4)
-        store = ParameterStore()
-        store.add("a.w", rng.normal(size=(3, 5)) * np.pi)
-        store.add("a.b", rng.normal(size=(1, 5)) / 3.0)
+        store = oracles.store_of({"a.w": rng.normal(size=(3, 5)) * np.pi,
+                                  "a.b": rng.normal(size=(1, 5)) / 3.0})
         path = tmp_path / "ckpt.json"
         store.save(path)
         loaded = ParameterStore.load(path)
@@ -370,28 +430,21 @@ class TestParameterStore:
         assert (tmp_path / "ckpt.json").read_bytes() == (tmp_path / "ckpt2.json").read_bytes()
 
     def test_duplicate_name_rejected(self):
-        store = ParameterStore()
-        store.add("w", np.zeros(2))
         with pytest.raises(ContractError):
-            store.add("w", np.zeros(2))
+            ParameterStore([("w", (2,), 0.0), ("w", (2,), 0.0)])
 
     def test_view_strips_prefix(self):
-        store = ParameterStore()
-        store.add("cell.w", np.zeros(1))
-        store.add("head.w", np.ones(1))
+        store = oracles.store_of({"cell.w": np.zeros(1), "head.w": np.ones(1)})
         view = store.view("cell")
         assert list(view) == ["w"]
 
-    def test_view_is_cached_until_the_next_add(self):
-        store = ParameterStore()
-        store.add("cell.w", np.zeros(1))
+    def test_view_is_cached(self):
+        store = oracles.store_of({"cell.w": np.zeros(1), "head.w": np.ones(1),
+                                  "cell.u": np.ones(2)})
         first = store.view("cell")
         assert store.view("cell") is first
-        store.add("cell.u", np.ones(2))
-        after = store.view("cell")
-        assert after is not first
-        assert list(after) == ["w", "u"]
-        assert after["u"] is store["cell.u"]
+        assert list(first) == ["w", "u"]
+        assert first["u"] is store["cell.u"]
 
 
 # Public functions that nothing in the package calls, each with its caller.

@@ -231,7 +231,7 @@ class TestTrainReplicas:
         data, configs = self._replicas("lstm")
         trained = tr.train_replicas([d[:40] for d in data], configs)
         for (store, _), cfg in zip(trained, configs):
-            store.check_layout(tr.init_pipeline_params(cfg).layout(), "replica")
+            store.check_layout(tr.pipeline_layout(cfg), "replica")
             assert all(t.requires_grad for _, t in store.items())
 
     def test_contract(self):
@@ -319,9 +319,7 @@ def _replica_block_cases():
     }
     for kind in RECURRENT_KINDS:
         spec = ModelSpec(kind=kind, hidden=3, mogrifier_rounds=3)
-        stores = [nm.ParameterStore() for _ in range(reps)]
-        for store in stores:
-            models.add_model_params(store, spec, 2, rng)
+        stores = [nm.ParameterStore(models.model_layout(spec, 2), rng) for _ in range(reps)]
         weights = {k: np.stack([s["cell." + k].data for s in stores])
                    for k in stores[0].view("cell")}
         cases[f"unroll.{kind}"] = (lambda p, spec=spec: taped(models.unroll)(spec, p, p["xs"]),
