@@ -177,11 +177,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str]
                       ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
     """Pretrain the encoder on `corpus`; write its checkpoint and loss trace
-    to the output directory, made once the inputs are read."""
+    to the output directory, made once the encoder is allocated and trained."""
     similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
-    out = _out_dir(cfg)
     params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
                                             cfg.train.seed, similar_words=similar)
+    out = _out_dir(cfg)
     enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
     _write_csv(out / "pretrain_loss.csv", ["epoch", "mean_loss"], enumerate(map(repr, trace)))
     return cfg.encoder, vocab, params
@@ -263,8 +263,8 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     """Full pipeline: ingest, window, split, train, evaluate, write artifacts."""
     _require_paths(cfg, ["market_csv"])
     train_samples, test_samples = _load_split_samples(cfg)
-    out = _out_dir(cfg)
     store, report = tr.train_and_evaluate(train_samples, test_samples, cfg.train)
+    out = _out_dir(cfg)
     store.save(out / "checkpoint.json")
     _write_csv(out / "loss.csv", ["epoch", "mean_loss"], enumerate(map(repr, report.loss_trace)))
     _write_json(out / "metrics.json", report.to_dict())
@@ -290,10 +290,10 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
 
 def cmd_ablate(cfg: ExperimentConfig) -> None:
     """Prior-effect ablation for the feedforward baseline and the configured
-    recurrent model; writes per-arm reports and the delta table."""
+    recurrent model; writes each model's two reports once it is trained (the
+    output directory is made then), and then the delta table."""
     _require_paths(cfg, ["market_csv"])
     train_samples, test_samples = _load_split_samples(cfg)
-    out = _out_dir(cfg)
     second = cfg.train.model.kind if cfg.train.model.kind != "feedforward" else "lstm"
     rows = []
     for kind in ("feedforward", second):
@@ -301,6 +301,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
         config = dataclasses.replace(cfg.train, model=spec)
         with_report, without_report, deltas = tr.ablate_prior_effect(
             train_samples, test_samples, config)
+        out = _out_dir(cfg)
         _write_json(out / f"ablation_{kind}_with.json", with_report.to_dict())
         _write_json(out / f"ablation_{kind}_without.json", without_report.to_dict())
         rows.append([kind,

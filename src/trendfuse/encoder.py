@@ -14,6 +14,17 @@ and the layer they make is a forward and its `<name>_back`, on the
 take arrays with any leading axes, the backwards one text. `mlm_loss`
 shares the loss arithmetic (`_mlm_nll`/`_mlm_nll_back`).
 
+Each layer's `wq`, `wk` and `wv` are adjacent in `encoder_layout`, so
+`_attend` reads them as one (3, d, d) block of the store's flat vector
+(`ParameterStore.block`, a view: nothing is copied) and projects q, k and
+v with one matmul; `_attend_back` adds into the same slice of the flat
+gradient. Every store the encoder runs on must be in layout order:
+`load_encoder` rebuilds the store it reads in that order, since the file
+lists the parameters sorted by name, and `block` refuses a store where
+the three are not adjacent. The products are bitwise those of one matmul
+per matrix, and the layer norm and its backward work in place on their
+own temporaries, in the same order of operations.
+
 `encode_text` is the one encoder forward. Featurizing (`encode_features`)
 runs it on (n, L) blocks of up to FEATURIZE_CHUNK texts of one token count
 and keeps nothing for a backward pass. Pretraining's `mlm_step` runs it on
@@ -210,8 +221,7 @@ PROB_FLOOR = 1e-12
 
 def _mlm_nll(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The loss arithmetic of `mlm_loss`: its value and what its backward needs."""
-    sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if (np.abs(np.add.reduce(probs, axis=1) - 1.0) > 1e-9).any():
         raise ContractError("predicted rows must each sum to 1")
     rows = np.arange(len(probs))
     picked = probs[rows, targets]
@@ -275,33 +285,41 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-3, -2).reshape(*lead, length, heads * d_k)
 
 
-def _attend(x: np.ndarray, params: Params, heads: int, saved: list | None = None) -> np.ndarray:
+def _attend(x: np.ndarray, qkv: Tensor, wo: Tensor, heads: int,
+            saved: list | None = None) -> np.ndarray:
+    """Multi-head self-attention. `qkv` is the layer's `wq`, `wk` and `wv`
+    as one (3, d, d) block, so one matmul projects all three."""
     d_model = x.shape[-1]
     if d_model % heads:
         raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
     scale = 1.0 / math.sqrt(d_model // heads)
-    q, k, v = (_split_heads(x @ params[w].data, heads) for w in ("wq", "wk", "wv"))
-    weights = nm.softmax_probs((q @ k.swapaxes(-1, -2)) * scale)
+    projected = _split_heads(x[..., None, :, :] @ qkv.data, heads)  # (..., 3, heads, L, d_k)
+    q, k, v = (projected[..., i, :, :, :] for i in range(3))
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    weights = nm.softmax_probs(scores)
     merged = _merge_heads(weights @ v)
     if saved is not None:
-        saved.append((x, params, heads, q, k, v, weights, merged, scale))
-    return merged @ params["wo"].data
+        saved.append((x, qkv, wo, heads, q, k, v, weights, merged, scale))
+    return merged @ wo.data
 
 
 def _attend_back(g: np.ndarray, saved: list) -> np.ndarray:
-    x, params, heads, q, k, v, weights, merged, scale = saved.pop()
-    wq, wk, wv, wo = (params[w] for w in ("wq", "wk", "wv", "wo"))
+    """The q, k and v head gradients fill one (3, heads, L, d_k) buffer,
+    merged once into the (3, L, d) gradient of the projections."""
+    x, qkv, wo, heads, q, k, v, weights, merged, scale = saved.pop()
     d_ctx = _split_heads(g @ wo.data.T, heads)
     d_weights = d_ctx @ v.transpose(0, 2, 1)
-    d_scores = nm.softmax_back(d_weights, weights) * scale
-    grad_q = _merge_heads(d_scores @ k)
-    grad_k = _merge_heads(d_scores.transpose(0, 2, 1) @ q)
-    grad_v = _merge_heads(weights.transpose(0, 2, 1) @ d_ctx)
-    wq.grad += x.T @ grad_q
-    wk.grad += x.T @ grad_k
-    wv.grad += x.T @ grad_v
+    d_scores = nm.softmax_back(d_weights, weights)
+    d_scores *= scale
+    d_heads = np.empty((3, *q.shape))
+    np.matmul(d_scores, k, out=d_heads[0])
+    np.matmul(d_scores.transpose(0, 2, 1), q, out=d_heads[1])
+    np.matmul(weights.transpose(0, 2, 1), d_ctx, out=d_heads[2])
+    d_projected = _merge_heads(d_heads)
+    qkv.grad += x.T @ d_projected
     wo.grad += merged.T @ g
-    return grad_q @ wq.data.T + grad_k @ wk.data.T + grad_v @ wv.data.T
+    return np.add.reduce(d_projected @ nm.mT(qkv.data), axis=0)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -310,28 +328,41 @@ LAYER_NORM_EPS = 1e-5
 def _add_norm(x: np.ndarray, sublayer: np.ndarray, gain: Tensor, bias: Tensor,
               saved: list | None = None) -> np.ndarray:
     """Layer norm of the residual sum x + sublayer; the backward returns the
-    sum's gradient, which is that of both terms."""
-    total = x + sublayer
-    width = total.shape[-1]
-    centered = total - total.sum(axis=-1, keepdims=True) * (1.0 / width)
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width)
-    inv_std = np.maximum(var, LAYER_NORM_EPS) ** -0.5
+    sum's gradient, which is that of both terms. Both work in place on the
+    arrays they make."""
+    centered = x + sublayer
+    width = centered.shape[-1]
+    mean = np.add.reduce(centered, axis=-1, keepdims=True)
+    mean *= 1.0 / width
+    centered -= mean
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var *= 1.0 / width
+    inv_std = np.maximum(var, LAYER_NORM_EPS)
+    inv_std **= -0.5
     normed = centered * inv_std
     if saved is not None:
         saved.append((gain, bias, centered, var, inv_std, normed))
-    return normed * gain.data + bias.data
+    out = normed * gain.data
+    out += bias.data
+    return out
 
 
 def _add_norm_back(g: np.ndarray, saved: list) -> np.ndarray:
     gain, bias, centered, var, inv_std, normed = saved.pop()
     width = centered.shape[-1]
-    d_normed = g * gain.data
-    d_var = ((d_normed * centered).sum(axis=1, keepdims=True)
-             * (-0.5 * inv_std ** 3) * (var > LAYER_NORM_EPS))
-    d_centered = d_normed * inv_std + d_var * (2.0 / width) * centered
-    gain.grad += (g * normed).sum(axis=0, keepdims=True)
-    bias.grad += g.sum(axis=0, keepdims=True)
-    return d_centered - d_centered.sum(axis=1, keepdims=True) * (1.0 / width)
+    d_centered = g * gain.data  # the gradient at `normed`, until it is scaled
+    d_var = np.add.reduce(d_centered * centered, axis=1, keepdims=True)
+    d_var *= -0.5 * inv_std ** 3
+    d_var *= var > LAYER_NORM_EPS
+    d_centered *= inv_std
+    d_var *= 2.0 / width
+    d_centered += d_var * centered
+    gain.grad += np.add.reduce(g * normed, axis=0, keepdims=True)
+    bias.grad += np.add.reduce(g, axis=0, keepdims=True)
+    mean = np.add.reduce(d_centered, axis=1, keepdims=True)
+    mean *= 1.0 / width
+    d_centered -= mean
+    return d_centered
 
 
 def _feed_forward(x: np.ndarray, params: Params, saved: list | None = None) -> np.ndarray:
@@ -347,15 +378,17 @@ def _feed_forward_back(g: np.ndarray, saved: list) -> np.ndarray:
     return nm.affine_back(x, params["w1"], params["b1"], d_hidden * (hidden > 0))
 
 
-def _encoder_layer(x: np.ndarray, params: Params, heads: int,
+def _encoder_layer(x: np.ndarray, params: Params, qkv: Tensor, heads: int,
                    saved: list | None = None) -> np.ndarray:
     """Post-norm block: attention and feed-forward, each behind a residual.
+    `qkv` is `params`' `wq`, `wk` and `wv` as one block (`_attend`).
 
     Without a `saved` list it keeps nothing: the attention's arrays, the
     largest, are gone before the feed-forward runs, so a forward-only pass
     peaks at one sublayer's.
     """
-    a = _add_norm(x, _attend(x, params, heads, saved), params["ln1_g"], params["ln1_b"], saved)
+    a = _add_norm(x, _attend(x, qkv, params["wo"], heads, saved), params["ln1_g"],
+                  params["ln1_b"], saved)
     return _add_norm(a, _feed_forward(a, params, saved), params["ln2_g"], params["ln2_b"],
                      saved)
 
@@ -363,9 +396,10 @@ def _encoder_layer(x: np.ndarray, params: Params, heads: int,
 def _encoder_layer_back(g: np.ndarray, saved: list) -> np.ndarray:
     """Each residual input's gradient adds the layer norm's term first."""
     d_a = _add_norm_back(g, saved)
-    d_a = d_a + _feed_forward_back(d_a, saved)
+    d_a += _feed_forward_back(d_a, saved)
     d_x = _add_norm_back(d_a, saved)
-    return d_x + _attend_back(d_x, saved)
+    d_x += _attend_back(d_x, saved)
+    return d_x
 
 
 def encoder_layout(config: EncoderConfig, vocab_size: int) -> Iterator[nm.Row]:
@@ -404,7 +438,7 @@ def encode_text(token_ids: np.ndarray, config: EncoderConfig, params: ParameterS
     """
     token_ids = np.asarray(token_ids)
     length = token_ids.shape[-1]
-    if length == 0 or np.any(token_ids[..., 0] != START_ID):
+    if length == 0 or (token_ids[..., 0] != START_ID).any():
         raise ContractError("token sequence must begin with the start id")
     if length > config.max_len:
         raise ContractError(
@@ -415,7 +449,9 @@ def encode_text(token_ids: np.ndarray, config: EncoderConfig, params: ParameterS
     pe = positional_encoding(1 << (length - 1).bit_length(), config.d_model)
     x = params["emb"].data[token_ids] + pe[:length]
     for i in range(config.layers):
-        x = _encoder_layer(x, params.view(f"layer{i}"), config.heads, saved)
+        p = f"layer{i}"
+        x = _encoder_layer(x, params.view(p), params.block((f"{p}.wq", f"{p}.wk", f"{p}.wv")),
+                           config.heads, saved)
     if config.pool == "mean":
         pooled = x.sum(axis=-2, keepdims=True) * (1.0 / length)
     else:
@@ -432,7 +468,8 @@ def mlm_predictions(rows: np.ndarray, positions: np.ndarray,
 def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
              config: EncoderConfig, params: ParameterStore) -> float:
     """The masked-token loss of one corrupted text; adds its gradient into
-    the parameters' `grad` arrays, which the caller zeroes.
+    the store's flat gradient, which the caller zeroes, through the views
+    of it that the parameters' and the Q/K/V blocks' `grad` arrays are.
 
     The forward is `encode_text` with a `saved` list, then
     `mlm_predictions` and the loss arithmetic of `mlm_loss`; the backward
@@ -571,7 +608,9 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
     Anything malformed is a DataError naming `path`: the JSON, the config,
     the vocabulary (a repeated token among them), or parameters whose names
     and shapes differ from those the config and vocabulary give. Those are
-    compared before anything of the config's size is allocated.
+    compared before anything of the config's size is allocated. The store
+    returned is in `encoder_layout` order, whatever the file's order, as
+    `encode_text` needs.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -599,6 +638,10 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
     except (AttributeError, TypeError, ValueError) as err:
         raise DataError(f"{path}: malformed encoder checkpoint: {err}") from None
     params.check_layout(encoder_layout(config, len(tokens)), path)
+    # `save_encoder` sorts the JSON keys, so the file lists the parameters by
+    # name; rebuilt in layout order, each layer's wq, wk and wv are adjacent.
+    params = ParameterStore((name, shape, params[name].data)
+                            for name, shape, _ in encoder_layout(config, len(tokens)))
     return config, Vocabulary(tokens, token_to_id, similar), params
 
 

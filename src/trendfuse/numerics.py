@@ -14,8 +14,9 @@ gradients. Then come the loss and, over lockstep replicas' losses, `sum_`.
 Besides the tape, this module keeps only what some program path calls:
 the array helpers the numpy backwards share (`mT`, `row_sum`,
 `affine_back`, `logistic`, `softmax_probs`/`softmax_back`), the parameter
-store, whose parameters are views of its flat vectors from birth, and its
-checkpoint format, and Adam, whose state adds moments to a store's vectors.
+store, whose parameters, and stacked blocks of adjacent ones, are views of
+its flat vectors from birth, and its checkpoint format, and Adam, whose
+state adds moments to a store's vectors.
 Single-op tape ops, multi-output nodes and the adapter that puts a numpy
 forward/backward pair on the tape live in `tests/oracles.py`.
 """
@@ -182,7 +183,9 @@ class ParameterStore:
     zeroed flat vectors `flat` and `grad` from birth, filled from the row's
     start (a `Uniform` draws from `rng`, in row order), and filed under
     every dotted prefix of the name, for `view`. A size numpy cannot
-    allocate is a ConfigError naming the parameter count."""
+    allocate is a ConfigError naming the parameter count. Parameters of
+    one shape that are adjacent in store order can be read as one stacked
+    tensor, `block`, over the same slices of both vectors."""
 
     def __init__(self, layout: Iterable[Row], rng: np.random.Generator | None = None):
         rows = list(layout)
@@ -193,6 +196,7 @@ class ParameterStore:
             raise ConfigError(f"cannot allocate a model of {count} parameters ({err})") from None
         self._params: dict[str, Tensor] = {}
         self._views: dict[str, dict[str, Tensor]] = {}
+        self._blocks: dict[tuple[str, ...], Tensor] = {}
         stop = 0
         for name, shape, start in rows:
             if name in self._params:
@@ -223,6 +227,28 @@ class ParameterStore:
         """Parameters under `prefix.`, keys stripped; shared, so callers
         must not change it."""
         return self._views.get(prefix, {})
+
+    def block(self, names: tuple[str, ...]) -> Tensor:
+        """The named parameters, of one shape and adjacent in this order in
+        the store, as one (len(names), *shape) tensor whose `data` and `grad`
+        are views of their slices of `flat` and `grad`, so nothing is copied
+        and its gradient adds into theirs; made once per store. Parameters
+        that are not laid out so are a ContractError."""
+        t = self._blocks.get(names)
+        if t is None:
+            shape, size = self[names[0]].shape, self[names[0]].size
+            order = list(self._params)
+            first = order.index(names[0])
+            if (tuple(order[first:first + len(names)]) != names
+                    or any(self[n].shape != shape for n in names)):
+                raise ContractError(f"parameters {', '.join(names)} are not adjacent "
+                                    "in store order with one shape")
+            start = sum(self[n].size for n in order[:first])
+            span = slice(start, start + len(names) * size)
+            t = self._blocks[names] = Tensor(self.flat[span].reshape(len(names), *shape),
+                                             requires_grad=True)
+            t.grad = self.grad[span].reshape(t.shape)
+        return t
 
     def state_dict(self) -> dict:
         return {

@@ -27,11 +27,16 @@ nodes, one per primitive, and `train_replicas` trains through it: the
 reference for the one-node training step of `train.train_replicas`.
 
 `encoder_layer` puts the encoder's numpy sublayers on the tape as one node
-each: `taped(enc._attend)`, `taped(enc._feed_forward)` and `layer_norm`,
-a small adapter for `_add_norm`/`_add_norm_back`, whose gain and bias are
-tensors rather than a mapping. So the finite-difference suite checks the
-backwards that pretraining runs. `encode_text` and `mlm_predictions`
-compose them into the encoder on the tape, and `mlm_tape_loss` adds
+each: `attention`, `taped(enc._feed_forward)` and `layer_norm`. `attention`
+and `layer_norm` are small adapters for `_attend`/`_attend_back` and
+`_add_norm`/`_add_norm_back`, which take their parameters as tensors
+rather than a mapping: `attention` stacks a mapping's `wq`, `wk` and `wv`
+into the (3, d, d) block that `_attend` reads from the store, and splits
+its gradient back. So the finite-difference suite checks the backwards
+that pretraining runs. `attention_per_matrix` is the attention arithmetic
+with one product per projection matrix, which the block's products must
+equal bitwise. `encode_text` and `mlm_predictions` compose them into the
+encoder on the tape, and `mlm_tape_loss` adds
 `encoder.mlm_loss`: the reference for the tape-free `encoder.mlm_step`.
 `pretrain_mlm` is the per-sentence tape loop through it
 (`numerics.backward`, then the store Adam `adam_step`). `cell_step` wraps
@@ -819,10 +824,48 @@ def layer_norm(x, gain, bias, sublayer=None):
     return nm.fused((x, gain, bias, sublayer), out, back)
 
 
+def attention(x, params, heads):
+    """`encoder._attend` and `_attend_back` as one tape node over the
+    mapping's `wq`, `wk`, `wv` and `wo`, which need not be adjacent: the
+    three projections are stacked into a fresh (3, d, d) block, and its
+    gradient is split back into theirs."""
+    projections = [params[w] for w in ("wq", "wk", "wv")]
+    qkv = nm.Tensor(np.stack([w.data for w in projections]))
+    qkv.grad = np.zeros_like(qkv.data)
+    saved = []
+    out = enc._attend(x.data, qkv, params["wo"], heads, saved)
+
+    def back(g):
+        _zero_missing_grads((params["wo"],))
+        nm.accumulate(x, enc._attend_back(g, saved))
+        for w, d_w in zip(projections, qkv.grad):
+            nm.accumulate(w, d_w)
+
+    return nm.fused((x, *projections, params["wo"]), out, back)
+
+
+def attention_per_matrix(x, params, heads, g):
+    """The arithmetic of `encoder._attend` and `_attend_back` with one
+    product per projection matrix in place of the (3, d, d) block's:
+    (output, gradients of x, wq, wk, wv, wo) for one text and the output
+    gradient g."""
+    wq, wk, wv, wo = (params[w] for w in ("wq", "wk", "wv", "wo"))
+    scale = 1.0 / math.sqrt(x.shape[-1] // heads)
+    q, k, v = (enc._split_heads(x @ w, heads) for w in (wq, wk, wv))
+    weights = nm.softmax_probs((q @ k.swapaxes(-1, -2)) * scale)
+    merged = enc._merge_heads(weights @ v)
+    d_ctx = enc._split_heads(g @ wo.T, heads)
+    d_scores = nm.softmax_back(d_ctx @ v.transpose(0, 2, 1), weights) * scale
+    grad_q = enc._merge_heads(d_scores @ k)
+    grad_k = enc._merge_heads(d_scores.transpose(0, 2, 1) @ q)
+    grad_v = enc._merge_heads(weights.transpose(0, 2, 1) @ d_ctx)
+    d_x = grad_q @ wq.T + grad_k @ wk.T + grad_v @ wv.T
+    return (merged @ wo, d_x, x.T @ grad_q, x.T @ grad_k, x.T @ grad_v, merged.T @ g)
+
+
 def encoder_layer(x, params, heads):
     """Post-norm block: attention and feed-forward, each behind a residual."""
-    attended = layer_norm(x, params["ln1_g"], params["ln1_b"],
-                          taped(enc._attend)(x, params, heads))
+    attended = layer_norm(x, params["ln1_g"], params["ln1_b"], attention(x, params, heads))
     return layer_norm(attended, params["ln2_g"], params["ln2_b"],
                       taped(enc._feed_forward)(attended, params))
 

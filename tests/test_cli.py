@@ -642,7 +642,8 @@ HUGE = 2 ** 62
 
 
 class TestImpossibleModelSize:
-    """A model too large to allocate ends in one JSON line, not a traceback."""
+    """A model too large to allocate ends in one JSON line, not a traceback,
+    and leaves no `--out` directory."""
 
     def test_evaluate_is_data_error_from_the_layout_check(self, tmp_path, market_csv, capsys):
         out = tmp_path / "run"
@@ -657,18 +658,22 @@ class TestImpossibleModelSize:
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_training_is_config_error_from_the_allocation(self, tmp_path, market_csv, capsys,
                                                           command):
-        args = _train_args(market_csv, tmp_path / "out", epochs=2)
+        out = tmp_path / "out"
+        args = _train_args(market_csv, out, epochs=2)
         args[0] = command
         assert run(*args, "--hidden", HUGE) == 1
         assert re.search(r"model of \d+ parameters", _one_error_line(capsys, "ConfigError"))
+        assert not out.exists()
 
     def test_pretrain_encoder_is_config_error_from_the_allocation(self, tmp_path, summaries,
                                                                   capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"encoder": {"d_model": HUGE}}))
+        out = tmp_path / "out"
         assert run("pretrain-encoder", "--summaries", summaries, "--config", config,
-                   "--out", tmp_path / "out") == 1
+                   "--out", out) == 1
         assert re.search(r"model of \d+ parameters", _one_error_line(capsys, "ConfigError"))
+        assert not out.exists()
 
 
 # argv for each command that reads summaries or market data, given the bad

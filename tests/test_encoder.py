@@ -241,7 +241,7 @@ class TestMultiHead:
     def test_single_head_identity_reduces_to_attention(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 4))
-        out = taped(enc._attend)(Tensor(x), self._identity_params(4), 1)
+        out = oracles.attention(Tensor(x), self._identity_params(4), 1)
         expected = self_attention(Tensor(x), Tensor(x), Tensor(x))
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
@@ -251,14 +251,14 @@ class TestMultiHead:
         params = {name: Tensor(rng.normal(size=(8, 8)))
                   for name in ("wq", "wk", "wv", "wo")}
         for heads in (1, 2, 4, 8):
-            assert taped(enc._attend)(x, params, heads).shape == (5, 8)
+            assert oracles.attention(x, params, heads).shape == (5, 8)
 
     def test_two_heads_match_per_head_oracle(self):
         rng = np.random.default_rng(10)
         d, h = 4, 2
         x = rng.normal(size=(3, d))
         params = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
-        out = taped(enc._attend)(Tensor(x), {k: Tensor(v) for k, v in params.items()}, h)
+        out = oracles.attention(Tensor(x), {k: Tensor(v) for k, v in params.items()}, h)
         q, k, v = x @ params["wq"], x @ params["wk"], x @ params["wv"]
         dk = d // h
         heads = [attention_rows(q[:, i * dk:(i + 1) * dk], k[:, i * dk:(i + 1) * dk],
@@ -270,7 +270,47 @@ class TestMultiHead:
         x = Tensor(np.ones((2, 6)))
         params = {name: Tensor(np.ones((6, 6))) for name in ("wq", "wk", "wv", "wo")}
         with pytest.raises(ConfigError):
-            taped(enc._attend)(x, params, 4)
+            oracles.attention(x, params, 4)
+
+
+class TestQkvBlock:
+    """The program reads each layer's `wq`, `wk` and `wv` as one (3, d, d)
+    block of the store (`ParameterStore.block`); its products are bitwise
+    the per-matrix ones."""
+
+    PROJECTIONS = ("wq", "wk", "wv")
+
+    @pytest.mark.parametrize("length", [1, 5, TOY_CONFIG.max_len])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_block_products_are_the_per_matrix_products(self, heads, length):
+        rng = np.random.default_rng(40 + 10 * heads + length)
+        d = TOY_CONFIG.d_model
+        store = oracles.store_of({w: rng.normal(size=(d, d))
+                                  for w in (*self.PROJECTIONS, "wo")})
+        x, g = rng.normal(size=(length, d)), rng.normal(size=(length, d))
+        saved = []
+        out = enc._attend(x, store.block(self.PROJECTIONS), store["wo"], heads, saved)
+        d_x = enc._attend_back(g, saved)
+        assert not saved
+        expected = oracles.attention_per_matrix(
+            x, {name: t.data for name, t in store.items()}, heads, g)
+        got = (out, d_x, *(store[w].grad for w in (*self.PROJECTIONS, "wo")))
+        for name, a, b in zip(("out", "x", *self.PROJECTIONS, "wo"), got, expected):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_batched_forward_is_the_per_text_rows(self, heads):
+        config = dataclasses.replace(TOY_CONFIG, heads=heads)
+        rng = np.random.default_rng(50 + heads)
+        params = nm.ParameterStore(enc.encoder_layout(config, 9), rng)
+        ids = rng.integers(enc.NUM_SPECIALS, 9, size=(2, 3, 7))
+        ids[..., 0] = enc.START_ID
+        rows, pooled = enc.encode_text(ids, config, params)
+        assert rows.shape == (2, 3, 7, config.d_model)
+        for index in np.ndindex(2, 3):
+            one_rows, one_pooled = enc.encode_text(ids[index], config, params)
+            assert rows[index].tobytes() == one_rows.tobytes()
+            assert pooled[index].tobytes() == one_pooled.tobytes()
 
 
 class TestLayerNormAndFfn:
@@ -319,7 +359,7 @@ class TestFusedSublayersMatchOracles:
         arrays = {"x": rng.normal(size=(length, self.D)),
                   **{w: rng.normal(size=(self.D, self.D)) for w in ("wq", "wk", "wv", "wo")}}
         oracles.assert_same_values_and_grads(
-            lambda p: taped(enc._attend)(p["x"], p, heads),
+            lambda p: oracles.attention(p["x"], p, heads),
             lambda p: oracles.composed_multi_head_attention(p["x"], p, heads), arrays,
             seed=heads)
 
@@ -446,12 +486,12 @@ class TestMlmStep:
 
     def _assert_step_equals_tape(self, config, params, ids, positions, targets):
         loss = oracles.mlm_tape_loss(ids, positions, targets, config, params)
-        for _, t in params.items():  # both sides add into zeroed gradients
-            t.grad = np.zeros_like(t.data)
+        # both sides add into the store's zeroed gradient, whose views the
+        # parameters' gradients and each layer's Q/K/V block are
+        params.grad.fill(0.0)
         nm.backward(loss)
-        tape = {name: t.grad for name, t in params.items()}
-        for _, t in params.items():
-            t.grad = np.zeros_like(t.data)
+        tape = {name: t.grad.copy() for name, t in params.items()}
+        params.grad.fill(0.0)
         assert enc.mlm_step(ids, positions, targets, config, params) == loss.data.item()
         for name, t in params.items():
             assert t.grad.tobytes() == tape[name].tobytes(), name
@@ -644,8 +684,9 @@ class TestEncodeFeatures:
             return recorded(attend)(*args)
 
         def feed_forward_spy(*args):
-            # q, k, v, the attention weights, the merged heads and the output
-            assert len(alive[-1]) == 6
+            # the Q/K/V projection (q, k and v are its views), the attention
+            # weights, the merged heads and the output
+            assert len(alive[-1]) == 4
             assert all(ref() is None for ref in alive[-1])
             return feed_forward(*args)
 

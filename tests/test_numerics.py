@@ -379,19 +379,43 @@ class TestParameterStore:
         assert oracles.names(store) == [name for name, _, _ in tr.pipeline_layout(cfg)]
         _assert_tiles(store)
 
-    def test_encoder_store_tiles_its_vectors_with_adjacent_qkv(self):
-        config, store = _encoder_store()
-        _assert_tiles(store)
+    def test_encoder_store_tiles_its_vectors_with_adjacent_qkv(self, tmp_path):
+        """For a fresh store and one through `save_encoder`/`load_encoder`,
+        whose file lists the parameters in sorted order: the store is in
+        layout order, and each layer's Q/K/V block is a view of `flat` and
+        `grad`, with nothing copied."""
+        config, fresh = _encoder_store()
+        vocab = enc.Vocabulary.build(["a b c d e f g"])
+        assert vocab.size == fresh["emb"].shape[0]
+        enc.save_encoder(tmp_path / "encoder.json", config, vocab, fresh)
+        _, _, loaded = enc.load_encoder(tmp_path / "encoder.json")
+        assert loaded.flat.tobytes() == fresh.flat.tobytes()
         d = config.d_model
-        for i in range(config.layers):
-            names = [f"layer{i}.{w}" for w in ("wq", "wk", "wv")]
-            start = oracles.names(store).index(names[0])
-            assert oracles.names(store)[start:start + 3] == names
-            offset = sum(t.size for _, t in list(store.items())[:start])
-            qkv = store.flat[offset:offset + 3 * d * d].reshape(3, d, d)
-            for k, name in enumerate(names):
-                assert np.shares_memory(qkv[k], store[name].data)
-                np.testing.assert_array_equal(qkv[k], store[name].data)
+        for store in (fresh, loaded):
+            _assert_tiles(store)
+            assert oracles.names(store) == [n for n, _, _ in enc.encoder_layout(config, 11)]
+            for i in range(config.layers):
+                names = tuple(f"layer{i}.{w}" for w in ("wq", "wk", "wv"))
+                start = oracles.names(store).index(names[0])
+                assert tuple(oracles.names(store)[start:start + 3]) == names
+                offset = sum(t.size for _, t in list(store.items())[:start])
+                qkv = store.block(names)
+                assert store.block(names) is qkv
+                for got, flat in ((qkv.data, store.flat), (qkv.grad, store.grad)):
+                    assert got.shape == (3, d, d) and got.base is flat
+                    assert np.shares_memory(got, flat[offset:offset + 3 * d * d])
+                for k, name in enumerate(names):
+                    assert np.shares_memory(qkv.data[k], store[name].data)
+                    assert np.shares_memory(qkv.grad[k], store[name].grad)
+                    np.testing.assert_array_equal(qkv.data[k], store[name].data)
+
+    def test_block_of_parameters_not_adjacent_in_one_shape_is_refused(self):
+        store = oracles.store_of({"a": np.zeros((2, 2)), "b": np.zeros((2, 2)),
+                                  "c": np.zeros((1, 2)), "d": np.zeros((2, 2))})
+        assert store.block(("a", "b")).shape == (2, 2, 2)
+        for names in (("a", "d"), ("b", "a"), ("b", "c"), ("a", "a")):
+            with pytest.raises(ContractError, match="not adjacent"):
+                store.block(names)
 
     def test_loaded_checkpoint_tiles_its_vectors(self, tmp_path):
         _, store = _encoder_store()
