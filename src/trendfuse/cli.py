@@ -154,11 +154,24 @@ def _require_paths(cfg: ExperimentConfig, names: list[str]) -> None:
             raise ConfigError(f"{name} path does not exist: {value}")
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
+def _check_out(cfg: ExperimentConfig) -> Path:
+    """`--out`, once its nearest existing path is a directory this process
+    can write in; ConfigError otherwise. Nothing is made, so a command
+    checks it before a long run and makes it after."""
     out = Path(cfg.out)
+    existing = out
+    while not os.path.lexists(existing) and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"output directory not usable: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory not writable: {existing}")
+    return out
+
+
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    out = _check_out(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise ConfigError(f"output directory not writable: {out}")
     return out
 
 
@@ -179,6 +192,7 @@ def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str]
     """Pretrain the encoder on `corpus`; write its checkpoint and loss trace
     to the output directory, made once the encoder is allocated and trained."""
     similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
+    _check_out(cfg)
     params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
                                             cfg.train.seed, similar_words=similar)
     out = _out_dir(cfg)
@@ -263,6 +277,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     """Full pipeline: ingest, window, split, train, evaluate, write artifacts."""
     _require_paths(cfg, ["market_csv"])
     train_samples, test_samples = _load_split_samples(cfg)
+    _check_out(cfg)
     store, report = tr.train_and_evaluate(train_samples, test_samples, cfg.train)
     out = _out_dir(cfg)
     store.save(out / "checkpoint.json")
@@ -294,6 +309,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
     output directory is made then), and then the delta table."""
     _require_paths(cfg, ["market_csv"])
     train_samples, test_samples = _load_split_samples(cfg)
+    _check_out(cfg)
     second = cfg.train.model.kind if cfg.train.model.kind != "feedforward" else "lstm"
     rows = []
     for kind in ("feedforward", second):

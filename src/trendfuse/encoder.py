@@ -19,7 +19,7 @@ Each layer's `wq`, `wk` and `wv` are adjacent in `encoder_layout`, so
 (`ParameterStore.block`, a view: nothing is copied) and projects q, k and
 v with one matmul; `_attend_back` adds into the same slice of the flat
 gradient. Every store the encoder runs on must be in layout order:
-`load_encoder` rebuilds the store it reads in that order, since the file
+`load_encoder` builds the store it reads in that order, since the file
 lists the parameters sorted by name, and `block` refuses a store where
 the three are not adjacent. The products are bitwise those of one matmul
 per matrix, and the layer norm and its backward work in place on their
@@ -632,15 +632,16 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
                        for i in (key, *ids)):
                 raise DataError(f"similar-word entry {key} names something other than "
                                 f"an ordinary token id in [{NUM_SPECIALS}, {len(tokens)})")
-        params = ParameterStore.from_state_dict(doc["params"])
+        arrays = ParameterStore.state_arrays(doc["params"])
     except KeyError as err:
         raise DataError(f"{path}: encoder checkpoint lacks {err}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise DataError(f"{path}: malformed encoder checkpoint: {err}") from None
-    params.check_layout(encoder_layout(config, len(tokens)), path)
+    nm.check_shapes({name: arr.shape for name, arr in arrays.items()},
+                    encoder_layout(config, len(tokens)), path)
     # `save_encoder` sorts the JSON keys, so the file lists the parameters by
-    # name; rebuilt in layout order, each layer's wq, wk and wv are adjacent.
-    params = ParameterStore((name, shape, params[name].data)
+    # name; stored in layout order, each layer's wq, wk and wv are adjacent.
+    params = ParameterStore((name, shape, arrays[name])
                             for name, shape, _ in encoder_layout(config, len(tokens)))
     return config, Vocabulary(tokens, token_to_id, similar), params
 

@@ -264,27 +264,13 @@ class ParameterStore:
         Path(path).write_text(json.dumps(self.state_dict()), encoding="utf-8")
 
     def check_layout(self, layout: Iterable[Row], source) -> None:
-        """Raise DataError unless this store has exactly the names and shapes
-        of `layout`'s rows, naming the first missing, mis-shaped or extra
-        parameter. The rows are read one at a time, nothing is drawn and the
-        first mismatch stops the check.
+        """`check_shapes` of this store's parameters."""
+        check_shapes({name: t.shape for name, t in self._params.items()}, layout, source)
 
-        `source` (the checkpoint path) starts the message.
-        """
-        have = {name: t.shape for name, t in self._params.items()}
-        for name, shape, _ in layout:
-            if name not in have:
-                raise DataError(f"{source}: checkpoint lacks parameter {name!r} "
-                                "of the configured model")
-            if have.pop(name) != shape:
-                raise DataError(f"{source}: parameter {name!r} has shape {self[name].shape}, "
-                                f"the configured model needs {shape}")
-        if have:
-            raise DataError(f"{source}: parameter {next(iter(have))!r} is not part of the "
-                            "configured model")
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "ParameterStore":
+    @staticmethod
+    def state_arrays(state: dict) -> dict[str, Array]:
+        """The parameters of a `state_dict`, by name in the document's order,
+        each a finite float64 array of its shape; DataError otherwise."""
         if not isinstance(state, dict):
             raise DataError("checkpoint is not a JSON object")
         version = state.get("format_version")
@@ -294,7 +280,7 @@ class ParameterStore:
         params = state.get("params")
         if not isinstance(params, dict):
             raise DataError("checkpoint has no 'params' object")
-        rows = []
+        arrays = {}
         for name, entry in params.items():
             try:
                 arr = np.asarray(entry["data"])
@@ -307,8 +293,12 @@ class ParameterStore:
                 raise DataError(f"checkpoint parameter {name!r} is malformed: {err}") from None
             if not np.isfinite(arr).all():
                 raise DataError(f"checkpoint parameter {name!r} has a non-finite value")
-            rows.append((name, arr.shape, arr))
-        return cls(rows)
+            arrays[name] = arr
+        return arrays
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "ParameterStore":
+        return cls((name, arr.shape, arr) for name, arr in cls.state_arrays(state).items())
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
@@ -321,6 +311,27 @@ class ParameterStore:
             return cls.from_state_dict(state)
         except DataError as err:
             raise DataError(f"{path}: {err}") from None
+
+
+def check_shapes(shapes: dict[str, tuple[int, ...]], layout: Iterable[Row], source) -> None:
+    """Raise DataError unless `shapes` (parameter name -> shape) has exactly
+    the names and shapes of `layout`'s rows, naming the first missing,
+    mis-shaped or extra parameter. The rows are read one at a time, nothing
+    is drawn and the first mismatch stops the check.
+
+    `source` (the checkpoint path) starts the message.
+    """
+    have = dict(shapes)
+    for name, shape, _ in layout:
+        if name not in have:
+            raise DataError(f"{source}: checkpoint lacks parameter {name!r} "
+                            "of the configured model")
+        if (found := have.pop(name)) != shape:
+            raise DataError(f"{source}: parameter {name!r} has shape {found}, "
+                            f"the configured model needs {shape}")
+    if have:
+        raise DataError(f"{source}: parameter {next(iter(have))!r} is not part of the "
+                        "configured model")
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 
-from trendfuse import cli, encoder as enc, fusion, ingest, synthetic
+from trendfuse import cli, encoder as enc, fusion, ingest, synthetic, train as tr
 from trendfuse.encoder import read_features
 
 pytestmark = pytest.mark.usefixtures("quiet_logs")
@@ -674,6 +674,38 @@ class TestImpossibleModelSize:
                    "--out", out) == 1
         assert re.search(r"model of \d+ parameters", _one_error_line(capsys, "ConfigError"))
         assert not out.exists()
+
+
+class TestUnusableOut:
+    """An `--out` that cannot be made (a regular file, or a path under one)
+    is a ConfigError (exit 1) before any training, and nothing is made."""
+
+    ARGS = {
+        "train": lambda market, summaries, out: _train_args(market, out),
+        "ablate": lambda market, summaries, out: [
+            "ablate", "--market", market, "--out", out, "--epochs", "2"],
+        "pretrain-encoder": lambda market, summaries, out: [
+            "pretrain-encoder", "--summaries", summaries, "--out", out],
+        "featurize": lambda market, summaries, out: [
+            "featurize", "--summaries", summaries, "--out", out, "--pretrain"],
+    }
+
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_config_error_before_training(self, tmp_path, market_csv, summaries, capsys,
+                                          monkeypatch, command, under):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained with an unusable --out")
+
+        monkeypatch.setattr(tr, "train_and_evaluate", refuse)
+        monkeypatch.setattr(tr, "ablate_prior_effect", refuse)
+        monkeypatch.setattr(enc, "pretrain_mlm", refuse)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        out = blocker / "run" if under else blocker
+        assert run(*self.ARGS[command](market_csv, summaries, out)) == 1
+        assert "not a directory" in _one_error_line(capsys, "ConfigError")
+        assert blocker.read_text() == "a file\n"
 
 
 # argv for each command that reads summaries or market data, given the bad

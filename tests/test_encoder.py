@@ -675,7 +675,9 @@ class TestEncodeFeatures:
         def recorded(fn):
             def spy(*args):
                 out = fn(*args)
-                alive[-1].append(weakref.ref(out))
+                # the array that owns the memory: a view kept alive (q, k
+                # or v of the projection, say) keeps its owner alive
+                alive[-1].append(weakref.ref(out if out.base is None else out.base))
                 return out
             return spy
 
@@ -684,7 +686,7 @@ class TestEncodeFeatures:
             return recorded(attend)(*args)
 
         def feed_forward_spy(*args):
-            # the Q/K/V projection (q, k and v are its views), the attention
+            # the Q/K/V projection that q, k and v view, the attention
             # weights, the merged heads and the output
             assert len(alive[-1]) == 4
             assert all(ref() is None for ref in alive[-1])
