@@ -204,8 +204,7 @@ def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str]
 def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str]
                               ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
     if cfg.encoder_checkpoint:
-        if not Path(cfg.encoder_checkpoint).exists():
-            raise ConfigError(f"encoder checkpoint does not exist: {cfg.encoder_checkpoint}")
+        _require_paths(cfg, ["encoder_checkpoint"])
         return enc.load_encoder(cfg.encoder_checkpoint)
     if not cfg.pretrain:
         raise ConfigError("no encoder checkpoint given; pass --encoder <path> "
@@ -295,8 +294,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     """Evaluate a saved checkpoint on the chronological test split."""
     _require_paths(cfg, ["market_csv", "checkpoint"])
     _, test_samples = _load_split_samples(cfg)
-    store = ParameterStore.load(cfg.checkpoint)
-    store.check_layout(tr.pipeline_layout(cfg.train), cfg.checkpoint)
+    store = ParameterStore.load(cfg.checkpoint, tr.pipeline_layout(cfg.train))
     out = _out_dir(cfg)
     report = tr.evaluate(store, cfg.train, test_samples)
     _write_json(out / "metrics.json", report.to_dict())

@@ -14,16 +14,10 @@ and the layer they make is a forward and its `<name>_back`, on the
 take arrays with any leading axes, the backwards one text. `mlm_loss`
 shares the loss arithmetic (`_mlm_nll`/`_mlm_nll_back`).
 
-Each layer's `wq`, `wk` and `wv` are adjacent in `encoder_layout`, so
-`_attend` reads them as one (3, d, d) block of the store's flat vector
-(`ParameterStore.block`, a view: nothing is copied) and projects q, k and
-v with one matmul; `_attend_back` adds into the same slice of the flat
-gradient. Every store the encoder runs on must be in layout order:
-`load_encoder` builds the store it reads in that order, since the file
-lists the parameters sorted by name, and `block` refuses a store where
-the three are not adjacent. The products are bitwise those of one matmul
-per matrix, and the layer norm and its backward work in place on their
-own temporaries, in the same order of operations.
+Each layer stores its q, k and v projections as one (3, d, d) parameter,
+`wqkv`, so `_attend` projects all three with one matmul, bitwise the
+products of one matmul per matrix. The layer norm and its backward work
+in place on their own temporaries, in the same order of operations.
 
 `encode_text` is the one encoder forward. Featurizing (`encode_features`)
 runs it on (n, L) blocks of up to FEATURIZE_CHUNK texts of one token count
@@ -287,8 +281,8 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 def _attend(x: np.ndarray, qkv: Tensor, wo: Tensor, heads: int,
             saved: list | None = None) -> np.ndarray:
-    """Multi-head self-attention. `qkv` is the layer's `wq`, `wk` and `wv`
-    as one (3, d, d) block, so one matmul projects all three."""
+    """Multi-head self-attention. `qkv` is the layer's (3, d, d) `wqkv`,
+    so one matmul projects q, k and v."""
     d_model = x.shape[-1]
     if d_model % heads:
         raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
@@ -378,16 +372,15 @@ def _feed_forward_back(g: np.ndarray, saved: list) -> np.ndarray:
     return nm.affine_back(x, params["w1"], params["b1"], d_hidden * (hidden > 0))
 
 
-def _encoder_layer(x: np.ndarray, params: Params, qkv: Tensor, heads: int,
+def _encoder_layer(x: np.ndarray, params: Params, heads: int,
                    saved: list | None = None) -> np.ndarray:
     """Post-norm block: attention and feed-forward, each behind a residual.
-    `qkv` is `params`' `wq`, `wk` and `wv` as one block (`_attend`).
 
     Without a `saved` list it keeps nothing: the attention's arrays, the
     largest, are gone before the feed-forward runs, so a forward-only pass
     peaks at one sublayer's.
     """
-    a = _add_norm(x, _attend(x, qkv, params["wo"], heads, saved), params["ln1_g"],
+    a = _add_norm(x, _attend(x, params["wqkv"], params["wo"], heads, saved), params["ln1_g"],
                   params["ln1_b"], saved)
     return _add_norm(a, _feed_forward(a, params, saved), params["ln2_g"], params["ln2_b"],
                      saved)
@@ -406,14 +399,14 @@ def encoder_layout(config: EncoderConfig, vocab_size: int) -> Iterator[nm.Row]:
     """Each encoder parameter's name, shape and start, in store order: a
     uniform draw for a weight, 1.0 for a layer-norm gain and 0.0 for a
     bias. Nothing is allocated, so a checkpoint's layout is checked before
-    any array of its config is. Each layer's `wq`, `wk` and `wv` are
-    adjacent, so one (3, d, d) view of the store's flat vector holds them."""
+    any array of its config is. A layer's `wqkv` is drawn as its q, k and v
+    matrices in turn."""
     d, dff = config.d_model, config.d_ff
     yield "emb", (vocab_size, d), nm.Uniform(d)
     for i in range(config.layers):
         p = f"layer{i}."
-        for w in ("wq", "wk", "wv", "wo"):
-            yield p + w, (d, d), nm.Uniform(d)
+        yield p + "wqkv", (3, d, d), nm.Uniform(d)
+        yield p + "wo", (d, d), nm.Uniform(d)
         yield p + "ln1_g", (1, d), 1.0
         yield p + "ln1_b", (1, d), 0.0
         yield p + "w1", (d, dff), nm.Uniform(d)
@@ -449,9 +442,7 @@ def encode_text(token_ids: np.ndarray, config: EncoderConfig, params: ParameterS
     pe = positional_encoding(1 << (length - 1).bit_length(), config.d_model)
     x = params["emb"].data[token_ids] + pe[:length]
     for i in range(config.layers):
-        p = f"layer{i}"
-        x = _encoder_layer(x, params.view(p), params.block((f"{p}.wq", f"{p}.wk", f"{p}.wv")),
-                           config.heads, saved)
+        x = _encoder_layer(x, params.view(f"layer{i}"), config.heads, saved)
     if config.pool == "mean":
         pooled = x.sum(axis=-2, keepdims=True) * (1.0 / length)
     else:
@@ -469,7 +460,7 @@ def mlm_step(token_ids: np.ndarray, positions: np.ndarray, targets: np.ndarray,
              config: EncoderConfig, params: ParameterStore) -> float:
     """The masked-token loss of one corrupted text; adds its gradient into
     the store's flat gradient, which the caller zeroes, through the views
-    of it that the parameters' and the Q/K/V blocks' `grad` arrays are.
+    of it that the parameters' `grad` arrays are.
 
     The forward is `encode_text` with a `saved` list, then
     `mlm_predictions` and the loss arithmetic of `mlm_loss`; the backward
@@ -607,10 +598,10 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
 
     Anything malformed is a DataError naming `path`: the JSON, the config,
     the vocabulary (a repeated token among them), or parameters whose names
-    and shapes differ from those the config and vocabulary give. Those are
-    compared before anything of the config's size is allocated. The store
-    returned is in `encoder_layout` order, whatever the file's order, as
-    `encode_text` needs.
+    and shapes differ from those the config and vocabulary give
+    (`ParameterStore.from_state`, which compares them before anything of
+    the config's size is allocated and returns a store in `encoder_layout`
+    order).
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -632,17 +623,12 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
                        for i in (key, *ids)):
                 raise DataError(f"similar-word entry {key} names something other than "
                                 f"an ordinary token id in [{NUM_SPECIALS}, {len(tokens)})")
-        arrays = ParameterStore.state_arrays(doc["params"])
+        state = doc["params"]
     except KeyError as err:
         raise DataError(f"{path}: encoder checkpoint lacks {err}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise DataError(f"{path}: malformed encoder checkpoint: {err}") from None
-    nm.check_shapes({name: arr.shape for name, arr in arrays.items()},
-                    encoder_layout(config, len(tokens)), path)
-    # `save_encoder` sorts the JSON keys, so the file lists the parameters by
-    # name; stored in layout order, each layer's wq, wk and wv are adjacent.
-    params = ParameterStore((name, shape, arrays[name])
-                            for name, shape, _ in encoder_layout(config, len(tokens)))
+    params = ParameterStore.from_state(state, encoder_layout(config, len(tokens)), path)
     return config, Vocabulary(tokens, token_to_id, similar), params
 
 

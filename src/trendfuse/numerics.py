@@ -14,9 +14,9 @@ gradients. Then come the loss and, over lockstep replicas' losses, `sum_`.
 Besides the tape, this module keeps only what some program path calls:
 the array helpers the numpy backwards share (`mT`, `row_sum`,
 `affine_back`, `logistic`, `softmax_probs`/`softmax_back`), the parameter
-store, whose parameters, and stacked blocks of adjacent ones, are views of
-its flat vectors from birth, and its checkpoint format, and Adam, whose
-state adds moments to a store's vectors.
+store, whose parameters are views of its flat vectors from birth, and its
+checkpoint format, read back against a layout, and Adam, whose state adds
+moments to a store's vectors.
 Single-op tape ops, multi-output nodes and the adapter that puts a numpy
 forward/backward pair on the tape live in `tests/oracles.py`.
 """
@@ -183,9 +183,7 @@ class ParameterStore:
     zeroed flat vectors `flat` and `grad` from birth, filled from the row's
     start (a `Uniform` draws from `rng`, in row order), and filed under
     every dotted prefix of the name, for `view`. A size numpy cannot
-    allocate is a ConfigError naming the parameter count. Parameters of
-    one shape that are adjacent in store order can be read as one stacked
-    tensor, `block`, over the same slices of both vectors."""
+    allocate is a ConfigError naming the parameter count."""
 
     def __init__(self, layout: Iterable[Row], rng: np.random.Generator | None = None):
         rows = list(layout)
@@ -196,7 +194,6 @@ class ParameterStore:
             raise ConfigError(f"cannot allocate a model of {count} parameters ({err})") from None
         self._params: dict[str, Tensor] = {}
         self._views: dict[str, dict[str, Tensor]] = {}
-        self._blocks: dict[tuple[str, ...], Tensor] = {}
         stop = 0
         for name, shape, start in rows:
             if name in self._params:
@@ -228,28 +225,6 @@ class ParameterStore:
         must not change it."""
         return self._views.get(prefix, {})
 
-    def block(self, names: tuple[str, ...]) -> Tensor:
-        """The named parameters, of one shape and adjacent in this order in
-        the store, as one (len(names), *shape) tensor whose `data` and `grad`
-        are views of their slices of `flat` and `grad`, so nothing is copied
-        and its gradient adds into theirs; made once per store. Parameters
-        that are not laid out so are a ContractError."""
-        t = self._blocks.get(names)
-        if t is None:
-            shape, size = self[names[0]].shape, self[names[0]].size
-            order = list(self._params)
-            first = order.index(names[0])
-            if (tuple(order[first:first + len(names)]) != names
-                    or any(self[n].shape != shape for n in names)):
-                raise ContractError(f"parameters {', '.join(names)} are not adjacent "
-                                    "in store order with one shape")
-            start = sum(self[n].size for n in order[:first])
-            span = slice(start, start + len(names) * size)
-            t = self._blocks[names] = Tensor(self.flat[span].reshape(len(names), *shape),
-                                             requires_grad=True)
-            t.grad = self.grad[span].reshape(t.shape)
-        return t
-
     def state_dict(self) -> dict:
         return {
             "format_version": CHECKPOINT_VERSION,
@@ -263,23 +238,27 @@ class ParameterStore:
         # layout order is the canonical parameter order; do not sort
         Path(path).write_text(json.dumps(self.state_dict()), encoding="utf-8")
 
-    def check_layout(self, layout: Iterable[Row], source) -> None:
-        """`check_shapes` of this store's parameters."""
-        check_shapes({name: t.shape for name, t in self._params.items()}, layout, source)
+    @classmethod
+    def from_state(cls, state: dict, layout: Iterable[Row], source) -> "ParameterStore":
+        """The store of `layout`'s rows, in their order, holding a
+        `state_dict`'s parameters; anything else is a DataError that
+        `source` (the checkpoint path) starts.
 
-    @staticmethod
-    def state_arrays(state: dict) -> dict[str, Array]:
-        """The parameters of a `state_dict`, by name in the document's order,
-        each a finite float64 array of its shape; DataError otherwise."""
+        Every entry is parsed first: each must be a finite float64 array of
+        its shape. Then the rows are read one at a time, nothing drawn, and
+        the first parameter that the document lacks, or holds in another
+        shape, stops the check; so does one the layout lacks. Nothing of
+        the layout's size is allocated until the names and shapes match.
+        """
         if not isinstance(state, dict):
-            raise DataError("checkpoint is not a JSON object")
+            raise DataError(f"{source}: checkpoint is not a JSON object")
         version = state.get("format_version")
         if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1.0 == 1
-            raise DataError(f"unsupported checkpoint format_version {version!r}; "
+            raise DataError(f"{source}: unsupported checkpoint format_version {version!r}; "
                             f"this program reads {CHECKPOINT_VERSION}")
         params = state.get("params")
         if not isinstance(params, dict):
-            raise DataError("checkpoint has no 'params' object")
+            raise DataError(f"{source}: checkpoint has no 'params' object")
         arrays = {}
         for name, entry in params.items():
             try:
@@ -288,50 +267,36 @@ class ParameterStore:
                     raise TypeError("data must be a list of numbers")
                 arr = arr.astype(np.float64, copy=False).reshape(entry["shape"])
             except KeyError as err:
-                raise DataError(f"checkpoint parameter {name!r} has no {err}") from None
+                raise DataError(f"{source}: checkpoint parameter {name!r} has no {err}") from None
             except (TypeError, ValueError) as err:
-                raise DataError(f"checkpoint parameter {name!r} is malformed: {err}") from None
+                raise DataError(f"{source}: checkpoint parameter {name!r} is malformed: "
+                                f"{err}") from None
             if not np.isfinite(arr).all():
-                raise DataError(f"checkpoint parameter {name!r} has a non-finite value")
+                raise DataError(f"{source}: checkpoint parameter {name!r} has a non-finite value")
             arrays[name] = arr
-        return arrays
+        rows = []
+        for name, shape, _ in layout:
+            if name not in arrays:
+                raise DataError(f"{source}: checkpoint lacks parameter {name!r} "
+                                "of the configured model")
+            if (found := arrays.pop(name)).shape != shape:
+                raise DataError(f"{source}: parameter {name!r} has shape {found.shape}, "
+                                f"the configured model needs {shape}")
+            rows.append((name, shape, found))
+        if arrays:
+            raise DataError(f"{source}: parameter {next(iter(arrays))!r} is not part of the "
+                            "configured model")
+        return cls(rows)
 
     @classmethod
-    def from_state_dict(cls, state: dict) -> "ParameterStore":
-        return cls((name, arr.shape, arr) for name, arr in cls.state_arrays(state).items())
-
-    @classmethod
-    def load(cls, path) -> "ParameterStore":
-        """Read a checkpoint file; a malformed one is a DataError naming `path`."""
+    def load(cls, path, layout: Iterable[Row]) -> "ParameterStore":
+        """Read a checkpoint file into a store of `layout` (`from_state`);
+        one that is not valid JSON is a DataError naming `path`."""
         try:
             state = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as err:  # invalid JSON or text encoding
             raise DataError(f"{path}: checkpoint is not valid JSON ({err})") from None
-        try:
-            return cls.from_state_dict(state)
-        except DataError as err:
-            raise DataError(f"{path}: {err}") from None
-
-
-def check_shapes(shapes: dict[str, tuple[int, ...]], layout: Iterable[Row], source) -> None:
-    """Raise DataError unless `shapes` (parameter name -> shape) has exactly
-    the names and shapes of `layout`'s rows, naming the first missing,
-    mis-shaped or extra parameter. The rows are read one at a time, nothing
-    is drawn and the first mismatch stops the check.
-
-    `source` (the checkpoint path) starts the message.
-    """
-    have = dict(shapes)
-    for name, shape, _ in layout:
-        if name not in have:
-            raise DataError(f"{source}: checkpoint lacks parameter {name!r} "
-                            "of the configured model")
-        if (found := have.pop(name)) != shape:
-            raise DataError(f"{source}: parameter {name!r} has shape {found}, "
-                            f"the configured model needs {shape}")
-    if have:
-        raise DataError(f"{source}: parameter {next(iter(have))!r} is not part of the "
-                        "configured model")
+        return cls.from_state(state, layout, path)
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:

@@ -30,12 +30,10 @@ reference for the one-node training step of `train.train_replicas`.
 each: `attention`, `taped(enc._feed_forward)` and `layer_norm`. `attention`
 and `layer_norm` are small adapters for `_attend`/`_attend_back` and
 `_add_norm`/`_add_norm_back`, which take their parameters as tensors
-rather than a mapping: `attention` stacks a mapping's `wq`, `wk` and `wv`
-into the (3, d, d) block that `_attend` reads from the store, and splits
-its gradient back. So the finite-difference suite checks the backwards
+rather than a mapping. So the finite-difference suite checks the backwards
 that pretraining runs. `attention_per_matrix` is the attention arithmetic
-with one product per projection matrix, which the block's products must
-equal bitwise. `encode_text` and `mlm_predictions` compose them into the
+with one product per projection matrix, which the products of the (3, d, d)
+`wqkv` must equal bitwise. `encode_text` and `mlm_predictions` compose them into the
 encoder on the tape, and `mlm_tape_loss` adds
 `encoder.mlm_loss`: the reference for the tape-free `encoder.mlm_step`.
 `pretrain_mlm` is the per-sentence tape loop through it
@@ -695,9 +693,7 @@ def composed_multi_head_attention(x, params, heads):
     if d_model % heads:
         raise ConfigError(f"d_model={d_model} not divisible by heads={heads}")
     d_k = d_model // heads
-    q = matmul(x, params["wq"])
-    k = matmul(x, params["wk"])
-    v = matmul(x, params["wv"])
+    q, k, v = (matmul(x, take(params["wqkv"], i)) for i in range(3))
     outs = []
     for h in range(heads):
         cols = slice(h * d_k, (h + 1) * d_k)
@@ -826,27 +822,21 @@ def layer_norm(x, gain, bias, sublayer=None):
 
 def attention(x, params, heads):
     """`encoder._attend` and `_attend_back` as one tape node over the
-    mapping's `wq`, `wk`, `wv` and `wo`, which need not be adjacent: the
-    three projections are stacked into a fresh (3, d, d) block, and its
-    gradient is split back into theirs."""
-    projections = [params[w] for w in ("wq", "wk", "wv")]
-    qkv = nm.Tensor(np.stack([w.data for w in projections]))
-    qkv.grad = np.zeros_like(qkv.data)
+    mapping's `wqkv` and `wo`."""
+    wqkv, wo = params["wqkv"], params["wo"]
     saved = []
-    out = enc._attend(x.data, qkv, params["wo"], heads, saved)
+    out = enc._attend(x.data, wqkv, wo, heads, saved)
 
     def back(g):
-        _zero_missing_grads((params["wo"],))
+        _zero_missing_grads((wqkv, wo))
         nm.accumulate(x, enc._attend_back(g, saved))
-        for w, d_w in zip(projections, qkv.grad):
-            nm.accumulate(w, d_w)
 
-    return nm.fused((x, *projections, params["wo"]), out, back)
+    return nm.fused((x, wqkv, wo), out, back)
 
 
 def attention_per_matrix(x, params, heads, g):
     """The arithmetic of `encoder._attend` and `_attend_back` with one
-    product per projection matrix in place of the (3, d, d) block's:
+    product per projection matrix in place of the (3, d, d) `wqkv`'s:
     (output, gradients of x, wq, wk, wv, wo) for one text and the output
     gradient g."""
     wq, wk, wv, wo = (params[w] for w in ("wq", "wk", "wv", "wo"))

@@ -123,8 +123,7 @@ def _encoder_grad_cases(rng):
     """The fused encoder sublayers, plus the reference attention in `oracles`."""
     d = 4
     x = rng.normal(size=(3, d))
-    mha_arrays = {"x": x, **{w: rng.normal(size=(d, d))
-                             for w in ("wq", "wk", "wv", "wo")}}
+    mha_arrays = {"x": x, "wqkv": rng.normal(size=(3, d, d)), "wo": rng.normal(size=(d, d))}
     ln_arrays = {"x": rng.normal(size=(3, d)) * 2.0,
                  "g": rng.normal(size=(1, d)), "b": rng.normal(size=(1, d))}
     att_arrays = {"q": rng.normal(size=(3, 2)), "k": rng.normal(size=(3, 2)),
@@ -147,8 +146,7 @@ def _encoder_grad_cases(rng):
         return nm.sum_(self_attention(p["q"], p["k"], p["v"]))
 
     def build_mha(p, heads):
-        params = {w: p[w] for w in ("wq", "wk", "wv", "wo")}
-        return nm.sum_(oracles.attention(p["x"], params, heads))
+        return nm.sum_(oracles.attention(p["x"], p, heads))
 
     def build_ln(p):
         return nm.sum_(oracles.layer_norm(p["x"], p["g"], p["b"]))

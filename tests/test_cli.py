@@ -83,6 +83,15 @@ class TestFeaturize:
         code = run("featurize", "--summaries", summaries, "--out", tmp_path / "x")
         assert code == 1
 
+    def test_encoder_path_that_does_not_exist_is_config_error(self, tmp_path, summaries,
+                                                              capsys):
+        missing = tmp_path / "missing.json"
+        assert run("featurize", "--summaries", summaries, "--out", tmp_path / "x",
+                   "--encoder", missing) == 1
+        assert f"encoder_checkpoint path does not exist: {missing}" \
+            == _one_error_line(capsys, "ConfigError")
+        assert not (tmp_path / "x").exists()
+
     def test_existing_checkpoint_reused(self, tmp_path, summaries):
         first = tmp_path / "first"
         assert run("featurize", "--summaries", summaries, "--out", first,
@@ -146,8 +155,20 @@ def _without_emb(doc):
 
 
 def _infinite_weight(doc):
-    doc["params"]["params"]["layer0.wq"]["data"][3] = float("inf")
+    doc["params"]["params"]["layer0.wqkv"]["data"][3] = float("inf")
     return json.dumps(doc)  # written as the JSON extension `Infinity`
+
+
+def _split_qkv(doc):
+    """Each layer's `wqkv` written as its three matrices, the layout before
+    the projections were stored as one parameter."""
+    params = doc["params"]["params"]
+    for name in [name for name in params if name.endswith(".wqkv")]:
+        entry = params.pop(name)
+        for w, part in zip(("wq", "wk", "wv"), np.reshape(entry["data"], entry["shape"])):
+            params[name[:-len("wqkv")] + w] = {"shape": list(part.shape),
+                                               "data": part.reshape(-1).tolist()}
+    return json.dumps(doc)
 
 
 def _unknown_config_key(doc):
@@ -172,7 +193,10 @@ class TestFeaturizeBadEncoderCheckpoint:
         (lambda doc: json.dumps({"format_version": 1}), "config"),
         (_unknown_config_key, "depth"),
         (_without_emb, "'emb'"),
-        (_infinite_weight, "'layer0.wq' has a non-finite value"),
+        (_infinite_weight, "'layer0.wqkv' has a non-finite value"),
+        (_split_qkv, "lacks parameter 'layer0.wqkv'"),
+        (_replaced(["params", "params", "extra"], {"shape": [1], "data": [0.0]}),
+         "'extra' is not part of the configured model"),
         (_replaced(["format_version"], True), "not a version 1"),
         (_replaced(["params", "format_version"], True), "format_version True"),
         (_replaced(["params", "params", "emb", "data"], lambda data: [str(v) for v in data]),
@@ -189,6 +213,7 @@ class TestFeaturizeBadEncoderCheckpoint:
         (_replaced(["vocab", "tokens"], lambda tokens: tokens[:5] + tokens[4:5] + tokens[6:]),
          "vocabulary repeats token 'beta'"),
     ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb", "infinite_weight",
+            "split_qkv", "extra_parameter",
             "document_version_true", "params_version_true", "string_data", "boolean_data",
             "special_similar_key", "similar_id_past_the_vocabulary", "float_similar_id",
             "string_similar_id", "huge_d_model", "repeated_token"])
@@ -382,6 +407,32 @@ class TestEvaluate:
         for key in ("accuracy", "precision", "recall", "f1", "tp", "fp", "tn", "fn"):
             assert evaluated[key] == trained[key]
 
+
+    def test_checkpoint_in_any_order_is_scored_in_layout_order(self, tmp_path, market_csv,
+                                                               monkeypatch):
+        """A checkpoint whose parameters are listed in reverse is read into a
+        store in `pipeline_layout` order, and scores byte for byte as the
+        file in layout order does."""
+        out = tmp_path / "run"
+        assert run(*_train_args(market_csv, out, epochs=2)) == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["params"] = dict(reversed(doc["params"].items()))
+        (tmp_path / "reversed.json").write_text(json.dumps(doc))
+        in_layout_order = []
+        evaluate = tr.evaluate
+
+        def spy(store, config, samples):
+            layout = [name for name, _, _ in tr.pipeline_layout(config)]
+            in_layout_order.append(oracles.names(store) == layout)
+            return evaluate(store, config, samples)
+
+        monkeypatch.setattr(tr, "evaluate", spy)
+        for name, checkpoint in (("in_order", out / "checkpoint.json"),
+                                 ("reversed", tmp_path / "reversed.json")):
+            assert run(*_evaluate_args(market_csv, tmp_path / name, checkpoint)) == 0
+        assert in_layout_order == [True, True]
+        assert (tmp_path / "in_order" / "metrics.json").read_bytes() \
+            == (tmp_path / "reversed" / "metrics.json").read_bytes()
 
     @pytest.mark.parametrize("flags", [("--model", "gru"), ("--feature-len", "7"),
                                        ("--hidden", "4")], ids=["kind", "feature_len", "hidden"])

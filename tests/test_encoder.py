@@ -236,7 +236,7 @@ class TestSelfAttention:
 class TestMultiHead:
     def _identity_params(self, d):
         eye = np.eye(d)
-        return {name: Tensor(eye) for name in ("wq", "wk", "wv", "wo")}
+        return {"wqkv": Tensor(np.stack([eye] * 3)), "wo": Tensor(eye)}
 
     def test_single_head_identity_reduces_to_attention(self):
         rng = np.random.default_rng(8)
@@ -248,8 +248,8 @@ class TestMultiHead:
     def test_output_shape(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(5, 8)))
-        params = {name: Tensor(rng.normal(size=(8, 8)))
-                  for name in ("wq", "wk", "wv", "wo")}
+        params = {"wqkv": Tensor(rng.normal(size=(3, 8, 8))),
+                  "wo": Tensor(rng.normal(size=(8, 8)))}
         for heads in (1, 2, 4, 8):
             assert oracles.attention(x, params, heads).shape == (5, 8)
 
@@ -257,9 +257,9 @@ class TestMultiHead:
         rng = np.random.default_rng(10)
         d, h = 4, 2
         x = rng.normal(size=(3, d))
-        params = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
+        params = {"wqkv": rng.normal(size=(3, d, d)), "wo": rng.normal(size=(d, d))}
         out = oracles.attention(Tensor(x), {k: Tensor(v) for k, v in params.items()}, h)
-        q, k, v = x @ params["wq"], x @ params["wk"], x @ params["wv"]
+        q, k, v = (x @ w for w in params["wqkv"])
         dk = d // h
         heads = [attention_rows(q[:, i * dk:(i + 1) * dk], k[:, i * dk:(i + 1) * dk],
                                 v[:, i * dk:(i + 1) * dk]) for i in range(h)]
@@ -268,15 +268,14 @@ class TestMultiHead:
 
     def test_indivisible_width_rejected(self):
         x = Tensor(np.ones((2, 6)))
-        params = {name: Tensor(np.ones((6, 6))) for name in ("wq", "wk", "wv", "wo")}
+        params = {"wqkv": Tensor(np.ones((3, 6, 6))), "wo": Tensor(np.ones((6, 6)))}
         with pytest.raises(ConfigError):
             oracles.attention(x, params, 4)
 
 
 class TestQkvBlock:
-    """The program reads each layer's `wq`, `wk` and `wv` as one (3, d, d)
-    block of the store (`ParameterStore.block`); its products are bitwise
-    the per-matrix ones."""
+    """Each layer stores its q, k and v projections as one (3, d, d)
+    parameter, `wqkv`; its products are bitwise the per-matrix ones."""
 
     PROJECTIONS = ("wq", "wk", "wv")
 
@@ -285,16 +284,16 @@ class TestQkvBlock:
     def test_block_products_are_the_per_matrix_products(self, heads, length):
         rng = np.random.default_rng(40 + 10 * heads + length)
         d = TOY_CONFIG.d_model
-        store = oracles.store_of({w: rng.normal(size=(d, d))
-                                  for w in (*self.PROJECTIONS, "wo")})
+        matrices = {w: rng.normal(size=(d, d)) for w in (*self.PROJECTIONS, "wo")}
+        store = oracles.store_of({"wqkv": np.stack([matrices[w] for w in self.PROJECTIONS]),
+                                  "wo": matrices["wo"]})
         x, g = rng.normal(size=(length, d)), rng.normal(size=(length, d))
         saved = []
-        out = enc._attend(x, store.block(self.PROJECTIONS), store["wo"], heads, saved)
+        out = enc._attend(x, store["wqkv"], store["wo"], heads, saved)
         d_x = enc._attend_back(g, saved)
         assert not saved
-        expected = oracles.attention_per_matrix(
-            x, {name: t.data for name, t in store.items()}, heads, g)
-        got = (out, d_x, *(store[w].grad for w in (*self.PROJECTIONS, "wo")))
+        expected = oracles.attention_per_matrix(x, matrices, heads, g)
+        got = (out, d_x, *store["wqkv"].grad, store["wo"].grad)
         for name, a, b in zip(("out", "x", *self.PROJECTIONS, "wo"), got, expected):
             assert a.tobytes() == b.tobytes(), name
 
@@ -357,7 +356,8 @@ class TestFusedSublayersMatchOracles:
     def test_multi_head_attention(self, length, heads):
         rng = np.random.default_rng(20 + heads)
         arrays = {"x": rng.normal(size=(length, self.D)),
-                  **{w: rng.normal(size=(self.D, self.D)) for w in ("wq", "wk", "wv", "wo")}}
+                  "wqkv": rng.normal(size=(3, self.D, self.D)),
+                  "wo": rng.normal(size=(self.D, self.D))}
         oracles.assert_same_values_and_grads(
             lambda p: oracles.attention(p["x"], p, heads),
             lambda p: oracles.composed_multi_head_attention(p["x"], p, heads), arrays,

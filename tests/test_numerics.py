@@ -379,51 +379,32 @@ class TestParameterStore:
         assert oracles.names(store) == [name for name, _, _ in tr.pipeline_layout(cfg)]
         _assert_tiles(store)
 
-    def test_encoder_store_tiles_its_vectors_with_adjacent_qkv(self, tmp_path):
-        """For a fresh store and one through `save_encoder`/`load_encoder`,
-        whose file lists the parameters in sorted order: the store is in
-        layout order, and each layer's Q/K/V block is a view of `flat` and
-        `grad`, with nothing copied."""
-        config, fresh = _encoder_store()
-        vocab = enc.Vocabulary.build(["a b c d e f g"])
-        assert vocab.size == fresh["emb"].shape[0]
-        enc.save_encoder(tmp_path / "encoder.json", config, vocab, fresh)
-        _, _, loaded = enc.load_encoder(tmp_path / "encoder.json")
-        assert loaded.flat.tobytes() == fresh.flat.tobytes()
-        d = config.d_model
-        for store in (fresh, loaded):
-            _assert_tiles(store)
-            assert oracles.names(store) == [n for n, _, _ in enc.encoder_layout(config, 11)]
-            for i in range(config.layers):
-                names = tuple(f"layer{i}.{w}" for w in ("wq", "wk", "wv"))
-                start = oracles.names(store).index(names[0])
-                assert tuple(oracles.names(store)[start:start + 3]) == names
-                offset = sum(t.size for _, t in list(store.items())[:start])
-                qkv = store.block(names)
-                assert store.block(names) is qkv
-                for got, flat in ((qkv.data, store.flat), (qkv.grad, store.grad)):
-                    assert got.shape == (3, d, d) and got.base is flat
-                    assert np.shares_memory(got, flat[offset:offset + 3 * d * d])
-                for k, name in enumerate(names):
-                    assert np.shares_memory(qkv.data[k], store[name].data)
-                    assert np.shares_memory(qkv.grad[k], store[name].grad)
-                    np.testing.assert_array_equal(qkv.data[k], store[name].data)
-
-    def test_block_of_parameters_not_adjacent_in_one_shape_is_refused(self):
-        store = oracles.store_of({"a": np.zeros((2, 2)), "b": np.zeros((2, 2)),
-                                  "c": np.zeros((1, 2)), "d": np.zeros((2, 2))})
-        assert store.block(("a", "b")).shape == (2, 2, 2)
-        for names in (("a", "d"), ("b", "a"), ("b", "c"), ("a", "a")):
-            with pytest.raises(ContractError, match="not adjacent"):
-                store.block(names)
-
     def test_loaded_checkpoint_tiles_its_vectors(self, tmp_path):
-        _, store = _encoder_store()
+        """Through `save`/`load` and through `save_encoder`/`load_encoder`,
+        whose file lists the parameters sorted by name, the store comes back
+        in layout order, tiling its vectors, with the same bytes."""
+        config, store = _encoder_store()
+        layout = list(enc.encoder_layout(config, 11))
+        vocab = enc.Vocabulary.build(["a b c d e f g"])
+        assert vocab.size == 11
         store.save(tmp_path / "ckpt.json")
-        loaded = ParameterStore.load(tmp_path / "ckpt.json")
-        assert oracles.names(loaded) == oracles.names(store)
-        _assert_tiles(loaded)
-        assert loaded.flat.tobytes() == store.flat.tobytes()
+        enc.save_encoder(tmp_path / "encoder.json", config, vocab, store)
+        for loaded in (ParameterStore.load(tmp_path / "ckpt.json", layout),
+                       enc.load_encoder(tmp_path / "encoder.json")[2]):
+            assert oracles.names(loaded) == [name for name, _, _ in layout]
+            _assert_tiles(loaded)
+            assert loaded.flat.tobytes() == store.flat.tobytes()
+
+    def test_qkv_draw_is_three_consecutive_matrix_draws(self):
+        """A layer's `wqkv` holds the q, k and v draws that one (d, d) draw
+        per matrix would give, so every seed's initial encoder is unchanged."""
+        config, store = _encoder_store()
+        d = config.d_model
+        rng = np.random.default_rng(3)
+        nm.uniform_init(rng, d, (11, d))  # emb
+        draws = [nm.uniform_init(rng, d, (d, d)) for _ in range(3)]
+        assert np.array_equal(store["layer0.wqkv"].data, np.stack(draws))
+        assert np.array_equal(store["layer0.wo"].data, nm.uniform_init(rng, d, (d, d)))
 
     def test_gate_draw_is_the_per_gate_draws_in_their_slots(self):
         store = ParameterStore([("w", (3, 8), nm.Uniform(5, (0, 1, 3, 2))),
@@ -446,7 +427,7 @@ class TestParameterStore:
                                   "a.b": rng.normal(size=(1, 5)) / 3.0})
         path = tmp_path / "ckpt.json"
         store.save(path)
-        loaded = ParameterStore.load(path)
+        loaded = ParameterStore.load(path, [(name, t.shape, 0.0) for name, t in store.items()])
         assert oracles.names(loaded) == oracles.names(store)
         for name in oracles.names(store):
             np.testing.assert_array_equal(loaded[name].data, store[name].data)
@@ -551,7 +532,7 @@ def test_every_public_method_is_read_in_the_package():
                               if isinstance(member, (FunctionType, staticmethod, classmethod,
                                                      property))
                               and not name.startswith("_") and name not in read)
-    assert {"check_layout", "view", "summarize"} <= read
+    assert {"load", "view", "summarize"} <= read
     assert sorted(unread) == sorted(NO_PACKAGE_ATTRIBUTE_USE)
 
 

@@ -231,7 +231,8 @@ class TestTrainReplicas:
         data, configs = self._replicas("lstm")
         trained = tr.train_replicas([d[:40] for d in data], configs)
         for (store, _), cfg in zip(trained, configs):
-            store.check_layout(tr.pipeline_layout(cfg), "replica")
+            assert [(name, t.shape) for name, t in store.items()] == \
+                [(name, shape) for name, shape, _ in tr.pipeline_layout(cfg)]
             assert all(t.requires_grad for _, t in store.items())
 
     def test_contract(self):
