@@ -395,6 +395,30 @@ class TestParameterStore:
             _assert_tiles(loaded)
             assert loaded.flat.tobytes() == store.flat.tobytes()
 
+    def test_encoder_store_tiles_its_vectors_with_adjacent_qkv(self, tmp_path):
+        """For a fresh store and one through `save_encoder`/`load_encoder`:
+        the store is in layout order, and each layer's Q/K/V is one (3, d, d)
+        parameter whose data and grad are views of `flat` and `grad`, with
+        nothing copied."""
+        config, fresh = _encoder_store()
+        vocab = enc.Vocabulary.build(["a b c d e f g"])
+        assert vocab.size == fresh["emb"].shape[0]
+        enc.save_encoder(tmp_path / "encoder.json", config, vocab, fresh)
+        _, _, loaded = enc.load_encoder(tmp_path / "encoder.json")
+        assert loaded.flat.tobytes() == fresh.flat.tobytes()
+        d = config.d_model
+        for store in (fresh, loaded):
+            _assert_tiles(store)
+            assert oracles.names(store) == [n for n, _, _ in enc.encoder_layout(config, 11)]
+            for i in range(config.layers):
+                name = f"layer{i}.wqkv"
+                start = oracles.names(store).index(name)
+                offset = sum(t.size for _, t in list(store.items())[:start])
+                qkv = store[name]
+                for got, flat in ((qkv.data, store.flat), (qkv.grad, store.grad)):
+                    assert got.shape == (3, d, d) and got.base is flat
+                    assert np.shares_memory(got, flat[offset:offset + 3 * d * d])
+
     def test_qkv_draw_is_three_consecutive_matrix_draws(self):
         """A layer's `wqkv` holds the q, k and v draws that one (d, d) draw
         per matrix would give, so every seed's initial encoder is unchanged."""
