@@ -21,7 +21,7 @@ from . import encoder as enc
 from . import ingest
 from . import train as tr
 from .errors import (ConfigError, ContractError, DataError, DivergenceError,
-                     ProviderError, check_bool, check_integer, is_real)
+                     ProviderError, check_bool, check_integer, is_real, open_text)
 from .models import VALID_KINDS
 from .numerics import ParameterStore
 
@@ -212,50 +212,50 @@ def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str]
     return _pretrain_encoder(cfg, corpus)
 
 
-def _load_summaries(cfg: ExperimentConfig) -> list[ingest.SummaryRecord]:
-    """The summary records; DataError when there are none."""
+def _load_summaries(cfg: ExperimentConfig) -> tuple[tuple, list[str]]:
+    """The summaries' dates and texts; DataError when there are none."""
     _require_paths(cfg, ["summaries"])
-    records = ingest.load_summaries(cfg.summaries)
-    if not records:
+    dates, texts = ingest.load_summaries(cfg.summaries)
+    if not dates:
         raise DataError(f"no usable summaries in {cfg.summaries}")
-    return records
+    return dates, texts
 
 
 def cmd_featurize(cfg: ExperimentConfig) -> None:
     """Encode each summary into a fixed-length feature row and write the CSV."""
-    records = _load_summaries(cfg)
+    dates, corpus = _load_summaries(cfg)
     provider = ingest.ExtractiveSummaryProvider()
-    corpus = [r.text for r in records]
     encoder_cfg, vocab, params = _load_encoder_or_pretrain(cfg, corpus)
     out = _out_dir(cfg)
     texts = []
-    for record in records:
+    for day, text in zip(dates, corpus):
         try:
-            texts.append(ingest.summarize(record.text, provider))
+            texts.append(ingest.summarize(text, provider))
         except ProviderError:
-            log.warning("summary provider failed for %s; using raw text", record.date)
-            texts.append(record.text)
-    rows = enc.encode_features(texts, vocab, encoder_cfg, params, cfg.train.feature_len)
-    features = [enc.TextFeature(date=record.date, values=values)
-                for record, values in zip(records, rows)]
-    enc.write_features(out / "features.csv", features)
-    log.info("wrote %d feature rows to %s", len(features), out / "features.csv")
+            log.warning("summary provider failed for %s; using raw text", day)
+            texts.append(text)
+    block = enc.encode_features(texts, vocab, encoder_cfg, params, cfg.train.feature_len)
+    enc.write_features(out / "features.csv", dates, block)
+    log.info("wrote %d feature rows to %s", len(dates), out / "features.csv")
 
 
 def cmd_pretrain_encoder(cfg: ExperimentConfig) -> None:
     """Train the text encoder on the summaries corpus and save a checkpoint."""
-    _pretrain_encoder(cfg, [r.text for r in _load_summaries(cfg)])
+    _pretrain_encoder(cfg, _load_summaries(cfg)[1])
     log.info("encoder checkpoint at %s", Path(cfg.out) / "encoder.json")
 
 
 def _load_split_samples(cfg: ExperimentConfig) -> tuple[ingest.Samples, ingest.Samples]:
     series = ingest.parse_market_csv(cfg.market_csv)
-    labeled = ingest.to_binary_labels(series)
+    window = cfg.train.window
+    if len(series) <= window:
+        raise DataError(f"{cfg.market_csv}: {len(series)} day(s), too few for --window "
+                        f"{window}: a train/test split needs at least {window + 1}")
     features = None
     if cfg.features:
         _require_paths(cfg, ["features"])
         features = enc.read_features(cfg.features, expected_len=cfg.train.feature_len)
-    samples = ingest.make_windows(labeled, cfg.train.window, features,
+    samples = ingest.make_windows(series, window, features,
                                   feature_len=cfg.train.feature_len)
     return ingest.split_train_test(samples, cfg.split_ratio)
 
@@ -364,11 +364,9 @@ def cmd_report(cfg: ExperimentConfig, runs_dir: str) -> None:
         meta_path = run / "run.json"
         meta = _read_run_file(meta_path, ()) if meta_path.exists() else {}
         name = run.name if run != root else root.name
-        try:
-            loss_text = loss_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as err:
-            raise DataError(f"{loss_path}: not UTF-8 text ({err.reason})") from None
-        losses[f"loss_{name}.csv"] = loss_text
+        with open_text(loss_path) as fh:
+            fh.reconfigure(newline=None)  # the copy ends its lines with "\n"
+            losses[f"loss_{name}.csv"] = fh.read()
         comparison.append([meta.get("model", name), meta.get("epochs", ""),
                            repr(metrics["accuracy"]), repr(metrics["precision"]),
                            repr(metrics["recall"]), repr(metrics["f1"])])

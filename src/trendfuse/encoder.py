@@ -30,6 +30,9 @@ vector. The sums come in the order of a tape of the same sublayers, so
 the loss trace and the parameters are bitwise those of
 `numerics.backward` through that tape, which `tests/oracles.py` builds.
 
+A feature file is read into its dates and one (m, L) block, row j the
+feature of date j (`read_features`), and written from them (`write_features`).
+
 `mlm_loss`, the masked-token loss as one tape node, is not called by the
 program; `perfbench/tracing.py` wraps it by name.
 """
@@ -149,12 +152,6 @@ class EncoderConfig:
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         if self.pool not in ("start", "mean"):
             raise ConfigError(f"pool must be 'start' or 'mean', got {self.pool!r}")
-
-
-@dataclass(frozen=True)
-class TextFeature:
-    date: Date
-    values: np.ndarray
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
@@ -605,27 +602,33 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # invalid JSON or text encoding
+        raise DataError(f"{path}: encoder checkpoint is not valid JSON ({err})") from None
+    try:
         if (not isinstance(doc, dict) or type(doc.get("format_version")) is not int
                 or doc["format_version"] != 1):  # True == 1.0 == 1
-            raise DataError("not a version 1 encoder checkpoint")
+            raise DataError(f"{path}: not a version 1 encoder checkpoint")
         config = EncoderConfig(**doc["config"])
         tokens = doc["vocab"]["tokens"]
         if (tokens[:NUM_SPECIALS] != list(_SPECIAL_TOKENS)
                 or not all(isinstance(t, str) for t in tokens)):
-            raise DataError("vocabulary must be a list of tokens led by the special tokens")
+            raise DataError(f"{path}: vocabulary must be a list of tokens led by the "
+                            "special tokens")
         token_to_id = {t: i for i, t in enumerate(tokens)}
         if len(token_to_id) < len(tokens):
             repeat = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
-            raise DataError(f"vocabulary repeats token {repeat!r}")
+            raise DataError(f"{path}: vocabulary repeats token {repeat!r}")
         similar = {int(k): tuple(v) for k, v in doc["vocab"]["similar"].items()}
         for key, ids in similar.items():
             if not all(type(i) is int and NUM_SPECIALS <= i < len(tokens)
                        for i in (key, *ids)):
-                raise DataError(f"similar-word entry {key} names something other than "
-                                f"an ordinary token id in [{NUM_SPECIALS}, {len(tokens)})")
+                raise DataError(f"{path}: similar-word entry {key} names something other "
+                                f"than an ordinary token id in [{NUM_SPECIALS}, {len(tokens)})")
         state = doc["params"]
     except KeyError as err:
         raise DataError(f"{path}: encoder checkpoint lacks {err}") from None
+    except DataError:
+        raise
     except (AttributeError, TypeError, ValueError) as err:
         raise DataError(f"{path}: malformed encoder checkpoint: {err}") from None
     params = ParameterStore.from_state(state, encoder_layout(config, len(tokens)), path)
@@ -634,19 +637,21 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
 
 # --- feature file format: CSV with header date,f0..f{L-1} ---
 
-def write_features(path, features: Sequence[TextFeature]) -> None:
-    if not features:
+def write_features(path, dates: Sequence[Date], block: np.ndarray) -> None:
+    """Write row j of the (m, L) `block` as `dates[j]`'s feature, in date order."""
+    if not len(dates):
         raise ContractError("no features to write")
-    length = len(features[0].values)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date"] + [f"f{i}" for i in range(length)])
-        for feat in sorted(features, key=lambda f: f.date):
-            writer.writerow([feat.date.isoformat()] + [repr(float(v)) for v in feat.values])
+        writer.writerow(["date"] + [f"f{i}" for i in range(block.shape[1])])
+        for j in sorted(range(len(dates)), key=dates.__getitem__):
+            writer.writerow([dates[j].isoformat()] + [repr(float(v)) for v in block[j]])
 
 
-def read_features(path, expected_len: int | None = None) -> dict[Date, np.ndarray]:
-    """Feature rows by date. A malformed, non-finite or repeated row is a
+def read_features(path, expected_len: int | None = None
+                  ) -> tuple[tuple[Date, ...], np.ndarray]:
+    """A feature file's dates in file order and its (m, L) block, whose row j
+    is the feature of date j. A malformed, non-finite or repeated row is a
     DataError naming `path` (and the line, where there is one)."""
     path = Path(path)
     with open_text(path) as fh:
@@ -668,14 +673,13 @@ def read_features(path, expected_len: int | None = None) -> dict[Date, np.ndarra
                 cells.extend(map(float, row[1:]))
             except ValueError as err:
                 raise ParseError(f"{path}: line {line_no}: {err}") from None
-    values = np.array(cells, dtype=np.float64).reshape(len(dates), actual_len)
-    finite = np.isfinite(values)
+    block = np.array(cells, dtype=np.float64).reshape(len(dates), actual_len)
+    finite = np.isfinite(block)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ParseError(f"{path}: line {i + 2}: non-finite {header[j + 1]}="
-                         f"{float(values[i, j])!r}")
-    out = dict(zip(dates, values))
-    if len(out) != len(dates):
-        dupes = sorted(d for d, count in Counter(dates).items() if count > 1)
+                         f"{float(block[i, j])!r}")
+    dupes = sorted(d for d, count in Counter(dates).items() if count > 1)
+    if dupes:
         raise DataError(f"{path}: duplicate date(s): " + ", ".join(d.isoformat() for d in dupes))
-    return out
+    return tuple(dates), block

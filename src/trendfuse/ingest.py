@@ -1,11 +1,13 @@
 """Market CSV and summary-text ingestion, normalization, and windowing.
 
-Turns raw inputs into one model-ready `Samples` block whose rows are the
-samples: each row carries the previous days' binary movement history (the
-prior vector), the matching normalized price window, and the text feature
-for the target date. `windows` is the one rule that builds those rows, and
-a chronological span of samples is a row slice of the block. Everything
-here is pure over its inputs and chronology-preserving.
+Each dated input is read once into date-ordered columns (a `MarketSeries`;
+a summaries file's dates and texts; a feature file's dates and block, by
+`encoder.read_features`), which `windows` turns into one model-ready
+`Samples` block. Each row is a sample: the previous days' binary movement
+history (the prior vector), the matching normalized price window, and the
+text feature for the target date. `windows` is the one rule that builds
+those rows, and a chronological span of samples is a row slice of the
+block. Everything here is pure over its inputs and chronology-preserving.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -30,36 +33,23 @@ log = logging.getLogger(__name__)
 MARKET_COLUMNS = ("Date", "Chg", "Open", "Close", "Volume")
 
 
-@dataclass(frozen=True)
-class MarketRecord:
-    date: Date
-    chg: float
-    open: float
-    close: float
-    volume: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketSeries:
-    records: tuple[MarketRecord, ...]
+    """A market file's days in date order as read-only float64 columns: day i
+    is `dates[i]` with `chg[i]`, `open[i]`, `close[i]` and `volume[i]`."""
+
+    dates: tuple[Date, ...]
+    chg: np.ndarray
+    open: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.chg, self.open, self.close, self.volume):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass(frozen=True)
-class LabeledSeries:
-    records: tuple[MarketRecord, ...]
-    labels: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass(frozen=True)
-class SummaryRecord:
-    date: Date
-    text: str
+        return len(self.dates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,54 +92,51 @@ def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
 
 
 def parse_market_csv(path) -> MarketSeries:
-    """Load a market CSV (header Date,Chg,Open,Close,Volume; Chg may end in %)."""
+    """Load a market CSV (header Date,Chg,Open,Close,Volume; Chg may end in %)
+    into date-ordered columns; blank lines are skipped."""
     path = Path(path)
+    dates: list[Date] = []
+    cells: list[float] = []  # each row's Chg, Open, Close and Volume, in one flat list
     with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in MARKET_COLUMNS if c not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in MARKET_COLUMNS if c not in index]
         if missing:
             raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
-        records = []
-        for row in reader:
+        at_date, at_chg, at_open, at_close, at_volume = (index[c] for c in MARKET_COLUMNS)
+        for row in filter(None, reader):
             line = reader.line_num
-            if None in row.values():
+            if len(row) < len(header):
                 raise ParseError(f"{path}: line {line}: missing field(s) "
-                                 + ", ".join(k for k, v in row.items() if v is None))
-            if None in row:  # DictReader files fields past the header under None
-                raise ParseError(f"{path}: line {line}: {len(header) + len(row[None])} fields "
+                                 + ", ".join(header[len(row):]))
+            if len(row) > len(header):
+                raise ParseError(f"{path}: line {line}: {len(row)} fields "
                                  f"for a header of {len(header)}")
-            raw_date = row["Date"].strip()
+            raw_date = row[at_date].strip()
             try:
-                day = Date.fromisoformat(raw_date)
+                dates.append(Date.fromisoformat(raw_date))
             except ValueError:
                 raise ParseError(f"{path}: line {line}: cannot parse Date={raw_date!r} "
                                  "(expected YYYY-MM-DD)") from None
-            volume = _parse_float(row["Volume"], "Volume", path, line)
+            volume = _parse_float(row[at_volume], "Volume", path, line)
             if volume < 0:
                 raise ParseError(f"{path}: line {line}: negative Volume={volume}")
-            records.append(MarketRecord(
-                date=day,
-                chg=_parse_float(row["Chg"], "Chg", path, line),
-                open=_parse_float(row["Open"], "Open", path, line),
-                close=_parse_float(row["Close"], "Close", path, line),
-                volume=volume,
-            ))
-    counts: dict[Date, int] = {}
-    for r in records:
-        counts[r.date] = counts.get(r.date, 0) + 1
-    dupes = sorted(d for d, c in counts.items() if c > 1)
+            cells += (_parse_float(row[at_chg], "Chg", path, line),
+                      _parse_float(row[at_open], "Open", path, line),
+                      _parse_float(row[at_close], "Close", path, line), volume)
+    dupes = sorted(d for d, count in Counter(dates).items() if count > 1)
     if dupes:
         raise DataError(f"{path}: duplicate date(s): "
                         + ", ".join(d.isoformat() for d in dupes))
-    records.sort(key=lambda r: r.date)
-    return MarketSeries(records=tuple(records))
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    columns = np.array(cells, dtype=np.float64).reshape(-1, 4)[order].T.copy()
+    return MarketSeries(tuple(dates[i] for i in order), *columns)
 
 
-def to_binary_labels(series: MarketSeries) -> LabeledSeries:
-    """Label 1 for a positive change, 0 otherwise (flat days count as 0)."""
-    labels = tuple(1 if r.chg > 0 else 0 for r in series.records)
-    return LabeledSeries(records=series.records, labels=labels)
+def to_binary_labels(series: MarketSeries) -> np.ndarray:
+    """The label column: 1.0 for a positive change, else 0.0 (flat days too)."""
+    return (series.chg > 0).astype(np.float64)
 
 
 def minmax_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -177,39 +164,40 @@ def windows(dates: Sequence[Date], labels, prices, texts, n: int) -> Samples:
                    texts=np.asarray(texts, dtype=np.float64)[target], targets=labels[target])
 
 
-def make_windows(series: LabeledSeries, n: int,
-                 features: Mapping[Date, np.ndarray] | None = None,
+def make_windows(series: MarketSeries, n: int,
+                 features: tuple[Sequence[Date], np.ndarray] | None = None,
                  feature_len: int | None = None) -> Samples:
-    """`windows` over the series: binary labels as the prior vector, the
-    min-max-normalized price changes, and the text feature looked up by
-    target date. Dates with no feature get a zero vector so the series stays
-    contiguous.
+    """`windows` over the series: its binary labels as the prior vector, the
+    min-max-normalized price changes, and the text feature of the target
+    date. `features` is a (dates, (m, L) block) pair in any date order, row
+    j the feature of `dates[j]`; days with no row get a zero vector, so the
+    series stays contiguous.
+
+    A window's text row is its target day's feature. That is valid only if
+    a summary dated d is published before day d's move; the program does
+    not check this.
     """
     if n < 2:
         raise ContractError(f"window length must be >= 2, got {n}")
     if len(series) < n:
         raise ContractError(f"series of length {len(series)} is shorter than window {n}")
-    features = dict(features or {})
-    lengths = {len(np.asarray(v).reshape(-1)) for v in features.values()}
-    if len(lengths) > 1:
-        raise DataError(f"feature vectors have mixed lengths: {sorted(lengths)}")
-    if lengths:
-        L = lengths.pop()
-        if feature_len is not None and feature_len != L:
-            raise DataError(f"feature length mismatch: expected {feature_len}, got {L}")
-    elif feature_len is not None:
-        L = feature_len
-    else:
-        raise ContractError("feature_len is required when no features are given")
-
-    dates = [r.date for r in series.records]
-    texts = np.array([np.reshape(features.get(day, np.zeros(L)), -1) for day in dates],
-                     dtype=np.float64)
-    missing = sum(day not in features for day in dates[n - 1:])
-    if missing and features:
+    if features is None:
+        if feature_len is None:
+            raise ContractError("feature_len is required when no features are given")
+        features = ((), np.zeros((0, feature_len)))
+    feature_dates, block = features
+    if feature_len is not None and feature_len != block.shape[1]:
+        raise DataError(f"feature length mismatch: expected {feature_len}, got {block.shape[1]}")
+    row_of = {day: j for j, day in enumerate(feature_dates)}
+    rows = np.array([row_of.get(day, -1) for day in series.dates], dtype=np.intp)
+    found = rows >= 0
+    texts = np.zeros((len(series), block.shape[1]))
+    texts[found] = block[rows[found]]
+    missing = np.count_nonzero(~found[n - 1:])
+    if missing and len(feature_dates):
         log.warning("%d of %d windows had no text feature; zero vectors substituted",
-                    missing, len(dates) - n + 1)
-    return windows(dates, series.labels, minmax_normalize([r.chg for r in series.records]),
+                    missing, len(series) - n + 1)
+    return windows(series.dates, to_binary_labels(series), minmax_normalize(series.chg),
                    texts, n)
 
 
@@ -226,11 +214,12 @@ def split_train_test(samples: Sequence, ratio: float = 0.8) -> tuple[Sequence, S
     return samples[:cut], samples[cut:]
 
 
-def load_summaries(path) -> list[SummaryRecord]:
-    """Read a JSON-lines summaries file with `date` and `text` string fields.
+def load_summaries(path) -> tuple[tuple[Date, ...], list[str]]:
+    """Read a JSON-lines summaries file with `date` and `text` string fields
+    into its dates in order and the text of each.
 
     Lines with an empty text are skipped (with a warning); lines sharing a
-    date are merged into one record with the texts joined by a space.
+    date are merged into one text, joined by a space.
     """
     path = Path(path)
     merged: dict[Date, list[str]] = {}
@@ -262,8 +251,8 @@ def load_summaries(path) -> list[SummaryRecord]:
             merged.setdefault(day, []).append(text)
     if skipped:
         log.warning("skipped %d empty summary line(s) in %s", skipped, path)
-    return [SummaryRecord(date=d, text=" ".join(texts))
-            for d, texts in sorted(merged.items())]
+    dates = tuple(sorted(merged))
+    return dates, [" ".join(merged[day]) for day in dates]
 
 
 class SummaryProvider(Protocol):

@@ -1006,9 +1006,9 @@ def write_market_csv(series, path):
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ingest.MARKET_COLUMNS)
-        for r in series.records:
-            writer.writerow([r.date.isoformat(), repr(r.chg), repr(r.open),
-                             repr(r.close), repr(r.volume)])
+        for day, *values in zip(series.dates, series.chg, series.open, series.close,
+                                series.volume):
+            writer.writerow([day.isoformat(), *(repr(float(v)) for v in values)])
 
 
 def periodic_pattern_samples(count, window, feature_len=8, period=(1, 1, 0, 0)):

@@ -818,14 +818,12 @@ def test_criterion_8_preprocessing_laws():
 
     for t in (2, 3, 7, 37, 120, 200):
         chgs = [(-1.0) ** i * (1.0 + (i % 5)) for i in range(t)]
-        records = synthetic._dates(t)
-        series = ingest.MarketSeries(tuple(
-            ingest.MarketRecord(d, chg, 1.0, 1.0, 1.0)
-            for d, chg in zip(records, chgs)))
-        labeled = ingest.to_binary_labels(series)
+        ones = np.ones(t)
+        series = ingest.MarketSeries(tuple(synthetic._dates(t)), np.array(chgs),
+                                     ones, ones, ones)
         for n in (2, 3, 6):
             if t >= n:
-                assert len(ingest.make_windows(labeled, n, feature_len=2)) == t - n + 1
+                assert len(ingest.make_windows(series, n, feature_len=2)) == t - n + 1
 
     for _ in range(100):
         size = int(rng.integers(2, 50))

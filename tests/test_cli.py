@@ -65,8 +65,8 @@ class TestFeaturize:
                    "--pretrain", "--pretrain-epochs", "2", "--seed", "1",
                    "--feature-len", "6")
         assert code == 0
-        features = read_features(out / "features.csv", expected_len=6)
-        assert len(features) == 5
+        dates, block = read_features(out / "features.csv", expected_len=6)
+        assert len(dates) == len(block) == 5
         assert (out / "encoder.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, summaries):
@@ -135,11 +135,12 @@ class TestFeaturize:
                    "--encoder", tmp_path / "encoder.json", "--feature-len", "20") == 0
         config, vocab, params = enc.load_encoder(tmp_path / "encoder.json")
         rows = []
-        for record in ingest.load_summaries(summaries):
-            tokens = enc.tokenize(ingest.summarize(record.text), vocab, config.max_len)
+        dates, texts = ingest.load_summaries(summaries)
+        for text in texts:
+            tokens = enc.tokenize(ingest.summarize(text), vocab, config.max_len)
             _, pooled = oracles.encode_text(tokens, config, params)
-            rows.append(enc.TextFeature(record.date, enc.standardize_features(pooled.data, 20)))
-        enc.write_features(tmp_path / "loop.csv", rows)
+            rows.append(enc.standardize_features(pooled.data, 20))
+        enc.write_features(tmp_path / "loop.csv", dates, np.array(rows))
         assert (tmp_path / "feat" / "features.csv").read_bytes() \
             == (tmp_path / "loop.csv").read_bytes()
 
@@ -189,7 +190,7 @@ def _replaced(path, value):
 
 class TestFeaturizeBadEncoderCheckpoint:
     @pytest.mark.parametrize("corrupt, detail", [
-        (_truncated, "malformed"),
+        (_truncated, "not valid JSON"),
         (lambda doc: json.dumps({"format_version": 1}), "config"),
         (_unknown_config_key, "depth"),
         (_without_emb, "'emb'"),
@@ -197,7 +198,8 @@ class TestFeaturizeBadEncoderCheckpoint:
         (_split_qkv, "lacks parameter 'layer0.wqkv'"),
         (_replaced(["params", "params", "extra"], {"shape": [1], "data": [0.0]}),
          "'extra' is not part of the configured model"),
-        (_replaced(["format_version"], True), "not a version 1"),
+        # the reader's own errors follow the path with no "malformed" infix
+        (_replaced(["format_version"], True), "enc.json: not a version 1"),
         (_replaced(["params", "format_version"], True), "format_version True"),
         (_replaced(["params", "params", "emb", "data"], lambda data: [str(v) for v in data]),
          "'emb' is malformed"),
@@ -211,7 +213,7 @@ class TestFeaturizeBadEncoderCheckpoint:
         (_replaced(["config", "d_model"], 2 ** 62), f"'emb' has shape (7, 16), the "
          f"configured model needs (7, {2 ** 62})"),
         (_replaced(["vocab", "tokens"], lambda tokens: tokens[:5] + tokens[4:5] + tokens[6:]),
-         "vocabulary repeats token 'beta'"),
+         "enc.json: vocabulary repeats token 'beta'"),
     ], ids=["truncated_json", "no_config", "unknown_config_key", "no_emb", "infinite_weight",
             "split_qkv", "extra_parameter",
             "document_version_true", "params_version_true", "string_data", "boolean_data",
@@ -330,7 +332,7 @@ class TestTrain:
     def _features_for_market(market_csv, path, edit):
         """A feature file with one row per market date; `edit(rows)` alters the
         rows (after the header) before they are written."""
-        dates = [r.date for r in ingest.parse_market_csv(market_csv).records]
+        dates = ingest.parse_market_csv(market_csv).dates
         rows = [[d.isoformat()] + [repr(0.1 * k) for k in range(6)] for d in dates]
         edit(rows)
         with path.open("w", newline="", encoding="utf-8") as fh:
@@ -356,7 +358,7 @@ class TestTrain:
         code = run(*_train_args(market_csv, tmp_path / "run", features=features))
         assert code == 2
         message = _one_error_line(capsys, "DataError")
-        dates = [r.date for r in ingest.parse_market_csv(market_csv).records]
+        dates = ingest.parse_market_csv(market_csv).dates
         assert "features.csv" in message and "duplicate date" in message
         assert dates[10].isoformat() in message
 
@@ -654,21 +656,31 @@ class TestUnreadableInputs:
         assert str(bad) in _one_error_line(capsys, "IsADirectoryError")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["market", "features", "summaries"])
+    @pytest.mark.parametrize("flag", sorted(PATH_FLAGS))
     def test_non_utf8_file_is_data_error(self, tmp_path, market_csv, summaries, capsys,
                                          flag):
-        source = {"market": market_csv, "summaries": summaries}.get(flag)
-        if source is None:
-            source = tmp_path / "features.csv"
+        if flag in ("features", "encoder"):
             assert run("featurize", "--summaries", summaries, "--out", tmp_path / "feat",
                        "--pretrain", "--pretrain-epochs", "1", "--feature-len", "6") == 0
-            source.write_bytes((tmp_path / "feat" / "features.csv").read_bytes())
+        if flag == "checkpoint":
+            assert run(*_train_args(market_csv, tmp_path / "run", epochs=2)) == 0
+        (tmp_path / "similar.json").write_text('{"alpha": ["beta"]}')
+        source = {"market": market_csv, "summaries": summaries,
+                  "features": tmp_path / "feat" / "features.csv",
+                  "encoder": tmp_path / "feat" / "encoder.json",
+                  "checkpoint": tmp_path / "run" / "checkpoint.json",
+                  "similar-words": tmp_path / "similar.json"}[flag]
         bad = tmp_path / f"latin1_{flag}"
         bad.write_bytes(source.read_bytes() + "caf\u00e9\n".encode("latin-1"))
         argv = PATH_FLAGS[flag](bad, market_csv, summaries, tmp_path / "out")
+        capsys.readouterr()
         assert run(*argv) == 2
         message = _one_error_line(capsys, "DataError")
-        assert bad.name in message and "not UTF-8" in message
+        # a JSON reader gives the decoder's words inside its "not valid JSON" message
+        detail = "not UTF-8" if flag in ("market", "features", "summaries") \
+            else "'utf-8' codec can't decode"
+        assert bad.name in message and detail in message
+        assert not (tmp_path / "out").exists()
 
     def test_truncated_market_row_is_parse_error(self, tmp_path, market_csv, capsys):
         lines = market_csv.read_text().splitlines()
@@ -792,6 +804,24 @@ class TestFailedRunsLeaveNoOutput:
         message = _one_error_line(capsys, "ParseError")
         assert message.startswith(f"{bad_summaries}: line 2: " if "--summaries" in argv
                                   else f"{bad_market}: line 2: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("days", [3, 5])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+    def test_market_too_short_for_the_window_makes_no_output_directory(
+            self, tmp_path, market_csv, capsys, command, days):
+        """Fewer days than two windows of `--window` (5 here) need is bad data."""
+        short = tmp_path / "short.csv"
+        short.write_text("".join(market_csv.read_text().splitlines(keepends=True)[:days + 1]))
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text("{}")  # never read: the market file is refused first
+        out = tmp_path / "out"
+        argv = _evaluate_args(short, out, checkpoint)
+        argv[0] = command
+        assert run(*argv) == 2
+        assert _one_error_line(capsys, "DataError") == (
+            f"{short}: {days} day(s), too few for --window 5: "
+            "a train/test split needs at least 6")
         assert not out.exists()
 
     def test_bad_checkpoint_makes_no_output_directory(self, tmp_path, market_csv, capsys):

@@ -796,12 +796,13 @@ class TestPersistence:
         assert enc.load_encoder(tmp_path / "encoder.json")[1].similar == vocab.similar
 
     def test_feature_csv_round_trip_and_validation(self, tmp_path):
-        feats = [enc.TextFeature(date(2023, 1, 3), np.array([0.1, -0.2, 0.3])),
-                 enc.TextFeature(date(2023, 1, 4), np.array([1.5, 2.5, -3.5]))]
+        dates = (date(2023, 1, 4), date(2023, 1, 3))
+        block = np.array([[1.5, 2.5, -3.5], [0.1, -0.2, 0.3]])
         path = tmp_path / "features.csv"
-        enc.write_features(path, feats)
-        loaded = enc.read_features(path, expected_len=3)
-        np.testing.assert_array_equal(loaded[date(2023, 1, 3)], feats[0].values)
+        enc.write_features(path, dates, block)
+        loaded_dates, loaded = enc.read_features(path, expected_len=3)
+        assert loaded_dates == dates[::-1]  # written in date order
+        np.testing.assert_array_equal(loaded, block[::-1])
         with pytest.raises(DataError, match="3.*expected 5"):
             enc.read_features(path, expected_len=5)
 
@@ -823,7 +824,8 @@ class TestPersistence:
     def test_empty_feature_file_gives_no_rows(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("date,f0,f1\n")
-        assert enc.read_features(path, expected_len=2) == {}
+        dates, block = enc.read_features(path, expected_len=2)
+        assert dates == () and block.shape == (0, 2)
 
     @pytest.mark.parametrize("row", ["2023-01-04,0.5,abc,1.0", "notadate,0.5,0.1,1.0"])
     def test_unparseable_feature_row_names_path_and_line(self, tmp_path, row):

@@ -32,13 +32,22 @@ class TestParseMarketCsv:
     def test_three_rows_sorted_ascending(self, tmp_path):
         series = ingest.parse_market_csv(_write(tmp_path, "m.csv", GOOD_CSV))
         assert len(series) == 3
-        dates = [r.date for r in series.records]
+        dates = list(series.dates)
         assert dates == sorted(dates)
         assert dates[0] == date(2023, 1, 3)
 
     def test_percent_sign_stripped(self, tmp_path):
         series = ingest.parse_market_csv(_write(tmp_path, "m.csv", GOOD_CSV))
-        assert series.records[0].chg == 1.2
+        assert series.chg[0] == 1.2
+
+    def test_columns_are_read_only_float64_in_date_order(self, tmp_path):
+        series = ingest.parse_market_csv(_write(tmp_path, "m.csv", GOOD_CSV))
+        assert series.close.tolist() == [101.2, 101.2, 100.6]
+        assert series.volume.tolist() == [50000.0, 48000.0, 52000.0]
+        for column in (series.chg, series.open, series.close, series.volume):
+            assert column.dtype == np.float64 and column.shape == (3,)
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0.0
 
     def test_duplicate_dates_rejected_with_date(self, tmp_path):
         content = GOOD_CSV + "2023-01-04,0.5,101.2,101.7,47000\n"
@@ -97,7 +106,9 @@ class TestParseMarketCsv:
         first = ingest.parse_market_csv(_write(tmp_path, "m.csv", GOOD_CSV))
         oracles.write_market_csv(first, tmp_path / "out.csv")
         second = ingest.parse_market_csv(tmp_path / "out.csv")
-        assert second == first
+        assert second.dates == first.dates
+        for column in ("chg", "open", "close", "volume"):
+            assert getattr(second, column).tobytes() == getattr(first, column).tobytes()
         oracles.write_market_csv(second, tmp_path / "out2.csv")
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "out2.csv").read_bytes()
 
@@ -105,9 +116,9 @@ class TestParseMarketCsv:
 class TestBinaryLabels:
     @pytest.mark.parametrize("chg,label", [(0.5, 1), (-0.3, 0), (0.0, 0)])
     def test_sign_rule(self, chg, label):
-        record = ingest.MarketRecord(date(2023, 1, 3), chg, 1.0, 1.0, 1.0)
-        labeled = ingest.to_binary_labels(ingest.MarketSeries((record,)))
-        assert labeled.labels == (label,)
+        one = np.ones(1)
+        series = ingest.MarketSeries((date(2023, 1, 3),), np.array([chg]), one, one, one)
+        assert ingest.to_binary_labels(series).tolist() == [label]
 
 
 class TestMinMax:
@@ -168,11 +179,10 @@ class TestZScore:
 
 
 def _series(chgs):
-    records = tuple(
-        ingest.MarketRecord(date(2023, 1, 3) + timedelta(days=i), chg, 1.0, 1.0, 1.0)
-        for i, chg in enumerate(chgs)
-    )
-    return ingest.to_binary_labels(ingest.MarketSeries(records))
+    ones = np.ones(len(chgs))
+    return ingest.MarketSeries(
+        tuple(date(2023, 1, 3) + timedelta(days=i) for i in range(len(chgs))),
+        np.array(chgs, dtype=np.float64), ones, ones, ones)
 
 
 class TestMakeWindows:
@@ -182,7 +192,7 @@ class TestMakeWindows:
         assert len(samples) == 2
         np.testing.assert_array_equal(samples.priors, [[1, 0], [0, 1]])
         np.testing.assert_array_equal(samples.targets, [1, 1])
-        assert samples.dates == tuple(r.date for r in labeled.records[2:])
+        assert samples.dates == labeled.dates[2:]
 
     def test_exact_length_yields_one_sample(self):
         labeled = _series([1.0, -1.0, 2.0])
@@ -200,13 +210,14 @@ class TestMakeWindows:
         labeled = _series(chgs)
         samples = ingest.make_windows(labeled, 3, feature_len=2)
         assert len(samples) == len(chgs) - 3 + 1
+        labels = ingest.to_binary_labels(labeled)
         for i, prior in enumerate(samples.priors):
-            np.testing.assert_array_equal(prior, labeled.labels[i:i + 2])
+            np.testing.assert_array_equal(prior, labels[i:i + 2])
 
     def test_feature_lookup_and_zero_fill(self, caplog):
         labeled = _series([1.0, -1.0, 2.0, 3.0])
-        target_date = labeled.records[2].date
-        feats = {target_date: np.array([1.0, 2.0, 3.0])}
+        target_date = labeled.dates[2]
+        feats = ((target_date,), np.array([[1.0, 2.0, 3.0]]))
         with caplog.at_level("WARNING"):
             samples = ingest.make_windows(labeled, 3, feats)
         np.testing.assert_array_equal(samples.texts, [[1, 2, 3], [0, 0, 0]])
@@ -218,13 +229,6 @@ class TestMakeWindows:
             ingest.make_windows(labeled, 1, feature_len=2)
         with pytest.raises(ContractError):
             ingest.make_windows(labeled, 4, feature_len=2)
-
-    def test_mixed_feature_lengths_rejected(self):
-        labeled = _series([1.0, -1.0, 2.0])
-        feats = {labeled.records[0].date: np.zeros(2),
-                 labeled.records[1].date: np.zeros(3)}
-        with pytest.raises(DataError, match="mixed"):
-            ingest.make_windows(labeled, 2, feats)
 
 
 def _assert_rows(block, rows):
@@ -264,14 +268,24 @@ class TestWindows:
     @given(st.integers(2, 8), st.integers(0, 20), st.integers(1, 4),
            st.integers(0, 2**32 - 1))
     def test_make_windows_with_zero_filled_texts(self, n, extra, feature_len, seed):
+        """The feature pair is as `encoder.read_features` gives a file in any
+        order: its dates are shuffled, miss some days of the series and
+        include days before and after it, whose rows are unused."""
         rng = np.random.default_rng(seed)
-        labeled = _series(rng.normal(size=n + extra).tolist())
-        dates = [r.date for r in labeled.records]
+        series = _series(rng.normal(size=n + extra).tolist())
+        dates = list(series.dates)
         features = {day: rng.normal(size=feature_len) for day in dates if rng.random() < 0.6}
         texts = [features.get(day, np.zeros(feature_len)) for day in dates]
-        prices = ingest.minmax_normalize([r.chg for r in labeled.records])
-        _assert_rows(ingest.make_windows(labeled, n, features, feature_len=feature_len),
-                     oracles.window_rows(dates, labeled.labels, prices, texts, n))
+        outside = [dates[0] - timedelta(days=k) for k in (1, 2, 9)] \
+            + [dates[-1] + timedelta(days=k) for k in (1, 5)]
+        feature_dates = [*features, *outside]
+        block = np.array([*features.values(), *rng.normal(size=(len(outside), feature_len))])
+        order = rng.permutation(len(feature_dates))
+        pair = (tuple(feature_dates[j] for j in order), block[order])
+        prices = ingest.minmax_normalize(series.chg)
+        _assert_rows(ingest.make_windows(series, n, pair, feature_len=feature_len),
+                     oracles.window_rows(dates, ingest.to_binary_labels(series), prices,
+                                         texts, n))
 
     @settings(max_examples=30)
     @given(st.integers(1, 40), st.integers(2, 8), st.integers(1, 6),
@@ -332,25 +346,25 @@ class TestLoadSummaries:
         path = _write(tmp_path, "s.jsonl",
                       '{"date": "2023-01-03", "text": "Rates held."}\n'
                       '{"date": "2023-01-04", "text": "Liquidity rose."}\n')
-        records = ingest.load_summaries(path)
-        assert len(records) == 2
-        assert records[0].date == date(2023, 1, 3)
+        dates, texts = ingest.load_summaries(path)
+        assert len(dates) == len(texts) == 2
+        assert dates[0] == date(2023, 1, 3)
 
     def test_duplicate_dates_joined(self, tmp_path):
         path = _write(tmp_path, "s.jsonl",
                       '{"date": "2023-01-03", "text": "One."}\n'
                       '{"date": "2023-01-03", "text": "Two."}\n')
-        records = ingest.load_summaries(path)
-        assert len(records) == 1
-        assert records[0].text == "One. Two."
+        dates, texts = ingest.load_summaries(path)
+        assert len(dates) == 1
+        assert texts == ["One. Two."]
 
     def test_empty_text_skipped_with_warning(self, tmp_path, caplog):
         path = _write(tmp_path, "s.jsonl",
                       '{"date": "2023-01-03", "text": "Kept."}\n'
                       '{"date": "2023-01-04", "text": "   "}\n')
         with caplog.at_level("WARNING"):
-            records = ingest.load_summaries(path)
-        assert len(records) == 1
+            dates, texts = ingest.load_summaries(path)
+        assert len(dates) == len(texts) == 1
         assert "skipped" in caplog.text
 
     def test_malformed_line_reports_number(self, tmp_path):
