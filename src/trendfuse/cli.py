@@ -1,8 +1,10 @@
 """Command-line surface: featurize, pretrain-encoder, train, evaluate, ablate, report.
 
 Configuration comes from an optional JSON document plus flag overrides;
-every command is deterministic under a fixed config and seed. Exit codes:
-0 success, 1 usage or config problem, 2 bad data, 3 numeric divergence.
+every command is deterministic under a fixed config and seed. Before a
+command runs, `main` checks the config, then its input paths, then `--out`;
+every JSON document is read by `errors.read_json`. Exit codes: 0 success,
+1 usage or config problem, 2 bad data, 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from pathlib import Path
 from . import encoder as enc
 from . import ingest
 from . import train as tr
-from .errors import (ConfigError, ContractError, DataError, DivergenceError,
-                     ProviderError, check_bool, check_integer, is_real, open_text)
+from .errors import (ConfigError, ContractError, DataError, DivergenceError, ProviderError,
+                     check_bool, check_integer, is_real, open_text, read_json)
 from .models import VALID_KINDS
 from .numerics import ParameterStore
 
@@ -31,6 +33,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
+
+# The six input paths of a run, and those each command cannot run without.
+INPUTS = ("market_csv", "summaries", "similar_words", "features", "encoder_checkpoint",
+          "checkpoint")
+REQUIRED_INPUTS = {"featurize": ("summaries",), "pretrain-encoder": ("summaries",),
+                   "train": ("market_csv",), "evaluate": ("market_csv", "checkpoint"),
+                   "ablate": ("market_csv",), "report": ()}
 
 
 @dataclass
@@ -53,8 +62,7 @@ class ExperimentConfig:
         check_integer("pretrain_epochs", self.pretrain_epochs, 0)
         if not is_real(self.split_ratio) or not 0 < self.split_ratio < 1:
             raise ConfigError(f"split_ratio must be a number in (0, 1), got {self.split_ratio!r}")
-        for name in ("market_csv", "summaries", "similar_words", "features",
-                     "encoder_checkpoint", "checkpoint", "out"):
+        for name in (*INPUTS, "out"):
             value = getattr(self, name)
             if not (isinstance(value, str) and value or value is None and name != "out"):
                 raise ConfigError(f"{name} must be a non-empty path string, got {value!r}")
@@ -92,13 +100,11 @@ OPTIONS = (
 
 def load_config_file(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path, "config")
     except OSError as err:
         raise ConfigError(f"cannot read config file '{path}' ({err.strerror})") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON config ({err.msg})") from None
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: config is not UTF-8 text ({err.reason})") from None
+    except DataError as err:
+        raise ConfigError(str(err)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
@@ -144,33 +150,32 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return _build(ExperimentConfig, doc)
 
 
-def _require_paths(cfg: ExperimentConfig, names: list[str]) -> None:
-    for name in names:
-        value = getattr(cfg, name)
-        if value is None:
+def _check_inputs(cfg: ExperimentConfig, command: str) -> None:
+    """ConfigError unless `command`'s required inputs are given and all given paths exist."""
+    for name in REQUIRED_INPUTS[command]:
+        if getattr(cfg, name) is None:
             flag = next(flag for flag, key, _ in OPTIONS if key == name)
             raise ConfigError(f"missing required input: {flag}")
-        if not Path(value).exists():
+    for name in INPUTS:
+        value = getattr(cfg, name)
+        if value is not None and not Path(value).exists():
             raise ConfigError(f"{name} path does not exist: {value}")
 
 
-def _check_out(cfg: ExperimentConfig) -> Path:
-    """`--out`, once its nearest existing path is a directory this process
-    can write in; ConfigError otherwise. Nothing is made, so a command
-    checks it before a long run and makes it after."""
-    out = Path(cfg.out)
-    existing = out
+def _check_out(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the nearest existing path of `--out` is a
+    directory this process can write in. Nothing is made."""
+    existing = Path(cfg.out)
     while not os.path.lexists(existing) and existing != existing.parent:
         existing = existing.parent
     if not existing.is_dir():
         raise ConfigError(f"output directory not usable: {existing} is not a directory")
     if not os.access(existing, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory not writable: {existing}")
-    return out
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = _check_out(cfg)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -192,7 +197,6 @@ def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str]
     """Pretrain the encoder on `corpus`; write its checkpoint and loss trace
     to the output directory, made once the encoder is allocated and trained."""
     similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
-    _check_out(cfg)
     params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
                                             cfg.train.seed, similar_words=similar)
     out = _out_dir(cfg)
@@ -204,7 +208,6 @@ def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str]
 def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str]
                               ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
     if cfg.encoder_checkpoint:
-        _require_paths(cfg, ["encoder_checkpoint"])
         return enc.load_encoder(cfg.encoder_checkpoint)
     if not cfg.pretrain:
         raise ConfigError("no encoder checkpoint given; pass --encoder <path> "
@@ -214,7 +217,6 @@ def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str]
 
 def _load_summaries(cfg: ExperimentConfig) -> tuple[tuple, list[str]]:
     """The summaries' dates and texts; DataError when there are none."""
-    _require_paths(cfg, ["summaries"])
     dates, texts = ingest.load_summaries(cfg.summaries)
     if not dates:
         raise DataError(f"no usable summaries in {cfg.summaries}")
@@ -251,9 +253,12 @@ def _load_split_samples(cfg: ExperimentConfig) -> tuple[ingest.Samples, ingest.S
     if len(series) <= window:
         raise DataError(f"{cfg.market_csv}: {len(series)} day(s), too few for --window "
                         f"{window}: a train/test split needs at least {window + 1}")
+    count = len(series) - window + 1  # as `ingest.split_train_test` cuts them
+    if not 0 < int(cfg.split_ratio * count) < count:
+        raise DataError(f"{cfg.market_csv}: {count} window(s) of --window {window}; "
+                        f"split_ratio {cfg.split_ratio} leaves the train or test side empty")
     features = None
     if cfg.features:
-        _require_paths(cfg, ["features"])
         features = enc.read_features(cfg.features, expected_len=cfg.train.feature_len)
     samples = ingest.make_windows(series, window, features,
                                   feature_len=cfg.train.feature_len)
@@ -274,9 +279,7 @@ def _run_metadata(cfg: ExperimentConfig) -> dict:
 
 def cmd_train(cfg: ExperimentConfig) -> None:
     """Full pipeline: ingest, window, split, train, evaluate, write artifacts."""
-    _require_paths(cfg, ["market_csv"])
     train_samples, test_samples = _load_split_samples(cfg)
-    _check_out(cfg)
     store, report = tr.train_and_evaluate(train_samples, test_samples, cfg.train)
     out = _out_dir(cfg)
     store.save(out / "checkpoint.json")
@@ -292,7 +295,6 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
     """Evaluate a saved checkpoint on the chronological test split."""
-    _require_paths(cfg, ["market_csv", "checkpoint"])
     _, test_samples = _load_split_samples(cfg)
     store = ParameterStore.load(cfg.checkpoint, tr.pipeline_layout(cfg.train))
     out = _out_dir(cfg)
@@ -305,9 +307,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
     """Prior-effect ablation for the feedforward baseline and the configured
     recurrent model; writes each model's two reports once it is trained (the
     output directory is made then), and then the delta table."""
-    _require_paths(cfg, ["market_csv"])
     train_samples, test_samples = _load_split_samples(cfg)
-    _check_out(cfg)
     second = cfg.train.model.kind if cfg.train.model.kind != "feedforward" else "lstm"
     rows = []
     for kind in ("feedforward", second):
@@ -331,10 +331,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
 def _read_run_file(path: Path, required: tuple[str, ...]) -> dict:
     """A run's JSON object; DataError naming the file when it is not valid
     JSON, not an object, or lacks a required key."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as err:  # invalid JSON or text encoding
-        raise DataError(f"{path}: not valid JSON ({err})") from None
+    doc = read_json(path, "run file")
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a JSON object")
     missing = [key for key in required if key not in doc]
@@ -419,6 +416,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         cfg = build_config(args)
+        _check_inputs(cfg, args.command)
+        _check_out(cfg)
         if args.command == "featurize":
             cmd_featurize(cfg)
         elif args.command == "pretrain-encoder":

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import (ConfigError, ContractError, DataError, DivergenceError, ParseError,
-                     SchemaError, check_integer, is_real, open_text)
+                     SchemaError, check_integer, is_real, open_text, read_json)
 from .numerics import ParameterStore, Tensor
 
 Params = Mapping[str, Tensor]
@@ -118,14 +118,9 @@ class Vocabulary:
 
 
 def load_similar_words(path) -> dict[str, list[str]]:
-    """Read a JSON object mapping token -> list of substitute tokens.
-
-    A file that is not valid JSON is a DataError naming `path`.
-    """
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # invalid JSON or text encoding
-        raise DataError(f"{path}: similar-words file is not valid JSON ({err})") from None
+    """Read a JSON object mapping token -> list of substitute tokens; a file
+    that is not valid JSON is a DataError naming `path`."""
+    obj = read_json(path, "similar-words file")
     if not isinstance(obj, dict) or not all(isinstance(v, list) for v in obj.values()):
         raise SchemaError(f"{path}: expected an object of token -> [tokens]")
     return {str(k): [str(t) for t in v] for k, v in obj.items()}
@@ -600,10 +595,7 @@ def load_encoder(path) -> tuple[EncoderConfig, Vocabulary, ParameterStore]:
     the config's size is allocated and returns a store in `encoder_layout`
     order).
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # invalid JSON or text encoding
-        raise DataError(f"{path}: encoder checkpoint is not valid JSON ({err})") from None
+    doc = read_json(path, "encoder checkpoint")
     try:
         if (not isinstance(doc, dict) or type(doc.get("format_version")) is not int
                 or doc["format_version"] != 1):  # True == 1.0 == 1

@@ -6,10 +6,11 @@ separate because they indicate caller bugs, not bad inputs. The config
 dataclasses check their values with `is_real`, `check_integer` and
 `check_bool`, so a malformed value is a ConfigError, never a TypeError deep
 in the program.
-`open_text` makes a data file that is not UTF-8 a DataError.
+`open_text` makes a data file that is not UTF-8 a DataError; `read_json` reads through it.
 """
 
 import contextlib
+import json
 import numbers
 
 
@@ -75,3 +76,14 @@ def open_text(path):
             yield fh
         except UnicodeDecodeError as err:
             raise DataError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
+def read_json(path, what: str):
+    """The JSON document in the UTF-8 file `path` (`open_text`); text that
+    is not JSON is a DataError saying `path: <what> is not valid JSON`."""
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:  # RecursionError: nested too deep
+        raise DataError(f"{path}: {what} is not valid JSON ({err})") from None

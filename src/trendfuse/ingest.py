@@ -230,8 +230,9 @@ def load_summaries(path) -> tuple[tuple[Date, ...], list[str]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"{path}: line {line_no}: invalid JSON ({err.msg})") from None
+            except (ValueError, RecursionError) as err:  # too long an integer, too deep
+                raise ParseError(f"{path}: line {line_no}: invalid JSON "
+                                 f"({getattr(err, 'msg', err)})") from None
             if not isinstance(obj, dict) or "date" not in obj or "text" not in obj:
                 raise ParseError(f"{path}: line {line_no}: expected an object with date and text")
             for key in ("date", "text"):

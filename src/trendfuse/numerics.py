@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, read_json
 
 Array = np.ndarray
 
@@ -292,11 +292,7 @@ class ParameterStore:
     def load(cls, path, layout: Iterable[Row]) -> "ParameterStore":
         """Read a checkpoint file into a store of `layout` (`from_state`);
         one that is not valid JSON is a DataError naming `path`."""
-        try:
-            state = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as err:  # invalid JSON or text encoding
-            raise DataError(f"{path}: checkpoint is not valid JSON ({err})") from None
-        return cls.from_state(state, layout, path)
+        return cls.from_state(read_json(path, "checkpoint"), layout, path)
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:

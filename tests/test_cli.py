@@ -1,13 +1,20 @@
 """Command surface: artifacts, determinism, exit codes, and file contracts."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import re
+import shutil
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -82,15 +89,6 @@ class TestFeaturize:
     def test_missing_encoder_without_pretrain_is_config_error(self, tmp_path, summaries):
         code = run("featurize", "--summaries", summaries, "--out", tmp_path / "x")
         assert code == 1
-
-    def test_encoder_path_that_does_not_exist_is_config_error(self, tmp_path, summaries,
-                                                              capsys):
-        missing = tmp_path / "missing.json"
-        assert run("featurize", "--summaries", summaries, "--out", tmp_path / "x",
-                   "--encoder", missing) == 1
-        assert f"encoder_checkpoint path does not exist: {missing}" \
-            == _one_error_line(capsys, "ConfigError")
-        assert not (tmp_path / "x").exists()
 
     def test_existing_checkpoint_reused(self, tmp_path, summaries):
         first = tmp_path / "first"
@@ -606,11 +604,13 @@ class TestReport:
         ("metrics.json", b"{not json", "not valid JSON"),
         ("metrics.json", json.dumps({"precision": 0.5, "recall": 0.5, "f1": 0.5}).encode(),
          "'accuracy'"),
+        ("metrics.json", b'{"accuracy": ' + b"1" * 5000 + b"}", "not valid JSON"),
         ("run.json", b"[1, 2", "not valid JSON"),
         ("run.json", b"[1, 2]", "not a JSON object"),
+        ("run.json", b"[" * 100_000, "not valid JSON"),
         ("loss.csv", b"epoch,mean_loss\n0,\xff\n", "not UTF-8"),
-    ], ids=["metrics_invalid_json", "metrics_without_accuracy", "run_invalid_json",
-            "run_not_an_object", "loss_not_utf8"])
+    ], ids=["metrics_invalid_json", "metrics_without_accuracy", "metrics_integer_too_long",
+            "run_invalid_json", "run_not_an_object", "run_nested_too_deep", "loss_not_utf8"])
     def test_broken_run_file_is_data_error(self, tmp_path, capsys, name, content, detail):
         run_dir = tmp_path / "runs" / "one"
         run_dir.mkdir(parents=True)
@@ -676,10 +676,17 @@ class TestUnreadableInputs:
         capsys.readouterr()
         assert run(*argv) == 2
         message = _one_error_line(capsys, "DataError")
-        # a JSON reader gives the decoder's words inside its "not valid JSON" message
-        detail = "not UTF-8" if flag in ("market", "features", "summaries") \
-            else "'utf-8' codec can't decode"
-        assert bad.name in message and detail in message
+        assert bad.name in message and "not UTF-8 text" in message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", sorted(PATH_FLAGS))
+    def test_missing_file_is_config_error(self, tmp_path, market_csv, summaries, capsys,
+                                          flag):
+        missing = tmp_path / "missing"
+        argv = PATH_FLAGS[flag](missing, market_csv, summaries, tmp_path / "out")
+        assert run(*argv) == 1
+        name = next(key for option, key, _ in cli.OPTIONS if option == f"--{flag}")
+        assert _one_error_line(capsys, "ConfigError") == f"{name} path does not exist: {missing}"
         assert not (tmp_path / "out").exists()
 
     def test_truncated_market_row_is_parse_error(self, tmp_path, market_csv, capsys):
@@ -741,16 +748,22 @@ class TestImpossibleModelSize:
 
 class TestUnusableOut:
     """An `--out` that cannot be made (a regular file, or a path under one)
-    is a ConfigError (exit 1) before any training, and nothing is made."""
+    is a ConfigError (exit 1) before any input is read, and nothing is made."""
 
+    # argv given the market CSV, the summaries, a JSON file standing in for
+    # a checkpoint (never read) and the output directory
     ARGS = {
-        "train": lambda market, summaries, out: _train_args(market, out),
-        "ablate": lambda market, summaries, out: [
+        "train": lambda market, summaries, stub, out: _train_args(market, out),
+        "ablate": lambda market, summaries, stub, out: [
             "ablate", "--market", market, "--out", out, "--epochs", "2"],
-        "pretrain-encoder": lambda market, summaries, out: [
+        "pretrain-encoder": lambda market, summaries, stub, out: [
             "pretrain-encoder", "--summaries", summaries, "--out", out],
-        "featurize": lambda market, summaries, out: [
+        "featurize": lambda market, summaries, stub, out: [
             "featurize", "--summaries", summaries, "--out", out, "--pretrain"],
+        "featurize-encoder": lambda market, summaries, stub, out: [
+            "featurize", "--summaries", summaries, "--out", out, "--encoder", stub],
+        "evaluate": lambda market, summaries, stub, out: _evaluate_args(market, out, stub),
+        "report": lambda market, summaries, stub, out: ["report", stub.parent, "--out", out],
     }
 
     @pytest.mark.parametrize("under", [False, True])
@@ -758,15 +771,19 @@ class TestUnusableOut:
     def test_config_error_before_training(self, tmp_path, market_csv, summaries, capsys,
                                           monkeypatch, command, under):
         def refuse(*args, **kwargs):
-            raise AssertionError("trained with an unusable --out")
+            raise AssertionError("read an input or trained with an unusable --out")
 
-        monkeypatch.setattr(tr, "train_and_evaluate", refuse)
-        monkeypatch.setattr(tr, "ablate_prior_effect", refuse)
-        monkeypatch.setattr(enc, "pretrain_mlm", refuse)
+        for owner, name in [(tr, "train_and_evaluate"), (tr, "ablate_prior_effect"),
+                            (enc, "pretrain_mlm"), (ingest, "parse_market_csv"),
+                            (ingest, "load_summaries"), (enc, "load_encoder"),
+                            (cli.ParameterStore, "load")]:
+            monkeypatch.setattr(owner, name, refuse)
+        stub = tmp_path / "stub.json"
+        stub.write_text("{}")
         blocker = tmp_path / "blocker"
         blocker.write_text("a file\n")
         out = blocker / "run" if under else blocker
-        assert run(*self.ARGS[command](market_csv, summaries, out)) == 1
+        assert run(*self.ARGS[command](market_csv, summaries, stub, out)) == 1
         assert "not a directory" in _one_error_line(capsys, "ConfigError")
         assert blocker.read_text() == "a file\n"
 
@@ -822,6 +839,25 @@ class TestFailedRunsLeaveNoOutput:
         assert _one_error_line(capsys, "DataError") == (
             f"{short}: {days} day(s), too few for --window 5: "
             "a train/test split needs at least 6")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+    def test_split_with_an_empty_side_makes_no_output_directory(self, tmp_path, market_csv,
+                                                                capsys, command):
+        """8 days give 3 windows of 6; a 0.3 split leaves training none."""
+        short = tmp_path / "short.csv"
+        short.write_text("".join(market_csv.read_text().splitlines(keepends=True)[:9]))
+        config = tmp_path / "split.json"
+        config.write_text(json.dumps({"split_ratio": 0.3}))
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text("{}")  # never read: the market file is refused first
+        out = tmp_path / "out"
+        argv = _evaluate_args(short, out, checkpoint)
+        argv[0] = command
+        assert run(*argv, "--window", 6, "--config", config) == 2
+        assert _one_error_line(capsys, "DataError") == (
+            f"{short}: 3 window(s) of --window 6; "
+            "split_ratio 0.3 leaves the train or test side empty")
         assert not out.exists()
 
     def test_bad_checkpoint_makes_no_output_directory(self, tmp_path, market_csv, capsys):
@@ -946,3 +982,136 @@ class TestBadConfigValues:
         assert run("train", "--config", bad, "--market", market_csv,
                    "--out", tmp_path / "out") == 1
         assert str(bad) in _one_error_line(capsys, "ConfigError")
+
+
+# --- corrupted inputs: every outcome is an exit code, never a traceback ---
+
+FUZZ_CONFIG = {"split_ratio": 0.75, "encoder": {"d_model": 4, "layers": 1, "d_ff": 4},
+               "train": {"epochs": 1, "window": 4, "feature_len": 4, "batch_size": 8,
+                         "model": {"kind": "lstm", "hidden": 4}}}
+
+# argv for each corrupted input, given that file, the good inputs and `--out`
+FUZZ_ARGS = {
+    "market.csv": lambda bad, good, out: [
+        "train", "--config", good["config.json"], "--market", bad, "--out", out],
+    "features.csv": lambda bad, good, out: [
+        "train", "--config", good["config.json"], "--market", good["market.csv"],
+        "--features", bad, "--out", out],
+    "summaries.jsonl": lambda bad, good, out: [
+        "featurize", "--config", good["config.json"], "--summaries", bad,
+        "--encoder", good["encoder.json"], "--out", out],
+    "encoder.json": lambda bad, good, out: [
+        "featurize", "--config", good["config.json"], "--summaries", good["summaries.jsonl"],
+        "--encoder", bad, "--out", out],
+    "checkpoint.json": lambda bad, good, out: [
+        "evaluate", "--config", good["config.json"], "--market", good["market.csv"],
+        "--checkpoint", bad, "--out", out],
+    "config.json": lambda bad, good, out: [
+        "train", "--config", bad, "--market", good["market.csv"], "--out", out],
+}
+
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "-Infinity", "1e999"]
+WRONG_TYPES = [None, True, "x", 2.5, [], {}, ["x"], {"x": 1}]
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small valid copy of every input the fuzz test corrupts."""
+    root = tmp_path_factory.mktemp("fuzz")
+    good = {name: root / name for name in FUZZ_ARGS}
+    good["config.json"].write_text(json.dumps(FUZZ_CONFIG, separators=(",", ":")))
+    synthetic.write_markov_market_csv(good["market.csv"], 24, seed=5, persistence=0.85)
+    synthetic.write_toy_summaries(good["summaries.jsonl"], 6, seed=6)
+    assert run("featurize", "--config", good["config.json"], "--summaries",
+               good["summaries.jsonl"], "--pretrain", "--pretrain-epochs", 1,
+               "--out", root / "feat") == 0
+    assert run("train", "--config", good["config.json"], "--market", good["market.csv"],
+               "--out", root / "run") == 0
+    for name, made in [("features.csv", root / "feat" / "features.csv"),
+                       ("encoder.json", root / "feat" / "encoder.json"),
+                       ("checkpoint.json", root / "run" / "checkpoint.json")]:
+        shutil.copy(made, good[name])
+    return root, good
+
+
+def _json_paths(doc, path=()):
+    """The path of every node of a JSON document, reading at most the first
+    two items of an array."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc[:2])
+    else:
+        items = ()
+    for key, value in items:
+        yield from _json_paths(value, (*path, key))
+
+
+def _with_wrong_type(data: bytes, lines: bool, at: int, value) -> bytes:
+    """`data` with the `at`-th node (mod their count) replaced by `value`;
+    `lines` reads it as JSON lines, one array item a line."""
+    doc = [json.loads(line) for line in data.splitlines()] if lines else json.loads(data)
+    paths = [path for path in _json_paths(doc) if path or not lines]
+    path = paths[at % len(paths)]
+    if not path:
+        return json.dumps(value).encode()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    if lines:
+        return "".join(json.dumps(item) + "\n" for item in doc).encode()
+    return json.dumps(doc).encode()
+
+
+def _corrupt(name: str, data: bytes, draw) -> bytes:
+    """`data` truncated, with up to three bytes flipped, with one number
+    made non-finite or, in a JSON input, with one node of the wrong type."""
+    kinds = ["truncate", "flip", "non-finite"] + ([] if name.endswith(".csv")
+                                                   else ["wrong type"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        flipped = bytearray(data)
+        for at, mask in draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                                st.integers(1, 255)), min_size=1, max_size=3)):
+            flipped[at] ^= mask
+        return bytes(flipped)
+    if kind == "non-finite":
+        numbers = list(NUMBER.finditer(data))
+        number = numbers[draw(st.integers(0, len(numbers) - 1))]
+        return (data[:number.start()] + draw(st.sampled_from(NON_FINITE)).encode()
+                + data[number.end():])
+    return _with_wrong_type(data, name.endswith(".jsonl"), draw(st.integers(0, 10 ** 6)),
+                            draw(st.sampled_from(WRONG_TYPES)))
+
+
+class TestCorruptInputs:
+    """A truncated, bit-flipped, non-finite or mistyped input ends in exit 0
+    (a truncation can leave a valid file) or in exactly one JSON error line
+    with exit 1, 2 or 3 and no `--out`; a traceback fails the test."""
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_ARGS))
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_ends_in_an_exit_code(self, fuzz_inputs, name, data):
+        root, good = fuzz_inputs
+        work = Path(tempfile.mkdtemp(dir=root))
+        try:
+            bad = work / name
+            bad.write_bytes(_corrupt(name, good[name].read_bytes(), data.draw))
+            out = work / "out"
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = run(*FUZZ_ARGS[name](bad, good, out))
+            assert code in (0, 1, 2, 3)
+            if code:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert set(json.loads(lines[0])) == {"error", "message"}
+                assert not out.exists()
+        finally:
+            shutil.rmtree(work)

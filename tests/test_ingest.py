@@ -398,6 +398,9 @@ class TestLoadSummaries:
         ("not json", "invalid JSON"),
         ('["2023-01-03", "text"]', "expected an object with date and text"),
         ('{"date": "03/01/2023", "text": "ok"}', "cannot parse date='03/01/2023'"),
+        pytest.param("[" * 100_000, "invalid JSON", id="nested_too_deep"),
+        pytest.param('{"date": "2023-01-03", "text": "ok", "n": ' + "1" * 5000 + "}",
+                     "invalid JSON", id="integer_too_long"),
     ])
     def test_parse_error_starts_with_the_path(self, tmp_path, line, detail):
         path = _write(tmp_path, "s.jsonl", '{"date": "2023-01-02", "text": "ok"}\n' + line + "\n")
