@@ -151,11 +151,15 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_inputs(cfg: ExperimentConfig, command: str) -> None:
-    """ConfigError unless `command`'s required inputs are given and all given paths exist."""
+    """ConfigError unless `command`'s required inputs are given (for
+    featurize, --encoder or --pretrain) and all given paths exist."""
     for name in REQUIRED_INPUTS[command]:
         if getattr(cfg, name) is None:
             flag = next(flag for flag, key, _ in OPTIONS if key == name)
             raise ConfigError(f"missing required input: {flag}")
+    if command == "featurize" and cfg.encoder_checkpoint is None and not cfg.pretrain:
+        raise ConfigError("no encoder checkpoint given; pass --encoder <path> "
+                          "or --pretrain to train one on the summaries")
     for name in INPUTS:
         value = getattr(cfg, name)
         if value is not None and not Path(value).exists():
@@ -209,10 +213,7 @@ def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str]
                               ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
     if cfg.encoder_checkpoint:
         return enc.load_encoder(cfg.encoder_checkpoint)
-    if not cfg.pretrain:
-        raise ConfigError("no encoder checkpoint given; pass --encoder <path> "
-                          "or --pretrain to train one on the summaries")
-    return _pretrain_encoder(cfg, corpus)
+    return _pretrain_encoder(cfg, corpus)  # `_check_inputs` saw --pretrain
 
 
 def _load_summaries(cfg: ExperimentConfig) -> tuple[tuple, list[str]]:
@@ -247,7 +248,9 @@ def cmd_pretrain_encoder(cfg: ExperimentConfig) -> None:
     log.info("encoder checkpoint at %s", Path(cfg.out) / "encoder.json")
 
 
-def _load_split_samples(cfg: ExperimentConfig) -> tuple[ingest.Samples, ingest.Samples]:
+def _read_market(cfg: ExperimentConfig) -> tuple[ingest.MarketSeries, tuple | None]:
+    """The market series and, with `--features`, the feature file's (dates,
+    block); DataError when the series is too short for `--window` or the split."""
     series = ingest.parse_market_csv(cfg.market_csv)
     window = cfg.train.window
     if len(series) <= window:
@@ -260,7 +263,13 @@ def _load_split_samples(cfg: ExperimentConfig) -> tuple[ingest.Samples, ingest.S
     features = None
     if cfg.features:
         features = enc.read_features(cfg.features, expected_len=cfg.train.feature_len)
-    samples = ingest.make_windows(series, window, features,
+    return series, features
+
+
+def _split_samples(cfg: ExperimentConfig, series: ingest.MarketSeries,
+                   features: tuple | None) -> tuple[ingest.Samples, ingest.Samples]:
+    """`_read_market`'s inputs as windows, cut chronologically at split_ratio."""
+    samples = ingest.make_windows(series, cfg.train.window, features,
                                   feature_len=cfg.train.feature_len)
     return ingest.split_train_test(samples, cfg.split_ratio)
 
@@ -279,7 +288,7 @@ def _run_metadata(cfg: ExperimentConfig) -> dict:
 
 def cmd_train(cfg: ExperimentConfig) -> None:
     """Full pipeline: ingest, window, split, train, evaluate, write artifacts."""
-    train_samples, test_samples = _load_split_samples(cfg)
+    train_samples, test_samples = _split_samples(cfg, *_read_market(cfg))
     store, report = tr.train_and_evaluate(train_samples, test_samples, cfg.train)
     out = _out_dir(cfg)
     store.save(out / "checkpoint.json")
@@ -294,9 +303,12 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
-    """Evaluate a saved checkpoint on the chronological test split."""
-    _, test_samples = _load_split_samples(cfg)
+    """Evaluate a saved checkpoint on the chronological test split. The
+    checkpoint is checked against the configured model before the windows
+    are made, so a config it does not fit is a DataError naming it."""
+    inputs = _read_market(cfg)
     store = ParameterStore.load(cfg.checkpoint, tr.pipeline_layout(cfg.train))
+    _, test_samples = _split_samples(cfg, *inputs)
     out = _out_dir(cfg)
     report = tr.evaluate(store, cfg.train, test_samples)
     _write_json(out / "metrics.json", report.to_dict())
@@ -307,7 +319,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> None:
     """Prior-effect ablation for the feedforward baseline and the configured
     recurrent model; writes each model's two reports once it is trained (the
     output directory is made then), and then the delta table."""
-    train_samples, test_samples = _load_split_samples(cfg)
+    train_samples, test_samples = _split_samples(cfg, *_read_market(cfg))
     second = cfg.train.model.kind if cfg.train.model.kind != "feedforward" else "lstm"
     rows = []
     for kind in ("feedforward", second):
@@ -382,13 +394,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    for flag, _, options in OPTIONS:
-        sub.add_argument(flag, **options)
-
-
 def build_parser() -> _Parser:
+    """The `trendfuse` parser; every sub-command takes `--config` and the
+    OPTIONS flags from one parent parser, built once per call."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    for flag, _, options in OPTIONS:
+        common.add_argument(flag, **options)
     parser = _Parser(prog="trendfuse",
                      description="Fused text + price movement forecasting")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -400,8 +412,7 @@ def build_parser() -> _Parser:
         ("ablate", "compare runs with and without the prior history"),
         ("report", "collect runs into comparison and loss-curve tables"),
     ]:
-        sub = commands.add_parser(name, help=help_text)
-        _add_common_flags(sub)
+        sub = commands.add_parser(name, help=help_text, parents=[common])
         if name == "report":
             sub.add_argument("runs_dir", help="directory containing run outputs")
     return parser

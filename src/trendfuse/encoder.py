@@ -72,6 +72,8 @@ _CJK_CHAR = re.compile("[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_R
 
 def segment(text: str) -> list[str]:
     """Whitespace segmentation; runs of CJK characters split per character."""
+    if not _CJK_CHAR.search(text):
+        return text.split()
     pieces: list[str] = []
     for chunk in text.split():
         if _CJK_CHAR.search(chunk):
@@ -636,8 +638,9 @@ def write_features(path, dates: Sequence[Date], block: np.ndarray) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + [f"f{i}" for i in range(block.shape[1])])
-        for j in sorted(range(len(dates)), key=dates.__getitem__):
-            writer.writerow([dates[j].isoformat()] + [repr(float(v)) for v in block[j]])
+        rows = block.tolist()
+        writer.writerows([dates[j].isoformat(), *rows[j]]
+                         for j in sorted(range(len(dates)), key=dates.__getitem__))
 
 
 def read_features(path, expected_len: int | None = None

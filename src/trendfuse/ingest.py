@@ -25,7 +25,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import (ContractError, DataError, DegenerateInputError,
+from .errors import (ConfigError, ContractError, DataError, DegenerateInputError,
                      ParseError, ProviderError, SchemaError, open_text)
 
 log = logging.getLogger(__name__)
@@ -171,7 +171,8 @@ def make_windows(series: MarketSeries, n: int,
     min-max-normalized price changes, and the text feature of the target
     date. `features` is a (dates, (m, L) block) pair in any date order, row
     j the feature of `dates[j]`; days with no row get a zero vector, so the
-    series stays contiguous.
+    series stays contiguous. A feature length too large to allocate is a
+    ConfigError.
 
     A window's text row is its target day's feature. That is valid only if
     a summary dated d is published before day d's move; the program does
@@ -181,22 +182,26 @@ def make_windows(series: MarketSeries, n: int,
         raise ContractError(f"window length must be >= 2, got {n}")
     if len(series) < n:
         raise ContractError(f"series of length {len(series)} is shorter than window {n}")
-    if features is None:
-        if feature_len is None:
-            raise ContractError("feature_len is required when no features are given")
-        features = ((), np.zeros((0, feature_len)))
-    feature_dates, block = features
-    if feature_len is not None and feature_len != block.shape[1]:
-        raise DataError(f"feature length mismatch: expected {feature_len}, got {block.shape[1]}")
-    row_of = {day: j for j, day in enumerate(feature_dates)}
-    rows = np.array([row_of.get(day, -1) for day in series.dates], dtype=np.intp)
-    found = rows >= 0
-    texts = np.zeros((len(series), block.shape[1]))
-    texts[found] = block[rows[found]]
-    missing = np.count_nonzero(~found[n - 1:])
-    if missing and len(feature_dates):
-        log.warning("%d of %d windows had no text feature; zero vectors substituted",
-                    missing, len(series) - n + 1)
+    if features is None and feature_len is None:
+        raise ContractError("feature_len is required when no features are given")
+    feature_dates, block = ((), None) if features is None else features
+    width = feature_len if block is None else block.shape[1]
+    if feature_len is not None and feature_len != width:
+        raise DataError(f"feature length mismatch: expected {feature_len}, got {width}")
+    try:
+        texts = np.zeros((len(series), width))
+    except (ValueError, MemoryError) as err:
+        raise ConfigError(f"cannot allocate {len(series)} text features of length {width} "
+                          f"({err})") from None
+    if block is not None:
+        row_of = {day: j for j, day in enumerate(feature_dates)}
+        rows = np.array([row_of.get(day, -1) for day in series.dates], dtype=np.intp)
+        found = rows >= 0
+        texts[found] = block[rows[found]]
+        missing = np.count_nonzero(~found[n - 1:])
+        if missing and len(feature_dates):
+            log.warning("%d of %d windows had no text feature; zero vectors substituted",
+                        missing, len(series) - n + 1)
     return windows(series.dates, to_binary_labels(series), minmax_normalize(series.chg),
                    texts, n)
 

@@ -30,8 +30,9 @@ are scaled by 0.5 before and after and shifted by 0.5, which is bitwise
 into preallocated (..., T * B, ·) blocks and, after the time loop, takes
 each weight's gradient with one matmul or column sum over all steps. The
 input projection X @ W_x is not hoisted out of the loop: at these shapes
-that made training slower and, on a large scoring batch, its (B, T, 4H)
-buffers more than double a forward unroll's peak memory; for the same
+that made training slower, and its (B, T, 4H) buffers more than double a
+forward unroll's peak memory at any batch, a scoring block of up to
+`train.SCORE_CHUNK` rows included; for the same
 reason an unroll without a `saved` list keeps no per-step caches and
 allocates no time block. SwinLSTM's windowed attention (`window_pool`)
 reads only the step input, so it runs once over every step's row before

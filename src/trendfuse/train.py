@@ -13,14 +13,15 @@ the flattened inputs straight to the probability.
 primitives' backwards in reverse. A training step records them as one
 tape node with no parents, whose backward adds into the parameters'
 gradients itself, then the BCE loss node (and, in lockstep,
-`numerics.sum_`); scoring runs `forward_batch` alone. `train_replicas`
-trains several models in lockstep as one stacked model, and `train_model`
-is its one-replica case. Samples arrive as one `ingest.Samples` block of
-row-aligned arrays, and batches are row slices of them. A store made
-from `pipeline_layout`'s rows holds every parameter and gradient as views
-of its flat vectors, which the Adam state (`numerics.adam_state`) points
-at: each step zeroes the flat gradient, the backward adds into it, and
-`numerics.adam_step` updates in place.
+`numerics.sum_`); scoring runs `forward_batch` alone, over row blocks of
+at most SCORE_CHUNK held-out samples, so its temporaries do not grow with
+the test span. `train_replicas` trains several models in lockstep as one
+stacked model, and `train_model` is its one-replica case. Samples arrive
+as one `ingest.Samples` block of row-aligned arrays, and batches are row
+slices of them. A store made from `pipeline_layout`'s rows holds every
+parameter and gradient as views of its flat vectors, which the Adam state
+(`numerics.adam_state`) points at: each step zeroes the flat gradient,
+the backward adds into it, and `numerics.adam_step` updates in place.
 
 Batches run in chronological order with no shuffling, so a fixed
 (config, data, seed) triple reproduces bit-identical parameters, loss
@@ -45,6 +46,10 @@ from .numerics import ParameterStore, Row, Tensor
 
 # Lower clamp of p and of 1 - p inside the loss.
 PROB_CLAMP = 1e-7
+
+# Held-out rows per scoring forward: a bound on its temporaries, which
+# would otherwise grow with the test span.
+SCORE_CHUNK = 512
 
 
 @dataclass
@@ -286,12 +291,17 @@ def evaluate(store: ParameterStore, config: TrainConfig,
     """Confusion counts and derived metrics over a held-out sample set.
 
     A probability of 0.5 or more labels as 1. Scoring keeps nothing for a
-    backward pass.
+    backward pass and runs `forward_batch` over row blocks of at most
+    SCORE_CHUNK samples; each row's probability is the one a single forward
+    over every row gives (within 1e-12, as for replicas).
     """
     if not samples:
         raise ContractError("evaluation set is empty")
     priors, prices, texts, targets = batch_arrays(samples, config.prior_effect)
-    probs = forward_batch(store, config, priors, prices, texts).reshape(-1)
+    blocks = (slice(start, start + SCORE_CHUNK) for start in range(0, len(samples), SCORE_CHUNK))
+    probs = np.concatenate([
+        forward_batch(store, config, priors[rows], prices[rows], texts[rows]).reshape(-1)
+        for rows in blocks])
     labels = (probs >= 0.5).astype(int)
     report = confusion_report(labels, targets)
     report.loss_trace = list(loss_trace or [])

@@ -100,6 +100,13 @@ class TestFeaturize:
                    "--encoder", first / "encoder.json", "--feature-len", "6") == 0
         assert (first / "features.csv").read_bytes() == (second / "features.csv").read_bytes()
 
+    def test_no_encoder_is_config_error_before_the_summaries_are_read(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"date": "2023-01-03", "text": "ok"}\nnot json\n')
+        assert run("featurize", "--summaries", bad, "--out", tmp_path / "feat") == 1
+        assert "--encoder" in _one_error_line(capsys, "ConfigError")
+        assert not (tmp_path / "feat").exists()
+
     @pytest.mark.parametrize("field, value", [("date", 20230103), ("text", None)])
     def test_non_string_summary_field_is_parse_error(self, tmp_path, summaries, capsys,
                                                      field, value):
@@ -734,6 +741,24 @@ class TestImpossibleModelSize:
         assert run(*args, "--hidden", HUGE) == 1
         assert re.search(r"model of \d+ parameters", _one_error_line(capsys, "ConfigError"))
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, code, error", [
+        ("train", 1, "ConfigError"), ("evaluate", 2, "DataError"), ("ablate", 1, "ConfigError")])
+    def test_feature_len_ends_as_hidden_does(self, tmp_path, market_csv, capsys, command, code,
+                                             error):
+        """Without --features, a --feature-len too large to allocate ends in
+        the exit code and error that --hidden of that size gives."""
+        run_dir = tmp_path / "run"
+        assert run(*_train_args(market_csv, run_dir, epochs=2)) == 0
+        out = tmp_path / "out"
+        argv = _evaluate_args(market_csv, out, run_dir / "checkpoint.json")
+        argv[0] = command
+        for flag in ("--hidden", "--feature-len"):
+            capsys.readouterr()
+            assert run(*argv, flag, HUGE) == code
+            message = _one_error_line(capsys, error)
+            assert not out.exists()
+        assert str(HUGE) in message
 
     def test_pretrain_encoder_is_config_error_from_the_allocation(self, tmp_path, summaries,
                                                                   capsys):

@@ -433,6 +433,41 @@ class TestEvaluate:
         assert np.array([r["probability"] for r in report.predictions]).tobytes() \
             == kept.reshape(-1).tobytes()
 
+    @pytest.mark.parametrize("prior_effect", [True, False])
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_blocks_match_one_forward_over_every_row(self, kind, prior_effect):
+        """Scoring in blocks of SCORE_CHUNK rows gives the labels and counts
+        of one forward over all rows, and probabilities within 1e-12."""
+        samples = synthetic.markov_samples(2 * tr.SCORE_CHUNK + 37, 6, seed=6, feature_len=8)
+        cfg = _config(model=ModelSpec(kind=kind, hidden=8), prior_effect=prior_effect)
+        store = tr.init_pipeline_params(cfg)
+        report = tr.evaluate(store, cfg, samples)
+        priors, prices, texts, targets = tr.batch_arrays(samples, prior_effect)
+        whole = tr.forward_batch(store, cfg, priors, prices, texts).reshape(-1)
+        labels = (whole >= 0.5).astype(int)
+        np.testing.assert_allclose([row["probability"] for row in report.predictions], whole,
+                                   rtol=0, atol=1e-12)
+        assert [row["label"] for row in report.predictions] == labels.tolist()
+        assert (report.tp, report.fp, report.tn, report.fn) == confusion_counts(labels, targets)
+
+    @pytest.mark.parametrize("n", [1, tr.SCORE_CHUNK, tr.SCORE_CHUNK + 1,
+                                   2 * tr.SCORE_CHUNK + 37])
+    def test_no_scoring_forward_sees_more_than_a_chunk(self, n, monkeypatch):
+        samples = synthetic.markov_samples(n, 6, seed=7, feature_len=8)
+        cfg = _config()
+        store = tr.init_pipeline_params(cfg)
+        rows = []
+        real = tr.forward_batch
+
+        def spy(store, config, priors, prices, texts, *rest):
+            rows.append(len(priors))
+            return real(store, config, priors, prices, texts, *rest)
+
+        monkeypatch.setattr(tr, "forward_batch", spy)
+        assert len(tr.evaluate(store, cfg, samples).predictions) == n
+        assert rows == [min(tr.SCORE_CHUNK, n - start)
+                        for start in range(0, n, tr.SCORE_CHUNK)]
+
     def test_zero_head_ties_to_one(self):
         """A probability of exactly 0.5 labels as 1; saturated heads label
         every row 1 or 0."""
