@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end demo on generated data: featurize, train, ablate, report.
+"""End-to-end demo on generated data: pretrain-encoder, featurize, train, ablate, report.
 
 Creates a synthetic market CSV and summaries file, pretrains a small text
 encoder, encodes the summaries into features, trains two predictors, runs
@@ -36,9 +36,12 @@ def main() -> int:
     print(f"data: {market} ({args.days} days), {summaries}")
 
     feat_dir = out / "features"
+    rc = cli.main(["pretrain-encoder", "--summaries", str(summaries), "--out", str(feat_dir),
+                   "--pretrain-epochs", "10", "--seed", str(args.seed)])
+    if rc:
+        return rc
     rc = cli.main(["featurize", "--summaries", str(summaries), "--out", str(feat_dir),
-                   "--pretrain", "--pretrain-epochs", "10", "--seed", str(args.seed),
-                   "--feature-len", "12"])
+                   "--encoder", str(feat_dir / "encoder.json"), "--feature-len", "12"])
     if rc:
         return rc
     features = feat_dir / "features.csv"

@@ -1,6 +1,8 @@
 """Command-line surface: featurize, pretrain-encoder, train, evaluate, ablate, report.
 
-Configuration comes from an optional JSON document plus flag overrides;
+Each result has one path (`pretrain-encoder` alone pretrains; `featurize`
+only encodes, with an `--encoder` checkpoint), and each setting one config
+key. Configuration comes from an optional JSON document plus flag overrides;
 every command is deterministic under a fixed config and seed. Before a
 command runs, `main` checks the config, then its input paths, then `--out`;
 every JSON document is read by `errors.read_json`. Exit codes: 0 success,
@@ -19,11 +21,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import encoder as enc
 from . import ingest
 from . import train as tr
 from .errors import (ConfigError, ContractError, DataError, DivergenceError, ProviderError,
-                     check_bool, check_integer, is_real, open_text, read_json)
+                     check_integer, is_real, open_text, read_json)
 from .models import VALID_KINDS
 from .numerics import ParameterStore
 
@@ -34,12 +38,18 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 
-# The six input paths of a run, and those each command cannot run without.
+# The six input paths of a run.
 INPUTS = ("market_csv", "summaries", "similar_words", "features", "encoder_checkpoint",
           "checkpoint")
-REQUIRED_INPUTS = {"featurize": ("summaries",), "pretrain-encoder": ("summaries",),
-                   "train": ("market_csv",), "evaluate": ("market_csv", "checkpoint"),
-                   "ablate": ("market_csv",), "report": ()}
+# Each command's help line and the inputs it cannot run without.
+COMMANDS = {
+    "featurize": ("encode summaries into a feature CSV", ("summaries", "encoder_checkpoint")),
+    "pretrain-encoder": ("train the text encoder on a summaries corpus", ("summaries",)),
+    "train": ("train a predictor and write metrics/loss/predictions", ("market_csv",)),
+    "evaluate": ("evaluate a saved checkpoint on the test split", ("market_csv", "checkpoint")),
+    "ablate": ("compare runs with and without the prior history", ("market_csv",)),
+    "report": ("collect runs into comparison and loss-curve tables", ()),
+}
 
 
 @dataclass
@@ -51,14 +61,12 @@ class ExperimentConfig:
     encoder_checkpoint: str | None = None
     checkpoint: str | None = None
     out: str = "runs/latest"
-    pretrain: bool = False
     pretrain_epochs: int = 50
     split_ratio: float = 0.8
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
     def __post_init__(self):
-        check_bool("pretrain", self.pretrain)
         check_integer("pretrain_epochs", self.pretrain_epochs, 0)
         if not is_real(self.split_ratio) or not 0 < self.split_ratio < 1:
             raise ConfigError(f"split_ratio must be a number in (0, 1), got {self.split_ratio!r}")
@@ -91,9 +99,6 @@ OPTIONS = (
     ("--lr", "train.lr", {"type": float}),
     ("--mogrifier-rounds", "train.model.mogrifier_rounds", {"type": int}),
     ("--swin-window", "train.model.swin_window", {"type": int}),
-    ("--pretrain", "pretrain",
-     {"action": "store_const", "const": True,
-      "help": "pretrain the encoder when no checkpoint is given"}),
     ("--pretrain-epochs", "pretrain_epochs", {"type": int}),
 )
 
@@ -137,12 +142,8 @@ def _build(cls, doc, where: str = ""):
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file (if any), then each given flag over it, as one checked
-    ExperimentConfig. Top-level `window`/`feature_len` set the train section."""
+    """The config file (if any), then each given flag over it, as one checked ExperimentConfig."""
     doc = load_config_file(args.config) if args.config is not None else {}
-    for key in ("window", "feature_len"):
-        if key in doc:
-            _set(doc, f"train.{key}", doc.pop(key))
     for flag, key, _ in OPTIONS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
@@ -151,15 +152,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_inputs(cfg: ExperimentConfig, command: str) -> None:
-    """ConfigError unless `command`'s required inputs are given (for
-    featurize, --encoder or --pretrain) and all given paths exist."""
-    for name in REQUIRED_INPUTS[command]:
+    """ConfigError unless `command`'s required inputs are given and all given paths exist."""
+    for name in COMMANDS[command][1]:
         if getattr(cfg, name) is None:
             flag = next(flag for flag, key, _ in OPTIONS if key == name)
             raise ConfigError(f"missing required input: {flag}")
-    if command == "featurize" and cfg.encoder_checkpoint is None and not cfg.pretrain:
-        raise ConfigError("no encoder checkpoint given; pass --encoder <path> "
-                          "or --pretrain to train one on the summaries")
     for name in INPUTS:
         value = getattr(cfg, name)
         if value is not None and not Path(value).exists():
@@ -196,26 +193,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _pretrain_encoder(cfg: ExperimentConfig, corpus: list[str]
-                      ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
-    """Pretrain the encoder on `corpus`; write its checkpoint and loss trace
-    to the output directory, made once the encoder is allocated and trained."""
-    similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
-    params, vocab, trace = enc.pretrain_mlm(corpus, cfg.encoder, cfg.pretrain_epochs,
-                                            cfg.train.seed, similar_words=similar)
-    out = _out_dir(cfg)
-    enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
-    _write_csv(out / "pretrain_loss.csv", ["epoch", "mean_loss"], enumerate(map(repr, trace)))
-    return cfg.encoder, vocab, params
-
-
-def _load_encoder_or_pretrain(cfg: ExperimentConfig, corpus: list[str]
-                              ) -> tuple[enc.EncoderConfig, enc.Vocabulary, ParameterStore]:
-    if cfg.encoder_checkpoint:
-        return enc.load_encoder(cfg.encoder_checkpoint)
-    return _pretrain_encoder(cfg, corpus)  # `_check_inputs` saw --pretrain
-
-
 def _load_summaries(cfg: ExperimentConfig) -> tuple[tuple, list[str]]:
     """The summaries' dates and texts; DataError when there are none."""
     dates, texts = ingest.load_summaries(cfg.summaries)
@@ -225,11 +202,11 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[tuple, list[str]]:
 
 
 def cmd_featurize(cfg: ExperimentConfig) -> None:
-    """Encode each summary into a fixed-length feature row and write the CSV."""
+    """Encode each summary with the `--encoder` checkpoint into a feature row and
+    write the CSV; a non-finite row is a DivergenceError naming its date."""
     dates, corpus = _load_summaries(cfg)
     provider = ingest.ExtractiveSummaryProvider()
-    encoder_cfg, vocab, params = _load_encoder_or_pretrain(cfg, corpus)
-    out = _out_dir(cfg)
+    encoder_cfg, vocab, params = enc.load_encoder(cfg.encoder_checkpoint)
     texts = []
     for day, text in zip(dates, corpus):
         try:
@@ -238,14 +215,26 @@ def cmd_featurize(cfg: ExperimentConfig) -> None:
             log.warning("summary provider failed for %s; using raw text", day)
             texts.append(text)
     block = enc.encode_features(texts, vocab, encoder_cfg, params, cfg.train.feature_len)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(f"non-finite text feature for {dates[finite.argmin()]} "
+                              f"from encoder {cfg.encoder_checkpoint}")
+    out = _out_dir(cfg)
     enc.write_features(out / "features.csv", dates, block)
     log.info("wrote %d feature rows to %s", len(dates), out / "features.csv")
 
 
 def cmd_pretrain_encoder(cfg: ExperimentConfig) -> None:
-    """Train the text encoder on the summaries corpus and save a checkpoint."""
-    _pretrain_encoder(cfg, _load_summaries(cfg)[1])
-    log.info("encoder checkpoint at %s", Path(cfg.out) / "encoder.json")
+    """Train the text encoder on the summaries corpus; write its checkpoint and
+    loss trace to the output directory, made once the encoder is trained."""
+    similar = enc.load_similar_words(cfg.similar_words) if cfg.similar_words else None
+    params, vocab, trace = enc.pretrain_mlm(_load_summaries(cfg)[1], cfg.encoder,
+                                            cfg.pretrain_epochs, cfg.train.seed,
+                                            similar_words=similar)
+    out = _out_dir(cfg)
+    enc.save_encoder(out / "encoder.json", cfg.encoder, vocab, params)
+    _write_csv(out / "pretrain_loss.csv", ["epoch", "mean_loss"], enumerate(map(repr, trace)))
+    log.info("encoder checkpoint at %s", out / "encoder.json")
 
 
 def _read_market(cfg: ExperimentConfig) -> tuple[ingest.MarketSeries, tuple | None]:
@@ -309,8 +298,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     inputs = _read_market(cfg)
     store = ParameterStore.load(cfg.checkpoint, tr.pipeline_layout(cfg.train))
     _, test_samples = _split_samples(cfg, *inputs)
-    out = _out_dir(cfg)
     report = tr.evaluate(store, cfg.train, test_samples)
+    out = _out_dir(cfg)
     _write_json(out / "metrics.json", report.to_dict())
     log.info("evaluate done: accuracy=%.4f f1=%.4f", report.accuracy, report.f1)
 
@@ -404,14 +393,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="trendfuse",
                      description="Fused text + price movement forecasting")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("featurize", "encode summaries into a feature CSV"),
-        ("pretrain-encoder", "train the text encoder on a summaries corpus"),
-        ("train", "train a predictor and write metrics/loss/predictions"),
-        ("evaluate", "evaluate a saved checkpoint on the test split"),
-        ("ablate", "compare runs with and without the prior history"),
-        ("report", "collect runs into comparison and loss-curve tables"),
-    ]:
+    for name, (help_text, _) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text, parents=[common])
         if name == "report":
             sub.add_argument("runs_dir", help="directory containing run outputs")

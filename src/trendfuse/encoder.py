@@ -646,8 +646,8 @@ def write_features(path, dates: Sequence[Date], block: np.ndarray) -> None:
 def read_features(path, expected_len: int | None = None
                   ) -> tuple[tuple[Date, ...], np.ndarray]:
     """A feature file's dates in file order and its (m, L) block, whose row j
-    is the feature of date j. A malformed, non-finite or repeated row is a
-    DataError naming `path` (and the line, where there is one)."""
+    is the feature of date j; blank lines are skipped. A malformed, non-finite
+    or repeated row is a DataError naming `path` (and the line, if there is one)."""
     path = Path(path)
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -659,20 +659,22 @@ def read_features(path, expected_len: int | None = None
             raise DataError(f"{path}: feature length {actual_len}, expected {expected_len}")
         dates: list[Date] = []
         cells: list[float] = []  # every row's values, in one flat list
-        for line_no, row in enumerate(reader, start=2):
+        lines: list[int] = []  # the line each row ends on
+        for row in filter(None, reader):
+            lines.append(reader.line_num)
             if len(row) != len(header):
-                raise DataError(f"{path}: line {line_no} has {len(row)} fields, "
+                raise DataError(f"{path}: line {reader.line_num} has {len(row)} fields, "
                                 f"expected {len(header)}")
             try:
                 dates.append(Date.fromisoformat(row[0]))
                 cells.extend(map(float, row[1:]))
             except ValueError as err:
-                raise ParseError(f"{path}: line {line_no}: {err}") from None
+                raise ParseError(f"{path}: line {reader.line_num}: {err}") from None
     block = np.array(cells, dtype=np.float64).reshape(len(dates), actual_len)
     finite = np.isfinite(block)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
-        raise ParseError(f"{path}: line {i + 2}: non-finite {header[j + 1]}="
+        raise ParseError(f"{path}: line {lines[i]}: non-finite {header[j + 1]}="
                          f"{float(block[i, j])!r}")
     dupes = sorted(d for d, count in Counter(dates).items() if count > 1)
     if dupes:

@@ -12,6 +12,7 @@ in the program.
 import contextlib
 import json
 import numbers
+from pathlib import Path
 
 
 class ShapeError(ValueError):
@@ -43,7 +44,7 @@ class DegenerateInputError(DataError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; message names epoch and batch."""
+    """A non-finite loss (message names epoch and batch) or output row (its date)."""
 
 
 class ProviderError(RuntimeError):
@@ -69,12 +70,18 @@ def check_bool(name: str, value) -> None:
 
 @contextlib.contextmanager
 def open_text(path):
-    """`path` opened for reading as UTF-8 text, with newline="" for csv;
-    bytes that do not decode are a DataError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """`path` opened for reading as UTF-8 text, with newline="" for csv, past a
+    leading byte-order mark (Excel writes one); bytes that do not decode are
+    a DataError naming the file and the bad byte's offset from its start."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as err:
+            # `err.start` counts from the decoder's chunk, past any mark: decode it whole
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                err = whole
             raise DataError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
 
 

@@ -36,7 +36,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, DivergenceError, ShapeError
+from .errors import ContractError, ShapeError
 from .numerics import Row, Tensor
 
 Params = Mapping[str, Tensor]
@@ -135,11 +135,9 @@ def fuse(recurrent_out: np.ndarray, text_context: np.ndarray, params: Params,
 
     When the text context is narrower or wider than the recurrent output it
     first passes through the learned projection in `params`. Non-finite
-    inputs mean training has diverged and raise DivergenceError.
+    inputs pass through: training's loss check and scoring's probability
+    check (`train`) name where a run diverged.
     """
-    if not (np.isfinite(recurrent_out).all() and np.isfinite(text_context).all()):
-        raise DivergenceError("fuse inputs must be finite: the recurrent output or "
-                              "the text context holds NaN or inf")
     rec, text = recurrent_out, text_context
     project = text.shape[-1] != rec.shape[-1]
     if project:

@@ -293,7 +293,8 @@ def evaluate(store: ParameterStore, config: TrainConfig,
     A probability of 0.5 or more labels as 1. Scoring keeps nothing for a
     backward pass and runs `forward_batch` over row blocks of at most
     SCORE_CHUNK samples; each row's probability is the one a single forward
-    over every row gives (within 1e-12, as for replicas).
+    over every row gives (within 1e-12, as for replicas). A non-finite
+    probability is a DivergenceError naming the first such row's date.
     """
     if not samples:
         raise ContractError("evaluation set is empty")
@@ -302,6 +303,10 @@ def evaluate(store: ParameterStore, config: TrainConfig,
     probs = np.concatenate([
         forward_batch(store, config, priors[rows], prices[rows], texts[rows]).reshape(-1)
         for rows in blocks])
+    finite = np.isfinite(probs)
+    if not finite.all():
+        raise DivergenceError("non-finite probability for held-out date "
+                              f"{samples.dates[finite.argmin()]}")
     labels = (probs >= 0.5).astype(int)
     report = confusion_report(labels, targets)
     report.loss_trace = list(loss_trace or [])

@@ -20,6 +20,7 @@ import oracles
 
 from trendfuse import cli, encoder as enc, fusion, ingest, synthetic, train as tr
 from trendfuse.encoder import read_features
+from trendfuse.models import VALID_KINDS
 
 pytestmark = pytest.mark.usefixtures("quiet_logs")
 
@@ -41,6 +42,17 @@ def summaries(tmp_path):
     path = tmp_path / "summaries.jsonl"
     synthetic.write_toy_summaries(path, 5, seed=6)
     return path
+
+
+@pytest.fixture(scope="module")
+def encoder_json(tmp_path_factory):
+    """An encoder checkpoint that `pretrain-encoder` trained for 2 epochs on
+    a copy of the `summaries` file."""
+    root = tmp_path_factory.mktemp("encoder")
+    synthetic.write_toy_summaries(root / "summaries.jsonl", 5, seed=6)
+    assert run("pretrain-encoder", "--summaries", root / "summaries.jsonl", "--out", root,
+               "--pretrain-epochs", "2", "--seed", "1") == 0
+    return root / "encoder.json"
 
 
 def run(*argv):
@@ -66,39 +78,62 @@ def _train_args(market, out, epochs=8, **extra):
 
 
 class TestFeaturize:
-    def test_one_row_per_summary_date(self, tmp_path, summaries):
+    def test_one_row_per_summary_date(self, tmp_path, summaries, encoder_json):
         out = tmp_path / "feat"
         code = run("featurize", "--summaries", summaries, "--out", out,
-                   "--pretrain", "--pretrain-epochs", "2", "--seed", "1",
-                   "--feature-len", "6")
+                   "--encoder", encoder_json, "--feature-len", "6")
         assert code == 0
         dates, block = read_features(out / "features.csv", expected_len=6)
         assert len(dates) == len(block) == 5
-        assert (out / "encoder.json").exists()
+        assert [path.name for path in out.iterdir()] == ["features.csv"]  # it only encodes
 
-    def test_rerun_is_byte_identical(self, tmp_path, summaries):
+    def test_rerun_is_byte_identical(self, tmp_path, summaries, encoder_json):
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
             assert run("featurize", "--summaries", summaries, "--out", out,
-                       "--pretrain", "--pretrain-epochs", "2", "--seed", "9",
-                       "--feature-len", "6") == 0
+                       "--encoder", encoder_json, "--feature-len", "6") == 0
             outs.append((out / "features.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_missing_encoder_without_pretrain_is_config_error(self, tmp_path, summaries):
+    def test_missing_encoder_without_pretrain_is_config_error(self, tmp_path, summaries,
+                                                               capsys):
         code = run("featurize", "--summaries", summaries, "--out", tmp_path / "x")
         assert code == 1
+        assert _one_error_line(capsys, "ConfigError") == "missing required input: --encoder"
+        assert not (tmp_path / "x").exists()
 
     def test_existing_checkpoint_reused(self, tmp_path, summaries):
-        first = tmp_path / "first"
-        assert run("featurize", "--summaries", summaries, "--out", first,
-                   "--pretrain", "--pretrain-epochs", "2", "--seed", "1",
-                   "--feature-len", "6") == 0
-        second = tmp_path / "second"
-        assert run("featurize", "--summaries", summaries, "--out", second,
-                   "--encoder", first / "encoder.json", "--feature-len", "6") == 0
-        assert (first / "features.csv").read_bytes() == (second / "features.csv").read_bytes()
+        """Features from the checkpoint that `pretrain-encoder` wrote are, byte
+        for byte, those of the encoder that pretraining left in memory."""
+        assert run("pretrain-encoder", "--summaries", summaries, "--out", tmp_path / "enc",
+                   "--pretrain-epochs", "2", "--seed", "1") == 0
+        assert run("featurize", "--summaries", summaries, "--out", tmp_path / "feat",
+                   "--encoder", tmp_path / "enc" / "encoder.json", "--feature-len", "6") == 0
+        dates, texts = ingest.load_summaries(summaries)
+        params, vocab, _ = enc.pretrain_mlm(texts, enc.EncoderConfig(), 2, seed=1)
+        block = enc.encode_features([ingest.summarize(text) for text in texts], vocab,
+                                    enc.EncoderConfig(), params, 6)
+        enc.write_features(tmp_path / "in_memory.csv", dates, block)
+        assert (tmp_path / "feat" / "features.csv").read_bytes() \
+            == (tmp_path / "in_memory.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflowing_encoder_is_divergence_naming_the_date(self, tmp_path, summaries,
+                                                               encoder_json, capsys):
+        """Finite embeddings of ±1e308 overflow to non-finite features: exit 3,
+        one line naming the first summary date, and no features file."""
+        doc = json.loads(encoder_json.read_text())
+        emb = doc["params"]["params"]["emb"]
+        emb["data"] = [1e308 if i % 2 else -1e308 for i in range(len(emb["data"]))]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        assert run("featurize", "--summaries", summaries, "--out", tmp_path / "feat",
+                   "--encoder", huge, "--feature-len", "6") == 3
+        first = ingest.load_summaries(summaries)[0][0]
+        assert _one_error_line(capsys, "DivergenceError") == (
+            f"non-finite text feature for {first.isoformat()} from encoder {huge}")
+        assert not (tmp_path / "feat").exists()
 
     def test_no_encoder_is_config_error_before_the_summaries_are_read(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -108,8 +143,8 @@ class TestFeaturize:
         assert not (tmp_path / "feat").exists()
 
     @pytest.mark.parametrize("field, value", [("date", 20230103), ("text", None)])
-    def test_non_string_summary_field_is_parse_error(self, tmp_path, summaries, capsys,
-                                                     field, value):
+    def test_non_string_summary_field_is_parse_error(self, tmp_path, summaries, encoder_json,
+                                                     capsys, field, value):
         lines = summaries.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
         record[field] = value
@@ -117,7 +152,7 @@ class TestFeaturize:
         bad.write_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]) + "\n",
                        encoding="utf-8")
         assert run("featurize", "--summaries", bad, "--out", tmp_path / "feat",
-                   "--pretrain", "--pretrain-epochs", "1") == 2
+                   "--encoder", encoder_json) == 2
         message = _one_error_line(capsys, "ParseError")
         assert message.startswith(f"{bad}: line 3: {field} must be a JSON string")
 
@@ -261,7 +296,7 @@ class TestPretrainEncoder:
         assert "epoch 0" in message and "sentence 0" in message
 
 
-    @pytest.mark.parametrize("command", [["pretrain-encoder"], ["featurize", "--pretrain"]])
+    @pytest.mark.parametrize("command", [["pretrain-encoder"]])
     def test_max_len_one_is_config_error(self, tmp_path, summaries, capsys, command):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"encoder": {"max_len": 1}}))
@@ -313,11 +348,10 @@ class TestTrain:
         assert "lstm" in err and "swinlstm" in err
 
     def test_wrong_feature_length_is_data_error(self, tmp_path, market_csv,
-                                                summaries, capsys):
+                                                summaries, encoder_json, capsys):
         feat_dir = tmp_path / "feat"
         assert run("featurize", "--summaries", summaries, "--out", feat_dir,
-                   "--pretrain", "--pretrain-epochs", "2", "--seed", "1",
-                   "--feature-len", "6") == 0
+                   "--encoder", encoder_json, "--feature-len", "6") == 0
         code = run(*_train_args(market_csv, tmp_path / "run",
                                 features=feat_dir / "features.csv",
                                 feature_len=9))
@@ -373,8 +407,9 @@ class TestTrain:
         monkeypatch.setattr(fusion, "conv_text", lambda embedded, params, saved=None:
                             conv_text(embedded, params, saved) * np.nan)
         assert run(*_train_args(market_csv, tmp_path / "run", epochs=2)) == 3
-        message = _one_error_line(capsys, "DivergenceError")
-        assert "fuse" in message
+        assert _one_error_line(capsys, "DivergenceError") == (
+            "non-finite loss at epoch 0, batch 0, replica 0")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_market_path_is_config_error(self, tmp_path):
         assert run("train", "--market", tmp_path / "nope.csv",
@@ -389,8 +424,7 @@ class TestTrain:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "market_csv": str(market_csv),
-            "window": 5, "feature_len": 6,
-            "train": {"epochs": 8, "seed": 3,
+            "train": {"epochs": 8, "seed": 3, "window": 5, "feature_len": 6,
                       "model": {"kind": "gru", "hidden": 6}},
         }))
         out = tmp_path / "run"
@@ -414,6 +448,25 @@ class TestEvaluate:
         for key in ("accuracy", "precision", "recall", "f1", "tp", "fp", "tn", "fn"):
             assert evaluated[key] == trained[key]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_overflowing_checkpoint_is_divergence(self, tmp_path, market_csv, capsys, kind):
+        """Finite text-path weights of ±1e308 overflow to NaN probabilities:
+        exit 3, one line naming the first held-out date, and no --out."""
+        args = _evaluate_args(market_csv, tmp_path / "eval", tmp_path / "checkpoint.json")
+        args[args.index("--model") + 1] = kind
+        cfg = cli.build_config(cli.build_parser().parse_args([str(a) for a in args]))
+        store = tr.init_pipeline_params(cfg.train)
+        bias = store["text.b_e"].data
+        bias[...] = 1e308 * (-1.0) ** np.arange(bias.shape[-1])
+        store["text.w_c"].data[...] = 1e308
+        store.save(tmp_path / "checkpoint.json")
+        assert run(*args) == 3
+        dates = ingest.parse_market_csv(market_csv).dates
+        first = dates[4 + int(0.8 * (len(dates) - 4))]  # windows of 5, split at 0.8
+        assert _one_error_line(capsys, "DivergenceError") == (
+            f"non-finite probability for held-out date {first.isoformat()}")
+        assert not (tmp_path / "eval").exists()
 
     def test_checkpoint_in_any_order_is_scored_in_layout_order(self, tmp_path, market_csv,
                                                                monkeypatch):
@@ -642,7 +695,7 @@ PATH_FLAGS = {
     "market": lambda bad, market, summaries, out: ["train", "--market", bad, "--out", out],
     "features": lambda bad, market, summaries, out: _train_args(market, out, features=bad),
     "summaries": lambda bad, market, summaries, out: [
-        "featurize", "--summaries", bad, "--out", out, "--pretrain"],
+        "pretrain-encoder", "--summaries", bad, "--out", out],
     "checkpoint": lambda bad, market, summaries, out: _evaluate_args(market, out, bad),
     "encoder": lambda bad, market, summaries, out: [
         "featurize", "--summaries", summaries, "--out", out, "--encoder", bad],
@@ -664,17 +717,17 @@ class TestUnreadableInputs:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", sorted(PATH_FLAGS))
-    def test_non_utf8_file_is_data_error(self, tmp_path, market_csv, summaries, capsys,
-                                         flag):
-        if flag in ("features", "encoder"):
+    def test_non_utf8_file_is_data_error(self, tmp_path, market_csv, summaries, encoder_json,
+                                         capsys, flag):
+        if flag == "features":
             assert run("featurize", "--summaries", summaries, "--out", tmp_path / "feat",
-                       "--pretrain", "--pretrain-epochs", "1", "--feature-len", "6") == 0
+                       "--encoder", encoder_json, "--feature-len", "6") == 0
         if flag == "checkpoint":
             assert run(*_train_args(market_csv, tmp_path / "run", epochs=2)) == 0
         (tmp_path / "similar.json").write_text('{"alpha": ["beta"]}')
         source = {"market": market_csv, "summaries": summaries,
                   "features": tmp_path / "feat" / "features.csv",
-                  "encoder": tmp_path / "feat" / "encoder.json",
+                  "encoder": encoder_json,
                   "checkpoint": tmp_path / "run" / "checkpoint.json",
                   "similar-words": tmp_path / "similar.json"}[flag]
         bad = tmp_path / f"latin1_{flag}"
@@ -783,8 +836,6 @@ class TestUnusableOut:
             "ablate", "--market", market, "--out", out, "--epochs", "2"],
         "pretrain-encoder": lambda market, summaries, stub, out: [
             "pretrain-encoder", "--summaries", summaries, "--out", out],
-        "featurize": lambda market, summaries, stub, out: [
-            "featurize", "--summaries", summaries, "--out", out, "--pretrain"],
         "featurize-encoder": lambda market, summaries, stub, out: [
             "featurize", "--summaries", summaries, "--out", out, "--encoder", stub],
         "evaluate": lambda market, summaries, stub, out: _evaluate_args(market, out, stub),
@@ -817,7 +868,7 @@ class TestUnusableOut:
 # file, the other (good) inputs and an output directory
 DATA_COMMANDS = {
     "featurize": lambda bad_summaries, bad_market, market, summaries, out: [
-        "featurize", "--summaries", bad_summaries, "--out", out, "--pretrain"],
+        "featurize", "--summaries", bad_summaries, "--out", out, "--encoder", market],
     "pretrain-encoder": lambda bad_summaries, bad_market, market, summaries, out: [
         "pretrain-encoder", "--summaries", bad_summaries, "--out", out],
     "train": lambda bad_summaries, bad_market, market, summaries, out: _train_args(
@@ -898,7 +949,7 @@ class TestBuildConfig:
         return cli.build_config(cli.build_parser().parse_args([str(a) for a in argv]))
 
     def test_zero_pretrain_epochs_flag_is_kept(self):
-        cfg = self._config("featurize", "--pretrain", "--pretrain-epochs", "0")
+        cfg = self._config("pretrain-encoder", "--pretrain-epochs", "0")
         assert cfg.pretrain_epochs == 0
 
     def test_zero_pretrain_epochs_in_config_file_is_kept(self, tmp_path):
@@ -914,19 +965,24 @@ class TestBuildConfig:
         assert self._config("featurize", "--config", config).pretrain_epochs == 7
         assert self._config("featurize").pretrain_epochs == 50
 
-    def test_top_level_window_and_feature_len_win_over_train(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [("pretrain", True), ("window", 5),
+                                            ("feature_len", 7)])
+    def test_top_level_key_of_no_setting_is_config_error(self, tmp_path, market_csv, capsys,
+                                                          key, value):
+        """`window` and `feature_len` are set in the `train` section only, and
+        `pretrain` is no setting: at the top level each is an unknown key."""
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"window": 5, "feature_len": 7,
-                                      "train": {"window": 9, "feature_len": 3, "epochs": 4}}))
-        cfg = self._config("train", "--config", config)
-        assert (cfg.train.window, cfg.train.feature_len, cfg.train.epochs) == (5, 7, 4)
-        assert self._config("train", "--config", config, "--window", "3").train.window == 3
+        config.write_text(json.dumps({key: value, "train": {"window": 9, "feature_len": 3}}))
+        assert run("train", "--config", config, "--market", market_csv,
+                   "--out", tmp_path / "out") == 1
+        assert _one_error_line(capsys, "ConfigError") == f"unknown config key(s): {key}"
+        assert not (tmp_path / "out").exists()
 
     def test_absent_flags_leave_the_file_alone(self, tmp_path):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"pretrain": True, "train": {"prior_effect": False}}))
+        config.write_text(json.dumps({"pretrain_epochs": 7, "train": {"prior_effect": False}}))
         cfg = self._config("featurize", "--config", config)
-        assert cfg.pretrain is True and cfg.train.prior_effect is False
+        assert cfg.pretrain_epochs == 7 and cfg.train.prior_effect is False
 
 
 def _resolve(cfg, key):
@@ -941,8 +997,8 @@ def _resolve(cfg, key):
 class TestOptions:
     def test_every_flag_is_declared_once(self):
         flags = [flag for flag, _, _ in cli.OPTIONS]
-        assert len(set(flags)) == len(flags) == 20
-        assert len({key for _, key, _ in cli.OPTIONS}) == 20
+        assert len(set(flags)) == len(flags) == 19
+        assert len({key for _, key, _ in cli.OPTIONS}) == 19
 
     @pytest.mark.parametrize("flag,key,options", cli.OPTIONS,
                              ids=[flag for flag, _, _ in cli.OPTIONS])
@@ -1048,8 +1104,10 @@ def fuzz_inputs(tmp_path_factory):
     good["config.json"].write_text(json.dumps(FUZZ_CONFIG, separators=(",", ":")))
     synthetic.write_markov_market_csv(good["market.csv"], 24, seed=5, persistence=0.85)
     synthetic.write_toy_summaries(good["summaries.jsonl"], 6, seed=6)
+    assert run("pretrain-encoder", "--config", good["config.json"], "--summaries",
+               good["summaries.jsonl"], "--pretrain-epochs", 1, "--out", root / "feat") == 0
     assert run("featurize", "--config", good["config.json"], "--summaries",
-               good["summaries.jsonl"], "--pretrain", "--pretrain-epochs", 1,
+               good["summaries.jsonl"], "--encoder", root / "feat" / "encoder.json",
                "--out", root / "feat") == 0
     assert run("train", "--config", good["config.json"], "--market", good["market.csv"],
                "--out", root / "run") == 0
@@ -1112,6 +1170,40 @@ def _corrupt(name: str, data: bytes, draw) -> bytes:
                 + data[number.end():])
     return _with_wrong_type(data, name.endswith(".jsonl"), draw(st.integers(0, 10 ** 6)),
                             draw(st.sampled_from(WRONG_TYPES)))
+
+
+# argv for each input a byte-order mark is put before, as FUZZ_ARGS gives them
+BOM_ARGS = {**FUZZ_ARGS, "similar.json": lambda bad, good, out: [
+    "pretrain-encoder", "--config", good["config.json"], "--summaries",
+    good["summaries.jsonl"], "--similar-words", bad, "--pretrain-epochs", 1, "--out", out]}
+
+
+class TestByteOrderMark:
+    """Each of the seven inputs, written with a leading UTF-8 byte-order mark
+    (as an Excel "CSV UTF-8" export is), gives the plain file's outputs."""
+
+    @pytest.mark.parametrize("name", sorted(BOM_ARGS))
+    def test_is_read_as_the_plain_file(self, fuzz_inputs, tmp_path, name):
+        _, good = fuzz_inputs
+        good = {**good, "similar.json": tmp_path / "similar.json"}
+        good["similar.json"].write_text('{"credit": ["supply"], "index": ["growth"]}')
+        marked = tmp_path / f"bom_{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + good[name].read_bytes())
+        outputs = []
+        for path, out in ((good[name], tmp_path / "plain"), (marked, tmp_path / "marked")):
+            assert run(*BOM_ARGS[name](path, good, out)) == 0
+            outputs.append({file.name: file.read_bytes() for file in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] and outputs[0]
+
+    def test_bad_byte_offset_counts_from_the_start_of_the_file(self, tmp_path, capsys):
+        """Past the mark and past the first decoded chunk, the offset is the
+        bad byte's position in the file."""
+        for name, head in (("mark", b"\xef\xbb\xbf"), ("long", b"x" * 20_000)):
+            bad = tmp_path / f"{name}.jsonl"
+            bad.write_bytes(head + b"123456789\xff\n")
+            assert run("pretrain-encoder", "--summaries", bad, "--out", tmp_path / "out") == 2
+            assert _one_error_line(capsys, "DataError") == (
+                f"{bad}: not UTF-8 text (invalid start byte at byte {len(head) + 9})")
 
 
 class TestCorruptInputs:

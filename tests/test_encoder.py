@@ -813,6 +813,21 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"features\.csv: line 3: non-finite f1="):
             enc.read_features(path, expected_len=3)
 
+    def test_blank_lines_are_skipped_and_lines_counted_in_the_file(self, tmp_path):
+        """A blank line (a trailing one too) is skipped, as in the market and
+        summaries files, and errors name the line in the file."""
+        path = tmp_path / "features.csv"
+        path.write_text("date,f0,f1\n2023-01-03,0.1,0.2\n\n2023-01-04,0.5,0.6\n\n")
+        dates, block = enc.read_features(path, expected_len=2)
+        assert dates == (date(2023, 1, 3), date(2023, 1, 4))
+        np.testing.assert_array_equal(block, [[0.1, 0.2], [0.5, 0.6]])
+        path.write_text("date,f0,f1\n\n2023-01-03,0.1,0.2\n\n2023-01-04,0.5,nan\n")
+        with pytest.raises(ParseError, match=r"features\.csv: line 5: non-finite f1="):
+            enc.read_features(path, expected_len=2)
+        path.write_text("date,f0,f1\n\n2023-01-03,0.1\n")
+        with pytest.raises(DataError, match=r"features\.csv: line 3 has 2 fields"):
+            enc.read_features(path, expected_len=2)
+
     def test_duplicate_dates_are_rejected(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("date,f0\n2023-01-04,0.1\n2023-01-03,0.2\n2023-01-04,0.3\n"

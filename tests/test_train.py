@@ -13,7 +13,7 @@ from trendfuse import fusion, models, synthetic
 from trendfuse import numerics as nm
 from trendfuse import train as tr
 from trendfuse.errors import ConfigError, ContractError, DivergenceError
-from trendfuse.ingest import split_train_test
+from trendfuse.ingest import Samples, split_train_test
 from trendfuse.models import RECURRENT_KINDS, VALID_KINDS, ModelSpec
 from trendfuse.numerics import Tensor
 
@@ -410,6 +410,21 @@ class TestEvaluate:
         store = tr.init_pipeline_params(cfg)
         with pytest.raises(ContractError):
             tr.evaluate(store, cfg, [])
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_non_finite_probability_is_divergence_naming_its_date(self, kind):
+        """NaN prices in two rows of the second scoring block: the error names
+        the first of them, whatever the kind."""
+        samples = synthetic.markov_samples(tr.SCORE_CHUNK + 100, 6, seed=4, feature_len=8)
+        prices = samples.prices.copy()
+        prices[[tr.SCORE_CHUNK + 40, tr.SCORE_CHUNK + 70], 2] = np.nan
+        poisoned = Samples(samples.dates, samples.priors, prices, samples.texts,
+                           samples.targets)
+        cfg = _config(model=ModelSpec(kind=kind, hidden=8))
+        with pytest.raises(DivergenceError) as raised:
+            tr.evaluate(tr.init_pipeline_params(cfg), cfg, poisoned)
+        assert str(raised.value) == ("non-finite probability for held-out date "
+                                     f"{samples.dates[tr.SCORE_CHUNK + 40].isoformat()}")
 
     @pytest.mark.parametrize("kind", VALID_KINDS)
     def test_scoring_builds_no_tape(self, kind, monkeypatch):
