@@ -306,17 +306,18 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
 
 def cmd_ablate(cfg: ExperimentConfig) -> None:
     """Prior-effect ablation for the feedforward baseline and the configured
-    recurrent model; writes each model's two reports once it is trained (the
-    output directory is made then), and then the delta table."""
+    recurrent model; once both models' arms are trained, makes the output
+    directory and writes each model's two reports and the delta table."""
     train_samples, test_samples = _split_samples(cfg, *_read_market(cfg))
     second = cfg.train.model.kind if cfg.train.model.kind != "feedforward" else "lstm"
-    rows = []
+    results = {}
     for kind in ("feedforward", second):
         spec = dataclasses.replace(cfg.train.model, kind=kind)
         config = dataclasses.replace(cfg.train, model=spec)
-        with_report, without_report, deltas = tr.ablate_prior_effect(
-            train_samples, test_samples, config)
-        out = _out_dir(cfg)
+        results[kind] = tr.ablate_prior_effect(train_samples, test_samples, config)
+    out = _out_dir(cfg)
+    rows = []
+    for kind, (with_report, without_report, deltas) in results.items():
         _write_json(out / f"ablation_{kind}_with.json", with_report.to_dict())
         _write_json(out / f"ablation_{kind}_without.json", without_report.to_dict())
         rows.append([kind,

@@ -4,8 +4,8 @@ The masking strategy substitutes a chosen token with a semantically
 similar word when a mapping is available (falling back to a random vocab
 token), using variable-length spans, so the pretraining input never
 contains an artificial mask symbol. The encoder output at the leading
-start token is pooled as the whole-text representation and standardized
-to a fixed feature length.
+start token is pooled as the whole-text representation, truncated or
+zero-padded to a fixed feature length.
 
 The encoder is numpy only. Each sublayer (multi-head attention over all
 heads at once, the residual add plus layer norm, the feed-forward block)
@@ -31,7 +31,9 @@ the loss trace and the parameters are bitwise those of
 `numerics.backward` through that tape, which `tests/oracles.py` builds.
 
 A feature file is read into its dates and one (m, L) block, row j the
-feature of date j (`read_features`), and written from them (`write_features`).
+feature of date j (`read_features`), and written from them in date order
+(`write_features`). Its reader checks only the `date,f0..` header and the
+width; the rows follow the rules of every dated CSV, `ingest.read_dated_csv`.
 
 `mlm_loss`, the masked-token loss as one tape node, is not called by the
 program; `perfbench/tracing.py` wraps it by name.
@@ -44,7 +46,6 @@ import functools
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -52,9 +53,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import numerics as nm
-from .errors import (ConfigError, ContractError, DataError, DivergenceError, ParseError,
-                     SchemaError, check_integer, is_real, open_text, read_json)
+from . import ingest, numerics as nm
+from .errors import (ConfigError, ContractError, DataError, DivergenceError, SchemaError,
+                     check_integer, is_real, read_json)
 from .numerics import ParameterStore, Tensor
 
 Params = Mapping[str, Tensor]
@@ -524,45 +525,35 @@ def pretrain_mlm(corpus: Sequence[str], config: EncoderConfig, epochs: int, seed
     return params, vocab, trace
 
 
-def standardize_features(pooled: np.ndarray, length: int) -> np.ndarray:
-    """Flatten to one vector, then zero-pad or truncate to `length`."""
-    if length < 1:
-        raise ConfigError(f"feature length must be >= 1, got {length}")
-    flat = np.asarray(pooled).reshape(-1)
-    if flat.size == 0:
-        raise ContractError("no representation rows to standardize")
-    if flat.size >= length:
-        return flat[:length].copy()
-    return np.concatenate([flat, np.zeros(length - flat.size)])
-
-
 # Same-length texts per forward: a bound on the (n, L, d) arrays.
 FEATURIZE_CHUNK = 32
 
 
 def encode_features(texts: Sequence[str], vocab: Vocabulary, config: EncoderConfig,
                     params: ParameterStore, length: int) -> np.ndarray:
-    """One standardized feature row per text, in input order.
+    """One feature row per text, in input order: the pooled encoder output,
+    truncated to `length` or zero-padded up to it.
 
     Texts are grouped by token count and each group goes through
-    `encode_text` as (n, L) blocks of at most FEATURIZE_CHUNK texts. Row i
-    is bitwise the row that `encode_text` pools for texts[i] alone, through
-    `standardize_features`.
+    `encode_text` as (n, L) blocks of at most FEATURIZE_CHUNK texts, whose
+    pooled rows are copied into one (len(texts), length) block. Row i is
+    bitwise the row that `encode_text` pools for texts[i] alone.
     """
     if not texts:
         raise ContractError("no texts to encode")
+    if length < 1:
+        raise ConfigError(f"feature length must be >= 1, got {length}")
     tokens = [tokenize(text, vocab, config.max_len) for text in texts]
     groups: dict[int, list[int]] = {}
     for index, ids in enumerate(tokens):
         groups.setdefault(len(ids), []).append(index)
-    rows: list = [None] * len(texts)
+    features = np.zeros((len(texts), length))
     for members in groups.values():
         for start in range(0, len(members), FEATURIZE_CHUNK):
             chunk = members[start:start + FEATURIZE_CHUNK]
             _, pooled = encode_text(np.stack([tokens[i] for i in chunk]), config, params)
-            for index, row in zip(chunk, pooled):
-                rows[index] = standardize_features(row, length)
-    return np.stack(rows)
+            features[chunk, :pooled.shape[2]] = pooled[:, 0, :length]
+    return features
 
 
 def encode_feature(text: str, vocab: Vocabulary, config: EncoderConfig,
@@ -646,37 +637,18 @@ def write_features(path, dates: Sequence[Date], block: np.ndarray) -> None:
 def read_features(path, expected_len: int | None = None
                   ) -> tuple[tuple[Date, ...], np.ndarray]:
     """A feature file's dates in file order and its (m, L) block, whose row j
-    is the feature of date j; blank lines are skipped. A malformed, non-finite
-    or repeated row is a DataError naming `path` (and the line, if there is one)."""
+    is the feature of date j, read by `ingest.read_dated_csv`'s rules. A
+    header that is not `date,f0..` is a SchemaError, and one of another
+    width than `expected_len` a DataError naming `path`."""
     path = Path(path)
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "date":
+
+    def columns(header: list[str]) -> tuple[int, range]:
+        if header[:1] != ["date"]:
             raise SchemaError(f"{path}: expected header date,f0..fN")
-        actual_len = len(header) - 1
-        if expected_len is not None and actual_len != expected_len:
-            raise DataError(f"{path}: feature length {actual_len}, expected {expected_len}")
-        dates: list[Date] = []
-        cells: list[float] = []  # every row's values, in one flat list
-        lines: list[int] = []  # the line each row ends on
-        for row in filter(None, reader):
-            lines.append(reader.line_num)
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                f"expected {len(header)}")
-            try:
-                dates.append(Date.fromisoformat(row[0]))
-                cells.extend(map(float, row[1:]))
-            except ValueError as err:
-                raise ParseError(f"{path}: line {reader.line_num}: {err}") from None
-    block = np.array(cells, dtype=np.float64).reshape(len(dates), actual_len)
-    finite = np.isfinite(block)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ParseError(f"{path}: line {lines[i]}: non-finite {header[j + 1]}="
-                         f"{float(block[i, j])!r}")
-    dupes = sorted(d for d, count in Counter(dates).items() if count > 1)
-    if dupes:
-        raise DataError(f"{path}: duplicate date(s): " + ", ".join(d.isoformat() for d in dupes))
-    return tuple(dates), block
+        if expected_len is not None and len(header) - 1 != expected_len:
+            raise DataError(f"{path}: feature length {len(header) - 1}, "
+                            f"expected {expected_len}")
+        return 0, range(1, len(header))
+
+    dates, block, _ = ingest.read_dated_csv(path, columns)
+    return dates, block

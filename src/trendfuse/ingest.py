@@ -1,13 +1,18 @@
-"""Market CSV and summary-text ingestion, normalization, and windowing.
+"""Dated-file reading, normalization, and windowing.
 
-Each dated input is read once into date-ordered columns (a `MarketSeries`;
-a summaries file's dates and texts; a feature file's dates and block, by
-`encoder.read_features`), which `windows` turns into one model-ready
-`Samples` block. Each row is a sample: the previous days' binary movement
-history (the prior vector), the matching normalized price window, and the
-text feature for the target date. `windows` is the one rule that builds
-those rows, and a chronological span of samples is a row slice of the
-block. Everything here is pure over its inputs and chronology-preserving.
+The rules the dated inputs share live here: `parse_date`, the one date
+rule, and `read_dated_csv`, the one row loop of the market and feature
+CSVs, on which `parse_market_csv` and `encoder.read_features` add only
+their own rules. `load_summaries` reads its dates through `parse_date`.
+
+Each dated input is read once into columns (a `MarketSeries` in date
+order; a summaries file's dates and texts; a feature file's dates and
+block), which `windows` turns into one model-ready `Samples` block. Each
+row is a sample: the previous days' binary movement history (the prior
+vector), the matching normalized price window, and the text feature for
+the target date. `windows` is the one rule that builds those rows, and a
+chronological span of samples is a row slice of the block. Everything
+here is pure over its inputs and chronology-preserving.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ import csv
 import json
 import logging
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -79,59 +85,88 @@ class Samples:
                        self.texts[rows], self.targets[rows])
 
 
-def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
-    cleaned = raw.strip().rstrip("%").strip()
+def parse_date(raw: str, column: str, path: Path, line: int) -> Date:
+    """`raw` as an ISO date (YYYY-MM-DD; spaces around it are allowed), else a
+    ParseError `<path>: line <line>: cannot parse <column>=<raw!r> ...`."""
     try:
-        value = float(cleaned)
+        return Date.fromisoformat(raw.strip())
     except ValueError:
         raise ParseError(f"{path}: line {line}: cannot parse {column}={raw!r} "
-                         "as a number") from None
-    if not math.isfinite(value):
-        raise ParseError(f"{path}: line {line}: non-finite {column}={raw!r}")
-    return value
+                         "(expected YYYY-MM-DD)") from None
 
 
-def parse_market_csv(path) -> MarketSeries:
-    """Load a market CSV (header Date,Chg,Open,Close,Volume; Chg may end in %)
-    into date-ordered columns; blank lines are skipped."""
-    path = Path(path)
-    dates: list[Date] = []
-    cells: list[float] = []  # each row's Chg, Open, Close and Volume, in one flat list
+def read_dated_csv(path: Path, columns: Callable[[list[str]], tuple[int, Sequence[int]]],
+                   percent: bool = False) -> tuple[tuple[Date, ...], np.ndarray, list[int]]:
+    """The dates, the (m, k) float64 block of the number columns (both in
+    file order) and each row's line. `columns(header)` checks the header and
+    gives the date column's index and the number columns'. Blank lines are
+    skipped; each other row has the header's field count, a `parse_date`
+    date and finite numbers (with `percent`, a trailing % is dropped); a
+    fault is a ParseError naming `path` and the line, a repeated date a
+    DataError listing the dates."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        index = {name: i for i, name in enumerate(header)}
-        missing = [c for c in MARKET_COLUMNS if c not in index]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
-        at_date, at_chg, at_open, at_close, at_volume = (index[c] for c in MARKET_COLUMNS)
+        at_date, numbers = columns(header)
+        # faster than a list per row; but one index gives a field, not a tuple
+        take = (operator.itemgetter(*numbers) if len(numbers) > 1
+                else lambda row: [row[j] for j in numbers])
+        dates: list[Date] = []
+        cells: list[str] = []  # every row's number fields, in one flat list
+        lines: list[int] = []
         for row in filter(None, reader):
             line = reader.line_num
-            if len(row) < len(header):
-                raise ParseError(f"{path}: line {line}: missing field(s) "
-                                 + ", ".join(header[len(row):]))
-            if len(row) > len(header):
-                raise ParseError(f"{path}: line {line}: {len(row)} fields "
-                                 f"for a header of {len(header)}")
-            raw_date = row[at_date].strip()
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {line}: " + (
+                    f"missing field(s) {', '.join(header[len(row):])}" if len(row) < len(header)
+                    else f"{len(row)} fields for a header of {len(header)}"))
+            dates.append(parse_date(row[at_date], header[at_date], path, line))
+            cells += take(row)
+            lines.append(line)
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:  # parse cell by cell, to strip a % or to name the cell refused
+        values = np.empty(len(cells))
+        for i, raw in enumerate(cells):
             try:
-                dates.append(Date.fromisoformat(raw_date))
+                values[i] = float(raw.strip().rstrip("%") if percent else raw)
             except ValueError:
-                raise ParseError(f"{path}: line {line}: cannot parse Date={raw_date!r} "
-                                 "(expected YYYY-MM-DD)") from None
-            volume = _parse_float(row[at_volume], "Volume", path, line)
-            if volume < 0:
-                raise ParseError(f"{path}: line {line}: negative Volume={volume}")
-            cells += (_parse_float(row[at_chg], "Chg", path, line),
-                      _parse_float(row[at_open], "Open", path, line),
-                      _parse_float(row[at_close], "Close", path, line), volume)
+                raise ParseError(f"{path}: line {lines[i // len(numbers)]}: cannot parse "
+                                 f"{header[numbers[i % len(numbers)]]}={raw!r} "
+                                 "as a number") from None
+    block = values.reshape(len(dates), len(numbers))
+    finite = np.isfinite(block)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(f"{path}: line {lines[i]}: non-finite {header[numbers[j]]}="
+                         f"{cells[i * len(numbers) + j]!r}")
     dupes = sorted(d for d, count in Counter(dates).items() if count > 1)
     if dupes:
         raise DataError(f"{path}: duplicate date(s): "
                         + ", ".join(d.isoformat() for d in dupes))
+    return tuple(dates), block, lines
+
+
+def parse_market_csv(path) -> MarketSeries:
+    """Load a market CSV (header Date,Chg,Open,Close,Volume in any order,
+    extra columns ignored; a number may end in %) into date-ordered columns,
+    by the rules of `read_dated_csv`; a negative Volume is a ParseError."""
+    path = Path(path)
+
+    def columns(header: list[str]) -> tuple[int, list[int]]:
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in MARKET_COLUMNS if c not in index]
+        if missing:
+            raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
+        return index["Date"], [index[c] for c in MARKET_COLUMNS[1:]]
+
+    dates, block, lines = read_dated_csv(path, columns, percent=True)
+    negative = np.flatnonzero(block[:, 3] < 0)
+    if negative.size:
+        i = negative[0]
+        raise ParseError(f"{path}: line {lines[i]}: negative Volume={float(block[i, 3])}")
     order = sorted(range(len(dates)), key=dates.__getitem__)
-    columns = np.array(cells, dtype=np.float64).reshape(-1, 4)[order].T.copy()
-    return MarketSeries(tuple(dates[i] for i in order), *columns)
+    return MarketSeries(tuple(dates[i] for i in order), *block[order].T.copy())
 
 
 def to_binary_labels(series: MarketSeries) -> np.ndarray:
@@ -165,14 +200,14 @@ def windows(dates: Sequence[Date], labels, prices, texts, n: int) -> Samples:
 
 
 def make_windows(series: MarketSeries, n: int,
-                 features: tuple[Sequence[Date], np.ndarray] | None = None,
-                 feature_len: int | None = None) -> Samples:
+                 features: tuple[Sequence[Date], np.ndarray] | None = None, *,
+                 feature_len: int) -> Samples:
     """`windows` over the series: its binary labels as the prior vector, the
     min-max-normalized price changes, and the text feature of the target
-    date. `features` is a (dates, (m, L) block) pair in any date order, row
-    j the feature of `dates[j]`; days with no row get a zero vector, so the
-    series stays contiguous. A feature length too large to allocate is a
-    ConfigError.
+    date. `features` is a (dates, (m, feature_len) block) pair in any date
+    order, row j the feature of `dates[j]`; days with no row get a zero
+    vector, so the series stays contiguous. A feature length too large to
+    allocate is a ConfigError.
 
     A window's text row is its target day's feature. That is valid only if
     a summary dated d is published before day d's move; the program does
@@ -182,17 +217,15 @@ def make_windows(series: MarketSeries, n: int,
         raise ContractError(f"window length must be >= 2, got {n}")
     if len(series) < n:
         raise ContractError(f"series of length {len(series)} is shorter than window {n}")
-    if features is None and feature_len is None:
-        raise ContractError("feature_len is required when no features are given")
     feature_dates, block = ((), None) if features is None else features
-    width = feature_len if block is None else block.shape[1]
-    if feature_len is not None and feature_len != width:
-        raise DataError(f"feature length mismatch: expected {feature_len}, got {width}")
+    if block is not None and block.shape[1] != feature_len:
+        raise ContractError(f"feature block of width {block.shape[1]}, "
+                            f"expected feature_len {feature_len}")
     try:
-        texts = np.zeros((len(series), width))
+        texts = np.zeros((len(series), feature_len))
     except (ValueError, MemoryError) as err:
-        raise ConfigError(f"cannot allocate {len(series)} text features of length {width} "
-                          f"({err})") from None
+        raise ConfigError(f"cannot allocate {len(series)} text features of length "
+                          f"{feature_len} ({err})") from None
     if block is not None:
         row_of = {day: j for j, day in enumerate(feature_dates)}
         rows = np.array([row_of.get(day, -1) for day in series.dates], dtype=np.intp)
@@ -244,11 +277,7 @@ def load_summaries(path) -> tuple[tuple[Date, ...], list[str]]:
                 if not isinstance(obj[key], str):
                     raise ParseError(f"{path}: line {line_no}: {key} must be a JSON string, "
                                      f"got {json.dumps(obj[key])}")
-            try:
-                day = Date.fromisoformat(obj["date"].strip())
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}: "
-                                 f"cannot parse date={obj['date']!r}") from None
+            day = parse_date(obj["date"], "date", path, line_no)
             text = obj["text"].strip()
             if not text:
                 skipped += 1

@@ -91,19 +91,9 @@ class EvalReport:
     predictions: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "loss_trace": self.loss_trace,
-            "predictions": self.predictions,
-            "metrics_at": "final_epoch",
-        }
+        """Every field, shallow (no copy of the predictions), and `metrics_at`."""
+        return {**{f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+                "metrics_at": "final_epoch"}
 
 
 def bce_loss(p: Tensor, targets) -> Tensor:

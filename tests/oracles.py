@@ -34,7 +34,8 @@ rather than a mapping. So the finite-difference suite checks the backwards
 that pretraining runs. `attention_per_matrix` is the attention arithmetic
 with one product per projection matrix, which the products of the (3, d, d)
 `wqkv` must equal bitwise. `encode_text` and `mlm_predictions` compose them into the
-encoder on the tape, and `mlm_tape_loss` adds
+encoder on the tape (`standardize_features` pads or cuts its pooled row to
+a feature row), and `mlm_tape_loss` adds
 `encoder.mlm_loss`: the reference for the tape-free `encoder.mlm_step`.
 `pretrain_mlm` is the per-sentence tape loop through it
 (`numerics.backward`, then the store Adam `adam_step`). `cell_step` wraps
@@ -871,6 +872,15 @@ def encode_text(token_ids, config, params):
     if config.pool == "mean":
         return x, mean_(x, axis=0, keepdims=True)
     return x, take(x, (slice(0, 1), slice(None)))
+
+
+def standardize_features(pooled, length):
+    """A pooled row flattened to one vector, then zero-padded or truncated to
+    `length`: the feature row `encoder.encode_features` gives a text."""
+    flat = np.asarray(pooled).reshape(-1)
+    if flat.size >= length:
+        return flat[:length].copy()
+    return np.concatenate([flat, np.zeros(length - flat.size)])
 
 
 def mlm_predictions(rows, positions, params):

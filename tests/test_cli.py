@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from trendfuse import cli, encoder as enc, fusion, ingest, synthetic, train as tr
+from trendfuse import cli, encoder as enc, fusion, ingest, models, synthetic, train as tr
 from trendfuse.encoder import read_features
 from trendfuse.models import VALID_KINDS
 
@@ -179,7 +179,7 @@ class TestFeaturize:
         for text in texts:
             tokens = enc.tokenize(ingest.summarize(text), vocab, config.max_len)
             _, pooled = oracles.encode_text(tokens, config, params)
-            rows.append(enc.standardize_features(pooled.data, 20))
+            rows.append(oracles.standardize_features(pooled.data, 20))
         enc.write_features(tmp_path / "loop.csv", dates, np.array(rows))
         assert (tmp_path / "feat" / "features.csv").read_bytes() \
             == (tmp_path / "loop.csv").read_bytes()
@@ -621,6 +621,22 @@ class TestAblate:
             blobs.append((out / "ablation.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_divergence_in_the_second_model_makes_no_output_directory(
+            self, tmp_path, market_csv, capsys, monkeypatch):
+        """The feedforward arms train; the lstm's NaN loss is exit 3 before
+        any file is written, so the feedforward reports are not left behind."""
+        unroll = models.unroll
+
+        def nan_unroll(*args, **kwargs):
+            steps, final = unroll(*args, **kwargs)
+            return np.full_like(steps, np.nan), np.full_like(final, np.nan)
+
+        monkeypatch.setattr(models, "unroll", nan_unroll)
+        out = tmp_path / "ab"
+        assert self._run(market_csv, out, epochs=2) == 3
+        assert "epoch" in _one_error_line(capsys, "DivergenceError")
+        assert not out.exists()
+
     def test_positive_delta_on_majority_of_seeds(self, tmp_path):
         wins = 0
         for seed in range(3):
@@ -942,6 +958,78 @@ class TestFailedRunsLeaveNoOutput:
         assert run(*_evaluate_args(market_csv, tmp_path / "out", checkpoint)) == 2
         assert "checkpoint.json" in _one_error_line(capsys, "DataError")
         assert not (tmp_path / "out").exists()
+
+
+# One fault on line 3 of a dated CSV: an edit of the file's rows of fields
+# (header first), and the error class and message after `<path>: ` that it
+# gives, formatted with the header's date, first number and last column.
+CSV_FAULTS = {
+    "bad_date": (lambda rows: rows[2].__setitem__(0, "2023-13-03"), "ParseError",
+                 "line 3: cannot parse {date}='2023-13-03' (expected YYYY-MM-DD)"),
+    "spaced_date": (lambda rows: rows[2].__setitem__(0, f" {rows[2][0]} "), None, None),
+    "non_number": (lambda rows: rows[2].__setitem__(1, "abc"), "ParseError",
+                   "line 3: cannot parse {first}='abc' as a number"),
+    "inf": (lambda rows: rows[2].__setitem__(1, "inf"), "ParseError",
+            "line 3: non-finite {first}='inf'"),
+    "short_row": (lambda rows: rows[2].pop(), "ParseError", "line 3: missing field(s) {last}"),
+    "long_row": (lambda rows: rows[2].append("1"), "ParseError",
+                 "line 3: {long} fields for a header of {width}"),
+    "repeated_date": (lambda rows: rows[2].__setitem__(0, rows[1][0]), "DataError",
+                      "duplicate date(s): {repeated}"),
+}
+# The same for the summaries' line 3, an edit of its JSON object.
+SUMMARY_FAULTS = {
+    "bad_date": (lambda obj: obj.update(date="2023-13-03"), "ParseError",
+                 "line 3: cannot parse date='2023-13-03' (expected YYYY-MM-DD)"),
+    "spaced_date": (lambda obj: obj.update(date=f" {obj['date']} "), None, None),
+    "short_row": (lambda obj: obj.pop("text"), "ParseError",
+                  "line 3: expected an object with date and text"),
+}
+
+
+class TestDatedFileFaults:
+    """The three dated files share one date rule, and both CSVs one row
+    rule: each fault is exit 2, one JSON line and the same wording in every
+    file, and a date with spaces around it is read in every file."""
+
+    @pytest.mark.parametrize("kind, fault", [
+        *[("market", fault) for fault in CSV_FAULTS],
+        *[("features", fault) for fault in CSV_FAULTS],
+        *[("summaries", fault) for fault in SUMMARY_FAULTS]])
+    def test_fault_is_one_line_naming_path_and_line(self, tmp_path, market_csv, summaries,
+                                                    encoder_json, capsys, kind, fault):
+        bad, out = tmp_path / f"bad_{kind}", tmp_path / "out"
+        if kind == "summaries":
+            edit, error, message = SUMMARY_FAULTS[fault]
+            objects = [json.loads(line) for line in summaries.read_text().splitlines()]
+            edit(objects[2])
+            bad.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
+            argv = ["featurize", "--summaries", bad, "--encoder", encoder_json,
+                    "--feature-len", "6", "--out", out]
+        else:
+            if kind == "features":
+                dates = ingest.parse_market_csv(market_csv).dates
+                block = np.random.default_rng(0).normal(size=(len(dates), 6))
+                enc.write_features(bad, dates, block)
+            else:
+                bad.write_text(market_csv.read_text())
+            rows = [line.split(",") for line in bad.read_text().splitlines()]
+            edit, error, message = CSV_FAULTS[fault]
+            header, repeated = rows[0], rows[1][0]
+            edit(rows)
+            bad.write_text("".join(",".join(row) + "\n" for row in rows))
+            argv = (_train_args(bad, out, epochs=1) if kind == "market"
+                    else _train_args(market_csv, out, epochs=1, features=bad))
+            message = message and message.format(
+                date=header[0], first=header[1], last=header[-1], width=len(header),
+                long=len(header) + 1, repeated=repeated)
+        if error is None:
+            assert run(*argv) == 0
+            assert '"error"' not in capsys.readouterr().err
+            return
+        assert run(*argv) == 2
+        assert _one_error_line(capsys, error) == f"{bad}: {message}"
+        assert not out.exists()
 
 
 class TestBuildConfig:

@@ -627,7 +627,7 @@ class TestEncodeFeatures:
         for text in texts:
             _, pooled = oracles.encode_text(enc.tokenize(text, vocab, config.max_len),
                                             config, params)
-            want.append(enc.standardize_features(pooled.data, length))
+            want.append(oracles.standardize_features(pooled.data, length))
         want = np.stack(want)
         assert got.shape == want.shape == (len(texts), length)
         assert got.tobytes() == want.tobytes()
@@ -756,24 +756,27 @@ class TestEncodeFeatures:
         with pytest.raises(ContractError):
             enc.encode_features(["alpha", "  "], vocab, TOY_CONFIG, params, 4)
 
-
-class TestStandardizeFeatures:
-    def test_exact_fit(self):
-        pooled = np.arange(8.0)
-        np.testing.assert_array_equal(enc.standardize_features(pooled, 8), pooled)
-
-    def test_padding(self):
-        out = enc.standardize_features(np.arange(8.0), 12)
-        np.testing.assert_array_equal(out[8:], np.zeros(4))
-        assert len(out) == 12
-
-    def test_truncation(self):
-        out = enc.standardize_features(np.arange(8.0), 5)
-        np.testing.assert_array_equal(out, np.arange(5.0))
+    @pytest.mark.parametrize("length", [3, TOY_CONFIG.d_model, 2 * TOY_CONFIG.d_model],
+                             ids=["below", "equal", "above"])
+    def test_length_truncates_or_zero_pads_the_pooled_row(self, length):
+        """Row i is the row `encode_text` pools for texts[i] alone, cut at
+        `length` or followed by zeros up to it."""
+        vocab, params = self._setup()
+        texts = self._texts(35, 5, 4) + ["gamma"]
+        pooled = np.concatenate([
+            enc.encode_text(enc.tokenize(text, vocab, TOY_CONFIG.max_len), TOY_CONFIG,
+                            params)[1] for text in texts])
+        rows = enc.encode_features(texts, vocab, TOY_CONFIG, params, length)
+        width = min(length, TOY_CONFIG.d_model)
+        assert rows.shape == (len(texts), length)
+        assert rows[:, :width].tobytes() == pooled[:, :width].tobytes()
+        assert rows[:, width:].tobytes() == np.zeros((len(texts), length - width)).tobytes()
 
     def test_bad_length_rejected(self):
-        with pytest.raises(ConfigError):
-            enc.standardize_features(np.arange(8.0), 0)
+        vocab, params = self._setup()
+        for length in (0, -1):
+            with pytest.raises(ConfigError, match="feature length must be >= 1"):
+                enc.encode_features(["alpha"], vocab, TOY_CONFIG, params, length)
 
 
 class TestPersistence:
@@ -825,7 +828,7 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"features\.csv: line 5: non-finite f1="):
             enc.read_features(path, expected_len=2)
         path.write_text("date,f0,f1\n\n2023-01-03,0.1\n")
-        with pytest.raises(DataError, match=r"features\.csv: line 3 has 2 fields"):
+        with pytest.raises(ParseError, match=r"features\.csv: line 3: missing field\(s\) f1$"):
             enc.read_features(path, expected_len=2)
 
     def test_duplicate_dates_are_rejected(self, tmp_path):

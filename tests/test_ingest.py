@@ -219,9 +219,17 @@ class TestMakeWindows:
         target_date = labeled.dates[2]
         feats = ((target_date,), np.array([[1.0, 2.0, 3.0]]))
         with caplog.at_level("WARNING"):
-            samples = ingest.make_windows(labeled, 3, feats)
+            samples = ingest.make_windows(labeled, 3, feats, feature_len=3)
         np.testing.assert_array_equal(samples.texts, [[1, 2, 3], [0, 0, 0]])
         assert "1 of 2" in caplog.text
+
+    def test_feature_block_of_another_width_is_a_contract_error(self):
+        """The width is checked where the feature file is read; a block of
+        another width reaching `make_windows` is a caller's error."""
+        labeled = _series([1.0, -1.0, 2.0, 3.0])
+        feats = ((labeled.dates[2],), np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ContractError, match="width 3, expected feature_len 4"):
+            ingest.make_windows(labeled, 3, feats, feature_len=4)
 
     def test_window_too_small_or_series_too_short(self):
         labeled = _series([1.0, -1.0, 2.0])
