@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,8 @@ import numpy as np
 from . import encoder as enc
 from . import ingest
 from . import train as tr
-from .errors import (ConfigError, ContractError, DataError, DivergenceError, ProviderError,
-                     check_integer, is_real, open_text, read_json)
+from .errors import (ConfigError, ContractError, DataError, DegenerateInputError, DivergenceError,
+                     ProviderError, check_integer, is_real, open_text, read_json)
 from .models import VALID_KINDS
 from .numerics import ParameterStore
 
@@ -258,8 +259,11 @@ def _read_market(cfg: ExperimentConfig) -> tuple[ingest.MarketSeries, tuple | No
 def _split_samples(cfg: ExperimentConfig, series: ingest.MarketSeries,
                    features: tuple | None) -> tuple[ingest.Samples, ingest.Samples]:
     """`_read_market`'s inputs as windows, cut chronologically at split_ratio."""
-    samples = ingest.make_windows(series, cfg.train.window, features,
-                                  feature_len=cfg.train.feature_len)
+    try:
+        samples = ingest.make_windows(series, cfg.train.window, features,
+                                      feature_len=cfg.train.feature_len)
+    except DegenerateInputError as err:  # only min-max normalizing Chg raises it
+        raise DegenerateInputError(f"{cfg.market_csv}: Chg: {err}") from None
     return ingest.split_train_test(samples, cfg.split_ratio)
 
 
@@ -408,31 +412,28 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    try:
-        cfg = build_config(args)
-        _check_inputs(cfg, args.command)
-        _check_out(cfg)
-        if args.command == "featurize":
-            cmd_featurize(cfg)
-        elif args.command == "pretrain-encoder":
-            cmd_pretrain_encoder(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg)
-        elif args.command == "ablate":
-            cmd_ablate(cfg)
-        elif args.command == "report":
-            cmd_report(cfg, args.runs_dir)
-    except (ConfigError, ContractError) as err:
-        _fail(err)
-        return EXIT_USAGE
-    except (DataError, OSError) as err:  # OSError: an unreadable path
-        _fail(err)
-        return EXIT_DATA
-    except DivergenceError as err:
-        _fail(err)
-        return EXIT_DIVERGENCE
+    # Warnings (numpy's overflow before a DivergenceError, say) are shown only on success.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = build_config(args)
+            _check_inputs(cfg, args.command)
+            _check_out(cfg)
+            # built per call, so that a patched `cmd_*` is the one that runs
+            commands = {"featurize": cmd_featurize, "pretrain-encoder": cmd_pretrain_encoder,
+                        "train": cmd_train, "evaluate": cmd_evaluate, "ablate": cmd_ablate,
+                        "report": lambda cfg: cmd_report(cfg, args.runs_dir)}
+            commands[args.command](cfg)
+        except (ConfigError, ContractError) as err:
+            _fail(err)
+            return EXIT_USAGE
+        except (DataError, OSError) as err:  # OSError: an unreadable path
+            _fail(err)
+            return EXIT_DATA
+        except DivergenceError as err:
+            _fail(err)
+            return EXIT_DIVERGENCE
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return EXIT_OK
 
 

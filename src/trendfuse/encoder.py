@@ -537,17 +537,18 @@ def encode_features(texts: Sequence[str], vocab: Vocabulary, config: EncoderConf
     Texts are grouped by token count and each group goes through
     `encode_text` as (n, L) blocks of at most FEATURIZE_CHUNK texts, whose
     pooled rows are copied into one (len(texts), length) block. Row i is
-    bitwise the row that `encode_text` pools for texts[i] alone.
+    bitwise the row that `encode_text` pools for texts[i] alone. A length
+    too large to allocate is a ConfigError.
     """
     if not texts:
         raise ContractError("no texts to encode")
     if length < 1:
         raise ConfigError(f"feature length must be >= 1, got {length}")
+    features = ingest.zero_features(len(texts), length)
     tokens = [tokenize(text, vocab, config.max_len) for text in texts]
     groups: dict[int, list[int]] = {}
     for index, ids in enumerate(tokens):
         groups.setdefault(len(ids), []).append(index)
-    features = np.zeros((len(texts), length))
     for members in groups.values():
         for start in range(0, len(members), FEATURIZE_CHUNK):
             chunk = members[start:start + FEATURIZE_CHUNK]

@@ -199,6 +199,15 @@ def windows(dates: Sequence[Date], labels, prices, texts, n: int) -> Samples:
                    texts=np.asarray(texts, dtype=np.float64)[target], targets=labels[target])
 
 
+def zero_features(count: int, length: int) -> np.ndarray:
+    """(count, length) zero text features; ConfigError if too large to allocate."""
+    try:
+        return np.zeros((count, length))
+    except (ValueError, MemoryError) as err:
+        raise ConfigError(f"cannot allocate {count} text features of length "
+                          f"{length} ({err})") from None
+
+
 def make_windows(series: MarketSeries, n: int,
                  features: tuple[Sequence[Date], np.ndarray] | None = None, *,
                  feature_len: int) -> Samples:
@@ -221,11 +230,7 @@ def make_windows(series: MarketSeries, n: int,
     if block is not None and block.shape[1] != feature_len:
         raise ContractError(f"feature block of width {block.shape[1]}, "
                             f"expected feature_len {feature_len}")
-    try:
-        texts = np.zeros((len(series), feature_len))
-    except (ValueError, MemoryError) as err:
-        raise ConfigError(f"cannot allocate {len(series)} text features of length "
-                          f"{feature_len} ({err})") from None
+    texts = zero_features(len(series), feature_len)
     if block is not None:
         row_of = {day: j for j, day in enumerate(feature_dates)}
         rows = np.array([row_of.get(day, -1) for day in series.dates], dtype=np.intp)

@@ -12,32 +12,32 @@ that `fusion`'s docstring defines.
 `unroll` runs a whole sequence, after the cuDNN sequence kernels
 (Appleyard et al., arXiv:1604.01946), and `unroll_back` runs BPTT.
 `CELLS` maps every recurrent kind to its parameter layout rows, the
-names of the weights it steps with and a pair of pure-numpy step functions:
+names of its gate blocks and a pair of pure-numpy step functions:
 
 - `forward(x_t, state, weights) -> (state, cache)`;
-- `backward(cache, d_state) -> (d_x, d_state_prev, d_weights)`, with one
-  `(rows, d)` pair per weight, whose gradient is `mT(rows) @ d`; a bias's
-  pair is `(None, d)`, its gradient `row_sum(d)`.
+- `backward(cache, d_state) -> (d_x, d_state_prev, d_blocks)`, with one
+  `(rows, d)` pair per gate block: its matrix's gradient is
+  `mT(rows) @ d` and its bias's, if it has one, `row_sum(d)`.
 
 Each gate block is stored as the one matrix a step multiplies, as cuDNN
 keeps it: the LSTM block is `w` (H + I, 4H), rows [h; x] and columns
 [i, f, o, c], with bias `b` (1, 4H); its layout row draws the gates in
 the order i, f, c, o into those slots (`numerics.Uniform`). BiLSTM is the
-LSTM entry run in both directions. Each step does one matmul of [h, x] against the block and
-activates it in place with one np.tanh (`_squash`): the sigmoid columns
-are scaled by 0.5 before and after and shifted by 0.5, which is bitwise
-`numerics.logistic`. `unroll_back` copies every step's (rows, d) pairs
-into preallocated (..., T * B, ·) blocks and, after the time loop, takes
-each weight's gradient with one matmul or column sum over all steps. The
-input projection X @ W_x is not hoisted out of the loop: at these shapes
-that made training slower, and its (B, T, 4H) buffers more than double a
-forward unroll's peak memory at any batch, a scoring block of up to
-`train.SCORE_CHUNK` rows included; for the same
-reason an unroll without a `saved` list keeps no per-step caches and
-allocates no time block. SwinLSTM's windowed attention (`window_pool`)
-reads only the step input, so it runs once over every step's row before
-the time loop. The Mogrifier, ST-LSTM and SwinLSTM steps reuse the LSTM
-gate block.
+LSTM entry run in both directions. Each step does one matmul of [h, x]
+against the block and activates it in place with one np.tanh (`_squash`):
+the sigmoid columns are scaled by 0.5 before and after and shifted by
+0.5, which is bitwise `numerics.logistic`. `unroll_back` keeps every
+step's (rows, d) pairs as it walks back and, after the time loop, joins
+each block's rows and d along the row axis, in walk order, so that its
+matrix takes its gradient with one matmul and its bias with one row sum
+over all steps. The input projection X @ W_x is not hoisted out of the
+loop: at these shapes that made training slower, and its (B, T, 4H)
+buffers more than double a forward unroll's peak memory at any batch, a
+scoring block of up to `train.SCORE_CHUNK` rows included; for the same
+reason an unroll without a `saved` list keeps no per-step caches.
+SwinLSTM's windowed attention (`window_pool`) reads only the step input,
+so it runs once over every step's row before the time loop. The
+Mogrifier, ST-LSTM and SwinLSTM steps reuse the LSTM gate block.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _lstm_backward(cache, d_state):
     d = _gates_back(act, c_prev, g_mem, d_h * t, 3 * hid)
     d_cat = d @ nm.mT(w)
     return (d_cat[..., hid:], (d_cat[..., :hid], g_mem * act[..., hid:2 * hid]),
-            ((cat, d), (None, d)))
+            ((cat, d),))
 
 
 def _gru_forward(x, state, weights):
@@ -182,7 +182,7 @@ def _gru_backward(cache, d_state):
     d_cat = d_zr @ nm.mT(w_zr)
     return (d_cat_r[..., hid:] + d_cat[..., hid:],
             (g * (1.0 - z) + d_rh * r + d_cat[..., :hid],),
-            ((cat, d_zr), (None, d_zr), (cat_r, d_h), (None, d_h)))
+            ((cat, d_zr), (cat_r, d_h)))
 
 
 def _mogrifier_forward(x, state, weights):
@@ -259,7 +259,7 @@ def _stlstm_backward(cache, d_state):
     return (d_cat[..., hid:] + d_cat_m[..., :split],
             (d_cat[..., :hid], g_c * act[..., hid:2 * hid],
              g_m * act_m[..., hid:2 * hid] + d_cat_m[..., split:]),
-            ((cat, d), (None, d), (cat_m, d_gm), (None, d_gm), (mems, d_pre)))
+            ((cat, d), (cat_m, d_gm), (mems, d_pre)))
 
 
 # --- SwinLSTM's input pooling, hoisted out of the time loop -------------------------
@@ -364,12 +364,13 @@ class Cell:
 
     `layout(spec, input_width)` yields the (name, shape, start) rows of one
     direction, names without the `cell.` prefix, in draw order.
-    `weights(spec)` names the parameters the step pair takes, in order;
-    the Mogrifier's `q, r` repeat once per round. `forward` maps
-    (x_t, state, weights) to (state, cache), the state a tuple of `arity`
-    arrays with the hidden row first; `backward` maps (cache, d_state) to
-    (d_x, d_state_prev, d_weights), d_weights one (rows, d) pair per name
-    of `weights`, in order, with rows None for a bias.
+    `weights(spec)` names each gate block once, in order, as (matrix,
+    bias or None); each Mogrifier round is a block `q` or `r` without a
+    bias. `forward` maps (x_t, state, weights) to (state, cache), weights
+    the flat tuple of those names' arrays without the Nones, and the state
+    a tuple of `arity` arrays with the hidden row first; `backward` maps
+    (cache, d_state) to (d_x, d_state_prev, d_blocks), d_blocks one
+    (rows, d) pair per block of `weights`, in order.
     `pool`, when set, is the `window_pool` pair, run over the whole
     step-input block once before the time loop. Each name in `directions`
     is a parameter sub-prefix run in turn, the second one over the reversed
@@ -386,18 +387,18 @@ class Cell:
 
 
 CELLS = {
-    "lstm": Cell(_lstm_layout, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2),
-    "bilstm": Cell(_lstm_layout, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward, 2,
+    "lstm": Cell(_lstm_layout, lambda spec: (("w", "b"),), _lstm_forward, _lstm_backward, 2),
+    "bilstm": Cell(_lstm_layout, lambda spec: (("w", "b"),), _lstm_forward, _lstm_backward, 2,
                    directions=("fwd", "bwd")),
-    "gru": Cell(_gru_layout, lambda spec: ("w_zr", "b_zr", "w_h", "b_h"),
+    "gru": Cell(_gru_layout, lambda spec: (("w_zr", "b_zr"), ("w_h", "b_h")),
                 _gru_forward, _gru_backward, 1),
-    "mogrifier": Cell(_mogrifier_layout, lambda spec: ("w", "b", *(
-        "r" if k % 2 else "q" for k in range(spec.mogrifier_rounds))),
+    "mogrifier": Cell(_mogrifier_layout, lambda spec: (("w", "b"), *(
+        ("r" if k % 2 else "q", None) for k in range(spec.mogrifier_rounds))),
         _mogrifier_forward, _mogrifier_backward, 2),
-    "stlstm": Cell(_stlstm_layout, lambda spec: ("w", "b", "w_m", "b_m", "w_mix"),
+    "stlstm": Cell(_stlstm_layout, lambda spec: (("w", "b"), ("w_m", "b_m"), ("w_mix", None)),
                    _stlstm_forward, _stlstm_backward, 3),
-    "swinlstm": Cell(_swinlstm_layout, lambda spec: ("w", "b"), _lstm_forward, _lstm_backward,
-                     2, pool=(window_pool, window_pool_back)),
+    "swinlstm": Cell(_swinlstm_layout, lambda spec: (("w", "b"),), _lstm_forward,
+                     _lstm_backward, 2, pool=(window_pool, window_pool_back)),
 }
 
 
@@ -466,7 +467,8 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
     cell = CELLS[spec.kind]
     if cell.pool is not None:
         xs = cell.pool[0](xs, params, spec.swin_window, saved)
-    names = cell.weights(spec)
+    blocks = cell.weights(spec)
+    names = [n for block in blocks for n in block if n is not None]
     subs = [params if not d else {k[len(d) + 1:]: v for k, v in params.items()
                                   if k.startswith(d + ".")} for d in cell.directions]
     weights = [tuple(sub[n].data for n in names) for sub in subs]
@@ -489,7 +491,7 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
     final = out[..., -1, :] if len(subs) == 1 else np.concatenate(
         [out[..., -1, :hid], out[..., 0, hid:]], axis=-1)
     if saved is not None:
-        saved.append((cell, names, subs, runs, xs.shape, zero))
+        saved.append((cell, blocks, subs, runs, xs.shape, zero))
     return out, final
 
 
@@ -497,36 +499,25 @@ def unroll_back(g_steps: np.ndarray | None, g_final: np.ndarray | None,
                 saved: list) -> np.ndarray:
     """BPTT: the step inputs' gradient, from those of the step rows and of
     the final row (either may be None)."""
-    cell, names, subs, runs, shape, zero = saved.pop()
-    batch, hid = zero.shape[-2:]
+    cell, blocks, subs, runs, shape, zero = saved.pop()
+    hid = zero.shape[-1]
     d_xs = np.zeros(shape)
     for k, (sub, run) in enumerate(zip(subs, runs)):
         cols, last = slice(k * hid, (k + 1) * hid), run[-1][0]
-        d_state, blocks = (zero,) * cell.arity, None
-        for i, (t, cache) in enumerate(reversed(run)):
+        d_state, walk = (zero,) * cell.arity, []
+        for t, cache in reversed(run):
             d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[..., t, cols]
             if g_final is not None and t == last:
                 d_h = d_h + g_final[..., cols]
             d_x, d_state, pairs = cell.backward(cache, (d_h, *d_state[1:]))
-            if blocks is None:
-                blocks = _time_blocks(pairs, len(run))
-            span = slice(i * batch, (i + 1) * batch)
-            for pair, block in zip(pairs, blocks):
-                for a, a_block in zip(pair, block):
-                    if a is not None:
-                        a_block[..., span, :] = a
+            walk.append(pairs)
             d_xs[..., t, :] += d_x
-        for name, (rows, d) in zip(names, blocks):
-            sub[name].grad += nm.row_sum(d) if rows is None else nm.mT(rows) @ d
+        for (matrix, bias), *steps in zip(blocks, *walk):
+            rows, d = (np.concatenate(a, axis=-2) for a in zip(*steps))
+            sub[matrix].grad += nm.mT(rows) @ d
+            if bias is not None:
+                sub[bias].grad += nm.row_sum(d)
     return d_xs if cell.pool is None else cell.pool[1](d_xs, saved)
-
-
-def _time_blocks(pairs, steps: int) -> list[list[np.ndarray | None]]:
-    """Empty (..., steps * B, ·) blocks, one for each array of a step's
-    (rows, d) weight-gradient pairs, to hold every step's array; None for a
-    bias's rows."""
-    return [[None if a is None else np.empty((*a.shape[:-2], steps * a.shape[-2], a.shape[-1]))
-             for a in pair] for pair in pairs]
 
 
 def model_layout(spec: ModelSpec, input_width: int) -> Iterator[Row]:

@@ -39,9 +39,11 @@ a feature row), and `mlm_tape_loss` adds
 `encoder.mlm_loss`: the reference for the tape-free `encoder.mlm_step`.
 `pretrain_mlm` is the per-sentence tape loop through it
 (`numerics.backward`, then the store Adam `adam_step`). `cell_step` wraps
-one numpy step pair of the library's `models.CELLS` table as a tape node,
-and `bilstm_forward` composes such steps by hand, as a reference for the
-whole-sequence `models.unroll`.
+one numpy step pair of the library's `models.CELLS` table as a tape node
+whose backward adds each gate block's gradient from the step's one
+(rows, d) pair for it, the step-by-step reference for the time-joined
+blocks of `models.unroll_back`; `bilstm_forward` composes such steps by
+hand, as a reference for the whole-sequence `models.unroll`.
 `stack_gates` puts per-gate arrays (`w_i`, `w_f`, ...) into the stored
 gate blocks of `models`, with the column order written out in
 `GATE_BLOCKS`, so the scalar references `lstm_step` and `gru_step` and the
@@ -302,27 +304,31 @@ def cell_step(kind, x, state, params, **knobs):
     a step can start from any state. SwinLSTM pools x first, as
     `models.unroll` does. `knobs` are `ModelSpec` fields such as
     `mogrifier_rounds` or `swin_window`; the new state tuple comes back,
-    hidden row first. The backward adds each weight's `(rows, d)` pair
-    as `mT(rows) @ d`, or `row_sum(d)` for a bias, one step at a time.
+    hidden row first. The backward adds each gate block's `(rows, d)`
+    pair, one step at a time: `mT(rows) @ d` to the block's matrix and
+    `row_sum(d)` to its bias, if it has one.
     """
     spec = models.ModelSpec(kind=kind, **knobs)
     cell = models.CELLS[kind]
     if cell.pool is not None:
         x = taped(models.window_pool)(x, params, spec.swin_window)
-    weights = cell.weights(spec)
+    blocks = cell.weights(spec)
+    names = [n for block in blocks for n in block if n is not None]
     new_state, cache = cell.forward(x.data, tuple(s.data for s in state),
-                                    tuple(params[n].data for n in weights))
-    leaves = [params[n] for n in dict.fromkeys(weights)]
+                                    tuple(params[n].data for n in names))
+    leaves = [params[n] for n in dict.fromkeys(names)]
 
     def back(*grads):
         d_state = tuple(np.zeros_like(s) if g is None else g for g, s in zip(grads, new_state))
-        d_x, d_prev, d_weights = cell.backward(cache, d_state)
+        d_x, d_prev, d_blocks = cell.backward(cache, d_state)
         nm.accumulate(x, d_x)
         for s, d in zip(state, d_prev):
             nm.accumulate(s, d)
         _zero_missing_grads(leaves)
-        for n, (rows, d) in zip(weights, d_weights):
-            params[n].grad += nm.row_sum(d) if rows is None else nm.mT(rows) @ d
+        for (matrix, bias), (rows, d) in zip(blocks, d_blocks):
+            params[matrix].grad += nm.mT(rows) @ d
+            if bias is not None:
+                params[bias].grad += nm.row_sum(d)
 
     return node((x, *state, *leaves), new_state, back)
 

@@ -8,6 +8,7 @@ import json
 import re
 import shutil
 import tempfile
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -468,6 +469,41 @@ class TestEvaluate:
             f"non-finite probability for held-out date {first.isoformat()}")
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_overflow_warnings_are_not_shown_with_the_divergence(self, tmp_path, market_csv,
+                                                                 capsys):
+        """A feedforward checkpoint whose cell.w1 and cell.w2 are ±1e308
+        overflows in numpy's matmul: exit 3, and stderr is the one JSON line,
+        without numpy's RuntimeWarnings."""
+        args = _evaluate_args(market_csv, tmp_path / "eval", tmp_path / "checkpoint.json")
+        args[args.index("--model") + 1] = "feedforward"
+        cfg = cli.build_config(cli.build_parser().parse_args([str(a) for a in args]))
+        store = tr.init_pipeline_params(cfg.train)
+        for name in ("cell.w1", "cell.w2"):
+            w = store[name].data
+            w[...] = (1e308 * (-1.0) ** np.arange(w.size)).reshape(w.shape)
+        store.save(tmp_path / "checkpoint.json")
+        with warnings.catch_warnings(record=True) as shown:
+            assert run(*args) == 3
+        assert shown == []
+        assert _one_error_line(capsys, "DivergenceError").startswith(
+            "non-finite probability for held-out date ")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_warnings_are_shown_only_on_success(self, tmp_path, market_csv, monkeypatch,
+                                                fails):
+        def warn_then_end(cfg):
+            warnings.warn("held back", RuntimeWarning)
+            if fails:
+                raise cli.DivergenceError("diverged")
+
+        monkeypatch.setattr(cli, "cmd_train", warn_then_end)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert run(*_train_args(market_csv, tmp_path / "out")) == (3 if fails else 0)
+        assert [str(w.message) for w in shown] == ([] if fails else ["held back"])
+
     def test_checkpoint_in_any_order_is_scored_in_layout_order(self, tmp_path, market_csv,
                                                                monkeypatch):
         """A checkpoint whose parameters are listed in reverse is read into a
@@ -829,6 +865,15 @@ class TestImpossibleModelSize:
             assert not out.exists()
         assert str(HUGE) in message
 
+    def test_featurize_is_config_error_from_the_allocation(self, tmp_path, summaries,
+                                                           encoder_json, capsys):
+        out = tmp_path / "feat"
+        assert run("featurize", "--summaries", summaries, "--encoder", encoder_json,
+                   "--feature-len", HUGE, "--out", out) == 1
+        assert _one_error_line(capsys, "ConfigError").startswith(
+            f"cannot allocate 5 text features of length {HUGE} (")
+        assert not out.exists()
+
     def test_pretrain_encoder_is_config_error_from_the_allocation(self, tmp_path, summaries,
                                                                   capsys):
         config = tmp_path / "config.json"
@@ -1029,6 +1074,16 @@ class TestDatedFileFaults:
             return
         assert run(*argv) == 2
         assert _one_error_line(capsys, error) == f"{bad}: {message}"
+        assert not out.exists()
+
+    def test_market_whose_chg_never_changes_names_path_and_column(self, tmp_path, capsys):
+        market, out = tmp_path / "flat.csv", tmp_path / "out"
+        days = [date(2023, 1, 2) + timedelta(days=k) for k in range(30)]
+        market.write_text("Date,Chg,Open,Close,Volume\n" + "".join(
+            f"{day.isoformat()},1.0,10,10.1,100\n" for day in days))
+        assert run(*_train_args(market, out, epochs=1)) == 2
+        assert _one_error_line(capsys, "DegenerateInputError") == (
+            f"{market}: Chg: constant sequence (all 1.0); range is zero")
         assert not out.exists()
 
 

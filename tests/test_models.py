@@ -559,8 +559,9 @@ class TestUnroll:
     @pytest.mark.parametrize("replicas", [None, 2])
     @pytest.mark.parametrize("kind", models.RECURRENT_KINDS)
     def test_batched_weight_gradients_match_a_loop_of_cell_steps(self, kind, replicas):
-        """`unroll_back` sums each weight's gradient once over a (..., T * B, ·)
-        block; a loop of `cell_step` tape nodes adds it step by step. Both
+        """`unroll_back` joins each gate block's (rows, d) pairs over all steps
+        and takes the block's gradient once; a loop of `cell_step` tape nodes
+        adds it step by step. Both
         give the same parameter and step-input gradients, solo and for
         replica-stacked parameters."""
         rng = np.random.default_rng(23)
@@ -606,6 +607,30 @@ class TestUnroll:
         assert max_rel_err(d_xs, expected) < 1e-12
         for name, t in fused.items():
             assert max_rel_err(t.grad, looped[name].grad) < 1e-12, name
+
+    @pytest.mark.parametrize("kind", models.RECURRENT_KINDS)
+    def test_a_step_backward_gives_one_pair_per_gate_block(self, kind):
+        """One (rows, d) pair per block that `Cell.weights` names, both (B, ·)
+        arrays, whose `mT(rows) @ d` has the shape of the block's matrix and
+        whose d has the width of its bias."""
+        rng = np.random.default_rng(24)
+        spec = ModelSpec(kind=kind, hidden=HID, mogrifier_rounds=3, swin_window=3)
+        cell = models.CELLS[kind]
+        width = spec.swin_window if cell.pool else INP
+        params = ParameterStore(models.model_layout(spec, INP), rng).view(
+            f"cell.{cell.directions[0]}" if cell.directions[0] else "cell")
+        blocks = cell.weights(spec)
+        names = [n for block in blocks for n in block if n is not None]
+        state = tuple(rng.normal(size=(4, HID)) for _ in range(cell.arity))
+        state, cache = cell.forward(rng.normal(size=(4, width)), state,
+                                    tuple(params[n].data for n in names))
+        pairs = cell.backward(cache, tuple(np.ones_like(s) for s in state))[2]
+        assert len(pairs) == len(blocks)
+        for (matrix, bias), (rows, d) in zip(blocks, pairs):
+            assert rows is not None and rows.shape[0] == d.shape[0] == 4, matrix
+            assert (nm.mT(rows) @ d).shape == params[matrix].shape, matrix
+            if bias is not None:
+                assert d.shape[-1] == params[bias].shape[-1], bias
 
     def test_no_tape_without_gradients(self, monkeypatch):
         """Without a saved list no step cache outlives its step; with one,
