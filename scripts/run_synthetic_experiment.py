@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--models", nargs="+", default=["lstm", "gru"],
                         help="predictor kinds to train")
     args = parser.parse_args()
+    if args.days < 1:
+        parser.error(f"--days must be at least 1, got {args.days}")
 
     out = Path(args.out)
     data = out / "data"

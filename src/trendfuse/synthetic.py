@@ -4,16 +4,29 @@ Markov-persistent label series, where the prior history is the only
 informative input (used to measure the prior-effect ablation direction),
 as an `ingest.Samples` block cut by `ingest.windows` or as a market CSV,
 plus toy policy summaries and a toy sentence corpus for the text encoder.
+
+The generators work in blocks: the dates are one map over a range of
+ordinals, the Markov labels one cumulative sum of the switches, and the
+summaries draw every word index in one call, as `toy_corpus` does for each
+sentence. This gives the same values as drawing element by element.
+`rng.choice` on a tuple, with replacement and no `p`, is
+`rng.integers(0, len(tuple), size)`. A bounded integer draw below 2**32
+takes its values from the bit generator's one 32-bit stream (Lemire's
+rejection method), so how the draws are split into calls does not change
+them. The market writer keeps its per-row draws: each row takes a 64-bit
+`uniform` and then a 32-bit `integers`, and drawing either in a block
+would change the order in which they read the stream.
 """
 
 from __future__ import annotations
 
 import json
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ContractError
 from .ingest import Samples, windows
 
 _EPOCH = Date(2023, 1, 3)
@@ -23,16 +36,21 @@ _WORDS = ("rates", "policy", "growth", "liquidity", "credit", "outlook",
 
 
 def _dates(count: int) -> list[Date]:
-    return [_EPOCH + timedelta(days=i) for i in range(count)]
+    start = _EPOCH.toordinal()
+    return list(map(Date.fromordinal, range(start, start + count)))
 
 
 def markov_labels(count: int, persistence: float, rng: np.random.Generator) -> np.ndarray:
-    """Two-state Markov chain: repeat the last label with prob `persistence`."""
+    """Two-state Markov chain: repeat the last label with prob `persistence`.
+
+    Label i is the first label flipped once per switch up to i.
+    """
+    if count < 1:
+        raise ContractError(f"need at least 1 label, got {count}")
     labels = np.empty(count, dtype=np.int64)
     labels[0] = int(rng.integers(0, 2))
     stay = rng.random(count - 1) < persistence
-    for i in range(1, count):
-        labels[i] = labels[i - 1] if stay[i - 1] else 1 - labels[i - 1]
+    labels[1:] = labels[0] ^ (np.cumsum(~stay) & 1)
     return labels
 
 
@@ -79,9 +97,11 @@ def write_markov_market_csv(path, count: int, seed: int,
 def write_toy_summaries(path, count: int, seed: int) -> None:
     """JSON-lines summaries of three four-word sentences of deterministic word salad."""
     rng = np.random.default_rng(seed)
+    days = _dates(count)
+    picks = rng.integers(0, len(_WORDS), size=(len(days), 3, 4)).tolist()
     lines = []
-    for day in _dates(count):
-        text = ". ".join(" ".join(rng.choice(_WORDS, size=4)) for _ in range(3)) + "."
+    for day, sentences in zip(days, picks):
+        text = ". ".join(" ".join(map(_WORDS.__getitem__, s)) for s in sentences) + "."
         lines.append(json.dumps({"date": day.isoformat(), "text": text}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -91,6 +111,6 @@ def toy_corpus(n_sentences: int = 20, seed: int = 7) -> list[str]:
     rng = np.random.default_rng(seed)
     corpus = []
     for _ in range(n_sentences):
-        words = rng.choice(_WORDS, size=int(rng.integers(4, 8)))
-        corpus.append(" ".join(words))
+        picks = rng.integers(0, len(_WORDS), size=int(rng.integers(4, 8)))
+        corpus.append(" ".join(map(_WORDS.__getitem__, picks.tolist())))
     return corpus

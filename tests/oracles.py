@@ -58,8 +58,11 @@ fresh gradient arrays per step (`zero_grad`, then the store Adam
 one forward node; it trains on per-sample rows, which `batch_arrays`
 stacks with `np.stack`. `window_rows` builds those rows one sample at a
 time, as a reference for the one index gather of `ingest.windows`, and
-`sample_rows` splits a `Samples` block into them. `zscore_normalize` is
-a normalizer the program does not use, whose laws criterion 8 checks.
+`sample_rows` splits a `Samples` block into them. `synthetic_dates` adds
+one `timedelta` per day and `markov_labels` walks the chain one label at a
+time, as references for the ordinal map and the cumulative sum of
+`synthetic`. `zscore_normalize` is a normalizer the program does not
+use, whose laws criterion 8 checks.
 `gradients` (which raises `GraphError` for a leaf off the tape), `names`,
 `store_of` (a store of given arrays), `Leaves` (a store of given tensors),
 `write_market_csv` (the inverse of `ingest.parse_market_csv`) and
@@ -73,6 +76,7 @@ import dataclasses
 import math
 import sys
 from collections.abc import Mapping
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -1036,6 +1040,23 @@ def periodic_pattern_samples(count, window, feature_len=8, period=(1, 1, 0, 0)):
     labels = np.array([period[i % len(period)] for i in range(total)], dtype=np.float64)
     return ingest.windows(synthetic._dates(total), labels, labels,
                           np.zeros((total, feature_len)), window)
+
+
+def synthetic_dates(count):
+    """`synthetic._dates` one `timedelta` at a time from its first day."""
+    return [synthetic._EPOCH + timedelta(days=i) for i in range(count)]
+
+
+def markov_labels(count, persistence, rng):
+    """`synthetic.markov_labels` as its recurrence, with the same two draws:
+    each label repeats the last one when its `stay` draw is set and flips it
+    otherwise."""
+    labels = np.empty(count, dtype=np.int64)
+    labels[0] = int(rng.integers(0, 2))
+    stay = rng.random(count - 1) < persistence
+    for i in range(1, count):
+        labels[i] = labels[i - 1] if stay[i - 1] else 1 - labels[i - 1]
+    return labels
 
 
 Row = collections.namedtuple("Row", "date prior prices text target")
