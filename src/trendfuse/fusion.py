@@ -101,6 +101,8 @@ def attention_over_features(query: np.ndarray, candidates: np.ndarray,
     `models.unroll` returns its step rows. Scores are plain dot products
     between the query rows and each candidate, weighted by a max-shifted
     softmax; returns (weights of shape (..., B, m), context of query width).
+    Both sums over a short axis are matmuls: the scores are
+    `candidates @ query` and the context `alpha @ candidates`, row by row.
     """
     if candidates.ndim < 3 or candidates.shape[-2] == 0:
         raise ContractError(f"need a (B, m, H) block of at least one candidate, "
@@ -108,25 +110,25 @@ def attention_over_features(query: np.ndarray, candidates: np.ndarray,
     if candidates.shape[:-2] + candidates.shape[-1:] != query.shape:
         raise ShapeError(f"candidate shape {candidates.shape} does not match "
                          f"query shape {query.shape}")
-    alpha = nm.softmax_probs((query[..., None, :] * candidates).sum(axis=-1))
+    alpha = nm.softmax_probs((candidates @ query[..., :, None])[..., 0])
     if saved is not None:
         saved.append((query, candidates, alpha))
-    return alpha, np.einsum("...m,...mh->...h", alpha, candidates)
+    return alpha, (alpha[..., None, :] @ candidates)[..., 0, :]
 
 
 def attention_over_features_back(g_alpha: np.ndarray | None, g_context: np.ndarray | None,
                                  saved: list) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the query and the candidates; either output's gradient
-    may be None (no gradient)."""
+    """Gradients of the query and the candidates; one of the outputs'
+    gradients may be None (no gradient)."""
     query, stacked, alpha = saved.pop()
-    d_alpha = np.zeros_like(alpha) if g_alpha is None else g_alpha
-    d_feats = 0.0
+    d_alpha, d_feats = g_alpha, 0.0
     if g_context is not None:
-        d_alpha = d_alpha + (g_context[..., None, :] * stacked).sum(axis=-1)
-        d_feats = alpha[..., None] * g_context[..., None, :]
+        from_context = (stacked @ g_context[..., :, None])[..., 0]
+        d_alpha = from_context if g_alpha is None else g_alpha + from_context
+        d_feats = alpha[..., :, None] * g_context[..., None, :]
     d_scores = nm.softmax_back(d_alpha, alpha)
-    return (np.einsum("...m,...mh->...h", d_scores, stacked),
-            d_feats + d_scores[..., None] * query[..., None, :])
+    return ((d_scores[..., None, :] @ stacked)[..., 0, :],
+            d_feats + d_scores[..., :, None] * query[..., None, :])
 
 
 def fuse(recurrent_out: np.ndarray, text_context: np.ndarray, params: Params,
@@ -155,16 +157,15 @@ def fuse_back(g: np.ndarray, saved: list) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the recurrent output and of the text context."""
     rec, text_context, text, gamma, project, params = saved.pop()
     d_text = g * (1.0 - gamma)
-    d_gamma = _sum_rows_cols(g * rec) - _sum_rows_cols(g * text)
-    params["gamma_raw"].grad += d_gamma * gamma * (1.0 - gamma)
+    params["gamma_raw"].grad += _sum_rows_cols(g * (rec - text)) * gamma * (1.0 - gamma)
     if project:
         d_text = nm.affine_back(text_context, params["proj_w"], params["proj_b"], d_text)
     return g * gamma, d_text
 
 
 def _sum_rows_cols(a: np.ndarray) -> np.ndarray:
-    """Sum over the last two axes, kept as (..., 1, 1), rows first."""
-    return nm.row_sum(a).sum(axis=-1, keepdims=True)
+    """Sum over the last two axes, kept as (..., 1, 1), as one reduction."""
+    return a.reshape(*a.shape[:-2], 1, -1).sum(axis=-1, keepdims=True)
 
 
 def conv_output_len(input_len: int, kernel_len: int) -> int:

@@ -85,14 +85,23 @@ class Samples:
                        self.texts[rows], self.targets[rows])
 
 
+# The one date form: `date.fromisoformat` also reads 20230103, 2023W013 and
+# 2023-W01-3 on Python 3.11 and later, and 3.10 does not.
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def parse_date(raw: str, column: str, path: Path, line: int) -> Date:
-    """`raw` as an ISO date (YYYY-MM-DD; spaces around it are allowed), else a
-    ParseError `<path>: line <line>: cannot parse <column>=<raw!r> ...`."""
+    """`raw` as an ISO date, YYYY-MM-DD in ASCII digits (spaces around it are
+    allowed), on every Python; else a ParseError `<path>: line <line>:
+    cannot parse <column>=<raw!r> ...`."""
+    text = raw.strip()
     try:
-        return Date.fromisoformat(raw.strip())
+        if _DATE.fullmatch(text):
+            return Date.fromisoformat(text)
     except ValueError:
-        raise ParseError(f"{path}: line {line}: cannot parse {column}={raw!r} "
-                         "(expected YYYY-MM-DD)") from None
+        pass
+    raise ParseError(f"{path}: line {line}: cannot parse {column}={raw!r} "
+                     "(expected YYYY-MM-DD)")
 
 
 def read_dated_csv(path: Path, columns: Callable[[list[str]], tuple[int, Sequence[int]]],

@@ -11,33 +11,45 @@ that `fusion`'s docstring defines.
 
 `unroll` runs a whole sequence, after the cuDNN sequence kernels
 (Appleyard et al., arXiv:1604.01946), and `unroll_back` runs BPTT.
-`CELLS` maps every recurrent kind to its parameter layout rows, the
-names of its gate blocks and a pair of pure-numpy step functions:
+`CELLS` maps every recurrent kind to its parameter layout rows, its gate
+blocks and a pair of pure-numpy step functions (`Cell` gives the
+contract):
 
-- `forward(x_t, state, weights) -> (state, cache)`;
-- `backward(cache, d_state) -> (d_x, d_state_prev, d_blocks)`, with one
-  `(rows, d)` pair per gate block: its matrix's gradient is
-  `mT(rows) @ d` and its bias's, if it has one, `row_sum(d)`.
+- `forward(x_t, state, weights, acts) -> (state, cache)`, activating into
+  `acts`;
+- `backward(cache, d_state, w_t, slopes) -> (d_x, d_state_prev,
+  d_blocks)`, with one `(rows, d)` pair per gate block: its matrix's
+  gradient is `mT(rows) @ d` and its bias's, if it has one, `row_sum(d)`.
 
 Each gate block is stored as the one matrix a step multiplies, as cuDNN
 keeps it: the LSTM block is `w` (H + I, 4H), rows [h; x] and columns
 [i, f, o, c], with bias `b` (1, 4H); its layout row draws the gates in
 the order i, f, c, o into those slots (`numerics.Uniform`). BiLSTM is the
-LSTM entry run in both directions. Each step does one matmul of [h, x]
-against the block and activates it in place with one np.tanh (`_squash`):
-the sigmoid columns are scaled by 0.5 before and after and shifted by
-0.5, which is bitwise `numerics.logistic`. `unroll_back` keeps every
-step's (rows, d) pairs as it walks back and, after the time loop, joins
-each block's rows and d along the row axis, in walk order, so that its
-matrix takes its gradient with one matmul and its bias with one row sum
-over all steps. The input projection X @ W_x is not hoisted out of the
-loop: at these shapes that made training slower, and its (B, T, 4H)
-buffers more than double a forward unroll's peak memory at any batch, a
-scoring block of up to `train.SCORE_CHUNK` rows included; for the same
-reason an unroll without a `saved` list keeps no per-step caches.
-SwinLSTM's windowed attention (`window_pool`) reads only the step input,
-so it runs once over every step's row before the time loop. The
-Mogrifier, ST-LSTM and SwinLSTM steps reuse the LSTM gate block.
+LSTM entry run in both directions. Each unroll scales the sigmoid columns
+of every gate block by 0.5 once (`_direction`), which is exact. Each step
+does one matmul of [h, x] against the halved block and activates it in
+place with one np.tanh (`_squash`): the sigmoid columns are scaled by 0.5
+after it and shifted by 0.5, which is bitwise `numerics.logistic`.
+
+With a `saved` list each direction gives every activation its steps keep
+(the gate blocks' activations and, in the LSTM family, tanh(c)) one
+(T, ..., B, width) block, its steps in the order BPTT walks them, and
+each step activates into its own slot. Before its time loop `unroll_back`
+takes each block's derivative, (a - low)(1 - a) or 1 - a² (`_slope`),
+once, and each step backward reads its slot. A step writes each gate
+block's d, the gradient of its pre-activations, over that block's slope,
+so after the loop the slope block holds the block's d for every step, in
+walk order: the block's matrix takes its gradient with one matmul
+against its rows joined in walk order, and its bias with one row sum. The
+input projection X @ W_x is not hoisted out of the loop: at these shapes
+that made training slower, and its (B, T, 4H) buffers more than double a
+forward unroll's peak memory at any batch, a scoring block of up to
+`train.SCORE_CHUNK` rows included; for the same reason an unroll without
+a `saved` list keeps no per-step caches and allocates no (T, ...) block:
+each step makes its own temporaries. SwinLSTM's windowed attention
+(`window_pool`) reads only the step input, so it runs once over every
+step's row before the time loop. The Mogrifier, ST-LSTM and SwinLSTM
+steps reuse the LSTM gate block.
 """
 
 from __future__ import annotations
@@ -81,8 +93,9 @@ class ModelSpec:
 @functools.lru_cache(maxsize=None)
 def _gate_rows(width: int, n_sig: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-column rows of a gate block whose first n_sig columns are sigmoid
-    and the rest tanh: the scale (0.5 | 1.0) and shift (0.5 | 0.0) of
-    `_squash`, and the lower bound (0 | -1) of `_gates_back`'s derivative."""
+    and the rest tanh: the scale (0.5 | 1.0) of `_direction` and `_squash`,
+    the shift (0.5 | 0.0) of `_squash`, and the lower bound (0 | -1) of
+    `_slope`."""
     sig = np.arange(width) < n_sig
     rows = (np.where(sig, 0.5, 1.0), np.where(sig, 0.5, 0.0), np.where(sig, 0.0, -1.0))
     for row in rows:
@@ -91,140 +104,153 @@ def _gate_rows(width: int, n_sig: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _squash(act, n_sig):
-    """In place, the logistic on the first n_sig columns of act and tanh on
-    the rest, through one np.tanh: bitwise `numerics.logistic` and `np.tanh`,
-    since scaling by 0.5 and 1.0 is exact."""
+    """In place, the logistic on the first n_sig columns and tanh on the
+    rest, through one np.tanh, of pre-activations whose sigmoid columns are
+    already halved (`_direction`): bitwise `numerics.logistic` and `np.tanh`
+    of the unhalved ones, since scaling by 0.5 and 1.0 is exact."""
     scale, shift, _ = _gate_rows(act.shape[-1], n_sig)
-    act *= scale
     np.tanh(act, out=act)
     act *= scale
     act += shift
     return act
 
 
-def _gates(cat, w, b, mem, n_sig):
-    """Gate activations of cat @ w + b and the new memory f * mem + i * g.
+def _slope(act, n_sig):
+    """Derivative of a block's activations by their pre-activations, as a
+    new array: (act - low) * (1 - act) per column, so act * (1 - act) on
+    its first n_sig columns, sigmoid, and (1 + g)(1 - g) on the tanh ones,
+    or 1 - g * g on a block of tanh columns only."""
+    if not n_sig:
+        slope = act * act
+        return np.subtract(1.0, slope, out=slope)
+    slope = act - _gate_rows(act.shape[-1], n_sig)[2]
+    slope *= 1.0 - act
+    return slope
+
+
+def _gates(cat, w, b, mem, n_sig, out):
+    """Gate activations of cat @ w + b, into `out` (None: a new array), and
+    the new memory f * mem + i * g; w and b come halved (`_direction`).
 
     Columns are [i, f, (o,) g]: sigmoid on the first n_sig, tanh on the
     candidate g.
     """
     hid = mem.shape[-1]
-    act = cat @ w
+    act = np.matmul(cat, w, out=out)
     act += b
     _squash(act, n_sig)
     return act, act[..., hid:2 * hid] * mem + act[..., :hid] * act[..., n_sig:]
 
 
-def _gates_back(act, mem, g_mem, g_o, n_sig):
+def _gates_back(act, mem, g_mem, g_o, n_sig, slope):
     """Gradient of the gate pre-activations from those of the memory and of
-    the output gate (None for a block without one). Each column's derivative
-    is (act - low) * (1 - act): act * (1 - act) on a sigmoid, (1 + g)(1 - g)
-    on the tanh candidate."""
+    the output gate (None for a block without one), written over the
+    block's `_slope`."""
     hid = mem.shape[-1]
     products = [g_mem * act[..., n_sig:], g_mem * mem, g_mem * act[..., :hid]]
     if g_o is not None:
         products.insert(2, g_o)
-    d = np.concatenate(products, axis=-1)
-    d *= (act - _gate_rows(act.shape[-1], n_sig)[2]) * (1.0 - act)
-    return d
+    return np.multiply(np.concatenate(products, axis=-1), slope, out=slope)
 
 
-def _lstm_forward(x, state, weights):
+def _lstm_forward(x, state, weights, acts):
     """Standard gated update: input/forget/output gates plus tanh candidate."""
     h, c_prev = state
     w, b = weights[:2]
     hid = h.shape[-1]
     cat = np.concatenate([h, x], axis=-1)
-    act, c = _gates(cat, w, b, c_prev, 3 * hid)
-    t = np.tanh(c)
-    return (act[..., 2 * hid:3 * hid] * t, c), (cat, act, c_prev, t, w)
+    act, c = _gates(cat, w, b, c_prev, 3 * hid, acts[0])
+    t = np.tanh(c, out=acts[-1])
+    return (act[..., 2 * hid:3 * hid] * t, c), (cat, act, c_prev, t)
 
 
-def _lstm_backward(cache, d_state):
-    cat, act, c_prev, t, w = cache
+def _lstm_backward(cache, d_state, w_t, slopes):
+    cat, act, c_prev, t = cache
     d_h, d_c = d_state
     hid = c_prev.shape[-1]
-    g_mem = d_h * act[..., 2 * hid:3 * hid] * (1.0 - t * t) + d_c
-    d = _gates_back(act, c_prev, g_mem, d_h * t, 3 * hid)
-    d_cat = d @ nm.mT(w)
+    g_mem = d_h * act[..., 2 * hid:3 * hid] * slopes[-1] + d_c
+    d = _gates_back(act, c_prev, g_mem, d_h * t, 3 * hid, slopes[0])
+    d_cat = d @ w_t[0]
     return (d_cat[..., hid:], (d_cat[..., :hid], g_mem * act[..., hid:2 * hid]),
             ((cat, d),))
 
 
-def _gru_forward(x, state, weights):
+def _gru_forward(x, state, weights, acts):
     """[z, r] = sigmoid([h, x] @ w_zr + b_zr),
     h_tilde = tanh([r * h, x] @ w_h + b_h), h' = (1 - z) * h + z * h_tilde."""
     (h,) = state
     w_zr, b_zr, w_h, b_h = weights
     hid = h.shape[-1]
     cat = np.concatenate([h, x], axis=-1)
-    zr = cat @ w_zr
+    zr = np.matmul(cat, w_zr, out=acts[0])
     zr += b_zr
     _squash(zr, 2 * hid)
     z, r = zr[..., :hid], zr[..., hid:]
     cat_r = np.concatenate([r * h, x], axis=-1)
-    h_tilde = cat_r @ w_h
+    h_tilde = np.matmul(cat_r, w_h, out=acts[1])
     h_tilde += b_h
     np.tanh(h_tilde, out=h_tilde)
-    return ((1.0 - z) * h + z * h_tilde,), (cat, zr, cat_r, h_tilde, w_zr, w_h)
+    return ((1.0 - z) * h + z * h_tilde,), (cat, zr, cat_r, h_tilde)
 
 
-def _gru_backward(cache, d_state):
-    cat, zr, cat_r, h_tilde, w_zr, w_h = cache
+def _gru_backward(cache, d_state, w_t, slopes):
+    cat, zr, cat_r, h_tilde = cache
+    w_zr, _, w_h, _ = w_t
     (g,) = d_state
     hid = h_tilde.shape[-1]
     h, z, r = cat[..., :hid], zr[..., :hid], zr[..., hid:]
-    d_h = g * z * (1.0 - h_tilde * h_tilde)
-    d_cat_r = d_h @ nm.mT(w_h)
+    d_h = np.multiply(g * z, slopes[1], out=slopes[1])
+    d_cat_r = d_h @ w_h
     d_rh = d_cat_r[..., :hid]
-    d_zr = np.concatenate([g * (h_tilde - h), d_rh * h], axis=-1)
-    d_zr *= zr * (1.0 - zr)
-    d_cat = d_zr @ nm.mT(w_zr)
+    d_zr = np.multiply(np.concatenate([g * (h_tilde - h), d_rh * h], axis=-1), slopes[0],
+                       out=slopes[0])
+    d_cat = d_zr @ w_zr
     return (d_cat_r[..., hid:] + d_cat[..., hid:],
             (g * (1.0 - z) + d_rh * r + d_cat[..., :hid],),
             ((cat, d_zr), (cat_r, d_h)))
 
 
-def _mogrifier_forward(x, state, weights):
+def _mogrifier_forward(x, state, weights, acts):
     """Alternating Mogrifier rounds on (x, h), then an LSTM step.
 
     weights[2:] holds one matrix per round (q, r, q, ...): odd rounds rescale
     x by 2*sigmoid(h @ q), even rounds rescale h by 2*sigmoid(x @ r). With
-    no rounds this is the plain LSTM.
+    no rounds this is the plain LSTM. Round k activates into acts[k + 1].
     """
     h, c = state
     saved = []
     for k, m in enumerate(weights[2:]):
-        s = _squash(x @ m if k % 2 else h @ m, m.shape[-1])
+        s = _squash(np.matmul(x if k % 2 else h, m, out=acts[k + 1]), m.shape[-1])
         saved.append((s, x, h))
         if k % 2:
             h = 2.0 * s * h
         else:
             x = 2.0 * s * x
-    state, cache = _lstm_forward(x, (h, c), weights)
-    return state, (cache, saved, weights[2:])
+    state, cache = _lstm_forward(x, (h, c), weights, (acts[0], acts[-1]))
+    return state, (cache, saved)
 
 
-def _mogrifier_backward(cache, d_state):
-    cache, saved, mats = cache
-    g_x, (g_h, d_c), d_lstm = _lstm_backward(cache, d_state)
+def _mogrifier_backward(cache, d_state, w_t, slopes):
+    cache, saved = cache
+    mats = w_t[2:]
+    g_x, (g_h, d_c), d_lstm = _lstm_backward(cache, d_state, w_t, (slopes[0], slopes[-1]))
     d_mats = [None] * len(mats)
     for k in range(len(mats) - 1, -1, -1):
         s, x, h = saved[k]
         if k % 2:
-            d_z = g_h * 2.0 * h * s * (1.0 - s)
+            d_z = np.multiply(g_h * 2.0 * h, slopes[k + 1], out=slopes[k + 1])
             d_mats[k] = (x, d_z)
             g_h = g_h * 2.0 * s
-            g_x = g_x + d_z @ nm.mT(mats[k])
+            g_x = g_x + d_z @ mats[k]
         else:
-            d_z = g_x * 2.0 * x * s * (1.0 - s)
+            d_z = np.multiply(g_x * 2.0 * x, slopes[k + 1], out=slopes[k + 1])
             d_mats[k] = (h, d_z)
             g_x = g_x * 2.0 * s
-            g_h = g_h + d_z @ nm.mT(mats[k])
+            g_h = g_h + d_z @ mats[k]
     return g_x, (g_h, d_c), (*d_lstm, *d_mats)
 
 
-def _stlstm_forward(x, state, weights):
+def _stlstm_forward(x, state, weights, acts):
     """Dual-memory update: a second cell state M with its own gates.
 
     The M path is driven by [x, M_prev] through a gate block without an
@@ -235,27 +261,28 @@ def _stlstm_forward(x, state, weights):
     w, b, w_m, b_m, w_mix = weights
     hid = h.shape[-1]
     cat = np.concatenate([h, x], axis=-1)
-    act, c = _gates(cat, w, b, c_prev, 3 * hid)
+    act, c = _gates(cat, w, b, c_prev, 3 * hid, acts[0])
     cat_m = np.concatenate([x, m_prev], axis=-1)
-    act_m, m = _gates(cat_m, w_m, b_m, m_prev, 2 * hid)
+    act_m, m = _gates(cat_m, w_m, b_m, m_prev, 2 * hid, acts[1])
     mems = np.concatenate([c, m], axis=-1)
-    t = mems @ w_mix
+    t = np.matmul(mems, w_mix, out=acts[2])
     np.tanh(t, out=t)
     return ((act[..., 2 * hid:3 * hid] * t, c, m),
-            (cat, act, c_prev, cat_m, act_m, m_prev, mems, t, weights))
+            (cat, act, c_prev, cat_m, act_m, m_prev, mems, t))
 
 
-def _stlstm_backward(cache, d_state):
-    cat, act, c_prev, cat_m, act_m, m_prev, mems, t, (w, _, w_m, _, w_mix) = cache
+def _stlstm_backward(cache, d_state, w_t, slopes):
+    cat, act, c_prev, cat_m, act_m, m_prev, mems, t = cache
+    w, _, w_m, _, w_mix = w_t
     d_h, d_c, d_m = d_state
     hid = c_prev.shape[-1]
     split = cat_m.shape[-1] - hid
-    d_pre = d_h * act[..., 2 * hid:3 * hid] * (1.0 - t * t)
-    d_mems = d_pre @ nm.mT(w_mix) + np.concatenate([d_c, d_m], axis=-1)
+    d_pre = np.multiply(d_h * act[..., 2 * hid:3 * hid], slopes[2], out=slopes[2])
+    d_mems = d_pre @ w_mix + np.concatenate([d_c, d_m], axis=-1)
     g_c, g_m = d_mems[..., :hid], d_mems[..., hid:]
-    d = _gates_back(act, c_prev, g_c, d_h * t, 3 * hid)
-    d_gm = _gates_back(act_m, m_prev, g_m, None, 2 * hid)
-    d_cat, d_cat_m = d @ nm.mT(w), d_gm @ nm.mT(w_m)
+    d = _gates_back(act, c_prev, g_c, d_h * t, 3 * hid, slopes[0])
+    d_gm = _gates_back(act_m, m_prev, g_m, None, 2 * hid, slopes[1])
+    d_cat, d_cat_m = d @ w, d_gm @ w_m
     return (d_cat[..., hid:] + d_cat_m[..., :split],
             (d_cat[..., :hid], g_c * act[..., hid:2 * hid],
              g_m * act_m[..., hid:2 * hid] + d_cat_m[..., split:]),
@@ -275,7 +302,9 @@ def window_pool(x: np.ndarray, params: Mapping[str, Tensor], window: int,
     u_j * wv (max-shifted softmax); each window's output is
     u + attention * wp, and the windows are averaged elementwise into a row
     of width `window`. The scales are the (..., 1, 4) row `params["pool"]`,
-    [wq, wk, wv, wp], whose replica axes, if any, lead x's axes.
+    [wq, wk, wv, wp], whose replica axes, if any, lead x's axes. Each sum
+    over a window's entries is a matmul, and the backward sums the four
+    scales' gradients in one reduction.
     """
     pool = params["pool"].data
     lead, feat, reps = x.shape[:-1], x.shape[-1], pool.shape[:-2]
@@ -287,7 +316,7 @@ def window_pool(x: np.ndarray, params: Mapping[str, Tensor], window: int,
     aq, ak, av, ap = (pool[..., k].reshape(scalar) for k in range(4))
     q, k, v = u * aq, u * ak, u * av
     alpha = nm.softmax_probs(q[..., :, None] * k[..., None, :])
-    att = (alpha * v[..., None, :]).sum(axis=-1)
+    att = (alpha @ v[..., :, None])[..., 0]
     out = u + att * ap
     if saved is not None:
         saved.append((params, feat, u, (aq, ak, av, ap), q, k, v, alpha, att))
@@ -301,13 +330,12 @@ def window_pool_back(g: np.ndarray, saved: list) -> np.ndarray:
     d_out = np.broadcast_to((g * (1.0 / u.shape[-2]))[..., None, :], u.shape)
     d_att = d_out * ap
     d_alpha = d_att[..., :, None] * v[..., None, :]
-    d_v = (alpha * d_att[..., :, None]).sum(axis=-2)
+    d_v = (d_att[..., None, :] @ alpha)[..., 0, :]
     d_s = nm.softmax_back(d_alpha, alpha)
-    d_q = (d_s * k[..., None, :]).sum(axis=-1)
-    d_k = (d_s * q[..., :, None]).sum(axis=-2)
-    grads = (d_q * u, d_k * u, d_v * u, d_out * att)
-    pool.grad += np.stack([grad.reshape(*reps, -1).sum(axis=-1) for grad in grads],
-                          axis=-1).reshape(pool.shape)
+    d_q = (d_s @ k[..., :, None])[..., 0]
+    d_k = (q[..., None, :] @ d_s)[..., 0, :]
+    grads = np.stack((d_q * u, d_k * u, d_v * u, d_out * att), axis=len(reps))
+    pool.grad += grads.reshape(*reps, 4, -1).sum(axis=-1).reshape(pool.shape)
     d_u = d_out + d_q * aq + d_k * ak + d_v * av
     return d_u.reshape(*lead, -1)[..., :feat]
 
@@ -365,12 +393,22 @@ class Cell:
     `layout(spec, input_width)` yields the (name, shape, start) rows of one
     direction, names without the `cell.` prefix, in draw order.
     `weights(spec)` names each gate block once, in order, as (matrix,
-    bias or None); each Mogrifier round is a block `q` or `r` without a
-    bias. `forward` maps (x_t, state, weights) to (state, cache), weights
-    the flat tuple of those names' arrays without the Nones, and the state
-    a tuple of `arity` arrays with the hidden row first; `backward` maps
-    (cache, d_state) to (d_x, d_state_prev, d_blocks), d_blocks one
-    (rows, d) pair per block of `weights`, in order.
+    bias or None, tanh columns): its activation is the logistic on its
+    first columns and tanh on that many last ones. Each Mogrifier round is
+    a block `q` or `r` without a bias. A step keeps one activation per
+    block, of the matrix's width, then, with `tanh_memory`, tanh(c) of
+    width H.
+
+    `forward` maps (x_t, state, weights, acts) to (state, cache): weights
+    the flat tuple of those names' arrays without the Nones, each block's
+    sigmoid columns halved (`_direction`); the state a tuple of `arity`
+    arrays with the hidden row first; acts one array per activation to
+    write it into, or Nones for new ones. `backward` maps (cache, d_state,
+    w_t, slopes) to (d_x, d_state_prev, d_blocks): w_t the stored arrays,
+    each transposed (`numerics.mT`), slopes one array per activation
+    holding its `_slope` at that step, and d_blocks one (rows, d) pair per
+    block, in order, where d, written over that block's slope, is the
+    gradient of its pre-activations.
     `pool`, when set, is the `window_pool` pair, run over the whole
     step-input block once before the time loop. Each name in `directions`
     is a parameter sub-prefix run in turn, the second one over the reversed
@@ -378,28 +416,57 @@ class Cell:
     """
 
     layout: Callable[[ModelSpec, int], Iterable[Row]]
-    weights: Callable[[ModelSpec], tuple[str, ...]]
-    forward: Callable[[np.ndarray, tuple, tuple], tuple]
-    backward: Callable[[object, tuple], tuple]
+    weights: Callable[[ModelSpec], tuple[tuple[str, str | None, int], ...]]
+    forward: Callable[[np.ndarray, tuple, tuple, tuple], tuple]
+    backward: Callable[[object, tuple, tuple, tuple], tuple]
     arity: int
+    tanh_memory: bool = False
     directions: tuple[str, ...] = ("",)
     pool: tuple[Callable, Callable] | None = None
 
 
+def _lstm_blocks(spec: ModelSpec) -> tuple[tuple[str, str | None, int], ...]:
+    return (("w", "b", spec.hidden),)
+
+
 CELLS = {
-    "lstm": Cell(_lstm_layout, lambda spec: (("w", "b"),), _lstm_forward, _lstm_backward, 2),
-    "bilstm": Cell(_lstm_layout, lambda spec: (("w", "b"),), _lstm_forward, _lstm_backward, 2,
+    "lstm": Cell(_lstm_layout, _lstm_blocks, _lstm_forward, _lstm_backward, 2, True),
+    "bilstm": Cell(_lstm_layout, _lstm_blocks, _lstm_forward, _lstm_backward, 2, True,
                    directions=("fwd", "bwd")),
-    "gru": Cell(_gru_layout, lambda spec: (("w_zr", "b_zr"), ("w_h", "b_h")),
+    "gru": Cell(_gru_layout, lambda spec: (("w_zr", "b_zr", 0), ("w_h", "b_h", spec.hidden)),
                 _gru_forward, _gru_backward, 1),
-    "mogrifier": Cell(_mogrifier_layout, lambda spec: (("w", "b"), *(
-        ("r" if k % 2 else "q", None) for k in range(spec.mogrifier_rounds))),
-        _mogrifier_forward, _mogrifier_backward, 2),
-    "stlstm": Cell(_stlstm_layout, lambda spec: (("w", "b"), ("w_m", "b_m"), ("w_mix", None)),
-                   _stlstm_forward, _stlstm_backward, 3),
-    "swinlstm": Cell(_swinlstm_layout, lambda spec: (("w", "b"),), _lstm_forward,
-                     _lstm_backward, 2, pool=(window_pool, window_pool_back)),
+    "mogrifier": Cell(_mogrifier_layout, lambda spec: (*_lstm_blocks(spec), *(
+        ("r" if k % 2 else "q", None, 0) for k in range(spec.mogrifier_rounds))),
+        _mogrifier_forward, _mogrifier_backward, 2, True),
+    "stlstm": Cell(_stlstm_layout, lambda spec: (
+        *_lstm_blocks(spec), ("w_m", "b_m", spec.hidden), ("w_mix", None, spec.hidden)),
+        _stlstm_forward, _stlstm_backward, 3),
+    "swinlstm": Cell(_swinlstm_layout, _lstm_blocks, _lstm_forward, _lstm_backward, 2, True,
+                     pool=(window_pool, window_pool_back)),
 }
+
+
+def _direction(cell: Cell, blocks: tuple, sub: Mapping[str, Tensor],
+               hid: int) -> tuple[tuple, tuple, list[tuple[int, int]]]:
+    """One direction's block arrays, flat in `Cell.weights` order without
+    the Nones, for its steps: transposed, for `backward`, and with each
+    block's sigmoid columns scaled by 0.5, `_squash`'s first multiply, for
+    `forward`; and the (width, sigmoid columns) of each activation a step
+    keeps."""
+    w_t, halved, acts = [], [], []
+    for matrix, bias, tanh in blocks:
+        width = sub[matrix].shape[-1]
+        n_sig = width - tanh
+        acts.append((width, n_sig))
+        scale = _gate_rows(width, n_sig)[0] if tanh else 0.5
+        for name in (matrix, bias):
+            if name is not None:
+                data = sub[name].data
+                w_t.append(nm.mT(data))
+                halved.append(data * scale if n_sig else data)
+    if cell.tanh_memory:
+        acts.append((hid, 0))
+    return tuple(w_t), tuple(halved), acts
 
 
 def feedforward_net(prices: np.ndarray, priors: np.ndarray, context: np.ndarray,
@@ -457,8 +524,11 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
     Returns the step rows (..., B, T, H * directions), for attention
     pooling, and the final row. For bilstm a step row pairs the forward
     state with the co-located backward state, and the final row
-    concatenates both directions' final states. Per-step caches are kept
-    only in `saved`.
+    concatenates both directions' final states. Only with a `saved` list
+    does a direction keep its per-step caches and give each activation one
+    (T, ..., B, width) block, steps in the order BPTT walks them, whose
+    slot each step activates into; without it each step makes its own
+    temporaries.
     """
     if spec.kind not in CELLS:
         raise ConfigError(f"cannot unroll non-recurrent kind {spec.kind!r}")
@@ -468,26 +538,33 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
     if cell.pool is not None:
         xs = cell.pool[0](xs, params, spec.swin_window, saved)
     blocks = cell.weights(spec)
-    names = [n for block in blocks for n in block if n is not None]
     subs = [params if not d else {k[len(d) + 1:]: v for k, v in params.items()
                                   if k.startswith(d + ".")} for d in cell.directions]
-    weights = [tuple(sub[n].data for n in names) for sub in subs]
     hid, lead, (steps, width) = spec.hidden, xs.shape[:-2], xs.shape[-2:]
-    if weights[0][0].shape[-2] != hid + width:
-        raise ShapeError(f"gate weights {weights[0][0].shape} do not fit "
+    dirs = [_direction(cell, blocks, sub, hid) for sub in subs]
+    if dirs[0][1][0].shape[-2] != hid + width:
+        raise ShapeError(f"gate weights {dirs[0][1][0].shape} do not fit "
                          f"[h, x] rows of width {hid} + {width}")
     zero = np.zeros((*lead, hid))
     out = np.empty((*lead, steps, hid * len(subs)))
     runs = []
-    for k, w in enumerate(weights):
+    for k, (w_t, halved, acts) in enumerate(dirs):
+        order = range(steps - 1, -1, -1) if k else range(steps)
+        if saved is None:
+            values, slots = None, [(None,) * len(acts)] * steps
+        else:
+            values = [np.empty((steps, *lead, w)) for w, _ in acts]
+            slots = list(zip(*values))
+            if not k:  # BPTT walks the first direction from its last step back
+                slots.reverse()
         state, run = (zero,) * cell.arity, []
-        for t in (range(steps - 1, -1, -1) if k else range(steps)):
-            state, cache = cell.forward(xs[..., t, :], state, w)
+        for t in order:
+            state, cache = cell.forward(xs[..., t, :], state, halved, slots[t])
             out[..., t, k * hid:(k + 1) * hid] = state[0]
             if saved is not None:
                 run.append((t, cache))
             del cache  # unkept, its memory is free for the next step
-        runs.append(run)
+        runs.append((w_t, acts, values, run))
     final = out[..., -1, :] if len(subs) == 1 else np.concatenate(
         [out[..., -1, :hid], out[..., 0, hid:]], axis=-1)
     if saved is not None:
@@ -498,22 +575,29 @@ def unroll(spec: ModelSpec, params: Mapping[str, Tensor], xs: np.ndarray,
 def unroll_back(g_steps: np.ndarray | None, g_final: np.ndarray | None,
                 saved: list) -> np.ndarray:
     """BPTT: the step inputs' gradient, from those of the step rows and of
-    the final row (either may be None)."""
+    the final row (either may be None). Each activation block's `_slope` is
+    taken once, and each gate block's d ends up in its slope block (see the
+    module docstring)."""
     cell, blocks, subs, runs, shape, zero = saved.pop()
     hid = zero.shape[-1]
     d_xs = np.zeros(shape)
-    for k, (sub, run) in enumerate(zip(subs, runs)):
+    for k, (sub, (w_t, acts, values, run)) in enumerate(zip(subs, runs)):
+        slopes = [_slope(a, n_sig) for a, (_, n_sig) in zip(values, acts)]
+        by_step = list(zip(*slopes))
         cols, last = slice(k * hid, (k + 1) * hid), run[-1][0]
         d_state, walk = (zero,) * cell.arity, []
-        for t, cache in reversed(run):
+        for j, (t, cache) in enumerate(reversed(run)):
             d_h = d_state[0] if g_steps is None else d_state[0] + g_steps[..., t, cols]
             if g_final is not None and t == last:
                 d_h = d_h + g_final[..., cols]
-            d_x, d_state, pairs = cell.backward(cache, (d_h, *d_state[1:]))
+            d_x, d_state, pairs = cell.backward(cache, (d_h, *d_state[1:]), w_t, by_step[j])
             walk.append(pairs)
             d_xs[..., t, :] += d_x
-        for (matrix, bias), *steps in zip(blocks, *walk):
-            rows, d = (np.concatenate(a, axis=-2) for a in zip(*steps))
+        for (matrix, bias, _), d, *pairs in zip(blocks, slopes, *walk):
+            rows = np.concatenate([r for r, _ in pairs], axis=-2)
+            # the steps' d joined in walk order: a reshape of (T, B, w), a copy
+            # of (T, R, B, w)
+            d = d.reshape(-1, d.shape[-1]) if d.ndim == 3 else np.concatenate(d, axis=-2)
             sub[matrix].grad += nm.mT(rows) @ d
             if bias is not None:
                 sub[bias].grad += nm.row_sum(d)

@@ -95,7 +95,11 @@ def write_markov_market_csv(path, count: int, seed: int,
 
 
 def write_toy_summaries(path, count: int, seed: int) -> None:
-    """JSON-lines summaries of three four-word sentences of deterministic word salad."""
+    """JSON-lines summaries of three four-word sentences of deterministic word
+    salad, one per day for `count` >= 1 days; a smaller count is a
+    ContractError, before anything is written."""
+    if count < 1:
+        raise ContractError(f"need at least 1 summary, got {count}")
     rng = np.random.default_rng(seed)
     days = _dates(count)
     picks = rng.integers(0, len(_WORDS), size=(len(days), 3, 4)).tolist()
@@ -107,7 +111,10 @@ def write_toy_summaries(path, count: int, seed: int) -> None:
 
 
 def toy_corpus(n_sentences: int = 20, seed: int = 7) -> list[str]:
-    """Small pretraining corpus with repeated co-occurrence structure."""
+    """Small pretraining corpus with repeated co-occurrence structure, of
+    `n_sentences` >= 1 sentences; fewer is a ContractError."""
+    if n_sentences < 1:
+        raise ContractError(f"need at least 1 sentence, got {n_sentences}")
     rng = np.random.default_rng(seed)
     corpus = []
     for _ in range(n_sentences):

@@ -101,7 +101,10 @@ def bce_loss(p: Tensor, targets) -> Tensor:
     as one tape node of the leading shape (a scalar for one column).
 
     Probabilities are clamped below at 1e-7 on both sides (p and 1 - p);
-    no gradient flows through a clamped side.
+    no gradient flows through a clamped side. Each row's loss and gradient
+    come from its one selected probability, p for a target of 1 and 1 - p
+    for 0: the value and gradient of y log p + (1 - y) log(1 - p), whose
+    other term is an exact zero.
     """
     y = np.asarray(targets, dtype=np.float64)[..., None]
     if p.shape != y.shape:
@@ -109,20 +112,18 @@ def bce_loss(p: Tensor, targets) -> Tensor:
     pd = p.data
     if np.any((pd < 0) | (pd > 1)):
         raise ContractError("probabilities must lie in [0, 1]")
-    if not np.all((y == 0) | (y == 1)):
+    up = y == 1
+    if not np.all(up | (y == 0)):
         raise ContractError("targets must be 0 or 1")
-    p_pos = np.maximum(pd, PROB_CLAMP)
-    p_neg = np.maximum(1.0 - pd, PROB_CLAMP)
-    per = y * np.log(p_pos) + (1.0 - y) * np.log(p_neg)
+    picked = np.where(up, pd, 1.0 - pd)
+    clamped = np.maximum(picked, PROB_CLAMP)
     scale = 1.0 / pd.shape[-2]
 
     def back(g: np.ndarray) -> None:
-        c = -g[..., None, None] * scale
-        d_pos = c * y / p_pos * (pd > PROB_CLAMP)
-        d_neg = c * (1.0 - y) / p_neg * ((1.0 - pd) > PROB_CLAMP)
-        nm.accumulate(p, d_pos - d_neg)
+        c = g[..., None, None] * scale
+        nm.accumulate(p, np.where(picked > PROB_CLAMP, np.where(up, -c, c) / clamped, 0.0))
 
-    return nm.fused((p,), -(per.sum(axis=(-2, -1)) * scale), back)
+    return nm.fused((p,), -(np.log(clamped).sum(axis=(-2, -1)) * scale), back)
 
 
 def pipeline_layout(config: TrainConfig) -> Iterator[Row]:

@@ -16,7 +16,8 @@ and `embed`, `conv_text`, `feedforward_net`, `attention_over_features`,
 `fuse`, `output_head` and `bce_loss` do the same for the text path,
 feedforward baseline and predictor tail in `fusion`, `models` and `train`:
 their gradients come from the per-op backwards, not from a hand-written
-one.
+one. `bce_both_terms` is the loss in plain numpy with both of its terms on
+every row, which `train.bce_loss` must equal bit for bit.
 
 `taped` is the generic adapter that puts one of the program's numpy
 forward/backward pairs (`fusion.embed`/`embed_back`, `models.unroll`/
@@ -124,14 +125,21 @@ def tape_size(loss):
     return len(seen)
 
 
-def assert_same_values_and_grads(fused, composed, arrays, seed):
+def assert_same_values_and_grads(fused, composed, arrays, seed, atol=None):
     """Outputs and every input's gradient agree between a fused primitive and
-    its composition.
+    its composition: to 1e-12 relative error or, given `atol`, to that
+    absolute difference, for a primitive that sums in another order than
+    its composition, where a cancelling sum has no relative bound.
 
     `fused` and `composed` map a dict of leaf tensors (one per entry of
     `arrays`) to one output tensor or a tuple of them; the gradients are of
     a sum of every output weighted by fixed random draws from `seed`.
     """
+    def close(a, b):
+        if atol is None:
+            return max_rel_err(a, b) < 1e-12
+        return float(np.max(np.abs(a - b), initial=0.0)) <= atol
+
     results = []
     for build in (fused, composed):
         leaves = {k: nm.Tensor(v, requires_grad=True) for k, v in arrays.items()}
@@ -146,10 +154,10 @@ def assert_same_values_and_grads(fused, composed, arrays, seed):
     (outs_f, grads_f), (outs_c, grads_c) = results
     for out_f, out_c in zip(outs_f, outs_c):
         assert out_f.shape == out_c.shape
-        assert max_rel_err(out_f, out_c) < 1e-12
+        assert close(out_f, out_c)
     for key in arrays:
         assert np.all(np.isfinite(grads_f[key])), key
-        assert max_rel_err(grads_f[key], grads_c[key]) < 1e-12, key
+        assert close(grads_f[key], grads_c[key]), key
 
 
 def assert_replicas_match_solo(build, arrays, seed):
@@ -307,29 +315,35 @@ def cell_step(kind, x, state, params, **knobs):
     and of the weights, and its backward adds gradients to all of them, so
     a step can start from any state. SwinLSTM pools x first, as
     `models.unroll` does. `knobs` are `ModelSpec` fields such as
-    `mogrifier_rounds` or `swin_window`; the new state tuple comes back,
-    hidden row first. The backward adds each gate block's `(rows, d)`
-    pair, one step at a time: `mT(rows) @ d` to the block's matrix and
-    `row_sum(d)` to its bias, if it has one.
+    `mogrifier_rounds` or `swin_window`, and the width of the state rows is
+    `hidden`; the new state tuple comes back, hidden row first. The step
+    takes its weights from `models._direction` and activates into arrays
+    of its own. The backward takes each activation's `models._slope` from
+    them, one step at a time, as `models.unroll_back` does once for each
+    block of a whole sequence, and adds each gate block's `(rows, d)` pair:
+    `mT(rows) @ d` to the block's matrix and `row_sum(d)` to its bias, if it
+    has one.
     """
-    spec = models.ModelSpec(kind=kind, **knobs)
+    spec = models.ModelSpec(kind=kind, hidden=state[0].shape[-1], **knobs)
     cell = models.CELLS[kind]
     if cell.pool is not None:
         x = taped(models.window_pool)(x, params, spec.swin_window)
     blocks = cell.weights(spec)
-    names = [n for block in blocks for n in block if n is not None]
-    new_state, cache = cell.forward(x.data, tuple(s.data for s in state),
-                                    tuple(params[n].data for n in names))
-    leaves = [params[n] for n in dict.fromkeys(names)]
+    w_t, halved, acts = models._direction(cell, blocks, params, spec.hidden)
+    values = tuple(np.empty((*x.shape[:-1], width)) for width, _ in acts)
+    new_state, cache = cell.forward(x.data, tuple(s.data for s in state), halved, values)
+    leaves = [params[n] for n in dict.fromkeys(n for block in blocks for n in block[:2]
+                                               if n is not None)]
 
     def back(*grads):
         d_state = tuple(np.zeros_like(s) if g is None else g for g, s in zip(grads, new_state))
-        d_x, d_prev, d_blocks = cell.backward(cache, d_state)
+        slopes = tuple(models._slope(a, n_sig) for a, (_, n_sig) in zip(values, acts))
+        d_x, d_prev, d_blocks = cell.backward(cache, d_state, w_t, slopes)
         nm.accumulate(x, d_x)
         for s, d in zip(state, d_prev):
             nm.accumulate(s, d)
         _zero_missing_grads(leaves)
-        for (matrix, bias), (rows, d) in zip(blocks, d_blocks):
+        for (matrix, bias, _), (rows, d) in zip(blocks, d_blocks):
             params[matrix].grad += nm.mT(rows) @ d
             if bias is not None:
                 params[bias].grad += nm.row_sum(d)
@@ -791,6 +805,21 @@ def bce_loss(p, targets):
     per = add(mul(nm.Tensor(y), log(p_pos)),
                  mul(nm.Tensor(1.0 - y), log(p_neg)))
     return neg(mean_(per))
+
+
+def bce_both_terms(p, targets, g):
+    """Value and p-gradient, from the loss's gradient g, of the mean BCE of
+    numpy arrays with both terms evaluated on every row: y log p +
+    (1 - y) log(1 - p), each side clamped below at 1e-7 and its gradient
+    masked there. The reference for `train.bce_loss`, which takes one
+    selected probability per row."""
+    y = np.asarray(targets, dtype=np.float64)[..., None]
+    p_pos, p_neg = np.maximum(p, 1e-7), np.maximum(1.0 - p, 1e-7)
+    per = y * np.log(p_pos) + (1.0 - y) * np.log(p_neg)
+    scale = 1.0 / p.shape[-2]
+    c = -np.asarray(g)[..., None, None] * scale
+    grad = c * y / p_pos * (p > 1e-7) - c * (1.0 - y) / p_neg * ((1.0 - p) > 1e-7)
+    return -(per.sum(axis=(-2, -1)) * scale), grad
 
 
 def confusion_counts(labels, targets):

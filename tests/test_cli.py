@@ -1005,12 +1005,19 @@ class TestFailedRunsLeaveNoOutput:
         assert not (tmp_path / "out").exists()
 
 
+# ISO 8601 dates in other forms than YYYY-MM-DD, which `date.fromisoformat`
+# reads on Python 3.11 and later: each names 2023-01-03 or 2023-01-04.
+NON_CALENDAR_DATES = {"basic": "20230103", "week": "2023W013", "dashed_week": "2023-W01-3"}
+
 # One fault on line 3 of a dated CSV: an edit of the file's rows of fields
 # (header first), and the error class and message after `<path>: ` that it
 # gives, formatted with the header's date, first number and last column.
 CSV_FAULTS = {
     "bad_date": (lambda rows: rows[2].__setitem__(0, "2023-13-03"), "ParseError",
                  "line 3: cannot parse {date}='2023-13-03' (expected YYYY-MM-DD)"),
+    **{f"iso_{name}_date": (lambda rows, raw=raw: rows[2].__setitem__(0, raw), "ParseError",
+                            f"line 3: cannot parse {{date}}='{raw}' (expected YYYY-MM-DD)")
+       for name, raw in NON_CALENDAR_DATES.items()},
     "spaced_date": (lambda rows: rows[2].__setitem__(0, f" {rows[2][0]} "), None, None),
     "non_number": (lambda rows: rows[2].__setitem__(1, "abc"), "ParseError",
                    "line 3: cannot parse {first}='abc' as a number"),
@@ -1026,6 +1033,9 @@ CSV_FAULTS = {
 SUMMARY_FAULTS = {
     "bad_date": (lambda obj: obj.update(date="2023-13-03"), "ParseError",
                  "line 3: cannot parse date='2023-13-03' (expected YYYY-MM-DD)"),
+    **{f"iso_{name}_date": (lambda obj, raw=raw: obj.update(date=raw), "ParseError",
+                            f"line 3: cannot parse date='{raw}' (expected YYYY-MM-DD)")
+       for name, raw in NON_CALENDAR_DATES.items()},
     "spaced_date": (lambda obj: obj.update(date=f" {obj['date']} "), None, None),
     "short_row": (lambda obj: obj.pop("text"), "ParseError",
                   "line 3: expected an object with date and text"),

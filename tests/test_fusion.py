@@ -257,6 +257,30 @@ class TestFusedTailMatchesOracles:
                 lambda p: oracles.attention_over_features(p["q"], p["feats"])[pick],
                 arrays, seed=seed)
 
+    @pytest.mark.parametrize("replicas", [None, 2], ids=["solo", "replicas"])
+    @pytest.mark.parametrize("batch", [1, 32, 512])
+    def test_attention_at_pipeline_batches(self, batch, replicas):
+        """The matmul scores and pooling, forward and backward, against the
+        tape composition at the pipeline's pooling shape (5 steps of 8) from
+        one row to a training batch and a scoring chunk; stacked replicas
+        give each replica what it gives alone. A matmul sums in another
+        order than the composition's reductions, so the bound is absolute:
+        each entry sums at most 8 products of normal draws, which a
+        reordering moves by a few float64 eps (2.2e-16) times their size."""
+        rng = np.random.default_rng(57 + batch)
+        lead = ((replicas,) if replicas else ()) + (batch,)
+        arrays = {"q": rng.normal(size=(*lead, 8)), "feats": rng.normal(size=(*lead, 5, 8))}
+
+        def pooled(p):
+            return taped(fusion.attention_over_features)(p["q"], p["feats"])
+
+        if replicas:
+            oracles.assert_replicas_match_solo(pooled, arrays, seed=10)
+        for r in range(replicas or 1):
+            oracles.assert_same_values_and_grads(
+                pooled, lambda p: oracles.attention_over_features(p["q"], p["feats"]),
+                {k: v[r] if replicas else v for k, v in arrays.items()}, seed=11 + r, atol=1e-13)
+
     def test_attention_with_the_query_among_the_candidates(self):
         # the query is read from the candidate block, so both gradients meet there
         rng = np.random.default_rng(54)

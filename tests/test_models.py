@@ -437,7 +437,8 @@ class TestOutputHead:
 
 
 class TestGateBlock:
-    """The gate block's activation: one np.tanh over every column."""
+    """The gate block's activation: one np.tanh over every column, of
+    pre-activations whose sigmoid columns come halved."""
 
     @pytest.mark.parametrize("lead", [(5,), (2, 5)], ids=["solo", "replicas"])
     @pytest.mark.parametrize("n_sig", [0, 6, 9, 12])
@@ -445,20 +446,24 @@ class TestGateBlock:
         rng = np.random.default_rng(24)
         pre = rng.normal(scale=4.0, size=(*lead, 12))
         pre[..., 0, :4] = [800.0, -800.0, 1e-300, 0.0]  # saturated, tiny and zero columns
-        act = models._squash(pre.copy(), n_sig)
+        act = models._squash(pre * models._gate_rows(12, n_sig)[0], n_sig)
         expected = np.concatenate([nm.logistic(pre[..., :n_sig]), np.tanh(pre[..., n_sig:])],
                                   axis=-1)
         np.testing.assert_array_equal(act, expected)
 
     @pytest.mark.parametrize("lead", [(5,), (2, 5)], ids=["solo", "replicas"])
     def test_gates_are_bitwise_the_per_column_functions(self, lead):
-        """`_gates` of an LSTM block equals logistic on [i, f, o], tanh on the
-        candidate and f * mem + i * g, bit for bit."""
+        """`_gates` of an LSTM block, given the block halved as `unroll`
+        halves it, equals logistic on [i, f, o], tanh on the candidate and
+        f * mem + i * g of the unhalved block, bit for bit."""
         rng = np.random.default_rng(25)
         reps = lead[:-1]
         cat, mem = rng.normal(size=(*lead, HID + INP)), rng.normal(size=(*lead, HID))
         w, b = rng.normal(size=(*reps, HID + INP, 4 * HID)), rng.normal(size=(*reps, 1, 4 * HID))
-        act, new_mem = models._gates(cat, w, b, mem, 3 * HID)
+        params = {"w": Tensor(w), "b": Tensor(b)}
+        _, (w_half, b_half), _ = models._direction(
+            models.CELLS["lstm"], models.CELLS["lstm"].weights(ModelSpec(hidden=HID)), params, HID)
+        act, new_mem = models._gates(cat, w_half, b_half, mem, 3 * HID, None)
         pre = cat @ w + b
         sig, g = nm.logistic(pre[..., :3 * HID]), np.tanh(pre[..., 3 * HID:])
         np.testing.assert_array_equal(act, np.concatenate([sig, g], axis=-1))
@@ -504,6 +509,54 @@ class TestModelSpec:
     def test_bilstm_output_width_doubles(self):
         assert ModelSpec(kind="bilstm", hidden=5).output_width == 10
         assert ModelSpec(kind="gru", hidden=5).output_width == 5
+
+
+def _match_a_loop_of_cell_steps(kind, replicas, steps):
+    """`unroll_back`'s gradients against a loop of `cell_step` tape nodes
+    over `steps` steps, at 1e-12."""
+    rng = np.random.default_rng(23)
+    spec = ModelSpec(kind=kind, hidden=HID, mogrifier_rounds=3, swin_window=3)
+    lead = ((replicas,) if replicas else ()) + (4,)
+    seeds = range(replicas or 1)
+    draws = [ParameterStore(models.model_layout(spec, INP), np.random.default_rng(seed))
+             for seed in seeds]
+
+    def stacked():
+        return oracles.store_of({name: np.stack([d[name].data for d in draws])
+                                 if replicas else t.data for name, t in draws[0].items()})
+
+    xs = rng.normal(size=(*lead, steps, INP))
+    g_steps = rng.normal(size=(*lead, steps, spec.output_width))
+    g_final = rng.normal(size=(*lead, spec.output_width))
+
+    fused = stacked()
+    saved = []
+    models.unroll(spec, fused.view("cell"), xs, saved)
+    d_xs = models.unroll_back(g_steps, g_final, saved)
+
+    looped, cell = stacked(), models.CELLS[kind]
+    x_leaves, terms = [], []
+    for k, direction in enumerate(cell.directions):
+        params = looped.view(f"cell.{direction}" if direction else "cell")
+        cols = slice(k * HID, (k + 1) * HID)
+        state = (_t(np.zeros((*lead, HID))),) * cell.arity
+        for t in range(steps - 1, -1, -1) if k else range(steps):
+            x = Tensor(xs[..., t, :], requires_grad=True)
+            x_leaves.append((t, x))
+            state = cell_step(kind, x, state, params, mogrifier_rounds=3, swin_window=3)
+            terms.append(oracles.mul(state[0], _t(g_steps[..., t, cols])))
+        terms.append(oracles.mul(state[0], _t(g_final[..., cols])))
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = oracles.add(loss, term)
+    nm.backward(nm.sum_(loss))
+
+    expected = np.zeros_like(xs)
+    for t, x in x_leaves:
+        expected[..., t, :] += x.grad
+    assert max_rel_err(d_xs, expected) < 1e-12
+    for name, t in fused.items():
+        assert max_rel_err(t.grad, looped[name].grad) < 1e-12, name
 
 
 class TestUnroll:
@@ -559,60 +612,21 @@ class TestUnroll:
     @pytest.mark.parametrize("replicas", [None, 2])
     @pytest.mark.parametrize("kind", models.RECURRENT_KINDS)
     def test_batched_weight_gradients_match_a_loop_of_cell_steps(self, kind, replicas):
-        """`unroll_back` joins each gate block's (rows, d) pairs over all steps
-        and takes the block's gradient once; a loop of `cell_step` tape nodes
-        adds it step by step. Both
-        give the same parameter and step-input gradients, solo and for
+        """`unroll_back` takes each activation block's slope once, reads each
+        gate block's d for all steps back from it and takes the block's
+        gradient once; a loop of `cell_step` tape nodes takes the slopes and
+        adds the gradient step by step. Both give the same parameter and
+        step-input gradients, over 1 step and over 5, solo and for
         replica-stacked parameters."""
-        rng = np.random.default_rng(23)
-        spec = ModelSpec(kind=kind, hidden=HID, mogrifier_rounds=3, swin_window=3)
-        lead, steps = ((replicas,) if replicas else ()) + (4,), 5
-        seeds = range(replicas or 1)
-        draws = [ParameterStore(models.model_layout(spec, INP), np.random.default_rng(seed))
-                 for seed in seeds]
-
-        def stacked():
-            return oracles.store_of({name: np.stack([d[name].data for d in draws])
-                                     if replicas else t.data for name, t in draws[0].items()})
-
-        xs = rng.normal(size=(*lead, steps, INP))
-        g_steps = rng.normal(size=(*lead, steps, spec.output_width))
-        g_final = rng.normal(size=(*lead, spec.output_width))
-
-        fused = stacked()
-        saved = []
-        models.unroll(spec, fused.view("cell"), xs, saved)
-        d_xs = models.unroll_back(g_steps, g_final, saved)
-
-        looped, cell = stacked(), models.CELLS[kind]
-        x_leaves, terms = [], []
-        for k, direction in enumerate(cell.directions):
-            params = looped.view(f"cell.{direction}" if direction else "cell")
-            cols = slice(k * HID, (k + 1) * HID)
-            state = (_t(np.zeros((*lead, HID))),) * cell.arity
-            for t in range(steps - 1, -1, -1) if k else range(steps):
-                x = Tensor(xs[..., t, :], requires_grad=True)
-                x_leaves.append((t, x))
-                state = cell_step(kind, x, state, params, mogrifier_rounds=3, swin_window=3)
-                terms.append(oracles.mul(state[0], _t(g_steps[..., t, cols])))
-            terms.append(oracles.mul(state[0], _t(g_final[..., cols])))
-        loss = terms[0]
-        for term in terms[1:]:
-            loss = oracles.add(loss, term)
-        nm.backward(nm.sum_(loss))
-
-        expected = np.zeros_like(xs)
-        for t, x in x_leaves:
-            expected[..., t, :] += x.grad
-        assert max_rel_err(d_xs, expected) < 1e-12
-        for name, t in fused.items():
-            assert max_rel_err(t.grad, looped[name].grad) < 1e-12, name
+        for steps in (1, 5):
+            _match_a_loop_of_cell_steps(kind, replicas, steps)
 
     @pytest.mark.parametrize("kind", models.RECURRENT_KINDS)
     def test_a_step_backward_gives_one_pair_per_gate_block(self, kind):
         """One (rows, d) pair per block that `Cell.weights` names, both (B, ·)
-        arrays, whose `mT(rows) @ d` has the shape of the block's matrix and
-        whose d has the width of its bias."""
+        arrays, whose `mT(rows) @ d` has the shape of the block's matrix,
+        whose d has the width of its bias and is written over the block's
+        slope, which `unroll_back` reads back as the block's d."""
         rng = np.random.default_rng(24)
         spec = ModelSpec(kind=kind, hidden=HID, mogrifier_rounds=3, swin_window=3)
         cell = models.CELLS[kind]
@@ -620,15 +634,17 @@ class TestUnroll:
         params = ParameterStore(models.model_layout(spec, INP), rng).view(
             f"cell.{cell.directions[0]}" if cell.directions[0] else "cell")
         blocks = cell.weights(spec)
-        names = [n for block in blocks for n in block if n is not None]
+        w_t, halved, acts = models._direction(cell, blocks, params, HID)
+        values = tuple(np.empty((4, w)) for w, _ in acts)
         state = tuple(rng.normal(size=(4, HID)) for _ in range(cell.arity))
-        state, cache = cell.forward(rng.normal(size=(4, width)), state,
-                                    tuple(params[n].data for n in names))
-        pairs = cell.backward(cache, tuple(np.ones_like(s) for s in state))[2]
+        state, cache = cell.forward(rng.normal(size=(4, width)), state, halved, values)
+        slopes = tuple(models._slope(a, n_sig) for a, (_, n_sig) in zip(values, acts))
+        pairs = cell.backward(cache, tuple(np.ones_like(s) for s in state), w_t, slopes)[2]
         assert len(pairs) == len(blocks)
-        for (matrix, bias), (rows, d) in zip(blocks, pairs):
+        for (matrix, bias, _), (rows, d), slope in zip(blocks, pairs, slopes):
             assert rows is not None and rows.shape[0] == d.shape[0] == 4, matrix
             assert (nm.mT(rows) @ d).shape == params[matrix].shape, matrix
+            assert d is slope, matrix
             if bias is not None:
                 assert d.shape[-1] == params[bias].shape[-1], bias
 
@@ -645,8 +661,8 @@ class TestUnroll:
             store = ParameterStore(models.model_layout(spec, INP), rng)
             cell, refs = models.CELLS[kind], []
 
-            def forward(x, state, weights, cell=cell, refs=refs):
-                state, _ = cell.forward(x, state, weights)
+            def forward(x, state, weights, acts, cell=cell, refs=refs):
+                state, _ = cell.forward(x, state, weights, acts)
                 cache = Cache()
                 refs.append(weakref.ref(cache))
                 return state, cache

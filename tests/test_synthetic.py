@@ -124,6 +124,18 @@ class TestLabelCount:
         with pytest.raises(ContractError, match=f"at least 1 label, got {total}$"):
             synthetic.markov_samples(total - 5, 6, seed=0)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_toy_summaries_refuse_before_writing(self, tmp_path, count):
+        path = tmp_path / "summaries.jsonl"
+        with pytest.raises(ContractError, match=f"at least 1 summary, got {count}$"):
+            synthetic.write_toy_summaries(path, count, seed=0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_toy_corpus_refuses(self, count):
+        with pytest.raises(ContractError, match=f"at least 1 sentence, got {count}$"):
+            synthetic.toy_corpus(count)
+
     @pytest.mark.parametrize("days", ["0", "-3"])
     def test_demo_script_refuses_days_as_usage(self, tmp_path, monkeypatch, capsys, days):
         out = tmp_path / "demo"

@@ -78,6 +78,24 @@ class TestBceLoss:
                                              lambda q: oracles.bce_loss(q["p"], y),
                                              {"p": p}, seed=2)
 
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["solo", "replicas"])
+    def test_value_and_gradient_are_bitwise_both_terms(self, lead):
+        """One selected probability per row gives bit for bit the value and
+        gradient of both terms on every row, clamped rows and the signs of
+        their zeros included."""
+        rng = np.random.default_rng(4)
+        p = rng.uniform(0, 1, size=(*lead, 40, 1))
+        p[..., :6, 0] = [0.0, 0.0, 1e-9, 1e-9, 1.0, 1.0]  # clamped rows, both targets
+        y = rng.integers(0, 2, size=(*lead, 40))
+        y[..., :6] = [1, 0, 1, 0, 1, 0]
+        g = rng.normal(size=lead)
+        leaf = Tensor(p, requires_grad=True)
+        loss = tr.bce_loss(leaf, y)
+        nm.backward(nm.sum_(oracles.mul(loss, g)))
+        value, grad = oracles.bce_both_terms(p, y, g)
+        assert loss.data.tobytes() == value.tobytes()
+        assert leaf.grad.tobytes() == grad.tobytes()
+
     def test_constant_probabilities_build_no_tape(self):
         loss = tr.bce_loss(Tensor([[0.25], [0.75]]), [0, 1])
         assert not loss.requires_grad
